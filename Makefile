@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race fuzz-smoke fuzz bench bench-contended bench-batch bench-run bench-adaptive bench-contig bench-serve bench-reclaim bench-numa bench-defrag bench-tier docs lint vet fmt ci clean
+.PHONY: all build test race fuzz-smoke fuzz bench bench-contended bench-batch bench-run bench-adaptive bench-contig bench-serve bench-reclaim bench-numa bench-defrag bench-tier bench-compare docs lint vet fmt ci clean
 
 all: build test
 
@@ -58,7 +58,7 @@ bench-contig:
 # serve economy acceptance criterion at the canonical thousand-
 # connection scale.  docs/SERVING.md documents the workload and metrics.
 bench-serve:
-	$(GO) test -run '^$$' -bench BenchmarkServe -benchtime 1x .
+	$(GO) test -run '^$$' -bench BenchmarkServe -benchtime 1x -benchmem .
 	$(GO) test -run TestServeEconomy -v -timeout 600s ./internal/experiments
 
 # Background-reclaim economy: first-alloc-after-idle tail latency (p99 and
@@ -89,6 +89,12 @@ bench-defrag:
 bench-tier:
 	$(GO) test -run '^$$' -bench BenchmarkAllocTier -benchtime 32x .
 	$(GO) test -run TestTierEconomy -v -timeout 300s ./internal/experiments
+
+# The repo benchmark (bench/) at -quick size on the merge-base and on
+# this checkout: fails when any exact (simulated) metric differs, prints
+# the host verdicts as information.  See scripts/benchcompare.sh.
+bench-compare:
+	bash ./scripts/benchcompare.sh
 
 # Documentation gate: package comments on every package, docs links
 # resolve.  Mirrors the CI docs step.

@@ -227,6 +227,7 @@ func BenchmarkScaleExperiment(b *testing.B) {
 // latency and the engines' per-megabyte walk and shootdown economy.
 // docs/SERVING.md documents the topology and the metrics.
 func BenchmarkServe(b *testing.B) {
+	b.ReportAllocs()
 	runExperiment(b, "serve",
 		"p99_adaptive", "p99_fixed-2", "p99_fixed-16", "p99_fixed-64", "p99_global",
 		"walks_per_mb_adaptive", "walks_per_mb_global",

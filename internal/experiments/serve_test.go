@@ -109,3 +109,33 @@ func TestServeDeterminism(t *testing.T) {
 			a.Walks, b.Walks, a.Rounds, b.Rounds, a.Locks, b.Locks)
 	}
 }
+
+// TestServeGolden pins the canonical adaptive run at ServeSeed to the
+// outcome captured on the commit before the vnet scheduler, the mbuf
+// layout and the checksum kernel were rewritten for host speed.  Those
+// are host-side changes: the packet schedule and every simulated figure
+// must not move, and the self-comparing TestServeDeterminism cannot see
+// a scheduler that reorders ties the same way twice.
+func TestServeGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("canonical-scale serving run; skipped with -short")
+	}
+	r, err := RunServeVariant(ServeVariants()[0], ServeClients)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type golden struct {
+		TraceHash     uint64
+		P50, P99      int64
+		Rounds, Walks uint64
+		Completed     int
+		BytesReceived int64
+		Events        uint64
+	}
+	got := golden{r.TraceHash, r.P50, r.P99, r.Rounds, r.Walks, r.Completed, r.BytesReceived, r.Net.Events}
+	want := golden{TraceHash: 0xad9fc9ffcaab7c8a, P50: 10660, P99: 297560, Rounds: 733, Walks: 61490,
+		Completed: 1938, BytesReceived: 259239297, Events: 562180}
+	if got != want {
+		t.Fatalf("canonical serve run moved:\n got %+v\nwant %+v", got, want)
+	}
+}

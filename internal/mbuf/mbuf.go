@@ -40,9 +40,21 @@ type Ext struct {
 
 // NewExt creates external storage with one reference.
 func NewExt(buf *sfbuf.Buf, page *vm.Page, free func(ctx *smp.Context)) *Ext {
-	e := &Ext{Buf: buf, Page: page, free: free}
-	e.refs.Store(1)
+	e := new(Ext)
+	e.Reset(buf, page, free)
 	return e
+}
+
+// Reset re-arms released storage — no reference left, so no mbuf can
+// still see it — for another page, with one reference, as NewExt would
+// have built it.  It lets an owner that watches its externals' counts
+// reach zero reuse the objects instead of allocating one per page.
+func (e *Ext) Reset(buf *sfbuf.Buf, page *vm.Page, free func(ctx *smp.Context)) {
+	if e.refs.Load() != 0 {
+		panic("mbuf: reset of external storage that is still referenced")
+	}
+	e.Buf, e.Page, e.free = buf, page, free
+	e.refs.Store(1)
 }
 
 // Ref adds a reference (packet segmentation sharing one page across
@@ -59,7 +71,11 @@ func (e *Ext) Unref(ctx *smp.Context) {
 		panic("mbuf: external storage reference underflow")
 	}
 	if n == 0 && e.free != nil {
-		e.free(ctx)
+		// Drop the hook as it fires: released storage must not keep the
+		// mapping run it released reachable.
+		free := e.free
+		e.free = nil
+		free(ctx)
 	}
 }
 
@@ -127,37 +143,56 @@ func (r *RunRelease) Drop(ctx *smp.Context, n int) {
 	}
 }
 
-// Mbuf is one buffer in a chain.
+// Mbuf is one buffer in a chain: a view of external page storage, or of
+// MLEN bytes of inline storage.  Only inline mbufs carry the inline
+// bytes — they sit behind the header in the same allocation (see
+// NewInline) — so a zero-copy mbuf, the kind the send paths build per
+// packet, is the header alone.
 type Mbuf struct {
-	// Inline holds header/small data when Ext is nil.
-	Inline [MLEN]byte
-	// Ext points at external page storage when non-nil.
+	// Ext points at external page storage; nil for an inline mbuf.
 	Ext *Ext
-	// Off and Len delimit this mbuf's bytes: within Inline, or within
-	// the external page (so Off+Len <= PageSize).
+	// Off and Len delimit this mbuf's bytes: within the inline storage,
+	// or within the external page (so Off+Len <= PageSize).
 	Off, Len int
 	// Next chains mbufs within one packet.
 	Next *Mbuf
+	// inline is the inline storage; nil for an external mbuf.
+	inline *[MLEN]byte
 }
 
-// NewInline builds an inline mbuf holding a copy of data.
+// NewInline builds an inline mbuf holding a copy of data.  Header and
+// storage are one allocation.
 func NewInline(data []byte) *Mbuf {
 	if len(data) > MLEN {
 		panic(fmt.Sprintf("mbuf: inline data %d exceeds MLEN", len(data)))
 	}
-	m := &Mbuf{Len: len(data)}
-	copy(m.Inline[:], data)
-	return m
+	im := &struct {
+		Mbuf
+		store [MLEN]byte
+	}{}
+	im.Len = len(data)
+	im.inline = &im.store
+	copy(im.store[:], data)
+	return &im.Mbuf
 }
 
 // NewExtMbuf builds an mbuf referencing ext's bytes [off, off+n).  The
 // caller is responsible for the reference accounting (this constructor
 // does not Ref).
 func NewExtMbuf(ext *Ext, off, n int) *Mbuf {
+	m := new(Mbuf)
+	m.SetExt(ext, off, n)
+	return m
+}
+
+// SetExt points m — an mbuf the caller embeds in a larger object, or one
+// whose chain has been freed — at ext's bytes [off, off+n), as NewExtMbuf
+// would have built it.
+func (m *Mbuf) SetExt(ext *Ext, off, n int) {
 	if off < 0 || n < 0 || off+n > vm.PageSize {
 		panic(fmt.Sprintf("mbuf: external range [%d,%d) out of page", off, off+n))
 	}
-	return &Mbuf{Ext: ext, Off: off, Len: n}
+	*m = Mbuf{Ext: ext, Off: off, Len: n}
 }
 
 // KVA returns the kernel virtual address of this mbuf's first byte, which
@@ -172,7 +207,7 @@ func (m *Mbuf) KVA() uint64 {
 }
 
 // InlineBytes returns the inline payload slice.
-func (m *Mbuf) InlineBytes() []byte { return m.Inline[m.Off : m.Off+m.Len] }
+func (m *Mbuf) InlineBytes() []byte { return m.inline[m.Off : m.Off+m.Len] }
 
 // Chain is a packet: a list of mbufs with a total length.
 type Chain struct {
@@ -241,7 +276,7 @@ func (c *Chain) Split(n int) *Chain {
 			m.Ext.Ref()
 			pre = NewExtMbuf(m.Ext, m.Off, n)
 		} else {
-			pre = NewInline(m.Inline[m.Off : m.Off+n])
+			pre = NewInline(m.inline[m.Off : m.Off+n])
 		}
 		m.Off += n
 		m.Len -= n

@@ -3,6 +3,7 @@ package mbuf
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"sfbuf/internal/arch"
 	"sfbuf/internal/smp"
@@ -270,4 +271,73 @@ func TestSegmentationLikeSendPath(t *testing.T) {
 			t.Fatalf("ext %d refs = %d, want 0", i, e.Refs())
 		}
 	}
+}
+
+// TestMbufAllocationShape pins what an mbuf costs the host: an inline
+// mbuf is ONE allocation (header and storage together), and an external
+// mbuf is one allocation that does not carry the MLEN inline bytes.
+func TestMbufAllocationShape(t *testing.T) {
+	data := make([]byte, MLEN)
+	var keep *Mbuf
+	if n := testing.AllocsPerRun(100, func() { keep = NewInline(data) }); n != 1 {
+		t.Errorf("NewInline made %.0f allocations, want 1", n)
+	}
+	if len(keep.InlineBytes()) != MLEN {
+		t.Fatal("inline storage lost")
+	}
+	ext := NewExt(nil, nil, nil)
+	if n := testing.AllocsPerRun(100, func() { keep = NewExtMbuf(ext, 0, 100) }); n != 1 {
+		t.Errorf("NewExtMbuf made %.0f allocations, want 1", n)
+	}
+	if sz := unsafe.Sizeof(Mbuf{}); sz >= MLEN {
+		t.Errorf("an external mbuf is %d bytes: it still pays for inline storage", sz)
+	}
+}
+
+// TestExtResetReuse covers recycling: released storage re-arms with one
+// reference and its new hook, and storage an mbuf may still see refuses.
+func TestExtResetReuse(t *testing.T) {
+	ctx := testCtx()
+	first, second := 0, 0
+	e := NewExt(nil, nil, func(*smp.Context) { first++ })
+	e.Unref(ctx)
+	e.Reset(nil, nil, func(*smp.Context) { second++ })
+	if e.Refs() != 1 {
+		t.Fatalf("refs after reset = %d, want 1", e.Refs())
+	}
+	e.Unref(ctx)
+	if first != 1 || second != 1 {
+		t.Fatalf("release hooks ran %d and %d times, want once each", first, second)
+	}
+	e.Reset(nil, nil, nil)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("resetting referenced storage must panic")
+		}
+	}()
+	e.Reset(nil, nil, nil)
+}
+
+// TestSetExtReusesEmbeddedMbuf: an mbuf embedded in a caller's object is
+// re-pointed in place, under the same range validation as NewExtMbuf.
+func TestSetExtReusesEmbeddedMbuf(t *testing.T) {
+	var seg struct {
+		chain Chain
+		m     Mbuf
+	}
+	ctx := testCtx()
+	for round := 0; round < 2; round++ {
+		seg.m.SetExt(NewExt(nil, nil, nil), 100*round, 1460)
+		seg.chain.Append(&seg.m)
+		if seg.chain.PktLen != 1460 || seg.chain.Mbufs() != 1 || seg.m.Off != 100*round {
+			t.Fatalf("round %d: chain %+v over mbuf %+v", round, seg.chain, seg.m)
+		}
+		seg.chain.Free(ctx)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("out-of-page range must panic")
+		}
+	}()
+	seg.m.SetExt(NewExt(nil, nil, nil), vm.PageSize-10, 20)
 }

@@ -114,6 +114,15 @@ type VServer struct {
 	OnComplete func(c *VConn, r *VRequest)
 
 	stats VServeStats
+
+	// Released segments and externals wait here for the next window,
+	// which takes them in place of new ones: the server's short-lived
+	// network objects get reusable homes, and both lists stay at the peak
+	// number in flight.  exts is mapWindow's result, valid until its next
+	// call.
+	segFree []*vseg
+	extFree []*mbuf.Ext
+	exts    []*mbuf.Ext
 }
 
 // NewVServer wires a serving endpoint over the stack and network with
@@ -132,11 +141,49 @@ func NewVServer(st *Stack, net *vnet.Net) *VServer {
 // Stats returns a copy of the aggregated serving counters.
 func (srv *VServer) Stats() VServeStats { return srv.stats }
 
-// vseg is one staged or transmitted-unacknowledged segment.
+// fifo is a head-indexed queue.  Popping advances head and zeroes the
+// slot it leaves, so nothing popped stays reachable from the backing
+// array, which is reused once the queue drains and compacted, not
+// regrown, when it fills with the popped prefix at least half of it.
+type fifo[T any] struct {
+	items []T
+	head  int
+}
+
+func (q *fifo[T]) len() int { return len(q.items) - q.head }
+
+func (q *fifo[T]) front() T { return q.items[q.head] }
+
+// live returns the queued items in order; valid until the next push or pop.
+func (q *fifo[T]) live() []T { return q.items[q.head:] }
+
+func (q *fifo[T]) push(v T) {
+	if len(q.items) == cap(q.items) && q.head > 0 && q.head >= len(q.items)/2 {
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
+	}
+	q.items = append(q.items, v)
+}
+
+func (q *fifo[T]) pop() T {
+	var zero T
+	v := q.items[q.head]
+	q.items[q.head] = zero
+	q.head++
+	if q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
+	return v
+}
+
+// vseg is one staged or transmitted-unacknowledged segment.  Its packet
+// is one mbuf, held by value: chain.Head points at m.
 type vseg struct {
 	seq    int64
 	length int
-	chain  *mbuf.Chain
+	chain  mbuf.Chain
+	m      mbuf.Mbuf
 	req    *VRequest
 	// summed marks a segment whose software checksum was computed at
 	// staging time, over the whole mapped window; its first transmission
@@ -159,18 +206,22 @@ type VConn struct {
 	stageSeq int64 // next staged byte (sndNxt + staged backlog)
 	rwnd     int
 
-	queue   []*VRequest // not yet staged
-	cur     *VRequest   // request currently being staged
+	queue   fifo[*VRequest] // not yet staged
+	cur     *VRequest       // request currently being staged
 	curOff  int64
-	pending []*vm.Page // resolved+wired window awaiting a stalled mapping
-	staged  []*vseg    // mapped, packetized, awaiting window
-	rtq     []*vseg    // transmitted, unacknowledged, seq order
+	pending []*vm.Page  // resolved+wired window awaiting a stalled mapping
+	staged  fifo[*vseg] // mapped, packetized, awaiting window
+	rtq     fifo[*vseg] // transmitted, unacknowledged, seq order
 
 	dupAcks    int
 	rtoArmed   bool
 	probeArmed bool
 	retryArmed bool
 	closed     bool
+	// rtoUna is sndUna when the pending RTO was armed (at most one is).
+	rtoUna int64
+	// The timer callbacks, bound once so arming one allocates nothing.
+	onRTO, onRetry, onProbe func()
 
 	// err records the first hard serving failure (anything but a stall).
 	err error
@@ -179,7 +230,9 @@ type VConn struct {
 // NewVConn creates the server side of connection id, pinned to ctx's
 // CPU, transmitting on link, with mapping windows sized by sw.
 func (srv *VServer) NewVConn(id int, ctx *smp.Context, link *vnet.Link, sw *kernel.SendWindow) *VConn {
-	return &VConn{srv: srv, id: id, ctx: ctx, link: link, sw: sw, rwnd: DefaultWindow}
+	c := &VConn{srv: srv, id: id, ctx: ctx, link: link, sw: sw, rwnd: DefaultWindow}
+	c.onRTO, c.onRetry, c.onProbe = c.rtoFired, c.retryFired, c.probeFired
+	return c
 }
 
 // Err returns the connection's first hard failure, if any.
@@ -193,7 +246,7 @@ func (c *VConn) Enqueue(r *VRequest) {
 	if c.closed {
 		return
 	}
-	c.queue = append(c.queue, r)
+	c.queue.push(r)
 	c.pump()
 }
 
@@ -210,7 +263,7 @@ func (c *VConn) pump() {
 	}
 	for {
 		inflight := int(c.sndNxt - c.sndUna)
-		if len(c.staged) == 0 {
+		if c.staged.len() == 0 {
 			if inflight > 0 && inflight >= c.effWindow() {
 				return // window full: ACKs will re-pump
 			}
@@ -218,7 +271,7 @@ func (c *VConn) pump() {
 				return // nothing to stage, or stalled on a mapping
 			}
 		}
-		s := c.staged[0]
+		s := c.staged.front()
 		if inflight > 0 && inflight+s.length > c.effWindow() {
 			return
 		}
@@ -226,7 +279,7 @@ func (c *VConn) pump() {
 			c.armProbe()
 			return
 		}
-		c.staged = c.staged[1:]
+		c.staged.pop()
 		c.transmit(s, false)
 	}
 }
@@ -236,11 +289,10 @@ func (c *VConn) pump() {
 // the mapping stalled (a retry timer is then armed).
 func (c *VConn) stageWindow() bool {
 	if c.cur == nil {
-		if len(c.queue) == 0 {
+		if c.queue.len() == 0 {
 			return false
 		}
-		c.cur = c.queue[0]
-		c.queue = c.queue[1:]
+		c.cur = c.queue.pop()
 		c.curOff = 0
 		c.cur.startSeq = c.stageSeq
 		c.cur.endSeq = c.stageSeq + c.cur.Size
@@ -329,10 +381,7 @@ func (c *VConn) stageWindow() bool {
 			if po > 0 {
 				ext.Ref()
 			}
-			chain := &mbuf.Chain{}
-			chain.Append(mbuf.NewExtMbuf(ext, po, take))
-			c.staged = append(c.staged, &vseg{seq: c.stageSeq, length: take, chain: chain,
-				req: req, summed: !c.srv.St.ChecksumOffload})
+			c.staged.push(c.srv.newSeg(c.stageSeq, ext, po, take, req))
 			c.stageSeq += int64(take)
 			po += take
 		}
@@ -409,11 +458,13 @@ func (c *VConn) checksumWindow(exts []*mbuf.Ext, winBytes int) error {
 func (c *VConn) mapWindow(pages []*vm.Page) ([]*mbuf.Ext, error) {
 	k := c.srv.St.K
 	bufs, rel, err := c.sw.MapExtent(c.ctx, pages, sfbuf.NoWait)
+	exts := c.srv.exts[:0]
 	if err == nil {
-		exts := make([]*mbuf.Ext, len(bufs))
+		unref := rel.Unref // one method value for the window, not one per page
 		for j := range bufs {
-			exts[j] = mbuf.NewExt(bufs[j], pages[j], rel.Unref)
+			exts = append(exts, c.srv.newExt(bufs[j], pages[j], unref))
 		}
+		c.srv.exts = exts
 		return exts, nil
 	}
 	if err != sfbuf.ErrBatchTooLarge {
@@ -433,15 +484,68 @@ func (c *VConn) mapWindow(pages []*vm.Page) ([]*mbuf.Ext, error) {
 		}
 		ppBufs = append(ppBufs, b)
 	}
-	exts := make([]*mbuf.Ext, len(pages))
 	for j := range pages {
 		buf, page := ppBufs[j], pages[j]
-		exts[j] = mbuf.NewExt(buf, page, func(fctx *smp.Context) {
+		exts = append(exts, c.srv.newExt(buf, page, func(fctx *smp.Context) {
 			k.Map.Free(fctx, buf)
 			page.Unwire()
-		})
+		}))
 	}
+	c.srv.exts = exts
 	return exts, nil
+}
+
+// take pops a recycled object off a free list; nil when none is waiting.
+func take[T any](free *[]*T) *T {
+	n := len(*free)
+	if n == 0 {
+		return nil
+	}
+	v := (*free)[n-1]
+	(*free)[n-1] = nil
+	*free = (*free)[:n-1]
+	return v
+}
+
+// newExt returns external storage for one mapped page, recycled when a
+// released one is waiting.
+func (srv *VServer) newExt(buf *sfbuf.Buf, page *vm.Page, free func(*smp.Context)) *mbuf.Ext {
+	e := take(&srv.extFree)
+	if e == nil {
+		return mbuf.NewExt(buf, page, free)
+	}
+	e.Reset(buf, page, free)
+	return e
+}
+
+// newSeg returns a staged segment over ext's bytes [off, off+n), recycled
+// when a released one is waiting.  The caller owns the ext reference the
+// segment's mbuf will drop.
+func (srv *VServer) newSeg(seq int64, ext *mbuf.Ext, off, n int, req *VRequest) *vseg {
+	s := take(&srv.segFree)
+	if s == nil {
+		s = new(vseg)
+	}
+	s.seq, s.length, s.req, s.summed = seq, n, req, !srv.St.ChecksumOffload
+	s.m.SetExt(ext, off, n)
+	s.chain.Append(&s.m)
+	return s
+}
+
+// freeSeg drops a segment's reference on its page and recycles the
+// segment, and the page's external storage with it if that reference was
+// the last.  The event loop is single-threaded and the server's
+// externals are referenced only by its segments, so a count of zero here
+// is final.
+func (srv *VServer) freeSeg(ctx *smp.Context, s *vseg) {
+	ext := s.m.Ext
+	s.chain.Free(ctx)
+	if ext.Refs() == 0 {
+		ext.Buf, ext.Page = nil, nil
+		srv.extFree = append(srv.extFree, ext)
+	}
+	s.m, s.req = mbuf.Mbuf{}, nil
+	srv.segFree = append(srv.segFree, s)
 }
 
 // transmit checksums (software path) and sends one segment, arming the
@@ -449,7 +553,7 @@ func (c *VConn) mapWindow(pages []*vm.Page) ([]*mbuf.Ext, error) {
 func (c *VConn) transmit(s *vseg, retrans bool) {
 	c.ctx.Charge(c.ctx.Cost().PacketFixed)
 	if !c.srv.St.ChecksumOffload && (retrans || !s.summed) {
-		if err := c.srv.St.checksumChain(c.ctx, s.chain); err != nil {
+		if err := c.srv.St.checksumChain(c.ctx, &s.chain); err != nil {
 			c.fail(fmt.Errorf("vserve conn %d: checksum: %w", c.id, err))
 			return
 		}
@@ -457,7 +561,7 @@ func (c *VConn) transmit(s *vseg, retrans bool) {
 	c.srv.stats.PacketsSent++
 	c.srv.stats.BytesSent += uint64(s.length)
 	if !retrans {
-		c.rtq = append(c.rtq, s)
+		c.rtq.push(s)
 		if end := s.seq + int64(s.length); end > c.sndNxt {
 			c.sndNxt = end
 		}
@@ -484,7 +588,7 @@ func (c *VConn) HandleAck(p vnet.Packet) {
 		c.dupAcks = 0
 		c.releaseCovered()
 		c.sw.ObserveAck(acked, int(c.sndNxt-c.sndUna))
-	case p.Ack == c.sndUna && p.Win == prevWnd && len(c.rtq) > 0 && p.Flags&vnet.FlagAck != 0:
+	case p.Ack == c.sndUna && p.Win == prevWnd && c.rtq.len() > 0 && p.Flags&vnet.FlagAck != 0:
 		// A true duplicate — same ack, same window — signals a hole at
 		// the receiver; a changed window is just a window update.
 		c.dupAcks++
@@ -493,7 +597,7 @@ func (c *VConn) HandleAck(p vnet.Packet) {
 			// through its retained mapping.
 			c.srv.stats.Retransmits++
 			c.srv.stats.FastRetrans++
-			c.transmit(c.rtq[0], true)
+			c.transmit(c.rtq.front(), true)
 		}
 	}
 	c.pump()
@@ -503,20 +607,21 @@ func (c *VConn) HandleAck(p vnet.Packet) {
 // release cycles to the owning request and completing requests whose
 // last byte is covered.
 func (c *VConn) releaseCovered() {
-	for len(c.rtq) > 0 {
-		s := c.rtq[0]
+	for c.rtq.len() > 0 {
+		s := c.rtq.front()
 		if s.seq+int64(s.length) > c.sndUna {
 			break
 		}
-		c.rtq = c.rtq[1:]
+		c.rtq.pop()
+		req := s.req
 		before := c.ctx.CPU().Cycles()
-		s.chain.Free(c.ctx)
-		s.req.MapCycles += c.ctx.CPU().Cycles() - before
-		if !s.req.completed && c.sndUna >= s.req.endSeq {
-			s.req.completed = true
+		c.srv.freeSeg(c.ctx, s)
+		req.MapCycles += c.ctx.CPU().Cycles() - before
+		if !req.completed && c.sndUna >= req.endSeq {
+			req.completed = true
 			c.srv.stats.Completed++
 			if c.srv.OnComplete != nil {
-				c.srv.OnComplete(c, s.req)
+				c.srv.OnComplete(c, req)
 			}
 		}
 	}
@@ -534,12 +639,12 @@ func (c *VConn) Abort() {
 	c.closed = true
 	c.srv.stats.Aborted++
 	rtq, staged, pending := c.rtq, c.staged, c.pending
-	c.rtq, c.staged, c.queue, c.cur, c.pending = nil, nil, nil, nil, nil
-	for _, s := range rtq {
-		s.chain.Free(c.ctx)
+	c.rtq, c.staged, c.queue, c.cur, c.pending = fifo[*vseg]{}, fifo[*vseg]{}, fifo[*VRequest]{}, nil, nil
+	for _, s := range rtq.live() {
+		c.srv.freeSeg(c.ctx, s)
 	}
-	for _, s := range staged {
-		s.chain.Free(c.ctx)
+	for _, s := range staged.live() {
+		c.srv.freeSeg(c.ctx, s)
 	}
 	for _, pg := range pending {
 		pg.Unwire()
@@ -556,23 +661,25 @@ func (c *VConn) fail(err error) {
 }
 
 func (c *VConn) armRTO() {
-	if c.rtoArmed || c.closed || len(c.rtq) == 0 {
+	if c.rtoArmed || c.closed || c.rtq.len() == 0 {
 		return
 	}
 	c.rtoArmed = true
-	una := c.sndUna
-	c.srv.Net.After(c.srv.RTO, func() {
-		c.rtoArmed = false
-		if c.closed || c.err != nil || len(c.rtq) == 0 {
-			return
-		}
-		if c.sndUna == una {
-			// No progress for a full RTO: retransmit the first hole.
-			c.srv.stats.Retransmits++
-			c.transmit(c.rtq[0], true)
-		}
-		c.armRTO()
-	})
+	c.rtoUna = c.sndUna
+	c.srv.Net.After(c.srv.RTO, c.onRTO)
+}
+
+func (c *VConn) rtoFired() {
+	c.rtoArmed = false
+	if c.closed || c.err != nil || c.rtq.len() == 0 {
+		return
+	}
+	if c.sndUna == c.rtoUna {
+		// No progress for a full RTO: retransmit the first hole.
+		c.srv.stats.Retransmits++
+		c.transmit(c.rtq.front(), true)
+	}
+	c.armRTO()
 }
 
 func (c *VConn) armRetry() {
@@ -580,13 +687,15 @@ func (c *VConn) armRetry() {
 		return
 	}
 	c.retryArmed = true
-	c.srv.Net.After(c.srv.RetryDelay, func() {
-		c.retryArmed = false
-		if c.closed {
-			return
-		}
-		c.pump()
-	})
+	c.srv.Net.After(c.srv.RetryDelay, c.onRetry)
+}
+
+func (c *VConn) retryFired() {
+	c.retryArmed = false
+	if c.closed {
+		return
+	}
+	c.pump()
 }
 
 func (c *VConn) armProbe() {
@@ -594,21 +703,23 @@ func (c *VConn) armProbe() {
 		return
 	}
 	c.probeArmed = true
-	c.srv.Net.After(c.srv.ProbeDelay, func() {
-		c.probeArmed = false
-		if c.closed || c.err != nil {
-			return
-		}
-		if c.effWindow() == 0 && c.sndNxt == c.sndUna && (len(c.staged) > 0 || c.cur != nil || len(c.queue) > 0) {
-			// Zero window, nothing in flight, more to send: probe for a
-			// fresh window advertisement (the update may have been lost).
-			c.srv.stats.Probes++
-			c.link.Send(vnet.Packet{Flow: c.id, Flags: vnet.FlagProbe})
-			c.armProbe()
-			return
-		}
-		c.pump()
-	})
+	c.srv.Net.After(c.srv.ProbeDelay, c.onProbe)
+}
+
+func (c *VConn) probeFired() {
+	c.probeArmed = false
+	if c.closed || c.err != nil {
+		return
+	}
+	if c.effWindow() == 0 && c.sndNxt == c.sndUna && (c.staged.len() > 0 || c.cur != nil || c.queue.len() > 0) {
+		// Zero window, nothing in flight, more to send: probe for a
+		// fresh window advertisement (the update may have been lost).
+		c.srv.stats.Probes++
+		c.link.Send(vnet.Packet{Flow: c.id, Flags: vnet.FlagProbe})
+		c.armProbe()
+		return
+	}
+	c.pump()
 }
 
 // VClientStats counts client-side observations.
@@ -637,6 +748,7 @@ type VClient struct {
 	ooo        []vnet.Packet // out-of-order segments, seq-sorted
 	drainArmed bool
 	closed     bool
+	onDrain    func() // the drain timer's callback, bound once
 	stats      VClientStats
 }
 
@@ -644,8 +756,10 @@ type VClient struct {
 // link, the receive buffer holds bufCap bytes, and the application reads
 // drainBytes every drainEvery cycles.
 func NewVClient(net *vnet.Net, id int, link *vnet.Link, bufCap, drainBytes int, drainEvery int64) *VClient {
-	return &VClient{net: net, id: id, link: link, bufCap: bufCap,
+	cl := &VClient{net: net, id: id, link: link, bufCap: bufCap,
 		drainBytes: drainBytes, drainEvery: drainEvery}
+	cl.onDrain = cl.drainFired
+	return cl
 }
 
 // Stats returns a copy of the client counters.
@@ -688,13 +802,18 @@ func (cl *VClient) HandleData(p vnet.Packet) {
 		return
 	}
 	cl.advance(end)
-	// Pull any queued segments the advance made contiguous.
-	for len(cl.ooo) > 0 && cl.ooo[0].Seq <= cl.rcvNxt {
-		oend := cl.ooo[0].Seq + int64(cl.ooo[0].Len)
-		cl.ooo = cl.ooo[1:]
+	// Pull any queued segments the advance made contiguous, then close
+	// the gap they leave so the queue keeps its backing array.
+	pulled := 0
+	for pulled < len(cl.ooo) && cl.ooo[pulled].Seq <= cl.rcvNxt {
+		oend := cl.ooo[pulled].Seq + int64(cl.ooo[pulled].Len)
+		pulled++
 		if oend > cl.rcvNxt {
 			cl.advance(oend)
 		}
+	}
+	if pulled > 0 {
+		cl.ooo = cl.ooo[:copy(cl.ooo, cl.ooo[pulled:])]
 	}
 	cl.sendAck()
 	cl.armDrain()
@@ -733,19 +852,21 @@ func (cl *VClient) armDrain() {
 		return
 	}
 	cl.drainArmed = true
-	cl.net.After(cl.drainEvery, func() {
-		cl.drainArmed = false
-		if cl.closed {
-			return
-		}
-		d := cl.drainBytes
-		if d > cl.buffered {
-			d = cl.buffered
-		}
-		if d > 0 {
-			cl.buffered -= d
-			cl.sendAck()
-		}
-		cl.armDrain()
-	})
+	cl.net.After(cl.drainEvery, cl.onDrain)
+}
+
+func (cl *VClient) drainFired() {
+	cl.drainArmed = false
+	if cl.closed {
+		return
+	}
+	d := cl.drainBytes
+	if d > cl.buffered {
+		d = cl.buffered
+	}
+	if d > 0 {
+		cl.buffered -= d
+		cl.sendAck()
+	}
+	cl.armDrain()
 }

@@ -11,21 +11,20 @@
 // internal/netstack interprets deliveries against that state.
 //
 // Determinism is the design constraint everything else follows from.
-// Events fire in (time, schedule-order) order from a binary heap, all
-// randomness comes from per-link splitmix64 generators seeded from the
-// caller's one seed, and the event loop is single-threaded: Step and
-// Run must be called from one goroutine, and every callback runs on
-// that goroutine.  Two runs with the same seed therefore replay the
-// same packet schedule bit for bit, which TraceHash certifies — it
-// folds every delivery and timer into one FNV-1a digest that the
-// determinism suite compares across runs.  Virtual time is measured in
-// simulated CPU cycles so that network round trips and mapping-stall
-// backoffs add in the same unit the latency percentiles are reported
-// in, but the clock only advances through link delays and timers —
-// never by CPU work, which the smp machine accounts separately.
+// Events fire in (time, schedule-order) order from a 4-ary heap of value
+// keys over a recycled slab of typed events (see Net), all randomness
+// comes from per-link splitmix64 generators seeded from the caller's one
+// seed, and the event loop is single-threaded: Step and Run must be
+// called from one goroutine, and every callback runs on that goroutine.
+// Two runs with the same seed therefore replay the same packet schedule
+// bit for bit, which TraceHash certifies — it folds every delivery and
+// timer into one FNV-1a digest that the determinism suite compares
+// across runs.  Virtual time is measured in simulated CPU cycles so that
+// network round trips and mapping-stall backoffs add in the same unit
+// the latency percentiles are reported in, but the clock only advances
+// through link delays and timers — never by CPU work, which the smp
+// machine accounts separately.
 package vnet
-
-import "container/heap"
 
 // Flags mark a packet's role.
 type Flags uint8
@@ -94,32 +93,27 @@ func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// event is one scheduled callback.
-type event struct {
-	at  int64
-	seq uint64 // schedule order: the deterministic tiebreak
-	fn  func()
+// heapKey orders one pending event.  Keys are values, so sifting moves
+// 24 bytes and never touches the event it names.
+type heapKey struct {
+	at   int64
+	seq  uint64 // schedule order: the deterministic tiebreak
+	slot int32  // the event's index in Net.events
 }
 
-// eventHeap orders events by (time, schedule order).
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (k heapKey) before(o heapKey) bool {
+	if k.at != o.at {
+		return k.at < o.at
 	}
-	return h[i].seq < h[j].seq
+	return k.seq < o.seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+
+// event is what fires: a delivery of pkt on link, or (link nil) a timer
+// callback.  Deliveries are dispatched directly, so Send captures nothing.
+type event struct {
+	link *Link
+	pkt  Packet
+	fn   func()
 }
 
 // Stats counts scheduler and link activity.
@@ -137,14 +131,23 @@ type Stats struct {
 
 // Net is one virtual network: a clock, an event heap, and the links
 // created on it.  Single-threaded: see the package comment.
+//
+// Pending events live in events, a slab whose freed slots are reused
+// (free is the stack of them), and are ordered by heap, a 4-ary min-heap
+// of (at, seq) keys.  seq is unique, so the order is total and any
+// correct heap pops the same sequence.  Both grow to the peak number of
+// events in flight and no further: steady-state Send, After and Step
+// allocate nothing.
 type Net struct {
-	now   int64
-	seq   uint64
-	heap  eventHeap
-	seed  uint64
-	links int
-	hash  uint64
-	stats Stats
+	now    int64
+	seq    uint64
+	heap   []heapKey
+	events []event
+	free   []int32
+	seed   uint64
+	links  int
+	hash   uint64
+	stats  Stats
 }
 
 // New creates a network whose links derive their randomness from seed.
@@ -167,17 +170,67 @@ func (n *Net) After(d int64, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	n.schedule(n.now+d, func() {
-		n.stats.Timers++
-		n.fold('T', uint64(n.now))
-		fn()
-	})
+	n.schedule(n.now+d, event{fn: fn})
 }
 
-func (n *Net) schedule(at int64, fn func()) {
-	ev := &event{at: at, seq: n.seq, fn: fn}
+func (n *Net) schedule(at int64, ev event) {
+	var slot int32
+	if f := len(n.free); f > 0 {
+		slot = n.free[f-1]
+		n.free = n.free[:f-1]
+		n.events[slot] = ev
+	} else {
+		slot = int32(len(n.events))
+		n.events = append(n.events, ev)
+	}
+	k := heapKey{at: at, seq: n.seq, slot: slot}
 	n.seq++
-	heap.Push(&n.heap, ev)
+	// Sift up: 4-ary, so the parent of i is (i-1)/4.
+	h := append(n.heap, k)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !k.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = k
+	n.heap = h
+}
+
+// popMin removes and returns the earliest key.
+func (n *Net) popMin() heapKey {
+	h := n.heap
+	top := h[0]
+	last := len(h) - 1
+	k := h[last]
+	h = h[:last]
+	n.heap = h
+	// Sift the former last key down from the root.
+	i := 0
+	for {
+		c := 4*i + 1
+		if c >= last {
+			break
+		}
+		m := c
+		for j := c + 1; j < c+4 && j < last; j++ {
+			if h[j].before(h[m]) {
+				m = j
+			}
+		}
+		if !h[m].before(k) {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	if last > 0 {
+		h[i] = k
+	}
+	return top
 }
 
 // Step fires the earliest event, advancing the clock to it.  It returns
@@ -186,12 +239,25 @@ func (n *Net) Step() bool {
 	if len(n.heap) == 0 {
 		return false
 	}
-	ev := heap.Pop(&n.heap).(*event)
-	if ev.at > n.now {
-		n.now = ev.at
+	k := n.popMin()
+	// Copy the event out and give its slot back before firing: the
+	// callback may schedule, which reuses the slot or grows the slab.
+	ev := n.events[k.slot]
+	n.events[k.slot] = event{}
+	n.free = append(n.free, k.slot)
+	if k.at > n.now {
+		n.now = k.at
 	}
 	n.stats.Events++
-	ev.fn()
+	if ev.link != nil {
+		n.stats.Delivered++
+		n.foldPacket('P', ev.pkt)
+		ev.link.Deliver(ev.pkt)
+	} else {
+		n.stats.Timers++
+		n.hash = fold(fold(n.hash, 'T'), uint64(n.now))
+		ev.fn()
+	}
 	return true
 }
 
@@ -222,20 +288,19 @@ const (
 	fnvPrime  = 1099511628211
 )
 
-func (n *Net) fold(vs ...uint64) {
-	h := n.hash
-	for _, v := range vs {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xff
-			h *= fnvPrime
-		}
+// fold digests v's eight bytes, low byte first, into the FNV-1a state h.
+func fold(h, v uint64) uint64 {
+	for i := 0; i < 64; i += 8 {
+		h = (h ^ (v>>i)&0xff) * fnvPrime
 	}
-	n.hash = h
+	return h
 }
 
 func (n *Net) foldPacket(tag uint64, p Packet) {
-	n.fold(tag, uint64(n.now), uint64(p.Flow), uint64(p.Seq),
-		uint64(p.Len), uint64(p.Ack), uint64(p.Win), uint64(p.Flags))
+	h := fold(fold(n.hash, tag), uint64(n.now))
+	h = fold(fold(h, uint64(p.Flow)), uint64(p.Seq))
+	h = fold(fold(h, uint64(p.Len)), uint64(p.Ack))
+	n.hash = fold(fold(h, uint64(p.Win)), uint64(p.Flags))
 }
 
 // Link is one simplex path with loss, reordering and delay.  Deliver is
@@ -297,10 +362,5 @@ func (l *Link) Send(p Packet) {
 		delay += extra
 		n.stats.Reordered++
 	}
-	pkt := p
-	n.schedule(n.now+delay, func() {
-		n.stats.Delivered++
-		n.foldPacket('P', pkt)
-		l.Deliver(pkt)
-	})
+	n.schedule(n.now+delay, event{link: l, pkt: p})
 }
