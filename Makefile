@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race fuzz-smoke fuzz bench bench-contended bench-batch bench-run bench-adaptive bench-contig bench-serve bench-reclaim bench-numa bench-defrag bench-tier bench-compare docs lint vet fmt ci clean
+.PHONY: all build test race fuzz-smoke fuzz bench bench-contended bench-batch bench-run bench-adaptive bench-contig bench-serve bench-reclaim bench-numa bench-defrag bench-tier bench-compare bench-pairs docs lint vet fmt ci clean
 
 all: build test
 
@@ -19,7 +19,7 @@ race:
 
 # Run the checked-in fuzz seed corpus as unit tests (what CI smokes).
 fuzz-smoke:
-	$(GO) test -run 'Fuzz' ./internal/sfbuf
+	$(GO) test -run 'Fuzz' ./internal/sfbuf ./internal/tlb ./internal/pmap
 
 # Actually fuzz the vectored sharded engine for a minute.
 fuzz:
@@ -95,6 +95,17 @@ bench-tier:
 # the host verdicts as information.  See scripts/benchcompare.sh.
 bench-compare:
 	bash ./scripts/benchcompare.sh
+
+# The paired-run protocol behind a host-time gain claim: BASE and this
+# checkout built once, PAIRS alternating runs of one WORKLOAD, medians,
+# quartiles and wins printed; fails unless the gain rule is met.  See
+# scripts/benchpairs.sh.
+BASE ?= HEAD~1
+WORKLOAD ?= churn
+PAIRS ?= 10
+SEED ?= 1
+bench-pairs:
+	bash ./scripts/benchpairs.sh $(BASE) $(WORKLOAD) $(PAIRS) $(SEED)
 
 # Documentation gate: package comments on every package, docs links
 # resolve.  Mirrors the CI docs step.

@@ -20,6 +20,7 @@ import (
 	"sfbuf/internal/pmap"
 	"sfbuf/internal/sfbuf"
 	"sfbuf/internal/smp"
+	"sfbuf/internal/tlb"
 	"sfbuf/internal/vm"
 )
 
@@ -740,22 +741,22 @@ func BenchmarkMapperMicro(b *testing.B) {
 	}
 }
 
-// BenchmarkTLBOps measures the raw software-TLB data structure.
+// BenchmarkTLBOps measures the raw software-TLB data structure, at twice
+// its capacity so inserts evict.
 func BenchmarkTLBOps(b *testing.B) {
-	m := smp.NewMachine(arch.XeonMP(), 16, false)
-	ctx := m.Ctx(0)
+	t := tlb.New(arch.XeonMP().TLBEntries)
 	b.Run("insert-lookup", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			vpn := uint64(i % 128)
-			ctx.TLBInsert(vpn, vpn+1)
-			ctx.TLBLookup(vpn)
+			t.Insert(vpn, vpn+1)
+			t.Lookup(vpn)
 		}
 	})
 	b.Run("invalidate", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			vpn := uint64(i % 128)
-			ctx.TLBInsert(vpn, vpn+1)
-			ctx.InvalidateLocal(vpn)
+			t.Insert(vpn, vpn+1)
+			t.Invalidate(vpn)
 		}
 	})
 }

@@ -11,6 +11,15 @@
 // shootdowns) is therefore load-bearing in this simulator exactly as it is
 // in a real kernel, and the test suite proves it by corrupting data when
 // the protocol is weakened.
+//
+// The page table is a radix tree of fixed-size tables the walk indexes by
+// slices of the virtual page number (pageTable below): a leaf is one
+// page-table page of SuperpagePages entries, which is also the unit of
+// superpage promotion.  A translation is one step of the executing CPU
+// (smp.Context.Translate): TLB lookup, PTE-line touch, walk and TLB fill
+// under a single hold of that CPU's lock, the walk taking the pmap lock
+// inside it — lock order cpu.mu -> pmap.mu, so every call here into a
+// Context is made after the pmap lock is released.
 package pmap
 
 import (
@@ -65,16 +74,118 @@ var ErrFault = errors.New("pmap: page fault on kernel address")
 // promotion path to collapse it into one TLB entry.
 const SuperpagePages = tlb.SuperSpan
 
-// superWindow is one promoted superpage: an aligned SuperpagePages-page
-// virtual window whose PTEs map physically contiguous frames, so a single
-// large TLB entry (base vpn, base frame) covers all of it by arithmetic.
-// accessed records whether any CPU pulled the large translation into its
-// TLB during the window's life — the superpage form of the accessed bit,
-// deciding what the demoting teardown owes.
-type superWindow struct {
-	baseVPN  uint64
-	frame    uint64
-	accessed bool
+// ptLeaf is one page-table page: the entries of an aligned
+// SuperpagePages-page virtual window.  That is also the unit of superpage
+// promotion, so the promoted-window state lives here: when promoted, the
+// window's PTEs map physically contiguous frames from superFrame and a
+// single large TLB entry (window base vpn, superFrame) covers all of it by
+// arithmetic.  superAccessed records whether any CPU pulled that large
+// translation into its TLB during the window's life — the superpage form
+// of the accessed bit, deciding what the demoting teardown owes.
+type ptLeaf struct {
+	pte [SuperpagePages]PTE
+	// entered has bit i set once pte[i] was ever installed, keeping
+	// "never entered" apart from "entered, now invalid" (Probe's ok).
+	entered       [SuperpagePages / 64]uint64
+	promoted      bool
+	superAccessed bool
+	superFrame    uint64
+}
+
+// ptDir is one page-directory page: the leaves of SuperpagePages
+// consecutive windows, key being their common vpn >> 2*SuperSpanShift.
+type ptDir struct {
+	key    uint64
+	leaves [SuperpagePages]*ptLeaf
+}
+
+// pageTable is the kernel page table in the shape the hardware walks: a
+// radix tree of fixed-size tables indexed by slices of the vpn.  The root
+// is a short list — one directory per gigabyte of kernel VA in use — and
+// the leaf of the last lookup is remembered, which is where the next one
+// nearly always lands.
+type pageTable struct {
+	dirs    []*ptDir
+	last    *ptLeaf
+	lastKey uint64 // vpn >> SuperSpanShift of last
+	valid   int    // entries currently valid
+}
+
+// leaf returns the leaf holding vpn's entry, growing the tree when create
+// is set and returning nil for an absent leaf when it is not.
+func (pt *pageTable) leaf(vpn uint64, create bool) *ptLeaf {
+	key := vpn >> tlb.SuperSpanShift
+	if pt.last != nil && pt.lastKey == key {
+		return pt.last
+	}
+	var d *ptDir
+	for _, x := range pt.dirs {
+		if x.key == key>>tlb.SuperSpanShift {
+			d = x
+			break
+		}
+	}
+	if d == nil {
+		if !create {
+			return nil
+		}
+		d = &ptDir{key: key >> tlb.SuperSpanShift}
+		pt.dirs = append(pt.dirs, d)
+	}
+	l := d.leaves[key%SuperpagePages]
+	if l == nil {
+		if !create {
+			return nil
+		}
+		l = new(ptLeaf)
+		d.leaves[key%SuperpagePages] = l
+	}
+	pt.last, pt.lastKey = l, key
+	return l
+}
+
+// enter installs vpn -> frame with clear accessed and modified bits and
+// returns the entry as it was.
+func (pt *pageTable) enter(vpn, frame uint64) (old PTE) {
+	l := pt.leaf(vpn, true)
+	i := vpn % SuperpagePages
+	old = l.pte[i]
+	l.pte[i] = PTE{Frame: frame, Valid: true}
+	l.entered[i/64] |= 1 << (i % 64)
+	if !old.Valid {
+		pt.valid++
+	}
+	return old
+}
+
+// remove invalidates vpn's entry and returns it as it was.
+func (pt *pageTable) remove(vpn uint64) (old PTE) {
+	l := pt.leaf(vpn, false)
+	if l == nil {
+		return PTE{}
+	}
+	old = l.pte[vpn%SuperpagePages]
+	l.pte[vpn%SuperpagePages] = PTE{}
+	if old.Valid {
+		pt.valid--
+	}
+	return old
+}
+
+// walk is the hardware walker's read of one entry: nil when it is
+// invalid, else the entry with its accessed (and, for a write, modified)
+// bit now set, and its leaf.
+func (pt *pageTable) walk(vpn uint64, write bool) (*ptLeaf, *PTE) {
+	l := pt.leaf(vpn, false)
+	if l == nil || !l.pte[vpn%SuperpagePages].Valid {
+		return nil, nil
+	}
+	pte := &l.pte[vpn%SuperpagePages]
+	pte.Accessed = true
+	if write {
+		pte.Modified = true
+	}
+	return l, pte
 }
 
 // SuperStats counts simulated superpage events.
@@ -97,18 +208,13 @@ type Pmap struct {
 	m *smp.Machine
 
 	mu    sync.Mutex
-	pt    map[uint64]*PTE         // vpn -> entry
-	super map[uint64]*superWindow // vpn >> SuperSpanShift -> promoted window
+	pt    pageTable
 	sstat SuperStats
 }
 
 // New creates the kernel pmap for machine m.
 func New(m *smp.Machine) *Pmap {
-	return &Pmap{
-		m:     m,
-		pt:    make(map[uint64]*PTE),
-		super: make(map[uint64]*superWindow),
-	}
+	return &Pmap{m: m}
 }
 
 // Machine returns the owning machine.
@@ -161,23 +267,12 @@ func (p *Pmap) KEnter(ctx *smp.Context, va uint64, pg *vm.Page) (oldValid, oldAc
 	}
 	vpn := VPN(va)
 	p.mu.Lock()
-	pte, ok := p.pt[vpn]
-	if ok {
-		oldValid = pte.Valid
-		oldAccessed = pte.Accessed
-	} else {
-		pte = &PTE{}
-		p.pt[vpn] = pte
-	}
-	pte.Frame = pg.Frame()
-	pte.Valid = true
-	pte.Accessed = false
-	pte.Modified = false
+	old := p.pt.enter(vpn, pg.Frame())
 	p.mu.Unlock()
 
-	ctx.TouchPTE(vpn)
+	ctx.TouchPTESpan(vpn, 1)
 	ctx.Charge(ctx.Cost().PTEWrite)
-	return oldValid, oldAccessed
+	return old.Valid, old.Accessed
 }
 
 // KRemove invalidates the translation at va.  As with KEnter, TLB
@@ -185,14 +280,9 @@ func (p *Pmap) KEnter(ctx *smp.Context, va uint64, pg *vm.Page) (oldValid, oldAc
 func (p *Pmap) KRemove(ctx *smp.Context, va uint64) {
 	vpn := VPN(va)
 	p.mu.Lock()
-	if pte, ok := p.pt[vpn]; ok {
-		pte.Valid = false
-		pte.Accessed = false
-		pte.Modified = false
-		pte.Frame = 0
-	}
+	p.pt.remove(vpn)
 	p.mu.Unlock()
-	ctx.TouchPTE(vpn)
+	ctx.TouchPTESpan(vpn, 1)
 	ctx.Charge(ctx.Cost().PTEWrite)
 }
 
@@ -206,15 +296,8 @@ func (p *Pmap) KRemove(ctx *smp.Context, va uint64) {
 func (p *Pmap) KRemoveBatch(ctx *smp.Context, vpns []uint64, accessed []bool) []bool {
 	p.mu.Lock()
 	for _, vpn := range vpns {
-		a := false
-		if pte, ok := p.pt[vpn]; ok {
-			a = pte.Valid && pte.Accessed
-			pte.Valid = false
-			pte.Accessed = false
-			pte.Modified = false
-			pte.Frame = 0
-		}
-		accessed = append(accessed, a)
+		old := p.pt.remove(vpn)
+		accessed = append(accessed, old.Valid && old.Accessed)
 	}
 	p.mu.Unlock()
 	ctx.TouchPTERange(vpns)
@@ -251,16 +334,7 @@ func (p *Pmap) KEnterRun(ctx *smp.Context, base uint64, pages []*vm.Page) {
 	n := len(pages)
 	p.mu.Lock()
 	for i, pg := range pages {
-		vpn := vpn0 + uint64(i)
-		pte, ok := p.pt[vpn]
-		if !ok {
-			pte = &PTE{}
-			p.pt[vpn] = pte
-		}
-		pte.Frame = pg.Frame()
-		pte.Valid = true
-		pte.Accessed = false
-		pte.Modified = false
+		p.pt.enter(vpn0+uint64(i), pg.Frame())
 	}
 	const span = uint64(SuperpagePages)
 	for c := (vpn0 + span - 1) &^ (span - 1); c+span <= vpn0+uint64(n); c += span {
@@ -277,7 +351,8 @@ func (p *Pmap) KEnterRun(ctx *smp.Context, base uint64, pages []*vm.Page) {
 		case pages[idx].Frame()%span != 0:
 			p.sstat.AlignSkips++
 		default:
-			p.super[c>>tlb.SuperSpanShift] = &superWindow{baseVPN: c, frame: pages[idx].Frame()}
+			l := p.pt.leaf(c, false)
+			l.promoted, l.superAccessed, l.superFrame = true, false, pages[idx].Frame()
 			p.sstat.Promotions++
 		}
 	}
@@ -298,29 +373,22 @@ func (p *Pmap) KRemoveRun(ctx *smp.Context, base uint64, n int, accessed []bool)
 	start := len(accessed)
 	p.mu.Lock()
 	for i := 0; i < n; i++ {
-		a := false
-		if pte, ok := p.pt[vpn0+uint64(i)]; ok {
-			a = pte.Valid && pte.Accessed
-			pte.Valid = false
-			pte.Accessed = false
-			pte.Modified = false
-			pte.Frame = 0
-		}
-		accessed = append(accessed, a)
+		old := p.pt.remove(vpn0 + uint64(i))
+		accessed = append(accessed, old.Valid && old.Accessed)
 	}
 	const span = uint64(SuperpagePages)
 	for c := (vpn0 + span - 1) &^ (span - 1); c+span <= vpn0+uint64(n); c += span {
-		w, ok := p.super[c>>tlb.SuperSpanShift]
-		if !ok || w.baseVPN != c {
+		l := p.pt.leaf(c, false)
+		if l == nil || !l.promoted {
 			continue
 		}
-		if w.accessed {
+		if l.superAccessed {
 			idx := start + int(c-vpn0)
 			for j := 0; j < SuperpagePages; j++ {
 				accessed[idx+j] = true
 			}
 		}
-		delete(p.super, c>>tlb.SuperSpanShift)
+		l.promoted = false
 		p.sstat.Demotions++
 	}
 	p.mu.Unlock()
@@ -341,8 +409,8 @@ func (p *Pmap) SuperStats() SuperStats {
 func (p *Pmap) Promoted(va uint64) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	w, ok := p.super[VPN(va)>>tlb.SuperSpanShift]
-	return ok && VPN(va) >= w.baseVPN && VPN(va) < w.baseVPN+uint64(SuperpagePages)
+	l := p.pt.leaf(VPN(va), false)
+	return l != nil && l.promoted
 }
 
 // Probe returns a copy of the PTE for va, for assertions and the
@@ -350,11 +418,11 @@ func (p *Pmap) Promoted(va uint64) bool {
 func (p *Pmap) Probe(va uint64) (PTE, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	pte, ok := p.pt[VPN(va)]
-	if !ok {
+	l, i := p.pt.leaf(VPN(va), false), VPN(va)%SuperpagePages
+	if l == nil || l.entered[i/64]&(1<<(i%64)) == 0 {
 		return PTE{}, false
 	}
-	return *pte, true
+	return l.pte[i], true
 }
 
 // Translate resolves a kernel virtual address to its physical page as the
@@ -373,49 +441,39 @@ func (p *Pmap) Translate(ctx *smp.Context, va uint64, write bool) (*vm.Page, err
 	if p.IsDirectMapped(va) {
 		return p.directTranslate(va)
 	}
-	vpn := VPN(va)
-	if frame, ok := ctx.TLBLookup(vpn); ok {
-		pg := p.m.Phys.PageByFrame(frame)
-		if pg == nil {
-			return nil, fmt.Errorf("%w: stale TLB frame %d for va %#x", ErrFault, frame, va)
-		}
-		return pg, nil
-	}
-	ctx.ChargeWalk()
-	ctx.TouchPTE(vpn)
-
-	p.mu.Lock()
-	pte, ok := p.pt[vpn]
-	if !ok || !pte.Valid {
-		p.mu.Unlock()
+	pg, ok := ctx.Translate(p, VPN(va), write)
+	if !ok {
 		return nil, fmt.Errorf("%w: va %#x", ErrFault, va)
 	}
-	pte.Accessed = true
-	if write {
-		pte.Modified = true
-	}
-	frame := pte.Frame
-	// A walk that lands in a promoted superpage window fills one large
-	// entry covering the whole window instead of a base entry for this
-	// page alone, and marks the window accessed for its future teardown.
-	var largeBase, largeFrame uint64
-	haveLarge := false
-	if w, ok := p.super[vpn>>tlb.SuperSpanShift]; ok && vpn >= w.baseVPN && vpn < w.baseVPN+uint64(SuperpagePages) {
-		w.accessed = true
-		largeBase, largeFrame, haveLarge = w.baseVPN, w.frame, true
-	}
-	p.mu.Unlock()
-
-	if haveLarge {
-		ctx.TLBInsertLarge(largeBase, largeFrame)
-	} else {
-		ctx.TLBInsert(vpn, frame)
-	}
-	pg := p.m.Phys.PageByFrame(frame)
-	if pg == nil {
-		return nil, fmt.Errorf("%w: pte frame %d for va %#x", ErrFault, frame, va)
-	}
 	return pg, nil
+}
+
+// Walk implements smp.PageTable: the page-table walk of one TLB miss,
+// called by ctx.Translate with the CPU's lock held.  A walk that lands in
+// a promoted superpage window fills one large entry covering the whole
+// window instead of a base entry for this page alone, and marks the
+// window accessed for its future teardown.
+func (p *Pmap) Walk(t *tlb.TLB, vpn uint64, write bool) (frame uint64, ok bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	l, pte := p.pt.walk(vpn, write)
+	if pte == nil {
+		return 0, false
+	}
+	l.fill(t, vpn, pte.Frame)
+	return pte.Frame, true
+}
+
+// fill caches the walked translation of vpn, an entry of l, in t and
+// returns how many pages from vpn on the filled TLB entry covers.
+func (l *ptLeaf) fill(t *tlb.TLB, vpn, frame uint64) int {
+	if !l.promoted {
+		t.Insert(vpn, frame)
+		return 1
+	}
+	l.superAccessed = true
+	t.InsertLarge(vpn&^(SuperpagePages-1), l.superFrame)
+	return SuperpagePages - int(vpn%SuperpagePages)
 }
 
 // TranslateRun resolves npages consecutive kernel virtual pages starting
@@ -449,87 +507,40 @@ func (p *Pmap) TranslateRun(ctx *smp.Context, va uint64, npages int, write bool,
 		}
 		return out, nil
 	}
-	vpn0 := VPN(va)
-	i := 0
-	for i < npages {
-		frame, ok := ctx.TLBLookup(vpn0 + uint64(i))
-		if !ok {
-			break
-		}
-		pg := p.m.Phys.PageByFrame(frame)
-		if pg == nil {
-			return nil, fmt.Errorf("%w: stale TLB frame %d for va %#x", ErrFault, frame, va+uint64(i)*vm.PageSize)
-		}
-		out = append(out, pg)
-		i++
+	out, bad := ctx.TranslateRun(p, VPN(va), npages, write, out)
+	if bad >= 0 {
+		return nil, fmt.Errorf("%w: va %#x", ErrFault, va+uint64(bad)*vm.PageSize)
 	}
-	if i == npages {
-		return out, nil
-	}
+	return out, nil
+}
 
-	// One walk for the whole remaining run.
-	ctx.ChargeWalk()
-	ctx.TouchPTESpan(vpn0+uint64(i), npages-i)
-	resolvedAt := len(out)
-	type largeFill struct{ baseVPN, frame uint64 }
-	var larges []largeFill
+// WalkRun implements smp.PageTable: the one walk that resolves the rest
+// of a ranged translation after its first TLB miss.
+func (p *Pmap) WalkRun(t *tlb.TLB, vpn uint64, n int, write bool, out []*vm.Page) ([]*vm.Page, int) {
 	p.mu.Lock()
-	for j := i; j < npages; j++ {
-		vpn := vpn0 + uint64(j)
-		pte, ok := p.pt[vpn]
-		if !ok || !pte.Valid {
-			p.mu.Unlock()
-			return nil, fmt.Errorf("%w: va %#x", ErrFault, va+uint64(j)*vm.PageSize)
-		}
-		pte.Accessed = true
-		if write {
-			pte.Modified = true
+	defer p.mu.Unlock()
+	first := len(out)
+	for i := 0; i < n; i++ {
+		_, pte := p.pt.walk(vpn+uint64(i), write)
+		if pte == nil {
+			return out, i
 		}
 		pg := p.m.Phys.PageByFrame(pte.Frame)
 		if pg == nil {
-			p.mu.Unlock()
-			return nil, fmt.Errorf("%w: pte frame %d for va %#x", ErrFault, pte.Frame, va+uint64(j)*vm.PageSize)
+			return out, i
 		}
 		out = append(out, pg)
 	}
-	const span = uint64(SuperpagePages)
-	for key := (vpn0 + uint64(i)) >> tlb.SuperSpanShift; key<<tlb.SuperSpanShift < vpn0+uint64(npages); key++ {
-		if w, ok := p.super[key]; ok {
-			w.accessed = true
-			larges = append(larges, largeFill{baseVPN: w.baseVPN, frame: w.frame})
-		}
+	for i := 0; i < n; {
+		v := vpn + uint64(i)
+		i += p.pt.leaf(v, false).fill(t, v, out[first+i].Frame())
 	}
-	p.mu.Unlock()
-
-	for j := i; j < npages; {
-		vpn := vpn0 + uint64(j)
-		filledLarge := false
-		for _, lf := range larges {
-			if vpn >= lf.baseVPN && vpn < lf.baseVPN+span {
-				ctx.TLBInsertLarge(lf.baseVPN, lf.frame)
-				// The large entry covers the window's remainder.
-				j += int(lf.baseVPN + span - vpn)
-				filledLarge = true
-				break
-			}
-		}
-		if !filledLarge {
-			ctx.TLBInsert(vpn, out[resolvedAt+j-i].Frame())
-			j++
-		}
-	}
-	return out, nil
+	return out, -1
 }
 
 // Mappings returns the number of valid kernel translations; test helper.
 func (p *Pmap) Mappings() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	n := 0
-	for _, pte := range p.pt {
-		if pte.Valid {
-			n++
-		}
-	}
-	return n
+	return p.pt.valid
 }

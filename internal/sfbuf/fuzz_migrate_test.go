@@ -114,6 +114,9 @@ func runMigrateTraceTiered(t *testing.T, data []byte, fastPer int) migTraceSumma
 		if err := check.Step(r.m.Phys); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
+		if err := checkFrameTable(r.sf.c.(*shardedCache)); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
 	}
 
 	for i := 0; i+1 < len(data); i += 2 {

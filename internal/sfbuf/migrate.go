@@ -255,8 +255,8 @@ func (g *Migrator) evictStale(ctx *smp.Context, frame uint64) (ok, evicted bool)
 	c.chargeShardLock(ctx, si)
 	s := c.shards[si]
 	s.mu.Lock()
-	b, found := s.hash[frame]
-	if !found {
+	b := c.table[frame]
+	if b == nil {
 		s.mu.Unlock()
 		return true, false
 	}
@@ -264,7 +264,8 @@ func (g *Migrator) evictStale(ctx *smp.Context, frame uint64) (ok, evicted bool)
 		s.mu.Unlock()
 		return false, false
 	}
-	delete(s.hash, frame)
+	c.table[frame] = nil
+	s.valid--
 	s.inactive.remove(b)
 	s.mu.Unlock()
 	c.teardown(ctx, b)
@@ -285,13 +286,14 @@ func (g *Migrator) remapHash(ctx *smp.Context, pg *vm.Page, old uint64) {
 	c.chargeShardLock(ctx, osi)
 	os := c.shards[osi]
 	os.mu.Lock()
-	b, ok := os.hash[old]
-	if ok {
-		delete(os.hash, old)
+	b := c.table[old]
+	if b != nil {
+		c.table[old] = nil
+		os.valid--
 		os.inactive.remove(b)
 	}
 	os.mu.Unlock()
-	if !ok {
+	if b == nil {
 		return
 	}
 	vpn := pmap.VPN(b.kva)
@@ -312,7 +314,7 @@ func (g *Migrator) remapHash(ctx *smp.Context, pg *vm.Page, old uint64) {
 	c.chargeShardLock(ctx, nsi)
 	ns := c.shards[nsi]
 	ns.mu.Lock()
-	ns.hash[nf] = b
+	c.install(ns, nf, b)
 	ns.inactive.pushTail(b)
 	ns.mu.Unlock()
 	g.hashRemaps.Add(1)

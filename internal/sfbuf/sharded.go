@@ -130,13 +130,14 @@ func (c ShardedConfig) withDefaults(ncpu, entries int) ShardedConfig {
 	return c
 }
 
-// cacheShard is one lock stripe: a slice of the hash table plus the
-// inactive buffers whose mappings hash here.  Only latently-valid buffers
-// (freed but still mapped) sit on a shard's inactive list; clean buffers
-// live on the freelists and overflow pool instead.
+// cacheShard is one lock stripe: its mutex guards the slots of
+// shardedCache.table whose frames hash here, plus the inactive buffers
+// whose mappings do.  Only latently-valid buffers (freed but still mapped)
+// sit on a shard's inactive list; clean buffers live on the freelists and
+// overflow pool instead.
 type cacheShard struct {
 	mu       sync.Mutex
-	hash     map[uint64]*Buf
+	valid    int // occupied table slots among this shard's frames
 	inactive bufList
 }
 
@@ -156,6 +157,11 @@ type shardedCache struct {
 	shards    []*cacheShard
 	shardMask uint64
 	freelists []*cpuFree
+	// table is the hash table of valid sf_bufs in its dense form: table[f]
+	// is the buffer mapping frame f, nil when none does.  Frames are small
+	// integers fixed at boot (vm.PhysMem keeps the same kind of array), so
+	// the frame is the index; slot f is guarded by shardFor(f).mu.
+	table []*Buf
 
 	// Socket homing.  Every lock on the clean-stock and shard paths has a
 	// home socket for smp.ChargeLockAt: shardHome per stripe (the owning
@@ -301,6 +307,7 @@ func newShardedCache(m *smp.Machine, pm *pmap.Pmap, arena *kva.Arena, vas []uint
 		shards:    make([]*cacheShard, nshards),
 		shardMask: uint64(nshards - 1),
 		freelists: make([]*cpuFree, m.NumCPUs()),
+		table:     make([]*Buf, m.Phys.Frames()+1), // frames count from 1
 		homed:     homed,
 		sockets:   sockets,
 		shardsPer: shardsPer,
@@ -311,7 +318,7 @@ func newShardedCache(m *smp.Machine, pm *pmap.Pmap, arena *kva.Arena, vas []uint
 	c.claimCond = sync.NewCond(&c.pool.mu)
 	c.runs.forceDebt = func() bool { return c.ablate&AblateAccessedBit != 0 }
 	for i := range c.shards {
-		c.shards[i] = &cacheShard{hash: make(map[uint64]*Buf, len(vas)/nshards+1)}
+		c.shards[i] = &cacheShard{}
 	}
 	for i := range c.freelists {
 		c.freelists[i] = &cpuFree{}
@@ -420,6 +427,22 @@ func (c *shardedCache) shardIdx(frame uint64) uint64 {
 
 func (c *shardedCache) shardFor(frame uint64) *cacheShard {
 	return c.shards[c.shardIdx(frame)]
+}
+
+// install records b as the mapping of frame, whose slot must be empty.
+// Caller holds s.mu, s being the frame's shard.
+func (c *shardedCache) install(s *cacheShard, frame uint64, b *Buf) {
+	c.table[frame] = b
+	s.valid++
+}
+
+// uninstall empties b's page's slot if b is what it holds.  Caller holds
+// s.mu, s being the shard of that frame.
+func (c *shardedCache) uninstall(s *cacheShard, b *Buf) {
+	if f := b.page.Frame(); c.table[f] == b {
+		c.table[f] = nil
+		s.valid--
+	}
 }
 
 // chargeShardLock charges acquiring shard si's lock against its home
@@ -595,7 +618,7 @@ func (c *shardedCache) alloc(ctx *smp.Context, page *vm.Page, flags Flags) (*Buf
 		s := c.shards[si]
 
 		s.mu.Lock()
-		if b, ok := s.hash[frame]; ok && c.ablate&AblateSharing == 0 {
+		if b := c.table[frame]; b != nil && c.ablate&AblateSharing == 0 {
 			if b.ref == 0 {
 				s.inactive.remove(b)
 			}
@@ -617,7 +640,7 @@ func (c *shardedCache) alloc(ctx *smp.Context, page *vm.Page, flags Flags) (*Buf
 			if b != nil {
 				c.chargeShardLock(ctx, si)
 				s.mu.Lock()
-				if cur, ok := s.hash[frame]; ok && c.ablate&AblateSharing == 0 {
+				if cur := c.table[frame]; cur != nil && c.ablate&AblateSharing == 0 {
 					// Another CPU mapped the frame while the shard
 					// was unlocked; share its mapping, restock ours.
 					if cur.ref == 0 {
@@ -644,7 +667,7 @@ func (c *shardedCache) alloc(ctx *smp.Context, page *vm.Page, flags Flags) (*Buf
 			c.pm.KEnter(ctx, b.kva, page)
 			installed := false
 			if c.ablate&AblateSharing == 0 {
-				s.hash[frame] = b
+				c.install(s, frame, b)
 				installed = true
 			}
 			c.taint(ctx, b, flags)
@@ -847,14 +870,14 @@ type batchGroup struct {
 // groupByShard splits batch indices by home shard in first-appearance
 // order, so a vectored operation takes each shard's lock exactly once.
 func (c *shardedCache) groupByShard(n int, frameOf func(int) uint64) []batchGroup {
-	groups := make([]batchGroup, 0, n)
-	pos := make(map[uint64]int, n)
+	groups := make([]batchGroup, 0, min(n, len(c.shards)))
 	for i := 0; i < n; i++ {
 		si := c.shardIdx(frameOf(i))
-		gi, ok := pos[si]
-		if !ok {
-			gi = len(groups)
-			pos[si] = gi
+		gi := 0
+		for gi < len(groups) && groups[gi].si != si {
+			gi++
+		}
+		if gi == len(groups) {
 			groups = append(groups, batchGroup{shard: c.shards[si], si: si})
 		}
 		groups[gi].idxs = append(groups[gi].idxs, i)
@@ -915,7 +938,7 @@ restart:
 				}
 				pg := pages[idx]
 				frame := pg.Frame()
-				if b, ok := s.hash[frame]; ok && c.ablate&AblateSharing == 0 {
+				if b := c.table[frame]; b != nil && c.ablate&AblateSharing == 0 {
 					if b.ref == 0 {
 						s.inactive.remove(b)
 					}
@@ -1003,7 +1026,7 @@ restart:
 				// invalidation owed, exactly as in the single-page miss.
 				c.pm.KEnter(ctx, b.kva, pg)
 				if c.ablate&AblateSharing == 0 {
-					s.hash[frame] = b
+					c.install(s, frame, b)
 					installed++
 				}
 				c.taint(ctx, b, flags)
@@ -1048,7 +1071,7 @@ func (c *shardedCache) sweepHits(ctx *smp.Context, groups []batchGroup, pages []
 				g.shard.mu.Lock()
 				locked = true
 			}
-			if b, ok := g.shard.hash[pages[idx].Frame()]; ok {
+			if b := c.table[pages[idx].Frame()]; b != nil {
 				if b.ref == 0 {
 					g.shard.inactive.remove(b)
 				}
@@ -1127,9 +1150,7 @@ func (c *shardedCache) freeBatch(ctx *smp.Context, bufs []*Buf) {
 				continue
 			}
 			if c.ablate&AblateLazyTeardown != 0 {
-				if cur, ok := s.hash[b.page.Frame()]; ok && cur == b {
-					delete(s.hash, b.page.Frame())
-				}
+				c.uninstall(s, b)
 				eager = append(eager, b)
 			} else {
 				s.inactive.pushTail(b)
@@ -1375,9 +1396,7 @@ func (c *shardedCache) reclaimScoped(ctx *smp.Context, want int, into []*Buf, lo
 				break
 			}
 			if b.page != nil {
-				if cur, ok := t.hash[b.page.Frame()]; ok && cur == b {
-					delete(t.hash, b.page.Frame())
-				}
+				c.uninstall(t, b)
 			}
 			victims = append(victims, b)
 		}
@@ -1558,9 +1577,7 @@ func (c *shardedCache) free(ctx *smp.Context, b *Buf) {
 	if c.ablate&AblateLazyTeardown != 0 {
 		// Eager teardown: detach from the shard now, retire the
 		// mapping's invalidation debt immediately, restock as clean.
-		if cur, ok := s.hash[b.page.Frame()]; ok && cur == b {
-			delete(s.hash, b.page.Frame())
-		}
+		c.uninstall(s, b)
 		s.mu.Unlock()
 		c.teardown(ctx, b)
 		ctx.FlushShootdowns()
@@ -1656,7 +1673,7 @@ func (c *shardedCache) validMappings() int {
 	n := 0
 	for _, s := range c.shards {
 		s.mu.Lock()
-		n += len(s.hash)
+		n += s.valid
 		s.mu.Unlock()
 	}
 	return n
@@ -1674,8 +1691,8 @@ func (c *shardedCache) lookupRefUngated(frame uint64) (ref int, mask smp.CPUSet,
 	s := c.shardFor(frame)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	b, ok := s.hash[frame]
-	if !ok {
+	b := c.table[frame]
+	if b == nil {
 		return 0, 0, false
 	}
 	return b.ref, b.cpumask, true

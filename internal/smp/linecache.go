@@ -1,5 +1,7 @@
 package smp
 
+import "sfbuf/internal/tlb"
+
 // lineCache is a tiny LRU set of 64-byte cache-line tags used to model
 // whether a page-table entry is resident in a CPU's data cache.  The paper
 // measures a 2x cost difference between invalidating a mapping whose PTE is
@@ -7,44 +9,20 @@ package smp
 // memory (~1000 cycles); workloads that sweep large mapping ranges (dd over
 // a 512 MB disk) pay the uncached cost, while tight reuse (the Section 3
 // microbenchmark's single-page loop) pays the cached cost.
-type lineCache struct {
-	capacity int
-	lines    map[uint64]*lcNode
-	head     lcNode
-	tail     lcNode
-}
-
-type lcNode struct {
-	tag        uint64
-	prev, next *lcNode
-}
+//
+// It is a tlb.LRU keyed by line tag — the same flat fixed-capacity table
+// the TLB keeps its base entries in — so a miss at capacity evicts in
+// place and allocates nothing.
+type lineCache struct{ lines *tlb.LRU }
 
 // ptesPerLine is how many 8-byte PTEs share one 64-byte cache line.
 const ptesPerLine = 8
 
-func newLineCache(capacity int) *lineCache {
+func newLineCache(capacity int) lineCache {
 	if capacity <= 0 {
 		capacity = 1
 	}
-	lc := &lineCache{
-		capacity: capacity,
-		lines:    make(map[uint64]*lcNode, capacity),
-	}
-	lc.head.next = &lc.tail
-	lc.tail.prev = &lc.head
-	return lc
-}
-
-func (lc *lineCache) unlink(n *lcNode) {
-	n.prev.next = n.next
-	n.next.prev = n.prev
-}
-
-func (lc *lineCache) pushFront(n *lcNode) {
-	n.next = lc.head.next
-	n.prev = &lc.head
-	lc.head.next.prev = n
-	lc.head.next = n
+	return lineCache{lines: tlb.NewLRU(capacity)}
 }
 
 // lineTag maps a virtual page number to the cache-line tag of its PTE.
@@ -52,26 +30,7 @@ func lineTag(vpn uint64) uint64 { return vpn / ptesPerLine }
 
 // touch records an access to vpn's PTE and reports whether its line was
 // already resident.
-func (lc *lineCache) touch(vpn uint64) bool {
-	tag := lineTag(vpn)
-	if n, ok := lc.lines[tag]; ok {
-		lc.unlink(n)
-		lc.pushFront(n)
-		return true
-	}
-	if len(lc.lines) >= lc.capacity {
-		victim := lc.tail.prev
-		lc.unlink(victim)
-		delete(lc.lines, victim.tag)
-	}
-	n := &lcNode{tag: tag}
-	lc.lines[tag] = n
-	lc.pushFront(n)
-	return false
-}
-
-// resident reports whether vpn's PTE line is cached, without refreshing it.
-func (lc *lineCache) resident(vpn uint64) bool {
-	_, ok := lc.lines[lineTag(vpn)]
-	return ok
+func (lc lineCache) touch(vpn uint64) bool {
+	hit, _ := lc.lines.Put(lineTag(vpn), 0)
+	return hit
 }

@@ -50,8 +50,10 @@ func (c *Context) InvalidateLocalRange(vpns []uint64) {
 	c.m.counters.LocalInv.Add(uint64(len(vpns)))
 }
 
-// TouchPTERange records PTE-cache touches for every vpn in one lock round
-// (the batched counterpart of TouchPTE).
+// TouchPTERange records that the context's CPU accessed every vpn's
+// page-table entry, warming the modeled PTE data cache, in one lock round.
+// The PTE store of a mapping change does this (the walk on a TLB miss
+// touches inside Translate).
 func (c *Context) TouchPTERange(vpns []uint64) {
 	c.cpu.mu.Lock()
 	for _, vpn := range vpns {
@@ -152,40 +154,6 @@ func (c *Context) ShootdownRange(targets CPUSet, vpns []uint64) {
 func (c *Context) InvalidateGlobal(vpn uint64) {
 	c.InvalidateLocal(vpn)
 	c.Shootdown(c.m.AllCPUs(), vpn)
-}
-
-// TLBLookup consults the context CPU's TLB for vpn.  No cycle cost: TLB
-// hits are part of ordinary instruction execution.
-func (c *Context) TLBLookup(vpn uint64) (frame uint64, ok bool) {
-	c.cpu.mu.Lock()
-	defer c.cpu.mu.Unlock()
-	return c.cpu.tlb.Lookup(vpn)
-}
-
-// TLBInsert fills the context CPU's TLB after a page-table walk.
-func (c *Context) TLBInsert(vpn, frame uint64) {
-	c.cpu.mu.Lock()
-	defer c.cpu.mu.Unlock()
-	c.cpu.tlb.Insert(vpn, frame)
-}
-
-// TLBInsertLarge fills one superpage entry in the context CPU's TLB: the
-// aligned window starting at baseVPN maps from frame by arithmetic.  The
-// walk that discovered the promoted window pays for one entry, not one
-// per page — the simulated superpage promotion's whole benefit.
-func (c *Context) TLBInsertLarge(baseVPN, frame uint64) {
-	c.cpu.mu.Lock()
-	defer c.cpu.mu.Unlock()
-	c.cpu.tlb.InsertLarge(baseVPN, frame)
-}
-
-// TouchPTE records that the context's CPU accessed vpn's page-table entry,
-// warming the modeled PTE data cache.  The page-table walk on a TLB miss
-// and the PTE store on a mapping change both do this.
-func (c *Context) TouchPTE(vpn uint64) {
-	c.cpu.mu.Lock()
-	c.cpu.pteCache.touch(vpn)
-	c.cpu.mu.Unlock()
 }
 
 // FlushLocalTLB drops every entry from the context CPU's TLB.

@@ -10,7 +10,7 @@ func TestQueueShootdownDefersUntilFlush(t *testing.T) {
 	m := NewMachine(arch.XeonMPHTT(), 16, false)
 	ctx := m.Ctx(0)
 	// Give CPU 2 a TLB entry for vpn 7, then queue its invalidation.
-	m.Ctx(2).TLBInsert(7, 70)
+	fillTLB(m.Ctx(2), 7, 70)
 	ctx.QueueShootdown(CPUSet(0).Set(2), 7)
 	if !m.CPU(2).TLBResident(7) {
 		t.Fatal("queueing must not invalidate anything yet")
@@ -38,7 +38,7 @@ func TestFlushCoalescesIntoOneRound(t *testing.T) {
 	all := m.AllCPUs()
 	for vpn := uint64(0); vpn < 10; vpn++ {
 		for cpu := 1; cpu < m.NumCPUs(); cpu++ {
-			m.Ctx(cpu).TLBInsert(vpn, vpn+100)
+			fillTLB(m.Ctx(cpu), vpn, vpn+100)
 		}
 		ctx.QueueShootdown(all.Clear(0), vpn)
 	}
@@ -84,10 +84,10 @@ func TestQueueThresholdForcesFlush(t *testing.T) {
 func TestQueueSelfTargetPurgesLocally(t *testing.T) {
 	m := NewMachine(arch.XeonMP(), 16, false)
 	ctx := m.Ctx(0)
-	ctx.TLBInsert(5, 50)
+	fillTLB(ctx, 5, 50)
 	ctx.QueueShootdown(CPUSet(0).Set(0), 5)
 	ctx.FlushShootdowns()
-	if got, _ := ctx.TLBLookup(5); got == 50 {
+	if m.CPU(0).TLBResident(5) {
 		t.Fatal("flush must purge the flushing CPU's own queued lines")
 	}
 	if got := m.Counters().LocalInv.Load(); got != 1 {
@@ -133,8 +133,8 @@ func TestQueueShootdownBatchBulkEnqueue(t *testing.T) {
 	if got := ctx.PendingShootdowns(); got != 2 {
 		t.Fatalf("pending = %d, want 2 (empty-target pair dropped)", got)
 	}
-	m.Ctx(1).TLBInsert(11, 1)
-	m.Ctx(3).TLBInsert(13, 3)
+	fillTLB(m.Ctx(1), 11, 1)
+	fillTLB(m.Ctx(3), 13, 3)
 	ctx.FlushShootdowns()
 	if m.CPU(1).TLBResident(11) || m.CPU(3).TLBResident(13) {
 		t.Fatal("bulk-enqueued lines must be invalidated on flush")
@@ -149,7 +149,7 @@ func TestInvalidateLocalRange(t *testing.T) {
 	ctx := m.Ctx(0)
 	vpns := []uint64{1, 2, 3}
 	for _, vpn := range vpns {
-		ctx.TLBInsert(vpn, vpn+10)
+		fillTLB(ctx, vpn, vpn+10)
 	}
 	ctx.InvalidateLocalRange(vpns)
 	for _, vpn := range vpns {

@@ -29,12 +29,16 @@ type CPU struct {
 	// siblings share a core.
 	Core int
 
-	mu  sync.Mutex // guards TLB and pteCache (shootdowns cross CPUs)
+	// mu guards tlb and pteCache (shootdowns cross CPUs).  Lock order:
+	// cpu.mu -> pmap.mu — a translation holds mu across its page-table
+	// walk — so nothing that holds the pmap lock may call into a CPU, and
+	// a shootdown handler takes only its target's mu.
+	mu  sync.Mutex
 	tlb *tlb.TLB
 	// pteCache models which page-table entries are resident in this
 	// CPU's data cache, deciding the cached/uncached invlpg cost split
 	// that Section 3 measures.
-	pteCache *lineCache
+	pteCache lineCache
 
 	cycles atomic.Int64
 }

@@ -77,7 +77,7 @@ func cyc[T ~int64](v T) T { return v }
 func TestLocalInvalidateDropsTLBEntry(t *testing.T) {
 	m := NewMachine(arch.XeonMP(), 64, false)
 	ctx := m.Ctx(0)
-	ctx.TLBInsert(7, 77)
+	fillTLB(ctx, 7, 77)
 	if !m.CPU(0).TLBResident(7) {
 		t.Fatal("entry not inserted")
 	}
@@ -91,7 +91,7 @@ func TestShootdownSemantics(t *testing.T) {
 	m := NewMachine(arch.XeonMPHTT(), 64, false)
 	// Fill VPN 9 into every TLB.
 	for i := 0; i < 4; i++ {
-		m.Ctx(i).TLBInsert(9, 99)
+		fillTLB(m.Ctx(i), 9, 99)
 	}
 	ctx := m.Ctx(0)
 	ctx.Shootdown(AllCPUs(4), 9)
@@ -131,7 +131,7 @@ func TestShootdownRange(t *testing.T) {
 	m := NewMachine(arch.OpteronMP(), 64, false)
 	vpns := []uint64{10, 11, 12, 13}
 	for _, v := range vpns {
-		m.Ctx(1).TLBInsert(v, v*10)
+		fillTLB(m.Ctx(1), v, v*10)
 	}
 	ctx := m.Ctx(0)
 	ctx.ShootdownRange(AllCPUs(2), vpns)
@@ -171,8 +171,8 @@ func TestShootdownWithNoRemoteTargetsIsFree(t *testing.T) {
 
 func TestInvalidateGlobal(t *testing.T) {
 	m := NewMachine(arch.OpteronMP(), 64, false)
-	m.Ctx(0).TLBInsert(3, 30)
-	m.Ctx(1).TLBInsert(3, 30)
+	fillTLB(m.Ctx(0), 3, 30)
+	fillTLB(m.Ctx(1), 3, 30)
 	m.Ctx(0).InvalidateGlobal(3)
 	if m.CPU(0).TLBResident(3) || m.CPU(1).TLBResident(3) {
 		t.Fatal("global invalidation left entries behind")
@@ -268,4 +268,12 @@ func TestCPUSetOperations(t *testing.T) {
 	if b.String() != "{1,2}" {
 		t.Fatalf("String = %q", b.String())
 	}
+}
+
+// fillTLB plants vpn -> frame in the context CPU's TLB, as the fill at the
+// end of a page-table walk would, charging nothing.
+func fillTLB(c *Context, vpn, frame uint64) {
+	c.cpu.mu.Lock()
+	c.cpu.tlb.Insert(vpn, frame)
+	c.cpu.mu.Unlock()
 }

@@ -8,6 +8,13 @@
 // stale frame, and (because the MMU model routes loads and stores through
 // the returned frame) data corruption follows.  Tests rely on that to prove
 // the sf_buf protocol's coherence logic rather than assume it.
+//
+// Shape: the base-page array is fully associative with LRU replacement,
+// held in one flat fixed-capacity table (LRU, lru.go: an open-addressed
+// index over slots linked by slot number, nothing allocated after New);
+// the superpage array is a fixed FIFO array of LargeCap entries.  A lookup
+// or fill is a hash probe and a few array writes — the model of a TLB
+// should not cost more than the paper says an ephemeral mapping does.
 package tlb
 
 // Superpage geometry: a large TLB entry spans SuperSpan base pages (2 MB
@@ -44,29 +51,19 @@ type Stats struct {
 	LargeEvictions     uint64
 }
 
-type node struct {
-	vpn, frame uint64
-	prev, next *node
-}
-
 // TLB is a fully-associative, LRU-replacement translation cache mapping
 // virtual page numbers to physical frame numbers.  It is not safe for
 // concurrent use; the owning CPU serializes access (including shootdown
 // handlers) with its own lock.
 type TLB struct {
-	capacity int
-	entries  map[uint64]*node
-	// LRU list: head.next is most recently used, tail.prev least.
-	head, tail node
-	// freeNodes recycles evicted/invalidated nodes (chained via next) so
-	// a warm TLB inserts without allocating.
-	freeNodes *node
-	// large is the separate superpage array: at most LargeCap entries,
-	// each mapping an aligned SuperSpan-page window by arithmetic from
-	// its base frame.  Keyed by vpn >> SuperSpanShift; FIFO replacement.
-	large      map[uint64]largeEntry
-	largeOrder []uint64
-	stats      Stats
+	// base holds the base-page entries, vpn -> frame.
+	base *LRU
+	// large is the separate superpage array, a fixed FIFO: its first
+	// nlarge entries, oldest first.  Each maps an aligned SuperSpan-page
+	// window by arithmetic from its base frame.
+	large  [LargeCap]largeEntry
+	nlarge int
+	stats  Stats
 }
 
 // largeEntry is one superpage translation: the window's first vpn and the
@@ -79,49 +76,29 @@ type largeEntry struct {
 
 // New creates a TLB with the given entry capacity.
 func New(capacity int) *TLB {
-	if capacity <= 0 {
-		panic("tlb: capacity must be positive")
-	}
-	t := &TLB{
-		capacity: capacity,
-		entries:  make(map[uint64]*node, capacity),
-	}
-	t.head.next = &t.tail
-	t.tail.prev = &t.head
-	return t
+	return &TLB{base: NewLRU(capacity)}
 }
 
 // Capacity returns the entry capacity.
-func (t *TLB) Capacity() int { return t.capacity }
+func (t *TLB) Capacity() int { return t.base.Cap() }
 
 // Len returns the number of resident entries.
-func (t *TLB) Len() int { return len(t.entries) }
+func (t *TLB) Len() int { return t.base.Len() }
 
-func (t *TLB) unlink(n *node) {
-	n.prev.next = n.next
-	n.next.prev = n.prev
-}
-
-func (t *TLB) recycle(n *node) {
-	n.prev = nil
-	n.next = t.freeNodes
-	t.freeNodes = n
-}
-
-func (t *TLB) newNode(vpn, frame uint64) *node {
-	if n := t.freeNodes; n != nil {
-		t.freeNodes = n.next
-		n.vpn, n.frame = vpn, frame
-		return n
+// findLarge returns the index in large of the entry covering vpn, or -1.
+func (t *TLB) findLarge(vpn uint64) int {
+	for i := range t.large[:t.nlarge] {
+		if t.large[i].baseVPN == vpn&^(SuperSpan-1) {
+			return i
+		}
 	}
-	return &node{vpn: vpn, frame: frame}
+	return -1
 }
 
-func (t *TLB) pushFront(n *node) {
-	n.next = t.head.next
-	n.prev = &t.head
-	t.head.next.prev = n
-	t.head.next = n
+// dropLarge removes large[i], keeping the rest in FIFO order.
+func (t *TLB) dropLarge(i int) {
+	copy(t.large[i:], t.large[i+1:t.nlarge])
+	t.nlarge--
 }
 
 // Lookup returns the cached frame for vpn, consulting the base-page array
@@ -130,16 +107,14 @@ func (t *TLB) pushFront(n *node) {
 // page tables; that is the point.
 func (t *TLB) Lookup(vpn uint64) (frame uint64, ok bool) {
 	t.stats.Lookups++
-	n, ok := t.entries[vpn]
-	if ok {
+	if frame, ok = t.base.Get(vpn); ok {
 		t.stats.Hits++
-		t.unlink(n)
-		t.pushFront(n)
-		return n.frame, true
+		return frame, true
 	}
-	if le, ok := t.large[vpn>>SuperSpanShift]; ok && vpn >= le.baseVPN && vpn < le.baseVPN+SuperSpan {
+	if i := t.findLarge(vpn); i >= 0 {
 		t.stats.Hits++
 		t.stats.LargeHits++
+		le := t.large[i]
 		return le.frame + (vpn - le.baseVPN), true
 	}
 	t.stats.Misses++
@@ -150,22 +125,9 @@ func (t *TLB) Lookup(vpn uint64) (frame uint64, ok bool) {
 // at capacity.  Re-inserting an existing vpn updates the frame in place.
 func (t *TLB) Insert(vpn, frame uint64) {
 	t.stats.Inserts++
-	if n, ok := t.entries[vpn]; ok {
-		n.frame = frame
-		t.unlink(n)
-		t.pushFront(n)
-		return
-	}
-	if len(t.entries) >= t.capacity {
-		victim := t.tail.prev
-		t.unlink(victim)
-		delete(t.entries, victim.vpn)
-		t.recycle(victim)
+	if _, evicted := t.base.Put(vpn, frame); evicted {
 		t.stats.Evictions++
 	}
-	n := t.newNode(vpn, frame)
-	t.entries[vpn] = n
-	t.pushFront(n)
 }
 
 // InsertLarge caches one superpage translation: baseVPN (which must be
@@ -176,20 +138,16 @@ func (t *TLB) InsertLarge(baseVPN, frame uint64) {
 	if baseVPN&(SuperSpan-1) != 0 {
 		panic("tlb: InsertLarge with unaligned base vpn")
 	}
-	key := baseVPN >> SuperSpanShift
-	if t.large == nil {
-		t.large = make(map[uint64]largeEntry, LargeCap)
-	}
-	if _, ok := t.large[key]; !ok {
-		if len(t.large) >= LargeCap {
-			victim := t.largeOrder[0]
-			t.largeOrder = t.largeOrder[1:]
-			delete(t.large, victim)
+	i := t.findLarge(baseVPN)
+	if i < 0 {
+		if t.nlarge == LargeCap {
+			t.dropLarge(0)
 			t.stats.LargeEvictions++
 		}
-		t.largeOrder = append(t.largeOrder, key)
+		i = t.nlarge
+		t.nlarge++
 	}
-	t.large[key] = largeEntry{baseVPN: baseVPN, frame: frame}
+	t.large[i] = largeEntry{baseVPN: baseVPN, frame: frame}
 	t.stats.LargeInserts++
 }
 
@@ -197,26 +155,14 @@ func (t *TLB) InsertLarge(baseVPN, frame uint64) {
 // (the model's invlpg).  An invlpg for any page of a superpage window
 // drops the whole large entry, exactly as hardware specifies.
 func (t *TLB) Invalidate(vpn uint64) bool {
-	hit := false
-	if n, ok := t.entries[vpn]; ok {
+	hit := t.base.Delete(vpn)
+	if hit {
 		t.stats.Invalidations++
-		t.unlink(n)
-		delete(t.entries, vpn)
-		t.recycle(n)
-		hit = true
 	}
-	if key := vpn >> SuperSpanShift; t.large != nil {
-		if _, ok := t.large[key]; ok {
-			delete(t.large, key)
-			for i, k := range t.largeOrder {
-				if k == key {
-					t.largeOrder = append(t.largeOrder[:i], t.largeOrder[i+1:]...)
-					break
-				}
-			}
-			t.stats.LargeInvalidations++
-			hit = true
-		}
+	if i := t.findLarge(vpn); i >= 0 {
+		t.dropLarge(i)
+		t.stats.LargeInvalidations++
+		hit = true
 	}
 	return hit
 }
@@ -237,38 +183,28 @@ func (t *TLB) InvalidateRange(vpns []uint64) int {
 // FlushAll empties the TLB (the model's full flush, e.g. CR3 reload).
 func (t *TLB) FlushAll() {
 	t.stats.Flushes++
-	for n := t.head.next; n != &t.tail; {
-		next := n.next
-		t.recycle(n)
-		n = next
-	}
-	clear(t.entries)
-	t.head.next = &t.tail
-	t.tail.prev = &t.head
-	clear(t.large)
-	t.largeOrder = t.largeOrder[:0]
+	t.base.Clear()
+	t.nlarge = 0
 }
 
 // LargeLen returns the number of resident superpage entries.
-func (t *TLB) LargeLen() int { return len(t.large) }
+func (t *TLB) LargeLen() int { return t.nlarge }
 
 // Resident reports whether vpn is cached — by a base entry or a covering
 // superpage entry — without touching recency or statistics.  Test helper.
 func (t *TLB) Resident(vpn uint64) bool {
-	if _, ok := t.entries[vpn]; ok {
-		return true
-	}
-	_, ok := t.large[vpn>>SuperSpanShift]
+	_, ok := t.FrameOf(vpn)
 	return ok
 }
 
 // FrameOf returns the cached frame for vpn without touching recency or
 // statistics, for invariant checks.
 func (t *TLB) FrameOf(vpn uint64) (uint64, bool) {
-	if n, ok := t.entries[vpn]; ok {
-		return n.frame, true
+	if frame, ok := t.base.Peek(vpn); ok {
+		return frame, true
 	}
-	if le, ok := t.large[vpn>>SuperSpanShift]; ok {
+	if i := t.findLarge(vpn); i >= 0 {
+		le := t.large[i]
 		return le.frame + (vpn - le.baseVPN), true
 	}
 	return 0, false
