@@ -259,10 +259,10 @@ func BenchmarkReclaim(b *testing.B) {
 func BenchmarkAllocNUMA(b *testing.B) {
 	cases := []struct {
 		name   string
-		homing kernel.HomingPolicy
+		homing kernel.Tri
 	}{
-		{"homed", kernel.HomingAuto},
-		{"striped", kernel.HomingOff},
+		{"homed", kernel.Auto},
+		{"striped", kernel.Off},
 	}
 	const (
 		sockets = 2
@@ -502,12 +502,12 @@ func BenchmarkAllocRun(b *testing.B) {
 func BenchmarkAllocContig(b *testing.B) {
 	cases := []struct {
 		name    string
-		phys    kernel.PhysPolicy
+		phys    kernel.Tri
 		useRuns bool
 	}{
-		{"buddy-contig", kernel.PhysBuddyAuto, true},
-		{"lifo-run", kernel.PhysBuddyOff, true},
-		{"lifo-scattered-batch", kernel.PhysBuddyOff, false},
+		{"buddy-contig", kernel.Auto, true},
+		{"lifo-run", kernel.Off, true},
+		{"lifo-scattered-batch", kernel.Off, false},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
@@ -560,10 +560,10 @@ func BenchmarkAllocContig(b *testing.B) {
 func BenchmarkAllocDefrag(b *testing.B) {
 	cases := []struct {
 		name string
-		pol  kernel.MigratePolicy
+		pol  kernel.Tri
 	}{
-		{"migrate", kernel.MigrateOn},
-		{"no-migrate", kernel.MigrateOff},
+		{"migrate", kernel.On},
+		{"no-migrate", kernel.Off},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
@@ -611,10 +611,10 @@ func BenchmarkAllocDefrag(b *testing.B) {
 func BenchmarkAllocTier(b *testing.B) {
 	for _, c := range []struct {
 		name  string
-		hints kernel.TierHintPolicy
+		hints kernel.Tri
 	}{
-		{"hinted", kernel.TierHintOn},
-		{"oblivious", kernel.TierHintOff},
+		{"hinted", kernel.On},
+		{"oblivious", kernel.Off},
 	} {
 		for _, workload := range []string{"zipf", "uniform"} {
 			b.Run(c.name+"-"+workload, func(b *testing.B) {

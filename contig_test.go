@@ -24,7 +24,7 @@ type contigRecoveryResult struct {
 	largestExt int
 }
 
-func driveContigRecovery(t testing.TB, physBuddy kernel.PhysPolicy, useRuns bool, ops int) contigRecoveryResult {
+func driveContigRecovery(t testing.TB, physBuddy kernel.Tri, useRuns bool, ops int) contigRecoveryResult {
 	t.Helper()
 	k, err := experiments.BootContigRecovery(physBuddy)
 	if err != nil {
@@ -50,9 +50,9 @@ func driveContigRecovery(t testing.TB, physBuddy kernel.PhysPolicy, useRuns bool
 
 func TestContigPromotionRecovery(t *testing.T) {
 	const ops = 64 * experiments.ContigRecoveryPages
-	buddy := driveContigRecovery(t, kernel.PhysBuddyAuto, true, ops)
-	lifoRun := driveContigRecovery(t, kernel.PhysBuddyOff, true, ops)
-	scattered := driveContigRecovery(t, kernel.PhysBuddyOff, false, ops)
+	buddy := driveContigRecovery(t, kernel.Auto, true, ops)
+	lifoRun := driveContigRecovery(t, kernel.Off, true, ops)
+	scattered := driveContigRecovery(t, kernel.Off, false, ops)
 	t.Logf("buddy run: promotions=%d walks/page=%.4f contig=%.2f largest=%d",
 		buddy.promotions, buddy.walksPage, buddy.contigFrac, buddy.largestExt)
 	t.Logf("lifo run: promotions=%d walks/page=%.4f contig=%.2f largest=%d",
@@ -89,7 +89,7 @@ func TestAllocContigFacade(t *testing.T) {
 		Platform:     XeonMP(),
 		Mapper:       SFBufKernel,
 		Cache:        CacheGlobal, // Auto would say LIFO here...
-		PhysBuddy:    PhysBuddyOn, // ...but On overrides
+		PhysBuddy:    On,          // ...but On overrides
 		PhysPages:    2048,
 		CacheEntries: 64,
 	})

@@ -69,10 +69,9 @@ func ExampleBoot_originalKernel() {
 // no TLB presence, and a Private batch taints only the calling CPU.
 // Remapping the same pages is all hits.  When to batch: any multi-page
 // extent handled as a unit — a pipe's loaned window, a memory-disk run,
-// a sendfile burst.  Knob interactions: Config.ReclaimBatch decides how
-// many buffers a shortage mid-batch recycles under one shootdown flush,
-// and Config.ShootdownBatch caps the queue that flush drains; a batch
-// never issues more than one forced flush per reclaim round it triggers.
+// a sendfile burst.  A shortage mid-batch recycles one reclaim batch of
+// buffers under one shootdown flush; a batch never issues more than one
+// forced flush per reclaim round it triggers.
 func ExampleBoot_vectored() {
 	k := root.MustBoot(root.Config{
 		Platform:     root.XeonMPHTT(),
@@ -157,7 +156,7 @@ func ExampleBoot_adaptive() {
 		Backed:       true,
 		CacheEntries: 32,
 		// Contig defaults to Auto, which on the sharded engine is the
-		// adaptive per-consumer policy (ContigAdaptive pins it by name).
+		// adaptive per-consumer policy (k.Plan.Adaptive).
 	})
 	ctx := k.Ctx(0)
 	pages := make([]*root.Page, 8)

@@ -54,7 +54,7 @@ const (
 )
 
 // BootAdaptive boots the canonical adaptive-workload kernel: the 4-way
-// Xeon with the sharded engine (native runs, so ContigAuto resolves to
+// Xeon with the sharded engine (native runs, so Contig Auto resolves to
 // the adaptive policy) and the canonical cache size.
 func BootAdaptive() (*kernel.Kernel, error) {
 	return kernel.Boot(kernel.Config{

@@ -72,7 +72,7 @@ func TestAdaptivePolicyDecisions(t *testing.T) {
 	}
 	ps := stats[0]
 	if !ps.Adaptive {
-		t.Fatal("ContigAuto on the sharded engine must resolve to the adaptive policy")
+		t.Fatal("Contig Auto on the sharded engine must resolve to the adaptive policy")
 	}
 	if ps.BatchDecisions > ps.RunDecisions/10 {
 		t.Errorf("stream consumer chose batch %d of %d times; must stay on the run path",

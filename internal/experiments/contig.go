@@ -203,7 +203,7 @@ const ContigRecoveryPages = pmap.SuperpagePages
 // hold two superpage-spanning runs, over enough physical memory that the
 // fragmentation warmup leaves intact buddy blocks.  physBuddy selects the
 // frame allocator under test.
-func BootContigRecovery(physBuddy kernel.PhysPolicy) (*kernel.Kernel, error) {
+func BootContigRecovery(physBuddy kernel.Tri) (*kernel.Kernel, error) {
 	return kernel.Boot(kernel.Config{
 		Platform:     arch.XeonMPHTT(),
 		Mapper:       kernel.SFBuf,

@@ -56,7 +56,7 @@ const (
 // i386 engine over a backed buddy pool of defragSpans superpage spans,
 // reservation watermarks on, and the given migration policy.  The cache
 // holds two superpage runs so extent windows and churn singles coexist.
-func BootDefrag(migrate kernel.MigratePolicy) (*kernel.Kernel, error) {
+func BootDefrag(migrate kernel.Tri) (*kernel.Kernel, error) {
 	return kernel.Boot(kernel.Config{
 		Platform:     arch.XeonMPHTT(),
 		Mapper:       kernel.SFBuf,
@@ -64,8 +64,8 @@ func BootDefrag(migrate kernel.MigratePolicy) (*kernel.Kernel, error) {
 		PhysPages:    defragSpans * pmap.SuperpagePages,
 		Backed:       true,
 		CacheEntries: 2*pmap.SuperpagePages + 64,
-		PhysBuddy:    kernel.PhysBuddyOn,
-		Reserv:       kernel.ReservOn,
+		PhysBuddy:    kernel.On,
+		Reserv:       kernel.On,
 		Migrate:      migrate,
 	})
 }
@@ -250,7 +250,7 @@ type DefragArm struct {
 // the steady state — closing with the byte oracle and the structural
 // free-list audit, so a corrupting or leaking migration fails the arm
 // rather than skewing its numbers.
-func RunDefragArm(migrate kernel.MigratePolicy, rounds int) (*DefragArm, error) {
+func RunDefragArm(migrate kernel.Tri, rounds int) (*DefragArm, error) {
 	span := pmap.SuperpagePages
 	k, err := BootDefrag(migrate)
 	if err != nil {
@@ -320,10 +320,10 @@ func RunDefrag(o Options) (*Result, error) {
 	}
 	for _, armCfg := range []struct {
 		name string
-		pol  kernel.MigratePolicy
+		pol  kernel.Tri
 	}{
-		{"defrag on", kernel.MigrateOn},
-		{"defrag off", kernel.MigrateOff},
+		{"defrag on", kernel.On},
+		{"defrag off", kernel.Off},
 	} {
 		o.logf("defrag: measuring %s (%d rounds)...", armCfg.name, rounds)
 		arm, err := RunDefragArm(armCfg.pol, rounds)

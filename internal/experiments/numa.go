@@ -65,10 +65,10 @@ func RunNUMA(o Options) (*Result, error) {
 		plat := arch.XeonNUMA(sockets, 2)
 		for _, armSpec := range []struct {
 			name   string
-			homing kernel.HomingPolicy
+			homing kernel.Tri
 		}{
-			{"homed", kernel.HomingAuto},
-			{"striped", kernel.HomingOff},
+			{"homed", kernel.Auto},
+			{"striped", kernel.Off},
 		} {
 			cfg := kernel.Config{
 				Platform:     plat,

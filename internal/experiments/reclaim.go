@@ -26,7 +26,7 @@ const reclaimIdleTick cycles.Cycles = 1 << 18
 // cache has never seen, which must be served from clean stock or pay a
 // synchronous reclaim round.  With the daemon, the idle tick refills the
 // clean freelists ahead of demand; without it (the paper's on-demand
-// reclaim, Config.ReclaimWatermark < 0) the first alloc of every burst
+// reclaim, Config.Daemon = Off) the first alloc of every burst
 // eats an LRU harvest plus a forced shootdown flush.  Reported per arm and
 // probe size: p50/p99/p999/mean first-alloc-after-idle latency in
 // simulated cycles.  A steady-state row pair then runs the scale
@@ -40,7 +40,7 @@ func RunReclaim(o Options) (*Result, error) {
 			"p999 cyc", "mean cyc", "steady cyc/op"},
 		Notes: []string{
 			"each trial fills and frees the whole cache, idles one tick, then times a burst of never-mapped pages",
-			"on-demand = Config.ReclaimWatermark < 0: reclaim only on allocation-miss shortage (the paper's behaviour)",
+			"on-demand = Config.Daemon off: reclaim only on allocation-miss shortage (the paper's behaviour)",
 			"steady rows run the scale experiment's vectored churn with no idle: daemon wiring must cost nothing while busy",
 			"daemon-2s runs the daemon arm on a 2-package NUMA Xeon with socket-homed state (Config.Sockets=2)",
 		},
@@ -51,19 +51,19 @@ func RunReclaim(o Options) (*Result, error) {
 
 	for _, arm := range []struct {
 		name    string
-		wm      int
+		daemon  kernel.Tri
 		plat    arch.Platform
 		sockets int
 	}{
-		{"daemon", 0, arch.XeonMPHTT(), 1},
-		{"on-demand", -1, arch.XeonMPHTT(), 1},
+		{"daemon", kernel.Auto, arch.XeonMPHTT(), 1},
+		{"on-demand", kernel.Off, arch.XeonMPHTT(), 1},
 		// The same daemon arm on a 2-package machine with socket-homed
 		// state: the refill must ride idle time there too, each package's
 		// daemon restocking from its own socket's frames.
-		{"daemon-2s", 0, arch.XeonNUMA(2, 2), 2},
+		{"daemon-2s", kernel.Auto, arch.XeonNUMA(2, 2), 2},
 	} {
 		for _, probe := range []int{1, ScaleBatch} {
-			lats, err := idleSpikeTrials(arm.plat, arm.sockets, entries, trials, probe, arm.wm)
+			lats, err := idleSpikeTrials(arm.plat, arm.sockets, entries, trials, probe, arm.daemon)
 			if err != nil {
 				return nil, fmt.Errorf("reclaim %s/%d: %w", arm.name, probe, err)
 			}
@@ -89,7 +89,7 @@ func RunReclaim(o Options) (*Result, error) {
 
 		// Steady state: the same engine under continuous vectored churn,
 		// no idle ticks — the daemon never runs, and must cost nothing.
-		cycOp, err := steadyChurn(o, arm.plat, arm.sockets, entries, arm.wm)
+		cycOp, err := steadyChurn(o, arm.plat, arm.sockets, entries, arm.daemon)
 		if err != nil {
 			return nil, fmt.Errorf("reclaim steady %s: %w", arm.name, err)
 		}
@@ -109,15 +109,15 @@ func RunReclaim(o Options) (*Result, error) {
 // deterministic: every trial leaves the cache in the same state (all
 // buffers referenced by the fill, then all inactive), so the latency
 // distribution is a property of the arm, not of scheduling.
-func idleSpikeTrials(plat arch.Platform, sockets, entries, trials, probe, watermark int) ([]cycles.Cycles, error) {
+func idleSpikeTrials(plat arch.Platform, sockets, entries, trials, probe int, daemon kernel.Tri) ([]cycles.Cycles, error) {
 	k, err := kernel.Boot(kernel.Config{
-		Platform:         plat,
-		Mapper:           kernel.SFBuf,
-		Cache:            kernel.CacheSharded,
-		PhysPages:        entries + trials*probe + 256,
-		CacheEntries:     entries,
-		ReclaimWatermark: watermark,
-		Sockets:          sockets,
+		Platform:     plat,
+		Mapper:       kernel.SFBuf,
+		Cache:        kernel.CacheSharded,
+		PhysPages:    entries + trials*probe + 256,
+		CacheEntries: entries,
+		Daemon:       daemon,
+		Sockets:      sockets,
 	})
 	if err != nil {
 		return nil, err
@@ -178,15 +178,15 @@ func idleSpikeTrials(plat arch.Platform, sockets, entries, trials, probe, waterm
 // steadyChurn measures simulated cycles per page-op of the scale
 // experiment's vectored churn on one arm, with no idle ticks.  Like the
 // spike trials it takes the socket topology as a parameter.
-func steadyChurn(o Options, plat arch.Platform, sockets, entries, watermark int) (float64, error) {
+func steadyChurn(o Options, plat arch.Platform, sockets, entries int, daemon kernel.Tri) (float64, error) {
 	k, err := kernel.Boot(kernel.Config{
-		Platform:         plat,
-		Mapper:           kernel.SFBuf,
-		Cache:            kernel.CacheSharded,
-		PhysPages:        8*entries + 128,
-		CacheEntries:     entries,
-		ReclaimWatermark: watermark,
-		Sockets:          sockets,
+		Platform:     plat,
+		Mapper:       kernel.SFBuf,
+		Cache:        kernel.CacheSharded,
+		PhysPages:    8*entries + 128,
+		CacheEntries: entries,
+		Daemon:       daemon,
+		Sockets:      sockets,
 	})
 	if err != nil {
 		return 0, err

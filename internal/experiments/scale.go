@@ -161,14 +161,14 @@ func RunScale(o Options) (*Result, error) {
 	// daemon runs exclusively against idle time); the reclaim experiment
 	// measures what the daemon buys the first alloc after each gap.
 	for _, ir := range []struct {
-		name string
-		wm   int
+		name   string
+		daemon kernel.Tri
 	}{
-		{"sf_buf sharded idle", -1},
-		{"sf_buf sharded idle+daemon", 0},
+		{"sf_buf sharded idle", kernel.Off},
+		{"sf_buf sharded idle+daemon", kernel.Auto},
 	} {
 		cfg := variants[0].cfg
-		cfg.ReclaimWatermark = ir.wm
+		cfg.Daemon = ir.daemon
 		k, err := kernel.Boot(cfg)
 		if err != nil {
 			return nil, err
@@ -196,10 +196,10 @@ func RunScale(o Options) (*Result, error) {
 	for _, sockets := range []int{2, 4} {
 		for _, hp := range []struct {
 			name   string
-			homing kernel.HomingPolicy
+			homing kernel.Tri
 		}{
-			{"homed", kernel.HomingAuto},
-			{"striped", kernel.HomingOff},
+			{"homed", kernel.Auto},
+			{"striped", kernel.Off},
 		} {
 			cfg := kernel.Config{
 				Platform:     arch.XeonNUMA(sockets, 2),
@@ -240,10 +240,10 @@ func RunScale(o Options) (*Result, error) {
 	}
 	for _, dr := range []struct {
 		name string
-		pol  kernel.MigratePolicy
+		pol  kernel.Tri
 	}{
-		{"sf_buf sharded defrag", kernel.MigrateOn},
-		{"sf_buf sharded no-defrag", kernel.MigrateOff},
+		{"sf_buf sharded defrag", kernel.On},
+		{"sf_buf sharded no-defrag", kernel.Off},
 	} {
 		arm, err := RunDefragArm(dr.pol, defragRounds)
 		if err != nil {
@@ -265,10 +265,10 @@ func RunScale(o Options) (*Result, error) {
 	tierWarm := 400 + tierAcc/10
 	for _, tr := range []struct {
 		name  string
-		hints kernel.TierHintPolicy
+		hints kernel.Tri
 	}{
-		{"sf_buf sharded tier hinted", kernel.TierHintOn},
-		{"sf_buf sharded tier oblivious", kernel.TierHintOff},
+		{"sf_buf sharded tier hinted", kernel.On},
+		{"sf_buf sharded tier oblivious", kernel.Off},
 	} {
 		arm, err := RunTierArm(tr.hints, "zipf", tierWarm, tierAcc)
 		if err != nil {

@@ -56,7 +56,7 @@ const (
 // i386 engine over a backed two-tier buddy pool, reservations off so
 // frame placement is pure allocation order, and the given hint policy —
 // the arms differ in nothing else.
-func BootTier(hints kernel.TierHintPolicy) (*kernel.Kernel, error) {
+func BootTier(hints kernel.Tri) (*kernel.Kernel, error) {
 	return kernel.Boot(kernel.Config{
 		Platform:     arch.XeonMPHTT(),
 		Mapper:       kernel.SFBuf,
@@ -64,8 +64,8 @@ func BootTier(hints kernel.TierHintPolicy) (*kernel.Kernel, error) {
 		PhysPages:    TierPhysPages,
 		Backed:       true,
 		CacheEntries: 512,
-		PhysBuddy:    kernel.PhysBuddyOn,
-		Reserv:       kernel.ReservOff,
+		PhysBuddy:    kernel.On,
+		Reserv:       kernel.Off,
 		Tiers:        2,
 		FastFraction: TierFastFraction,
 		TierHints:    hints,
@@ -222,7 +222,7 @@ type TierArm struct {
 // the counters and measures the steady state — closing with the byte
 // oracle and the structural free-list audit, so a corrupting or leaking
 // tier move fails the arm rather than skewing its numbers.
-func RunTierArm(hints kernel.TierHintPolicy, workload string, warmup, accesses int) (*TierArm, error) {
+func RunTierArm(hints kernel.Tri, workload string, warmup, accesses int) (*TierArm, error) {
 	k, err := BootTier(hints)
 	if err != nil {
 		return nil, err
@@ -293,10 +293,10 @@ func RunTier(o Options) (*Result, error) {
 	warmup := 400 + accesses/10
 	for _, armCfg := range []struct {
 		name  string
-		hints kernel.TierHintPolicy
+		hints kernel.Tri
 	}{
-		{"hinted", kernel.TierHintOn},
-		{"oblivious", kernel.TierHintOff},
+		{"hinted", kernel.On},
+		{"oblivious", kernel.Off},
 	} {
 		for _, workload := range []string{"zipf", "uniform"} {
 			o.logf("tier: measuring %s/%s (%d accesses)...", armCfg.name, workload, accesses)

@@ -19,11 +19,11 @@ const (
 // tierTestArms runs both arms of one workload.
 func tierTestArms(t *testing.T, workload string) (hinted, oblivious *TierArm) {
 	t.Helper()
-	h, err := RunTierArm(kernel.TierHintOn, workload, tierTestWarmup, tierTestAccesses)
+	h, err := RunTierArm(kernel.On, workload, tierTestWarmup, tierTestAccesses)
 	if err != nil {
 		t.Fatalf("hinted/%s: %v", workload, err)
 	}
-	o, err := RunTierArm(kernel.TierHintOff, workload, tierTestWarmup, tierTestAccesses)
+	o, err := RunTierArm(kernel.Off, workload, tierTestWarmup, tierTestAccesses)
 	if err != nil {
 		t.Fatalf("oblivious/%s: %v", workload, err)
 	}
@@ -67,11 +67,11 @@ func TestTierEconomy(t *testing.T) {
 // fully deterministic, because the tier experiment publishes its numbers
 // in the byte-compared figure output.
 func TestTierDeterminism(t *testing.T) {
-	a, err := RunTierArm(kernel.TierHintOn, "zipf", 400, 1500)
+	a, err := RunTierArm(kernel.On, "zipf", 400, 1500)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunTierArm(kernel.TierHintOn, "zipf", 400, 1500)
+	b, err := RunTierArm(kernel.On, "zipf", 400, 1500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,8 +99,8 @@ func TestTierSingleTierIdentical(t *testing.T) {
 		PhysPages:    TierPhysPages,
 		Backed:       true,
 		CacheEntries: 512,
-		PhysBuddy:    kernel.PhysBuddyOn,
-		Reserv:       kernel.ReservOff,
+		PhysBuddy:    kernel.On,
+		Reserv:       kernel.Off,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,8 +5,8 @@ package kernel
 // install and one ranged translation for a whole extent (streaming
 // copies love it), while the mapping cache turns repeat mappings of the
 // same pages into pure hits with zero PTE writes and zero invalidations
-// (reuse-heavy working sets love it).  The engine-static Contig knob
-// pins every consumer to one side of that tradeoff; the adaptive policy
+// (reuse-heavy working sets love it).  Contig On or Off pins every
+// consumer to one side of that tradeoff; the adaptive policy
 // lets each consumer — pipe, memory disk, sendfile, zero-copy send —
 // pick its side from its own observed reuse, the application-driven
 // page-management-policy argument UMap makes for userspace services.
@@ -27,7 +27,7 @@ package kernel
 // so the flip score is pageEWMA * (1 - extentEWMA).  Decisions change
 // only at window-size-class epoch boundaries and the score must cross
 // hysteresis thresholds, so the policy cannot thrash on a mixed phase.
-// Consumers start in run mode, preserving the historical ContigAuto
+// Consumers start in run mode, preserving the historical static-Auto
 // behaviour for short or streaming workloads.
 
 import (
@@ -58,7 +58,7 @@ const (
 	// they predict can actually serve: the page window is further
 	// bounded by the mapping cache's capacity (a frame last mapped more
 	// than a cache-ful of observations ago has likely been evicted, so
-	// its "reuse" would miss anyway — see Kernel.mapCapacityPages), and
+	// its "reuse" would miss anyway — see Plan.MapCapacity), and
 	// the extent window matches the run pool's revivable depth (twice
 	// runLaunderBatch: an extent repeating less often than that is
 	// laundered before it could revive).  Overpredicting either cache
@@ -82,7 +82,7 @@ type contigClass struct {
 
 // MapConsumer is one subsystem's contiguity-policy handle.  Under the
 // static policies it just echoes the kernel's resolution; under the
-// adaptive policy (ContigAdaptive, and ContigAuto on engines with native
+// adaptive policy (Plan.Adaptive: Contig Auto on engines with native
 // runs) it tracks the consumer's observed reuse and flips the consumer
 // between the run path and the batch path per window-size epoch.
 type MapConsumer struct {
@@ -134,7 +134,7 @@ type PolicyStats struct {
 	// "netstack").
 	Name string
 	// Adaptive reports whether the handle is adapting; false means every
-	// decision is the kernel's static Contig resolution.
+	// decision is the kernel's static Plan.Runs.
 	Adaptive bool
 	// Observations counts observed extents; RunDecisions and
 	// BatchDecisions count how often each path was chosen; Flips sums
@@ -146,27 +146,6 @@ type PolicyStats struct {
 	// Classes lists the per-window-size-class state, smallest class
 	// first, omitting classes that never observed an extent.
 	Classes []PolicyClassStats
-}
-
-// contigAdaptive reports whether the booted configuration adapts
-// contiguity per consumer: explicitly under ContigAdaptive, and as the
-// Auto resolution on the sf_buf kernel wherever the engine provides
-// native runs AND has something to adapt — a bounded mapping cache
-// whose reuse the batch path can monetize.  The amd64 direct map is
-// excluded: runs and batches are both free casts there, so adapting
-// (and charging for the policy's bookkeeping) would only distort an
-// evaluation baseline.  The paper's global-lock cache and the original
-// kernel never adapt either (no native runs), so every
-// figure-reproduction experiment keeps its exact historical paths.
-func (k *Kernel) contigAdaptive() bool {
-	switch k.Cfg.Contig {
-	case ContigOn, ContigOff:
-		return false
-	}
-	if k.mapCapacityPages() == 0 {
-		return false
-	}
-	return k.Cfg.Mapper != OriginalKernel && sfbuf.NativeRun(k.Map)
 }
 
 // Consumer returns the named contiguity-policy handle, creating it on
@@ -182,8 +161,8 @@ func (k *Kernel) Consumer(name string) *MapConsumer {
 	if c, ok := k.consumers[name]; ok {
 		return c
 	}
-	c := &MapConsumer{k: k, name: name, adaptive: k.contigAdaptive(), pageWindow: pageRecentWindow}
-	if cap := k.mapCapacityPages(); cap > 0 && uint64(cap) < c.pageWindow {
+	c := &MapConsumer{k: k, name: name, adaptive: k.Plan.Adaptive, pageWindow: pageRecentWindow}
+	if cap := k.Plan.MapCapacity; cap > 0 && uint64(cap) < c.pageWindow {
 		c.pageWindow = uint64(cap)
 	}
 	if c.adaptive {
@@ -228,14 +207,14 @@ func classIdx(n int) int {
 // UseRuns decides whether this consumer should map the given multi-page
 // extent as a contiguous run, and — when adapting — records the
 // extent's reuse observation first, so the decision reflects it.  Under
-// the static policies it is exactly the kernel's Contig resolution.
+// the static policies it is exactly the kernel's Plan.Runs.
 // The adaptive bookkeeping is charged to the calling context (one lock
 // round trip plus one MapperOp-class bookkeeping charge per extent):
 // the policy's own cost must show up in the simulated cycles it is
 // judged by.
 func (c *MapConsumer) UseRuns(ctx *smp.Context, pages []*vm.Page) bool {
 	if !c.adaptive {
-		return c.k.UseRuns()
+		return c.k.Plan.Runs
 	}
 	if len(pages) < 2 {
 		return false
@@ -270,10 +249,6 @@ func (c *MapConsumer) UseRuns(ctx *smp.Context, pages []*vm.Page) bool {
 	return run
 }
 
-// UseVectored reports whether the consumer should batch-map extents it
-// does not map as runs; it is the kernel's static Vectored resolution.
-func (c *MapConsumer) UseVectored() bool { return c.k.UseVectored() }
-
 // MapSendExtent maps one send-side window by the consumer's policy:
 // a contiguous AllocRun (each page's mbuf external carries its window
 // address; the last covering acknowledgment unmaps the whole window
@@ -301,7 +276,7 @@ func (c *MapConsumer) mapSendExtent(ctx *smp.Context, pages []*vm.Page, flags sf
 		}
 		return run.Bufs(), mbuf.NewRunReleaseMapped(k.Map, run, pages), nil
 	}
-	if k.UseVectoredSend() {
+	if k.Plan.BatchSend {
 		bufs, err := k.Map.AllocBatch(ctx, pages, flags)
 		if err != nil {
 			return nil, nil, err

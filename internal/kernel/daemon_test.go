@@ -1,37 +1,36 @@
 package kernel
 
 // Boot-time wiring tests for the background reclaim-and-laundering daemon
-// knobs (Config.ReclaimWatermark, Config.LaunderAge) and the Kernel.Idle
-// passthrough.
+// (Config.Daemon; TestPlanGolden pins where it is enabled) and the
+// Kernel.Idle passthrough.
 
 import (
 	"testing"
 
 	"sfbuf/internal/arch"
-	"sfbuf/internal/cycles"
-	"sfbuf/internal/sfbuf"
 )
 
+// TestDaemonWiring: a kernel without a daemon reports zero daemon stats
+// and idles as a pure clock advance.
 func TestDaemonWiring(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  Config
-		want bool
 	}{
 		{"sharded default", Config{Platform: arch.XeonMP(), Mapper: SFBuf,
-			PhysPages: 256, CacheEntries: 32}, true},
+			PhysPages: 256, CacheEntries: 32}},
 		{"sharded sparc64", Config{Platform: arch.Sparc64MP(), Mapper: SFBuf,
-			PhysPages: 256, EntriesPerColor: 32}, true},
-		{"explicit watermark", Config{Platform: arch.XeonMP(), Mapper: SFBuf,
-			PhysPages: 256, CacheEntries: 32, ReclaimWatermark: 4}, true},
-		{"disabled by watermark", Config{Platform: arch.XeonMP(), Mapper: SFBuf,
-			PhysPages: 256, CacheEntries: 32, ReclaimWatermark: -1}, false},
+			PhysPages: 256, EntriesPerColor: 32}},
+		{"explicitly on", Config{Platform: arch.XeonMP(), Mapper: SFBuf,
+			PhysPages: 256, CacheEntries: 32, Daemon: On}},
+		{"switched off", Config{Platform: arch.XeonMP(), Mapper: SFBuf,
+			PhysPages: 256, CacheEntries: 32, Daemon: Off}},
 		{"global-lock figure engine", Config{Platform: arch.XeonMP(), Mapper: SFBuf,
-			PhysPages: 256, CacheEntries: 32, Cache: CacheGlobal}, false},
+			PhysPages: 256, CacheEntries: 32, Cache: CacheGlobal}},
 		{"original kernel", Config{Platform: arch.XeonMP(), Mapper: OriginalKernel,
-			PhysPages: 256}, false},
+			PhysPages: 256}},
 		{"amd64 direct map", Config{Platform: arch.OpteronMP(), Mapper: SFBuf,
-			PhysPages: 256}, false},
+			PhysPages: 256}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -39,10 +38,10 @@ func TestDaemonWiring(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := k.DaemonEnabled(); got != tc.want {
-				t.Fatalf("DaemonEnabled = %v, want %v", got, tc.want)
+			if got := k.DaemonEnabled(); got != k.Plan.Daemon {
+				t.Fatalf("DaemonEnabled = %v, plan says %v", got, k.Plan.Daemon)
 			}
-			if !tc.want {
+			if !k.Plan.Daemon {
 				if s := k.DaemonStats(); s.Passes != 0 || s.RefillRounds != 0 ||
 					s.RefilledBufs != 0 || s.TrimmedWindows != 0 ||
 					len(s.RefilledBySocket) != 0 || len(s.TrimmedBySocket) != 0 {
@@ -93,42 +92,5 @@ func TestKernelIdleRunsDaemon(t *testing.T) {
 	}
 	if got := c.IdleCycles.Load(); got != 1<<20 {
 		t.Fatalf("IdleCycles = %d, want the full tick", got)
-	}
-}
-
-// TestLaunderAgeKnob: Config.LaunderAge passes through to the run pools —
-// a small bound launders an aged parked window on the next allocation, a
-// negative bound disables aging so the window stays revivable.
-func TestLaunderAgeKnob(t *testing.T) {
-	parkAndRepeat := func(age cycles.Cycles) sfbuf.RunWindowStats {
-		k := MustBoot(Config{Platform: arch.XeonMP(), Mapper: SFBuf,
-			Backed: true, PhysPages: 512, CacheEntries: 32,
-			ReclaimWatermark: -1, LaunderAge: age})
-		ctx := k.Ctx(0)
-		pages, err := k.M.Phys.AllocN(4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		run, err := k.Map.AllocRun(ctx, pages, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		k.Map.FreeRun(ctx, run)
-		k.Idle(0, 1<<18) // pure clock advance: the daemon is disabled
-		run2, err := k.Map.AllocRun(ctx, pages, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		k.Map.FreeRun(ctx, run2)
-		return k.Map.(*sfbuf.I386).RunWindowStats()
-	}
-
-	aged := parkAndRepeat(1 << 17)
-	if aged.Revives != 0 || aged.AgedWindows != 1 {
-		t.Fatalf("small LaunderAge: revives/aged = %d/%d, want 0/1", aged.Revives, aged.AgedWindows)
-	}
-	kept := parkAndRepeat(-1)
-	if kept.Revives != 1 || kept.AgedWindows != 0 {
-		t.Fatalf("LaunderAge < 0: revives/aged = %d/%d, want 1/0 (age bound disabled)", kept.Revives, kept.AgedWindows)
 	}
 }

@@ -84,33 +84,6 @@ func TestCacheEntriesConfig(t *testing.T) {
 	}
 }
 
-func TestShardedCacheKnobs(t *testing.T) {
-	k := MustBoot(Config{
-		Platform:       arch.XeonMP(),
-		Mapper:         SFBuf,
-		PhysPages:      64,
-		CacheEntries:   1024,
-		CacheShards:    4,
-		ShootdownBatch: 9,
-	})
-	i386, ok := k.Map.(*sfbuf.I386)
-	if !ok {
-		t.Fatal("expected i386 mapper")
-	}
-	if got := i386.Shards(); got != 4 {
-		t.Fatalf("shards = %d, want 4", got)
-	}
-	if got := k.M.ShootdownBatch(); got != 9 {
-		t.Fatalf("shootdown batch = %d, want 9", got)
-	}
-	// The global engine reports a single stripe.
-	kg := MustBoot(Config{Platform: arch.XeonMP(), Mapper: SFBuf, Cache: CacheGlobal,
-		PhysPages: 64, CacheEntries: 1024})
-	if got := kg.Map.(*sfbuf.I386).Shards(); got != 1 {
-		t.Fatalf("global engine shards = %d, want 1", got)
-	}
-}
-
 func TestResetClearsCountersAndStats(t *testing.T) {
 	k := MustBoot(Config{Platform: arch.XeonMP(), Mapper: SFBuf, PhysPages: 64, CacheEntries: 16, Backed: true})
 	ctx := k.Ctx(0)
@@ -123,38 +96,6 @@ func TestResetClearsCountersAndStats(t *testing.T) {
 	}
 	if k.M.TotalCycles() != 0 {
 		t.Fatal("cycles not reset")
-	}
-}
-
-func TestPhysBuddyResolution(t *testing.T) {
-	cases := []struct {
-		name  string
-		cfg   Config
-		buddy bool
-	}{
-		{"auto sf_buf sharded", Config{Mapper: SFBuf, Cache: CacheSharded}, true},
-		{"auto sf_buf amd64", Config{Platform: arch.OpteronMP(), Mapper: SFBuf}, true},
-		{"auto sf_buf global", Config{Mapper: SFBuf, Cache: CacheGlobal}, false},
-		{"auto original", Config{Mapper: OriginalKernel}, false},
-		{"forced on, global", Config{Mapper: SFBuf, Cache: CacheGlobal, PhysBuddy: PhysBuddyOn}, true},
-		{"forced off, sharded", Config{Mapper: SFBuf, PhysBuddy: PhysBuddyOff}, false},
-	}
-	for _, c := range cases {
-		if got := c.cfg.UsesBuddyPhys(); got != c.buddy {
-			t.Errorf("%s: UsesBuddyPhys = %v, want %v", c.name, got, c.buddy)
-		}
-	}
-	// The booted machine's pool must match the resolution.
-	k := MustBoot(Config{Platform: arch.XeonMP(), Mapper: SFBuf, PhysPages: 128, CacheEntries: 32})
-	if !k.M.Phys.Buddy() {
-		t.Error("sharded sf_buf kernel did not boot the buddy allocator")
-	}
-	if st := k.PhysStats(); !st.Buddy || st.Frames != 128 {
-		t.Errorf("PhysStats = %+v", st)
-	}
-	k = MustBoot(Config{Platform: arch.XeonMP(), Mapper: SFBuf, Cache: CacheGlobal, PhysPages: 128, CacheEntries: 32})
-	if k.M.Phys.Buddy() {
-		t.Error("global-lock figure kernel must keep the LIFO pool under Auto")
 	}
 }
 

@@ -1,10 +1,11 @@
 package kernel
 
 // Socket-topology wiring and stress tests: the Config.Sockets/Homing
-// knobs through Boot, and a -race churn where one package frees what the
-// other mapped — the allocation-side and teardown-side state live in
-// different sockets' structures, so every handoff crosses the homing
-// boundaries the refactor introduced.
+// knobs through Boot (TestPlanGolden pins their resolution), and a -race
+// churn where one package frees what the other mapped — the
+// allocation-side and teardown-side state live in different sockets'
+// structures, so every handoff crosses the homing boundaries the
+// refactor introduced.
 
 import (
 	"sync"
@@ -16,23 +17,22 @@ import (
 
 func TestSocketConfigWiring(t *testing.T) {
 	cases := []struct {
-		name      string
-		cfg       Config
-		sockets   int
-		usesHomed bool
+		name    string
+		cfg     Config
+		sockets int
 	}{
 		{"default flat", Config{Platform: arch.XeonMP(), Mapper: SFBuf,
-			PhysPages: 256, CacheEntries: 32}, 1, false},
+			PhysPages: 256, CacheEntries: 32}, 1},
 		{"explicit one socket", Config{Platform: arch.XeonMP(), Mapper: SFBuf,
-			PhysPages: 256, CacheEntries: 32, Sockets: 1}, 1, false},
+			PhysPages: 256, CacheEntries: 32, Sockets: 1}, 1},
 		{"two sockets auto", Config{Platform: arch.XeonNUMA(2, 2), Mapper: SFBuf,
-			PhysPages: 256, CacheEntries: 32, Sockets: 2}, 2, true},
+			PhysPages: 256, CacheEntries: 32, Sockets: 2}, 2},
 		{"two sockets homing off", Config{Platform: arch.XeonNUMA(2, 2), Mapper: SFBuf,
-			PhysPages: 256, CacheEntries: 32, Sockets: 2, Homing: HomingOff}, 2, false},
+			PhysPages: 256, CacheEntries: 32, Sockets: 2, Homing: Off}, 2},
 		{"global cache never homes", Config{Platform: arch.XeonNUMA(2, 2), Mapper: SFBuf,
-			PhysPages: 256, CacheEntries: 32, Sockets: 2, Cache: CacheGlobal}, 2, false},
+			PhysPages: 256, CacheEntries: 32, Sockets: 2, Cache: CacheGlobal}, 2},
 		{"original kernel never homes", Config{Platform: arch.XeonNUMA(2, 2),
-			Mapper: OriginalKernel, PhysPages: 256, Sockets: 2}, 2, false},
+			Mapper: OriginalKernel, PhysPages: 256, Sockets: 2}, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -43,23 +43,18 @@ func TestSocketConfigWiring(t *testing.T) {
 			if got := k.M.Sockets(); got != tc.sockets {
 				t.Fatalf("machine sockets = %d, want %d", got, tc.sockets)
 			}
-			if got := tc.cfg.UsesHoming(); got != tc.usesHomed {
-				t.Fatalf("UsesHoming = %v, want %v", got, tc.usesHomed)
-			}
 			if got := k.M.Phys.PhysStats().Sockets; got != tc.sockets {
 				t.Fatalf("phys pool sockets = %d, want %d", got, tc.sockets)
 			}
+			// Homed state carves one arena region per socket.
+			want := 1
+			if k.Plan.Homed {
+				want = tc.sockets
+			}
+			if got := k.Arena.Regions(); got != want {
+				t.Fatalf("arena regions = %d, want %d (homed %v)", got, want, k.Plan.Homed)
+			}
 		})
-	}
-}
-
-func TestHomingPolicyString(t *testing.T) {
-	for policy, want := range map[HomingPolicy]string{
-		HomingAuto: "auto", HomingOn: "homed", HomingOff: "striped",
-	} {
-		if got := policy.String(); got != want {
-			t.Errorf("HomingPolicy(%d).String() = %q, want %q", policy, got, want)
-		}
 	}
 }
 

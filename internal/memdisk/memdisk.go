@@ -193,7 +193,7 @@ func (d *Disk) transfer(ctx *smp.Context, buf []byte, off int64, write bool) err
 			return err
 		}
 	}
-	if last > first && d.k.UseVectored() {
+	if last > first && d.k.Plan.Batch {
 		bufs, err := d.k.Map.AllocBatch(ctx, d.pages[first:last+1], d.flags())
 		switch {
 		case errors.Is(err, sfbuf.ErrBatchTooLarge):

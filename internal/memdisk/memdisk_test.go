@@ -12,15 +12,19 @@ import (
 	"sfbuf/internal/vm"
 )
 
-func bootDiskKernel(t *testing.T, mk kernel.MapperKind, plat arch.Platform, cacheEntries int) *kernel.Kernel {
+func bootDiskKernel(t *testing.T, mk kernel.MapperKind, plat arch.Platform, cacheEntries int, contig ...kernel.Tri) *kernel.Kernel {
 	t.Helper()
-	k, err := kernel.Boot(kernel.Config{
+	cfg := kernel.Config{
 		Platform:     plat,
 		Mapper:       mk,
 		PhysPages:    1024,
 		Backed:       true,
 		CacheEntries: cacheEntries,
-	})
+	}
+	for _, c := range contig {
+		cfg.Contig = c
+	}
+	k, err := kernel.Boot(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,12 +107,11 @@ func TestPrivateMappingsAvoidShootdowns(t *testing.T) {
 
 func TestDiskFitsInCacheNoInvalidations(t *testing.T) {
 	// The Figure 4/5 configuration: disk fully mapped by the cache.
-	k := bootDiskKernel(t, kernel.SFBuf, arch.XeonMPHTT(), 64)
 	// This test pins the mapping CACHE's reuse property — repeat reads
 	// are pure hash hits with zero invalidations.  Contiguous runs trade
 	// exactly that reuse for ranged translation (every run installs and
-	// tears down fresh PTEs), so hold the subsystem on the cached path.
-	k.Cfg.Contig = kernel.ContigOff
+	// tears down fresh PTEs), so boot the subsystem on the cached path.
+	k := bootDiskKernel(t, kernel.SFBuf, arch.XeonMPHTT(), 64, kernel.Off)
 	d, err := New(k, 32*vm.PageSize)
 	if err != nil {
 		t.Fatal(err)

@@ -212,7 +212,7 @@ func (c *Conn) SendZeroCopy(ctx *smp.Context, um *vm.UserMem, off, n int) error 
 		return vm.ErrBounds
 	}
 	ctx.Charge(ctx.Cost().Syscall)
-	if c.st.K.UseRunsSend() || c.st.K.UseVectoredSend() {
+	if c.st.K.Plan.Runs || c.st.K.Plan.BatchSend {
 		return c.sendZeroCopyWindowed(ctx, um, off, n, c.st.contig.MapSendExtent)
 	}
 	k := c.st.K
@@ -396,7 +396,7 @@ func (c *Conn) sendChain(ctx *smp.Context, chain *mbuf.Chain) error {
 // mappings' PTE accessed bits — the effect Figures 19-20 isolate.
 //
 // On kernels whose send path maps packets into contiguous run windows
-// (UseRunsSend), consecutive mbufs over one window are virtually adjacent;
+// (Plan.Runs), consecutive mbufs over one window are virtually adjacent;
 // the checksum sweeps each such span with kcopy.ChecksumRun — ONE ranged
 // translate per span instead of one walk per page, the same economy the
 // run path already gives the copies.  The figure-reproduction kernels
@@ -410,7 +410,7 @@ func (c *Conn) checksumPacket(ctx *smp.Context, pkt *mbuf.Chain) error {
 // checksumChain is the shared software-checksum sweep, used by both the
 // socket paths above and the virtual-internet serving path (vserve.go).
 func (st *Stack) checksumChain(ctx *smp.Context, pkt *mbuf.Chain) error {
-	if !st.K.UseRunsSend() {
+	if !st.K.Plan.Runs {
 		for m := pkt.Head; m != nil; m = m.Next {
 			if m.Ext != nil {
 				if _, err := kcopy.Checksum(ctx, st.K.Pmap, m.KVA(), m.Len); err != nil {

@@ -428,7 +428,7 @@ func TestMSSValidation(t *testing.T) {
 // PACKET, not one per page.  A sink connection isolates the send side.
 func TestSoftwareChecksumOverRunsUsesRangedTranslate(t *testing.T) {
 	k := bootNetKernel(t, kernel.SFBuf, arch.XeonMP())
-	if !k.UseRunsSend() {
+	if !k.Plan.Runs {
 		t.Fatal("sharded sf_buf kernel should take the run send path")
 	}
 	st := NewStack(k, MTULarge) // MSS crosses ~4 pages per packet

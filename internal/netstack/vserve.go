@@ -411,7 +411,7 @@ func (c *VConn) stageWindow() bool {
 // its own translation, the same cost shape as Stack.checksumChain.
 func (c *VConn) checksumWindow(exts []*mbuf.Ext, winBytes int) error {
 	pm := c.srv.St.K.Pmap
-	ranged := c.srv.St.K.UseRunsSend()
+	ranged := c.srv.St.K.Plan.Runs
 	var spanKVA uint64
 	spanLen := 0
 	flush := func() error {

@@ -309,7 +309,7 @@ func (p *Pipe) readDirect(ctx *smp.Context, w *directWindow, dst []byte) (int, e
 			return n, err
 		}
 	}
-	if p.k.UseVectored() {
+	if p.k.Plan.Batch {
 		n, err := p.readDirectBatch(ctx, w, dst)
 		if !errors.Is(err, sfbuf.ErrBatchTooLarge) {
 			return n, err

@@ -11,15 +11,19 @@ import (
 	"sfbuf/internal/vm"
 )
 
-func bootPipeKernel(t *testing.T, mk kernel.MapperKind, plat arch.Platform) *kernel.Kernel {
+func bootPipeKernel(t *testing.T, mk kernel.MapperKind, plat arch.Platform, contig ...kernel.Tri) *kernel.Kernel {
 	t.Helper()
-	k, err := kernel.Boot(kernel.Config{
+	cfg := kernel.Config{
 		Platform:     plat,
 		Mapper:       mk,
 		PhysPages:    512,
 		Backed:       true,
 		CacheEntries: 64,
-	})
+	}
+	for _, c := range contig {
+		cfg.Contig = c
+	}
+	k, err := kernel.Boot(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,11 +162,10 @@ func TestOriginalKernelInvalidatesPerPage(t *testing.T) {
 }
 
 func TestSFBufEliminatesInvalidationsOnReuse(t *testing.T) {
-	k := bootPipeKernel(t, kernel.SFBuf, arch.XeonMP())
 	// Pins the mapping CACHE's reuse property (pure hits, zero
 	// invalidations on repeat passes); contiguous runs trade that reuse
-	// for ranged translation, so hold the pipe on the cached path.
-	k.Cfg.Contig = kernel.ContigOff
+	// for ranged translation, so boot the pipe on the cached path.
+	k := bootPipeKernel(t, kernel.SFBuf, arch.XeonMP(), kernel.Off)
 	p := New(k)
 	defer p.Close()
 	wctx, rctx := k.Ctx(0), k.Ctx(1)

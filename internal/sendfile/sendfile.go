@@ -50,7 +50,7 @@ func SendFile(ctx *smp.Context, k *kernel.Kernel, fsys *fs.FS, conn *netstack.Co
 		return 0, err
 	}
 	ctx.Charge(ctx.Cost().Syscall)
-	if k.UseRunsSend() || k.UseVectoredSend() {
+	if k.Plan.Runs || k.Plan.BatchSend {
 		return sendFileWindowed(ctx, k, fsys, conn, name, size,
 			k.Consumer("sendfile").MapSendExtent)
 	}

@@ -21,15 +21,19 @@ type rig struct {
 	ctx  *smp.Context
 }
 
-func newRig(t *testing.T, mk kernel.MapperKind, plat arch.Platform) *rig {
+func newRig(t *testing.T, mk kernel.MapperKind, plat arch.Platform, contig ...kernel.Tri) *rig {
 	t.Helper()
-	k, err := kernel.Boot(kernel.Config{
+	cfg := kernel.Config{
 		Platform:     plat,
 		Mapper:       mk,
 		PhysPages:    1024,
 		Backed:       true,
 		CacheEntries: 128,
-	})
+	}
+	for _, c := range contig {
+		cfg.Contig = c
+	}
+	k, err := kernel.Boot(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +119,10 @@ func TestRepeatSendFileHitsMappingCache(t *testing.T) {
 	// first send, the file's page mappings stay cached; subsequent sends
 	// must be pure hits with zero invalidations (the Figure 17/18
 	// sf_buf behaviour).
-	r := newRig(t, kernel.SFBuf, arch.XeonMP())
 	// Pins the mapping CACHE's reuse property; contiguous runs trade
-	// that reuse for ranged translation, so hold sendfile on the cached
+	// that reuse for ranged translation, so boot sendfile on the cached
 	// path.
-	r.k.Cfg.Contig = kernel.ContigOff
+	r := newRig(t, kernel.SFBuf, arch.XeonMP(), kernel.Off)
 	data := make([]byte, 8*fs.BlockSize)
 	if err := r.fsys.WriteFile(r.ctx, "hot.html", data); err != nil {
 		t.Fatal(err)

@@ -236,11 +236,6 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// BatchMapper is the historical name for a mapper with the vectored
-// calls.  The vectored API is now part of Mapper itself, so the alias is
-// kept only for source compatibility.
-type BatchMapper = Mapper
-
 // Mapper is the machine-independent ephemeral mapping interface of
 // Table 1, extended with the vectored calls AllocBatch and FreeBatch.
 // Alloc is sf_buf_alloc, Free is sf_buf_free; the two remaining functions
@@ -307,9 +302,10 @@ type nativeBatcher interface {
 // NativeBatch reports whether m's AllocBatch/FreeBatch amortize work
 // across the run — fewer lock round trips, bulk page-table passes, or
 // coalesced shootdowns — rather than looping over the single-page calls.
-// Subsystems use it to decide whether mapping a multi-page extent as a
-// batch buys anything; the paper's global-lock cache reports false so the
-// figure-reproduction experiments keep their exact per-page behaviour.
+// The kernel asks it once at boot (kernel.Plan.Batch) to decide whether
+// mapping a multi-page extent as a batch buys anything; the paper's
+// global-lock cache reports false so the figure-reproduction experiments
+// keep their exact per-page behaviour.
 func NativeBatch(m Mapper) bool {
 	nb, ok := m.(nativeBatcher)
 	return ok && nb.nativeBatch()
@@ -323,10 +319,11 @@ type nativeRunner interface {
 
 // NativeRun reports whether m's AllocRun provides contiguous windows —
 // the sharded cache's reserved-window path, the amd64 direct map, the
-// original kernel's 64-bit pmap_qenter range.  Subsystems use it (through
-// the kernel's Contig policy) to decide whether mapping a multi-page
-// extent as a run buys ranged translation; the paper's global-lock cache
-// reports false, so figure reproduction keeps its exact historical paths.
+// original kernel's 64-bit pmap_qenter range.  The kernel asks it once at
+// boot (kernel.Plan.Runs, under the Contig switch) to decide whether
+// mapping a multi-page extent as a run buys ranged translation; the
+// paper's global-lock cache reports false, so figure reproduction keeps
+// its exact historical paths.
 func NativeRun(m Mapper) bool {
 	nr, ok := m.(nativeRunner)
 	return ok && nr.nativeRun()

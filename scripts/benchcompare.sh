@@ -4,9 +4,10 @@
 #
 #   scripts/benchcompare.sh [base-ref]
 #
-# Checks out the merge-base of HEAD and base-ref (default origin/main,
-# else main) into a temporary git worktree, runs `go run ./bench -quick`
-# with one seed there and in this checkout, and compares the two results.
+# Unpacks the merge-base of HEAD and base-ref (default origin/main, else
+# main) into a temporary directory (`git archive`), builds ./bench once
+# there and once from this checkout with `go build`, runs both binaries
+# with `-quick` and one seed, and compares the two results.
 # When the merge-base is HEAD itself, as on main, the base is HEAD~1 —
 # unless the working tree has uncommitted changes, which are then what is
 # compared against HEAD.
@@ -17,8 +18,9 @@
 #   - `bench -compare`'s verdicts on the host metrics are printed as
 #     information only.  A -quick run on a shared box cannot resolve them.
 #
-# Everything runs in the foreground; the worktree and the result files
-# are removed on exit, whatever the outcome.  Needs jq.
+# Everything runs in the foreground, one process at a time, and the
+# binaries run directly (no `go run` parent sits over a child); the
+# temporary directory is removed on exit, whatever the outcome.  Needs jq.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
@@ -37,25 +39,24 @@ if [ "$base" = "$(git rev-parse HEAD)" ] && git diff --quiet HEAD; then
 fi
 
 tmp=$(mktemp -d)
-cleanup() {
-	git worktree remove --force "$tmp/base" >/dev/null 2>&1 || true
-	git worktree prune
-	rm -rf "$tmp"
-}
-trap cleanup EXIT
+trap 'rm -rf "$tmp"' EXIT
+export GOFLAGS=-buildvcs=false
 
-git worktree add --detach "$tmp/base" "$base" >/dev/null
+mkdir "$tmp/base"
+git archive "$base" | tar -x -C "$tmp/base"
 if [ ! -d "$tmp/base/bench" ]; then
 	echo "benchcompare: $(git rev-parse --short "$base") has no bench/: nothing to compare against"
 	exit 0
 fi
+(cd "$tmp/base" && go build -o "$tmp/bench.base" ./bench)
+go build -o "$tmp/bench.head" ./bench
 
 echo "benchcompare: base $(git rev-parse --short "$base"), head $(git rev-parse --short HEAD)$(git diff --quiet HEAD || echo ' + uncommitted changes')"
-(cd "$tmp/base" && go run ./bench -quick -seed 1 -out "$tmp/base.json" >/dev/null)
-go run ./bench -quick -seed 1 -out "$tmp/head.json" >/dev/null
+(cd "$tmp/base" && "$tmp/bench.base" -quick -seed 1 -out "$tmp/base.json" >/dev/null)
+"$tmp/bench.head" -quick -seed 1 -out "$tmp/head.json" >/dev/null
 
 # Host verdicts: information.
-go run ./bench -compare "$tmp/base.json" "$tmp/head.json" || true
+"$tmp/bench.head" -compare "$tmp/base.json" "$tmp/head.json" || true
 
 # "workload metric value" for every exact metric, at full precision.
 exact() {

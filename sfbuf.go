@@ -48,9 +48,6 @@ type (
 	// Mapper is the ephemeral mapping interface: the four Table-1
 	// functions plus the vectored AllocBatch/FreeBatch calls.
 	Mapper = sfbuf.Mapper
-	// BatchMapper is the historical name for a mapper with the vectored
-	// calls, now an alias of Mapper.
-	BatchMapper = sfbuf.BatchMapper
 	// MapperStats reports mapping-cache behaviour.
 	MapperStats = sfbuf.Stats
 	// Run is a contiguous multi-page ephemeral mapping: one VA window
@@ -65,9 +62,8 @@ type (
 	// DaemonStats counts the background reclaim-and-laundering daemon's
 	// activity (idle passes, watermark refill rounds, age-triggered
 	// window laundering, clean-window trims), reported by
-	// Kernel.DaemonStats.  The daemon is configured through
-	// Config.ReclaimWatermark and Config.LaunderAge and driven by
-	// Kernel.Idle.
+	// Kernel.DaemonStats.  The daemon is switched by Config.Daemon and
+	// driven by Kernel.Idle.
 	DaemonStats = sfbuf.DaemonStats
 )
 
@@ -116,12 +112,10 @@ type (
 	// design with batched shootdowns (default) or the paper's
 	// global-lock cache.
 	CachePolicy = kernel.CachePolicy
-	// VectoredPolicy decides whether the converted subsystems map
-	// multi-page extents through the vectored calls.
-	VectoredPolicy = kernel.VectoredPolicy
-	// ContigPolicy decides whether the converted subsystems map
-	// multi-page extents as contiguous runs.
-	ContigPolicy = kernel.ContigPolicy
+	// Tri is a policy switch (Config.Contig, PhysBuddy, Daemon, Reserv,
+	// Migrate, TierHints, Homing): Auto lets Boot decide, On and Off
+	// override.  Boot resolves every switch once into Kernel.Plan.
+	Tri = kernel.Tri
 	// MapConsumer is a subsystem's contiguity-policy handle: static under
 	// pinned policies, self-tuning per window-size epoch under the
 	// adaptive one.
@@ -131,9 +125,6 @@ type (
 	PolicyStats = kernel.PolicyStats
 	// PolicyClassStats is one window-size class within PolicyStats.
 	PolicyClassStats = kernel.PolicyClassStats
-	// ShardedConfig tunes the sharded engine's stripe count, per-CPU
-	// freelist depth and reclaim batch.
-	ShardedConfig = sfbuf.ShardedConfig
 	// Context is a kernel thread of control pinned to a virtual CPU.
 	Context = smp.Context
 	// Platform describes one of the evaluation machines.
@@ -142,22 +133,10 @@ type (
 	Page = vm.Page
 	// UserMem is a user-space buffer backed by physical pages.
 	UserMem = vm.UserMem
-	// PhysPolicy selects the physical-frame allocator (Config.PhysBuddy):
-	// the buddy allocator whose coalescing keeps contiguity recoverable,
-	// or the seed's LIFO free stack.
-	PhysPolicy = kernel.PhysPolicy
 	// PhysStats is the frame allocator's fragmentation snapshot (free
 	// blocks per order, largest contiguous free extent, split/coalesce
 	// counts), reported by Kernel.PhysStats.
 	PhysStats = vm.PhysStats
-	// HomingPolicy selects how mapping state is placed on a multi-socket
-	// machine (Config.Sockets > 1): socket-homed or flat hash-striped.
-	HomingPolicy = kernel.HomingPolicy
-	// TierHintPolicy decides whether the kernel runs the consumer-hinted
-	// hot-extent placement keeper on a tiered physical pool
-	// (Config.Tiers >= 2 with Config.FastFraction of each socket's frames
-	// fast).
-	TierHintPolicy = kernel.TierHintPolicy
 	// TierStats is the tiered-memory snapshot (tier residency and free
 	// stock, promotion/demotion counts, accumulated slow-tier surcharge,
 	// per-consumer fast-tier hit rates), reported by Kernel.TierStats.
@@ -187,73 +166,14 @@ const (
 	CacheGlobal = kernel.CacheGlobal
 )
 
-// Vectored-I/O policies (Config.Vectored).
+// Policy switch positions (Tri).
 const (
-	// VectoredAuto batches multi-page I/O exactly where the booted
-	// engine makes batching a genuine fast path (the default).
-	VectoredAuto = kernel.VectoredAuto
-	// VectoredOn forces every converted subsystem onto the vectored
-	// path.
-	VectoredOn = kernel.VectoredOn
-	// VectoredOff forces per-page mapping everywhere (ablation knob).
-	VectoredOff = kernel.VectoredOff
-)
-
-// Contiguous-run policies (Config.Contig).
-const (
-	// ContigAuto is the default: on engines with native contiguity the
-	// per-consumer ADAPTIVE policy (each subsystem starts on the run
-	// path and flips itself between runs and batches from its observed
-	// reuse); the figure-reproduction engines keep their historical
-	// paths.
-	ContigAuto = kernel.ContigAuto
-	// ContigOn forces every converted subsystem onto the run path.
-	ContigOn = kernel.ContigOn
-	// ContigOff forces batches/pages everywhere (ablation knob).
-	ContigOff = kernel.ContigOff
-	// ContigAdaptive pins the adaptive per-consumer policy by name
-	// (today identical to Auto's sf_buf resolution).
-	ContigAdaptive = kernel.ContigAdaptive
-)
-
-// Physical-frame allocator policies (Config.PhysBuddy).
-const (
-	// PhysBuddyAuto is the default: the buddy allocator on sf_buf kernels
-	// with native engines; the LIFO stack on the figure-reproduction
-	// configurations (global-lock cache, original kernel), preserving
-	// their bit-exact frame allocation order.
-	PhysBuddyAuto = kernel.PhysBuddyAuto
-	// PhysBuddyOn forces the buddy allocator everywhere.
-	PhysBuddyOn = kernel.PhysBuddyOn
-	// PhysBuddyOff forces the LIFO free stack everywhere (ablation knob).
-	PhysBuddyOff = kernel.PhysBuddyOff
-)
-
-// State-placement policies for multi-socket machines (Config.Homing,
-// effective when Config.Sockets > 1).
-const (
-	// HomingAuto homes mapping state per socket whenever the machine has
-	// more than one socket and the engine is sharded (the default).
-	HomingAuto = kernel.HomingAuto
-	// HomingOn forces socket homing (no-op at one socket).
-	HomingOn = kernel.HomingOn
-	// HomingOff pins the flat hash-striped layout even on a multi-socket
-	// machine — the NUMA experiment's baseline arm.
-	HomingOff = kernel.HomingOff
-)
-
-// Hot-extent placement policies for tiered physical pools (Config.TierHints,
-// effective when Config.Tiers >= 2; Config.Tiers defaults to a single
-// uniform tier, which is byte-identical to the untiered build).
-const (
-	// TierHintAuto runs the placement keeper whenever the pool is tiered
-	// and the frame allocator is the buddy allocator (the default).
-	TierHintAuto = kernel.TierHintAuto
-	// TierHintOn is today identical to Auto's tiered resolution.
-	TierHintOn = kernel.TierHintOn
-	// TierHintOff books the tier split but leaves placement to allocation
-	// order — the tier-oblivious baseline arm.
-	TierHintOff = kernel.TierHintOff
+	// Auto is the default: Boot decides from the machine and the engine.
+	Auto = kernel.Auto
+	// On forces the policy wherever the engine can honour it.
+	On = kernel.On
+	// Off disables it (the ablation and baseline arms).
+	Off = kernel.Off
 )
 
 // ErrNoContig is AllocContig's failure: no aligned physically contiguous
