@@ -298,11 +298,11 @@ func BenchmarkAllocNUMA(b *testing.B) {
 	}
 }
 
-// BenchmarkAllocContended hammers Alloc/touch/Free from one goroutine per
-// virtual CPU over a working set larger than the cache — the workload the
-// sharded engine exists for.  Wall-clock ns/op measures real lock
-// contention between the goroutines; the reported metrics expose the
-// shootdown traffic the simulated machine observed.
+// BenchmarkAllocContended churns Alloc/touch/Free round-robin over every
+// virtual CPU (experiments.Churn) across a working set larger than the
+// cache — the workload the sharded engine exists for.  Wall-clock ns/op
+// measures only the simulator's own code; the reported metrics expose
+// the shootdown traffic the simulated machine observed.
 func BenchmarkAllocContended(b *testing.B) {
 	cases := []struct {
 		name  string

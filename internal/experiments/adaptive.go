@@ -24,10 +24,10 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"sfbuf/internal/arch"
 	"sfbuf/internal/kernel"
+	"sfbuf/internal/smp"
 	"sfbuf/internal/vm"
 )
 
@@ -72,7 +72,10 @@ func BootAdaptive() (*kernel.Kernel, error) {
 // converted subsystems do), "run" and "batch" pin the static paths.  It
 // returns the pages moved.  Extents are touched through the honest MMU —
 // a ranged translation per contiguous run, a per-page translation per
-// batch — so walk economy and TLB behaviour are load-bearing.
+// batch — so walk economy and TLB behaviour are load-bearing.  The
+// round-robin driver makes it deterministic: the policy's decisions
+// depend on the order extents reach the consumer's EWMAs, and that order
+// is fixed by the inputs alone.
 func ChurnAdaptiveWorkload(k *kernel.Kernel, workload, policy string, rounds int) (int, error) {
 	var pages []*vm.Page
 	var runLen int
@@ -93,154 +96,23 @@ func ChurnAdaptiveWorkload(k *kernel.Kernel, workload, policy string, rounds int
 	cons := k.Consumer("adaptive-" + workload)
 	ncpu := k.M.NumCPUs()
 	span := len(pages) - runLen + 1
-	var wg sync.WaitGroup
-	errs := make([]error, ncpu)
-	for cpu := 0; cpu < ncpu; cpu++ {
-		wg.Add(1)
-		go func(cpu int) {
-			defer wg.Done()
-			ctx := k.Ctx(cpu)
-			var got []*vm.Page
-			for r := 0; r < rounds; r++ {
-				var extent []*vm.Page
-				if workload == "stream" {
-					e := (r + cpu) % AdaptiveStreamExtents
-					extent = pages[e*runLen : (e+1)*runLen]
-				} else {
-					// The global (cross-CPU) extent sequence walks the
-					// span with period span, so a given boundary repeats
-					// far outside the page-set cache's revivable depth.
-					start := ((r*ncpu + cpu) * 7) % span
-					extent = pages[start : start+runLen]
-				}
-				useRun := policy == "run" || (policy == "adaptive" && cons.UseRuns(ctx, extent))
-				if useRun {
-					rn, err := k.Map.AllocRun(ctx, extent, 0)
-					if err != nil {
-						errs[cpu] = err
-						return
-					}
-					if rn.Contiguous() {
-						got, err = k.Pmap.TranslateRun(ctx, rn.Base(), rn.Len(), false, got[:0])
-						if err != nil {
-							errs[cpu] = err
-							return
-						}
-					} else {
-						for j := 0; j < rn.Len(); j++ {
-							if _, err := k.Pmap.Translate(ctx, rn.KVA(j), false); err != nil {
-								errs[cpu] = err
-								return
-							}
-						}
-					}
-					k.Map.FreeRun(ctx, rn)
-				} else {
-					bufs, err := k.Map.AllocBatch(ctx, extent, 0)
-					if err != nil {
-						errs[cpu] = err
-						return
-					}
-					for _, b := range bufs {
-						if _, err := k.Pmap.Translate(ctx, b.KVA(), false); err != nil {
-							errs[cpu] = err
-							return
-						}
-					}
-					k.Map.FreeBatch(ctx, bufs)
-				}
-			}
-		}(cpu)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
-		}
-	}
-	if st := k.Map.Stats(); st.Allocs != st.Frees {
-		return 0, fmt.Errorf("leaked references: allocs %d != frees %d", st.Allocs, st.Frees)
-	}
-	return rounds * ncpu * runLen, nil
-}
-
-// ChurnAdaptiveSequential replays ChurnAdaptiveWorkload's exact extent
-// sequence from a single goroutine, round-robining the CPU contexts with
-// the round loop outermost and the CPU loop innermost — the same global
-// interleaving the concurrent driver produces on average, but with a
-// fully deterministic order.  The decision-pinning test uses it: the
-// policy's flip count depends on the order extents hit the consumer's
-// EWMAs, and goroutine scheduling must not be able to wobble an asserted
-// trace.  The concurrent driver remains the economy benchmark's path.
-func ChurnAdaptiveSequential(k *kernel.Kernel, workload, policy string, rounds int) (int, error) {
-	var pages []*vm.Page
-	var runLen int
-	var err error
-	switch workload {
-	case "stream":
-		runLen = AdaptiveStreamLen
-		pages, err = k.M.Phys.AllocN(AdaptiveStreamExtents * runLen)
-	case "churn":
-		runLen = AdaptiveChurnLen
-		pages, err = k.M.Phys.AllocN(AdaptiveChurnPages)
-	default:
-		return 0, fmt.Errorf("unknown adaptive workload %q", workload)
-	}
-	if err != nil {
-		return 0, err
-	}
-	cons := k.Consumer("adaptive-" + workload)
-	ncpu := k.M.NumCPUs()
-	span := len(pages) - runLen + 1
 	var got []*vm.Page
-	for r := 0; r < rounds; r++ {
-		for cpu := 0; cpu < ncpu; cpu++ {
-			ctx := k.Ctx(cpu)
-			var extent []*vm.Page
-			if workload == "stream" {
-				e := (r + cpu) % AdaptiveStreamExtents
-				extent = pages[e*runLen : (e+1)*runLen]
-			} else {
-				start := ((r*ncpu + cpu) * 7) % span
-				extent = pages[start : start+runLen]
-			}
-			useRun := policy == "run" || (policy == "adaptive" && cons.UseRuns(ctx, extent))
-			if useRun {
-				rn, err := k.Map.AllocRun(ctx, extent, 0)
-				if err != nil {
-					return 0, err
-				}
-				if rn.Contiguous() {
-					got, err = k.Pmap.TranslateRun(ctx, rn.Base(), rn.Len(), false, got[:0])
-					if err != nil {
-						return 0, err
-					}
-				} else {
-					for j := 0; j < rn.Len(); j++ {
-						if _, err := k.Pmap.Translate(ctx, rn.KVA(j), false); err != nil {
-							return 0, err
-						}
-					}
-				}
-				k.Map.FreeRun(ctx, rn)
-			} else {
-				bufs, err := k.Map.AllocBatch(ctx, extent, 0)
-				if err != nil {
-					return 0, err
-				}
-				for _, b := range bufs {
-					if _, err := k.Pmap.Translate(ctx, b.KVA(), false); err != nil {
-						return 0, err
-					}
-				}
-				k.Map.FreeBatch(ctx, bufs)
-			}
+	err = drive(k, rounds, func(ctx *smp.Context, cpu, r int) error {
+		var extent []*vm.Page
+		if workload == "stream" {
+			e := (r + cpu) % AdaptiveStreamExtents
+			extent = pages[e*runLen : (e+1)*runLen]
+		} else {
+			// The global extent sequence walks the span with period
+			// span, so a given boundary repeats far outside the page-set
+			// cache's revivable depth.
+			start := ((r*ncpu + cpu) * 7) % span
+			extent = pages[start : start+runLen]
 		}
-	}
-	if st := k.Map.Stats(); st.Allocs != st.Frees {
-		return 0, fmt.Errorf("leaked references: allocs %d != frees %d", st.Allocs, st.Frees)
-	}
-	return rounds * ncpu * runLen, nil
+		useRun := policy == "run" || (policy == "adaptive" && cons.UseRuns(ctx, extent))
+		return touchExtent(k, ctx, extent, useRun, &got)
+	})
+	return rounds * ncpu * runLen, err
 }
 
 // ChurnAuto is the scale experiment's adaptive counterpart of ChurnRun
@@ -250,68 +122,5 @@ func ChurnAdaptiveSequential(k *kernel.Kernel, workload, policy string, rounds i
 // engine's static resolution) says runs, the batch path otherwise.  The
 // returned count is in pages, comparable with the other Churn drivers.
 func ChurnAuto(k *kernel.Kernel, pages []*vm.Page, ops, runLen int) (int, error) {
-	ncpu := k.M.NumCPUs()
-	rounds := ops / ncpu / runLen
-	cons := k.Consumer("scale")
-	var wg sync.WaitGroup
-	errs := make([]error, ncpu)
-	for cpu := 0; cpu < ncpu; cpu++ {
-		wg.Add(1)
-		go func(cpu int) {
-			defer wg.Done()
-			ctx := k.Ctx(cpu)
-			scratch := make([]*vm.Page, runLen)
-			var got []*vm.Page
-			for i := 0; i < rounds; i++ {
-				for j := 0; j < runLen; j++ {
-					scratch[j] = pages[(i*runLen*(2*cpu+1)+j*7+cpu*11)%len(pages)]
-				}
-				if cons.UseRuns(ctx, scratch) {
-					r, err := k.Map.AllocRun(ctx, scratch, 0)
-					if err != nil {
-						errs[cpu] = err
-						return
-					}
-					if r.Contiguous() {
-						got, err = k.Pmap.TranslateRun(ctx, r.Base(), r.Len(), false, got[:0])
-						if err != nil {
-							errs[cpu] = err
-							return
-						}
-					} else {
-						for j := 0; j < r.Len(); j++ {
-							if _, err := k.Pmap.Translate(ctx, r.KVA(j), false); err != nil {
-								errs[cpu] = err
-								return
-							}
-						}
-					}
-					k.Map.FreeRun(ctx, r)
-				} else {
-					bufs, err := k.Map.AllocBatch(ctx, scratch, 0)
-					if err != nil {
-						errs[cpu] = err
-						return
-					}
-					for _, b := range bufs {
-						if _, err := k.Pmap.Translate(ctx, b.KVA(), false); err != nil {
-							errs[cpu] = err
-							return
-						}
-					}
-					k.Map.FreeBatch(ctx, bufs)
-				}
-			}
-		}(cpu)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
-		}
-	}
-	if st := k.Map.Stats(); st.Allocs != st.Frees {
-		return 0, fmt.Errorf("leaked references: allocs %d != frees %d", st.Allocs, st.Frees)
-	}
-	return rounds * ncpu * runLen, nil
+	return churnExtents(k, pages, ops, runLen, k.Consumer("scale").UseRuns, 0, 0)
 }

@@ -54,16 +54,14 @@ func TestAdaptivePolicyEconomy(t *testing.T) {
 // streaming workload the consumer must stay on the run path and feed on
 // window revives; on the churn workload it must flip to the batch path
 // within its first epochs and stay there (hysteresis: a handful of
-// flips at most, not one per epoch).  It drives the sequential replay of
-// the workload: the flip count is a property of the extent order the
-// EWMAs see, and asserting an exact range over a scheduler-dependent
-// order made this test flake under -race.
+// flips at most, not one per epoch).  The flip count is a property of
+// the extent order the EWMAs see, which the round-robin driver fixes.
 func TestAdaptivePolicyDecisions(t *testing.T) {
 	k, err := BootAdaptive()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ChurnAdaptiveSequential(k, "stream", "adaptive", adaptiveRounds); err != nil {
+	if _, err := ChurnAdaptiveWorkload(k, "stream", "adaptive", adaptiveRounds); err != nil {
 		t.Fatal(err)
 	}
 	stats := k.PolicyStats()
@@ -86,7 +84,7 @@ func TestAdaptivePolicyDecisions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ChurnAdaptiveSequential(k2, "churn", "adaptive", adaptiveRounds); err != nil {
+	if _, err := ChurnAdaptiveWorkload(k2, "churn", "adaptive", adaptiveRounds); err != nil {
 		t.Fatal(err)
 	}
 	ps = k2.PolicyStats()[0]

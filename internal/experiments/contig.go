@@ -2,9 +2,6 @@ package experiments
 
 import (
 	"errors"
-	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"sfbuf/internal/arch"
 	"sfbuf/internal/kernel"
@@ -118,79 +115,31 @@ func ChurnFrag(k *kernel.Kernel, ops, runLen int, useRuns bool) (done int, conti
 	if rounds < 1 {
 		rounds = 1
 	}
-	var contig, total atomic.Uint64
-	var wg sync.WaitGroup
-	errs := make([]error, ncpu)
-	for cpu := 0; cpu < ncpu; cpu++ {
-		wg.Add(1)
-		go func(cpu int) {
-			defer wg.Done()
-			ctx := k.Ctx(cpu)
-			var got []*vm.Page
-			for i := 0; i < rounds; i++ {
-				pages, aerr := k.AllocPhysContig(runLen)
-				if errors.Is(aerr, vm.ErrNoContig) {
-					pages, aerr = k.M.Phys.AllocN(runLen)
-				} else if aerr == nil {
-					contig.Add(1)
-				}
-				if aerr != nil {
-					errs[cpu] = aerr
-					return
-				}
-				total.Add(1)
-				if uerr := func() error {
-					if useRuns {
-						r, err := k.Map.AllocRun(ctx, pages, 0)
-						if err != nil {
-							return err
-						}
-						defer k.Map.FreeRun(ctx, r)
-						if r.Contiguous() {
-							got, err = k.Pmap.TranslateRun(ctx, r.Base(), r.Len(), false, got[:0])
-							return err
-						}
-						for j := 0; j < r.Len(); j++ {
-							if _, err := k.Pmap.Translate(ctx, r.KVA(j), false); err != nil {
-								return err
-							}
-						}
-						return nil
-					}
-					bufs, err := k.Map.AllocBatch(ctx, pages, 0)
-					if err != nil {
-						return err
-					}
-					defer k.Map.FreeBatch(ctx, bufs)
-					for _, b := range bufs {
-						if _, err := k.Pmap.Translate(ctx, b.KVA(), false); err != nil {
-							return err
-						}
-					}
-					return nil
-				}(); uerr != nil {
-					errs[cpu] = uerr
-					return
-				}
-				for _, pg := range pages {
-					k.M.Phys.Free(pg)
-				}
-			}
-		}(cpu)
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return 0, 0, e
+	var contig, total int
+	var got []*vm.Page
+	err = drive(k, rounds, func(ctx *smp.Context, cpu, i int) error {
+		pages, err := k.AllocPhysContig(runLen)
+		if errors.Is(err, vm.ErrNoContig) {
+			pages, err = k.M.Phys.AllocN(runLen)
+		} else if err == nil {
+			contig++
 		}
+		if err != nil {
+			return err
+		}
+		total++
+		if err := touchExtent(k, ctx, pages, useRuns, &got); err != nil {
+			return err
+		}
+		for _, pg := range pages {
+			k.M.Phys.Free(pg)
+		}
+		return nil
+	})
+	if err != nil {
+		return 0, 0, err
 	}
-	if st := k.Map.Stats(); st.Allocs != st.Frees {
-		return 0, 0, fmt.Errorf("leaked references: allocs %d != frees %d", st.Allocs, st.Frees)
-	}
-	if t := total.Load(); t > 0 {
-		contigFrac = float64(contig.Load()) / float64(t)
-	}
-	return rounds * ncpu * runLen, contigFrac, nil
+	return rounds * ncpu * runLen, float64(contig) / float64(total), nil
 }
 
 // ContigRecoveryPages is the extent width the promotion-recovery harness

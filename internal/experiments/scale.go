@@ -2,12 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"sfbuf/internal/arch"
 	"sfbuf/internal/cycles"
 	"sfbuf/internal/kernel"
 	"sfbuf/internal/pmap"
+	"sfbuf/internal/smp"
 	"sfbuf/internal/vm"
 )
 
@@ -60,9 +60,9 @@ func RunScale(o Options) (*Result, error) {
 	plat := arch.XeonMPHTT()
 	entries := o.scaleInt(256, 64)
 	ops := o.scaleInt(200000, 4000)
-	// Cap the batch so every CPU can hold a full run concurrently with
-	// half the cache to spare: otherwise all CPUs could sleep mid-batch
-	// holding partial runs with nobody left to free.
+	// Cap the batch at entries/(2·ncpu) so a run stays a small slice of
+	// the cache at every scale: with drive's one extent in flight, an
+	// Alloc never has to wait for a Free.
 	batch := ScaleBatch
 	if max := entries / (2 * plat.NumCPUs); batch > max {
 		batch = max
@@ -329,51 +329,27 @@ func scaleRow(res *Result, k *kernel.Kernel, name string, done int, contigCol, p
 const ScaleBatch = 16
 
 // Churn runs roughly ops shared Alloc/touch/Free cycles spread across
-// every CPU, one goroutine per CPU, each walking the working set at a
-// different stride so frames stay spread across shards and CPUs genuinely
-// contend.  It returns the operation count actually executed (ops rounded
+// every CPU by the round-robin driver, each CPU walking the working set at
+// a different stride so frames stay spread across shards and CPUs share
+// pages.  It returns the operation count actually executed (ops rounded
 // down to a multiple of the CPU count).  BenchmarkAllocContended drives
 // the same loop, so the benchmark and the scale experiment cannot drift
 // apart.
 func Churn(k *kernel.Kernel, pages []*vm.Page, ops int) (int, error) {
 	ncpu := k.M.NumCPUs()
 	n := ops / ncpu
-	var wg sync.WaitGroup
-	errs := make([]error, ncpu)
-	for cpu := 0; cpu < ncpu; cpu++ {
-		wg.Add(1)
-		go func(cpu int) {
-			defer wg.Done()
-			ctx := k.Ctx(cpu)
-			for i := 0; i < n; i++ {
-				pg := pages[(i*(2*cpu+1)+cpu*7)%len(pages)]
-				b, err := k.Map.Alloc(ctx, pg, 0)
-				if err != nil {
-					errs[cpu] = err
-					return
-				}
-				// Touch through the honest MMU so the accessed bit is
-				// set and the coherence protocol is load-bearing.
-				if _, err := k.Pmap.Translate(ctx, b.KVA(), false); err != nil {
-					errs[cpu] = err
-					return
-				}
-				k.Map.Free(ctx, b)
-			}
-		}(cpu)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	err := drive(k, n, func(ctx *smp.Context, cpu, i int) error {
+		b, err := k.Map.Alloc(ctx, pages[(i*(2*cpu+1)+cpu*7)%len(pages)], 0)
 		if err != nil {
-			return 0, err
+			return err
 		}
-	}
-	// Guard the simulation's invariant: contention must never corrupt a
-	// mapping (stale TLB reads fault or return wrong frames upstream).
-	if st := k.Map.Stats(); st.Allocs != st.Frees {
-		return 0, fmt.Errorf("leaked references: allocs %d != frees %d", st.Allocs, st.Frees)
-	}
-	return n * ncpu, nil
+		// Touch through the honest MMU so the accessed bit is set and
+		// the coherence protocol is load-bearing.
+		_, err = k.Pmap.Translate(ctx, b.KVA(), false)
+		k.Map.Free(ctx, b)
+		return err
+	})
+	return n * ncpu, err
 }
 
 // ChurnBatch is the vectored counterpart of Churn: every CPU churns the
@@ -383,153 +359,52 @@ func Churn(k *kernel.Kernel, pages []*vm.Page, ops int) (int, error) {
 // metrics stay directly comparable with Churn's.  BenchmarkAllocBatch
 // drives this loop, keeping the benchmark and the experiment in lockstep.
 func ChurnBatch(k *kernel.Kernel, pages []*vm.Page, ops, batch int) (int, error) {
-	ncpu := k.M.NumCPUs()
-	rounds := ops / ncpu / batch
-	var wg sync.WaitGroup
-	errs := make([]error, ncpu)
-	for cpu := 0; cpu < ncpu; cpu++ {
-		wg.Add(1)
-		go func(cpu int) {
-			defer wg.Done()
-			ctx := k.Ctx(cpu)
-			scratch := make([]*vm.Page, batch)
-			for i := 0; i < rounds; i++ {
-				for j := 0; j < batch; j++ {
-					scratch[j] = pages[(i*batch*(2*cpu+1)+j*7+cpu*11)%len(pages)]
-				}
-				bufs, err := k.Map.AllocBatch(ctx, scratch, 0)
-				if err != nil {
-					errs[cpu] = err
-					return
-				}
-				for _, b := range bufs {
-					if _, err := k.Pmap.Translate(ctx, b.KVA(), false); err != nil {
-						errs[cpu] = err
-						return
-					}
-				}
-				k.Map.FreeBatch(ctx, bufs)
-			}
-		}(cpu)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
-		}
-	}
-	if st := k.Map.Stats(); st.Allocs != st.Frees {
-		return 0, fmt.Errorf("leaked references: allocs %d != frees %d", st.Allocs, st.Frees)
-	}
-	return rounds * ncpu * batch, nil
+	return ChurnIdle(k, pages, ops, batch, 0, 0)
 }
 
 // ChurnIdle is ChurnBatch with traffic lulls: after every gapEvery rounds
 // each CPU goes idle for gap cycles (kernel.Idle — the background daemon's
-// tick when one is enabled).  It is the scale experiment's bursty-workload
-// row and the -race stressor for daemon-vs-churn interleaving: reclaim
-// passes on idling CPUs race allocation misses on busy ones.
+// tick when one is enabled), so reclaim passes on idling CPUs interleave
+// with allocation misses on busy ones.  It is the scale experiment's
+// bursty-workload row; gapEvery 0 never idles.
 func ChurnIdle(k *kernel.Kernel, pages []*vm.Page, ops, batch, gapEvery int, gap cycles.Cycles) (int, error) {
-	ncpu := k.M.NumCPUs()
-	rounds := ops / ncpu / batch
-	var wg sync.WaitGroup
-	errs := make([]error, ncpu)
-	for cpu := 0; cpu < ncpu; cpu++ {
-		wg.Add(1)
-		go func(cpu int) {
-			defer wg.Done()
-			ctx := k.Ctx(cpu)
-			scratch := make([]*vm.Page, batch)
-			for i := 0; i < rounds; i++ {
-				for j := 0; j < batch; j++ {
-					scratch[j] = pages[(i*batch*(2*cpu+1)+j*7+cpu*11)%len(pages)]
-				}
-				bufs, err := k.Map.AllocBatch(ctx, scratch, 0)
-				if err != nil {
-					errs[cpu] = err
-					return
-				}
-				for _, b := range bufs {
-					if _, err := k.Pmap.Translate(ctx, b.KVA(), false); err != nil {
-						errs[cpu] = err
-						return
-					}
-				}
-				k.Map.FreeBatch(ctx, bufs)
-				if gapEvery > 0 && (i+1)%gapEvery == 0 {
-					k.Idle(cpu, gap)
-				}
-			}
-		}(cpu)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
-		}
-	}
-	if st := k.Map.Stats(); st.Allocs != st.Frees {
-		return 0, fmt.Errorf("leaked references: allocs %d != frees %d", st.Allocs, st.Frees)
-	}
-	return rounds * ncpu * batch, nil
+	return churnExtents(k, pages, ops, batch, nil, gapEvery, gap)
 }
 
 // ChurnRun is the contiguous-run counterpart of ChurnBatch: every CPU
 // maps runLen pages per AllocRun, sweeps the whole window through the
-// honest MMU with ONE ranged translation (kcopy-style: one page-table
-// walk per contiguous PTE run, versus one per page on the scattered
-// paths), and releases it with one FreeRun.  Fallback engines return
-// scattered runs, which are swept page by page — exactly what their
-// mappings cost.  The returned count is in pages, comparable with Churn
-// and ChurnBatch.  BenchmarkAllocRun drives this loop, keeping the
-// benchmark and the experiment in lockstep.
+// honest MMU with ONE ranged translation (one page-table walk per
+// contiguous PTE run, versus one per page on the scattered paths), and
+// releases it with one FreeRun.  Fallback engines return scattered runs,
+// which are swept page by page.  The returned count is in pages,
+// comparable with Churn and ChurnBatch.  BenchmarkAllocRun drives this
+// loop, keeping the benchmark and the experiment in lockstep.
 func ChurnRun(k *kernel.Kernel, pages []*vm.Page, ops, runLen int) (int, error) {
-	ncpu := k.M.NumCPUs()
-	rounds := ops / ncpu / runLen
-	var wg sync.WaitGroup
-	errs := make([]error, ncpu)
-	for cpu := 0; cpu < ncpu; cpu++ {
-		wg.Add(1)
-		go func(cpu int) {
-			defer wg.Done()
-			ctx := k.Ctx(cpu)
-			scratch := make([]*vm.Page, runLen)
-			var got []*vm.Page
-			for i := 0; i < rounds; i++ {
-				for j := 0; j < runLen; j++ {
-					scratch[j] = pages[(i*runLen*(2*cpu+1)+j*7+cpu*11)%len(pages)]
-				}
-				r, err := k.Map.AllocRun(ctx, scratch, 0)
-				if err != nil {
-					errs[cpu] = err
-					return
-				}
-				if r.Contiguous() {
-					got, err = k.Pmap.TranslateRun(ctx, r.Base(), r.Len(), false, got[:0])
-					if err != nil {
-						errs[cpu] = err
-						return
-					}
-				} else {
-					for j := 0; j < r.Len(); j++ {
-						if _, err := k.Pmap.Translate(ctx, r.KVA(j), false); err != nil {
-							errs[cpu] = err
-							return
-						}
-					}
-				}
-				k.Map.FreeRun(ctx, r)
-			}
-		}(cpu)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
+	always := func(*smp.Context, []*vm.Page) bool { return true }
+	return churnExtents(k, pages, ops, runLen, always, 0, 0)
+}
+
+// churnExtents is the shared body of the extent churns: every CPU maps n
+// pages of the shared working set per round, at a CPU-specific stride, as
+// a run window where useRun says so (nil: never) and as a batch
+// otherwise, idling gap cycles after every gapEvery rounds (0: never).
+// It returns the pages moved.
+func churnExtents(k *kernel.Kernel, pages []*vm.Page, ops, n int,
+	useRun func(*smp.Context, []*vm.Page) bool, gapEvery int, gap cycles.Cycles) (int, error) {
+	rounds := ops / k.M.NumCPUs() / n
+	extent := make([]*vm.Page, n)
+	var got []*vm.Page
+	err := drive(k, rounds, func(ctx *smp.Context, cpu, i int) error {
+		for j := range extent {
+			extent[j] = pages[(i*n*(2*cpu+1)+j*7+cpu*11)%len(pages)]
 		}
-	}
-	if st := k.Map.Stats(); st.Allocs != st.Frees {
-		return 0, fmt.Errorf("leaked references: allocs %d != frees %d", st.Allocs, st.Frees)
-	}
-	return rounds * ncpu * runLen, nil
+		if err := touchExtent(k, ctx, extent, useRun != nil && useRun(ctx, extent), &got); err != nil {
+			return err
+		}
+		if gapEvery > 0 && (i+1)%gapEvery == 0 {
+			k.Idle(cpu, gap)
+		}
+		return nil
+	})
+	return rounds * k.M.NumCPUs() * n, err
 }
