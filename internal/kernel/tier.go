@@ -10,7 +10,7 @@ package kernel
 // MapConsumer's per-size-class reuse EWMAs, maintained for the adaptive
 // contiguity policy.  An extent observed repeating while its class's
 // extent-reuse EWMA clears tierHotEWMA is hot; the keeper promotes its
-// frames into the fast tier (vm migration under the write gate, parked
+// frames into the fast tier (vm migration under every shard lock, parked
 // windows remapped in place, one shootdown flush per pass).  Everything
 // else is cold and stays where allocation put it.
 //

@@ -99,16 +99,14 @@ type Daemon struct {
 
 	// mig, when set (SetMigrator), adds defragmentation by migration as
 	// the pass's fourth duty: up to migBlocks nearly-free superpage spans
-	// are evacuated per tick, outside the per-core read gate (the
-	// Migrator takes the write side itself).
+	// are evacuated per tick.
 	mig       *Migrator
 	migBlocks int
 
 	// tierDuty, when set (SetTierDuty), runs as the pass's fifth duty:
 	// the tier keeper's background demotion, which evicts the coldest
 	// fast-tier residents while the CPU has idle budget to pay for the
-	// copies.  Like the defrag duty it runs outside the per-core read
-	// gate (MoveToTier takes the write side itself).
+	// copies.
 	tierDuty func(ctx *smp.Context)
 
 	passes         atomic.Uint64
@@ -213,10 +211,10 @@ func (d *Daemon) SetTierDuty(duty func(ctx *smp.Context)) {
 // Run is the idle-tick entry point (an smp.IdleWork).  It spends up to
 // budget cycles of the idling CPU doing one background pass over every
 // core, oldest duties first, and stops early once the budget is consumed.
-// Duties 1-3 hold the core's read migration gate — they walk frame-keyed
-// state (revive keys, shard hashes) that must not shift underfoot — and
-// duty 4, the defrag round, runs after the gate is dropped (the Migrator
-// takes the write side itself).
+// Duties 1-3 read frame-keyed state (revive keys, shard hashes) only
+// under the run-pool and shard locks that already exclude the Migrator,
+// so they need no exclusion of their own; duty 4, the defrag round, takes
+// the Migrator's.
 func (d *Daemon) Run(ctx *smp.Context, budget cycles.Cycles) {
 	d.passes.Add(1)
 	sock := ctx.Socket()
@@ -226,7 +224,6 @@ func (d *Daemon) Run(ctx *smp.Context, budget cycles.Cycles) {
 	start := ctx.CPU().Cycles()
 	within := func() bool { return ctx.CPU().Cycles()-start < budget }
 	for _, c := range d.cores {
-		c.migGate.RLock()
 		// 1. Retire parked run windows past the age bound.
 		c.runs.launderAged(ctx)
 		// 2. Refill clean stock to the watermark, one reclaim round at a
@@ -236,9 +233,7 @@ func (d *Daemon) Run(ctx *smp.Context, budget cycles.Cycles) {
 		// socket's frames, and never pays cross-package locks or IPIs for
 		// an optimization pass (shortage-driven reclaim still spills).
 		for within() && c.cleanBelow(ctx, d.watermark) {
-			before := c.reclaimed.Load()
-			c.reclaimScoped(ctx, 0, nil, c.homed)
-			got := c.reclaimed.Load() - before
+			_, got := c.reclaimScoped(ctx, 0, nil, c.homed)
 			if got == 0 {
 				break
 			}
@@ -253,7 +248,6 @@ func (d *Daemon) Run(ctx *smp.Context, budget cycles.Cycles) {
 				d.trimmedSock[sock].Add(uint64(n))
 			}
 		}
-		c.migGate.RUnlock()
 		if !within() {
 			return
 		}

@@ -303,6 +303,11 @@ func TestDaemonRaceStress(t *testing.T) {
 	if s.Allocs != s.Frees {
 		t.Fatalf("ledger: allocs %d != frees %d", s.Allocs, s.Frees)
 	}
+	// The daemon counts only what its own rounds harvested, never another
+	// CPU's reclaim that happened to land during its pass.
+	if ds := d.Stats(); ds.RefilledBufs > s.Reclaimed {
+		t.Fatalf("daemon refilled %d buffers, but only %d were ever reclaimed", ds.RefilledBufs, s.Reclaimed)
+	}
 	// The machine must still be fully functional after the stress.
 	ctx := r.m.Ctx(0)
 	b, err := r.sf.Alloc(ctx, pages[0], 0)

@@ -7,13 +7,15 @@ package sfbuf
 // span, inactive cache entries and parked run windows are rewritten in
 // place and keep serving hits and revives, and the physcheck oracles
 // (free-list audit, reservation invariant, byte oracle) hold after every
-// pass.  The -race test interleaves migration+churn with concurrent
-// mapping traffic to exercise the migration gate protocol under real
-// parallelism.
+// pass.  The -race tests interleave migration+churn with concurrent
+// mapping traffic to exercise the shard-scoped migration exclusion under
+// real parallelism.
 
 import (
 	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"sfbuf/internal/arch"
@@ -445,31 +447,51 @@ func TestMigrateParkedWindows(t *testing.T) {
 	}
 }
 
-// TestMigrateChurnServeRace is the migration gate's -race workout:
+// TestMigrateChurnServeRace is the migration exclusion's -race workout:
 // concurrent servers churn single, batched and run mappings (writes
 // included, always through held references) while a defragmentation
 // goroutine interleaves raw physical churn with migration passes.  Raw
 // frees and migration share one goroutine — the quiescent-owner
 // contract: a page's owner must not touch its storage in parallel with
-// an evacuation copy, and the mapping layer's own frees are serialized
-// by the gate.  Every read goes through the honest MMU, so a forgotten
-// gate or a leaked stale translation shows up as wrong bytes or a
+// an evacuation copy.  The served pages sit eight to a span, so their
+// spans are evacuation candidates and the race is real: the test runs
+// until served pages have moved with their inactive entries remapped.
+// Every read goes through the honest MMU, so a mapping path that misses
+// a move or a leaked stale translation shows up as wrong bytes or a
 // -race report.
 func TestMigrateChurnServeRace(t *testing.T) {
 	const entries = 32
 	r := newMigrateRig(t, 2048, entries, ShardedConfig{ReclaimBatch: 4, PerCPUFree: 2})
-	pages := make([]*vm.Page, 48)
-	for i := range pages {
-		pg, err := r.m.Phys.Alloc()
+	pages := make([]*vm.Page, 0, 48)
+	for len(pages) < cap(pages) {
+		span, err := r.m.Phys.AllocContig(migTestSpan, migTestSpan)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pg.Data()[0] = byte(i)
-		pages[i] = pg
+		for j, pg := range span {
+			if j%8 == 3 {
+				pg.Data()[0] = byte(len(pages))
+				pages = append(pages, pg)
+			} else {
+				r.m.Phys.Free(pg)
+			}
+		}
+	}
+	// Warm the cache so the served pages have inactive entries to remap
+	// from the first migration pass on.
+	frames := make([]uint64, len(pages))
+	for i, pg := range pages {
+		frames[i] = pg.Frame()
+		b, err := r.sf.Alloc(r.m.Ctx(0), pg, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.sf.Free(r.m.Ctx(0), b)
 	}
 
 	const servers = 3
-	const iters = 300
+	var stop atomic.Bool
+	var served atomic.Int64 // server iterations, so the defrag thread starts mid-traffic
 	var wg sync.WaitGroup
 	for w := 0; w < servers; w++ {
 		wg.Add(1)
@@ -489,7 +511,8 @@ func TestMigrateChurnServeRace(t *testing.T) {
 				}
 				return true
 			}
-			for i := 0; i < iters; i++ {
+			for i := 0; !stop.Load(); i++ {
+				served.Add(1)
 				switch i % 3 {
 				case 0:
 					idx := (i*(2*w+3) + w*11) % len(pages)
@@ -545,14 +568,25 @@ func TestMigrateChurnServeRace(t *testing.T) {
 	}
 
 	// Defragmentation thread: raw churn and migration interleave on ONE
-	// goroutine (the owner contract), racing only the gated mapping paths.
+	// goroutine (the owner contract), racing only the mapping paths.  It
+	// runs 120 rounds and then on, with the raw churn held level, until
+	// served pages have moved and an inactive entry was remapped (bounded:
+	// the assertions below report a run that never got there).
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		defer stop.Store(true)
 		ctx := r.m.Ctx(3)
+		for spin := 0; served.Load() < 30 && spin < 1<<20; spin++ {
+			runtime.Gosched()
+		}
 		var churn []*vm.Page
-		for i := 0; i < 120; i++ {
-			for j := 0; j < 6; j++ {
+		for i := 0; i < 120 || i < 4000 && !servedMoved(pages, frames, r.mig); i++ {
+			grow := 3
+			if i < 60 {
+				grow = 6
+			}
+			for j := 0; j < grow; j++ {
 				pg, err := r.m.Phys.Alloc()
 				if err != nil {
 					t.Error(err)
@@ -588,7 +622,130 @@ func TestMigrateChurnServeRace(t *testing.T) {
 			t.Fatalf("page %d: ref = %d after drain", i, ref)
 		}
 	}
-	if ms := r.mig.Stats(); ms.Rounds == 0 {
-		t.Fatal("the defrag thread never ran a round")
+	if ms := r.mig.Stats(); !servedMoved(pages, frames, r.mig) {
+		t.Fatalf("no served page moved with its entry remapped (%+v): the race never happened", ms)
+	}
+}
+
+// servedMoved reports whether some page has left the frame it started at
+// (frames) and the Migrator has remapped an inactive entry.  The raw
+// churn pages are never mapped, so a hash remap is always a served one.
+func servedMoved(pages []*vm.Page, frames []uint64, mig *Migrator) bool {
+	if mig.Stats().HashRemaps == 0 {
+		return false
+	}
+	for i, pg := range pages {
+		if pg.Frame() != frames[i] {
+			return true
+		}
+	}
+	return false
+}
+
+// TestShardLockFollowsMigratingPage is the focused race for the frame
+// re-check under the shard lock (lockPage): one goroutine bounces a few
+// pages between the tiers of a two-tier pool while churners map them —
+// single, vectored, beside filler pages that keep a small cache
+// reclaiming so fresh entries are installed all the time — and read
+// every mapping back through the honest MMU.  A mapping path that locked
+// the shard of a frame its page had just left would key an entry at the
+// wrong table slot, or touch a buffer under the wrong shard's lock; the
+// frame-table invariant and -race catch it.
+func TestShardLockFollowsMigratingPage(t *testing.T) {
+	r := newMigrateRig(t, 512, 32, ShardedConfig{Shards: 4, ReclaimBatch: 2, PerCPUFree: 1})
+	r.m.Phys.SetTierSplit(128)
+	pages, err := r.m.Phys.AllocN(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, pg := range pages {
+		pg.Data()[0] = byte(i + 1)
+	}
+	hot, filler := pages[:4], pages[4:]
+
+	const churners = 3
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer stop.Store(true)
+		ctx := r.m.Ctx(3)
+		for i := 0; i < 400; i++ {
+			r.mig.MoveToTier(ctx, hot, i%2, 0)
+		}
+	}()
+	for w := 0; w < churners; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			ctx := r.m.Ctx(w)
+			check := func(b *Buf) bool {
+				got, err := r.pm.Translate(ctx, b.KVA(), false)
+				if err != nil {
+					t.Errorf("churner %d: %v", w, err)
+					return false
+				}
+				if want := b.Page().Data()[0]; got.Data()[0] != want {
+					t.Errorf("churner %d: read %#x, want %#x", w, got.Data()[0], want)
+					return false
+				}
+				return true
+			}
+			for i := 0; !stop.Load(); i++ {
+				pg := hot[(i+w)%len(hot)]
+				switch i % 3 {
+				case 0:
+					b, err := r.sf.Alloc(ctx, pg, NoWait)
+					if errors.Is(err, ErrWouldBlock) {
+						continue
+					} else if err != nil {
+						t.Error(err)
+						return
+					}
+					ok := check(b)
+					r.sf.Free(ctx, b)
+					if !ok {
+						return
+					}
+				case 1:
+					bufs, err := r.sf.AllocBatch(ctx, []*vm.Page{pg, filler[(i*5+w)%len(filler)]}, NoWait)
+					if errors.Is(err, ErrWouldBlock) {
+						continue
+					} else if err != nil {
+						t.Error(err)
+						return
+					}
+					ok := check(bufs[0]) && check(bufs[1])
+					r.sf.FreeBatch(ctx, bufs)
+					if !ok {
+						return
+					}
+				case 2:
+					// A filler page alone: reclaim pressure on the hot
+					// pages' entries.
+					b, err := r.sf.Alloc(ctx, filler[(i*3+w)%len(filler)], NoWait)
+					if err == nil {
+						r.sf.Free(ctx, b)
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	if err := checkFrameTable(r.sf.c.(*shardedCache)); err != nil {
+		t.Fatal(err)
+	}
+	if st := r.sf.Stats(); st.Allocs != st.Frees {
+		t.Fatalf("allocs %d != frees %d after the race", st.Allocs, st.Frees)
+	}
+	for i, pg := range pages {
+		if pg.Data()[0] != byte(i+1) {
+			t.Fatalf("page %d reads %#x after the race, want %#x", i, pg.Data()[0], byte(i+1))
+		}
+	}
+	if r.mig.Stats().TierMoves == 0 {
+		t.Fatal("no tier move ever ran: the race was not exercised")
 	}
 }

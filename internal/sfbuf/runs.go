@@ -171,57 +171,40 @@ type runPool struct {
 	// 0 disables age-triggered laundering (count threshold only).
 	launderAge cycles.Cycles
 	// resident counts, per frame, the checked-out (live) runs currently
-	// mapping it.  The migrator consults it: a frame in a live run has its
-	// translations in active use and must not be evacuated.  Parked
-	// windows' frames are deliberately NOT here — those are migratable in
-	// place or force-launderable.
-	resident map[uint64]int
+	// mapping it, indexed by frame like the cache's table.  The migrator
+	// consults it: a frame in a live run has its translations in active
+	// use and must not be evacuated.  Parked windows' frames are
+	// deliberately NOT here — those are migratable in place or
+	// force-launderable.
+	resident []int32
 	stats    RunWindowStats
+	// led is the run path's share of the cache statistics (Allocs, Hits,
+	// Misses, Frees and the Run* counters), counted where get and put
+	// hold mu anyway.
+	led      Stats
 	scrVpns  []uint64 // laundering scratch
 	scrMasks []smp.CPUSet
 }
 
-func newRunPool(pm *pmap.Pmap, arena *kva.Arena) *runPool {
+func newRunPool(pm *pmap.Pmap, arena *kva.Arena, frames int) *runPool {
 	return &runPool{
 		pm:         pm,
 		arena:      arena,
 		forceDebt:  func() bool { return false },
 		clean:      make(map[int][]*runWindow),
 		dirtyIdx:   make(map[uint64][]*runWindow),
-		resident:   make(map[uint64]int),
+		resident:   make([]int32, frames),
 		launderAge: DefaultLaunderAge,
 	}
 }
 
-// noteLive records a checked-out run's frames as migration-ineligible;
-// noteDead drops them again when the run is freed (parked).
-func (p *runPool) noteLive(pages []*vm.Page) {
-	p.mu.Lock()
+// markLocked adds d to the live-run count of each page's frame: +1 marks
+// a checked-out run's frames migration-ineligible, -1 releases them when
+// the run parks.  Caller holds p.mu.
+func (p *runPool) markLocked(pages []*vm.Page, d int) {
 	for _, pg := range pages {
-		p.resident[pg.Frame()]++
+		p.resident[pg.Frame()] += int32(d)
 	}
-	p.mu.Unlock()
-}
-
-func (p *runPool) noteDead(pages []*vm.Page) {
-	p.mu.Lock()
-	for _, pg := range pages {
-		f := pg.Frame()
-		if n := p.resident[f]; n <= 1 {
-			delete(p.resident, f)
-		} else {
-			p.resident[f] = n - 1
-		}
-	}
-	p.mu.Unlock()
-}
-
-// frameLive reports whether any checked-out run maps the frame.
-func (p *runPool) frameLive(f uint64) bool {
-	p.mu.Lock()
-	_, live := p.resident[f]
-	p.mu.Unlock()
-	return live
 }
 
 // setLaunderAge overrides the parked-window age bound; 0 disables it.
@@ -247,10 +230,13 @@ func ExtentHash(pages []*vm.Page) uint64 {
 	return h
 }
 
-// get returns a window for the requested extent.  revived reports that
-// the window's translations are ALREADY the extent's — the caller must
-// skip the install pass.  Preference order: revive a parked window for
-// this exact extent (the page-set cache hit), recycle clean stock,
+// get returns a window for the requested extent and marks the extent's
+// frames live in the same hold of p.mu as the revive lookup: the
+// Migrator checks liveness under p.mu, so from here to the run's put no
+// frame the window is keyed or installed on can move.  revived reports
+// that the window's translations are ALREADY the extent's — the caller
+// must skip the install pass.  Preference order: revive a parked window
+// for this exact extent (the page-set cache hit), recycle clean stock,
 // launder when enough debt has parked to amortize the flush, reserve
 // fresh address space otherwise.
 func (p *runPool) get(ctx *smp.Context, pages []*vm.Page) (w *runWindow, revived bool, err error) {
@@ -261,59 +247,65 @@ func (p *runPool) get(ctx *smp.Context, pages []*vm.Page) (w *runWindow, revived
 	}
 	ctx.ChargeLock()
 	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.markLocked(pages, 1)
 	// The age bound wins over revival: a window parked past launderAge is
 	// retired even if this very request would have revived it, so no
 	// window stays revivable-parked forever.
 	if p.launderAge > 0 && len(p.dirty) > 0 {
 		p.launderAgedLocked(ctx, ctx.Machine().Now())
 	}
-	if w := p.reviveLocked(pages); w != nil {
-		p.mu.Unlock()
-		return w, true, nil
-	}
-	if w := p.popCleanLocked(n, sock); w != nil {
-		p.mu.Unlock()
-		return w, false, nil
-	}
-	if len(p.dirty) >= runLaunderBatch {
+	if w = p.reviveLocked(pages); w != nil {
+		revived = true
+	} else if w = p.popCleanLocked(n, sock); w == nil && len(p.dirty) >= runLaunderBatch {
 		p.launderLocked(ctx)
-		if w := p.popCleanLocked(n, sock); w != nil {
-			p.mu.Unlock()
-			return w, false, nil
+		w = p.popCleanLocked(n, sock)
+	}
+	if w == nil {
+		w, err = p.reserveLocked(ctx, n)
+	}
+	if err != nil {
+		// Arena exhausted: launder everything (freeing debt is
+		// prerequisite to returning address space) and give back every
+		// cached window, then retry once.
+		p.launderLocked(ctx)
+		if w = p.popCleanLocked(n, sock); w != nil {
+			err = nil
+		} else {
+			// No stock in our size: give every cached window's address
+			// space back, smallest class first — sorted, so the recovery
+			// path frees the same ranges in the same order on every run
+			// and replay stays exact.
+			sizes := make([]int, 0, len(p.clean))
+			for size := range p.clean {
+				sizes = append(sizes, size)
+			}
+			sort.Ints(sizes)
+			for _, size := range sizes {
+				for _, w := range p.clean[size] {
+					p.arena.Free(w.base)
+				}
+				delete(p.clean, size)
+			}
+			w, err = p.reserveLocked(ctx, n)
 		}
 	}
-	p.mu.Unlock()
-
-	w, err = p.reserve(ctx, n)
-	if err == nil {
-		return w, false, nil
+	if err != nil {
+		p.markLocked(pages, -1)
+		return nil, false, err
 	}
-	// Arena exhausted: launder everything (freeing debt is prerequisite
-	// to returning address space) and give back every cached window, then
-	// retry once.
-	p.mu.Lock()
-	p.launderLocked(ctx)
-	if w := p.popCleanLocked(n, sock); w != nil {
-		p.mu.Unlock()
-		return w, false, nil
+	l := &p.led
+	l.Allocs += uint64(n)
+	l.RunAllocs++
+	l.RunPages += uint64(n)
+	if revived {
+		l.Hits += uint64(n)
+		l.RunRevives++
+	} else {
+		l.Misses += uint64(n)
+		l.RunReviveMisses++
 	}
-	// No stock in our size: give every cached window's address space back,
-	// smallest class first — sorted, so the recovery path frees the same
-	// ranges in the same order on every run and replay stays exact.
-	sizes := make([]int, 0, len(p.clean))
-	for size := range p.clean {
-		sizes = append(sizes, size)
-	}
-	sort.Ints(sizes)
-	for _, size := range sizes {
-		for _, w := range p.clean[size] {
-			p.arena.Free(w.base)
-		}
-		delete(p.clean, size)
-	}
-	p.mu.Unlock()
-	w, err = p.reserve(ctx, n)
-	return w, false, err
+	return w, revived, nil
 }
 
 // reviveLocked looks the requested extent up in the parked-window index
@@ -383,12 +375,12 @@ func (p *runPool) popCleanLocked(pages, sock int) *runWindow {
 	return w
 }
 
-// reserve takes a fresh window from the arena, superpage-aligned when the
-// size can cover an aligned superpage chunk, with the trailing guard.
-// Under NUMA homing the reservation prefers the caller's socket's arena
-// region (spilling to the others only when it is exhausted) and the
-// window records which region it landed in.
-func (p *runPool) reserve(ctx *smp.Context, pages int) (*runWindow, error) {
+// reserveLocked takes a fresh window from the arena, superpage-aligned
+// when the size can cover an aligned superpage chunk, with the trailing
+// guard.  Under NUMA homing the reservation prefers the caller's socket's
+// arena region (spilling to the others only when it is exhausted) and the
+// window records which region it landed in.  Caller holds p.mu.
+func (p *runPool) reserveLocked(ctx *smp.Context, pages int) (*runWindow, error) {
 	ctx.Charge(ctx.Cost().KVAAlloc)
 	align := 1
 	if pages >= pmap.SuperpagePages {
@@ -406,9 +398,7 @@ func (p *runPool) reserve(ctx *smp.Context, pages int) (*runWindow, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.mu.Lock()
 	p.stats.Reserved++
-	p.mu.Unlock()
 	return &runWindow{base: base, pages: pages, home: p.arena.RegionOf(base)}, nil
 }
 
@@ -416,7 +406,10 @@ func (p *runPool) reserve(ctx *smp.Context, pages int) (*runWindow, error) {
 // installed, indexed by the extent it maps, so a repeat AllocRun over the
 // same page set can revive it.  mask is the freeing run's TLB mask; it
 // accumulates into the window's parked mask so the eventual laundering
-// shoots down every CPU that any parked life could have tainted.
+// shoots down every CPU that any parked life could have tainted.  The
+// run's frames stay marked live until the window is parked under their
+// current values: released earlier, a page could migrate in between and
+// the window would record a frame its PTEs do not map.
 func (p *runPool) put(ctx *smp.Context, w *runWindow, pages []*vm.Page, mask smp.CPUSet) {
 	ctx.ChargeLock()
 	p.mu.Lock()
@@ -424,6 +417,9 @@ func (p *runPool) put(ctx *smp.Context, w *runWindow, pages []*vm.Page, mask smp
 	for _, pg := range pages {
 		w.frames = append(w.frames, pg.Frame())
 	}
+	p.markLocked(pages, -1)
+	p.led.Frees += uint64(len(pages))
+	p.led.RunFrees++
 	w.mask |= mask
 	w.parkedAt = ctx.Machine().Now()
 	h := ExtentHash(pages)
@@ -512,10 +508,10 @@ func (p *runPool) launderWindowLocked(ctx *smp.Context, w *runWindow, force bool
 // only lightly touching the span are left parked for remapParked's
 // in-place migration.  Shootdowns are queued, NOT flushed — the migrator
 // owns the one-flush-per-block discipline.  Returns the windows laundered.
-func (p *runPool) launderSpan(ctx *smp.Context, lo, hi uint64) int {
+// Caller holds p.mu (the Migrator's exclusion); the lock round trip it
+// stands for is still charged here.
+func (p *runPool) launderSpanLocked(ctx *smp.Context, lo, hi uint64) int {
 	ctx.ChargeLock()
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	force := p.forceDebt()
 	kept := p.dirty[:0]
 	laundered := 0
@@ -548,11 +544,10 @@ func (p *runPool) launderSpan(ctx *smp.Context, lo, hi uint64) int {
 // window's accumulated mask, and the window's revive key is rebuilt — so a
 // repeat AllocRun over the migrated page set still revives with zero PTE
 // writes.  Shootdowns are queued, not flushed (the migrator flushes once
-// per block).  Returns the slots remapped.
-func (p *runPool) remapParked(ctx *smp.Context, pg *vm.Page, old uint64) int {
+// per block).  Returns the slots remapped.  Caller holds p.mu, and the
+// lock round trip is charged here, as in launderSpanLocked.
+func (p *runPool) remapParkedLocked(ctx *smp.Context, pg *vm.Page, old uint64) int {
 	ctx.ChargeLock()
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	force := p.forceDebt()
 	self := ctx.CPUID()
 	remapped := 0

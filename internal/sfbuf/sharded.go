@@ -139,13 +139,17 @@ type cacheShard struct {
 	mu       sync.Mutex
 	valid    int // occupied table slots among this shard's frames
 	inactive bufList
+	// Statistics of the events mu already serializes: allocations (hits
+	// and misses) of this shard's frames and frees of their buffers.
+	allocs, hits, misses, frees uint64
 }
 
 // cpuFree is one CPU's clean-buffer stock.  Its mutex is uncontended
 // except when another CPU steals during a shortage.
 type cpuFree struct {
-	mu   sync.Mutex
-	bufs []*Buf
+	mu    sync.Mutex
+	bufs  []*Buf
+	takes uint64 // buffers popped for a miss (Stats.FreelistAllocs)
 }
 
 type shardedCache struct {
@@ -188,15 +192,17 @@ type shardedCache struct {
 		mu    sync.Mutex
 		cond  *sync.Cond
 		socks [][]*Buf
+		// wakes counts bumpFreeN's visits with sleepers registered: a
+		// sleeper that sees it move between registering and blocking
+		// rescans instead (see prepareSleep).
+		wakes uint64
+		// Statistics of the events pool.mu serializes.
+		takes, sleeps, interrupted uint64
 	}
 	// waiters counts sleepers in alloc.  It changes only under pool.mu
 	// but is read atomically on the free fast path, which must not take
 	// a cache-global lock just to learn nobody is waiting.
 	waiters atomic.Int32
-	// freeGen increments whenever a buffer becomes reusable; sleepers
-	// compare it against the value read before their scan to close the
-	// lost-wakeup window without holding a global lock on the fast path.
-	freeGen atomic.Uint64
 
 	// Batch-fair exhaustion wakeups.  A starving batch or run (the sole
 	// batchMu holder) registers its shortfall here instead of waking per
@@ -240,36 +246,23 @@ type shardedCache struct {
 	// starving batch waits empty-handed, so the holder always drains.
 	batchMu sync.Mutex
 
-	// migGate is the migration gate.  Every mapping-path entry point holds
-	// it for READ for its whole critical span, and the Migrator holds it
-	// for WRITE while evacuating a block — so a page's frame (and with it
-	// the shard a buffer hashes to, the byte storage a mapping reads, and
-	// the revive key of a parked run window) never changes under a mapping
-	// operation.  Two rules keep it deadlock-free:
-	//
-	//   - A sleeper (alloc's exhaustion wait, claimWait) must drop the read
-	//     gate BEFORE blocking on its condvar and re-acquire it only AFTER
-	//     releasing pool.mu on the way out.  Re-acquiring while still
-	//     holding pool.mu would deadlock three ways with a writer pending:
-	//     the sleeper holds pool.mu wanting RLock, the pending writer
-	//     blocks new readers, and the free() that would signal holds RLock
-	//     wanting pool.mu.
-	//   - The migrator, under the write gate, may take pool.mu, freelist,
-	//     shard, and run-pool locks (no reader holds any of them while
-	//     blocked on the gate) but NEVER batchMu: the starving batch holds
-	//     batchMu across its gate-dropping sleep.
-	migGate sync.RWMutex
+	// Migration needs no lock of its own.  A page's frame — and with it
+	// the shard its buffer hashes to and the revive key of a parked run
+	// window — changes only inside vm.MigratePage, which the Migrator
+	// calls holding every shard lock and the run pool's (lockAll).  So a
+	// mapping path reads page.Frame(), locks that frame's shard and
+	// re-reads the frame under the lock (lockPage): equal, and the frame
+	// is pinned until the unlock; moved, and it retries on the new shard.
+	// The run path reads frames only under runs.mu, and a checked-out
+	// run's frames are marked live there, which vetoes their migration.
 
 	ablate Ablation
 
-	// Statistics are per-field atomics: the engine exists to kill the
-	// global lock, so it cannot count through one.
-	allocs, frees, hits, misses         atomic.Uint64
-	sleeps, interrupted, wouldBlock     atomic.Uint64
-	freelistAllocs, reclaims, reclaimed atomic.Uint64
+	// Statistics counted outside the shard, freelist, pool and run-pool
+	// locks, which hold the rest: these events hold no lock of their own,
+	// and none of them is on the hit or free path.
+	wouldBlock, reclaims, reclaimed     atomic.Uint64
 	batchAllocs, batchFrees, batchPages atomic.Uint64
-	runAllocs, runFrees, runPages       atomic.Uint64
-	runRevives, runReviveMisses         atomic.Uint64
 }
 
 var (
@@ -311,7 +304,7 @@ func newShardedCache(m *smp.Machine, pm *pmap.Pmap, arena *kva.Arena, vas []uint
 		homed:     homed,
 		sockets:   sockets,
 		shardsPer: shardsPer,
-		runs:      newRunPool(pm, arena),
+		runs:      newRunPool(pm, arena, m.Phys.Frames()+1),
 	}
 	c.runs.homed = homed
 	c.pool.cond = sync.NewCond(&c.pool.mu)
@@ -471,20 +464,18 @@ func (c *shardedCache) poolIdx(ctx *smp.Context) int {
 // each freed buffer may satisfy a different sleeper, and a woken
 // allocator that resolves without consuming clean stock — a hash hit —
 // never re-signals, so under-waking would strand sleepers on buffers
-// that are sitting free).  The generation increment must happen after
-// the buffers are visible on their lists so a concurrent allocator that
-// misses them is guaranteed to observe the new generation and rescan
-// instead of sleeping.  A sleeper that registers after the waiters check
-// necessarily re-reads freeGen after registering (both are sequentially
-// consistent atomics), sees the increment, and rescans — so skipping the
-// lock here cannot strand it.
+// that are sitting free).  The caller must already have made the buffers
+// visible on their lists, under those lists' locks: a sleeper whose
+// pre-sleep re-check missed them registered before it looked, so this
+// load sees it (see prepareSleep) — and when nobody is registered the
+// free path touches no cache-global word at all.
 func (c *shardedCache) bumpFreeN(n int) {
 	if n <= 0 {
 		return
 	}
-	c.freeGen.Add(1)
 	if c.waiters.Load() > 0 {
 		c.pool.mu.Lock()
+		c.pool.wakes++
 		if short := c.claimNeed - c.claimGot; short > 0 {
 			// An already-satisfied claim (claimGot >= claimNeed, its
 			// holder not yet deregistered) absorbs nothing more: later
@@ -508,8 +499,6 @@ func (c *shardedCache) bumpFreeN(n int) {
 	}
 }
 
-func (c *shardedCache) bumpFree() { c.bumpFreeN(1) }
-
 // noteHashInsert records that the hash gained coverage (a new mapping
 // was installed): the only event that can shrink a registered claim's
 // true shortfall without a free.  A registered claimer is woken so it
@@ -526,11 +515,67 @@ func (c *shardedCache) noteHashInsert() {
 	}
 }
 
+// prepareSleep is the exhaustion path's lost-wakeup guard, run after a
+// scan came up empty and before the sleeper blocks.  It registers the
+// sleeper in waiters and notes pool.wakes, then re-checks every stock
+// with pool.mu released (reusableLeft takes shard locks, and a shard
+// holder may take pool.mu).  A buffer made reusable behind the re-check
+// is published by bumpFreeN, which then sees the registration and moves
+// wakes under pool.mu.  So it returns true — holding pool.mu, registered
+// — only when the re-check found nothing and wakes did not move, and no
+// wakeup can fall between the check and the caller's Wait; otherwise it
+// deregisters and returns false, and the caller rescans.
+func (c *shardedCache) prepareSleep() bool {
+	c.pool.mu.Lock()
+	c.waiters.Add(1)
+	wakes := c.pool.wakes
+	c.pool.mu.Unlock()
+	left := c.reusableLeft()
+	c.pool.mu.Lock()
+	if left || c.pool.wakes != wakes {
+		c.waiters.Add(-1)
+		c.pool.mu.Unlock()
+		return false
+	}
+	return true
+}
+
+// reusableLeft reports whether some buffer could be had right now: clean
+// on a freelist or overflow stock, or latently valid on an inactive list,
+// one reclaim round from clean.  Each list is read under its own lock and
+// nothing is charged: the probe only closes prepareSleep's window.
+func (c *shardedCache) reusableLeft() bool {
+	for _, s := range c.shards {
+		s.mu.Lock()
+		n := s.inactive.n
+		s.mu.Unlock()
+		if n > 0 {
+			return true
+		}
+	}
+	for _, f := range c.freelists {
+		f.mu.Lock()
+		n := len(f.bufs)
+		f.mu.Unlock()
+		if n > 0 {
+			return true
+		}
+	}
+	c.pool.mu.Lock()
+	defer c.pool.mu.Unlock()
+	for _, s := range c.pool.socks {
+		if len(s) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // claimWait is the starving batch/run sleep: register a claim for need
 // buffers and block until frees have credited that many, hash coverage
 // grows (a page the batch needs may now be a hit — rescan with a smaller
-// shortfall), a newer free generation makes an immediate rescan
-// worthwhile, or — under Catch — a signal arrives (reported as
+// shortfall), prepareSleep finds a buffer the scan missed, or — under
+// Catch — a signal arrives (reported as
 // interrupted; the interruption is counted).  rescanAll reports that the
 // wake was a hash-coverage one: the registered need counted pages in
 // shard groups the claimer has not reached yet, so only a rescan of
@@ -540,39 +585,32 @@ func (c *shardedCache) noteHashInsert() {
 // sleepers are woken if the claim absorbed credits: the claimer's rescan
 // may consume fewer buffers than were credited (hash hits), and the
 // leftovers must not strand singles whose wakeups the claim suppressed.
-// The caller must hold batchMu, which makes it the sole claimer.  The
-// caller also holds the read migration gate; the sleep drops it (frames
-// may migrate while we block) and re-acquires it — strictly after
-// releasing pool.mu, per the gate's ordering rule — on every exit path
-// that slept, so the caller's gate accounting is unchanged.
-func (c *shardedCache) claimWait(ctx *smp.Context, need int, gen, hgen uint64, flags Flags) (rescanAll, interrupted bool) {
-	c.pool.mu.Lock()
-	c.waiters.Add(1)
-	if c.freeGen.Load() != gen || c.hitGen.Load() != hgen {
-		// A buffer was freed — or a mapping installed — after our scan
-		// began; rescan instead.
+// The caller must hold batchMu, which makes it the sole claimer.  Frames
+// may migrate while it sleeps, so a batch regroups its pages on return.
+func (c *shardedCache) claimWait(ctx *smp.Context, need int, hgen uint64, flags Flags) (rescanAll, interrupted bool) {
+	if !c.prepareSleep() {
+		return c.hitGen.Load() != hgen, false
+	}
+	if c.hitGen.Load() != hgen {
+		// A mapping was installed after our scan began; rescan instead.
 		c.waiters.Add(-1)
-		rescanAll = c.hitGen.Load() != hgen
 		c.pool.mu.Unlock()
-		return rescanAll, false
+		return true, false
 	}
 	c.claimNeed, c.claimGot = need, 0
-	c.sleeps.Add(1)
-	c.migGate.RUnlock()
+	c.pool.sleeps++
 	for c.claimGot < c.claimNeed && c.hitGen.Load() == hgen {
 		c.claimCond.Wait()
 		if flags&Catch != 0 && ctx.Interrupted() {
 			c.deregisterClaimLocked()
+			c.pool.interrupted++
 			c.pool.mu.Unlock()
-			c.migGate.RLock()
-			c.interrupted.Add(1)
 			return false, true
 		}
 	}
 	rescanAll = c.hitGen.Load() != hgen
 	c.deregisterClaimLocked()
 	c.pool.mu.Unlock()
-	c.migGate.RLock()
 	return rescanAll, false
 }
 
@@ -604,54 +642,26 @@ func (c *shardedCache) taint(ctx *smp.Context, b *Buf, flags Flags) {
 // reclaim only under shortage.
 func (c *shardedCache) alloc(ctx *smp.Context, page *vm.Page, flags Flags) (*Buf, error) {
 	ctx.Charge(ctx.Cost().MapperOp)
-	c.migGate.RLock()
-	defer c.migGate.RUnlock()
-
 	for {
-		// Frame and shard are re-read every iteration: the exhaustion
-		// sleep drops the migration gate, and the page may answer with a
-		// different frame — hashing to a different shard — when we wake.
-		frame := page.Frame()
-		si := c.shardIdx(frame)
-		c.chargeShardLock(ctx, si)
-		gen := c.freeGen.Load()
-		s := c.shards[si]
-
-		s.mu.Lock()
-		if b := c.table[frame]; b != nil && c.ablate&AblateSharing == 0 {
-			if b.ref == 0 {
-				s.inactive.remove(b)
-			}
-			b.ref++
-			c.taint(ctx, b, flags)
+		s, frame := c.lockPage(ctx, page)
+		if b := c.hitLocked(ctx, s, frame, flags); b != nil {
 			s.mu.Unlock()
-			c.allocs.Add(1)
-			c.hits.Add(1)
 			return b, nil
 		}
 		// Miss.  The clean-stock locks (freelist, pool) never nest
 		// around shard locks anywhere, so the fast restock can run
 		// without giving up this shard — one critical section covers
 		// lookup, stock-taking and installation.
-		b := c.takeCleanFast(ctx)
+		b := c.takeClean(ctx)
 		if b == nil {
 			s.mu.Unlock()
-			b = c.reclaim(ctx)
-			if b != nil {
-				c.chargeShardLock(ctx, si)
-				s.mu.Lock()
-				if cur := c.table[frame]; cur != nil && c.ablate&AblateSharing == 0 {
+			if b = c.reclaim(ctx); b != nil {
+				s, frame = c.lockPage(ctx, page)
+				if cur := c.hitLocked(ctx, s, frame, flags); cur != nil {
 					// Another CPU mapped the frame while the shard
 					// was unlocked; share its mapping, restock ours.
-					if cur.ref == 0 {
-						s.inactive.remove(cur)
-					}
-					cur.ref++
-					c.taint(ctx, cur, flags)
 					s.mu.Unlock()
 					c.putClean(ctx, b)
-					c.allocs.Add(1)
-					c.hits.Add(1)
 					return cur, nil
 				}
 			}
@@ -671,12 +681,12 @@ func (c *shardedCache) alloc(ctx *smp.Context, page *vm.Page, flags Flags) (*Buf
 				installed = true
 			}
 			c.taint(ctx, b, flags)
+			s.allocs++
+			s.misses++
 			s.mu.Unlock()
 			if installed {
 				c.noteHashInsert()
 			}
-			c.allocs.Add(1)
-			c.misses.Add(1)
 			return b, nil
 		}
 
@@ -685,19 +695,10 @@ func (c *shardedCache) alloc(ctx *smp.Context, page *vm.Page, flags Flags) (*Buf
 			c.wouldBlock.Add(1)
 			return nil, ErrWouldBlock
 		}
-		c.pool.mu.Lock()
-		c.waiters.Add(1)
-		if c.freeGen.Load() != gen {
-			// A buffer was freed after our scan began; rescan.
-			c.waiters.Add(-1)
-			c.pool.mu.Unlock()
-			continue
+		if !c.prepareSleep() {
+			continue // a buffer turned up after our scan: rescan
 		}
-		c.sleeps.Add(1)
-		// Sleeping: drop the migration gate (the migrator may need the
-		// pool and freelist locks to make a buffer free for us) and
-		// re-acquire it only AFTER pool.mu is released, on both exits.
-		c.migGate.RUnlock()
+		c.pool.sleeps++
 		c.pool.cond.Wait()
 		c.waiters.Add(-1)
 		if flags&Catch != 0 && ctx.Interrupted() {
@@ -707,62 +708,58 @@ func (c *shardedCache) alloc(ctx *smp.Context, page *vm.Page, flags Flags) (*Buf
 			if c.waiters.Load() > 0 {
 				c.pool.cond.Signal()
 			}
+			c.pool.interrupted++
 			c.pool.mu.Unlock()
-			c.migGate.RLock()
-			c.interrupted.Add(1)
 			return nil, ErrInterrupted
 		}
 		c.pool.mu.Unlock()
-		c.migGate.RLock()
 	}
 }
 
-// takeCleanFast returns a clean buffer from the calling CPU's freelist,
-// an overflow stock, or a sibling CPU's freelist, searching in the CPU's
-// precomputed steal order (same-socket state first under Homed).  It
-// takes no shard locks, so callers may hold one.  Returns nil when the
-// clean stock is exhausted and a reclaim round is needed.
-func (c *shardedCache) takeCleanFast(ctx *smp.Context) *Buf {
-	// Each lock taken on this path is charged: the modeled cost must not
-	// flatter the sharded engine against the global design's one mutex.
-	self := ctx.CPUID()
-	ctx.ChargeLockAt(c.cpuSock[self])
-	f := c.freelists[self]
-	f.mu.Lock()
-	if n := len(f.bufs); n > 0 {
-		b := f.bufs[n-1]
-		f.bufs = f.bufs[:n-1]
-		f.mu.Unlock()
-		c.freelistAllocs.Add(1)
-		return b
+// lockPage locks the shard of page's current frame and returns it with
+// that frame, charging each lock it takes.  The frame re-read under the
+// lock is the exclusion against migration: the Migrator moves frames
+// only while holding every shard lock, so a frame that still matches is
+// pinned until the caller unlocks, and one that moved sends us to its
+// new shard.
+func (c *shardedCache) lockPage(ctx *smp.Context, page *vm.Page) (*cacheShard, uint64) {
+	for {
+		frame := page.Frame()
+		si := c.shardIdx(frame)
+		c.chargeShardLock(ctx, si)
+		s := c.shards[si]
+		s.mu.Lock()
+		if page.Frame() == frame {
+			return s, frame
+		}
+		s.mu.Unlock()
 	}
-	f.mu.Unlock()
+}
 
-	for _, st := range c.planOf[self] {
-		if st.cpu < 0 {
-			ctx.ChargeLockAt(st.pool)
-			c.pool.mu.Lock()
-			if n := len(c.pool.socks[st.pool]); n > 0 {
-				b := c.pool.socks[st.pool][n-1]
-				c.pool.socks[st.pool] = c.pool.socks[st.pool][:n-1]
-				c.pool.mu.Unlock()
-				c.freelistAllocs.Add(1)
-				return b
-			}
-			c.pool.mu.Unlock()
-			continue
-		}
-		ctx.ChargeLockAt(c.cpuSock[st.cpu])
-		of := c.freelists[st.cpu]
-		of.mu.Lock()
-		if n := len(of.bufs); n > 0 {
-			b := of.bufs[n-1]
-			of.bufs = of.bufs[:n-1]
-			of.mu.Unlock()
-			c.freelistAllocs.Add(1)
-			return b
-		}
-		of.mu.Unlock()
+// hitLocked takes a reference on frame's hash entry, if there is one and
+// sharing is on, reviving it from the inactive list, and counts the hit.
+// Caller holds s.mu, s being the frame's shard.
+func (c *shardedCache) hitLocked(ctx *smp.Context, s *cacheShard, frame uint64, flags Flags) *Buf {
+	b := c.table[frame]
+	if b == nil || c.ablate&AblateSharing != 0 {
+		return nil
+	}
+	if b.ref == 0 {
+		s.inactive.remove(b)
+	}
+	b.ref++
+	c.taint(ctx, b, flags)
+	s.allocs++
+	s.hits++
+	return b
+}
+
+// takeClean is takeCleanBulk for one buffer, the single-page miss path:
+// nil when the clean stock is exhausted and a reclaim round is needed.
+func (c *shardedCache) takeClean(ctx *smp.Context) *Buf {
+	var one [1]*Buf
+	if got := c.takeCleanBulk(ctx, 1, one[:0]); len(got) > 0 {
+		return got[0]
 	}
 	return nil
 }
@@ -783,7 +780,7 @@ func (c *shardedCache) putClean(ctx *smp.Context, b *Buf) {
 		c.pool.socks[pi] = append(c.pool.socks[pi], b)
 		c.pool.mu.Unlock()
 	}
-	c.bumpFree()
+	c.bumpFreeN(1)
 }
 
 // takeCleanBulk pops up to n clean buffers with as few lock round trips
@@ -792,9 +789,12 @@ func (c *shardedCache) putClean(ctx *smp.Context, b *Buf) {
 // CPU's steal order (same-socket state first under Homed).  It takes no
 // shard locks, so callers may hold one.  It returns whatever stock it
 // could find appended to into; the shortfall is the caller's to reclaim.
+// Every lock it probes is charged: the modeled cost must not flatter the
+// sharded engine against the global design's one mutex.
 func (c *shardedCache) takeCleanBulk(ctx *smp.Context, n int, into []*Buf) []*Buf {
 	want := n
-	pop := func(bufs *[]*Buf) {
+	// pop runs under the lock guarding bufs and takes.
+	pop := func(bufs *[]*Buf, takes *uint64) {
 		take := want
 		if m := len(*bufs); take > m {
 			take = m
@@ -804,13 +804,14 @@ func (c *shardedCache) takeCleanBulk(ctx *smp.Context, n int, into []*Buf) []*Bu
 			into = append(into, (*bufs)[cut:]...)
 			*bufs = (*bufs)[:cut]
 			want -= take
+			*takes += uint64(take)
 		}
 	}
 	self := ctx.CPUID()
 	ctx.ChargeLockAt(c.cpuSock[self])
 	f := c.freelists[self]
 	f.mu.Lock()
-	pop(&f.bufs)
+	pop(&f.bufs, &f.takes)
 	f.mu.Unlock()
 	for _, st := range c.planOf[self] {
 		if want == 0 {
@@ -819,17 +820,16 @@ func (c *shardedCache) takeCleanBulk(ctx *smp.Context, n int, into []*Buf) []*Bu
 		if st.cpu < 0 {
 			ctx.ChargeLockAt(st.pool)
 			c.pool.mu.Lock()
-			pop(&c.pool.socks[st.pool])
+			pop(&c.pool.socks[st.pool], &c.pool.takes)
 			c.pool.mu.Unlock()
 			continue
 		}
 		of := c.freelists[st.cpu]
 		ctx.ChargeLockAt(c.cpuSock[st.cpu])
 		of.mu.Lock()
-		pop(&of.bufs)
+		pop(&of.bufs, &of.takes)
 		of.mu.Unlock()
 	}
-	c.freelistAllocs.Add(uint64(n - want))
 	return into
 }
 
@@ -900,14 +900,13 @@ func (c *shardedCache) allocBatch(ctx *smp.Context, pages []*vm.Page, flags Flag
 		return nil, ErrBatchTooLarge
 	}
 	ctx.Charge(ctx.Cost().MapperOp * cycles.Cycles(len(pages)))
-	c.migGate.RLock()
-	defer c.migGate.RUnlock()
 
 	// The grouping keys on each page's frame, which only migration can
-	// change.  The gate is held across every scan, so the groups stay
-	// keyed correctly except across claimWait — which drops the gate to
-	// sleep, and whose return therefore rebuilds the groups wholesale.
-	groups := c.groupByShard(len(pages), func(i int) uint64 { return pages[i].Frame() })
+	// change.  A group's scan re-reads each frame under the group's lock
+	// and skips a page that now hashes elsewhere; the pages left over
+	// when every group has been scanned are regrouped.
+	frameOf := func(i int) uint64 { return pages[i].Frame() }
+	groups := c.groupByShard(len(pages), frameOf)
 	out := make([]*Buf, len(pages))
 	pending := len(pages) // pages not yet resolved, the restock target
 	var stash []*Buf      // clean buffers carried across shard groups
@@ -922,12 +921,17 @@ func (c *shardedCache) allocBatch(ctx *smp.Context, pages []*vm.Page, flags Flag
 	}()
 
 restart:
-	for gi := 0; gi < len(groups); gi++ {
+	for gi := 0; pending > 0; gi++ {
+		if gi == len(groups) {
+			// Pages remain after every group's scan: they migrated to
+			// another shard after the grouping.
+			groups = c.groupByShard(len(pages), frameOf)
+			gi = 0
+		}
 		g := &groups[gi]
 		s := g.shard
 	retry:
 		for {
-			gen := c.freeGen.Load()
 			hgen := c.hitGen.Load()
 			installed := 0
 			c.chargeShardLock(ctx, g.si)
@@ -938,15 +942,12 @@ restart:
 				}
 				pg := pages[idx]
 				frame := pg.Frame()
-				if b := c.table[frame]; b != nil && c.ablate&AblateSharing == 0 {
-					if b.ref == 0 {
-						s.inactive.remove(b)
-					}
-					b.ref++
-					c.taint(ctx, b, flags)
+				if c.shardIdx(frame) != g.si {
+					continue // migrated since the grouping
+				}
+				if b := c.hitLocked(ctx, s, frame, flags); b != nil {
 					out[idx] = b
 					pending--
-					c.hits.Add(1)
 					continue
 				}
 				if len(stash) == 0 {
@@ -1004,17 +1005,15 @@ restart:
 					// instead of waking to rescan per freed buffer.
 					// batchMu (held: starving == true) guarantees we are
 					// the only claimer.
-					if _, interrupted := c.claimWait(ctx, pending, gen, hgen, flags); interrupted {
+					if _, interrupted := c.claimWait(ctx, pending, hgen, flags); interrupted {
 						c.rollbackBatch(ctx, out)
 						return nil, ErrInterrupted
 					}
-					// Any wake invalidates the shard grouping: the sleep
-					// dropped the migration gate, so an unresolved page
-					// may answer with a new frame homed on a different
-					// shard.  Rebuild the groups and rescan every one —
-					// which also picks up any coverage a hash-growth
-					// wake announced.
-					groups = c.groupByShard(len(pages), func(i int) uint64 { return pages[i].Frame() })
+					// Rescan every group after any wake — which picks up
+					// any coverage a hash-growth wake announced — and
+					// regroup first: an unresolved page may have migrated
+					// to another shard while we slept.
+					groups = c.groupByShard(len(pages), frameOf)
 					gi = -1
 					continue restart
 				}
@@ -1032,7 +1031,8 @@ restart:
 				c.taint(ctx, b, flags)
 				out[idx] = b
 				pending--
-				c.misses.Add(1)
+				s.allocs++
+				s.misses++
 			}
 			s.mu.Unlock()
 			if installed > 0 {
@@ -1041,7 +1041,6 @@ restart:
 			break
 		}
 	}
-	c.allocs.Add(uint64(len(pages)))
 	c.batchAllocs.Add(1)
 	c.batchPages.Add(uint64(len(pages)))
 	return out, nil
@@ -1071,14 +1070,12 @@ func (c *shardedCache) sweepHits(ctx *smp.Context, groups []batchGroup, pages []
 				g.shard.mu.Lock()
 				locked = true
 			}
-			if b := c.table[pages[idx].Frame()]; b != nil {
-				if b.ref == 0 {
-					g.shard.inactive.remove(b)
-				}
-				b.ref++
-				c.taint(ctx, b, flags)
+			frame := pages[idx].Frame()
+			if c.shardIdx(frame) != g.si {
+				continue // migrated since the grouping
+			}
+			if b := c.hitLocked(ctx, g.shard, frame, flags); b != nil {
 				out[idx] = b
-				c.hits.Add(1)
 				resolved++
 			}
 		}
@@ -1090,19 +1087,17 @@ func (c *shardedCache) sweepHits(ctx *smp.Context, groups []batchGroup, pages []
 }
 
 // rollbackBatch releases the references a partial batch holds and clears
-// the slots it released.  The batch's pages were never counted as
-// allocated, so the unwind bypasses the statistics too.
+// the slots it released.  A batch that fails allocates nothing, so each
+// page's allocation is uncounted again; its hit or miss stays counted.
 func (c *shardedCache) rollbackBatch(ctx *smp.Context, out []*Buf) {
 	freed := 0
 	for i, b := range out {
 		if b == nil {
 			continue
 		}
-		si := c.shardIdx(b.page.Frame())
-		c.chargeShardLock(ctx, si)
-		s := c.shards[si]
-		s.mu.Lock()
+		s, _ := c.lockPage(ctx, b.page)
 		b.ref--
+		s.allocs--
 		if b.ref == 0 {
 			s.inactive.pushTail(b)
 			freed++
@@ -1123,8 +1118,6 @@ func (c *shardedCache) freeBatch(ctx *smp.Context, bufs []*Buf) {
 		return
 	}
 	ctx.Charge(ctx.Cost().MapperOp * cycles.Cycles(len(bufs)))
-	c.migGate.RLock()
-	defer c.migGate.RUnlock()
 	for _, b := range bufs {
 		if b.page == nil {
 			panic("sfbuf: free of unreferenced sf_buf")
@@ -1132,34 +1125,35 @@ func (c *shardedCache) freeBatch(ctx *smp.Context, bufs []*Buf) {
 	}
 	groups := c.groupByShard(len(bufs), func(i int) uint64 { return bufs[i].page.Frame() })
 
-	var eager []*Buf
+	var eager, strays []*Buf
 	freed := 0
+	drop := func(s *cacheShard, b *Buf) {
+		switch parked, tear := c.unrefLocked(s, b); {
+		case parked:
+			freed++
+		case tear:
+			eager = append(eager, b)
+		}
+	}
 	for gi := range groups {
 		g := &groups[gi]
 		s := g.shard
 		c.chargeShardLock(ctx, g.si)
 		s.mu.Lock()
 		for _, idx := range g.idxs {
-			b := bufs[idx]
-			if b.ref <= 0 {
-				s.mu.Unlock()
-				panic("sfbuf: free of unreferenced sf_buf")
-			}
-			b.ref--
-			if b.ref > 0 {
-				continue
-			}
-			if c.ablate&AblateLazyTeardown != 0 {
-				c.uninstall(s, b)
-				eager = append(eager, b)
+			if b := bufs[idx]; c.shardIdx(b.page.Frame()) == g.si {
+				drop(s, b)
 			} else {
-				s.inactive.pushTail(b)
-				freed++
+				strays = append(strays, b) // migrated since the grouping
 			}
 		}
 		s.mu.Unlock()
 	}
-	c.frees.Add(uint64(len(bufs)))
+	for _, b := range strays {
+		s, _ := c.lockPage(ctx, b.page)
+		drop(s, b)
+		s.mu.Unlock()
+	}
 	c.batchFrees.Add(1)
 	if len(eager) > 0 {
 		c.teardownBatch(ctx, eager)
@@ -1202,7 +1196,6 @@ func (c *shardedCache) claimTokens(ctx *smp.Context, n int, flags Flags) ([]*Buf
 	c.batchMu.Lock()
 	defer c.batchMu.Unlock()
 	for {
-		gen := c.freeGen.Load()
 		hgen := c.hitGen.Load()
 		if len(got) < n {
 			got = c.takeCleanBulk(ctx, n-len(got), got)
@@ -1215,7 +1208,7 @@ func (c *shardedCache) claimTokens(ctx *smp.Context, n int, flags Flags) ([]*Buf
 		}
 		// Runs never hash-hit, so a hash-coverage wake just loops for
 		// another (rare, spurious) reclaim scan.
-		if _, interrupted := c.claimWait(ctx, n-len(got), gen, hgen, flags); interrupted {
+		if _, interrupted := c.claimWait(ctx, n-len(got), hgen, flags); interrupted {
 			if len(got) > 0 {
 				c.putCleanBulk(ctx, got)
 			}
@@ -1244,12 +1237,12 @@ func (c *shardedCache) allocRun(ctx *smp.Context, pages []*vm.Page, flags Flags)
 		return nil, ErrBatchTooLarge
 	}
 	ctx.Charge(ctx.Cost().MapperOp * cycles.Cycles(n))
-	c.migGate.RLock()
-	defer c.migGate.RUnlock()
 	tokens, err := c.claimTokens(ctx, n, flags)
 	if err != nil {
 		return nil, err
 	}
+	// get marks the run's frames live, which keeps the Migrator off them
+	// until freeRun, so the install pass below reads settled frames.
 	win, revived, err := c.runs.get(ctx, pages)
 	if err != nil {
 		c.putCleanBulk(ctx, tokens)
@@ -1258,24 +1251,10 @@ func (c *shardedCache) allocRun(ctx *smp.Context, pages []*vm.Page, flags Flags)
 	if !revived {
 		c.pm.KEnterRun(ctx, win.base, pages)
 	}
-	// The run's frames are now migration-ineligible until freeRun: a live
-	// run's owner reads through the window with no reference the hash can
-	// see, so the migrator must learn of it from the run pool instead.
-	c.runs.noteLive(pages)
 	mask := c.m.AllCPUs()
 	if flags&Private != 0 {
 		mask = smp.CPUSet(0).Set(ctx.CPUID())
 	}
-	c.allocs.Add(uint64(n))
-	if revived {
-		c.hits.Add(uint64(n))
-		c.runRevives.Add(1)
-	} else {
-		c.misses.Add(uint64(n))
-		c.runReviveMisses.Add(1)
-	}
-	c.runAllocs.Add(1)
-	c.runPages.Add(uint64(n))
 	return &Run{
 		pages:  append([]*vm.Page(nil), pages...),
 		base:   win.base,
@@ -1302,25 +1281,16 @@ func (c *shardedCache) freeRun(ctx *smp.Context, r *Run) {
 	}
 	n := len(r.pages)
 	ctx.Charge(ctx.Cost().MapperOp * cycles.Cycles(n))
-	c.migGate.RLock()
-	defer c.migGate.RUnlock()
-	c.runs.noteDead(r.pages)
 	c.runs.put(ctx, r.win, r.pages, r.mask)
 	tokens := r.tokens
 	r.pages, r.tokens, r.win, r.home = nil, nil, nil, nil
-	c.frees.Add(uint64(n))
-	c.runFrees.Add(1)
 	c.putCleanBulk(ctx, tokens)
 }
 
 // launderRunWindows forces a laundering round, draining every parked
 // window's deferred teardown in one flush — the deterministic drain hook
 // tests and benchmarks use between phases.
-func (c *shardedCache) launderRunWindows(ctx *smp.Context) {
-	c.migGate.RLock()
-	defer c.migGate.RUnlock()
-	c.runs.launder(ctx)
-}
+func (c *shardedCache) launderRunWindows(ctx *smp.Context) { c.runs.launder(ctx) }
 
 // reclaimScratch holds one reclaim round's working slices; pooling them
 // keeps the steady-state churn path allocation-free.
@@ -1358,7 +1328,8 @@ func (c *shardedCache) reclaim(ctx *smp.Context) *Buf {
 // the surplus restocks the freelists.  The round harvests at least the
 // configured ReclaimBatch so large wants keep the one-round amortization.
 func (c *shardedCache) reclaimBulk(ctx *smp.Context, want int, into []*Buf) []*Buf {
-	return c.reclaimScoped(ctx, want, into, false)
+	into, _ = c.reclaimScoped(ctx, want, into, false)
+	return into
 }
 
 // reclaimScoped is reclaimBulk with a homing scope: under the homed
@@ -1368,8 +1339,9 @@ func (c *shardedCache) reclaimBulk(ctx *smp.Context, want int, into []*Buf) []*B
 // the local one runs dry (never when localOnly, the background daemon's
 // mode: refill is an optimization, not a correctness obligation, so the
 // daemon only does package-local work).  The striped layout rotates the
-// hand over all stripes exactly as before.
-func (c *shardedCache) reclaimScoped(ctx *smp.Context, want int, into []*Buf, localOnly bool) []*Buf {
+// hand over all stripes exactly as before.  harvested is the round's own
+// victim count, whatever other CPUs reclaim meanwhile.
+func (c *shardedCache) reclaimScoped(ctx *smp.Context, want int, into []*Buf, localOnly bool) (_ []*Buf, harvested int) {
 	scratch := scratchPool.Get().(*reclaimScratch)
 	defer func() {
 		scratch.victims = scratch.victims[:0]
@@ -1423,7 +1395,7 @@ func (c *shardedCache) reclaimScoped(ctx *smp.Context, want int, into []*Buf, lo
 	}
 	scratch.victims = victims
 	if len(victims) == 0 {
-		return into
+		return into, 0
 	}
 
 	c.reclaims.Add(1)
@@ -1471,7 +1443,7 @@ func (c *shardedCache) reclaimScoped(ctx *smp.Context, want int, into []*Buf, lo
 		}
 		c.bumpFreeN(surplus)
 	}
-	return into
+	return into, len(victims)
 }
 
 // teardownBatch removes every victim's mapping in one page-table pass and
@@ -1553,41 +1525,48 @@ func (c *shardedCache) teardown(ctx *smp.Context, b *Buf) {
 // AblateLazyTeardown, tear it down eagerly.
 func (c *shardedCache) free(ctx *smp.Context, b *Buf) {
 	ctx.Charge(ctx.Cost().MapperOp)
-	c.migGate.RLock()
-	defer c.migGate.RUnlock()
-	c.frees.Add(1)
 	if b.page == nil {
 		// A referenced buffer always has a page; a clean one was
 		// already freed (and since reclaimed).
 		panic("sfbuf: free of unreferenced sf_buf")
 	}
-	si := c.shardIdx(b.page.Frame())
-	c.chargeShardLock(ctx, si)
-	s := c.shards[si]
-	s.mu.Lock()
+	s, _ := c.lockPage(ctx, b.page)
+	parked, tear := c.unrefLocked(s, b)
+	s.mu.Unlock()
+	switch {
+	case parked:
+		c.bumpFreeN(1)
+	case tear:
+		// Eager teardown: retire the mapping's invalidation debt
+		// immediately, restock as clean.
+		c.teardown(ctx, b)
+		ctx.FlushShootdowns()
+		b.cpumask = c.m.AllCPUs()
+		c.putClean(ctx, b)
+	}
+}
+
+// unrefLocked drops one reference on b and counts the free.  At zero the
+// buffer either parks on s's inactive list with its mapping latently
+// valid (parked), or — under AblateLazyTeardown — leaves the hash for the
+// caller to tear down (tear).  Caller holds s.mu, s being the shard of
+// b's frame; a free of an unreferenced buffer unlocks it and panics.
+func (c *shardedCache) unrefLocked(s *cacheShard, b *Buf) (parked, tear bool) {
 	if b.ref <= 0 {
 		s.mu.Unlock()
 		panic("sfbuf: free of unreferenced sf_buf")
 	}
 	b.ref--
+	s.frees++
 	if b.ref > 0 {
-		s.mu.Unlock()
-		return
+		return false, false
 	}
 	if c.ablate&AblateLazyTeardown != 0 {
-		// Eager teardown: detach from the shard now, retire the
-		// mapping's invalidation debt immediately, restock as clean.
 		c.uninstall(s, b)
-		s.mu.Unlock()
-		c.teardown(ctx, b)
-		ctx.FlushShootdowns()
-		b.cpumask = c.m.AllCPUs()
-		c.putClean(ctx, b)
-		return
+		return false, true
 	}
 	s.inactive.pushTail(b)
-	s.mu.Unlock()
-	c.bumpFree()
+	return true, false
 }
 
 // interruptWakeup wakes every sleeper — single-page sleepers and a
@@ -1599,55 +1578,57 @@ func (c *shardedCache) interruptWakeup() {
 	c.pool.mu.Unlock()
 }
 
-func (c *shardedCache) snapshotStats() Stats {
-	return Stats{
-		Allocs:          c.allocs.Load(),
-		Frees:           c.frees.Load(),
-		Hits:            c.hits.Load(),
-		Misses:          c.misses.Load(),
-		Sleeps:          c.sleeps.Load(),
-		Interrupted:     c.interrupted.Load(),
-		WouldBlock:      c.wouldBlock.Load(),
-		FreelistAllocs:  c.freelistAllocs.Load(),
-		Reclaims:        c.reclaims.Load(),
-		Reclaimed:       c.reclaimed.Load(),
-		BatchAllocs:     c.batchAllocs.Load(),
-		BatchFrees:      c.batchFrees.Load(),
-		BatchPages:      c.batchPages.Load(),
-		RunAllocs:       c.runAllocs.Load(),
-		RunFrees:        c.runFrees.Load(),
-		RunPages:        c.runPages.Load(),
-		RunRevives:      c.runRevives.Load(),
-		RunReviveMisses: c.runReviveMisses.Load(),
-	}
-}
+func (c *shardedCache) snapshotStats() Stats { return c.collectStats(false) }
 
-func (c *shardedCache) resetStats() {
-	c.allocs.Store(0)
-	c.frees.Store(0)
-	c.hits.Store(0)
-	c.misses.Store(0)
-	c.sleeps.Store(0)
-	c.interrupted.Store(0)
-	c.wouldBlock.Store(0)
-	c.freelistAllocs.Store(0)
-	c.reclaims.Store(0)
-	c.reclaimed.Store(0)
-	c.batchAllocs.Store(0)
-	c.batchFrees.Store(0)
-	c.batchPages.Store(0)
-	c.runAllocs.Store(0)
-	c.runFrees.Store(0)
-	c.runPages.Store(0)
-	c.runRevives.Store(0)
-	c.runReviveMisses.Store(0)
+func (c *shardedCache) resetStats() { c.collectStats(true) }
+
+// collectStats sums every lock's share of the statistics, reading each
+// under its own lock and, with reset, zeroing it in the same hold.
+func (c *shardedCache) collectStats(reset bool) Stats {
+	load := (*atomic.Uint64).Load
+	if reset {
+		load = func(a *atomic.Uint64) uint64 { return a.Swap(0) }
+	}
+	c.runs.mu.Lock()
+	st := c.runs.led // the run path's Allocs, Hits, Misses, Frees and Run* counts
+	if reset {
+		c.runs.led = Stats{}
+	}
+	c.runs.mu.Unlock()
+	st.WouldBlock, st.Reclaims, st.Reclaimed = load(&c.wouldBlock), load(&c.reclaims), load(&c.reclaimed)
+	st.BatchAllocs, st.BatchFrees, st.BatchPages = load(&c.batchAllocs), load(&c.batchFrees), load(&c.batchPages)
+	for _, s := range c.shards {
+		s.mu.Lock()
+		st.Allocs += s.allocs
+		st.Hits += s.hits
+		st.Misses += s.misses
+		st.Frees += s.frees
+		if reset {
+			s.allocs, s.hits, s.misses, s.frees = 0, 0, 0, 0
+		}
+		s.mu.Unlock()
+	}
+	for _, f := range c.freelists {
+		f.mu.Lock()
+		st.FreelistAllocs += f.takes
+		if reset {
+			f.takes = 0
+		}
+		f.mu.Unlock()
+	}
+	c.pool.mu.Lock()
+	st.FreelistAllocs += c.pool.takes
+	st.Sleeps, st.Interrupted = c.pool.sleeps, c.pool.interrupted
+	if reset {
+		c.pool.takes, c.pool.sleeps, c.pool.interrupted = 0, 0, 0
+	}
+	c.pool.mu.Unlock()
+	return st
 }
 
 // inactiveLen counts every unreferenced buffer: latently-valid buffers on
 // the shard inactive lists plus clean buffers on the freelists and pool.
 func (c *shardedCache) inactiveLen() int {
-	c.migGate.RLock()
-	defer c.migGate.RUnlock()
 	n := 0
 	for _, s := range c.shards {
 		s.mu.Lock()
@@ -1668,8 +1649,6 @@ func (c *shardedCache) inactiveLen() int {
 }
 
 func (c *shardedCache) validMappings() int {
-	c.migGate.RLock()
-	defer c.migGate.RUnlock()
 	n := 0
 	for _, s := range c.shards {
 		s.mu.Lock()
@@ -1680,14 +1659,6 @@ func (c *shardedCache) validMappings() int {
 }
 
 func (c *shardedCache) lookupRef(frame uint64) (ref int, mask smp.CPUSet, ok bool) {
-	c.migGate.RLock()
-	defer c.migGate.RUnlock()
-	return c.lookupRefUngated(frame)
-}
-
-// lookupRefUngated is lookupRef for callers that already hold the
-// migration gate (either side).
-func (c *shardedCache) lookupRefUngated(frame uint64) (ref int, mask smp.CPUSet, ok bool) {
 	s := c.shardFor(frame)
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -11,8 +11,8 @@ import (
 // tier is under pressure — lives above, in the kernel's tier keeper; this
 // file only knows how to move a quiescent extent's frames into a tier
 // without changing one observable byte, reusing the defragmentation
-// Migrator's three pillars verbatim: the write migration gate, the
-// vm.MigratePage copy-and-swap, and the honest-TLB handoff with ONE
+// Migrator's machinery verbatim: the shard-scoped exclusion (lockAll),
+// the vm.MigratePage copy-and-swap, and the honest-TLB handoff with ONE
 // accumulated shootdown flush per call.
 //
 // A tier move is cheaper to reason about than an evacuation because the
@@ -28,18 +28,18 @@ import (
 // that are not quiescent, and pages whose owners race the move (freeing
 // or wiring them mid-pass) are skipped; a full destination tier ends the
 // pass early — the caller decides whether to demote something and retry.
-// The whole pass runs under the write migration gate, and every remapped
-// or stale translation is retired in one shootdown flush before the gate
-// reopens.
+// The whole pass is one block: it runs under lockAll, and every remapped
+// or stale translation is retired in one shootdown flush before mapping
+// traffic resumes.
 func (g *Migrator) MoveToTier(ctx *smp.Context, pages []*vm.Page, tier, pref int) int {
 	if g == nil || len(pages) == 0 || !g.phys.Tiered() {
 		return 0
 	}
 	start := ctx.CPU().Cycles()
 	ctx.ChargeLock()
-	g.c.migGate.Lock()
+	g.c.lockAll()
 	var doomed []*vm.Page
-	moved, queued := 0, false
+	queued := false
 	for _, pg := range pages {
 		f := pg.Frame()
 		if f == 0 || g.phys.TierOfFrame(f) == tier {
@@ -47,44 +47,21 @@ func (g *Migrator) MoveToTier(ctx *smp.Context, pages []*vm.Page, tier, pref int
 		}
 		// Quiescence: the same bar evacuate sets, but per page — one hot
 		// page skips itself, not the whole extent.
-		if pg.Wired() || g.c.runs.frameLive(f) {
-			continue
-		}
-		if ref, _, ok := g.c.lookupRefUngated(f); ok && ref > 0 {
+		if !g.quiescentLocked(pg, f) {
 			continue
 		}
 		dst, err := g.phys.TierTarget(tier, pref)
 		if err != nil {
 			break // destination tier is full: the caller owns the eviction policy
 		}
-		ok, evicted := g.evictStale(ctx, dst.Frame())
+		_, moved, evicted := g.move(ctx, pg, f, dst)
 		queued = queued || evicted
-		if !ok {
-			g.phys.Free(dst)
-			continue
+		if moved {
+			doomed = append(doomed, dst)
 		}
-		ctx.ChargeBytesAt(ctx.Cost().CopyPerByte, vm.PageSize, dst.Frame())
-		if !g.phys.MigratePage(pg, dst) {
-			// The owner freed or wired the page since the scan; a page we
-			// cannot move is a page that no longer needs moving.
-			g.phys.Free(dst)
-			continue
-		}
-		g.remapHash(ctx, pg, f)
-		if n := g.c.runs.remapParked(ctx, pg, f); n > 0 {
-			g.winRemaps.Add(uint64(n))
-		}
-		doomed = append(doomed, dst)
-		moved++
 	}
-	if moved > 0 || queued {
-		ctx.FlushShootdowns()
-	}
-	for _, d := range doomed {
-		g.phys.Free(d)
-	}
-	g.c.migGate.Unlock()
-	g.tierMoved.Add(uint64(moved))
+	g.finish(ctx, doomed, queued)
+	g.tierMoved.Add(uint64(len(doomed)))
 	g.cycles.Add(uint64(ctx.CPU().Cycles() - start))
-	return moved
+	return len(doomed)
 }
