@@ -11,11 +11,16 @@ build:
 	$(GO) build ./...
 	$(GO) build ./cmd/... ./examples/...
 
+# Shuffled tests, then the experiment replay (the round-robin churn
+# driver keeps scale, reclaim and adaptive deterministic).
 test:
 	$(GO) test -shuffle=on ./...
+	$(GO) test -count=3 -run 'Determinism|ScaleBatch|AdaptivePolicy' ./internal/experiments
 
+# Race detector, then the migration-exclusion races repeated.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run 'Migrat|TierConcurrent|ShardLockFollows|DaemonRace' ./internal/sfbuf
 
 # Run the checked-in fuzz seed corpus as unit tests (what CI smokes).
 fuzz-smoke:

@@ -93,8 +93,8 @@ func main() {
 			subsystem: "pipe direct-read path",
 			sfbufDesc: "readDirect (per-page sf_buf loop)",
 			sfbuf:     pipe["readDirect"],
-			origDesc:  "readDirectBatch + finishWindow (window KVA management)",
-			orig:      sum(pipe, "readDirectBatch", "finishWindow"),
+			origDesc:  "readExtent + finishWindow (window mapping management)",
+			orig:      sum(pipe, "readExtent", "finishWindow"),
 			paperNote: "paper: converting pipes eliminated 42 lines",
 		},
 		{

@@ -166,9 +166,9 @@ func ExampleBoot_adaptive() {
 
 	consumer := k.Consumer("example")
 	for i := 0; i < 3; i++ {
-		if consumer.UseRuns(ctx, pages) { // observe the extent, pick a path
-			run, _ := k.Map.AllocRun(ctx, pages, root.Private)
-			k.Map.FreeRun(ctx, run) // parks the window, revivable
+		// Observe the extent, pick a path, map it.
+		if ext, err := consumer.MapExtent(ctx, pages, root.Private); err == nil {
+			ext.Unmap(ctx) // a run parks its window, revivable
 		}
 	}
 	s := k.Map.Stats()

@@ -56,9 +56,7 @@ func CopyOut(ctx *smp.Context, pm *pmap.Pmap, dst []byte, kva uint64) error {
 		if d := pg.Data(); d != nil {
 			copy(dst[:n], d[off:off+n])
 		} else {
-			for i := 0; i < n; i++ {
-				dst[i] = 0
-			}
+			clear(dst[:n])
 		}
 		ctx.ChargeBytesAt(ctx.Cost().CopyPerByte, n, pg.Frame())
 		dst = dst[n:]
@@ -158,9 +156,7 @@ func copyRun(ctx *smp.Context, pm *pmap.Pmap, r *sfbuf.Run, off int, buf []byte,
 				copy(buf[:n], d[po:po+n])
 			}
 		} else if !write {
-			for i := 0; i < n; i++ {
-				buf[i] = 0
-			}
+			clear(buf[:n])
 		}
 		ctx.ChargeBytesAt(ctx.Cost().CopyPerByte, n, pg.Frame())
 		buf = buf[n:]
@@ -179,9 +175,7 @@ func Zero(ctx *smp.Context, pm *pmap.Pmap, kva uint64, n int) error {
 		off := pmap.PageOffset(kva)
 		c := min(vm.PageSize-off, n)
 		if d := pg.Data(); d != nil {
-			for i := off; i < off+c; i++ {
-				d[i] = 0
-			}
+			clear(d[off : off+c])
 		}
 		ctx.ChargeBytesAt(ctx.Cost().CopyPerByte, c, pg.Frame())
 		n -= c

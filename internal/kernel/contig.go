@@ -34,8 +34,6 @@ import (
 	"sort"
 	"sync"
 
-	"sfbuf/internal/mbuf"
-	"sfbuf/internal/sfbuf"
 	"sfbuf/internal/smp"
 	"sfbuf/internal/vm"
 )
@@ -247,43 +245,6 @@ func (c *MapConsumer) UseRuns(ctx *smp.Context, pages []*vm.Page) bool {
 		c.k.tier.Note(ctx, sig, pages, hot)
 	}
 	return run
-}
-
-// MapSendExtent maps one send-side window by the consumer's policy:
-// a contiguous AllocRun (each page's mbuf external carries its window
-// address; the last covering acknowledgment unmaps the whole window
-// with one FreeRun), a vectored AllocBatch released with one FreeBatch,
-// or — when runs are declined and batching is disabled — a request for
-// the caller's per-page fallback, signalled through the same
-// sfbuf.ErrBatchTooLarge route the over-capacity case takes.  Mappings
-// are shared (no Private flag): any CPU may retransmit.  It is the one
-// window mapper behind both sendfile and zero-copy socket sends, so
-// their mapping economies cannot drift apart.
-func (c *MapConsumer) MapSendExtent(ctx *smp.Context, pages []*vm.Page) ([]*sfbuf.Buf, *mbuf.RunRelease, error) {
-	return c.mapSendExtent(ctx, pages, 0)
-}
-
-// mapSendExtent is MapSendExtent with allocation flags — the serving
-// loop maps with sfbuf.NoWait through SendWindow.MapExtent so mapping
-// pressure surfaces as ErrWouldBlock instead of a sleep.  Mappings stay
-// shared regardless of flags: any CPU may retransmit.
-func (c *MapConsumer) mapSendExtent(ctx *smp.Context, pages []*vm.Page, flags sfbuf.Flags) ([]*sfbuf.Buf, *mbuf.RunRelease, error) {
-	k := c.k
-	if c.UseRuns(ctx, pages) {
-		run, err := k.Map.AllocRun(ctx, pages, flags)
-		if err != nil {
-			return nil, nil, err
-		}
-		return run.Bufs(), mbuf.NewRunReleaseMapped(k.Map, run, pages), nil
-	}
-	if k.Plan.BatchSend {
-		bufs, err := k.Map.AllocBatch(ctx, pages, flags)
-		if err != nil {
-			return nil, nil, err
-		}
-		return bufs, mbuf.NewRunRelease(k.Map, bufs, pages), nil
-	}
-	return nil, nil, sfbuf.ErrBatchTooLarge
 }
 
 // observe folds one extent into the reuse EWMAs of its size class and,

@@ -32,7 +32,6 @@ package kernel
 import (
 	"sync"
 
-	"sfbuf/internal/mbuf"
 	"sfbuf/internal/sfbuf"
 	"sfbuf/internal/smp"
 	"sfbuf/internal/vm"
@@ -296,6 +295,6 @@ func (w *SendWindow) Stats() SendWindowStats {
 // deadlock it, so mapping pressure surfaces as ErrWouldBlock and the
 // caller backs off on a retry timer, which is exactly the latency the
 // serve benchmark's percentiles must see.
-func (w *SendWindow) MapExtent(ctx *smp.Context, pages []*vm.Page, flags sfbuf.Flags) ([]*sfbuf.Buf, *mbuf.RunRelease, error) {
+func (w *SendWindow) MapExtent(ctx *smp.Context, pages []*vm.Page, flags sfbuf.Flags) (Extent, error) {
 	return w.c.mapSendExtent(ctx, pages, flags)
 }

@@ -79,70 +79,6 @@ func (e *Ext) Unref(ctx *smp.Context) {
 	}
 }
 
-// RunRelease coalesces the release of a vectored mapping run.  Sendfile
-// and the zero-copy socket send map a run of pages with one AllocBatch;
-// each page's ext free hook calls Unref, and when the last page of the
-// run is released — by the acknowledgments covering its bytes — the whole
-// run is unmapped with one FreeBatch and its pages unwired.  Batches thus
-// stay paired alloc-to-free, which the original kernel's run-at-once
-// address recycling requires, while individual mbufs keep their
-// independent ACK-driven lifetimes.
-type RunRelease struct {
-	m     sfbuf.Mapper
-	bufs  []*sfbuf.Buf
-	run   *sfbuf.Run
-	pages []*vm.Page
-	left  atomic.Int32
-}
-
-// NewRunRelease builds the release state for one mapped run, holding one
-// reference per buffer.
-func NewRunRelease(m sfbuf.Mapper, bufs []*sfbuf.Buf, pages []*vm.Page) *RunRelease {
-	r := &RunRelease{m: m, bufs: bufs, pages: pages}
-	r.left.Store(int32(len(bufs)))
-	return r
-}
-
-// NewRunReleaseMapped builds the release state for a contiguous-run
-// mapping (sfbuf.AllocRun): one reference per page, and the last drop
-// releases the whole window with one FreeRun — one bulk page-table pass
-// and at most one shootdown flush, instead of a FreeBatch over scattered
-// buffers.
-func NewRunReleaseMapped(m sfbuf.Mapper, run *sfbuf.Run, pages []*vm.Page) *RunRelease {
-	r := &RunRelease{m: m, run: run, pages: pages}
-	r.left.Store(int32(run.Len()))
-	return r
-}
-
-// Unref drops one of the run's references; the last one releases the
-// whole run.  It has the ext free hook's signature, so it is attached
-// directly as each mbuf's release function.
-func (r *RunRelease) Unref(ctx *smp.Context) {
-	n := r.left.Add(-1)
-	if n < 0 {
-		panic("mbuf: vectored run reference underflow")
-	}
-	if n > 0 {
-		return
-	}
-	if r.run != nil {
-		r.m.FreeRun(ctx, r.run)
-	} else {
-		r.m.FreeBatch(ctx, r.bufs)
-	}
-	for _, pg := range r.pages {
-		pg.Unwire()
-	}
-}
-
-// Drop releases n references without an mbuf free — the unwind path when
-// a run was mapped but some of its pages never made it onto a chain.
-func (r *RunRelease) Drop(ctx *smp.Context, n int) {
-	for ; n > 0; n-- {
-		r.Unref(ctx)
-	}
-}
-
 // Mbuf is one buffer in a chain: a view of external page storage, or of
 // MLEN bytes of inline storage.  Only inline mbufs carry the inline
 // bytes — they sit behind the header in the same allocation (see

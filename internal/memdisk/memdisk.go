@@ -147,10 +147,14 @@ func (d *Disk) WriteAt(ctx *smp.Context, src []byte, off int64) error {
 }
 
 // transfer moves one request's bytes between buf and the disk.  A request
-// spanning multiple pages maps them as one vectored batch when the
-// kernel's mapper makes batching a fast path (the original kernel's
-// pmap_qenter run, the sharded cache's per-shard batching); the paper's
-// global-lock kernel maps page by page through the ephemeral mapping
+// spanning multiple pages is mapped whole through the memdisk consumer
+// handle — one VA window under ranged translation (for requests covering
+// an aligned 2 MB-equivalent span of this disk's physically contiguous
+// pool, simulated superpage promotion collapses it to one TLB entry), or
+// one vectored batch where the mapper makes batching a fast path (the
+// original kernel's pmap_qenter run, the sharded cache's per-shard
+// batching).  The paper's global-lock kernel, and a request wider than
+// the mapping cache, map page by page through the ephemeral mapping
 // interface, exactly as Section 2.2 describes.
 func (d *Disk) transfer(ctx *smp.Context, buf []byte, off int64, write bool) error {
 	if off < 0 || off+int64(len(buf)) > d.size {
@@ -170,46 +174,20 @@ func (d *Disk) transfer(ctx *smp.Context, buf []byte, off int64, write bool) err
 
 	first := int(off / vm.PageSize)
 	last := int((off + int64(len(buf)) - 1) / vm.PageSize)
-	if last > first && d.contig.UseRuns(ctx, d.pages[first:last+1]) {
-		// Contiguous-run path: one VA window over the request's pages,
-		// one ranged translation per transfer — and, for requests
-		// covering an aligned 2 MB-equivalent span of this disk's
-		// physically contiguous pool, simulated superpage promotion
-		// collapses the window to one TLB entry.
-		run, err := d.k.Map.AllocRun(ctx, d.pages[first:last+1], d.flags())
+	if last > first {
+		ext, err := d.contig.MapExtent(ctx, d.pages[first:last+1], d.flags())
 		switch {
 		case errors.Is(err, sfbuf.ErrBatchTooLarge):
-			// Wider than the mapping cache; the paths below still serve.
+			// Mapped page by page below.
 		case err != nil:
-			return fmt.Errorf("memdisk: run mapping: %w", err)
+			return fmt.Errorf("memdisk: extent mapping: %w", err)
 		default:
-			defer d.k.Map.FreeRun(ctx, run)
-			runOff := int(off - int64(first)*vm.PageSize)
+			defer ext.Unmap(ctx)
+			extOff := int(off - int64(first)*vm.PageSize)
 			if write {
-				err = kcopy.CopyInRun(ctx, d.k.Pmap, run, runOff, buf)
-			} else {
-				err = kcopy.CopyOutRun(ctx, d.k.Pmap, buf, run, runOff)
+				return ext.CopyIn(ctx, extOff, buf)
 			}
-			return err
-		}
-	}
-	if last > first && d.k.Plan.Batch {
-		bufs, err := d.k.Map.AllocBatch(ctx, d.pages[first:last+1], d.flags())
-		switch {
-		case errors.Is(err, sfbuf.ErrBatchTooLarge):
-			// The request spans more pages than the mapping cache holds
-			// buffers; the per-page loop below still serves it.
-		case err != nil:
-			return fmt.Errorf("memdisk: batch mapping: %w", err)
-		default:
-			defer d.k.Map.FreeBatch(ctx, bufs)
-			runOff := int(off - int64(first)*vm.PageSize)
-			if write {
-				err = kcopy.CopyInVec(ctx, d.k.Pmap, bufs, runOff, buf)
-			} else {
-				err = kcopy.CopyOutVec(ctx, d.k.Pmap, buf, bufs, runOff)
-			}
-			return err
+			return ext.CopyOut(ctx, buf, extOff)
 		}
 	}
 

@@ -212,8 +212,8 @@ func (c *Conn) SendZeroCopy(ctx *smp.Context, um *vm.UserMem, off, n int) error 
 		return vm.ErrBounds
 	}
 	ctx.Charge(ctx.Cost().Syscall)
-	if c.st.K.Plan.Runs || c.st.K.Plan.BatchSend {
-		return c.sendZeroCopyWindowed(ctx, um, off, n, c.st.contig.MapSendExtent)
+	if c.st.K.WindowedSend() {
+		return c.sendZeroCopyWindowed(ctx, um, off, n)
 	}
 	k := c.st.K
 	mss := c.st.MSS()
@@ -272,18 +272,11 @@ func (c *Conn) SendZeroCopy(ctx *smp.Context, um *vm.UserMem, off, n int) error 
 	return flush()
 }
 
-// packetMapper maps one packet's wired page run, returning the per-page
-// buffers to attach and the shared release state (one reference per
-// page; the last acknowledgment unmaps the whole run).  It returns
-// sfbuf.ErrBatchTooLarge unwrapped when the run exceeds the mapping
-// cache, which routes the packet through the per-page fallback.
-type packetMapper func(ctx *smp.Context, pages []*vm.Page) ([]*sfbuf.Buf, *mbuf.RunRelease, error)
-
-// sendZeroCopyWindowed is the shared packetize/wire/map/transmit loop
-// behind the vectored and contiguous-run send paths.  Packet boundaries,
-// wire counts and checksum behaviour are identical across all send
-// variants; only the mapping step (mapRun) differs.
-func (c *Conn) sendZeroCopyWindowed(ctx *smp.Context, um *vm.UserMem, off, n int, mapRun packetMapper) error {
+// sendZeroCopyWindowed is the windowed packetize/wire/map/transmit loop:
+// each packet's pages are mapped as one send extent through the zero-copy
+// consumer.  Packet boundaries, wire counts and checksum behaviour are
+// identical across all send variants; only the mapping step differs.
+func (c *Conn) sendZeroCopyWindowed(ctx *smp.Context, um *vm.UserMem, off, n int) error {
 	k := c.st.K
 	mss := c.st.MSS()
 	cur, remaining := off, n
@@ -312,7 +305,7 @@ func (c *Conn) sendZeroCopyWindowed(ctx *smp.Context, um *vm.UserMem, off, n int
 			b += take
 		}
 		pkt := &mbuf.Chain{}
-		bufs, rel, err := mapRun(ctx, pages)
+		ext, err := c.st.contig.MapSendExtent(ctx, pages)
 		if errors.Is(err, sfbuf.ErrBatchTooLarge) {
 			// Packet run exceeds the whole mapping cache (pathologically
 			// tiny cache): map its pages one at a time instead.
@@ -338,8 +331,9 @@ func (c *Conn) sendZeroCopyWindowed(ctx *smp.Context, um *vm.UserMem, off, n int
 			}
 			return fmt.Errorf("netstack: window-mapping send run: %w", err)
 		} else {
-			for j := range bufs {
-				pkt.Append(mbuf.NewExtMbuf(mbuf.NewExt(bufs[j], pages[j], rel.Unref), pos[j], lens[j]))
+			unref := ext.Unref
+			for j, b := range ext.Bufs() {
+				pkt.Append(mbuf.NewExtMbuf(mbuf.NewExt(b, pages[j], unref), pos[j], lens[j]))
 			}
 		}
 		ctx.Charge(ctx.Cost().PacketFixed)

@@ -8,6 +8,8 @@ import (
 
 	"sfbuf/internal/arch"
 	"sfbuf/internal/kernel"
+	"sfbuf/internal/sfbuf"
+	"sfbuf/internal/smp"
 	"sfbuf/internal/vm"
 )
 
@@ -456,5 +458,47 @@ func TestSoftwareChecksumOverRunsUsesRangedTranslate(t *testing.T) {
 	// count is a comfortable deterministic bound far below the page count.
 	if d.PTWalks > 2*sent {
 		t.Errorf("walks = %d, want <= 2x packet count %d", d.PTWalks, sent)
+	}
+}
+
+// narrowMapper declines every multi-page mapping with
+// sfbuf.ErrBatchTooLarge, as a mapping cache narrower than the request
+// does, and serves single pages from the kernel's own mapper.
+type narrowMapper struct{ sfbuf.Mapper }
+
+func (narrowMapper) AllocBatch(*smp.Context, []*vm.Page, sfbuf.Flags) ([]*sfbuf.Buf, error) {
+	return nil, sfbuf.ErrBatchTooLarge
+}
+
+func (narrowMapper) AllocRun(*smp.Context, []*vm.Page, sfbuf.Flags) (*sfbuf.Run, error) {
+	return nil, sfbuf.ErrBatchTooLarge
+}
+
+// TestZeroCopyDeclinedWindowFallsBackPerPage is the zero-copy twin of
+// sendfile's tiny-cache test: a packet whose window the consumer handle
+// cannot map must still flow, one mapping per page, and release every
+// mapping and wiring on acknowledgment.  A packet genuinely wider than
+// the cache cannot finish this way — the fallback holds all of one
+// packet's pages at once — so the mapper here declines every multi-page
+// request on a cache that holds them.
+func TestZeroCopyDeclinedWindowFallsBackPerPage(t *testing.T) {
+	k := bootNetKernel(t, kernel.SFBuf, arch.XeonMP())
+	if !k.WindowedSend() {
+		t.Fatal("the sharded kernel should send in windows")
+	}
+	k.Map = narrowMapper{k.Map}
+	got, want, _ := sendRecv(t, k, MTULarge, 200*1024)
+	if !bytes.Equal(got, want) {
+		t.Fatal("per-page fallback corrupted data")
+	}
+	st := k.Map.Stats()
+	if st.Allocs == 0 || st.Allocs != st.Frees {
+		t.Fatalf("allocs %d, frees %d: want equal and nonzero after the drain", st.Allocs, st.Frees)
+	}
+	if st.BatchAllocs != 0 || st.RunAllocs != 0 {
+		t.Fatalf("%d batches and %d runs mapped; every window was declined", st.BatchAllocs, st.RunAllocs)
+	}
+	if ps := k.PolicyStats(); len(ps) != 1 || ps[0].Name != "netstack" || ps[0].Observations == 0 {
+		t.Fatalf("policy stats %+v: the netstack consumer should have observed each packet", ps)
 	}
 }

@@ -14,7 +14,7 @@ package netstack
 //   - Mapping windows are sized per connection by kernel.SendWindow:
 //     each ACK feeds the connection's observed burst and backlog into
 //     the policy, and the next window of file or user pages is mapped
-//     AllocRun/AllocBatch-sized to the connection's measured appetite.
+//     as one send extent sized to the connection's measured appetite.
 //
 //   - Mappings are mapped with sfbuf.NoWait: the event loop is single
 //     threaded (see the vnet package comment), so a sleeping allocation
@@ -28,7 +28,7 @@ package netstack
 //     the paper's reason send-side mappings are shared rather than
 //     CPU-private.  Releases stay ACK-driven: the cumulative ACK
 //     covering a segment frees its chain, unrefs its pages, and the
-//     window's last reference fires one FreeRun/FreeBatch.
+//     window's last reference unmaps the whole extent.
 //
 //   - Teardown is exactly-once: aborting a connection mid-send (churn)
 //     frees the transmitted-unacknowledged queue and the staged-but-
@@ -457,12 +457,12 @@ func (c *VConn) checksumWindow(exts []*mbuf.Ext, winBytes int) error {
 // stall retries and unwires only on hard failure or abort.
 func (c *VConn) mapWindow(pages []*vm.Page) ([]*mbuf.Ext, error) {
 	k := c.srv.St.K
-	bufs, rel, err := c.sw.MapExtent(c.ctx, pages, sfbuf.NoWait)
+	ext, err := c.sw.MapExtent(c.ctx, pages, sfbuf.NoWait)
 	exts := c.srv.exts[:0]
 	if err == nil {
-		unref := rel.Unref // one method value for the window, not one per page
-		for j := range bufs {
-			exts = append(exts, c.srv.newExt(bufs[j], pages[j], unref))
+		unref := ext.Unref // one method value for the window, not one per page
+		for j, b := range ext.Bufs() {
+			exts = append(exts, c.srv.newExt(b, pages[j], unref))
 		}
 		c.srv.exts = exts
 		return exts, nil
@@ -629,7 +629,7 @@ func (c *VConn) releaseCovered() {
 
 // Abort tears the connection down mid-send: every transmitted-but-
 // unacknowledged and staged-but-unsent segment is released exactly once,
-// unwinding RunRelease references so the windows' FreeRun/FreeBatch fire
+// unwinding send-extent references so the windows' unmaps fire
 // and the ledger balances.  Idempotent; late ACKs and timers observe
 // closed and do nothing.
 func (c *VConn) Abort() {

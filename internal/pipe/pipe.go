@@ -48,21 +48,13 @@ type directWindow struct {
 	n        int  // bytes remaining
 	consumed bool // reader drained the window completely
 
-	// Batch-mapping state (original kernel path): the whole window is
-	// mapped at once with pmap_qenter semantics and released with one
-	// ranged invalidation.
-	bufs    []*sfbuf.Buf
+	// ext maps the whole window at once — a contiguous run or a vectored
+	// batch, the pipe consumer's decision, observed once on the first
+	// read — and pageIdx is the read position's page within it.  perPage
+	// marks a window the handle declined, read page by page instead.
+	ext     kernel.Extent
 	pageIdx int
-
-	// Contiguous-run state: the whole window mapped as one VA run, so
-	// the reader's copies cross page boundaries under ranged translation
-	// instead of re-translating per page.
-	run *sfbuf.Run
-
-	// Contiguity decision for this window, made (and observed by the
-	// pipe's policy consumer) once, on the first read.
-	useRun  bool
-	decided bool
+	perPage bool
 }
 
 // Pipe is one unidirectional pipe.
@@ -118,15 +110,11 @@ func (p *Pipe) Close() {
 	p.closed = true
 	if p.direct != nil {
 		// Tear down whatever the reader has not yet consumed; already
-		// consumed pages were unwired as the reader advanced.  Batch
-		// mappings are released on CPU 0's behalf (process teardown).
-		if p.direct.bufs != nil {
-			p.k.Map.FreeBatch(p.k.Ctx(0), p.direct.bufs)
-			p.direct.bufs = nil
-		}
-		if p.direct.run != nil {
-			p.k.Map.FreeRun(p.k.Ctx(0), p.direct.run)
-			p.direct.run = nil
+		// consumed pages were unwired as the reader advanced.  A window
+		// mapping is released on CPU 0's behalf (process teardown).
+		if p.direct.ext.Mapped() {
+			p.direct.ext.Unmap(p.k.Ctx(0))
+			p.direct.ext = kernel.Extent{}
 		}
 		for _, pg := range p.direct.pages {
 			pg.Unwire()
@@ -285,35 +273,31 @@ func (p *Pipe) Read(ctx *smp.Context, dst []byte) (int, error) {
 }
 
 func (p *Pipe) readDirect(ctx *smp.Context, w *directWindow, dst []byte) (int, error) {
-	// Kernels whose mapper provides contiguous runs map the whole loaned
-	// window as ONE run: a single VA window, installed in one page-table
-	// pass, read under ranged translation so copies cross page
-	// boundaries without re-translating.  Kernels whose mapper merely
-	// batches map it as one vectored request: the original kernel's
-	// per-pipe KVA window + pmap_qenter, the sharded cache's per-shard
-	// batching, the amd64 direct map's free casts.  The paper's
-	// global-lock kernel maps page by page through the ephemeral mapping
-	// interface, exactly as Section 2.1 describes.  A window larger than
-	// the whole mapping cache (ErrBatchTooLarge) falls back to the
-	// per-page path rather than failing the read.  Which multi-page path
-	// serves the window is the pipe consumer's contiguity decision —
-	// static under a pinned Contig policy, learned from observed window
-	// reuse under the adaptive one.
-	if !w.decided {
-		w.decided = true
-		w.useRun = p.contig.UseRuns(ctx, w.pages)
-	}
-	if w.useRun {
-		n, err := p.readDirectRun(ctx, w, dst)
-		if !errors.Is(err, sfbuf.ErrBatchTooLarge) {
-			return n, err
+	// The first read maps the whole loaned window through the pipe's
+	// consumer handle, which decides how: as ONE contiguous run (a single
+	// VA window installed in one page-table pass, read under ranged
+	// translation so copies cross page boundaries without re-translating)
+	// on kernels whose mapper provides runs, as one vectored batch where
+	// the mapper merely batches (the original kernel's per-pipe KVA
+	// window + pmap_qenter, the sharded cache's per-shard batching, the
+	// amd64 direct map's free casts) — static under a pinned Contig
+	// policy, learned from observed window reuse under the adaptive one.
+	// The paper's global-lock kernel, and a window larger than the whole
+	// mapping cache, map page by page through the ephemeral mapping
+	// interface, exactly as Section 2.1 describes.
+	if !w.perPage && !w.ext.Mapped() {
+		ext, err := p.contig.MapExtent(ctx, w.pages, 0)
+		switch {
+		case errors.Is(err, sfbuf.ErrBatchTooLarge):
+			w.perPage = true
+		case err != nil:
+			return 0, fmt.Errorf("pipe: mapping loaned window: %w", err)
+		default:
+			w.ext = ext
 		}
 	}
-	if p.k.Plan.Batch {
-		n, err := p.readDirectBatch(ctx, w, dst)
-		if !errors.Is(err, sfbuf.ErrBatchTooLarge) {
-			return n, err
-		}
+	if !w.perPage {
+		return p.readExtent(ctx, w, dst)
 	}
 	read := 0
 	// "For each physical page, it creates an ephemeral mapping that is
@@ -345,37 +329,24 @@ func (p *Pipe) readDirect(ctx *smp.Context, w *directWindow, dst []byte) (int, e
 		}
 	}
 	if w.n == 0 {
-		// Unwire any straggler page (partial tail).
-		for _, pg := range w.pages {
-			pg.Unwire()
-			ctx.Charge(ctx.Cost().PageWire)
-		}
-		w.pages = nil
-		p.finishWindow(w)
+		p.unwireWindow(ctx, w)
 	}
 	return read, nil
 }
 
-// readDirectBatch is the vectored window path: map the whole window with
-// one AllocBatch, copy out of the buffer vector as the reader drains, and
-// unmap everything with one FreeBatch (one ranged invalidation on the
-// original kernel, one batched teardown on the sharded cache) when the
-// window is consumed.  Shared, not Private, for the same reason as
-// readDirectRun: the batch outlives one Read call, so a reader migrating
-// CPUs between reads must stay inside the teardown's shootdown mask.
-func (p *Pipe) readDirectBatch(ctx *smp.Context, w *directWindow, dst []byte) (int, error) {
-	if w.bufs == nil {
-		bufs, err := p.k.Map.AllocBatch(ctx, w.pages, 0)
-		if err != nil {
-			return 0, fmt.Errorf("pipe: batch-mapping loaned window: %w", err)
-		}
-		w.bufs = bufs
-	}
+// readExtent drains a mapped window as the reader asks for it and unmaps
+// it whole — one FreeRun, whose shootdown debt launders with other runs',
+// or one FreeBatch — once it is consumed.  The mapping is SHARED, not
+// Private: unlike the per-page path, whose private mapping lives and dies
+// inside one Read call on one CPU, the window persists across Read calls,
+// and a reader that migrates CPUs between reads would otherwise fill a
+// TLB the private teardown mask never shoots down.
+func (p *Pipe) readExtent(ctx *smp.Context, w *directWindow, dst []byte) (int, error) {
 	read := 0
 	if len(dst) > 0 && w.n > 0 {
 		read = min(len(dst), w.n)
 		off := w.pageIdx*vm.PageSize + w.off
-		if err := kcopy.CopyOutVec(ctx, p.k.Pmap, dst[:read], w.bufs, off); err != nil {
+		if err := w.ext.CopyOut(ctx, dst[:read], off); err != nil {
 			return 0, err
 		}
 		off += read
@@ -383,60 +354,22 @@ func (p *Pipe) readDirectBatch(ctx *smp.Context, w *directWindow, dst []byte) (i
 		w.n -= read
 	}
 	if w.n == 0 {
-		p.k.Map.FreeBatch(ctx, w.bufs)
-		w.bufs = nil
-		for _, pg := range w.pages {
-			pg.Unwire()
-			ctx.Charge(ctx.Cost().PageWire)
-		}
-		w.pages = nil
-		p.finishWindow(w)
+		w.ext.Unmap(ctx)
+		w.ext = kernel.Extent{}
+		p.unwireWindow(ctx, w)
 	}
 	return read, nil
 }
 
-// readDirectRun is the contiguous-run window path: map the whole window
-// with one AllocRun, drain it with ranged-translate copies, and tear
-// everything down with one FreeRun — one bulk page-table pass whose
-// shootdown debt launders with other runs' — when the window is
-// consumed.  The mapping is SHARED, not Private: unlike the per-page
-// path, whose private mapping lives and dies inside one Read call on one
-// CPU, this window persists across Read calls, and a reader that
-// migrates CPUs between reads would otherwise fill a TLB the private
-// teardown mask never shoots down.
-func (p *Pipe) readDirectRun(ctx *smp.Context, w *directWindow, dst []byte) (int, error) {
-	if w.run == nil {
-		run, err := p.k.Map.AllocRun(ctx, w.pages, 0)
-		if err != nil {
-			if errors.Is(err, sfbuf.ErrBatchTooLarge) {
-				return 0, err
-			}
-			return 0, fmt.Errorf("pipe: run-mapping loaned window: %w", err)
-		}
-		w.run = run
+// unwireWindow unwires a drained window's remaining pages and hands the
+// window back to the writer.
+func (p *Pipe) unwireWindow(ctx *smp.Context, w *directWindow) {
+	for _, pg := range w.pages {
+		pg.Unwire()
+		ctx.Charge(ctx.Cost().PageWire)
 	}
-	read := 0
-	if len(dst) > 0 && w.n > 0 {
-		read = min(len(dst), w.n)
-		off := w.pageIdx*vm.PageSize + w.off
-		if err := kcopy.CopyOutRun(ctx, p.k.Pmap, dst[:read], w.run, off); err != nil {
-			return 0, err
-		}
-		off += read
-		w.pageIdx, w.off = off/vm.PageSize, off%vm.PageSize
-		w.n -= read
-	}
-	if w.n == 0 {
-		p.k.Map.FreeRun(ctx, w.run)
-		w.run = nil
-		for _, pg := range w.pages {
-			pg.Unwire()
-			ctx.Charge(ctx.Cost().PageWire)
-		}
-		w.pages = nil
-		p.finishWindow(w)
-	}
-	return read, nil
+	w.pages = nil
+	p.finishWindow(w)
 }
 
 // finishWindow marks a direct window consumed and wakes the writer.

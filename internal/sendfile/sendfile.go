@@ -19,7 +19,7 @@ import (
 )
 
 // VectoredRun is the historical fixed cap on how many file pages one
-// AllocBatch maps ahead of transmission on the vectored path.  It is now
+// window maps ahead of transmission on the windowed path.  It is now
 // the DEFAULT window only: each connection carries a kernel.SendWindow
 // that sizes windows from the connection's observed ACK cadence on
 // adaptive kernels (kernel.DefaultSendWindowPages == VectoredRun, so
@@ -35,24 +35,23 @@ const VectoredRun = kernel.DefaultSendWindowPages
 // acknowledgment inside the connection.
 //
 // On kernels whose mapper batches natively the pages are mapped in
-// windows (one AllocRun or AllocBatch per window, released when the
-// window's last byte is acknowledged); which of the two each window
-// takes is the sendfile consumer's contiguity decision — static under a
-// pinned Contig policy, learned per window from the file extents'
-// observed reuse under the adaptive one.  Packetization is unchanged
-// either way, so the network-side costs are identical and only the
-// mapping-side lock, walk and shootdown economy differs.  The original
-// kernel keeps the historical per-page allocation its evaluation
-// baselines measured.
+// windows (one send extent per window, a contiguous run or a vectored
+// batch, released when the window's last byte is acknowledged); which
+// of the two each window takes is the sendfile consumer's contiguity
+// decision — static under a pinned Contig policy, learned per window
+// from the file extents' observed reuse under the adaptive one.
+// Packetization is unchanged either way, so the network-side costs are
+// identical and only the mapping-side lock, walk and shootdown economy
+// differs.  The original kernel keeps the historical per-page allocation
+// its evaluation baselines measured.
 func SendFile(ctx *smp.Context, k *kernel.Kernel, fsys *fs.FS, conn *netstack.Conn, name string) (int64, error) {
 	size, err := fsys.Size(ctx, name)
 	if err != nil {
 		return 0, err
 	}
 	ctx.Charge(ctx.Cost().Syscall)
-	if k.Plan.Runs || k.Plan.BatchSend {
-		return sendFileWindowed(ctx, k, fsys, conn, name, size,
-			k.Consumer("sendfile").MapSendExtent)
+	if k.WindowedSend() {
+		return sendFileWindowed(ctx, k, fsys, conn, name, size)
 	}
 	var sent int64
 	for off := int64(0); off < size; {
@@ -86,21 +85,15 @@ func SendFile(ctx *smp.Context, k *kernel.Kernel, fsys *fs.FS, conn *netstack.Co
 	return sent, nil
 }
 
-// windowMapper maps one wired page run for a windowed send, returning
-// the per-page buffers to attach and the shared release state (one
-// reference per page, the last drop unmapping the whole window).  It
-// returns sfbuf.ErrBatchTooLarge unwrapped when the run exceeds the
-// mapping cache, which sends the window through the per-page fallback.
-type windowMapper func(ctx *smp.Context, pages []*vm.Page) ([]*sfbuf.Buf, *mbuf.RunRelease, error)
-
-// sendFileWindowed is the shared windowed-send loop behind the vectored
-// and contiguous-run paths: resolve and wire a run of file pages, map
-// the run with mapRun, then hand the pages to the socket one chain per
-// page exactly as the per-page path does.  Each page's release on
-// acknowledgment drops one run reference; the last drop unmaps the whole
-// window.  A window wider than the whole mapping cache falls back to
+// sendFileWindowed is the windowed-send loop: resolve and wire a run of
+// file pages, map it as one send extent through the sendfile consumer,
+// then hand the pages to the socket one chain per page exactly as the
+// per-page path does.  Each page's release on acknowledgment drops one
+// extent reference; the last drop unmaps the whole window.  A window the
+// consumer declines — wider than the whole mapping cache — falls back to
 // per-page mappings rather than failing the send.
-func sendFileWindowed(ctx *smp.Context, k *kernel.Kernel, fsys *fs.FS, conn *netstack.Conn, name string, size int64, mapRun windowMapper) (int64, error) {
+func sendFileWindowed(ctx *smp.Context, k *kernel.Kernel, fsys *fs.FS, conn *netstack.Conn, name string, size int64) (int64, error) {
+	cons := k.Consumer("sendfile")
 	var sent int64
 	for off := int64(0); off < size; {
 		pi := int(off / vm.PageSize)
@@ -127,7 +120,7 @@ func sendFileWindowed(ctx *smp.Context, k *kernel.Kernel, fsys *fs.FS, conn *net
 			ctx.Charge(ctx.Cost().PageWire)
 			pages = append(pages, pg)
 		}
-		bufs, rel, err := mapRun(ctx, pages)
+		ext, err := cons.MapSendExtent(ctx, pages)
 		if errors.Is(err, sfbuf.ErrBatchTooLarge) {
 			// The run exceeds the whole mapping cache: send these pages
 			// one mapping at a time, exactly as the per-page path does.
@@ -163,15 +156,16 @@ func sendFileWindowed(ctx *smp.Context, k *kernel.Kernel, fsys *fs.FS, conn *net
 			unwire()
 			return sent, fmt.Errorf("sendfile: window-mapping run: %w", err)
 		}
+		bufs, unref := ext.Bufs(), ext.Unref
 		for j := range bufs {
 			po := int(off % vm.PageSize)
 			take := int(min64(vm.PageSize-int64(po), size-off))
 			chain := &mbuf.Chain{}
-			chain.Append(mbuf.NewExtMbuf(mbuf.NewExt(bufs[j], pages[j], rel.Unref), po, take))
+			chain.Append(mbuf.NewExtMbuf(mbuf.NewExt(bufs[j], pages[j], unref), po, take))
 			if err := conn.SendChain(ctx, chain); err != nil {
 				// The failed chain released its own reference; drop the
-				// ones the unsent remainder of the run still holds.
-				rel.Drop(ctx, len(bufs)-j-1)
+				// ones the unsent remainder of the window still holds.
+				ext.Drop(ctx, len(bufs)-j-1)
 				return sent, err
 			}
 			off += int64(take)

@@ -299,6 +299,22 @@ func (c *cache) allocBatch(ctx *smp.Context, pages []*vm.Page, flags Flags) ([]*
 	if len(pages) > c.total {
 		return nil, ErrBatchTooLarge
 	}
+	bufs, err := c.allocEach(ctx, pages, flags)
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	c.stats.BatchAllocs++
+	c.stats.BatchPages += uint64(len(pages))
+	c.mu.Unlock()
+	return bufs, nil
+}
+
+// allocEach maps pages with one alloc each, in order.  On failure it
+// frees the prefix it mapped — charged as those frees always were — and
+// uncounts it, so a failed batch or run moves only WouldBlock (and the
+// prefix's Hits/Misses), the Stats ledger rule.
+func (c *cache) allocEach(ctx *smp.Context, pages []*vm.Page, flags Flags) ([]*Buf, error) {
 	bufs := make([]*Buf, 0, len(pages))
 	for _, pg := range pages {
 		b, err := c.alloc(ctx, pg, flags)
@@ -306,14 +322,14 @@ func (c *cache) allocBatch(ctx *smp.Context, pages []*vm.Page, flags Flags) ([]*
 			for _, prev := range bufs {
 				c.free(ctx, prev)
 			}
+			c.mu.Lock()
+			c.stats.Allocs -= uint64(len(bufs))
+			c.stats.Frees -= uint64(len(bufs))
+			c.mu.Unlock()
 			return nil, err
 		}
 		bufs = append(bufs, b)
 	}
-	c.mu.Lock()
-	c.stats.BatchAllocs++
-	c.stats.BatchPages += uint64(len(pages))
-	c.mu.Unlock()
 	return bufs, nil
 }
 
@@ -347,16 +363,9 @@ func (c *cache) allocRun(ctx *smp.Context, pages []*vm.Page, flags Flags) (*Run,
 	if len(pages) > c.total {
 		return nil, ErrBatchTooLarge
 	}
-	bufs := make([]*Buf, 0, len(pages))
-	for _, pg := range pages {
-		b, err := c.alloc(ctx, pg, flags)
-		if err != nil {
-			for _, prev := range bufs {
-				c.free(ctx, prev)
-			}
-			return nil, err
-		}
-		bufs = append(bufs, b)
+	bufs, err := c.allocEach(ctx, pages, flags)
+	if err != nil {
+		return nil, err
 	}
 	c.mu.Lock()
 	c.stats.RunAllocs++

@@ -307,37 +307,3 @@ func runBatchOpsTrace(t *testing.T, data []byte) {
 func TestAllocLedgerRegression(t *testing.T) {
 	runBatchOpsTrace(t, []byte("1a1C0700000000"))
 }
-
-// TestAllocLedgerSymmetry pins the rule on every failure shape against
-// the sharded engine: failed NoWait singles, batches, and runs count in
-// WouldBlock only.
-func TestAllocLedgerSymmetry(t *testing.T) {
-	r := newShardedRig(t, arch.XeonMP(), 4, ShardedConfig{})
-	ctx := r.m.Ctx(0)
-	pages := allocPages(t, r.m, 4)
-	held, err := r.sf.AllocBatch(ctx, pages, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := allocPages(t, r.m, 2)
-	if _, err := r.sf.Alloc(ctx, fresh[0], NoWait); !errors.Is(err, ErrWouldBlock) {
-		t.Fatalf("single = %v, want ErrWouldBlock", err)
-	}
-	if _, err := r.sf.AllocBatch(ctx, fresh, NoWait); !errors.Is(err, ErrWouldBlock) {
-		t.Fatalf("batch = %v, want ErrWouldBlock", err)
-	}
-	if _, err := r.sf.AllocRun(ctx, fresh, NoWait); !errors.Is(err, ErrWouldBlock) {
-		t.Fatalf("run = %v, want ErrWouldBlock", err)
-	}
-	st := r.sf.Stats()
-	if st.Allocs != 4 {
-		t.Errorf("Allocs = %d, want 4: failed attempts must not count", st.Allocs)
-	}
-	if st.WouldBlock != 3 {
-		t.Errorf("WouldBlock = %d, want 3", st.WouldBlock)
-	}
-	r.sf.FreeBatch(ctx, held)
-	if st := r.sf.Stats(); st.Allocs != st.Frees {
-		t.Errorf("allocs %d != frees %d after drain", st.Allocs, st.Frees)
-	}
-}

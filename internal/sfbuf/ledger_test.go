@@ -1,13 +1,138 @@
 package sfbuf
 
 import (
+	"errors"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"sfbuf/internal/arch"
+	"sfbuf/internal/kva"
+	"sfbuf/internal/pmap"
+	"sfbuf/internal/smp"
 	"sfbuf/internal/vm"
 )
+
+// TestAllocLedgerSymmetry pins the ledger rule on every engine that can
+// run out: a failed NoWait single, batch or run counts only in WouldBlock.
+// Each rig holds mappings until exactly one buffer the batch needs is
+// left, so the batch and run fail mid-way — the sparc64 hybrid's after its
+// direct page and another color's sub-batch are already mapped — and must
+// unwind without touching Allocs, Frees or the batch and run counters.
+// The event counters record work the failed attempt really did (hits,
+// misses, freelist hits, reclaim rounds, VA-allocator trips) and may move.
+func TestAllocLedgerSymmetry(t *testing.T) {
+	type rig struct {
+		name string
+		m    *smp.Machine
+		sf   Mapper
+		held []*vm.Page // mapped and held, leaving one buffer try needs
+		try  []*vm.Page // a batch whose last page finds no buffer
+	}
+	i386 := func(name string, entries int, sharded bool) rig {
+		m := smp.NewMachine(arch.XeonMP(), 64, true)
+		pm := pmap.New(m)
+		arena := kva.NewArena(pmap.KVABaseI386, pmap.KVASizeI386)
+		sf, err := NewI386(m, pm, arena, entries)
+		if sharded {
+			sf, err = NewI386Sharded(m, pm, arena, entries, ShardedConfig{})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		pages := allocPages(t, m, entries+1)
+		return rig{name, m, sf, pages[:entries-1], pages[entries-1:]}
+	}
+	original := func(name string, p arch.Platform) rig {
+		m := smp.NewMachine(p, 64, true)
+		// A three-page arena: two held mappings leave one address.
+		sf := NewOriginal(m, pmap.New(m), kva.NewArena(pmap.KVABaseI386, 3*vm.PageSize))
+		pages := allocPages(t, m, 4)
+		return rig{name, m, sf, pages[:2], pages[2:]}
+	}
+	sparc := func(name string, sharded bool) rig {
+		m := smp.NewMachine(arch.Sparc64MP(), 64, true)
+		pm := pmap.New(m)
+		arena := kva.NewArena(pmap.KVABaseAMD64, pmap.KVASizeAMD64)
+		sf, err := NewSparc64(m, pm, arena, 2, 2)
+		if sharded {
+			sf, err = NewSparc64Sharded(m, pm, arena, 2, 2, ShardedConfig{})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		// colored(c) is a page whose user mapping needs color c's cache.
+		colored := func(c int) *vm.Page {
+			pg := allocPages(t, m, 1)[0]
+			pg.UserColor = c
+			for sf.pageColor(pg) == c {
+				pg = allocPages(t, m, 1)[0]
+				pg.UserColor = c
+			}
+			return pg
+		}
+		direct := allocPages(t, m, 1)[0]
+		return rig{name, m, sf, []*vm.Page{colored(1)},
+			[]*vm.Page{direct, colored(0), colored(1), colored(1)}}
+	}
+	rigs := []rig{
+		i386("global", 2, false),
+		i386("sharded", 4, true),
+		original("original-i386", arch.XeonMP()),
+		original("original-amd64", arch.OpteronMP()),
+		sparc("sparc64-global", false),
+		sparc("sparc64-sharded", true),
+	}
+	for _, r := range rigs {
+		t.Run(r.name, func(t *testing.T) {
+			ctx := r.m.Ctx(0)
+			var held []*Buf
+			for _, pg := range r.held {
+				b, err := r.sf.Alloc(ctx, pg, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				held = append(held, b)
+			}
+			before := r.sf.Stats()
+			if _, err := r.sf.AllocBatch(ctx, r.try, NoWait); !errors.Is(err, ErrWouldBlock) {
+				t.Fatalf("batch = %v, want ErrWouldBlock", err)
+			}
+			if _, err := r.sf.AllocRun(ctx, r.try, NoWait); !errors.Is(err, ErrWouldBlock) {
+				t.Fatalf("run = %v, want ErrWouldBlock", err)
+			}
+			st := r.sf.Stats()
+			want := before
+			want.WouldBlock += 2
+			want.Hits, want.Misses, want.FreelistAllocs = st.Hits, st.Misses, st.FreelistAllocs
+			want.Reclaims, want.Reclaimed, want.VAAllocs = st.Reclaims, st.Reclaimed, st.VAAllocs
+			if st != want {
+				t.Errorf("after failed batch and run:\n got  %+v\n want %+v", st, want)
+			}
+			// A single fails the same way once the last buffer is taken.
+			n := len(r.try)
+			b, err := r.sf.Alloc(ctx, r.try[n-2], 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			held = append(held, b)
+			if _, err := r.sf.Alloc(ctx, r.try[n-1], NoWait); !errors.Is(err, ErrWouldBlock) {
+				t.Fatalf("single = %v, want ErrWouldBlock", err)
+			}
+			st = r.sf.Stats()
+			if st.Allocs != before.Allocs+1 || st.WouldBlock != before.WouldBlock+3 {
+				t.Errorf("Allocs %d, WouldBlock %d: want %d, %d",
+					st.Allocs, st.WouldBlock, before.Allocs+1, before.WouldBlock+3)
+			}
+			for _, b := range held {
+				r.sf.Free(ctx, b)
+			}
+			if st := r.sf.Stats(); st.Allocs != st.Frees {
+				t.Errorf("allocs %d != frees %d after drain", st.Allocs, st.Frees)
+			}
+		})
+	}
+}
 
 // TestStatsLedgerAcrossShards pins the statistics now that each lock
 // keeps its own share of them (shards, freelists, the pool, the run

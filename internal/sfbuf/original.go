@@ -103,9 +103,15 @@ func (o *Original) AllocBatch(ctx *smp.Context, pages []*vm.Page, flags Flags) (
 		for _, pg := range pages {
 			b, err := o.Alloc(ctx, pg, flags)
 			if err != nil {
+				// Unwind the prefix; a failed batch counts only in
+				// WouldBlock (and the prefix's Misses and VAAllocs).
 				for _, prev := range bufs {
 					o.Free(ctx, prev)
 				}
+				o.mu.Lock()
+				o.stats.Allocs -= uint64(len(bufs))
+				o.stats.Frees -= uint64(len(bufs))
+				o.mu.Unlock()
 				return nil, err
 			}
 			bufs = append(bufs, b)

@@ -178,7 +178,9 @@ func (r *Run) Bufs() []*Buf {
 // Ledger semantics: Allocs counts pages successfully mapped — by Alloc,
 // AllocBatch, or AllocRun — and Frees pages released, so Allocs == Frees
 // after a drain.  A failed NoWait attempt counts only in WouldBlock,
-// whether it was a single page, a batch, or a run.  (The seed counted
+// whether it was a single page, a batch, or a run — on every engine, even
+// when a batch fails mid-way and unwinds the pages it had mapped (their
+// hits, misses and other events still count).  (The seed counted
 // failed single-page NoWait attempts in Allocs but failed batches not at
 // all; FuzzBatchOps caught the asymmetry and this is the unified rule.)
 type Stats struct {

@@ -43,6 +43,10 @@ type Sparc64 struct {
 	runAllocs atomic.Uint64
 	runFrees  atomic.Uint64
 	runPages  atomic.Uint64
+
+	// undone counts color-engine pages a failed AllocBatch mapped and
+	// unwound; Stats takes them back out of the engines' Allocs and Frees.
+	undone atomic.Uint64
 }
 
 var _ Mapper = (*Sparc64)(nil)
@@ -137,15 +141,14 @@ func (s *Sparc64) AllocBatch(ctx *smp.Context, pages []*vm.Page, flags Flags) ([
 	if len(pages) == 0 {
 		return nil, nil
 	}
-	s.batchAllocs.Add(1)
-	s.batchPages.Add(uint64(len(pages)))
 	bufs := make([]*Buf, len(pages))
 	byColor := make([][]int, s.numColors)
+	direct := 0
 	for i, pg := range pages {
 		want := pg.UserColor
 		if want < 0 || want == s.pageColor(pg) {
-			s.directAllocs.Add(1)
 			bufs[i] = &Buf{kva: s.pm.DirectVA(pg), page: pg}
+			direct++
 			continue
 		}
 		c := want % s.numColors
@@ -161,30 +164,43 @@ func (s *Sparc64) AllocBatch(ctx *smp.Context, pages []*vm.Page, flags Flags) ([
 		}
 		got, err := s.colors[color].allocBatch(ctx, sub, flags)
 		if err != nil {
-			// Unwind the colors (and direct casts) already resolved.
+			// Unwind the colors already resolved, charged as the frees
+			// they are.  A failed batch counts only in WouldBlock (and
+			// the cores' Hits/Misses), so the undone pages are taken back
+			// out of the cores' Allocs and Frees.
 			var undo []*Buf
 			for _, b := range bufs {
-				if b != nil {
+				if b != nil && b.home != nil {
 					undo = append(undo, b)
 				}
 			}
-			s.FreeBatch(ctx, undo)
+			s.freeByCore(ctx, undo)
+			s.undone.Add(uint64(len(undo)))
 			return nil, err
 		}
 		for j, idx := range idxs {
 			bufs[idx] = got[j]
 		}
 	}
+	s.directAllocs.Add(uint64(direct))
+	s.batchAllocs.Add(1)
+	s.batchPages.Add(uint64(len(pages)))
 	return bufs, nil
 }
 
-// FreeBatch releases a vectored batch, grouping the buffers by owning
-// color engine so each engine sees its share as one batch.
+// FreeBatch releases a vectored batch.
 func (s *Sparc64) FreeBatch(ctx *smp.Context, bufs []*Buf) {
 	if len(bufs) == 0 {
 		return
 	}
 	s.batchFrees.Add(1)
+	s.directFrees.Add(uint64(s.freeByCore(ctx, bufs)))
+}
+
+// freeByCore releases bufs grouped by owning color engine, so each engine
+// sees its share as one batch, and returns how many were direct-map casts
+// (which need no release).
+func (s *Sparc64) freeByCore(ctx *smp.Context, bufs []*Buf) (direct int) {
 	type group struct {
 		home mapCore
 		bufs []*Buf
@@ -193,7 +209,7 @@ func (s *Sparc64) FreeBatch(ctx *smp.Context, bufs []*Buf) {
 	pos := make(map[mapCore]int)
 	for _, b := range bufs {
 		if b.home == nil {
-			s.directFrees.Add(1)
+			direct++
 			continue
 		}
 		gi, ok := pos[b.home]
@@ -207,6 +223,7 @@ func (s *Sparc64) FreeBatch(ctx *smp.Context, bufs []*Buf) {
 	for _, g := range groups {
 		g.home.freeBatch(ctx, g.bufs)
 	}
+	return direct
 }
 
 // AllocRun implements the contiguous-run alloc for the hybrid.  A run is
@@ -306,10 +323,10 @@ func (s *Sparc64) Stats() Stats {
 	t.RunAllocs = s.runAllocs.Load()
 	t.RunFrees = s.runFrees.Load()
 	t.RunPages = s.runPages.Load()
-	d := s.directAllocs.Load()
-	t.Allocs += d
+	d, u := s.directAllocs.Load(), s.undone.Load()
+	t.Allocs += d - u
 	t.Hits += d
-	t.Frees += s.directFrees.Load()
+	t.Frees += s.directFrees.Load() - u
 	return t
 }
 
@@ -326,6 +343,7 @@ func (s *Sparc64) ResetStats() {
 	s.runAllocs.Store(0)
 	s.runFrees.Store(0)
 	s.runPages.Store(0)
+	s.undone.Store(0)
 }
 
 // NumColors returns the configured color count.

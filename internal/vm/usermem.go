@@ -96,9 +96,7 @@ func (u *UserMem) ReadAt(off int, dst []byte) error {
 		if d := p.Data(); d != nil {
 			copy(dst[:n], d[po:po+n])
 		} else {
-			for i := 0; i < n; i++ {
-				dst[i] = 0
-			}
+			clear(dst[:n])
 		}
 		dst = dst[n:]
 		off += n

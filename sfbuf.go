@@ -120,6 +120,10 @@ type (
 	// pinned policies, self-tuning per window-size epoch under the
 	// adaptive one.
 	MapConsumer = kernel.MapConsumer
+	// Extent is one multi-page window a consumer handle mapped as a
+	// contiguous run or a vectored batch (MapConsumer.MapExtent): copy
+	// through it with CopyIn/CopyOut, release it with Unmap.
+	Extent = kernel.Extent
 	// PolicyStats snapshots one consumer's adaptive-policy state
 	// (mode, reuse EWMAs, flips) as reported by Kernel.PolicyStats.
 	PolicyStats = kernel.PolicyStats
