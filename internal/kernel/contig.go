@@ -92,10 +92,13 @@ type MapConsumer struct {
 
 	mu      sync.Mutex
 	classes [contigClassCount]contigClass
-	// Recency trackers, shared across size classes: logical clocks keyed
-	// by frame (pageSeen) and by extent signature (extSeen).
-	pageSeen  map[uint64]uint64
-	extSeen   map[uint64]uint64
+	// Recency trackers, shared across size classes.  pageSeen is indexed
+	// by frame and holds the page clock of the frame's last observation
+	// plus one (0: never observed).  extSeen holds the signatures of the
+	// last extentRecentWindow extents, observation i in slot
+	// i%extentRecentWindow: the only ones the recency test can match.
+	pageSeen  []uint64
+	extSeen   [extentRecentWindow]uint64
 	pageClock uint64
 	extClock  uint64
 
@@ -167,8 +170,7 @@ func (k *Kernel) Consumer(name string) *MapConsumer {
 		for i := range c.classes {
 			c.classes[i].run = true // historical Auto behaviour until observed
 		}
-		c.pageSeen = make(map[uint64]uint64)
-		c.extSeen = make(map[uint64]uint64)
+		c.pageSeen = make([]uint64, k.M.Phys.Frames()+1)
 	}
 	k.consumers[name] = c
 	return c
@@ -259,26 +261,29 @@ func (c *MapConsumer) observe(cl *contigClass, pages []*vm.Page) (sig uint64, ho
 	seen := 0
 	for _, pg := range pages {
 		f := pg.Frame()
-		if at, ok := c.pageSeen[f]; ok && c.pageClock-at <= c.pageWindow {
+		if at := c.pageSeen[f]; at != 0 && c.pageClock-(at-1) <= c.pageWindow {
 			seen++
 		}
-		c.pageSeen[f] = c.pageClock
 		c.pageClock++
+		c.pageSeen[f] = c.pageClock
 	}
 	pageReuse := float64(seen) / float64(len(pages))
 
 	// vm.ExtentID keys the logical extent: on a pool that never migrates
-	// it is exactly sfbuf.ExtentHash, the page-set window cache's own
-	// revive key, so "extent reuse high" predicts "revives will hit" by
+	// it hashes exactly the frame sequence the page-set window cache
+	// revives by, so "extent reuse high" predicts "revives will hit" by
 	// construction — and when migration moves an extent's frames (the
 	// tier keeper's promotions, defragmentation), the identity follows
 	// the pages, exactly as the remapped-in-place parked window does.
 	sig = vm.ExtentID(pages)
 	extReuse := 0.0
-	if at, ok := c.extSeen[sig]; ok && c.extClock-at <= extentRecentWindow {
-		extReuse = 1.0
+	for _, seen := range c.extSeen[:min(c.extClock, extentRecentWindow)] {
+		if seen == sig {
+			extReuse = 1.0
+			break
+		}
 	}
-	c.extSeen[sig] = c.extClock
+	c.extSeen[c.extClock%extentRecentWindow] = sig
 	c.extClock++
 
 	cl.pageEWMA += adaptiveAlpha * (pageReuse - cl.pageEWMA)
@@ -295,29 +300,8 @@ func (c *MapConsumer) observe(cl *contigClass, pages []*vm.Page) (sig uint64, ho
 			cl.flips++
 		}
 	}
-	c.pruneLocked()
 	hot = extReuse > 0 && cl.extEWMA >= tierHotEWMA
 	return sig, hot
-}
-
-// pruneLocked bounds the recency maps: entries older than their windows
-// are dropped once a map grows past a small multiple of its window, so
-// steady-state tracking stays O(working set), not O(history).
-func (c *MapConsumer) pruneLocked() {
-	if uint64(len(c.pageSeen)) > 4*c.pageWindow {
-		for f, at := range c.pageSeen {
-			if c.pageClock-at > c.pageWindow {
-				delete(c.pageSeen, f)
-			}
-		}
-	}
-	if len(c.extSeen) > 4*extentRecentWindow {
-		for s, at := range c.extSeen {
-			if c.extClock-at > extentRecentWindow {
-				delete(c.extSeen, s)
-			}
-		}
-	}
 }
 
 // tierCounts snapshots the consumer's tier placement counters (pages

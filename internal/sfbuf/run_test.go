@@ -284,6 +284,127 @@ func TestRunReviveRequiresExactExtent(t *testing.T) {
 	}
 }
 
+// TestRunHandleOwnership: a window-backed run's page slice lives in its
+// window, so it must never alias the caller's slice or another live run's,
+// a freed run must read as empty, and a second FreeRun of a freed run must
+// still panic after its window has been revived for another run.
+func TestRunHandleOwnership(t *testing.T) {
+	r := newShardedRig(t, arch.XeonMPHTT(), 32, ShardedConfig{})
+	ctx := r.m.Ctx(0)
+	pages := allocPages(t, r.m, 8)
+	other := allocPages(t, r.m, 8)
+	aliases := func(a, b []*vm.Page) bool {
+		for i := range a {
+			for j := range b {
+				if &a[i] == &b[j] {
+					return true
+				}
+			}
+		}
+		return false
+	}
+
+	first, err := r.sf.AllocRun(ctx, pages, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := r.sf.AllocRun(ctx, other, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if aliases(first.Pages(), pages) || aliases(first.Pages(), second.Pages()) || aliases(second.Pages(), other) {
+		t.Fatal("a live run's pages alias the caller's slice or another run's")
+	}
+	base := first.Base()
+	r.sf.FreeRun(ctx, first)
+	if first.Len() != 0 || len(first.Pages()) != 0 {
+		t.Fatalf("freed run still reports %d pages", len(first.Pages()))
+	}
+
+	revived, err := r.sf.AllocRun(ctx, pages, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if revived.Base() != base || r.sf.Stats().RunRevives != 1 {
+		t.Fatalf("the repeat did not revive the freed run's window (base %#x, want %#x)", revived.Base(), base)
+	}
+	if aliases(revived.Pages(), pages) || aliases(revived.Pages(), second.Pages()) {
+		t.Fatal("the revived run's pages alias the caller's slice or another run's")
+	}
+	for i, pg := range revived.Pages() {
+		if pg != pages[i] {
+			t.Fatalf("revived run page %d is not the requested page", i)
+		}
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a second FreeRun of a freed run did not panic after its window was revived")
+			}
+		}()
+		r.sf.FreeRun(ctx, first)
+	}()
+	r.sf.FreeRun(ctx, revived)
+	r.sf.FreeRun(ctx, second)
+	if st := r.sf.Stats(); st.Allocs != st.Frees || st.RunFrees != 3 {
+		t.Fatalf("after the drain: %+v", st)
+	}
+}
+
+// TestReviveTakesFirstKeyed pins which of several parked windows for the
+// same extent a revive takes: the one whose revive key was set first, by
+// its park or by the migration rekey that made it match, which is not
+// always the one parked first.
+func TestReviveTakesFirstKeyed(t *testing.T) {
+	r := newShardedRig(t, arch.XeonMPHTT(), 32, ShardedConfig{})
+	ctx := r.m.Ctx(0)
+	pages := allocPages(t, r.m, 4)
+	spare := allocPages(t, r.m, 1)[0]
+	alloc := func(ext []*vm.Page) *Run {
+		t.Helper()
+		run, err := r.sf.AllocRun(ctx, ext, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return run
+	}
+
+	// Two live runs over one extent park two windows for it.
+	a, b := alloc(pages), alloc(pages)
+	aBase := a.Base()
+	r.sf.FreeRun(ctx, a)
+	r.sf.FreeRun(ctx, b)
+	if got := alloc(pages); got.Base() != aBase {
+		t.Fatalf("revived %#x, want the window parked first (%#x)", got.Base(), aBase)
+	} else {
+		r.sf.FreeRun(ctx, got)
+	}
+	r.sf.LaunderRunWindows(ctx)
+
+	// Park the extent, then one that differs in its first frame.  Moving
+	// page 0 to that frame rekeys the first window to match the second,
+	// which was keyed for those frames earlier.
+	alt := append([]*vm.Page{spare}, pages[1:]...)
+	a, b = alloc(pages), alloc(alt)
+	bBase := b.Base()
+	r.sf.FreeRun(ctx, a)
+	r.sf.FreeRun(ctx, b)
+	old := pages[0].Frame()
+	r.m.Phys.SwapFrames(pages[0], spare)
+	c := r.sf.c.(*shardedCache)
+	c.runs.mu.Lock()
+	remapped := c.runs.remapParkedLocked(ctx, pages[0], old)
+	c.runs.mu.Unlock()
+	if remapped != 1 {
+		t.Fatalf("remapped %d slots, want 1", remapped)
+	}
+	if got := alloc(pages); got.Base() != bBase {
+		t.Fatalf("revived %#x, want the window keyed first (%#x)", got.Base(), bBase)
+	} else {
+		r.sf.FreeRun(ctx, got)
+	}
+}
+
 // TestRunWindowCapacityGauges pins the fragmentation-counter fix: the
 // pool's capacity gauges are recomputed from live state at snapshot
 // time, a parked (revivable) window counts as dirty — never as free

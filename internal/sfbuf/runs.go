@@ -27,7 +27,7 @@ import (
 //
 //   - Reinstallation.  A freed window is NOT torn down immediately: it
 //     parks on the dirty list with its translations still installed,
-//     indexed by the frame extent it maps (the page set).  An AllocRun
+//     keyed by the frame extent it maps (the page set).  An AllocRun
 //     over the same extent REVIVES the parked window exactly as the
 //     mapping cache revives an inactive buffer: no PTE writes, no
 //     page-table pass, no invalidation debt — the window's translations
@@ -79,7 +79,8 @@ const (
 // cycles launders everything parked.
 const DefaultLaunderAge cycles.Cycles = 2 << 20
 
-// runWindow is one reserved VA window.  Between a FreeRun and the next
+// runWindow is one reserved VA window.  While a run holds it, live is
+// that run's copy of its pages.  Between a FreeRun and the next
 // laundering round the window is PARKED: frames records the extent whose
 // translations are still installed (the revive key) and mask accumulates
 // the CPUs that may cache those translations across the window's parked
@@ -91,7 +92,9 @@ type runWindow struct {
 	// address space was reserved from; 0 on a single-region arena.
 	home int
 
+	live   []*vm.Page // checked out: the holding run's pages (Run.pages)
 	frames []uint64   // parked: the installed frame extent, revive key
+	seq    uint64     // parked: when frames was last set (runPool.keySeq)
 	mask   smp.CPUSet // parked: union of the lives' TLB masks
 	accScr []bool     // KRemoveRun scratch, reused across lives
 
@@ -147,7 +150,7 @@ type RunWindowStats struct {
 }
 
 // runPool caches reserved VA windows: clean stock per size class, parked
-// dirty windows indexed by frame extent for revival.
+// dirty windows keyed by frame extent for revival.
 type runPool struct {
 	pm    *pmap.Pmap
 	arena *kva.Arena
@@ -164,9 +167,11 @@ type runPool struct {
 	mu    sync.Mutex
 	clean map[int][]*runWindow
 	// dirty holds parked windows in park order (oldest first), so the
-	// windows past the age bound are always a prefix.
-	dirty    []*runWindow
-	dirtyIdx map[uint64][]*runWindow // frame-extent hash -> parked windows
+	// windows past the age bound are always a prefix.  keySeq orders
+	// the setting of their revive keys (parks and migration rekeys): a
+	// revive takes the matching window keyed first.
+	dirty  []*runWindow
+	keySeq uint64
 	// launderAge is the parked-window age bound on the machine clock;
 	// 0 disables age-triggered laundering (count threshold only).
 	launderAge cycles.Cycles
@@ -192,7 +197,6 @@ func newRunPool(pm *pmap.Pmap, arena *kva.Arena, frames int) *runPool {
 		arena:      arena,
 		forceDebt:  func() bool { return false },
 		clean:      make(map[int][]*runWindow),
-		dirtyIdx:   make(map[uint64][]*runWindow),
 		resident:   make([]int32, frames),
 		launderAge: DefaultLaunderAge,
 	}
@@ -212,22 +216,6 @@ func (p *runPool) setLaunderAge(age cycles.Cycles) {
 	p.mu.Lock()
 	p.launderAge = age
 	p.mu.Unlock()
-}
-
-// ExtentHash keys the page-set window cache: an order-sensitive hash of
-// the extent's frame sequence, so [A,B] and [B,A] revive different
-// windows (their installed translations differ).  It is exported for
-// the kernel's adaptive contiguity policy, whose extent-reuse tracking
-// must use the SAME keying — "this extent was seen recently" is only a
-// valid revive predictor if it means "this revive key was seen
-// recently".
-func ExtentHash(pages []*vm.Page) uint64 {
-	h := uint64(1469598103934665603)
-	for _, pg := range pages {
-		h ^= pg.Frame()
-		h *= 1099511628211
-	}
-	return h
 }
 
 // get returns a window for the requested extent and marks the extent's
@@ -308,34 +296,34 @@ func (p *runPool) get(ctx *smp.Context, pages []*vm.Page) (w *runWindow, revived
 	return w, revived, nil
 }
 
-// reviveLocked looks the requested extent up in the parked-window index
+// reviveLocked looks the requested extent up among the parked windows
 // and, on an exact frame-sequence match, removes the window from the
-// dirty list and returns it still mapped.  Caller holds p.mu.
+// dirty list and returns it still mapped.  Of several parked windows for
+// the same extent it takes the one keyed first.  Caller holds p.mu.
 func (p *runPool) reviveLocked(pages []*vm.Page) *runWindow {
 	if len(p.dirty) == 0 {
 		return nil
 	}
-	h := ExtentHash(pages)
-	ws := p.dirtyIdx[h]
-	for wi, w := range ws {
-		if w.pages != len(pages) || !framesMatch(w.frames, pages) {
-			continue
+	pick := -1
+	for di, w := range p.dirty {
+		if (pick < 0 || w.seq < p.dirty[pick].seq) && framesMatch(w.frames, pages) {
+			pick = di
 		}
-		if len(ws) == 1 {
-			delete(p.dirtyIdx, h)
-		} else {
-			p.dirtyIdx[h] = append(ws[:wi], ws[wi+1:]...)
-		}
-		for di, dw := range p.dirty {
-			if dw == w {
-				p.dirty = append(p.dirty[:di], p.dirty[di+1:]...)
-				break
-			}
-		}
-		p.stats.Revives++
-		return w
 	}
-	return nil
+	if pick < 0 {
+		return nil
+	}
+	w := p.dirty[pick]
+	p.dirty = append(p.dirty[:pick], p.dirty[pick+1:]...)
+	p.stats.Revives++
+	return w
+}
+
+// rekeyLocked stamps a parked window whose frames were just set.
+// Caller holds p.mu.
+func (p *runPool) rekeyLocked(w *runWindow) {
+	p.keySeq++
+	w.seq = p.keySeq
 }
 
 func framesMatch(frames []uint64, pages []*vm.Page) bool {
@@ -403,7 +391,7 @@ func (p *runPool) reserveLocked(ctx *smp.Context, pages int) (*runWindow, error)
 }
 
 // put parks a freed window on the dirty list WITH its translations still
-// installed, indexed by the extent it maps, so a repeat AllocRun over the
+// installed, keyed by the extent it maps, so a repeat AllocRun over the
 // same page set can revive it.  mask is the freeing run's TLB mask; it
 // accumulates into the window's parked mask so the eventual laundering
 // shoots down every CPU that any parked life could have tainted.  The
@@ -422,8 +410,7 @@ func (p *runPool) put(ctx *smp.Context, w *runWindow, pages []*vm.Page, mask smp
 	p.led.RunFrees++
 	w.mask |= mask
 	w.parkedAt = ctx.Machine().Now()
-	h := ExtentHash(pages)
-	p.dirtyIdx[h] = append(p.dirtyIdx[h], w)
+	p.rekeyLocked(w)
 	p.dirty = append(p.dirty, w)
 	// Parking is also a chance to retire windows that aged out while the
 	// pool sat under the count threshold (the just-parked window has age
@@ -467,26 +454,14 @@ func (p *runPool) launderSomeLocked(ctx *smp.Context, n int) {
 	p.dirty = append(p.dirty[:0], p.dirty[n:]...)
 }
 
-// launderWindowLocked retires ONE parked window's revive key and deferred
-// teardown: drop it from the extent index, remove its translations in one
-// page-table pass, and queue the invalidations its accessed pages owe
-// against the window's accumulated mask.  The shootdown FLUSH is the
+// launderWindowLocked retires ONE parked window's deferred teardown:
+// remove its translations in one page-table pass, and queue the
+// invalidations its accessed pages owe against the window's accumulated
+// mask.  The shootdown FLUSH is the
 // caller's: batch launderers flush once per round, the migrator once per
 // evacuated block.  The window is left frame-less but still on p.dirty;
 // the caller moves it to its clean list.  Caller holds p.mu.
 func (p *runPool) launderWindowLocked(ctx *smp.Context, w *runWindow, force bool) {
-	// Drop the revive key first, while the parked frames are intact.
-	h := frameHash(w.frames)
-	if ws := p.dirtyIdx[h]; len(ws) == 1 && ws[0] == w {
-		delete(p.dirtyIdx, h)
-	} else {
-		for wi, cand := range ws {
-			if cand == w {
-				p.dirtyIdx[h] = append(ws[:wi], ws[wi+1:]...)
-				break
-			}
-		}
-	}
 	w.accScr = p.pm.KRemoveRun(ctx, w.base, w.pages, w.accScr[:0])
 	vpn0 := pmap.VPN(w.base)
 	p.scrVpns, p.scrMasks = p.scrVpns[:0], p.scrMasks[:0]
@@ -556,7 +531,6 @@ func (p *runPool) remapParkedLocked(ctx *smp.Context, pg *vm.Page, old uint64) i
 			if f != old {
 				continue
 			}
-			oldH := frameHash(w.frames)
 			_, oldAcc := p.pm.KEnter(ctx, w.base+uint64(i)*vm.PageSize, pg)
 			if oldAcc || force {
 				vpn := pmap.VPN(w.base) + uint64(i)
@@ -568,20 +542,9 @@ func (p *runPool) remapParkedLocked(ctx *smp.Context, pg *vm.Page, old uint64) i
 				ctx.QueueShootdown(mask, vpn)
 			}
 			w.frames[i] = pg.Frame()
-			// Rekey the extent index: the window now revives for the
-			// migrated frame sequence, not the pre-migration one.
-			if ws := p.dirtyIdx[oldH]; len(ws) == 1 && ws[0] == w {
-				delete(p.dirtyIdx, oldH)
-			} else {
-				for wi, cand := range ws {
-					if cand == w {
-						p.dirtyIdx[oldH] = append(ws[:wi], ws[wi+1:]...)
-						break
-					}
-				}
-			}
-			newH := frameHash(w.frames)
-			p.dirtyIdx[newH] = append(p.dirtyIdx[newH], w)
+			// The window now revives for the migrated frame sequence,
+			// not the pre-migration one.
+			p.rekeyLocked(w)
 			remapped++
 		}
 	}
@@ -655,17 +618,6 @@ func (p *runPool) trimClean(ctx *smp.Context, keep int) int {
 	}
 	p.mu.Unlock()
 	return freed
-}
-
-// frameHash is ExtentHash over an already-extracted frame sequence (the
-// parked window's revive key).
-func frameHash(frames []uint64) uint64 {
-	h := uint64(1469598103934665603)
-	for _, f := range frames {
-		h ^= f
-		h *= 1099511628211
-	}
-	return h
 }
 
 // launder forces a laundering round outside the allocation path — a test

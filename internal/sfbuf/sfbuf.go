@@ -111,17 +111,19 @@ type Run struct {
 	views  []Buf  // lazily built per-page views of a window-backed run
 
 	// Engine-private state.
-	mask   smp.CPUSet // CPUs that may cache the window's translations
-	tokens []*Buf     // sharded engine: clean buffers claimed as capacity
-	win    *runWindow // window-backed runs: the reserved VA window
-	home   mapCore    // owning cache core, when window-backed
+	mask   smp.CPUSet     // CPUs that may cache the window's translations
+	tokens *extentScratch // sharded engine: clean buffers claimed as capacity
+	win    *runWindow     // window-backed runs: the reserved VA window
+	home   mapCore        // owning cache core, when window-backed
 }
 
 // Len returns the run's length in pages.
 func (r *Run) Len() int { return len(r.pages) }
 
 // Pages returns the mapped pages in order.  Callers must not modify the
-// slice.
+// slice, and it is valid only until FreeRun: a window-backed run's slice
+// belongs to its window, which the next run to take the window reuses.
+// A freed run's Pages is empty.
 func (r *Run) Pages() []*vm.Page { return r.pages }
 
 // Contiguous reports whether the run occupies one consecutive virtual
@@ -152,7 +154,8 @@ func (r *Run) KVA(i int) uint64 {
 // engines that build runs from per-page mappings they are the real Bufs;
 // on window-backed runs they are synthetic views carrying each page's
 // window address.  Either way they must NOT be passed to Free/FreeBatch —
-// a run is released only through FreeRun.
+// a run is released only through FreeRun — and they are valid only until
+// that FreeRun: afterwards a view's address may map another run's page.
 func (r *Run) Bufs() []*Buf {
 	if r.bufs != nil {
 		return r.bufs

@@ -867,10 +867,34 @@ type batchGroup struct {
 	idxs  []int
 }
 
+// extentScratch holds one multi-page operation's working slices: the
+// shard grouping of a batch, and the clean buffers a batch stashes or a
+// run claims as its tokens (held until freeRun).  Pooling them keeps the
+// steady-state extent path allocation-free.
+type extentScratch struct {
+	groups []batchGroup // each slot keeps its idxs capacity across groupings
+	bufs   []*Buf
+}
+
+var extentPool = sync.Pool{New: func() any { return new(extentScratch) }}
+
+// release returns the scratch to extentPool.  Its cache pointers are
+// cleared first: the pool outlives the cache they point into.
+func (sc *extentScratch) release() {
+	groups := sc.groups[:cap(sc.groups)]
+	for i := range groups {
+		groups[i].shard = nil
+	}
+	clear(sc.bufs[:cap(sc.bufs)])
+	sc.groups, sc.bufs = sc.groups[:0], sc.bufs[:0]
+	extentPool.Put(sc)
+}
+
 // groupByShard splits batch indices by home shard in first-appearance
 // order, so a vectored operation takes each shard's lock exactly once.
-func (c *shardedCache) groupByShard(n int, frameOf func(int) uint64) []batchGroup {
-	groups := make([]batchGroup, 0, min(n, len(c.shards)))
+// The groups live in sc and are overwritten by its next grouping.
+func (c *shardedCache) groupByShard(sc *extentScratch, n int, frameOf func(int) uint64) []batchGroup {
+	groups := sc.groups[:0]
 	for i := 0; i < n; i++ {
 		si := c.shardIdx(frameOf(i))
 		gi := 0
@@ -878,10 +902,16 @@ func (c *shardedCache) groupByShard(n int, frameOf func(int) uint64) []batchGrou
 			gi++
 		}
 		if gi == len(groups) {
-			groups = append(groups, batchGroup{shard: c.shards[si], si: si})
+			if gi == cap(groups) {
+				groups = append(groups, batchGroup{})
+			}
+			groups = groups[:gi+1]
+			g := &groups[gi]
+			g.shard, g.si, g.idxs = c.shards[si], si, g.idxs[:0]
 		}
 		groups[gi].idxs = append(groups[gi].idxs, i)
 	}
+	sc.groups = groups
 	return groups
 }
 
@@ -906,10 +936,11 @@ func (c *shardedCache) allocBatch(ctx *smp.Context, pages []*vm.Page, flags Flag
 	// and skips a page that now hashes elsewhere; the pages left over
 	// when every group has been scanned are regrouped.
 	frameOf := func(i int) uint64 { return pages[i].Frame() }
-	groups := c.groupByShard(len(pages), frameOf)
+	sc := extentPool.Get().(*extentScratch)
+	groups := c.groupByShard(sc, len(pages), frameOf)
 	out := make([]*Buf, len(pages))
 	pending := len(pages) // pages not yet resolved, the restock target
-	var stash []*Buf      // clean buffers carried across shard groups
+	stash := sc.bufs      // clean buffers carried across shard groups
 	starving := false     // holding batchMu: sole batch allowed to sleep with a partial run
 	defer func() {
 		if starving {
@@ -918,6 +949,8 @@ func (c *shardedCache) allocBatch(ctx *smp.Context, pages []*vm.Page, flags Flag
 		if len(stash) > 0 {
 			c.putCleanBulk(ctx, stash)
 		}
+		sc.bufs = stash
+		sc.release()
 	}()
 
 restart:
@@ -925,7 +958,7 @@ restart:
 		if gi == len(groups) {
 			// Pages remain after every group's scan: they migrated to
 			// another shard after the grouping.
-			groups = c.groupByShard(len(pages), frameOf)
+			groups = c.groupByShard(sc, len(pages), frameOf)
 			gi = 0
 		}
 		g := &groups[gi]
@@ -1013,7 +1046,7 @@ restart:
 					// any coverage a hash-growth wake announced — and
 					// regroup first: an unresolved page may have migrated
 					// to another shard while we slept.
-					groups = c.groupByShard(len(pages), frameOf)
+					groups = c.groupByShard(sc, len(pages), frameOf)
 					gi = -1
 					continue restart
 				}
@@ -1123,7 +1156,9 @@ func (c *shardedCache) freeBatch(ctx *smp.Context, bufs []*Buf) {
 			panic("sfbuf: free of unreferenced sf_buf")
 		}
 	}
-	groups := c.groupByShard(len(bufs), func(i int) uint64 { return bufs[i].page.Frame() })
+	sc := extentPool.Get().(*extentScratch)
+	defer sc.release()
+	groups := c.groupByShard(sc, len(bufs), func(i int) uint64 { return bufs[i].page.Frame() })
 
 	var eager, strays []*Buf
 	freed := 0
@@ -1169,9 +1204,10 @@ func (c *shardedCache) freeBatch(ctx *smp.Context, bufs []*Buf) {
 // translations live in a reserved window instead.  The claim path is the
 // batch shortage path: bulk freelist pops, then reclaim rounds handing
 // the whole shortfall over under one flush, then — if the cache is truly
-// exhausted — the starvation token and a claim-based sleep.
-func (c *shardedCache) claimTokens(ctx *smp.Context, n int, flags Flags) ([]*Buf, error) {
-	got := c.takeCleanBulk(ctx, n, nil)
+// exhausted — the starvation token and a claim-based sleep.  The tokens
+// are appended to got; on an error none are kept.
+func (c *shardedCache) claimTokens(ctx *smp.Context, n int, flags Flags, got []*Buf) ([]*Buf, error) {
+	got = c.takeCleanBulk(ctx, n, got)
 	if len(got) < n {
 		got = c.reclaimBulk(ctx, n-len(got), got)
 	}
@@ -1183,7 +1219,7 @@ func (c *shardedCache) claimTokens(ctx *smp.Context, n int, flags Flags) ([]*Buf
 			c.putCleanBulk(ctx, got)
 		}
 		c.wouldBlock.Add(1)
-		return nil, ErrWouldBlock
+		return got[:0], ErrWouldBlock
 	}
 	// Exhausted: sleeping while holding part of the inventory is only
 	// deadlock-free for one claimer at a time — drop everything, take the
@@ -1212,7 +1248,7 @@ func (c *shardedCache) claimTokens(ctx *smp.Context, n int, flags Flags) ([]*Buf
 			if len(got) > 0 {
 				c.putCleanBulk(ctx, got)
 			}
-			return nil, ErrInterrupted
+			return got[:0], ErrInterrupted
 		}
 	}
 }
@@ -1237,15 +1273,18 @@ func (c *shardedCache) allocRun(ctx *smp.Context, pages []*vm.Page, flags Flags)
 		return nil, ErrBatchTooLarge
 	}
 	ctx.Charge(ctx.Cost().MapperOp * cycles.Cycles(n))
-	tokens, err := c.claimTokens(ctx, n, flags)
-	if err != nil {
+	tokens := extentPool.Get().(*extentScratch)
+	var err error
+	if tokens.bufs, err = c.claimTokens(ctx, n, flags, tokens.bufs); err != nil {
+		tokens.release()
 		return nil, err
 	}
 	// get marks the run's frames live, which keeps the Migrator off them
 	// until freeRun, so the install pass below reads settled frames.
 	win, revived, err := c.runs.get(ctx, pages)
 	if err != nil {
-		c.putCleanBulk(ctx, tokens)
+		c.putCleanBulk(ctx, tokens.bufs)
+		tokens.release()
 		return nil, fmt.Errorf("sfbuf: reserving a %d-page run window: %w", n, err)
 	}
 	if !revived {
@@ -1255,8 +1294,11 @@ func (c *shardedCache) allocRun(ctx *smp.Context, pages []*vm.Page, flags Flags)
 	if flags&Private != 0 {
 		mask = smp.CPUSet(0).Set(ctx.CPUID())
 	}
+	// The window is this run's alone until freeRun parks it, so its page
+	// slice is the run's page copy.
+	win.live = append(win.live[:0], pages...)
 	return &Run{
-		pages:  append([]*vm.Page(nil), pages...),
+		pages:  win.live,
 		base:   win.base,
 		contig: true,
 		mask:   mask,
@@ -1284,7 +1326,8 @@ func (c *shardedCache) freeRun(ctx *smp.Context, r *Run) {
 	c.runs.put(ctx, r.win, r.pages, r.mask)
 	tokens := r.tokens
 	r.pages, r.tokens, r.win, r.home = nil, nil, nil, nil
-	c.putCleanBulk(ctx, tokens)
+	c.putCleanBulk(ctx, tokens.bufs)
+	tokens.release()
 }
 
 // launderRunWindows forces a laundering round, draining every parked

@@ -64,11 +64,11 @@ type Page struct {
 func (p *Page) ID() uint64 { return p.id }
 
 // ExtentID hashes a page sequence by stable page identity (FNV-1a over
-// Page.ID).  Where sfbuf.ExtentHash keys on the frames an extent
-// currently occupies — the right key for caches of installed
+// Page.ID).  Where the run pool keys parked windows on the frames an
+// extent currently occupies — the right key for caches of installed
 // translations — ExtentID follows the logical extent across migration:
 // the same pages hash the same before and after their frames move.  On a
-// pool that never migrates the two agree exactly.
+// pool that never migrates, page identity and frame agree exactly.
 func ExtentID(pages []*Page) uint64 {
 	h := uint64(1469598103934665603)
 	for _, pg := range pages {
