@@ -12,10 +12,12 @@ build:
 	$(GO) build ./cmd/... ./examples/...
 
 # Shuffled tests, then the experiment replay (the round-robin churn
-# driver keeps scale, reclaim and adaptive deterministic).
+# driver keeps scale, reclaim and adaptive deterministic) and the PostMark
+# golden and allocation bound, repeated.
 test:
 	$(GO) test -shuffle=on ./...
 	$(GO) test -count=3 -run 'Determinism|ScaleBatch|AdaptivePolicy' ./internal/experiments
+	$(GO) test -count=3 -run 'PostMarkGolden|PostMarkAllocs' ./internal/workloads
 
 # Race detector, then the migration-exclusion races repeated.
 race:
@@ -30,9 +32,10 @@ fuzz-smoke:
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzBatchOps -fuzztime 60s ./internal/sfbuf
 
-# Short smoke run: every benchmark once, so they cannot bit-rot.
+# Short smoke run: every benchmark once, so they cannot bit-rot, with
+# allocs/op recorded.
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./...
 
 # Full-length contention benchmark (the sharded-vs-global comparison).
 bench-contended:

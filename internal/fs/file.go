@@ -186,12 +186,12 @@ func (f *FS) Create(ctx *smp.Context, name string) error {
 		return err
 	}
 	if err := f.writeInode(ctx, ino, &inode{}); err != nil {
-		f.inodeUsed[ino] = false
+		f.freeInode(ino)
 		return err
 	}
 	// Find a free directory slot (or append one) and write the entry.
-	root, err := f.readInode(ctx, 0)
-	if err != nil {
+	var root inode
+	if err := f.readInode(ctx, 0, &root); err != nil {
 		return err
 	}
 	// Reuse a slot vacated by a deletion, else append a new one.
@@ -203,8 +203,8 @@ func (f *FS) Create(ctx *smp.Context, name string) error {
 	ent := make([]byte, DirEntrySize)
 	binary.LittleEndian.PutUint32(ent[0:], ino)
 	copy(ent[4:], name)
-	if err := f.writeRange(ctx, 0, root, int64(slot)*DirEntrySize, ent); err != nil {
-		f.inodeUsed[ino] = false
+	if err := f.writeRange(ctx, 0, &root, int64(slot)*DirEntrySize, ent); err != nil {
+		f.freeInode(ino)
 		return err
 	}
 	if slot == f.dirEnts {
@@ -223,23 +223,23 @@ func (f *FS) Delete(ctx *smp.Context, name string) error {
 	if !ok {
 		return ErrNotFound
 	}
-	n, err := f.readInode(ctx, ds.ino)
-	if err != nil {
+	var n inode
+	if err := f.readInode(ctx, ds.ino, &n); err != nil {
 		return err
 	}
-	if err := f.truncateLocked(ctx, ds.ino, n); err != nil {
+	if err := f.truncateLocked(ctx, ds.ino, &n); err != nil {
 		return err
 	}
 	// Clear the directory slot on disk.
-	root, err := f.readInode(ctx, 0)
-	if err != nil {
+	var root inode
+	if err := f.readInode(ctx, 0, &root); err != nil {
 		return err
 	}
 	ent := make([]byte, DirEntrySize)
-	if err := f.writeRange(ctx, 0, root, int64(ds.slot)*DirEntrySize, ent); err != nil {
+	if err := f.writeRange(ctx, 0, &root, int64(ds.slot)*DirEntrySize, ent); err != nil {
 		return err
 	}
-	f.inodeUsed[ds.ino] = false
+	f.freeInode(ds.ino)
 	delete(f.dcache, name)
 	f.freeSlots = append(f.freeSlots, ds.slot)
 	return nil
@@ -307,20 +307,20 @@ func (f *FS) WriteFile(ctx *smp.Context, name string, data []byte) error {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	n, err := f.readInode(ctx, ds.ino)
-	if err != nil {
+	var n inode
+	if err := f.readInode(ctx, ds.ino, &n); err != nil {
 		return err
 	}
 	if n.Size > 0 {
-		if err := f.truncateLocked(ctx, ds.ino, n); err != nil {
+		if err := f.truncateLocked(ctx, ds.ino, &n); err != nil {
 			return err
 		}
-		n = &inode{}
+		n = inode{}
 	}
 	if len(data) == 0 {
 		return nil
 	}
-	return f.writeRange(ctx, ds.ino, n, 0, data)
+	return f.writeRange(ctx, ds.ino, &n, 0, data)
 }
 
 // Append extends a file with data.
@@ -332,11 +332,11 @@ func (f *FS) Append(ctx *smp.Context, name string, data []byte) error {
 	if !ok {
 		return ErrNotFound
 	}
-	n, err := f.readInode(ctx, ds.ino)
-	if err != nil {
+	var n inode
+	if err := f.readInode(ctx, ds.ino, &n); err != nil {
 		return err
 	}
-	return f.writeRange(ctx, ds.ino, n, int64(n.Size), data)
+	return f.writeRange(ctx, ds.ino, &n, int64(n.Size), data)
 }
 
 // Size returns a file's length.
@@ -348,8 +348,8 @@ func (f *FS) Size(ctx *smp.Context, name string) (int64, error) {
 	if !ok {
 		return 0, ErrNotFound
 	}
-	n, err := f.readInode(ctx, ds.ino)
-	if err != nil {
+	var n inode
+	if err := f.readInode(ctx, ds.ino, &n); err != nil {
 		return 0, err
 	}
 	return int64(n.Size), nil
@@ -364,11 +364,11 @@ func (f *FS) ReadAt(ctx *smp.Context, name string, off int64, dst []byte) error 
 	if !ok {
 		return ErrNotFound
 	}
-	n, err := f.readInode(ctx, ds.ino)
-	if err != nil {
+	var n inode
+	if err := f.readInode(ctx, ds.ino, &n); err != nil {
 		return err
 	}
-	return f.readRange(ctx, n, off, dst)
+	return f.readRange(ctx, &n, off, dst)
 }
 
 // ReadFull streams the whole file in unit-byte reads (PostMark reads files
@@ -385,15 +385,21 @@ func (f *FS) ReadFull(ctx *smp.Context, name string, unit int) (int64, error) {
 	if !ok {
 		return 0, ErrNotFound
 	}
-	n, err := f.readInode(ctx, ds.ino)
-	if err != nil {
+	var n inode
+	if err := f.readInode(ctx, ds.ino, &n); err != nil {
 		return 0, err
 	}
-	buf := make([]byte, unit)
+	var buf []byte
+	if unit <= BlockSize {
+		buf = f.getBlockBuf()
+		defer f.putBlockBuf(buf)
+	} else {
+		buf = make([]byte, unit)
+	}
 	var off int64
 	for off < int64(n.Size) {
 		c := min(int64(unit), int64(n.Size)-off)
-		if err := f.readRange(ctx, n, off, buf[:c]); err != nil {
+		if err := f.readRange(ctx, &n, off, buf[:c]); err != nil {
 			return off, err
 		}
 		off += c
@@ -412,14 +418,14 @@ func (f *FS) FilePage(ctx *smp.Context, name string, pi int) (*vm.Page, error) {
 	if !ok {
 		return nil, ErrNotFound
 	}
-	n, err := f.readInode(ctx, ds.ino)
-	if err != nil {
+	var n inode
+	if err := f.readInode(ctx, ds.ino, &n); err != nil {
 		return nil, err
 	}
 	if int64(pi)*BlockSize >= int64(n.Size) {
 		return nil, fmt.Errorf("fs: page %d beyond EOF of %q", pi, name)
 	}
-	blk, err := f.blockPtr(ctx, ds.ino, n, pi, false)
+	blk, err := f.blockPtr(ctx, ds.ino, &n, pi, false)
 	if err != nil {
 		return nil, err
 	}
@@ -438,51 +444,78 @@ func (f *FS) BlockOf(ctx *smp.Context, name string, pi int) (uint32, error) {
 	if !ok {
 		return 0, ErrNotFound
 	}
-	n, err := f.readInode(ctx, ds.ino)
-	if err != nil {
+	var n inode
+	if err := f.readInode(ctx, ds.ino, &n); err != nil {
 		return 0, err
 	}
-	return f.blockPtr(ctx, ds.ino, n, pi, false)
+	return f.blockPtr(ctx, ds.ino, &n, pi, false)
 }
 
 // Fsck verifies filesystem invariants: every live block is referenced by
 // exactly one file (or the directory), every referenced block is marked
 // allocated, and free-count accounting matches the bitmap.  Tests call it
 // after random operation sequences.
+//
+// A block counts as referenced when an inode's pointer tree reaches it,
+// whether or not it lies below the file's size: a write cut short by
+// ErrNoSpace leaves the blocks it allocated past the size in the tree,
+// where the next write past the size reuses them and truncation frees
+// them.
 func (f *FS) Fsck(ctx *smp.Context) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	refs := make(map[uint32]int)
+	buf := make([]byte, BlockSize)
+	// tree counts an indirect block of the given depth and everything
+	// beneath it.
+	var tree func(blk uint32, depth int) error
+	tree = func(blk uint32, depth int) error {
+		refs[blk]++
+		if err := f.readBlock(ctx, int(blk), buf); err != nil {
+			return err
+		}
+		var ptrs []uint32
+		for i := 0; i < PtrsPerBlock; i++ {
+			if p := binary.LittleEndian.Uint32(buf[4*i:]); p != 0 {
+				ptrs = append(ptrs, p)
+			}
+		}
+		for _, p := range ptrs {
+			if depth == 1 {
+				refs[p]++
+			} else if err := tree(p, depth-1); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	walk := func(ino uint32) error {
-		n, err := f.readInode(ctx, ino)
-		if err != nil {
+		var n inode
+		if err := f.readInode(ctx, ino, &n); err != nil {
 			return err
 		}
 		blocks := int((n.Size + BlockSize - 1) / BlockSize)
 		for bi := 0; bi < blocks; bi++ {
-			blk, err := f.blockPtr(ctx, ino, n, bi, false)
+			blk, err := f.blockPtr(ctx, ino, &n, bi, false)
 			if err != nil {
 				return err
 			}
 			if blk == 0 {
 				return fmt.Errorf("fs: fsck: inode %d has a hole at %d", ino, bi)
 			}
-			refs[blk]++
+		}
+		for _, d := range n.Direct {
+			if d != 0 {
+				refs[d]++
+			}
 		}
 		if n.Indirect != 0 {
-			refs[n.Indirect]++
-		}
-		if n.Double != 0 {
-			refs[n.Double]++
-			buf := make([]byte, BlockSize)
-			if err := f.readBlock(ctx, int(n.Double), buf); err != nil {
+			if err := tree(n.Indirect, 1); err != nil {
 				return err
 			}
-			for i := 0; i < PtrsPerBlock; i++ {
-				if p := binary.LittleEndian.Uint32(buf[4*i:]); p != 0 {
-					refs[p]++
-				}
-			}
+		}
+		if n.Double != 0 {
+			return tree(n.Double, 2)
 		}
 		return nil
 	}
@@ -498,13 +531,13 @@ func (f *FS) Fsck(ctx *smp.Context) error {
 		if c != 1 {
 			return fmt.Errorf("fs: fsck: block %d referenced %d times", blk, c)
 		}
-		if f.bitmap[blk/64]&(1<<(blk%64)) == 0 {
+		if !f.blockUsed(int(blk)) {
 			return fmt.Errorf("fs: fsck: referenced block %d is marked free", blk)
 		}
 	}
 	free := 0
 	for blk := f.dataStart; blk < f.totalBlocks; blk++ {
-		if f.bitmap[blk/64]&(1<<(blk%64)) == 0 {
+		if !f.blockUsed(blk) {
 			free++
 		} else if refs[uint32(blk)] == 0 {
 			return fmt.Errorf("fs: fsck: block %d allocated but unreferenced", blk)

@@ -21,6 +21,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"sfbuf/internal/kernel"
@@ -109,14 +110,23 @@ type FS struct {
 	dataStart    int
 	maxInodes    int
 
-	// bitmap mirrors the on-disk allocation bitmap; mutations write the
-	// containing bitmap block through to disk.
-	bitmap     []uint64
+	// bitmap is the allocation bitmap exactly as it lies on disk: bit
+	// blk%8 of byte blk/8 marks block blk allocated, and the image is
+	// padded with zeros to whole bitmap blocks.  A mutation writes its
+	// bitmap block through as it stands.
+	bitmap     []byte
 	freeBlocks int
+	// blockHint is a low-water 64-bit word index into bitmap: no word
+	// below it holds a free data block.  Allocation scans from it; a free
+	// lowers it.
+	blockHint int
 
 	// inodeUsed mirrors inode liveness (an inode is live when it appears
 	// in the directory; inode 0 is always the root directory).
 	inodeUsed []bool
+	// inodeHint is a low-water index into inodeUsed: every inode in
+	// [1, inodeHint) is live.  Allocation scans from it; a free lowers it.
+	inodeHint int
 
 	// dcache maps names to directory slots; rebuilt from disk on mount.
 	dcache  map[string]dirSlot
@@ -151,13 +161,15 @@ func Mkfs(ctx *smp.Context, k *kernel.Kernel, d *memdisk.Disk, maxInodes int) (*
 		inodeBlocks:  inodeBlocks,
 		dataStart:    dataStart,
 		maxInodes:    inodeBlocks * InodesPerBlock,
-		bitmap:       make([]uint64, (total+63)/64),
+		bitmap:       make([]byte, bitmapBlocks*BlockSize),
+		blockHint:    dataStart / 64,
 		inodeUsed:    make([]bool, inodeBlocks*InodesPerBlock),
+		inodeHint:    1,
 		dcache:       make(map[string]dirSlot),
 	}
 	// Mark the metadata region allocated.
 	for blk := 0; blk < dataStart; blk++ {
-		f.bitmap[blk/64] |= 1 << (blk % 64)
+		f.bitmap[blk/8] |= 1 << (blk % 8)
 	}
 	f.freeBlocks = total - dataStart
 
@@ -205,40 +217,40 @@ func Mount(ctx *smp.Context, k *kernel.Kernel, d *memdisk.Disk) (*FS, error) {
 	f.inodeBlocks = int(binary.LittleEndian.Uint32(sb[12:]))
 	f.dataStart = 1 + f.bitmapBlocks + f.inodeBlocks
 	f.maxInodes = f.inodeBlocks * InodesPerBlock
-	f.bitmap = make([]uint64, (f.totalBlocks+63)/64)
+	f.bitmap = make([]byte, f.bitmapBlocks*BlockSize)
+	f.blockHint = f.dataStart / 64
 	f.inodeUsed = make([]bool, f.maxInodes)
+	f.inodeHint = 1
 	f.dcache = make(map[string]dirSlot)
 
-	// Read the bitmap.
-	buf := make([]byte, BlockSize)
+	// Read the bitmap image, then clear its padding past the last block
+	// so no stray byte there can read as an allocated block.
 	for i := 0; i < f.bitmapBlocks; i++ {
-		if err := f.readBlock(ctx, 1+i, buf); err != nil {
+		if err := f.readBlock(ctx, 1+i, f.bitmap[i*BlockSize:]); err != nil {
 			return nil, err
 		}
-		for j := 0; j < BlockSize/8; j++ {
-			idx := i*(BlockSize/8) + j
-			if idx < len(f.bitmap) {
-				f.bitmap[idx] = binary.LittleEndian.Uint64(buf[8*j:])
-			}
-		}
 	}
+	if r := f.totalBlocks % 8; r != 0 {
+		f.bitmap[f.totalBlocks/8] &= 1<<r - 1
+	}
+	clear(f.bitmap[(f.totalBlocks+7)/8:])
 	f.freeBlocks = 0
 	for blk := f.dataStart; blk < f.totalBlocks; blk++ {
-		if f.bitmap[blk/64]&(1<<(blk%64)) == 0 {
+		if !f.blockUsed(blk) {
 			f.freeBlocks++
 		}
 	}
 
 	// Rebuild the dcache from the root directory.
 	f.inodeUsed[0] = true
-	root, err := f.readInode(ctx, 0)
-	if err != nil {
+	var root inode
+	if err := f.readInode(ctx, 0, &root); err != nil {
 		return nil, err
 	}
 	f.dirEnts = int(root.Size) / DirEntrySize
 	ent := make([]byte, DirEntrySize)
 	for slot := 0; slot < f.dirEnts; slot++ {
-		if err := f.readRange(ctx, root, int64(slot)*DirEntrySize, ent); err != nil {
+		if err := f.readRange(ctx, &root, int64(slot)*DirEntrySize, ent); err != nil {
 			return nil, err
 		}
 		ino := binary.LittleEndian.Uint32(ent[0:])
@@ -288,30 +300,34 @@ func (f *FS) writeBlock(ctx *smp.Context, blk int, src []byte) error {
 
 // --- bitmap management ---
 
-// allocBlock finds a free data block, marks it, writes the bitmap block
-// through, and returns the block number.
+// blockUsed reports block blk's bitmap bit.
+func (f *FS) blockUsed(blk int) bool { return f.bitmap[blk/8]&(1<<(blk%8)) != 0 }
+
+// allocBlock finds the lowest free data block, marks it, writes the bitmap
+// block through, and returns the block number.  The scan starts at the
+// low-water word: metadata blocks are always marked, so the first clear
+// bit at or past it is the lowest free data block, unless it lies in the
+// zero padding past the last block.
 func (f *FS) allocBlock(ctx *smp.Context) (uint32, error) {
 	if f.freeBlocks == 0 {
 		return 0, ErrNoSpace
 	}
-	for w := f.dataStart / 64; w < len(f.bitmap); w++ {
-		if f.bitmap[w] == ^uint64(0) {
+	for w := f.blockHint; 64*w < f.totalBlocks; w++ {
+		word := binary.LittleEndian.Uint64(f.bitmap[8*w:])
+		if word == ^uint64(0) {
 			continue
 		}
-		for bit := 0; bit < 64; bit++ {
-			blk := w*64 + bit
-			if blk < f.dataStart || blk >= f.totalBlocks {
-				continue
-			}
-			if f.bitmap[w]&(1<<bit) == 0 {
-				f.bitmap[w] |= 1 << bit
-				f.freeBlocks--
-				if err := f.flushBitmapFor(ctx, blk); err != nil {
-					return 0, err
-				}
-				return uint32(blk), nil
-			}
+		blk := 64*w + bits.TrailingZeros64(^word)
+		if blk >= f.totalBlocks {
+			break
 		}
+		f.blockHint = w
+		f.bitmap[blk/8] |= 1 << (blk % 8)
+		f.freeBlocks--
+		if err := f.flushBitmapFor(ctx, blk); err != nil {
+			return 0, err
+		}
+		return uint32(blk), nil
 	}
 	return 0, ErrNoSpace
 }
@@ -322,26 +338,20 @@ func (f *FS) freeBlock(ctx *smp.Context, blk uint32) error {
 	if b < f.dataStart || b >= f.totalBlocks {
 		return fmt.Errorf("fs: freeing metadata or out-of-range block %d", b)
 	}
-	if f.bitmap[b/64]&(1<<(b%64)) == 0 {
+	if !f.blockUsed(b) {
 		return fmt.Errorf("fs: double free of block %d", b)
 	}
-	f.bitmap[b/64] &^= 1 << (b % 64)
+	f.bitmap[b/8] &^= 1 << (b % 8)
 	f.freeBlocks++
+	f.blockHint = min(f.blockHint, b/64)
 	return f.flushBitmapFor(ctx, b)
 }
 
-// flushBitmapFor writes the single bitmap block covering blk.
+// flushBitmapFor writes the single bitmap block covering blk, straight
+// from the image.
 func (f *FS) flushBitmapFor(ctx *smp.Context, blk int) error {
 	bmBlock := blk / (BlockSize * 8)
-	buf := f.getBlockBuf()
-	defer f.putBlockBuf(buf)
-	base := bmBlock * (BlockSize / 8)
-	for j := 0; j < BlockSize/8; j++ {
-		if base+j < len(f.bitmap) {
-			binary.LittleEndian.PutUint64(buf[8*j:], f.bitmap[base+j])
-		}
-	}
-	return f.writeBlock(ctx, 1+bmBlock, buf)
+	return f.writeBlock(ctx, 1+bmBlock, f.bitmap[bmBlock*BlockSize:(bmBlock+1)*BlockSize])
 }
 
 func (f *FS) flushBitmapAll(ctx *smp.Context) error {
@@ -360,16 +370,16 @@ func (f *FS) inodeLoc(ino uint32) (blk int, off int) {
 		(int(ino) % InodesPerBlock) * InodeSize
 }
 
-func (f *FS) readInode(ctx *smp.Context, ino uint32) (*inode, error) {
+// readInode decodes inode ino into n, which the caller owns.
+func (f *FS) readInode(ctx *smp.Context, ino uint32, n *inode) error {
 	blk, off := f.inodeLoc(ino)
 	buf := f.getBlockBuf()
 	defer f.putBlockBuf(buf)
 	if err := f.readBlock(ctx, blk, buf); err != nil {
-		return nil, err
+		return err
 	}
-	n := &inode{}
 	n.decode(buf[off : off+InodeSize])
-	return n, nil
+	return nil
 }
 
 func (f *FS) writeInode(ctx *smp.Context, ino uint32, n *inode) error {
@@ -383,15 +393,24 @@ func (f *FS) writeInode(ctx *smp.Context, ino uint32, n *inode) error {
 	return f.writeBlock(ctx, blk, buf)
 }
 
-// allocInode returns a free inode number (never 0, the root directory).
+// allocInode returns the lowest free inode number (never 0, the root
+// directory), scanning from the low-water index.
 func (f *FS) allocInode() (uint32, error) {
-	for i := 1; i < f.maxInodes; i++ {
+	for i := f.inodeHint; i < f.maxInodes; i++ {
 		if !f.inodeUsed[i] {
 			f.inodeUsed[i] = true
+			f.inodeHint = i + 1
 			return uint32(i), nil
 		}
 	}
+	f.inodeHint = f.maxInodes
 	return 0, ErrNoInodes
+}
+
+// freeInode marks inode ino free and lowers the low-water index.
+func (f *FS) freeInode(ino uint32) {
+	f.inodeUsed[ino] = false
+	f.inodeHint = min(f.inodeHint, int(ino))
 }
 
 // --- accounting ---

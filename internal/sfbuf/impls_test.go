@@ -209,6 +209,96 @@ func TestOriginalNoWaitOnExhaustedArena(t *testing.T) {
 	o.Free(ctx, b)
 }
 
+// TestOriginalDoubleFreePanicsFirst: freeing an already-freed handle
+// panics before anything is charged, unmapped, invalidated or returned to
+// the arena, and before the handle reaches the recycling LIFO a second
+// time — through Free, FreeBatch on both pmaps, and FreeRun.
+func TestOriginalDoubleFreePanicsFirst(t *testing.T) {
+	mustPanicUntouched := func(t *testing.T, m *smp.Machine, pm *pmap.Pmap, o *Original, free func()) {
+		t.Helper()
+		cyc, counters, stats, maps, spare := m.TotalCycles(), m.SnapshotCounters(), o.Stats(), pm.Mappings(), len(o.spare)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("double free did not panic")
+				}
+			}()
+			free()
+		}()
+		if got := m.TotalCycles(); got != cyc {
+			t.Errorf("double free charged %d cycles", got-cyc)
+		}
+		if got := m.SnapshotCounters(); got != counters {
+			t.Errorf("double free moved machine counters: %+v -> %+v", counters, got)
+		}
+		if got := o.Stats(); got != stats {
+			t.Errorf("double free moved stats: %+v -> %+v", stats, got)
+		}
+		if got := pm.Mappings(); got != maps {
+			t.Errorf("double free changed the mapping count %d -> %d", maps, got)
+		}
+		if got := len(o.spare); got != spare {
+			t.Errorf("double free changed the handle LIFO %d -> %d", spare, got)
+		}
+	}
+	pages := func(m *smp.Machine, n int) []*vm.Page {
+		pgs, err := m.Phys.AllocN(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pgs
+	}
+
+	t.Run("Free", func(t *testing.T) {
+		m, pm, o := newOriginalRig(t, arch.XeonMPHTT())
+		ctx := m.Ctx(0)
+		alloc := func() *Buf {
+			b, err := o.Alloc(ctx, pages(m, 1)[0], 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}
+		a, c := alloc(), alloc()
+		o.Free(ctx, c)
+		o.Free(ctx, a)
+		// live takes a's handle back; c stays released, its address free
+		// for reuse.
+		live := alloc()
+		mustPanicUntouched(t, m, pm, o, func() { o.Free(ctx, c) })
+		if _, err := pm.Translate(ctx, live.KVA(), false); err != nil {
+			t.Fatalf("live mapping torn down: %v", err)
+		}
+		// c is on the LIFO once: the next two allocations get distinct
+		// handles.
+		if x, y := alloc(), alloc(); x == y {
+			t.Fatal("one handle issued twice")
+		}
+	})
+	for _, plat := range []arch.Platform{arch.XeonMPHTT(), arch.OpteronMP()} {
+		t.Run("FreeBatch/"+plat.Name, func(t *testing.T) {
+			m, pm, o := newOriginalRig(t, plat)
+			ctx := m.Ctx(0)
+			bufs, err := o.AllocBatch(ctx, pages(m, 4), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o.FreeBatch(ctx, bufs)
+			mustPanicUntouched(t, m, pm, o, func() { o.FreeBatch(ctx, bufs) })
+		})
+	}
+	t.Run("FreeRun", func(t *testing.T) {
+		m, pm, o := newOriginalRig(t, arch.OpteronMP())
+		ctx := m.Ctx(0)
+		r, err := o.AllocRun(ctx, pages(m, 4), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.FreeRun(ctx, r)
+		mustPanicUntouched(t, m, pm, o, func() { o.FreeRun(ctx, r) })
+	})
+}
+
 // --- sparc64 ---
 
 func newSparcRig(t *testing.T, colors, perColor int) (*smp.Machine, *pmap.Pmap, *Sparc64) {

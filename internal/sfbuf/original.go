@@ -31,6 +31,12 @@ type Original struct {
 
 	mu    sync.Mutex
 	stats Stats
+	// spare is a LIFO of released handles, guarded by mu: Alloc and the
+	// 64-bit AllocBatch pop from it, Free and FreeBatch push onto it, so
+	// it never holds more than the peak number of outstanding mappings.
+	// The simulated kernel allocates nothing here; recycling keeps Go's
+	// heap out of the per-mapping host cost.
+	spare []*Buf
 }
 
 var _ Mapper = (*Original)(nil)
@@ -64,13 +70,39 @@ func (o *Original) Alloc(ctx *smp.Context, page *vm.Page, flags Flags) (*Buf, er
 	o.stats.Allocs++
 	o.stats.Misses++
 	o.stats.VAAllocs++
+	b := o.popLocked()
 	o.mu.Unlock()
-	return &Buf{kva: va, page: page}, nil
+	b.kva, b.page = va, page
+	return b, nil
+}
+
+// popLocked takes a released handle off the LIFO, or a fresh one when it
+// is empty.  Callers hold o.mu.
+func (o *Original) popLocked() *Buf {
+	n := len(o.spare)
+	if n == 0 {
+		return &Buf{}
+	}
+	b := o.spare[n-1]
+	o.spare[n-1] = nil
+	o.spare = o.spare[:n-1]
+	return b
+}
+
+// checkLive panics on a handle that is already released, before the
+// caller charges anything or touches the pmap or the arena: a double free
+// would otherwise tear down whatever mapping now holds the address, and
+// push the handle onto the LIFO twice.
+func checkLive(b *Buf) {
+	if b.page == nil {
+		panic("sfbuf: original mapper: free of an already-freed buffer")
+	}
 }
 
 // Free unmaps the page, performs the global TLB invalidation, and returns
 // the virtual address to the allocator.
 func (o *Original) Free(ctx *smp.Context, b *Buf) {
+	checkLive(b)
 	ctx.ChargeLock()
 	o.pm.KRemove(ctx, b.kva)
 	ctx.InvalidateGlobal(pmap.VPN(b.kva))
@@ -79,6 +111,7 @@ func (o *Original) Free(ctx *smp.Context, b *Buf) {
 	b.page = nil
 	o.mu.Lock()
 	o.stats.Frees++
+	o.spare = append(o.spare, b)
 	o.mu.Unlock()
 }
 
@@ -134,14 +167,18 @@ func (o *Original) AllocBatch(ctx *smp.Context, pages []*vm.Page, flags Flags) (
 		}
 		return nil, fmt.Errorf("sfbuf: original mapper out of KVA: %w", err)
 	}
-	bufs := make([]*Buf, len(pages))
 	for i, pg := range pages {
 		va := base + uint64(i)*vm.PageSize
 		o.pm.KEnter(ctx, va, pg)
 		ctx.InvalidateLocal(pmap.VPN(va))
-		bufs[i] = &Buf{kva: va, page: pg}
 	}
+	bufs := make([]*Buf, len(pages))
 	o.mu.Lock()
+	for i, pg := range pages {
+		b := o.popLocked()
+		b.kva, b.page = base+uint64(i)*vm.PageSize, pg
+		bufs[i] = b
+	}
 	o.stats.Allocs += uint64(len(pages))
 	o.stats.Misses += uint64(len(pages))
 	o.stats.VAAllocs++
@@ -157,6 +194,9 @@ func (o *Original) AllocBatch(ctx *smp.Context, pages []*vm.Page, flags Flags) (
 func (o *Original) FreeBatch(ctx *smp.Context, bufs []*Buf) {
 	if len(bufs) == 0 {
 		return
+	}
+	for _, b := range bufs {
+		checkLive(b)
 	}
 	if o.m.Plat.Arch == arch.I386 {
 		for _, b := range bufs {
@@ -181,6 +221,7 @@ func (o *Original) FreeBatch(ctx *smp.Context, bufs []*Buf) {
 	o.mu.Lock()
 	o.stats.Frees += uint64(len(bufs))
 	o.stats.BatchFrees++
+	o.spare = append(o.spare, bufs...)
 	o.mu.Unlock()
 }
 
