@@ -13,11 +13,13 @@ build:
 
 # Shuffled tests, then the experiment replay (the round-robin churn
 # driver keeps scale, reclaim and adaptive deterministic) and the PostMark
-# golden and allocation bound, repeated.
+# golden and allocation bound, and the event scheduler's golden and order
+# tests, repeated.
 test:
 	$(GO) test -shuffle=on ./...
 	$(GO) test -count=3 -run 'Determinism|ScaleBatch|AdaptivePolicy' ./internal/experiments
 	$(GO) test -count=3 -run 'PostMarkGolden|PostMarkAllocs' ./internal/workloads
+	$(GO) test -count=3 -run 'GoldenSchedule|ScheduleOrder|OOODuplicate' ./internal/vnet ./internal/netstack
 
 # Race detector, then the migration-exclusion races repeated.
 race:
@@ -26,7 +28,7 @@ race:
 
 # Run the checked-in fuzz seed corpus as unit tests (what CI smokes).
 fuzz-smoke:
-	$(GO) test -run 'Fuzz' ./internal/sfbuf ./internal/tlb ./internal/pmap
+	$(GO) test -run 'Fuzz' ./internal/sfbuf ./internal/tlb ./internal/pmap ./internal/vnet
 
 # Actually fuzz the vectored sharded engine for a minute.
 fuzz:

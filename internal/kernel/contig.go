@@ -111,6 +111,12 @@ type MapConsumer struct {
 	// observation time.
 	tierPages uint64
 	tierFast  uint64
+
+	// sendMu guards sendFree, the recycled release records of this
+	// consumer's send extents.  Host-only: recycling a record is
+	// simulator bookkeeping, and nothing charges it.
+	sendMu   sync.Mutex
+	sendFree []*sendRecord
 }
 
 // PolicyClassStats is one window-size class's adaptive state snapshot.

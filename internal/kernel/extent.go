@@ -16,13 +16,30 @@ import (
 // CopyIn/CopyOut, and release with Unmap — or, for send extents whose
 // pages ride separate mbufs, with one Unref per page.
 type Extent struct {
-	k     *Kernel
-	pages []*vm.Page
-	run   *sfbuf.Run
-	bufs  []*sfbuf.Buf
-	// refs counts a send extent's outstanding page references; nil on
-	// extents from MapExtent.  Copies of an Extent share it.
-	refs *atomic.Int32
+	k    *Kernel
+	run  *sfbuf.Run
+	bufs []*sfbuf.Buf
+	// rec is a send extent's release state, nil on extents from
+	// MapExtent; copies of an Extent share it.  gen is the record's
+	// generation when this window was mapped: the record is recycled
+	// once the window's last reference drops.
+	rec *sendRecord
+	gen uint32
+}
+
+// sendRecord is one send extent's release state, recycled through its
+// consumer's free list so a window allocates none of it: the outstanding
+// page references, the record's own copy of the page list (the caller's
+// slice is free for its next window once the map returns), the mapping,
+// and the release hook, bound once per record.  gen counts the record's
+// windows, so a stale Extent copy is caught before it touches a newer one.
+type sendRecord struct {
+	c       *MapConsumer
+	refs    atomic.Int32
+	gen     uint32
+	pages   []*vm.Page
+	mapping Extent
+	release func(*smp.Context)
 }
 
 // MapExtent maps a multi-page extent by this consumer's policy: UseRuns
@@ -49,15 +66,30 @@ func (c *MapConsumer) MapSendExtent(ctx *smp.Context, pages []*vm.Page) (Extent,
 // surfaces as ErrWouldBlock instead of a sleep.
 func (c *MapConsumer) mapSendExtent(ctx *smp.Context, pages []*vm.Page, flags sfbuf.Flags) (Extent, error) {
 	e, err := c.mapExtent(ctx, pages, flags, c.k.Plan.BatchSend)
-	if err == nil {
-		e.refs = new(atomic.Int32)
-		e.refs.Store(int32(len(pages)))
+	if err != nil {
+		return e, err
 	}
-	return e, err
+	c.sendMu.Lock()
+	var r *sendRecord
+	if n := len(c.sendFree); n > 0 {
+		r = c.sendFree[n-1]
+		c.sendFree[n-1] = nil
+		c.sendFree = c.sendFree[:n-1]
+	}
+	c.sendMu.Unlock()
+	if r == nil {
+		r = &sendRecord{c: c}
+		r.release = r.unref
+	}
+	r.mapping = e
+	r.pages = append(r.pages[:0], pages...)
+	r.refs.Store(int32(len(pages)))
+	e.rec, e.gen = r, r.gen
+	return e, nil
 }
 
 func (c *MapConsumer) mapExtent(ctx *smp.Context, pages []*vm.Page, flags sfbuf.Flags, batch bool) (Extent, error) {
-	e := Extent{k: c.k, pages: pages}
+	e := Extent{k: c.k}
 	var err error
 	switch {
 	case c.UseRuns(ctx, pages):
@@ -118,20 +150,40 @@ func (e Extent) Unmap(ctx *smp.Context) {
 }
 
 // Unref drops one of a send extent's page references; the last one
-// unmaps the extent and unwires its pages.  It has the mbuf external
-// free hook's signature, so it is attached as each page's release.
+// unmaps the extent, unwires its pages and recycles its release record.
+// An Unref through a copy of an extent whose record has since been
+// recycled panics.
 func (e Extent) Unref(ctx *smp.Context) {
-	n := e.refs.Add(-1)
+	if e.gen != e.rec.gen {
+		panic("kernel: send extent released after its window was recycled")
+	}
+	e.rec.unref(ctx)
+}
+
+// Release returns a send extent's release hook: Unref with the mbuf
+// external free hook's signature, bound once per record, so attaching it
+// as each page's release allocates nothing.
+func (e Extent) Release() func(*smp.Context) { return e.rec.release }
+
+func (r *sendRecord) unref(ctx *smp.Context) {
+	n := r.refs.Add(-1)
 	if n < 0 {
 		panic("kernel: send extent reference underflow")
 	}
 	if n > 0 {
 		return
 	}
-	e.Unmap(ctx)
-	for _, pg := range e.pages {
+	r.mapping.Unmap(ctx)
+	for _, pg := range r.pages {
 		pg.Unwire()
 	}
+	clear(r.pages)
+	r.pages, r.mapping = r.pages[:0], Extent{}
+	r.gen++
+	c := r.c
+	c.sendMu.Lock()
+	c.sendFree = append(c.sendFree, r)
+	c.sendMu.Unlock()
 }
 
 // Drop releases n references without an mbuf free — the unwind path when

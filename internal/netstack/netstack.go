@@ -331,7 +331,7 @@ func (c *Conn) sendZeroCopyWindowed(ctx *smp.Context, um *vm.UserMem, off, n int
 			}
 			return fmt.Errorf("netstack: window-mapping send run: %w", err)
 		} else {
-			unref := ext.Unref
+			unref := ext.Release()
 			for j, b := range ext.Bufs() {
 				pkt.Append(mbuf.NewExtMbuf(mbuf.NewExt(b, pages[j], unref), pos[j], lens[j]))
 			}

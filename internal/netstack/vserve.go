@@ -210,6 +210,7 @@ type VConn struct {
 	cur     *VRequest       // request currently being staged
 	curOff  int64
 	pending []*vm.Page  // resolved+wired window awaiting a stalled mapping
+	pageBuf []*vm.Page  // backs pending and the window being mapped
 	staged  fifo[*vseg] // mapped, packetized, awaiting window
 	rtq     fifo[*vseg] // transmitted, unacknowledged, seq order
 
@@ -325,7 +326,9 @@ func (c *VConn) stageWindow() bool {
 			npages = w
 		}
 		basePi := int(c.curOff / vm.PageSize)
-		pages = make([]*vm.Page, 0, npages)
+		// The send extent keeps its own copy of the page list, so one
+		// buffer serves every window of the connection.
+		pages = c.pageBuf[:0]
 		for j := 0; j < npages; j++ {
 			pg, err := req.PageAt(c.ctx, basePi+j)
 			if err != nil {
@@ -339,6 +342,7 @@ func (c *VConn) stageWindow() bool {
 			c.ctx.Charge(c.ctx.Cost().PageWire)
 			pages = append(pages, pg)
 		}
+		c.pageBuf = pages
 	}
 
 	// Map the window under the connection's policy.  NoWait: stalls back
@@ -460,7 +464,7 @@ func (c *VConn) mapWindow(pages []*vm.Page) ([]*mbuf.Ext, error) {
 	ext, err := c.sw.MapExtent(c.ctx, pages, sfbuf.NoWait)
 	exts := c.srv.exts[:0]
 	if err == nil {
-		unref := ext.Unref // one method value for the window, not one per page
+		unref := ext.Release() // bound once per release record
 		for j, b := range ext.Bufs() {
 			exts = append(exts, c.srv.newExt(b, pages[j], unref))
 		}
@@ -796,8 +800,9 @@ func (cl *VClient) HandleData(p vnet.Packet) {
 		return
 	case p.Seq > cl.rcvNxt:
 		// Hole before this segment: queue it, duplicate-ACK the hole.
-		cl.insertOOO(p)
-		cl.stats.OOOQueued++
+		if cl.insertOOO(p) {
+			cl.stats.OOOQueued++
+		}
 		cl.sendAck()
 		return
 	}
@@ -826,17 +831,21 @@ func (cl *VClient) advance(end int64) {
 	cl.stats.BytesRecved += n
 }
 
-func (cl *VClient) insertOOO(p vnet.Packet) {
+// insertOOO queues an out-of-order segment in seq order, reporting
+// whether it was queued: a segment whose seq is already queued is not.
+func (cl *VClient) insertOOO(p vnet.Packet) bool {
 	i := len(cl.ooo)
 	for i > 0 && cl.ooo[i-1].Seq > p.Seq {
 		i--
 	}
-	if i < len(cl.ooo) && cl.ooo[i].Seq == p.Seq {
-		return // duplicate of a queued segment
+	// Now ooo[i-1].Seq <= p.Seq < ooo[i].Seq: only ooo[i-1] can match.
+	if i > 0 && cl.ooo[i-1].Seq == p.Seq {
+		return false
 	}
 	cl.ooo = append(cl.ooo, vnet.Packet{})
 	copy(cl.ooo[i+1:], cl.ooo[i:])
 	cl.ooo[i] = p
+	return true
 }
 
 func (cl *VClient) sendAck() {

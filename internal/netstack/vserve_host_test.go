@@ -113,14 +113,16 @@ func TestTimerRearmAllocatesNothing(t *testing.T) {
 
 // TestVServeAllocsPerPage bounds the heap allocations of a lossy,
 // reordering, multi-connection run per page delivered.  Segments,
-// chains, mbufs, externals, events and timers are all recycled, so what
-// is left is per mapping window (the page slice, the run and its release
-// state), not per packet: a change that puts a `new` back on the
-// per-packet path multiplies this figure and fails here, not in a
-// benchmark review.  (This run made 27.6 per page before the serving
-// plane was made allocation-free per packet, and makes 3.7 now.)
+// chains, mbufs, externals, events, timers, the connection's page buffer
+// and the send extents' release records are all recycled, so what is
+// left is the mapping layer's per-window handle (a batch's Buf slice or
+// a run), not per packet: a change that puts a `new` back on the
+// per-packet or per-window path multiplies this figure and fails here,
+// not in a benchmark review.  (This run made 27.6 per page before the
+// serving plane was made allocation-free per packet, 3.7 before its
+// windows recycled their release state, and makes 1.45 now.)
 func TestVServeAllocsPerPage(t *testing.T) {
-	const maxAllocsPerPage = 8
+	const maxAllocsPerPage = 2
 	k := bootVServeKernel(t, 512)
 	net := vnet.New(77)
 	srv := NewVServer(NewStack(k, MTUSmall), net)
@@ -167,7 +169,9 @@ func TestVServeAllocsPerPage(t *testing.T) {
 	pages := got / vm.PageSize
 	perPage := float64(allocs) / float64(pages)
 	t.Logf("%d allocations over %d pages: %.2f per page", allocs, pages, perPage)
-	if perPage > maxAllocsPerPage {
+	// The race detector randomly drops sync.Pool items, so the mapping
+	// layer's pooled scratch reallocates by chance: no bound there.
+	if perPage > maxAllocsPerPage && !raceEnabled {
 		t.Fatalf("%.2f heap allocations per delivered page, want <= %d", perPage, maxAllocsPerPage)
 	}
 }

@@ -379,3 +379,24 @@ func TestVServeConcurrentStress(t *testing.T) {
 		t.Fatalf("concurrent serve leaked mappings: allocs %d != frees %d", st2.Allocs, st2.Frees)
 	}
 }
+
+// TestOOODuplicateQueuedOnce: an out-of-order segment delivered twice —
+// a duplicate frame, or a retransmission that races the original past a
+// hole — is queued once and counted once.
+func TestOOODuplicateQueuedOnce(t *testing.T) {
+	net := vnet.New(1)
+	cl := NewVClient(net, 0, net.NewLink(1000, 1000, func(vnet.Packet) {}), DefaultWindow, 1460, 20_000)
+	seg := vnet.Packet{Seq: 2920, Len: 1460}
+	cl.HandleData(seg)
+	cl.HandleData(seg)
+	if len(cl.ooo) != 1 || cl.Stats().OOOQueued != 1 {
+		t.Fatalf("a segment delivered twice past a hole: %d queued, OOOQueued %d; want 1 and 1",
+			len(cl.ooo), cl.Stats().OOOQueued)
+	}
+	// Filling the hole pulls the one queued copy.
+	cl.HandleData(vnet.Packet{Seq: 0, Len: 2920})
+	if len(cl.ooo) != 0 || cl.Stats().BytesRecved != 4380 {
+		t.Fatalf("after the hole filled: %d queued, %d bytes received; want 0 and 4380",
+			len(cl.ooo), cl.Stats().BytesRecved)
+	}
+}

@@ -156,7 +156,7 @@ func sendFileWindowed(ctx *smp.Context, k *kernel.Kernel, fsys *fs.FS, conn *net
 			unwire()
 			return sent, fmt.Errorf("sendfile: window-mapping run: %w", err)
 		}
-		bufs, unref := ext.Bufs(), ext.Unref
+		bufs, unref := ext.Bufs(), ext.Release()
 		for j := range bufs {
 			po := int(off % vm.PageSize)
 			take := int(min64(vm.PageSize-int64(po), size-off))

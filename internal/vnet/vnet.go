@@ -11,20 +11,23 @@
 // internal/netstack interprets deliveries against that state.
 //
 // Determinism is the design constraint everything else follows from.
-// Events fire in (time, schedule-order) order from a 4-ary heap of value
-// keys over a recycled slab of typed events (see Net), all randomness
-// comes from per-link splitmix64 generators seeded from the caller's one
-// seed, and the event loop is single-threaded: Step and Run must be
-// called from one goroutine, and every callback runs on that goroutine.
-// Two runs with the same seed therefore replay the same packet schedule
-// bit for bit, which TraceHash certifies — it folds every delivery and
-// timer into one FNV-1a digest that the determinism suite compares
-// across runs.  Virtual time is measured in simulated CPU cycles so that
-// network round trips and mapping-stall backoffs add in the same unit
-// the latency percentiles are reported in, but the clock only advances
-// through link delays and timers — never by CPU work, which the smp
-// machine accounts separately.
+// Events fire in (time, schedule-order) order — from a timing wheel of
+// one-cycle FIFOs for events due soon and a 4-ary heap of value keys for
+// the rest, over one recycled slab of typed events (see Net) — all
+// randomness comes from per-link splitmix64 generators seeded from the
+// caller's one seed, and the event loop is single-threaded: Step and Run
+// must be called from one goroutine, and every callback runs on that
+// goroutine.  Two runs with the same seed therefore replay the same
+// packet schedule bit for bit, which TraceHash certifies — it folds
+// every delivery and timer into one FNV-1a digest that the determinism
+// suite compares across runs.  Virtual time is measured in simulated CPU
+// cycles so that network round trips and mapping-stall backoffs add in
+// the same unit the latency percentiles are reported in, but the clock
+// only advances through link delays and timers — never by CPU work,
+// which the smp machine accounts separately.
 package vnet
+
+import "math/bits"
 
 // Flags mark a packet's role.
 type Flags uint8
@@ -93,8 +96,8 @@ func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// heapKey orders one pending event.  Keys are values, so sifting moves
-// 24 bytes and never touches the event it names.
+// heapKey orders one pending far event.  Keys are values, so sifting
+// moves 24 bytes and never touches the event it names.
 type heapKey struct {
 	at   int64
 	seq  uint64 // schedule order: the deterministic tiebreak
@@ -110,11 +113,22 @@ func (k heapKey) before(o heapKey) bool {
 
 // event is what fires: a delivery of pkt on link, or (link nil) a timer
 // callback.  Deliveries are dispatched directly, so Send captures nothing.
+// next links the event to the one after it in its wheel slot's FIFO.
 type event struct {
 	link *Link
 	pkt  Packet
 	fn   func()
+	next int32
 }
+
+// The timing wheel spans wheelSize cycles: an event due before
+// now+wheelSize waits in the FIFO of its exact cycle, anything later in
+// the heap.  Link deliveries (delay plus reorder hold) land well inside
+// the span; RTO, probe, retry and drain timers mostly land beyond it.
+const (
+	wheelSize = 1 << 14
+	wheelMask = wheelSize - 1
+)
 
 // Stats counts scheduler and link activity.
 type Stats struct {
@@ -129,15 +143,31 @@ type Stats struct {
 	Events uint64
 }
 
-// Net is one virtual network: a clock, an event heap, and the links
+// Net is one virtual network: a clock, an event queue, and the links
 // created on it.  Single-threaded: see the package comment.
 //
 // Pending events live in events, a slab whose freed slots are reused
-// (free is the stack of them), and are ordered by heap, a 4-ary min-heap
-// of (at, seq) keys.  seq is unique, so the order is total and any
-// correct heap pops the same sequence.  Both grow to the peak number of
-// events in flight and no further: steady-state Send, After and Step
-// allocate nothing.
+// (free is the stack of them; slot 0 is never used, so 0 means "none").
+// They are ordered by two containers that split the future at
+// now+wheelSize:
+//
+//   - The wheel holds every event due in [now, now+wheelSize), one FIFO
+//     per cycle, linked through event.next from head to tail.  A slot
+//     holds one cycle at a time, since the span is one lap.  A
+//     two-level bitmap (occ over slots, occWords over occ's words)
+//     finds the next occupied slot.
+//   - The heap, a 4-ary min-heap of (at, seq) keys, holds every later
+//     event.  Whenever the clock advances, the heap's keys that the new
+//     now+wheelSize brings into range move to their cycles' FIFOs in
+//     (at, seq) order, before the event at the new now fires.
+//
+// The order is exact: seq rises with every schedule, so an event can be
+// inserted directly into a cycle's FIFO only after every heap key for
+// that cycle has migrated there — and those all carry smaller seqs — so
+// each FIFO is in schedule order and the wheel fires exactly the (at,
+// seq) sequence one heap of every event would.  All of it grows to the
+// peak number of events in flight and no further: steady-state Send,
+// After and Step allocate nothing.
 type Net struct {
 	now    int64
 	seq    uint64
@@ -148,11 +178,16 @@ type Net struct {
 	links  int
 	hash   uint64
 	stats  Stats
+
+	wheelN     int // events in the wheel
+	head, tail [wheelSize]int32
+	occ        [wheelSize / 64]uint64
+	occWords   [wheelSize / 64 / 64]uint64
 }
 
 // New creates a network whose links derive their randomness from seed.
 func New(seed uint64) *Net {
-	return &Net{seed: seed, hash: fnvOffset}
+	return &Net{seed: seed, hash: fnvOffset, events: make([]event, 1)}
 }
 
 // Now returns the current virtual time in simulated cycles.
@@ -162,7 +197,7 @@ func (n *Net) Now() int64 { return n.now }
 func (n *Net) Stats() Stats { return n.stats }
 
 // Pending returns the number of scheduled events.
-func (n *Net) Pending() int { return len(n.heap) }
+func (n *Net) Pending() int { return n.wheelN + len(n.heap) }
 
 // After schedules fn to run at Now()+d (d floors at zero, meaning "next
 // event slot").
@@ -173,7 +208,12 @@ func (n *Net) After(d int64, fn func()) {
 	n.schedule(n.now+d, event{fn: fn})
 }
 
+// schedule queues ev to fire at cycle at, which must not be in the past:
+// an event due before now would fire ahead of events already due at now.
 func (n *Net) schedule(at int64, ev event) {
+	if at < n.now {
+		panic("vnet: event scheduled in the past")
+	}
 	var slot int32
 	if f := len(n.free); f > 0 {
 		slot = n.free[f-1]
@@ -183,8 +223,85 @@ func (n *Net) schedule(at int64, ev event) {
 		slot = int32(len(n.events))
 		n.events = append(n.events, ev)
 	}
-	k := heapKey{at: at, seq: n.seq, slot: slot}
+	if at-n.now < wheelSize {
+		n.wheelPush(at, slot)
+	} else {
+		n.push(heapKey{at: at, seq: n.seq, slot: slot})
+	}
 	n.seq++
+}
+
+// wheelPush appends event slot to the FIFO of cycle at.
+func (n *Net) wheelPush(at int64, slot int32) {
+	s := int(at & wheelMask)
+	if t := n.tail[s]; t != 0 {
+		n.events[t].next = slot
+	} else {
+		n.head[s] = slot
+		n.occ[s>>6] |= 1 << (s & 63)
+		n.occWords[s>>12] |= 1 << ((s >> 6) & 63)
+	}
+	n.tail[s] = slot
+	n.wheelN++
+}
+
+// wheelPop removes and returns the head of slot s's FIFO.
+func (n *Net) wheelPop(s int) int32 {
+	slot := n.head[s]
+	next := n.events[slot].next
+	n.head[s] = next
+	if next == 0 {
+		n.tail[s] = 0
+		if n.occ[s>>6] &^= 1 << (s & 63); n.occ[s>>6] == 0 {
+			n.occWords[s>>12] &^= 1 << ((s >> 6) & 63)
+		}
+	}
+	n.wheelN--
+	return slot
+}
+
+// nextSlot returns the wheel slot holding the earliest event, which must
+// exist.  Slots are scanned circularly from now's: those at or after it
+// hold this lap's cycles, those before it the next lap's.
+func (n *Net) nextSlot() int {
+	p := int(n.now & wheelMask)
+	if b := n.occ[p>>6] >> (p & 63); b != 0 {
+		return p + bits.TrailingZeros64(b)
+	}
+	w := n.nextWord(p>>6 + 1)
+	if w < 0 {
+		w = n.nextWord(0) // wrap; may be now's own word, below p
+	}
+	return w<<6 + bits.TrailingZeros64(n.occ[w])
+}
+
+// nextWord returns the first non-empty occ word at index from or later,
+// or -1.
+func (n *Net) nextWord(from int) int {
+	for i := from >> 6; i < len(n.occWords); i++ {
+		b := n.occWords[i]
+		if i == from>>6 {
+			b &= ^uint64(0) << (from & 63)
+		}
+		if b != 0 {
+			return i<<6 + bits.TrailingZeros64(b)
+		}
+	}
+	return -1
+}
+
+// advance moves the clock to at and migrates the heap keys that now fall
+// inside the wheel's span, in (at, seq) order.
+func (n *Net) advance(at int64) {
+	n.now = at
+	for len(n.heap) > 0 && n.heap[0].at-at < wheelSize {
+		k := n.popMin()
+		n.wheelPush(k.at, k.slot)
+	}
+}
+
+// push adds a key to the heap.
+func (n *Net) push(k heapKey) {
 	// Sift up: 4-ary, so the parent of i is (i-1)/4.
 	h := append(n.heap, k)
 	i := len(h) - 1
@@ -236,18 +353,24 @@ func (n *Net) popMin() heapKey {
 // Step fires the earliest event, advancing the clock to it.  It returns
 // false when no events remain.
 func (n *Net) Step() bool {
-	if len(n.heap) == 0 {
-		return false
+	if n.wheelN == 0 {
+		if len(n.heap) == 0 {
+			return false
+		}
+		// Nothing due within the span: jump to the earliest far event,
+		// which migrates it (and its span's followers) into the wheel.
+		n.advance(n.heap[0].at)
 	}
-	k := n.popMin()
+	s := n.nextSlot()
+	if at := n.now + int64((s-int(n.now&wheelMask))&wheelMask); at != n.now {
+		n.advance(at)
+	}
+	slot := n.wheelPop(s)
 	// Copy the event out and give its slot back before firing: the
 	// callback may schedule, which reuses the slot or grows the slab.
-	ev := n.events[k.slot]
-	n.events[k.slot] = event{}
-	n.free = append(n.free, k.slot)
-	if k.at > n.now {
-		n.now = k.at
-	}
+	ev := n.events[slot]
+	n.events[slot] = event{}
+	n.free = append(n.free, slot)
 	n.stats.Events++
 	if ev.link != nil {
 		n.stats.Delivered++
@@ -288,12 +411,25 @@ const (
 	fnvPrime  = 1099511628211
 )
 
-// fold digests v's eight bytes, low byte first, into the FNV-1a state h.
-func fold(h, v uint64) uint64 {
-	for i := 0; i < 64; i += 8 {
-		h = (h ^ (v>>i)&0xff) * fnvPrime
+// fnvPow[k] is fnvPrime^k: k FNV-1a steps over zero bytes, each of which
+// is a bare multiply.
+var fnvPow = func() (p [9]uint64) {
+	p[0] = 1
+	for k := 1; k < len(p); k++ {
+		p[k] = p[k-1] * fnvPrime
 	}
-	return h
+	return p
+}()
+
+// fold digests v's eight bytes, low byte first, into the FNV-1a state h.
+// Bytes above v's highest non-zero one are folded as one multiply.
+func fold(h, v uint64) uint64 {
+	k := (bits.Len64(v) + 7) >> 3
+	for i := 0; i < k; i++ {
+		h = (h ^ v&0xff) * fnvPrime
+		v >>= 8
+	}
+	return h * fnvPow[8-k]
 }
 
 func (n *Net) foldPacket(tag uint64, p Packet) {

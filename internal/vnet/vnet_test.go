@@ -1,7 +1,7 @@
 package vnet
 
 import (
-	"sort"
+	"fmt"
 	"testing"
 )
 
@@ -142,54 +142,193 @@ func TestRandRanges(t *testing.T) {
 	}
 }
 
-// TestHeapOrderMatchesStableSort is the scheduler's ordering property:
-// over seeded random schedules — pushes interleaved with pops, times
-// drawn from a range narrow enough that most keys tie — popMin returns
-// exactly what a stable sort by time of the still-pending keys, in
-// schedule order, puts first.
-func TestHeapOrderMatchesStableSort(t *testing.T) {
+// TestScheduleOrderMatchesStableSort is the scheduler's ordering
+// property: over seeded random schedules whose callbacks schedule more
+// events as they fire, Step fires exactly what a stable sort by time of
+// the pending events, in schedule order, puts first.  Delays are drawn at
+// the wheel's edge (W-1, W, W+1), just inside and beyond it, and laps
+// ahead, from times narrow enough that most events tie, so far events
+// migrate into cycles that direct inserts join later, ties mix both
+// containers, slots are reused lap after lap, and (in the sparse cases,
+// whose schedules die out and are re-seeded) the wheel empties while the
+// heap still holds events.  The test counts those situations, and
+// the test fails if any of them never happened.
+func TestScheduleOrderMatchesStableSort(t *testing.T) {
+	const W = wheelSize
+	var mixedTies, jumps, reuses int
 	for _, tc := range []struct {
 		seed   uint64
-		ops    int
-		spread int // distinct times; 1 = every key ties
-		popPct int
+		events int
+		burst  int   // events scheduled from outside whenever none are pending
+		spread int64 // width of each delay class; 1 = maximal ties
 	}{
-		{1, 2000, 1, 30},
-		{2, 5000, 4, 45},
-		{3, 5000, 1000, 50},
-		{4, 3000, 16, 10},
-		{5, 3000, 3, 70},
+		{1, 3000, 64, 1},
+		{2, 5000, 64, 4},
+		{3, 5000, 64, 64},
+		{4, 4000, 64, 1000},
+		{5, 3000, 64, W / 2},
+		{6, 3000, 2, 1},
+		{7, 3000, 3, 16},
 	} {
 		n := New(0)
 		rng := NewRand(tc.seed)
-		var ref []heapKey // pending keys; seq order within a time is preserved
-		pop := func() {
-			sort.SliceStable(ref, func(i, j int) bool { return ref[i].at < ref[j].at })
-			want := ref[0]
-			ref = ref[1:]
-			got := n.popMin()
-			n.free = append(n.free, got.slot)
-			if got.at != want.at || got.seq != want.seq {
-				t.Fatalf("seed %d: popped (at %d, seq %d), want (at %d, seq %d)",
-					tc.seed, got.at, got.seq, want.at, want.seq)
+		type pend struct {
+			at  int64
+			id  int
+			far bool // scheduled at least W ahead: it went to the heap
+		}
+		var ref []pend // pending events in schedule order
+		var last pend
+		lastAt := map[int64]int64{} // wheel slot -> last cycle fired there
+		scheduled := 0
+		delay := func() int64 {
+			switch rng.Intn(8) {
+			case 0:
+				return 0
+			case 1:
+				return W - 1 + rng.Int63n(3)
+			case 2:
+				return W - 1 - rng.Int63n(tc.spread)
+			case 3:
+				return W + rng.Int63n(tc.spread)
+			case 4:
+				return rng.Int63n(tc.spread)
+			case 5:
+				return int64(2+rng.Intn(3))*W + rng.Int63n(tc.spread)
+			default:
+				return rng.Int63n(W + tc.spread)
 			}
 		}
-		for i := 0; i < tc.ops; i++ {
-			if len(ref) > 0 && rng.Intn(100) < tc.popPct {
-				pop()
-				continue
+		var add func()
+		add = func() {
+			id, d := scheduled, delay()
+			scheduled++
+			ref = append(ref, pend{at: n.Now() + d, id: id, far: d >= W})
+			n.After(d, func() {
+				best := 0
+				for i, p := range ref {
+					if p.at < ref[best].at {
+						best = i
+					}
+				}
+				want := ref[best]
+				ref = append(ref[:best], ref[best+1:]...)
+				if id != want.id || n.Now() != want.at {
+					t.Fatalf("seed %d: fired event %d at %d, want event %d at %d",
+						tc.seed, id, n.Now(), want.id, want.at)
+				}
+				if want.at == last.at && want.far != last.far {
+					mixedTies++
+				}
+				if prev, ok := lastAt[want.at&(W-1)]; ok && prev != want.at {
+					reuses++
+				}
+				lastAt[want.at&(W-1)], last = want.at, want
+				for k := rng.Intn(3); k > 0 && scheduled < tc.events; k-- {
+					add()
+				}
+			})
+		}
+		for scheduled < tc.events {
+			for i := 0; i < tc.burst; i++ {
+				add()
 			}
-			at := int64(rng.Intn(tc.spread))
-			ref = append(ref, heapKey{at: at, seq: n.seq})
-			n.schedule(at, event{})
+			for {
+				if n.wheelN == 0 && len(n.heap) > 0 {
+					jumps++
+				}
+				if !n.Step() {
+					break
+				}
+			}
 		}
-		for len(ref) > 0 {
-			pop()
-		}
-		if n.Pending() != 0 {
-			t.Fatalf("seed %d: %d keys left after draining the reference", tc.seed, n.Pending())
+		if len(ref) != 0 || n.Pending() != 0 {
+			t.Fatalf("seed %d: %d reference events and %d scheduled ones left", tc.seed, len(ref), n.Pending())
 		}
 	}
+	if mixedTies == 0 || jumps == 0 || reuses == 0 {
+		t.Fatalf("schedules missed a case: %d ties across containers, %d jumps to a far event, %d slot reuses",
+			mixedTies, jumps, reuses)
+	}
+}
+
+// TestEdgeDelaysFireInOrder pins the wheel's boundary by hand: events
+// W-1, W and W+1 cycles out go to the wheel, the heap and the heap, and a
+// far event's cycle later joined by a direct insert fires the far event
+// first.
+func TestEdgeDelaysFireInOrder(t *testing.T) {
+	const W = wheelSize
+	n := New(0)
+	var order []int
+	mark := func(id int) func() { return func() { order = append(order, id) } }
+	n.After(W+1, mark(3))
+	n.After(W, mark(2))
+	n.After(W-1, mark(1))
+	if n.wheelN != 1 || len(n.heap) != 2 {
+		t.Fatalf("wheel %d, heap %d after W-1, W, W+1: want 1 and 2", n.wheelN, len(n.heap))
+	}
+	n.After(10, func() {
+		order = append(order, 0)
+		n.After(W-10, mark(4)) // same cycle as event 2, scheduled later
+	})
+	n.Run()
+	want := []int{0, 1, 2, 4, 3}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("fired %v, want %v", order, want)
+	}
+}
+
+// TestSchedulePastPanics: an event due before now would fire ahead of
+// events already due at now, so scheduling one panics.  After floors
+// negative delays; only a link with a negative delay can reach it.
+func TestSchedulePastPanics(t *testing.T) {
+	n := New(1)
+	l := n.NewLink(-5, -5, func(Packet) {})
+	n.After(-3, func() {}) // floored: fine
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a delivery due 5 cycles in the past was scheduled without a panic")
+		}
+	}()
+	l.Send(Packet{})
+}
+
+// foldBytewise is fold's reference: eight FNV-1a steps, low byte first.
+func foldBytewise(h, v uint64) uint64 {
+	for i := 0; i < 64; i += 8 {
+		h = (h ^ (v>>i)&0xff) * fnvPrime
+	}
+	return h
+}
+
+// TestFoldMatchesBytewise: skipping the zero high bytes must digest
+// exactly what eight steps do, interior zero bytes included.
+func TestFoldMatchesBytewise(t *testing.T) {
+	vals := []uint64{0, 1, 0xff, 0x100, 0x1_0000_0001, 0xff00_0000_00ff,
+		1<<56 - 1, 1 << 56, 1<<63 | 1, 1<<64 - 1, uint64(0x5eed) << 24}
+	for _, neg := range []int64{-1, -2, -1460, -1 << 40, -1 << 63} {
+		vals = append(vals, uint64(neg))
+	}
+	for _, h := range []uint64{fnvOffset, 0, 1<<64 - 1} {
+		for _, v := range vals {
+			if got, want := fold(h, v), foldBytewise(h, v); got != want {
+				t.Fatalf("fold(%#x, %#x) = %#x, want %#x", h, v, got, want)
+			}
+		}
+	}
+}
+
+// FuzzFold holds fold to the bytewise reference on arbitrary inputs.
+func FuzzFold(f *testing.F) {
+	f.Add(uint64(fnvOffset), uint64(0))
+	f.Add(uint64(fnvOffset), uint64(1<<56-1))
+	f.Add(uint64(0), uint64(1<<64-1))
+	f.Add(uint64(12345), uint64(0x00ff_0000_ff00_0001))
+	f.Fuzz(func(t *testing.T, h, v uint64) {
+		if got, want := fold(h, v), foldBytewise(h, v); got != want {
+			t.Fatalf("fold(%#x, %#x) = %#x, want %#x", h, v, got, want)
+		}
+	})
 }
 
 // TestSteadyStateAllocatesNothing guards the event loop's host cost as a
