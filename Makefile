@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race fuzz-smoke fuzz bench bench-contended bench-batch bench-run bench-adaptive bench-contig bench-serve bench-reclaim bench-numa bench-defrag bench-tier bench-compare bench-pairs docs lint vet fmt ci clean
+.PHONY: all build test race fuzz-smoke fuzz bench bench-contended bench-batch bench-run bench-adaptive bench-contig bench-serve bench-reclaim bench-numa bench-defrag bench-tier bench-compare bench-pairs reach docs lint vet fmt ci clean
 
 all: build test
 
@@ -117,6 +117,12 @@ SEED ?= 1
 bench-pairs:
 	bash ./scripts/benchpairs.sh $(BASE) $(WORKLOAD) $(PAIRS) $(SEED)
 
+# Reach audit: suite and experiment coverage per core function; fails on
+# a core function no test runs unless scripts/reach.allow names it with a
+# reason.  See scripts/reach.sh.
+reach:
+	bash ./scripts/reach.sh
+
 # Documentation gate: package comments on every package, docs links
 # resolve.  Mirrors the CI docs step.
 docs:
@@ -132,7 +138,7 @@ vet:
 fmt:
 	gofmt -w .
 
-ci: build lint docs test race fuzz-smoke bench
+ci: build lint docs test race fuzz-smoke bench reach
 
 clean:
 	$(GO) clean ./...

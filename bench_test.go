@@ -707,7 +707,6 @@ func BenchmarkMapperMicro(b *testing.B) {
 	}{
 		{"i386-sfbuf", arch.XeonMP(), kernel.SFBuf},
 		{"amd64-sfbuf", arch.OpteronMP(), kernel.SFBuf},
-		{"sparc64-sfbuf", arch.Sparc64MP(), kernel.SFBuf},
 		{"i386-original", arch.XeonMP(), kernel.OriginalKernel},
 		{"amd64-original", arch.OpteronMP(), kernel.OriginalKernel},
 	}

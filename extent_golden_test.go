@@ -18,8 +18,8 @@ import (
 
 // extentGoldenEngines are the engines whose consumer paths the golden
 // pins: the sharded i386 cache under each Contig position, the paper's
-// global-lock cache, the original kernel on both pmaps, the amd64 direct
-// map and the sharded sparc64 hybrid.
+// global-lock cache, the original kernel on both pmaps and the amd64
+// direct map.
 var extentGoldenEngines = []struct {
 	name string
 	cfg  kernel.Config
@@ -31,7 +31,6 @@ var extentGoldenEngines = []struct {
 	{"original-i386", kernel.Config{Platform: arch.XeonMP(), Mapper: kernel.OriginalKernel}},
 	{"original-amd64", kernel.Config{Platform: arch.OpteronMP(), Mapper: kernel.OriginalKernel}},
 	{"amd64", kernel.Config{Platform: arch.OpteronMP(), Mapper: kernel.SFBuf}},
-	{"sparc64-sharded", kernel.Config{Platform: arch.Sparc64MP(), Mapper: kernel.SFBuf}},
 }
 
 // extentGoldenScenarios drive each consumer that maps multi-page windows.
@@ -193,7 +192,7 @@ func extentGoldenRows(t *testing.T) map[string]string {
 				cfg.PhysPages, cfg.Backed, cfg.CacheEntries = 2048, true, 256
 				mode := "fit"
 				if over {
-					cfg.CacheEntries, cfg.EntriesPerColor, mode = 4, 4, "over"
+					cfg.CacheEntries, mode = 4, "over"
 				}
 				k := kernel.MustBoot(cfg)
 				key := e.name + "/" + sc.name + "/" + mode
@@ -290,12 +289,4 @@ var extentGolden = map[string]string{
 	"original-i386/sendfile/over":     "cyc=13264617 linv=185 rinv=185 walks=185 {Allocs:185 Frees:185 Hits:0 Misses:185 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:185 FreelistAllocs:0 Reclaims:0 Reclaimed:0 BatchAllocs:0 BatchFrees:0 BatchPages:0 RunAllocs:0 RunFrees:0 RunPages:0 RunRevives:0 RunReviveMisses:0}",
 	"original-i386/zerocopy/fit":      "cyc=346854 linv=18 rinv=18 walks=18 {Allocs:18 Frees:18 Hits:0 Misses:18 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:18 FreelistAllocs:0 Reclaims:0 Reclaimed:0 BatchAllocs:0 BatchFrees:0 BatchPages:0 RunAllocs:0 RunFrees:0 RunPages:0 RunRevives:0 RunReviveMisses:0}",
 	"original-i386/zerocopy/over":     "cyc=1756520 linv=56 rinv=56 walks=56 {Allocs:56 Frees:56 Hits:0 Misses:56 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:56 FreelistAllocs:0 Reclaims:0 Reclaimed:0 BatchAllocs:0 BatchFrees:0 BatchPages:0 RunAllocs:0 RunFrees:0 RunPages:0 RunRevives:0 RunReviveMisses:0}",
-	"sparc64-sharded/memdisk/fit":     "cyc=3362496 linv=0 rinv=0 walks=0 {Allocs:576 Frees:576 Hits:576 Misses:0 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:0 FreelistAllocs:0 Reclaims:0 Reclaimed:0 BatchAllocs:65 BatchFrees:65 BatchPages:390 RunAllocs:31 RunFrees:31 RunPages:186 RunRevives:0 RunReviveMisses:0}",
-	"sparc64-sharded/memdisk/over":    "cyc=3362496 linv=0 rinv=0 walks=0 {Allocs:576 Frees:576 Hits:576 Misses:0 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:0 FreelistAllocs:0 Reclaims:0 Reclaimed:0 BatchAllocs:0 BatchFrees:0 BatchPages:0 RunAllocs:96 RunFrees:96 RunPages:576 RunRevives:0 RunReviveMisses:0}",
-	"sparc64-sharded/pipe/fit":        "cyc=91520 linv=0 rinv=0 walks=0 {Allocs:32 Frees:32 Hits:32 Misses:0 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:0 FreelistAllocs:0 Reclaims:0 Reclaimed:0 BatchAllocs:0 BatchFrees:0 BatchPages:0 RunAllocs:2 RunFrees:2 RunPages:32 RunRevives:0 RunReviveMisses:0}",
-	"sparc64-sharded/pipe/over":       "cyc=89720 linv=0 rinv=0 walks=0 {Allocs:32 Frees:32 Hits:32 Misses:0 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:0 FreelistAllocs:0 Reclaims:0 Reclaimed:0 BatchAllocs:0 BatchFrees:0 BatchPages:0 RunAllocs:2 RunFrees:2 RunPages:32 RunRevives:0 RunReviveMisses:0}",
-	"sparc64-sharded/sendfile/fit":    "cyc=4861829 linv=0 rinv=0 walks=0 {Allocs:185 Frees:185 Hits:185 Misses:0 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:0 FreelistAllocs:0 Reclaims:0 Reclaimed:0 BatchAllocs:1 BatchFrees:1 BatchPages:16 RunAllocs:2 RunFrees:2 RunPages:25 RunRevives:0 RunReviveMisses:0}",
-	"sparc64-sharded/sendfile/over":   "cyc=4946849 linv=0 rinv=0 walks=0 {Allocs:185 Frees:185 Hits:185 Misses:0 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:0 FreelistAllocs:0 Reclaims:0 Reclaimed:0 BatchAllocs:2 BatchFrees:2 BatchPages:17 RunAllocs:5 RunFrees:5 RunPages:24 RunRevives:0 RunReviveMisses:0}",
-	"sparc64-sharded/zerocopy/fit":    "cyc=73777 linv=0 rinv=0 walks=0 {Allocs:18 Frees:18 Hits:18 Misses:0 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:0 FreelistAllocs:0 Reclaims:0 Reclaimed:0 BatchAllocs:0 BatchFrees:0 BatchPages:0 RunAllocs:4 RunFrees:4 RunPages:18 RunRevives:0 RunReviveMisses:0}",
-	"sparc64-sharded/zerocopy/over":   "cyc=570400 linv=0 rinv=0 walks=0 {Allocs:56 Frees:56 Hits:56 Misses:0 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:0 FreelistAllocs:0 Reclaims:0 Reclaimed:0 BatchAllocs:28 BatchFrees:28 BatchPages:28 RunAllocs:14 RunFrees:14 RunPages:28 RunRevives:0 RunReviveMisses:0}",
 }

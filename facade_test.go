@@ -43,7 +43,7 @@ func TestFacadePlatforms(t *testing.T) {
 	if len(EvaluationPlatforms()) != 5 {
 		t.Fatal("expected the paper's five platforms")
 	}
-	for _, boot := range []func() Platform{XeonUP, XeonHTT, XeonMP, XeonMPHTT, OpteronMP, Sparc64MP} {
+	for _, boot := range []func() Platform{XeonUP, XeonHTT, XeonMP, XeonMPHTT, OpteronMP} {
 		p := boot()
 		k, err := Boot(Config{Platform: p, Mapper: SFBufKernel, PhysPages: 64, CacheEntries: 16})
 		if err != nil {

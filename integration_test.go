@@ -26,7 +26,7 @@ import (
 // cache drained cleanly and nothing leaked a page wire.
 func TestKernelWideIntegration(t *testing.T) {
 	for _, mk := range []kernel.MapperKind{kernel.SFBuf, kernel.OriginalKernel} {
-		for _, plat := range []Platform{XeonMPHTT(), OpteronMP(), Sparc64MP()} {
+		for _, plat := range []Platform{XeonMPHTT(), OpteronMP()} {
 			t.Run(fmt.Sprintf("%s/%v", plat.Name, mk), func(t *testing.T) {
 				runIntegration(t, plat, mk)
 			})

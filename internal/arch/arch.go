@@ -30,7 +30,9 @@ import (
 // ID identifies a simulated processor architecture.
 type ID int
 
-// The architectures discussed in the paper (Section 4).
+// The architectures the paper measures (Sections 4.2 and 4.3).  Section
+// 4.4's color-constrained hybrid is not reproduced; docs/ARCHITECTURE.md
+// says why.
 const (
 	// I386 is the 32-bit x86 architecture: kernel virtual address space
 	// is scarce, so ephemeral mappings go through a mapping cache.
@@ -38,10 +40,6 @@ const (
 	// AMD64 is the 64-bit x86 architecture: the entire physical memory is
 	// permanently direct-mapped, making ephemeral mappings free.
 	AMD64
-	// SPARC64 has a 64-bit address space but a virtually-indexed,
-	// virtually-tagged cache; the direct map is usable only when cache
-	// colors are compatible (Section 4.4).
-	SPARC64
 )
 
 // String returns the conventional lower-case architecture name.
@@ -51,8 +49,6 @@ func (a ID) String() string {
 		return "i386"
 	case AMD64:
 		return "amd64"
-	case SPARC64:
-		return "sparc64"
 	}
 	return "unknown"
 }
@@ -199,16 +195,6 @@ func opteronCosts() CostModel {
 		RemoteMemPerByte:       0.28,
 		SlowMemPerByte:         0.84,
 	}
-}
-
-// sparcCosts is a plausible cost model for the sparc64 hybrid
-// implementation; the paper reports no sparc64 measurements, so these
-// values exist only to make the implementation runnable.
-func sparcCosts() CostModel {
-	c := opteronCosts()
-	c.LocalInvCachedPTE = 140
-	c.LocalInvUncachedPTE = 420
-	return c
 }
 
 // Platform is one of the evaluation machines of Section 6.1.
@@ -362,24 +348,6 @@ func OpteronMP() Platform {
 		RemoteShootdownWait: 2030,
 		SMTSpeedup:          1.0,
 		Cost:                opteronCosts(),
-		TLBEntries:          64,
-		PTECacheLines:       2048,
-	}
-}
-
-// Sparc64MP is a hypothetical dual-processor sparc64 machine used to
-// exercise the hybrid color-aware implementation of Section 4.4.
-func Sparc64MP() Platform {
-	return Platform{
-		Name:                "Sparc64-MP",
-		Arch:                SPARC64,
-		FreqGHz:             1.2,
-		NumCPUs:             2,
-		Cores:               [][]int{{0}, {1}},
-		MPKernel:            true,
-		RemoteShootdownWait: 2500,
-		SMTSpeedup:          1.0,
-		Cost:                sparcCosts(),
 		TLBEntries:          64,
 		PTECacheLines:       2048,
 	}

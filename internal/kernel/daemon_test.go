@@ -19,8 +19,6 @@ func TestDaemonWiring(t *testing.T) {
 	}{
 		{"sharded default", Config{Platform: arch.XeonMP(), Mapper: SFBuf,
 			PhysPages: 256, CacheEntries: 32}},
-		{"sharded sparc64", Config{Platform: arch.Sparc64MP(), Mapper: SFBuf,
-			PhysPages: 256, EntriesPerColor: 32}},
 		{"explicitly on", Config{Platform: arch.XeonMP(), Mapper: SFBuf,
 			PhysPages: 256, CacheEntries: 32, Daemon: On}},
 		{"switched off", Config{Platform: arch.XeonMP(), Mapper: SFBuf,

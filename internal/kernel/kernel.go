@@ -25,8 +25,7 @@ type MapperKind int
 
 const (
 	// SFBuf is the paper's kernel: the architecture-appropriate sf_buf
-	// implementation (i386 mapping cache, amd64 direct map, sparc64
-	// hybrid).
+	// implementation (i386 mapping cache, amd64 direct map).
 	SFBuf MapperKind = iota
 	// OriginalKernel is the baseline: fresh virtual address per mapping,
 	// global invalidation per unmapping.
@@ -41,8 +40,8 @@ func (k MapperKind) String() string {
 	return "original"
 }
 
-// CachePolicy selects the concurrency engine behind the i386 and sparc64
-// mapping caches.  The Table-1 semantics are identical either way; the
+// CachePolicy selects the concurrency engine behind the i386 mapping
+// cache.  The Table-1 semantics are identical either way; the
 // engines differ in locking granularity and in when TLB shootdowns are
 // issued.
 type CachePolicy int
@@ -61,14 +60,6 @@ const (
 	CacheGlobal
 )
 
-// String names the cache engine for reports.
-func (p CachePolicy) String() string {
-	if p == CacheGlobal {
-		return "global"
-	}
-	return "sharded"
-}
-
 // Config describes the kernel to boot.  Boot resolves it once into
 // Kernel.Plan (see plan.go); each Tri switch's Auto is documented with
 // the field.
@@ -86,10 +77,6 @@ type Config struct {
 	// CacheEntries sizes the i386 mapping cache; zero means the paper's
 	// 64K-entry default.  Ignored on amd64.
 	CacheEntries int
-	// NumColors and EntriesPerColor configure the sparc64 hybrid;
-	// zero values take defaults (2 colors, 1024 entries each).
-	NumColors       int
-	EntriesPerColor int
 	// Cache selects the mapping-cache engine: sharded (default) or the
 	// paper's global-lock design.  Ignored on amd64 and by the original
 	// kernel, which have no mapping cache.
@@ -110,7 +97,7 @@ type Config struct {
 	PhysBuddy Tri
 	// Daemon runs the background reclaim-and-laundering daemon on the idle
 	// tick, refilling each CPU's clean freelist and the overflow pool.
-	// Auto runs it on every engine with sharded cores; Off leaves reclaim
+	// Auto runs it on the sharded i386 cache; Off leaves reclaim
 	// to allocation-miss shortage, the paper's behaviour.  The figure
 	// engines (CacheGlobal, the original kernel) never run a daemon.
 	Daemon Tri
@@ -287,11 +274,6 @@ func buildMapper(cfg Config, p Plan, m *smp.Machine, pm *pmap.Pmap, arena *kva.A
 		return sfbuf.NewI386Sharded(m, pm, arena, p.MapCapacity, shardCfg)
 	case arch.AMD64:
 		return sfbuf.NewAMD64(m, pm), nil
-	case arch.SPARC64:
-		if cfg.Cache == CacheGlobal {
-			return sfbuf.NewSparc64(m, pm, arena, p.Colors, p.EntriesPerColor)
-		}
-		return sfbuf.NewSparc64Sharded(m, pm, arena, p.Colors, p.EntriesPerColor, shardCfg)
 	}
 	return nil, fmt.Errorf("kernel: unknown architecture %v", cfg.Platform.Arch)
 }
@@ -314,25 +296,19 @@ func (k *Kernel) Ctx(cpu int) *smp.Context { return k.M.Ctx(cpu) }
 func (k *Kernel) PhysStats() vm.PhysStats { return k.M.Phys.PhysStats() }
 
 // PhysContigAlign is the frame-alignment hint for an n-page physically
-// contiguous extent on this kernel:
-//
-//   - Extents that can cover a superpage align to the superpage span, so
-//     an aligned run window over them promotes (and on amd64 they fall on
-//     the direct map's own 2 MB boundaries).
-//   - Smaller extents align to Plan.Colors: on sparc64 the direct map's
-//     cache color of page i is then i mod Colors, matching any
-//     color-aligned user mapping of the same buffer, so the hybrid keeps
-//     its direct-map fast path (Section 4.4) for buddy-allocated pools.
-//     Elsewhere Colors is 1: no alignment beyond contiguity itself.
+// contiguous extent on this kernel.  Extents that can cover a superpage
+// align to the superpage span, so an aligned run window over them
+// promotes (and on amd64 they fall on the direct map's own 2 MB
+// boundaries); smaller extents need no alignment beyond contiguity itself.
 func (k *Kernel) PhysContigAlign(n int) int {
 	if n >= pmap.SuperpagePages {
 		return pmap.SuperpagePages
 	}
-	return k.Plan.Colors
+	return 1
 }
 
 // AllocPhysContig allocates n physically contiguous frames with the
-// kernel's alignment/color hint applied.  It fails with vm.ErrNoContig on
+// kernel's alignment hint applied.  It fails with vm.ErrNoContig on
 // LIFO pools and under unrecoverable fragmentation; callers that can use
 // scattered pages fall back to AllocN.
 //
@@ -359,17 +335,6 @@ func (k *Kernel) AllocPhysContig(n int) ([]*vm.Page, error) {
 // MigrationEnabled reports whether the kernel booted a defragmentation
 // migrator.
 func (k *Kernel) MigrationEnabled() bool { return k.migrator != nil }
-
-// MigrateNow forces one synchronous defragmentation round on the given
-// CPU — up to blocks nearly-free superpage spans evacuated — and returns
-// how many fully coalesced.  Zero (and a no-op) without a migrator.  The
-// deterministic experiments use it to defragment at controlled points.
-func (k *Kernel) MigrateNow(cpu, blocks int) int {
-	if k.migrator == nil {
-		return 0
-	}
-	return k.migrator.MigrateBlocks(k.Ctx(cpu), blocks)
-}
 
 // MigrationStats snapshots the migrator's counters (zero value when no
 // migrator is booted).

@@ -49,8 +49,6 @@ func TestMapperSelection(t *testing.T) {
 		{arch.XeonMP(), SFBuf, CacheSharded, "sf_buf/i386-sharded"},
 		{arch.XeonMP(), SFBuf, CacheGlobal, "sf_buf/i386"},
 		{arch.OpteronMP(), SFBuf, CacheSharded, "sf_buf/amd64"},
-		{arch.Sparc64MP(), SFBuf, CacheSharded, "sf_buf/sparc64"},
-		{arch.Sparc64MP(), SFBuf, CacheGlobal, "sf_buf/sparc64"},
 		{arch.XeonMP(), OriginalKernel, CacheSharded, "original"},
 		{arch.OpteronMP(), OriginalKernel, CacheGlobal, "original"},
 	}
@@ -106,19 +104,5 @@ func TestPhysContigAlignHints(t *testing.T) {
 	}
 	if got := k.PhysContigAlign(8); got != 1 {
 		t.Errorf("i386 small align = %d, want 1", got)
-	}
-	sp := MustBoot(Config{Platform: arch.Sparc64MP(), Mapper: SFBuf, PhysPages: 4096,
-		NumColors: 4, EntriesPerColor: 64})
-	if got := sp.PhysContigAlign(8); got != 4 {
-		t.Errorf("sparc64 color align = %d, want 4", got)
-	}
-	// A color-aligned contiguous extent keeps the direct map color-
-	// compatible: frame i's direct-map color is i mod NumColors.
-	pages, err := sp.AllocPhysContig(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pages[0].Frame()%4 != 0 {
-		t.Errorf("sparc64 extent starts at frame %d, want a multiple of 4", pages[0].Frame())
 	}
 }

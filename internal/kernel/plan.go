@@ -96,14 +96,8 @@ type Plan struct {
 	// Sockets is the machine's package count, at least 1.
 	Sockets int
 	// MapCapacity is how many mappings the engine can hold at once: the
-	// i386 cache's entries, the sparc64 hybrid's colors times entries per
-	// color, 0 (unbounded) on the amd64 direct map.
+	// i386 cache's entries, 0 (unbounded) on the amd64 direct map.
 	MapCapacity int
-	// Colors is the sparc64 hybrid's cache-color count (1 elsewhere: no
-	// color constraint), EntriesPerColor its per-color cache size (0
-	// elsewhere).
-	Colors          int
-	EntriesPerColor int
 }
 
 // resolvePlan validates cfg and resolves everything that does not need
@@ -119,43 +113,31 @@ func resolvePlan(cfg Config) (Plan, error) {
 		return Plan{}, fmt.Errorf("kernel: %d CPUs do not divide into %d sockets", ncpu, cfg.Sockets)
 	case cfg.Tiers < 0:
 		return Plan{}, fmt.Errorf("kernel: Tiers %d is negative", cfg.Tiers)
+	case cfg.CacheEntries < 0:
+		return Plan{}, fmt.Errorf("kernel: CacheEntries %d is negative", cfg.CacheEntries)
 	case !(cfg.FastFraction >= 0 && cfg.FastFraction <= 1):
 		return Plan{}, fmt.Errorf("kernel: FastFraction %v is outside [0,1]", cfg.FastFraction)
-	case cfg.NumColors < 0:
-		return Plan{}, fmt.Errorf("kernel: NumColors %d is negative", cfg.NumColors)
 	}
 
 	// The sf_buf kernel on a non-figure engine: the paper's global-lock
 	// cache and the original kernel keep the seed's paths bit-exact.
 	modern := cfg.Mapper == SFBuf && cfg.Cache != CacheGlobal
-	p := Plan{Sockets: max(cfg.Sockets, 1), Colors: 1}
+	p := Plan{Sockets: max(cfg.Sockets, 1)}
 	p.Buddy = cfg.PhysBuddy.or(modern)
 	p.Reservation = p.Buddy && cfg.Reserv.or(true)
 	p.Tiered = cfg.Tiers >= 2
 	p.Homed = modern && p.Sockets > 1 && cfg.Homing.or(true)
-	// Only engines with sharded cores (the i386 and sparc64 caches) have
-	// clean stock for a daemon to refill; only the sharded i386 cache over
-	// a buddy pool can migrate frames.
-	p.Daemon = modern && cfg.Platform.Arch != arch.AMD64 && cfg.Daemon.or(true)
+	// Only the sharded i386 cache has clean stock for a daemon to refill,
+	// and only over a buddy pool can it migrate frames.
+	p.Daemon = modern && cfg.Platform.Arch == arch.I386 && cfg.Daemon.or(true)
 	canMigrate := modern && cfg.Platform.Arch == arch.I386 && p.Buddy
 	p.Migrate = canMigrate && cfg.Migrate.or(true)
 	p.TierHints = canMigrate && p.Tiered && cfg.TierHints.or(true)
 
-	switch cfg.Platform.Arch {
-	case arch.AMD64:
-		// The direct map never evicts: capacity stays 0.
-	case arch.SPARC64:
-		p.Colors, p.EntriesPerColor = cfg.NumColors, cfg.EntriesPerColor
-		if p.Colors == 0 {
-			p.Colors = 2
-		}
-		if p.EntriesPerColor <= 0 {
-			p.EntriesPerColor = 1024
-		}
-		p.MapCapacity = p.Colors * p.EntriesPerColor
-	default:
+	// The amd64 direct map never evicts: its capacity stays 0.
+	if cfg.Platform.Arch != arch.AMD64 {
 		p.MapCapacity = cfg.CacheEntries
-		if p.MapCapacity <= 0 {
+		if p.MapCapacity == 0 {
 			p.MapCapacity = sfbuf.DefaultI386Entries
 		}
 	}

@@ -10,9 +10,10 @@ package kernel
 // PhysContigAlign), and are checked in, not regenerated.  Daemon, Migrate
 // and TierHints carry what the kernel actually booted: the old
 // UsesMigration/UsesTierHints said yes on engines whose constructors then
-// returned nil (amd64, sparc64, the global cache over a forced buddy
-// pool), and the plan no longer asks for what cannot run.  Only the two
-// bug/ rows differ from the capture, as noted on them.
+// returned nil (amd64, the global cache over a forced buddy pool), and the
+// plan no longer asks for what cannot run.  Rows have lost only the
+// configurations of deleted engines and the two color fields only those
+// engines set.
 
 import (
 	"fmt"
@@ -34,7 +35,6 @@ func planGoldenCases() []planCase {
 		{"xeon-global", Config{Platform: arch.XeonMP(), Mapper: SFBuf, Cache: CacheGlobal, PhysPages: 2048, CacheEntries: 64}},
 		{"xeon-original", Config{Platform: arch.XeonMP(), Mapper: OriginalKernel, PhysPages: 2048, CacheEntries: 64}},
 		{"opteron", Config{Platform: arch.OpteronMP(), Mapper: SFBuf, PhysPages: 2048}},
-		{"sparc64", Config{Platform: arch.Sparc64MP(), Mapper: SFBuf, PhysPages: 2048, EntriesPerColor: 32}},
 		{"numa2", Config{Platform: arch.XeonNUMA(2, 2), Mapper: SFBuf, PhysPages: 2048, CacheEntries: 64, Sockets: 2}},
 	}
 	toggles := []struct {
@@ -108,15 +108,9 @@ func planGoldenCases() []planCase {
 		planCase{"test/xeon-6k", Config{Platform: arch.XeonMP(), Mapper: SFBuf, PhysPages: 64, CacheEntries: 6 * 1024}},
 		planCase{"test/xeon-default-cache", Config{Platform: arch.XeonMP(), Mapper: SFBuf, PhysPages: 256}},
 		planCase{"test/opteron-original", Config{Platform: arch.OpteronMP(), Mapper: OriginalKernel, PhysPages: 64}},
-		planCase{"test/sparc64-global", Config{Platform: arch.Sparc64MP(), Mapper: SFBuf, Cache: CacheGlobal, PhysPages: 2048}},
-		planCase{"test/sparc64-original", Config{Platform: arch.Sparc64MP(), Mapper: OriginalKernel, PhysPages: 2048}},
-		planCase{"test/sparc64-default", Config{Platform: arch.Sparc64MP(), Mapper: SFBuf, PhysPages: 2048}},
-		planCase{"test/sparc64-4x64", Config{Platform: arch.Sparc64MP(), Mapper: SFBuf, PhysPages: 4096, NumColors: 4, EntriesPerColor: 64}},
 		planCase{"test/daemon-explicit", Config{Platform: arch.XeonMP(), Mapper: SFBuf, PhysPages: 256, CacheEntries: 32, Daemon: On}},
 		planCase{"test/numa2-global", Config{Platform: arch.XeonNUMA(2, 2), Mapper: SFBuf, Cache: CacheGlobal, PhysPages: 256, CacheEntries: 32, Sockets: 2}},
 		planCase{"test/numa2-original", Config{Platform: arch.XeonNUMA(2, 2), Mapper: OriginalKernel, PhysPages: 256, Sockets: 2}},
-		planCase{"bug/sparc64-colors1", Config{Platform: arch.Sparc64MP(), Mapper: SFBuf, PhysPages: 2048, NumColors: 1}},
-		planCase{"bug/sparc64-epc-neg", Config{Platform: arch.Sparc64MP(), Mapper: SFBuf, PhysPages: 2048, EntriesPerColor: -1}},
 	)
 }
 
@@ -124,151 +118,129 @@ func planGoldenCases() []planCase {
 // field order, then its sizes, the adaptive consumer's page window and
 // PhysContigAlign for an 8-page and a superpage extent.
 var planGolden = []struct{ name, want string }{
-	{"xeon-sharded", "buddy reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"xeon-sharded/contig-on", "buddy reserv daemon migrate batch batchsend runs sockets=1 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"xeon-sharded/contig-off", "buddy reserv daemon migrate batch batchsend sockets=1 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"xeon-sharded/buddy-on", "buddy reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"xeon-sharded/buddy-off", "daemon batch batchsend runs adaptive sockets=1 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"xeon-sharded/daemon-on", "buddy reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"xeon-sharded/daemon-off", "buddy reserv migrate batch batchsend runs adaptive sockets=1 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"xeon-sharded/reserv-on", "buddy reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"xeon-sharded/reserv-off", "buddy daemon migrate batch batchsend runs adaptive sockets=1 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"xeon-sharded/migrate-on", "buddy reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"xeon-sharded/migrate-off", "buddy reserv daemon batch batchsend runs adaptive sockets=1 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"xeon-sharded/tiers", "buddy reserv tiered hints daemon migrate batch batchsend runs adaptive sockets=1 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"xeon-sharded/hints-on", "buddy reserv tiered hints daemon migrate batch batchsend runs adaptive sockets=1 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"xeon-sharded/hints-off", "buddy reserv tiered daemon migrate batch batchsend runs adaptive sockets=1 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"xeon-sharded/homing-on", "buddy reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"xeon-sharded/homing-off", "buddy reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"xeon-global", "sockets=1 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"xeon-global/contig-on", "runs sockets=1 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"xeon-global/contig-off", "sockets=1 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"xeon-global/buddy-on", "buddy reserv sockets=1 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"xeon-global/buddy-off", "sockets=1 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"xeon-global/daemon-on", "sockets=1 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"xeon-global/daemon-off", "sockets=1 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"xeon-global/reserv-on", "sockets=1 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"xeon-global/reserv-off", "sockets=1 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"xeon-global/migrate-on", "sockets=1 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"xeon-global/migrate-off", "sockets=1 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"xeon-global/tiers", "tiered sockets=1 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"xeon-global/hints-on", "tiered sockets=1 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"xeon-global/hints-off", "tiered sockets=1 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"xeon-global/homing-on", "sockets=1 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"xeon-global/homing-off", "sockets=1 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"xeon-original", "batch sockets=1 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"xeon-original/contig-on", "batch runs sockets=1 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"xeon-original/contig-off", "batch sockets=1 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"xeon-original/buddy-on", "buddy reserv batch sockets=1 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"xeon-original/buddy-off", "batch sockets=1 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"xeon-original/daemon-on", "batch sockets=1 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"xeon-original/daemon-off", "batch sockets=1 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"xeon-original/reserv-on", "batch sockets=1 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"xeon-original/reserv-off", "batch sockets=1 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"xeon-original/migrate-on", "batch sockets=1 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"xeon-original/migrate-off", "batch sockets=1 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"xeon-original/tiers", "tiered batch sockets=1 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"xeon-original/hints-on", "tiered batch sockets=1 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"xeon-original/hints-off", "tiered batch sockets=1 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"xeon-original/homing-on", "batch sockets=1 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"xeon-original/homing-off", "batch sockets=1 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"opteron", "buddy reserv batch batchsend runs sockets=1 cap=0 colors=1 epc=0 window=4096 align=1/512"},
-	{"opteron/contig-on", "buddy reserv batch batchsend runs sockets=1 cap=0 colors=1 epc=0 window=4096 align=1/512"},
-	{"opteron/contig-off", "buddy reserv batch batchsend sockets=1 cap=0 colors=1 epc=0 window=4096 align=1/512"},
-	{"opteron/buddy-on", "buddy reserv batch batchsend runs sockets=1 cap=0 colors=1 epc=0 window=4096 align=1/512"},
-	{"opteron/buddy-off", "batch batchsend runs sockets=1 cap=0 colors=1 epc=0 window=4096 align=1/512"},
-	{"opteron/daemon-on", "buddy reserv batch batchsend runs sockets=1 cap=0 colors=1 epc=0 window=4096 align=1/512"},
-	{"opteron/daemon-off", "buddy reserv batch batchsend runs sockets=1 cap=0 colors=1 epc=0 window=4096 align=1/512"},
-	{"opteron/reserv-on", "buddy reserv batch batchsend runs sockets=1 cap=0 colors=1 epc=0 window=4096 align=1/512"},
-	{"opteron/reserv-off", "buddy batch batchsend runs sockets=1 cap=0 colors=1 epc=0 window=4096 align=1/512"},
-	{"opteron/migrate-on", "buddy reserv batch batchsend runs sockets=1 cap=0 colors=1 epc=0 window=4096 align=1/512"},
-	{"opteron/migrate-off", "buddy reserv batch batchsend runs sockets=1 cap=0 colors=1 epc=0 window=4096 align=1/512"},
-	{"opteron/tiers", "buddy reserv tiered batch batchsend runs sockets=1 cap=0 colors=1 epc=0 window=4096 align=1/512"},
-	{"opteron/hints-on", "buddy reserv tiered batch batchsend runs sockets=1 cap=0 colors=1 epc=0 window=4096 align=1/512"},
-	{"opteron/hints-off", "buddy reserv tiered batch batchsend runs sockets=1 cap=0 colors=1 epc=0 window=4096 align=1/512"},
-	{"opteron/homing-on", "buddy reserv batch batchsend runs sockets=1 cap=0 colors=1 epc=0 window=4096 align=1/512"},
-	{"opteron/homing-off", "buddy reserv batch batchsend runs sockets=1 cap=0 colors=1 epc=0 window=4096 align=1/512"},
-	{"sparc64", "buddy reserv daemon batch batchsend runs adaptive sockets=1 cap=64 colors=2 epc=32 window=64 align=2/512"},
-	{"sparc64/contig-on", "buddy reserv daemon batch batchsend runs sockets=1 cap=64 colors=2 epc=32 window=64 align=2/512"},
-	{"sparc64/contig-off", "buddy reserv daemon batch batchsend sockets=1 cap=64 colors=2 epc=32 window=64 align=2/512"},
-	{"sparc64/buddy-on", "buddy reserv daemon batch batchsend runs adaptive sockets=1 cap=64 colors=2 epc=32 window=64 align=2/512"},
-	{"sparc64/buddy-off", "daemon batch batchsend runs adaptive sockets=1 cap=64 colors=2 epc=32 window=64 align=2/512"},
-	{"sparc64/daemon-on", "buddy reserv daemon batch batchsend runs adaptive sockets=1 cap=64 colors=2 epc=32 window=64 align=2/512"},
-	{"sparc64/daemon-off", "buddy reserv batch batchsend runs adaptive sockets=1 cap=64 colors=2 epc=32 window=64 align=2/512"},
-	{"sparc64/reserv-on", "buddy reserv daemon batch batchsend runs adaptive sockets=1 cap=64 colors=2 epc=32 window=64 align=2/512"},
-	{"sparc64/reserv-off", "buddy daemon batch batchsend runs adaptive sockets=1 cap=64 colors=2 epc=32 window=64 align=2/512"},
-	{"sparc64/migrate-on", "buddy reserv daemon batch batchsend runs adaptive sockets=1 cap=64 colors=2 epc=32 window=64 align=2/512"},
-	{"sparc64/migrate-off", "buddy reserv daemon batch batchsend runs adaptive sockets=1 cap=64 colors=2 epc=32 window=64 align=2/512"},
-	{"sparc64/tiers", "buddy reserv tiered daemon batch batchsend runs adaptive sockets=1 cap=64 colors=2 epc=32 window=64 align=2/512"},
-	{"sparc64/hints-on", "buddy reserv tiered daemon batch batchsend runs adaptive sockets=1 cap=64 colors=2 epc=32 window=64 align=2/512"},
-	{"sparc64/hints-off", "buddy reserv tiered daemon batch batchsend runs adaptive sockets=1 cap=64 colors=2 epc=32 window=64 align=2/512"},
-	{"sparc64/homing-on", "buddy reserv daemon batch batchsend runs adaptive sockets=1 cap=64 colors=2 epc=32 window=64 align=2/512"},
-	{"sparc64/homing-off", "buddy reserv daemon batch batchsend runs adaptive sockets=1 cap=64 colors=2 epc=32 window=64 align=2/512"},
-	{"numa2", "buddy reserv homed daemon migrate batch batchsend runs adaptive sockets=2 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"numa2/contig-on", "buddy reserv homed daemon migrate batch batchsend runs sockets=2 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"numa2/contig-off", "buddy reserv homed daemon migrate batch batchsend sockets=2 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"numa2/buddy-on", "buddy reserv homed daemon migrate batch batchsend runs adaptive sockets=2 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"numa2/buddy-off", "homed daemon batch batchsend runs adaptive sockets=2 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"numa2/daemon-on", "buddy reserv homed daemon migrate batch batchsend runs adaptive sockets=2 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"numa2/daemon-off", "buddy reserv homed migrate batch batchsend runs adaptive sockets=2 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"numa2/reserv-on", "buddy reserv homed daemon migrate batch batchsend runs adaptive sockets=2 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"numa2/reserv-off", "buddy homed daemon migrate batch batchsend runs adaptive sockets=2 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"numa2/migrate-on", "buddy reserv homed daemon migrate batch batchsend runs adaptive sockets=2 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"numa2/migrate-off", "buddy reserv homed daemon batch batchsend runs adaptive sockets=2 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"numa2/tiers", "buddy reserv tiered hints homed daemon migrate batch batchsend runs adaptive sockets=2 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"numa2/hints-on", "buddy reserv tiered hints homed daemon migrate batch batchsend runs adaptive sockets=2 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"numa2/hints-off", "buddy reserv tiered homed daemon migrate batch batchsend runs adaptive sockets=2 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"numa2/homing-on", "buddy reserv homed daemon migrate batch batchsend runs adaptive sockets=2 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"numa2/homing-off", "buddy reserv daemon migrate batch batchsend runs adaptive sockets=2 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"fig/Xeon-UP/sf_buf", "sockets=1 cap=65536 colors=1 epc=0 window=4096 align=1/512"},
-	{"fig/Xeon-UP/original", "batch sockets=1 cap=65536 colors=1 epc=0 window=4096 align=1/512"},
-	{"fig/Xeon-HTT/sf_buf", "sockets=1 cap=65536 colors=1 epc=0 window=4096 align=1/512"},
-	{"fig/Xeon-HTT/original", "batch sockets=1 cap=65536 colors=1 epc=0 window=4096 align=1/512"},
-	{"fig/Xeon-MP/sf_buf", "sockets=1 cap=65536 colors=1 epc=0 window=4096 align=1/512"},
-	{"fig/Xeon-MP/original", "batch sockets=1 cap=65536 colors=1 epc=0 window=4096 align=1/512"},
-	{"fig/Xeon-MP-HTT/sf_buf", "sockets=1 cap=65536 colors=1 epc=0 window=4096 align=1/512"},
-	{"fig/Xeon-MP-HTT/original", "batch sockets=1 cap=65536 colors=1 epc=0 window=4096 align=1/512"},
-	{"fig/Opteron-MP/sf_buf", "batch batchsend runs sockets=1 cap=0 colors=1 epc=0 window=4096 align=1/512"},
-	{"fig/Opteron-MP/original", "batch sockets=1 cap=0 colors=1 epc=0 window=4096 align=1/512"},
-	{"fig19/6k", "sockets=1 cap=6144 colors=1 epc=0 window=4096 align=1/512"},
-	{"fig19/original", "batch sockets=1 cap=65536 colors=1 epc=0 window=4096 align=1/512"},
-	{"ablation", "sockets=1 cap=1024 colors=1 epc=0 window=1024 align=1/512"},
-	{"adaptive", "buddy reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=160 colors=1 epc=0 window=160 align=1/512"},
-	{"contig/buddy", "buddy reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=1088 colors=1 epc=0 window=1088 align=1/512"},
-	{"contig/lifo", "daemon batch batchsend runs adaptive sockets=1 cap=1088 colors=1 epc=0 window=1088 align=1/512"},
-	{"defrag/on", "buddy reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=1088 colors=1 epc=0 window=1088 align=1/512"},
-	{"defrag/off", "buddy reserv daemon batch batchsend runs adaptive sockets=1 cap=1088 colors=1 epc=0 window=1088 align=1/512"},
-	{"numa/homed-2s", "buddy reserv homed daemon migrate batch batchsend runs adaptive sockets=2 cap=256 colors=1 epc=0 window=256 align=1/512"},
-	{"numa/striped-2s", "buddy reserv daemon migrate batch batchsend runs adaptive sockets=2 cap=256 colors=1 epc=0 window=256 align=1/512"},
-	{"numa/homed-4s", "buddy reserv homed daemon migrate batch batchsend runs adaptive sockets=4 cap=256 colors=1 epc=0 window=256 align=1/512"},
-	{"numa/striped-4s", "buddy reserv daemon migrate batch batchsend runs adaptive sockets=4 cap=256 colors=1 epc=0 window=256 align=1/512"},
-	{"reclaim/daemon", "buddy reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=256 colors=1 epc=0 window=256 align=1/512"},
-	{"reclaim/on-demand", "buddy reserv migrate batch batchsend runs adaptive sockets=1 cap=256 colors=1 epc=0 window=256 align=1/512"},
-	{"reclaim/daemon-2s", "buddy reserv homed daemon migrate batch batchsend runs adaptive sockets=2 cap=256 colors=1 epc=0 window=256 align=1/512"},
-	{"scale/sharded", "buddy reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=256 colors=1 epc=0 window=256 align=1/512"},
-	{"scale/global", "sockets=1 cap=256 colors=1 epc=0 window=256 align=1/512"},
-	{"scale/original", "batch sockets=1 cap=256 colors=1 epc=0 window=256 align=1/512"},
-	{"scale/small", "buddy reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=64 colors=1 epc=0 window=64 align=1/512"},
-	{"serve/sharded", "buddy reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=2304 colors=1 epc=0 window=2304 align=1/512"},
-	{"serve/global", "sockets=1 cap=2304 colors=1 epc=0 window=2304 align=1/512"},
-	{"tier/hinted", "buddy tiered hints daemon migrate batch batchsend runs adaptive sockets=1 cap=512 colors=1 epc=0 window=512 align=1/512"},
-	{"tier/oblivious", "buddy tiered daemon migrate batch batchsend runs adaptive sockets=1 cap=512 colors=1 epc=0 window=512 align=1/512"},
-	{"bench/sharded", "buddy reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=512 colors=1 epc=0 window=512 align=1/512"},
-	{"bench/global", "sockets=1 cap=512 colors=1 epc=0 window=512 align=1/512"},
-	{"test/xeon-cache4", "buddy reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=4 colors=1 epc=0 window=4 align=1/512"},
-	{"test/xeon-cache16", "buddy reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=16 colors=1 epc=0 window=16 align=1/512"},
-	{"test/xeon-6k", "buddy reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=6144 colors=1 epc=0 window=4096 align=1/512"},
-	{"test/xeon-default-cache", "buddy reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=65536 colors=1 epc=0 window=4096 align=1/512"},
-	{"test/opteron-original", "batch sockets=1 cap=0 colors=1 epc=0 window=4096 align=1/512"},
-	{"test/sparc64-global", "sockets=1 cap=2048 colors=2 epc=1024 window=2048 align=2/512"},
-	{"test/sparc64-original", "batch sockets=1 cap=2048 colors=2 epc=1024 window=2048 align=2/512"},
-	{"test/sparc64-default", "buddy reserv daemon batch batchsend runs adaptive sockets=1 cap=2048 colors=2 epc=1024 window=2048 align=2/512"},
-	{"test/sparc64-4x64", "buddy reserv daemon batch batchsend runs adaptive sockets=1 cap=256 colors=4 epc=64 window=256 align=4/512"},
-	{"test/daemon-explicit", "buddy reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=32 colors=1 epc=0 window=32 align=1/512"},
-	{"test/numa2-global", "sockets=2 cap=32 colors=1 epc=0 window=32 align=1/512"},
-	{"test/numa2-original", "batch sockets=2 cap=65536 colors=1 epc=0 window=4096 align=1/512"},
-	{"bug/sparc64-colors1", "buddy reserv daemon batch batchsend runs adaptive sockets=1 cap=1024 colors=1 epc=1024 window=1024 align=1/512"}, // parent: align=2/512 — the mapper runs one color
-	{"bug/sparc64-epc-neg", "buddy reserv daemon batch batchsend runs adaptive sockets=1 cap=2048 colors=2 epc=1024 window=2048 align=2/512"}, // parent: cap=-2 window=4096 — the mapper holds 2x1024
+	{"xeon-sharded", "buddy reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-sharded/contig-on", "buddy reserv daemon migrate batch batchsend runs sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-sharded/contig-off", "buddy reserv daemon migrate batch batchsend sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-sharded/buddy-on", "buddy reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-sharded/buddy-off", "daemon batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-sharded/daemon-on", "buddy reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-sharded/daemon-off", "buddy reserv migrate batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-sharded/reserv-on", "buddy reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-sharded/reserv-off", "buddy daemon migrate batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-sharded/migrate-on", "buddy reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-sharded/migrate-off", "buddy reserv daemon batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-sharded/tiers", "buddy reserv tiered hints daemon migrate batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-sharded/hints-on", "buddy reserv tiered hints daemon migrate batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-sharded/hints-off", "buddy reserv tiered daemon migrate batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-sharded/homing-on", "buddy reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-sharded/homing-off", "buddy reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-global", "sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-global/contig-on", "runs sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-global/contig-off", "sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-global/buddy-on", "buddy reserv sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-global/buddy-off", "sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-global/daemon-on", "sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-global/daemon-off", "sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-global/reserv-on", "sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-global/reserv-off", "sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-global/migrate-on", "sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-global/migrate-off", "sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-global/tiers", "tiered sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-global/hints-on", "tiered sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-global/hints-off", "tiered sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-global/homing-on", "sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-global/homing-off", "sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-original", "batch sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-original/contig-on", "batch runs sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-original/contig-off", "batch sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-original/buddy-on", "buddy reserv batch sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-original/buddy-off", "batch sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-original/daemon-on", "batch sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-original/daemon-off", "batch sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-original/reserv-on", "batch sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-original/reserv-off", "batch sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-original/migrate-on", "batch sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-original/migrate-off", "batch sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-original/tiers", "tiered batch sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-original/hints-on", "tiered batch sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-original/hints-off", "tiered batch sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-original/homing-on", "batch sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-original/homing-off", "batch sockets=1 cap=64 window=64 align=1/512"},
+	{"opteron", "buddy reserv batch batchsend runs sockets=1 cap=0 window=4096 align=1/512"},
+	{"opteron/contig-on", "buddy reserv batch batchsend runs sockets=1 cap=0 window=4096 align=1/512"},
+	{"opteron/contig-off", "buddy reserv batch batchsend sockets=1 cap=0 window=4096 align=1/512"},
+	{"opteron/buddy-on", "buddy reserv batch batchsend runs sockets=1 cap=0 window=4096 align=1/512"},
+	{"opteron/buddy-off", "batch batchsend runs sockets=1 cap=0 window=4096 align=1/512"},
+	{"opteron/daemon-on", "buddy reserv batch batchsend runs sockets=1 cap=0 window=4096 align=1/512"},
+	{"opteron/daemon-off", "buddy reserv batch batchsend runs sockets=1 cap=0 window=4096 align=1/512"},
+	{"opteron/reserv-on", "buddy reserv batch batchsend runs sockets=1 cap=0 window=4096 align=1/512"},
+	{"opteron/reserv-off", "buddy batch batchsend runs sockets=1 cap=0 window=4096 align=1/512"},
+	{"opteron/migrate-on", "buddy reserv batch batchsend runs sockets=1 cap=0 window=4096 align=1/512"},
+	{"opteron/migrate-off", "buddy reserv batch batchsend runs sockets=1 cap=0 window=4096 align=1/512"},
+	{"opteron/tiers", "buddy reserv tiered batch batchsend runs sockets=1 cap=0 window=4096 align=1/512"},
+	{"opteron/hints-on", "buddy reserv tiered batch batchsend runs sockets=1 cap=0 window=4096 align=1/512"},
+	{"opteron/hints-off", "buddy reserv tiered batch batchsend runs sockets=1 cap=0 window=4096 align=1/512"},
+	{"opteron/homing-on", "buddy reserv batch batchsend runs sockets=1 cap=0 window=4096 align=1/512"},
+	{"opteron/homing-off", "buddy reserv batch batchsend runs sockets=1 cap=0 window=4096 align=1/512"},
+	{"numa2", "buddy reserv homed daemon migrate batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
+	{"numa2/contig-on", "buddy reserv homed daemon migrate batch batchsend runs sockets=2 cap=64 window=64 align=1/512"},
+	{"numa2/contig-off", "buddy reserv homed daemon migrate batch batchsend sockets=2 cap=64 window=64 align=1/512"},
+	{"numa2/buddy-on", "buddy reserv homed daemon migrate batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
+	{"numa2/buddy-off", "homed daemon batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
+	{"numa2/daemon-on", "buddy reserv homed daemon migrate batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
+	{"numa2/daemon-off", "buddy reserv homed migrate batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
+	{"numa2/reserv-on", "buddy reserv homed daemon migrate batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
+	{"numa2/reserv-off", "buddy homed daemon migrate batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
+	{"numa2/migrate-on", "buddy reserv homed daemon migrate batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
+	{"numa2/migrate-off", "buddy reserv homed daemon batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
+	{"numa2/tiers", "buddy reserv tiered hints homed daemon migrate batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
+	{"numa2/hints-on", "buddy reserv tiered hints homed daemon migrate batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
+	{"numa2/hints-off", "buddy reserv tiered homed daemon migrate batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
+	{"numa2/homing-on", "buddy reserv homed daemon migrate batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
+	{"numa2/homing-off", "buddy reserv daemon migrate batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
+	{"fig/Xeon-UP/sf_buf", "sockets=1 cap=65536 window=4096 align=1/512"},
+	{"fig/Xeon-UP/original", "batch sockets=1 cap=65536 window=4096 align=1/512"},
+	{"fig/Xeon-HTT/sf_buf", "sockets=1 cap=65536 window=4096 align=1/512"},
+	{"fig/Xeon-HTT/original", "batch sockets=1 cap=65536 window=4096 align=1/512"},
+	{"fig/Xeon-MP/sf_buf", "sockets=1 cap=65536 window=4096 align=1/512"},
+	{"fig/Xeon-MP/original", "batch sockets=1 cap=65536 window=4096 align=1/512"},
+	{"fig/Xeon-MP-HTT/sf_buf", "sockets=1 cap=65536 window=4096 align=1/512"},
+	{"fig/Xeon-MP-HTT/original", "batch sockets=1 cap=65536 window=4096 align=1/512"},
+	{"fig/Opteron-MP/sf_buf", "batch batchsend runs sockets=1 cap=0 window=4096 align=1/512"},
+	{"fig/Opteron-MP/original", "batch sockets=1 cap=0 window=4096 align=1/512"},
+	{"fig19/6k", "sockets=1 cap=6144 window=4096 align=1/512"},
+	{"fig19/original", "batch sockets=1 cap=65536 window=4096 align=1/512"},
+	{"ablation", "sockets=1 cap=1024 window=1024 align=1/512"},
+	{"adaptive", "buddy reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=160 window=160 align=1/512"},
+	{"contig/buddy", "buddy reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=1088 window=1088 align=1/512"},
+	{"contig/lifo", "daemon batch batchsend runs adaptive sockets=1 cap=1088 window=1088 align=1/512"},
+	{"defrag/on", "buddy reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=1088 window=1088 align=1/512"},
+	{"defrag/off", "buddy reserv daemon batch batchsend runs adaptive sockets=1 cap=1088 window=1088 align=1/512"},
+	{"numa/homed-2s", "buddy reserv homed daemon migrate batch batchsend runs adaptive sockets=2 cap=256 window=256 align=1/512"},
+	{"numa/striped-2s", "buddy reserv daemon migrate batch batchsend runs adaptive sockets=2 cap=256 window=256 align=1/512"},
+	{"numa/homed-4s", "buddy reserv homed daemon migrate batch batchsend runs adaptive sockets=4 cap=256 window=256 align=1/512"},
+	{"numa/striped-4s", "buddy reserv daemon migrate batch batchsend runs adaptive sockets=4 cap=256 window=256 align=1/512"},
+	{"reclaim/daemon", "buddy reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=256 window=256 align=1/512"},
+	{"reclaim/on-demand", "buddy reserv migrate batch batchsend runs adaptive sockets=1 cap=256 window=256 align=1/512"},
+	{"reclaim/daemon-2s", "buddy reserv homed daemon migrate batch batchsend runs adaptive sockets=2 cap=256 window=256 align=1/512"},
+	{"scale/sharded", "buddy reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=256 window=256 align=1/512"},
+	{"scale/global", "sockets=1 cap=256 window=256 align=1/512"},
+	{"scale/original", "batch sockets=1 cap=256 window=256 align=1/512"},
+	{"scale/small", "buddy reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
+	{"serve/sharded", "buddy reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=2304 window=2304 align=1/512"},
+	{"serve/global", "sockets=1 cap=2304 window=2304 align=1/512"},
+	{"tier/hinted", "buddy tiered hints daemon migrate batch batchsend runs adaptive sockets=1 cap=512 window=512 align=1/512"},
+	{"tier/oblivious", "buddy tiered daemon migrate batch batchsend runs adaptive sockets=1 cap=512 window=512 align=1/512"},
+	{"bench/sharded", "buddy reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=512 window=512 align=1/512"},
+	{"bench/global", "sockets=1 cap=512 window=512 align=1/512"},
+	{"test/xeon-cache4", "buddy reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=4 window=4 align=1/512"},
+	{"test/xeon-cache16", "buddy reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=16 window=16 align=1/512"},
+	{"test/xeon-6k", "buddy reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=6144 window=4096 align=1/512"},
+	{"test/xeon-default-cache", "buddy reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=65536 window=4096 align=1/512"},
+	{"test/opteron-original", "batch sockets=1 cap=0 window=4096 align=1/512"},
+	{"test/daemon-explicit", "buddy reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=32 window=32 align=1/512"},
+	{"test/numa2-global", "sockets=2 cap=32 window=32 align=1/512"},
+	{"test/numa2-original", "batch sockets=2 cap=65536 window=4096 align=1/512"},
 }
 
 // planRow renders k's plan as a golden row.
@@ -288,8 +260,8 @@ func planRow(k *Kernel) string {
 			b.WriteString(f.name + " ")
 		}
 	}
-	fmt.Fprintf(&b, "sockets=%d cap=%d colors=%d epc=%d window=%d align=%d/%d",
-		p.Sockets, p.MapCapacity, p.Colors, p.EntriesPerColor,
+	fmt.Fprintf(&b, "sockets=%d cap=%d window=%d align=%d/%d",
+		p.Sockets, p.MapCapacity,
 		k.Consumer("golden").pageWindow, k.PhysContigAlign(8), k.PhysContigAlign(512))
 	return b.String()
 }
@@ -333,6 +305,7 @@ func TestBootRejectsBadConfig(t *testing.T) {
 		{"sockets do not divide CPUs", func(c *Config) { c.Sockets = 3 }},
 		{"negative sockets", func(c *Config) { c.Sockets = -2 }},
 		{"negative PhysPages", func(c *Config) { c.PhysPages = -5 }},
+		{"negative CacheEntries", func(c *Config) { c.CacheEntries = -1 }},
 		{"negative Tiers", func(c *Config) { c.Tiers = -1 }},
 		{"FastFraction below 0", func(c *Config) { c.Tiers, c.FastFraction = 2, -0.5 }},
 		{"FastFraction above 1", func(c *Config) { c.Tiers, c.FastFraction = 2, 1.5 }},
@@ -353,39 +326,19 @@ func TestBootRejectsBadConfig(t *testing.T) {
 	}
 }
 
-// TestSparc64SizingResolvedOnce: the color count and per-color size the
-// sparc64 hybrid runs are the ones the alignment hint and the adaptive
-// consumer's recency window see.
-func TestSparc64SizingResolvedOnce(t *testing.T) {
-	k := MustBoot(Config{Platform: arch.Sparc64MP(), Mapper: SFBuf, PhysPages: 2048, NumColors: 1})
-	if nc := k.Map.(*sfbuf.Sparc64).NumColors(); nc != 1 {
-		t.Fatalf("mapper colors = %d, want 1", nc)
-	}
-	if got := k.PhysContigAlign(8); got != 1 {
-		t.Errorf("NumColors 1: PhysContigAlign(8) = %d, want 1 (one color, no constraint)", got)
-	}
-	k = MustBoot(Config{Platform: arch.Sparc64MP(), Mapper: SFBuf, PhysPages: 2048, EntriesPerColor: -1})
-	if got := k.Consumer("sizing").pageWindow; got != 2*1024 {
-		t.Errorf("EntriesPerColor -1: consumer page window = %d, want 2048 (2 colors x the 1024 default)", got)
-	}
-}
-
 // TestPlanIgnoresPostBootCfgEdits: the plan, not Kernel.Cfg, is what the
 // kernel and its consumers read after Boot.
 func TestPlanIgnoresPostBootCfgEdits(t *testing.T) {
-	k := MustBoot(Config{Platform: arch.Sparc64MP(), Mapper: SFBuf, PhysPages: 2048, CacheEntries: 64})
+	k := MustBoot(Config{Platform: arch.XeonMP(), Mapper: SFBuf, PhysPages: 2048, CacheEntries: 64})
 	want := k.Plan
 	k.Cfg.Contig, k.Cfg.PhysBuddy, k.Cfg.Cache = Off, Off, CacheGlobal
-	k.Cfg.NumColors, k.Cfg.EntriesPerColor, k.Cfg.Platform = 8, 4, arch.XeonMP()
+	k.Cfg.CacheEntries, k.Cfg.Platform = 8, arch.OpteronMP()
 	if k.Plan != want {
 		t.Fatalf("plan moved: %+v, want %+v", k.Plan, want)
 	}
-	if got := k.PhysContigAlign(8); got != 2 {
-		t.Errorf("PhysContigAlign(8) = %d after a Cfg edit, want the booted 2 colors", got)
-	}
 	c := k.Consumer("late")
-	if !c.PolicyStats().Adaptive || c.pageWindow != 2048 {
-		t.Errorf("consumer created after the edit: adaptive %v window %d, want true/2048",
+	if !c.PolicyStats().Adaptive || c.pageWindow != 64 {
+		t.Errorf("consumer created after the edit: adaptive %v window %d, want true/64",
 			c.PolicyStats().Adaptive, c.pageWindow)
 	}
 	pages, err := k.M.Phys.AllocN(2)

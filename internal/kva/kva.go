@@ -64,12 +64,6 @@ func NewArena(base, size uint64) *Arena {
 	}
 }
 
-// Base returns the arena's lowest address.
-func (a *Arena) Base() uint64 { return a.base }
-
-// Size returns the arena's extent in bytes.
-func (a *Arena) Size() uint64 { return a.size }
-
 // SetRegions partitions the arena into n equal page-count regions, one
 // per socket, so AllocWindowOn can home window reservations.  The free
 // list itself stays one address-ordered resource map — only the

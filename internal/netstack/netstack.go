@@ -150,10 +150,6 @@ func (st *Stack) newConn(sink, zcRx bool) *Conn {
 	return c
 }
 
-// SendWindow exposes the connection's mapping-window policy handle; the
-// windowed sendfile path sizes its per-window page runs through it.
-func (c *Conn) SendWindow() *kernel.SendWindow { return c.sw }
-
 // SendWindowPages is the pages the connection's next mapping window
 // should cover.
 func (c *Conn) SendWindowPages() int { return c.sw.WindowPages() }

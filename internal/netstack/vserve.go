@@ -332,9 +332,7 @@ func (c *VConn) stageWindow() bool {
 		for j := 0; j < npages; j++ {
 			pg, err := req.PageAt(c.ctx, basePi+j)
 			if err != nil {
-				for _, p := range pages {
-					p.Unwire()
-				}
+				c.pending = pages // Abort unwires what was resolved
 				c.fail(fmt.Errorf("vserve conn %d: resolving page %d: %w", c.id, basePi+j, err))
 				return false
 			}
@@ -348,22 +346,20 @@ func (c *VConn) stageWindow() bool {
 	// Map the window under the connection's policy.  NoWait: stalls back
 	// off on a timer instead of sleeping the event loop.  mapWindow never
 	// leaves partial mappings behind on failure; the pages' wiring stays
-	// ours until the mappings exist (their release hooks then own it).
+	// the connection's (c.pending, which Abort unwires) until the mappings
+	// exist (their release hooks then own it).
 	before := c.ctx.CPU().Cycles()
 	exts, err := c.mapWindow(pages)
 	req.MapCycles += c.ctx.CPU().Cycles() - before
 	if err != nil {
+		c.pending = pages
 		if err == sfbuf.ErrWouldBlock {
-			c.pending = pages
 			c.sw.ObserveStall()
 			req.Stalls++
 			req.StallWait += c.srv.RetryDelay
 			c.srv.stats.Stalls++
 			c.armRetry()
 			return false
-		}
-		for _, p := range pages {
-			p.Unwire()
 		}
 		c.fail(fmt.Errorf("vserve conn %d: mapping window: %w", c.id, err))
 		return false

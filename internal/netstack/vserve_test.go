@@ -7,6 +7,7 @@ import (
 
 	"sfbuf/internal/arch"
 	"sfbuf/internal/kernel"
+	"sfbuf/internal/sfbuf"
 	"sfbuf/internal/smp"
 	"sfbuf/internal/vm"
 	"sfbuf/internal/vnet"
@@ -188,6 +189,65 @@ func TestVServeStallBackoff(t *testing.T) {
 	}
 	if srv.Stats().Stalls == 0 {
 		t.Fatal("32-entry cache under 12 concurrent transfers produced zero stalls")
+	}
+	if st2 := k.Map.Stats(); st2.Allocs != st2.Frees {
+		t.Fatalf("leaked mappings: allocs %d != frees %d", st2.Allocs, st2.Frees)
+	}
+}
+
+// TestVServeHardErrorAfterStall: a window that stalled on the mapping
+// cache stays wired on the connection across retries.  When a retry then
+// fails hard — here the kernel arena has no room left for a run window —
+// the connection fails and every page of the window is unwired exactly
+// once (a second unwire panics in vm.Page.Unwire).
+func TestVServeHardErrorAfterStall(t *testing.T) {
+	const entries = 16
+	k := bootVServeKernel(t, entries)
+	st := NewStack(k, MTUSmall)
+	net := vnet.New(3)
+	srv := NewVServer(st, net)
+	um, err := vm.AllocUserMem(k.M.Phys, 8*vm.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Hold every buffer of the cache so the first window stalls.
+	ctx := k.Ctx(0)
+	hold, err := k.M.Phys.AllocN(entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := make([]*sfbuf.Buf, 0, entries)
+	for _, pg := range hold {
+		b, err := k.Map.Alloc(ctx, pg, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, b)
+	}
+	p := newVServePair(k, srv, net, 0, ctx, 0, 0, DefaultWindow, 32*1024, 20_000)
+	p.conn.Enqueue(umRequest(um, 0, 8*vm.PageSize))
+	if srv.Stats().Stalls == 0 {
+		t.Fatal("a window over a fully held cache did not stall")
+	}
+	// The cache frees up, but the retry's run window finds no address
+	// space.
+	for _, b := range held {
+		k.Map.Free(ctx, b)
+	}
+	for n := k.Arena.LargestFreeRun(); n > 0; n = k.Arena.LargestFreeRun() {
+		if _, err := k.Arena.Alloc(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	net.Run()
+	if p.conn.Err() == nil || !p.conn.Closed() {
+		t.Fatalf("retry over an exhausted arena: err %v closed %v, want a failed conn",
+			p.conn.Err(), p.conn.Closed())
+	}
+	for i, pg := range um.Pages() {
+		if pg.Wired() {
+			t.Fatalf("user page %d still wired after the failed retry", i)
+		}
 	}
 	if st2 := k.Map.Stats(); st2.Allocs != st2.Frees {
 		t.Fatalf("leaked mappings: allocs %d != frees %d", st2.Allocs, st2.Frees)

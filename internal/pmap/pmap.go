@@ -217,9 +217,6 @@ func New(m *smp.Machine) *Pmap {
 	return &Pmap{m: m}
 }
 
-// Machine returns the owning machine.
-func (p *Pmap) Machine() *smp.Machine { return p.m }
-
 // VPN returns the virtual page number of a kernel VA.
 func VPN(va uint64) uint64 { return va >> vm.PageShift }
 

@@ -286,70 +286,6 @@ func TestNativeBatchPredicate(t *testing.T) {
 	if !NativeBatch(NewOriginal(om, opm, oarena)) {
 		t.Error("original kernel must batch natively (pmap_qenter)")
 	}
-
-	sm := smp.NewMachine(arch.Sparc64MP(), 4096, false)
-	spm := pmap.New(sm)
-	sarena := kva.NewArena(pmap.KVABaseAMD64, pmap.KVASizeAMD64)
-	ss, err := NewSparc64Sharded(sm, spm, sarena, 2, 64, ShardedConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !NativeBatch(ss) {
-		t.Error("sharded sparc64 must batch natively")
-	}
-	sg, err := NewSparc64(sm, spm, sarena, 2, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if NativeBatch(sg) {
-		t.Error("global sparc64 must not claim native batching")
-	}
-}
-
-// TestSparc64BatchSplitsByColor drives a batch whose pages mix direct-map
-// and cache-bound colors through the hybrid.
-func TestSparc64BatchSplitsByColor(t *testing.T) {
-	m := smp.NewMachine(arch.Sparc64MP(), 4096, true)
-	pm := pmap.New(m)
-	arena := kva.NewArena(pmap.KVABaseAMD64, pmap.KVASizeAMD64)
-	sf, err := NewSparc64Sharded(m, pm, arena, 2, 64, ShardedConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := m.Ctx(0)
-	pages := allocPages(t, m, 12)
-	for i, pg := range pages {
-		pg.UserColor = i % 4 // -1 never occurs; mix of colors 0..3
-		if i%4 == 3 {
-			pg.UserColor = -1 // no user mapping: direct map eligible
-		}
-	}
-	bufs, err := sf.AllocBatch(ctx, pages, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, b := range bufs {
-		got, err := pm.Translate(ctx, b.KVA(), false)
-		if err != nil {
-			t.Fatalf("page %d: %v", i, err)
-		}
-		if got.Data()[0] != byte(i) {
-			t.Fatalf("page %d reads %#x, want %#x", i, got.Data()[0], byte(i))
-		}
-	}
-	if sf.DirectAllocs() == 0 {
-		t.Error("batch should have used the direct map for compatible colors")
-	}
-	// One vectored call is one batch covering every page, no matter how
-	// many color sub-batches and direct casts serve it.
-	st := sf.Stats()
-	if st.BatchAllocs != 1 || st.BatchPages != 12 {
-		t.Errorf("batch stats = %d calls / %d pages, want 1 / 12", st.BatchAllocs, st.BatchPages)
-	}
-	sf.FreeBatch(ctx, bufs)
-	if st := sf.Stats(); st.Allocs != st.Frees {
-		t.Fatalf("allocs %d != frees %d", st.Allocs, st.Frees)
-	}
 }
 
 func TestAMD64Batch(t *testing.T) {

@@ -18,8 +18,6 @@ type bufList struct {
 	n          int
 }
 
-func (l *bufList) empty() bool { return l.head == nil }
-
 func (l *bufList) pushTail(b *Buf) {
 	if b.inList {
 		panic("sfbuf: buffer already on inactive list")
@@ -64,13 +62,6 @@ func (l *bufList) popHead() *Buf {
 	return b
 }
 
-// cache is the i386 mapping cache of Section 4.2: "(1) a hash table of
-// valid sf_bufs that is indexed by physical page and (2) an inactive list
-// of unused sf_bufs that is maintained in least-recently-used order.  An
-// sf_buf can appear in both structures simultaneously."
-//
-// The sparc64 implementation instantiates one cache per virtual cache
-// color (Section 4.4), which is why the logic lives in its own type.
 // Ablation selectively disables the design choices DESIGN.md section 5
 // calls out, so their contribution can be measured in isolation.  All
 // ablated variants remain TLB-coherent (the correctness tests run against
@@ -90,12 +81,10 @@ const (
 	AblateLazyTeardown
 )
 
-// mapCore is the contract between the architecture wrappers (I386,
-// Sparc64) and a mapping-cache engine.  Two engines implement it: cache,
-// the paper's global-lock design, and shardedCache, the lock-striped
-// per-CPU design with batched teardown shootdowns.  Buf.home holds the
-// engine that owns a buffer so Free dispatches without knowing which
-// engine — or, on sparc64, which color — allocated it.
+// mapCore is the contract between the I386 wrapper and a mapping-cache
+// engine.  Two engines implement it: cache, the paper's global-lock
+// design, and shardedCache, the lock-striped per-CPU design with batched
+// teardown shootdowns.  Config.Cache picks one at boot.
 type mapCore interface {
 	alloc(ctx *smp.Context, page *vm.Page, flags Flags) (*Buf, error)
 	free(ctx *smp.Context, b *Buf)
@@ -112,6 +101,10 @@ type mapCore interface {
 	setAblate(a Ablation)
 }
 
+// cache is the i386 mapping cache of Section 4.2: "(1) a hash table of
+// valid sf_bufs that is indexed by physical page and (2) an inactive list
+// of unused sf_bufs that is maintained in least-recently-used order.  An
+// sf_buf can appear in both structures simultaneously."
 type cache struct {
 	m     *smp.Machine
 	pm    *pmap.Pmap
@@ -138,7 +131,7 @@ func newCache(m *smp.Machine, pm *pmap.Pmap, vas []uint64) *cache {
 	// virtual page in this range, an sf_buf is created, its virtual
 	// address initialized, and inserted into the inactive list."
 	for _, va := range vas {
-		b := &Buf{kva: va, home: c}
+		b := &Buf{kva: va}
 		c.inactive.pushTail(b)
 	}
 	return c

@@ -63,8 +63,8 @@ type DaemonStats struct {
 	// freelists, and RefilledBufs the buffers those rounds harvested.
 	RefillRounds uint64
 	RefilledBufs uint64
-	// AgedLaunders/AgedWindows mirror the run pools' age-bound laundering
-	// counters summed across cores (sync-path and daemon-path both).
+	// AgedLaunders/AgedWindows mirror the run pool's age-bound laundering
+	// counters (sync-path and daemon-path both).
 	AgedLaunders uint64
 	AgedWindows  uint64
 	// TrimmedWindows counts clean run windows whose address space the
@@ -92,9 +92,9 @@ type DaemonStats struct {
 }
 
 // Daemon is the background reclaim and laundering worker for a mapper's
-// sharded cores.  Register its Run method as the machine's idle work.
+// sharded core.  Register its Run method as the machine's idle work.
 type Daemon struct {
-	cores     []*shardedCache
+	core      *shardedCache
 	watermark int
 
 	// mig, when set (SetMigrator), adds defragmentation by migration as
@@ -123,42 +123,34 @@ type Daemon struct {
 	trimmedSock  []atomic.Uint64
 }
 
-// shardedCores extracts the sharded cache cores behind a mapper: one for
-// the i386 engine, one per color for the sparc64 hybrid, none for the
-// figure-reproduction (global-lock) and amd64 direct-map engines.
-func shardedCores(m Mapper) []*shardedCache {
-	switch v := m.(type) {
-	case *I386:
+// shardedCore extracts the sharded cache core behind a mapper: the
+// sharded i386 engine's, nil for the figure-reproduction (global-lock),
+// original and amd64 direct-map engines.
+func shardedCore(m Mapper) *shardedCache {
+	if v, ok := m.(*I386); ok {
 		if sc, ok := v.c.(*shardedCache); ok {
-			return []*shardedCache{sc}
+			return sc
 		}
-	case *Sparc64:
-		var cores []*shardedCache
-		for _, col := range v.colors {
-			if sc, ok := col.(*shardedCache); ok {
-				cores = append(cores, sc)
-			}
-		}
-		return cores
 	}
 	return nil
 }
 
-// SetLaunderAge sets the parked-window age bound on every sharded core
+// SetLaunderAge sets the parked-window age bound on the sharded core
 // behind m (0 disables it).  No-op for engines without run pools.
 func SetLaunderAge(m Mapper, age cycles.Cycles) {
-	for _, c := range shardedCores(m) {
+	if c := shardedCore(m); c != nil {
 		c.runs.setLaunderAge(age)
 	}
 }
 
-// NewDaemon builds a background daemon for the mapper's sharded cores,
-// applying cfg.LaunderAge to their run pools.  Returns nil if the mapper
-// has no sharded cores (the global-lock figure engines and the amd64
-// direct map have no clean stock to refill and no windows to launder).
+// NewDaemon builds a background daemon for the mapper's sharded core,
+// applying cfg.LaunderAge to its run pool.  Returns nil if the mapper has
+// no sharded core (the global-lock figure engines, the original kernel
+// and the amd64 direct map have no clean stock to refill and no windows
+// to launder).
 func NewDaemon(m Mapper, cfg DaemonConfig) *Daemon {
-	cores := shardedCores(m)
-	if len(cores) == 0 {
+	c := shardedCore(m)
+	if c == nil {
 		return nil
 	}
 	switch {
@@ -169,17 +161,17 @@ func NewDaemon(m Mapper, cfg DaemonConfig) *Daemon {
 	}
 	wm := cfg.Watermark
 	if wm <= 0 {
-		wm = cores[0].cfg.PerCPUFree / 2
+		wm = c.cfg.PerCPUFree / 2
 		if wm < 1 {
 			wm = 1
 		}
 	}
-	nsock := cores[0].sockets
+	nsock := c.sockets
 	if nsock < 1 {
 		nsock = 1
 	}
 	return &Daemon{
-		cores:        cores,
+		core:         c,
 		watermark:    wm,
 		refilledSock: make([]atomic.Uint64, nsock),
 		trimmedSock:  make([]atomic.Uint64, nsock),
@@ -209,8 +201,8 @@ func (d *Daemon) SetTierDuty(duty func(ctx *smp.Context)) {
 }
 
 // Run is the idle-tick entry point (an smp.IdleWork).  It spends up to
-// budget cycles of the idling CPU doing one background pass over every
-// core, oldest duties first, and stops early once the budget is consumed.
+// budget cycles of the idling CPU doing one background pass, oldest
+// duties first, and stops early once the budget is consumed.
 // Duties 1-3 read frame-keyed state (revive keys, shard hashes) only
 // under the run-pool and shard locks that already exclude the Migrator,
 // so they need no exclusion of their own; duty 4, the defrag round, takes
@@ -223,34 +215,33 @@ func (d *Daemon) Run(ctx *smp.Context, budget cycles.Cycles) {
 	}
 	start := ctx.CPU().Cycles()
 	within := func() bool { return ctx.CPU().Cycles()-start < budget }
-	for _, c := range d.cores {
-		// 1. Retire parked run windows past the age bound.
-		c.runs.launderAged(ctx)
-		// 2. Refill clean stock to the watermark, one reclaim round at a
-		// time, until the inactive lists run dry or the budget does.  On a
-		// homed core the harvest stays on the idling CPU's own socket's
-		// shard group: the daemon refills each socket's stocks from that
-		// socket's frames, and never pays cross-package locks or IPIs for
-		// an optimization pass (shortage-driven reclaim still spills).
-		for within() && c.cleanBelow(ctx, d.watermark) {
-			_, got := c.reclaimScoped(ctx, 0, nil, c.homed)
-			if got == 0 {
-				break
-			}
-			d.refills.Add(1)
-			d.refilled.Add(uint64(got))
-			d.refilledSock[sock].Add(uint64(got))
+	c := d.core
+	// 1. Retire parked run windows past the age bound.
+	c.runs.launderAged(ctx)
+	// 2. Refill clean stock to the watermark, one reclaim round at a time,
+	// until the inactive lists run dry or the budget does.  On a homed core
+	// the harvest stays on the idling CPU's own socket's shard group: the
+	// daemon refills each socket's stocks from that socket's frames, and
+	// never pays cross-package locks or IPIs for an optimization pass
+	// (shortage-driven reclaim still spills).
+	for within() && c.cleanBelow(ctx, d.watermark) {
+		_, got := c.reclaimScoped(ctx, 0, nil, c.homed)
+		if got == 0 {
+			break
 		}
-		// 3. Give surplus clean windows' address space back to the arena.
-		if within() {
-			if n := c.runs.trimClean(ctx, runLaunderBatch); n > 0 {
-				d.trimmed.Add(uint64(n))
-				d.trimmedSock[sock].Add(uint64(n))
-			}
+		d.refills.Add(1)
+		d.refilled.Add(uint64(got))
+		d.refilledSock[sock].Add(uint64(got))
+	}
+	// 3. Give surplus clean windows' address space back to the arena.
+	if within() {
+		if n := c.runs.trimClean(ctx, runLaunderBatch); n > 0 {
+			d.trimmed.Add(uint64(n))
+			d.trimmedSock[sock].Add(uint64(n))
 		}
-		if !within() {
-			return
-		}
+	}
+	if !within() {
+		return
 	}
 	// 4. Defragment: evacuate a bounded number of nearly-free superpage
 	// spans so AllocContig keeps finding intact blocks.  Like refill, this
@@ -290,16 +281,10 @@ func (d *Daemon) Stats() DaemonStats {
 		s.RefilledBySocket[i] = d.refilledSock[i].Load()
 		s.TrimmedBySocket[i] = d.trimmedSock[i].Load()
 	}
-	for _, c := range d.cores {
-		rs := c.runs.snapshot()
-		s.AgedLaunders += rs.AgedLaunders
-		s.AgedWindows += rs.AgedWindows
-	}
+	rs := d.core.runs.snapshot()
+	s.AgedLaunders, s.AgedWindows = rs.AgedLaunders, rs.AgedWindows
 	return s
 }
-
-// Watermark returns the clean-stock low watermark the daemon refills to.
-func (d *Daemon) Watermark() int { return d.watermark }
 
 // cleanBelow reports whether the calling CPU's clean freelist or the
 // overflow pool is below the watermark.  Peeking takes the same charged

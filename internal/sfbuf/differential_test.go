@@ -194,12 +194,6 @@ func newDiffEnginesTopo(t *testing.T, plat arch.Platform, sockets int) []*diffEn
 				t.Fatal(err)
 			}
 			pg.Data()[0] = byte(i)
-			// Mix direct-map-compatible and cache-bound colors so the
-			// sparc64 hybrid exercises both halves; no effect elsewhere.
-			pg.UserColor = i % 4
-			if i%4 == 3 {
-				pg.UserColor = -1
-			}
 			pages[i] = pg
 		}
 		return &diffEngine{name: name, m: m, pm: pm, sf: sf, pages: pages}
@@ -207,20 +201,14 @@ func newDiffEnginesTopo(t *testing.T, plat arch.Platform, sockets int) []*diffEn
 	shardCfg := ShardedConfig{ReclaimBatch: 8, PerCPUFree: 4, Homed: sockets > 1}
 	engines := []*diffEngine{
 		build("sharded", func(m *smp.Machine, pm *pmap.Pmap, arena *kva.Arena) (Mapper, error) {
-			switch plat.Arch {
-			case arch.AMD64:
+			if plat.Arch == arch.AMD64 {
 				return NewAMD64(m, pm), nil
-			case arch.SPARC64:
-				return NewSparc64Sharded(m, pm, arena, 2, diffEntries, shardCfg)
 			}
 			return NewI386Sharded(m, pm, arena, diffEntries, shardCfg)
 		}),
 		build("global", func(m *smp.Machine, pm *pmap.Pmap, arena *kva.Arena) (Mapper, error) {
-			switch plat.Arch {
-			case arch.AMD64:
+			if plat.Arch == arch.AMD64 {
 				return NewAMD64(m, pm), nil
-			case arch.SPARC64:
-				return NewSparc64(m, pm, arena, 2, diffEntries)
 			}
 			return NewI386(m, pm, arena, diffEntries)
 		}),
@@ -475,11 +463,10 @@ func replayTrace(t *testing.T, e *diffEngine, ops []diffOp) [diffPages]byte {
 }
 
 // TestDifferentialEngines replays seeded traces against all three engines
-// on all five evaluation platforms (plus the sparc64 hybrid's machine)
-// and requires identical observable mapping semantics everywhere.
+// on all five evaluation platforms and requires identical observable
+// mapping semantics everywhere.
 func TestDifferentialEngines(t *testing.T) {
-	plats := append(arch.Evaluation(), arch.Sparc64MP())
-	for _, plat := range plats {
+	for _, plat := range arch.Evaluation() {
 		plat := plat
 		t.Run(plat.Name, func(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {

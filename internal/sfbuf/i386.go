@@ -160,14 +160,6 @@ func (s *I386) ResetStats() { s.c.resetStats() }
 // Entries returns the cache capacity in mappings.
 func (s *I386) Entries() int { return s.entries }
 
-// Shards returns the lock-stripe count: 1 for the global-lock engine.
-func (s *I386) Shards() int {
-	if sc, ok := s.c.(*shardedCache); ok {
-		return sc.numShards()
-	}
-	return 1
-}
-
 // InactiveLen returns the current unreferenced-buffer count (test helper).
 func (s *I386) InactiveLen() int { return s.c.inactiveLen() }
 

@@ -187,7 +187,6 @@ func TestOriginalNoStaleLeaks(t *testing.T) {
 			t.Fatalf("iteration %d read stale data", i)
 		}
 		o.Free(ctx0, b)
-		pg.UserColor = -1
 		m.Phys.Free(pg)
 	}
 }
@@ -297,106 +296,6 @@ func TestOriginalDoubleFreePanicsFirst(t *testing.T) {
 		o.FreeRun(ctx, r)
 		mustPanicUntouched(t, m, pm, o, func() { o.FreeRun(ctx, r) })
 	})
-}
-
-// --- sparc64 ---
-
-func newSparcRig(t *testing.T, colors, perColor int) (*smp.Machine, *pmap.Pmap, *Sparc64) {
-	t.Helper()
-	m := smp.NewMachine(arch.Sparc64MP(), 256, true)
-	pm := pmap.New(m)
-	arena := kva.NewArena(pmap.KVABaseAMD64, pmap.KVASizeAMD64)
-	sf, err := NewSparc64(m, pm, arena, colors, perColor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m, pm, sf
-}
-
-func TestSparcDirectWhenNoUserMapping(t *testing.T) {
-	m, pm, sf := newSparcRig(t, 2, 8)
-	ctx := m.Ctx(0)
-	pg, _ := m.Phys.Alloc()
-	b, err := sf.Alloc(ctx, pg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.KVA() != pm.DirectVA(pg) {
-		t.Fatal("unmapped page should use the direct map")
-	}
-	if sf.DirectAllocs() != 1 {
-		t.Fatal("direct alloc not counted")
-	}
-	sf.Free(ctx, b)
-}
-
-func TestSparcColorMismatchUsesCache(t *testing.T) {
-	m, pm, sf := newSparcRig(t, 2, 8)
-	ctx := m.Ctx(0)
-	pg, _ := m.Phys.Alloc()
-	// Force a user mapping color that conflicts with the direct map's.
-	direct := pmap.VPN(pmap.DirectMapBase+uint64(pg.PA())) & 1
-	pg.UserColor = int(direct ^ 1)
-	b, err := sf.Alloc(ctx, pg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.KVA() == pm.DirectVA(pg) {
-		t.Fatal("color conflict must avoid the direct map")
-	}
-	// The chosen VA's color must match the user mapping's color.
-	if got := int(pmap.VPN(b.KVA()) & 1); got != pg.UserColor {
-		t.Fatalf("mapping color %d, want %d", got, pg.UserColor)
-	}
-	// And the mapping must actually work.
-	if g, err := pm.Translate(ctx, b.KVA(), false); err != nil || g != pg {
-		t.Fatalf("translate got (%v,%v)", g, err)
-	}
-	sf.Free(ctx, b)
-}
-
-func TestSparcMatchingColorUsesDirect(t *testing.T) {
-	m, pm, sf := newSparcRig(t, 2, 8)
-	ctx := m.Ctx(0)
-	pg, _ := m.Phys.Alloc()
-	pg.UserColor = int(pmap.VPN(pmap.DirectMapBase+uint64(pg.PA())) & 1)
-	b, err := sf.Alloc(ctx, pg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.KVA() != pm.DirectVA(pg) {
-		t.Fatal("matching color should use the direct map")
-	}
-	sf.Free(ctx, b)
-}
-
-func TestSparcRejectsNonPowerOfTwoColors(t *testing.T) {
-	m := smp.NewMachine(arch.Sparc64MP(), 16, false)
-	pm := pmap.New(m)
-	arena := kva.NewArena(pmap.KVABaseAMD64, pmap.KVASizeAMD64)
-	if _, err := NewSparc64(m, pm, arena, 3, 8); err == nil {
-		t.Fatal("3 colors must be rejected")
-	}
-}
-
-func TestSparcStatsAggregation(t *testing.T) {
-	m, _, sf := newSparcRig(t, 2, 8)
-	ctx := m.Ctx(0)
-	pgDirect, _ := m.Phys.Alloc()
-	pgCached, _ := m.Phys.Alloc()
-	dc := int(pmap.VPN(pmap.DirectMapBase+uint64(pgCached.PA())) & 1)
-	pgCached.UserColor = dc ^ 1
-	b1, _ := sf.Alloc(ctx, pgDirect, 0)
-	b2, _ := sf.Alloc(ctx, pgCached, 0)
-	sf.Free(ctx, b1)
-	sf.Free(ctx, b2)
-	s := sf.Stats()
-	if s.Allocs != 2 || s.Frees != 2 {
-		t.Fatalf("stats = %+v", s)
-	}
-	if s.Hits != 1 || s.Misses != 1 {
-		t.Fatalf("stats = %+v: want 1 direct hit + 1 cache miss", s)
-	}
 }
 
 // --- cross-implementation properties ---

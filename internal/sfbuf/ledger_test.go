@@ -16,9 +16,8 @@ import (
 // TestAllocLedgerSymmetry pins the ledger rule on every engine that can
 // run out: a failed NoWait single, batch or run counts only in WouldBlock.
 // Each rig holds mappings until exactly one buffer the batch needs is
-// left, so the batch and run fail mid-way — the sparc64 hybrid's after its
-// direct page and another color's sub-batch are already mapped — and must
-// unwind without touching Allocs, Frees or the batch and run counters.
+// left, so the batch and run fail mid-way and must unwind without
+// touching Allocs, Frees or the batch and run counters.
 // The event counters record work the failed attempt really did (hits,
 // misses, freelist hits, reclaim rounds, VA-allocator trips) and may move.
 func TestAllocLedgerSymmetry(t *testing.T) {
@@ -50,38 +49,11 @@ func TestAllocLedgerSymmetry(t *testing.T) {
 		pages := allocPages(t, m, 4)
 		return rig{name, m, sf, pages[:2], pages[2:]}
 	}
-	sparc := func(name string, sharded bool) rig {
-		m := smp.NewMachine(arch.Sparc64MP(), 64, true)
-		pm := pmap.New(m)
-		arena := kva.NewArena(pmap.KVABaseAMD64, pmap.KVASizeAMD64)
-		sf, err := NewSparc64(m, pm, arena, 2, 2)
-		if sharded {
-			sf, err = NewSparc64Sharded(m, pm, arena, 2, 2, ShardedConfig{})
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		// colored(c) is a page whose user mapping needs color c's cache.
-		colored := func(c int) *vm.Page {
-			pg := allocPages(t, m, 1)[0]
-			pg.UserColor = c
-			for sf.pageColor(pg) == c {
-				pg = allocPages(t, m, 1)[0]
-				pg.UserColor = c
-			}
-			return pg
-		}
-		direct := allocPages(t, m, 1)[0]
-		return rig{name, m, sf, []*vm.Page{colored(1)},
-			[]*vm.Page{direct, colored(0), colored(1), colored(1)}}
-	}
 	rigs := []rig{
 		i386("global", 2, false),
 		i386("sharded", 4, true),
 		original("original-i386", arch.XeonMP()),
 		original("original-amd64", arch.OpteronMP()),
-		sparc("sparc64-global", false),
-		sparc("sparc64-sharded", true),
 	}
 	for _, r := range rigs {
 		t.Run(r.name, func(t *testing.T) {

@@ -96,8 +96,8 @@ type MigrationStats struct {
 
 // NewMigrator builds a Migrator for the mapper, or nil when the mapper
 // cannot migrate: only the i386 sharded engine over a buddy physical pool
-// participates (the global-lock figure engines and sparc64 stay untouched
-// so the paper reproductions keep their exact behaviour).
+// participates (the global-lock figure engines stay untouched so the paper
+// reproductions keep their exact behaviour).
 func NewMigrator(m Mapper, cfg MigrateConfig) *Migrator {
 	v, ok := m.(*I386)
 	if !ok {

@@ -269,12 +269,6 @@ func (o *Original) FreeRun(ctx *smp.Context, r *Run) {
 // story (on 64-bit pmaps; the i386 pmap loops, see AllocBatch).
 func (o *Original) nativeBatch() bool { return true }
 
-// nativeRun: the 64-bit pmap_qenter range is contiguous by construction.
-// The predicate is engine-static like nativeBatch; kernels gate their
-// run usage additionally by policy (the evaluation baselines never take
-// the run path on Auto — see kernel.Plan.Runs).
-func (o *Original) nativeRun() bool { return o.m.Plat.Arch != arch.I386 }
-
 var _ nativeBatcher = (*Original)(nil)
 
 // Name implements Mapper.

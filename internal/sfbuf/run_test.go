@@ -993,57 +993,6 @@ func TestAMD64RunContiguity(t *testing.T) {
 	}
 }
 
-// TestSparc64RunColorSplit: a color-compatible physically contiguous run
-// rides the direct map; a color-bound mix splits per color into a
-// scattered run, byte-correct either way.
-func TestSparc64RunColorSplit(t *testing.T) {
-	m := smp.NewMachine(arch.Sparc64MP(), 4096, true)
-	pm := pmap.New(m)
-	arena := kvaArenaFor(arch.Sparc64MP())
-	sf, err := NewSparc64Sharded(m, pm, arena, 2, 64, ShardedConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := m.Ctx(0)
-	pages := allocPages(t, m, 8)
-	for _, pg := range pages {
-		pg.UserColor = -1 // direct-map eligible
-	}
-	run, err := sf.AllocRun(ctx, pages, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !run.Contiguous() {
-		t.Fatal("color-compatible contiguous frames must ride the direct map")
-	}
-	sf.FreeRun(ctx, run)
-
-	mixed := allocPages(t, m, 8)
-	for i, pg := range mixed {
-		pg.UserColor = i % 4
-	}
-	run2, err := sf.AllocRun(ctx, mixed, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if run2.Contiguous() {
-		t.Fatal("a color-bound mix cannot be one contiguous window")
-	}
-	for i := 0; i < run2.Len(); i++ {
-		got, err := pm.Translate(ctx, run2.KVA(i), false)
-		if err != nil {
-			t.Fatalf("page %d: %v", i, err)
-		}
-		if got.Data()[0] != byte(i) {
-			t.Fatalf("page %d reads %#x, want %#x", i, got.Data()[0], byte(i))
-		}
-	}
-	sf.FreeRun(ctx, run2)
-	if st := sf.Stats(); st.Allocs != st.Frees || st.RunAllocs != 2 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
 // TestOriginalRunIsContiguousOn64Bit: the original kernel's 64-bit
 // pmap_qenter range is a contiguous run; its i386 loop is not.
 func TestOriginalRunBehavior(t *testing.T) {

@@ -5,7 +5,7 @@
 // through separate interfaces — allocating a temporary kernel virtual
 // address and installing a virtual-to-physical translation — so that an
 // implementation may reuse existing mappings and avoid TLB coherence
-// traffic.  Four implementations are provided:
+// traffic.  Three implementations are provided:
 //
 //   - I386 (Section 4.2): a mapping cache over a bounded kernel VA region —
 //     a hash table of valid mappings indexed by physical page, an LRU
@@ -13,11 +13,13 @@
 //     and the accessed-bit optimization.
 //   - AMD64 (Section 4.3): the direct map makes every operation trivial;
 //     an sf_buf is just a view of the vm_page and nothing ever invalidates.
-//   - Sparc64 (Section 4.4): a hybrid that uses the direct map when cache
-//     colors are compatible and a color-aware mapping cache otherwise.
 //   - Original: the pre-sf_buf baseline — every mapping allocates a fresh
 //     kernel virtual address and every unmapping performs a global TLB
 //     invalidation.  Every evaluation figure compares against it.
+//
+// Section 4.4's color-constrained hybrid is not reproduced: nothing in
+// this repository maps a page at a user-level cache color, so it would
+// only ever run the AMD64 direct map (docs/ARCHITECTURE.md).
 package sfbuf
 
 import (
@@ -68,7 +70,7 @@ type Buf struct {
 	kva  uint64
 	page *vm.Page
 
-	// i386 / sparc64 mapping-cache state, owned by the cache's lock (for
+	// i386 mapping-cache state, owned by the cache's lock (for
 	// the sharded cache: the lock of the shard the buf is currently
 	// homed in, or exclusively by the holder while the buf is clean).
 	ref     int
@@ -82,7 +84,6 @@ type Buf struct {
 	prev    *Buf // inactive list linkage (Figure 1's free_entry)
 	next    *Buf
 	inList  bool
-	home    mapCore // owning cache, for sparc64's per-color dispatch
 }
 
 // KVA returns the kernel virtual address at which the mapping's page is
@@ -96,10 +97,10 @@ func (b *Buf) Page() *vm.Page { return b.page }
 // pages are addressable through a single virtual window, so a copy can
 // sweep across page boundaries and the ranged-translate cost model
 // (pmap.TranslateRun) charges one page-table walk per contiguous PTE run
-// instead of one per page.  Engines that cannot provide contiguity (the
-// paper's global-lock cache, per-color splits on sparc64) return a
-// degraded run over scattered per-page mappings; Contiguous reports
-// which, and KVA(i) addresses page i correctly either way.
+// instead of one per page.  An engine that cannot provide contiguity (the
+// paper's global-lock cache) returns a degraded run over scattered
+// per-page mappings; Contiguous reports which, and KVA(i) addresses page
+// i correctly either way.
 //
 // A Run must be released as a unit through FreeRun on the mapper that
 // allocated it.
@@ -281,9 +282,9 @@ type Mapper interface {
 	// run into a reserved VA window in one page-table pass, the amd64
 	// direct map hands out the window physical contiguity already gives
 	// it, the original kernel's 64-bit pmap_qenter path is contiguous by
-	// construction.  Engines without a contiguous path (the paper's
-	// global-lock cache; sparc64 color splits) return a degraded run over
-	// scattered mappings — Run.Contiguous reports which.  Window-backed
+	// construction.  An engine without a contiguous path (the paper's
+	// global-lock cache) returns a degraded run over scattered mappings —
+	// Run.Contiguous reports which.  Window-backed
 	// runs give duplicate pages independent translations; fallback runs
 	// may share mappings, as AllocBatch does.
 	AllocRun(ctx *smp.Context, pages []*vm.Page, flags Flags) (*Run, error)
@@ -323,12 +324,13 @@ type nativeRunner interface {
 }
 
 // NativeRun reports whether m's AllocRun provides contiguous windows —
-// the sharded cache's reserved-window path, the amd64 direct map, the
-// original kernel's 64-bit pmap_qenter range.  The kernel asks it once at
-// boot (kernel.Plan.Runs, under the Contig switch) to decide whether
-// mapping a multi-page extent as a run buys ranged translation; the
-// paper's global-lock cache reports false, so figure reproduction keeps
-// its exact historical paths.
+// the sharded cache's reserved-window path, the amd64 direct map.  The
+// kernel asks it once at boot, for the sf_buf kernel only (kernel.Plan.Runs,
+// under the Contig switch), to decide whether mapping a multi-page extent
+// as a run buys ranged translation.  The paper's global-lock cache reports
+// false, so figure reproduction keeps its exact historical paths; so does
+// the original kernel, every figure's baseline, although its 64-bit
+// pmap_qenter range is contiguous (Run.Contiguous reports that per run).
 func NativeRun(m Mapper) bool {
 	nr, ok := m.(nativeRunner)
 	return ok && nr.nativeRun()

@@ -319,7 +319,7 @@ func newShardedCache(m *smp.Machine, pm *pmap.Pmap, arena *kva.Arena, vas []uint
 	c.buildHoming(topo)
 	all := m.AllCPUs()
 	for i, va := range vas {
-		b := &Buf{kva: va, home: c, cpumask: all}
+		b := &Buf{kva: va, cpumask: all}
 		if f := c.freelists[i%len(c.freelists)]; len(f.bufs) < cfg.PerCPUFree {
 			f.bufs = append(f.bufs, b)
 		} else {
@@ -1713,6 +1713,3 @@ func (c *shardedCache) lookupRef(frame uint64) (ref int, mask smp.CPUSet, ok boo
 }
 
 func (c *shardedCache) setAblate(a Ablation) { c.ablate = a }
-
-// NumShards reports the resolved stripe count (test and report helper).
-func (c *shardedCache) numShards() int { return c.cfg.Shards }

@@ -448,32 +448,3 @@ func TestShardedConfigDefaults(t *testing.T) {
 		t.Fatalf("big machine shards = %d, want 128", got)
 	}
 }
-
-func TestSparc64ShardedColorCaches(t *testing.T) {
-	m := smp.NewMachine(arch.Sparc64MP(), 256, true)
-	pm := pmap.New(m)
-	arena := kva.NewArena(pmap.KVABaseAMD64, pmap.KVASizeAMD64)
-	sf, err := NewSparc64Sharded(m, pm, arena, 2, 16, ShardedConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := m.Ctx(0)
-	pg, _ := m.Phys.Alloc()
-	direct := pmap.VPN(pmap.DirectMapBase+uint64(pg.PA())) & 1
-	pg.UserColor = int(direct ^ 1)
-	b, err := sf.Alloc(ctx, pg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := int(pmap.VPN(b.KVA()) & 1); got != pg.UserColor {
-		t.Fatalf("mapping color %d, want %d", got, pg.UserColor)
-	}
-	if g, err := pm.Translate(ctx, b.KVA(), false); err != nil || g != pg {
-		t.Fatalf("translate got (%v, %v)", g, err)
-	}
-	sf.Free(ctx, b)
-	s := sf.Stats()
-	if s.Allocs != 1 || s.Misses != 1 {
-		t.Fatalf("stats = %+v", s)
-	}
-}

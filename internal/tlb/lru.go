@@ -41,9 +41,6 @@ func NewLRU(capacity int) *LRU {
 	return l
 }
 
-// Cap returns the entry capacity.
-func (l *LRU) Cap() int { return len(l.slots) - 1 }
-
 // Len returns the number of resident entries.
 func (l *LRU) Len() int { return l.n }
 

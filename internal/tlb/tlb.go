@@ -79,9 +79,6 @@ func New(capacity int) *TLB {
 	return &TLB{base: NewLRU(capacity)}
 }
 
-// Capacity returns the entry capacity.
-func (t *TLB) Capacity() int { return t.base.Cap() }
-
 // Len returns the number of resident entries.
 func (t *TLB) Len() int { return t.base.Len() }
 
@@ -212,6 +209,3 @@ func (t *TLB) FrameOf(vpn uint64) (uint64, bool) {
 
 // Stats returns a copy of the event counters.
 func (t *TLB) Stats() Stats { return t.stats }
-
-// ResetStats zeroes the event counters.
-func (t *TLB) ResetStats() { t.stats = Stats{} }

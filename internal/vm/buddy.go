@@ -179,7 +179,7 @@ func NewBuddyPhysMemNUMA(frames int, backed bool, sockets int) *PhysMem {
 		framesPer:  frames / sockets,
 	}
 	for i := range pm.pages {
-		p := &Page{UserColor: -1, id: uint64(i + 1)}
+		p := &Page{id: uint64(i + 1)}
 		p.frame.Store(uint64(i + 1))
 		pm.pages[i].Store(p)
 	}
@@ -234,10 +234,6 @@ func (pm *PhysMem) MaxContig() int {
 	}
 	return MaxContigPages
 }
-
-// Sockets returns the number of sockets frames are homed across (1 on a
-// flat machine).
-func (pm *PhysMem) Sockets() int { return pm.sockets }
 
 // SocketOfFrame returns the home socket of the given frame: the socket
 // whose address range contains it.  Frame 0 (the "no frame" sentinel) and
@@ -475,14 +471,13 @@ func (pm *PhysMem) freeRangeLocked(start uint64, n int) {
 }
 
 // takePageLocked materializes the page for frame f as allocated: backing
-// storage on first touch, user color reset.  Caller holds pm.mu and has
-// already removed the frame from the free structures.
+// storage on first touch.  Caller holds pm.mu and has already removed the
+// frame from the free structures.
 func (pm *PhysMem) takePageLocked(f uint64) *Page {
 	p := pm.pages[f-1].Load()
 	if pm.backed && p.data == nil {
 		p.data = make([]byte, PageSize)
 	}
-	p.UserColor = -1
 	return p
 }
 

@@ -188,7 +188,7 @@ func (pm *PhysMem) MigrationTarget(socket, spanOrder int, avoidLo, avoidHi uint6
 }
 
 // SwapFrames exchanges the physical frames backing pages a and b: each
-// handle keeps its storage, wire count, and color but answers with the
+// handle keeps its storage and wire count but answers with the
 // other's frame number, and the frame registry is rebound to match.  Both
 // pages must be allocated (the caller owns them); the migrator pairs a
 // resident page with a freshly allocated destination whose storage it has

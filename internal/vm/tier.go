@@ -60,10 +60,6 @@ func (pm *PhysMem) SetTierSplit(fastPer int) {
 // Tiered reports whether a fast/slow tier split is installed.
 func (pm *PhysMem) Tiered() bool { return pm.fastPer > 0 }
 
-// FastPerSocket returns the per-socket fast-tier prefix width in frames
-// (0 on a single-tier pool).
-func (pm *PhysMem) FastPerSocket() int { return pm.fastPer }
-
 // TierOfFrame returns the tier housing the given frame.  Frame 0 (the
 // "no frame" sentinel) and every frame of an untiered pool report
 // TierFast.
@@ -194,29 +190,6 @@ func (pm *PhysMem) pickLowestTierLocked(s, tier, maxOrder int) (start uint64, or
 	return start, order
 }
 
-// AllocTierOn allocates one page from the given tier, preferring frames
-// homed on the given socket (pref < 0 means no preference).  On a
-// single-tier or LIFO pool the tier is ignored and the call degenerates
-// to AllocOn/Alloc.  ErrNoMemory means the tier is exhausted; the caller
-// may fall back to the other tier explicitly.
-func (pm *PhysMem) AllocTierOn(pref, tier int) (*Page, error) {
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
-	if !pm.buddy {
-		return pm.allocLocked()
-	}
-	if pm.fastPer <= 0 {
-		return pm.buddyAllocOneLocked(pref)
-	}
-	pg, served := pm.tierAllocOneLocked(pref, tier)
-	if pg == nil {
-		return nil, ErrNoMemory
-	}
-	pm.countHomeLocked(pref, served, 1)
-	pm.allocs.Add(1)
-	return pg, nil
-}
-
 // tierAllocOneLocked picks the lowest-addressed free frame of the given
 // tier, preferring socket pref and falling through the rest ascending.
 // Reservation steering applies exactly as in buddyAllocOneLocked — a
@@ -246,58 +219,6 @@ func (pm *PhysMem) tierAllocOneLocked(pref, tier int) (pg *Page, served int) {
 		return false
 	})
 	return pg, served
-}
-
-// AllocNTierOn allocates n pages from the given tier by address-ordered
-// gather (the AllocNOn discipline restricted to one tier), preferring the
-// given socket and spilling to the others ascending.  On a single-tier or
-// LIFO pool the tier is ignored.  On failure no pages are retained.
-func (pm *PhysMem) AllocNTierOn(pref, tier, n int) ([]*Page, error) {
-	if !pm.buddy || pm.fastPer <= 0 {
-		return pm.AllocNOn(pref, n)
-	}
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
-	if pm.tierFreeLocked(tier) < n {
-		return nil, ErrNoMemory
-	}
-	out := make([]*Page, 0, n)
-	local := 0
-	pm.eachSocketFrom(pref, func(s int) bool {
-		for len(out) < n {
-			best, bestK := pm.pickLowestTierLocked(s, tier, 0)
-			if bestK < 0 {
-				break
-			}
-			pm.orders[s][bestK].remove(best)
-			size := 1 << bestK
-			pm.freePages -= size
-			pm.freeBySock[s] -= size
-			pm.tierFreeDelta(s, best, -size)
-			if need := n - len(out); size <= need {
-				for f := best; f < best+uint64(size); f++ {
-					out = append(out, pm.takePageLocked(f))
-				}
-			} else {
-				out = append(out, pm.carveLocked(best, bestK, need)...)
-			}
-		}
-		if s == pref {
-			local = len(out)
-		}
-		return len(out) < n
-	})
-	if len(out) < n {
-		// The gauge said the frames existed; only a bug gets here.
-		for _, p := range out {
-			pm.freeUnzeroedLocked(p)
-		}
-		return nil, ErrNoMemory
-	}
-	pm.countHomeLocked(pref, pref, local)
-	pm.countHomeLocked(pref, -1, n-local)
-	pm.allocs.Add(uint64(n))
-	return out, nil
 }
 
 // TierTarget allocates one destination page for a tier migration: the

@@ -27,12 +27,6 @@ const (
 // PAddr is a physical byte address.
 type PAddr uint64
 
-// Frame returns the physical frame number containing the address.
-func (pa PAddr) Frame() uint64 { return uint64(pa) >> PageShift }
-
-// Offset returns the byte offset within the page.
-func (pa PAddr) Offset() int { return int(uint64(pa) & (PageSize - 1)) }
-
 // Page is a physical page — the simulator's vm_page.  Fields mutated after
 // allocation (wire count, and the frame number under migration) use atomics
 // because subsystems run on multiple goroutines.
@@ -45,11 +39,6 @@ type Page struct {
 	data  []byte // nil when the owning PhysMem is unbacked
 	wire  atomic.Int32
 
-	// UserColor is the virtual cache color of this page's user-level
-	// mapping, or -1 when it has none.  Only the sparc64 implementation
-	// consults it (Section 4.4).
-	UserColor int
-
 	// id is the page's stable identity: the frame number it was created
 	// on.  Unlike frame it never changes — migration moves a page between
 	// frames but not between identities — so it is the key for any state
@@ -59,12 +48,8 @@ type Page struct {
 	id uint64
 }
 
-// ID returns the page's stable identity (its creation frame number),
-// invariant across migration.
-func (p *Page) ID() uint64 { return p.id }
-
 // ExtentID hashes a page sequence by stable page identity (FNV-1a over
-// Page.ID).  Where the run pool keys parked windows on the frames an
+// Page.id).  Where the run pool keys parked windows on the frames an
 // extent currently occupies — the right key for caches of installed
 // translations — ExtentID follows the logical extent across migration:
 // the same pages hash the same before and after their frames move.  On a
@@ -104,9 +89,6 @@ func (p *Page) Unwire() {
 
 // Wired reports whether the page is currently wired.
 func (p *Page) Wired() bool { return p.wire.Load() > 0 }
-
-// WireCount returns the current wire count.
-func (p *Page) WireCount() int { return int(p.wire.Load()) }
 
 // String implements fmt.Stringer for diagnostics.
 func (p *Page) String() string {
@@ -197,16 +179,13 @@ func NewPhysMem(frames int, backed bool) *PhysMem {
 	// Frame numbers start at 1 so that frame 0 / physical address 0 can
 	// serve as a sentinel ("no frame") throughout the MMU model.
 	for i := frames - 1; i >= 0; i-- {
-		p := &Page{UserColor: -1, id: uint64(i + 1)}
+		p := &Page{id: uint64(i + 1)}
 		p.frame.Store(uint64(i + 1))
 		pm.pages[i].Store(p)
 		pm.free = append(pm.free, p)
 	}
 	return pm
 }
-
-// Backed reports whether pages carry real storage.
-func (pm *PhysMem) Backed() bool { return pm.backed }
 
 // Frames returns the total number of frames in the pool.
 func (pm *PhysMem) Frames() int { return len(pm.pages) }
@@ -253,7 +232,6 @@ func (pm *PhysMem) allocLocked() (*Page, error) {
 	if pm.backed && p.data == nil {
 		p.data = make([]byte, PageSize)
 	}
-	p.UserColor = -1
 	pm.allocs.Add(1)
 	return p, nil
 }

@@ -95,8 +95,10 @@ var (
 func NativeBatch(m Mapper) bool { return sfbuf.NativeBatch(m) }
 
 // NativeRun reports whether a mapper's AllocRun provides genuinely
-// contiguous windows (sharded cache, amd64 direct map, the original
-// kernel's 64-bit pmap_qenter range) rather than a scattered fallback.
+// contiguous windows (sharded cache, amd64 direct map) rather than a
+// scattered fallback.  The original kernel reports false: it is the
+// figures' baseline, and Run.Contiguous reports its 64-bit pmap_qenter
+// ranges per run.
 func NativeRun(m Mapper) bool { return sfbuf.NativeRun(m) }
 
 // Kernel assembly.
@@ -210,7 +212,6 @@ var (
 	XeonMP    = arch.XeonMP
 	XeonMPHTT = arch.XeonMPHTT
 	OpteronMP = arch.OpteronMP
-	Sparc64MP = arch.Sparc64MP
 	// XeonNUMA builds a multi-package Xeon with asymmetric cross-socket
 	// costs; boot it with Config.Sockets set to the same socket count.
 	XeonNUMA = arch.XeonNUMA
