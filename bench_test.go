@@ -1,17 +1,14 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation.  Each benchmark runs the corresponding experiment at a
-// reduced scale (the workload-to-cache ratios are preserved; see
-// internal/experiments) and reports the figure's headline numbers as
-// custom metrics.  cmd/sfbench runs the same experiments at full paper
-// scale.
+// Benchmarks of the simulator's own hot loops: the ablation design
+// choices, the contended churn loops the scale experiment drives, the
+// contiguity and adaptive-policy churns, and the raw TLB and MMU model.
+// Each reports simulated-machine metrics beside wall-clock ns/op.  The
+// experiments themselves run under cmd/sfbench and are gated by their
+// tests in internal/experiments.
 //
-//	go test -bench=. -benchmem
-//	go test -bench=Fig2 -benchscale=1.0   # paper scale
+//	go test -run '^$' -bench . -benchmem
 package sfbuf
 
 import (
-	"flag"
-	"strings"
 	"testing"
 
 	"sfbuf/internal/arch"
@@ -23,135 +20,6 @@ import (
 	"sfbuf/internal/tlb"
 	"sfbuf/internal/vm"
 )
-
-var benchScale = flag.Float64("benchscale", 0.02, "experiment scale for benchmarks (1.0 = paper scale)")
-
-// runExperiment executes the registered experiment once per benchmark
-// iteration and reports its improvement metrics.
-func runExperiment(b *testing.B, id string, metricKeys ...string) {
-	b.Helper()
-	runner, ok := experiments.Get(id)
-	if !ok {
-		b.Fatalf("unknown experiment %s", id)
-	}
-	opts := experiments.Options{Scale: *benchScale}
-	var last *experiments.Result
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := runner(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.StopTimer()
-	for _, key := range metricKeys {
-		if v, ok := last.Metrics[key]; ok {
-			// testing.B rejects units with whitespace; compact the
-			// experiment's human-readable labels.
-			b.ReportMetric(v, strings.ReplaceAll(key, " ", "_"))
-		}
-	}
-}
-
-// --- Section 3: microbenchmark table ---
-
-func BenchmarkSec3TLBCosts(b *testing.B) {
-	runExperiment(b, "sec3",
-		"local_cached/Xeon-HTT", "remote/Xeon-MP-HTT", "remote/Opteron-MP")
-}
-
-// --- Figures 2-3: pipes ---
-
-func BenchmarkFig2PipeBandwidth(b *testing.B) {
-	runExperiment(b, "fig2",
-		"improvement_pct/Xeon-UP", "improvement_pct/Xeon-MP", "improvement_pct/Opteron-MP")
-}
-
-func BenchmarkFig3PipeInvalidations(b *testing.B) {
-	runExperiment(b, "fig3",
-		"local/Xeon-MP/sf_buf", "local/Xeon-MP/original", "remote/Xeon-MP/original")
-}
-
-// --- Figures 4-7: memory disks ---
-
-func BenchmarkFig4DD128(b *testing.B) {
-	runExperiment(b, "fig4", "improvement_pct/Xeon-UP", "improvement_pct/Opteron-MP")
-}
-
-func BenchmarkFig5DD128Invalidations(b *testing.B) {
-	runExperiment(b, "fig5",
-		"remote/Xeon-MP/sf_buf: shared", "remote/Xeon-MP/original")
-}
-
-func BenchmarkFig6DD512(b *testing.B) {
-	runExperiment(b, "fig6", "improvement_pct/Xeon-MP", "improvement_pct/Opteron-MP")
-}
-
-func BenchmarkFig7DD512Invalidations(b *testing.B) {
-	runExperiment(b, "fig7",
-		"remote/Xeon-MP/sf_buf: private", "remote/Xeon-MP/sf_buf: shared")
-}
-
-// --- Figures 8-10: PostMark ---
-
-func BenchmarkFig8PostMark(b *testing.B) {
-	runExperiment(b, "fig8", "improvement_pct/Xeon-UP", "improvement_pct/Opteron-MP")
-}
-
-func BenchmarkFig9PostMarkBandwidth(b *testing.B) {
-	runExperiment(b, "fig9", "read_mbps/Xeon-MP/sf_buf", "write_mbps/Xeon-MP/sf_buf")
-}
-
-func BenchmarkFig10PostMarkInvalidations(b *testing.B) {
-	runExperiment(b, "fig10", "local/Xeon-MP/sf_buf", "local/Xeon-MP/original")
-}
-
-// --- Figures 11-14: netperf ---
-
-func BenchmarkFig11NetperfLargeMTU(b *testing.B) {
-	runExperiment(b, "fig11", "improvement_pct/Xeon-UP", "improvement_pct/Opteron-MP")
-}
-
-func BenchmarkFig12NetperfSmallMTU(b *testing.B) {
-	runExperiment(b, "fig12", "improvement_pct/Xeon-UP", "improvement_pct/Opteron-MP")
-}
-
-func BenchmarkFig13NetperfLargeMTUInvalidations(b *testing.B) {
-	runExperiment(b, "fig13", "remote/Xeon-MP/sf_buf", "remote/Xeon-MP/original")
-}
-
-func BenchmarkFig14NetperfSmallMTUInvalidations(b *testing.B) {
-	runExperiment(b, "fig14", "remote/Xeon-MP/sf_buf", "remote/Xeon-MP/original")
-}
-
-// --- Figures 15-20: web server ---
-
-func BenchmarkFig15WebNASA(b *testing.B) {
-	runExperiment(b, "fig15", "improvement_pct/Xeon-MP", "improvement_pct/Opteron-MP")
-}
-
-func BenchmarkFig16WebRice(b *testing.B) {
-	runExperiment(b, "fig16", "improvement_pct/Xeon-MP", "improvement_pct/Opteron-MP")
-}
-
-func BenchmarkFig17WebNASAInvalidations(b *testing.B) {
-	runExperiment(b, "fig17", "local/Xeon-MP/sf_buf", "local/Xeon-MP/original")
-}
-
-func BenchmarkFig18WebRiceInvalidations(b *testing.B) {
-	runExperiment(b, "fig18", "local/Xeon-MP/sf_buf", "local/Xeon-MP/original")
-}
-
-func BenchmarkFig19CacheSweep(b *testing.B) {
-	runExperiment(b, "fig19",
-		"hitrate_on/64K cache entries", "hitrate_on/6K cache entries")
-}
-
-func BenchmarkFig20CacheSweepInvalidations(b *testing.B) {
-	runExperiment(b, "fig20",
-		"local/6K cache entries/offload=on", "local/6K cache entries/offload=off")
-}
 
 // --- Ablations: the design choices of DESIGN.md section 5, measured on a
 // reuse-heavy mapping workload ---
@@ -213,90 +81,6 @@ func BenchmarkAblationFullDesign(b *testing.B)  { ablationWorkload(b, 0) }
 func BenchmarkAblationAccessedBit(b *testing.B) { ablationWorkload(b, sfbuf.AblateAccessedBit) }
 func BenchmarkAblationNoSharing(b *testing.B)   { ablationWorkload(b, sfbuf.AblateSharing) }
 func BenchmarkAblationNoLazyReuse(b *testing.B) { ablationWorkload(b, sfbuf.AblateLazyTeardown) }
-
-// BenchmarkScaleExperiment regenerates the sharded-vs-global-vs-original
-// contention table (experiment "scale").
-func BenchmarkScaleExperiment(b *testing.B) {
-	runExperiment(b, "scale",
-		"remote_per_kop/sf_buf sharded", "remote_per_kop/sf_buf global-lock",
-		"ipis_per_kop/sf_buf sharded", "ipis_per_kop/sf_buf global-lock")
-}
-
-// BenchmarkServe regenerates the virtual-internet serving macro-
-// benchmark (experiment "serve"): the five-way send-window sweep over
-// the canonical lossy workload, reporting each arm's p99 mapping
-// latency and the engines' per-megabyte walk and shootdown economy.
-// docs/SERVING.md documents the topology and the metrics.
-func BenchmarkServe(b *testing.B) {
-	b.ReportAllocs()
-	runExperiment(b, "serve",
-		"p99_adaptive", "p99_fixed-2", "p99_fixed-16", "p99_fixed-64", "p99_global",
-		"walks_per_mb_adaptive", "walks_per_mb_global",
-		"rounds_per_mb_adaptive", "rounds_per_mb_global")
-}
-
-// BenchmarkReclaim is make bench-reclaim's reporting benchmark
-// (experiment "reclaim"): tail latency of the first allocation after an
-// idle gap, with the background reclaim daemon riding the idle ticks vs
-// the paper's on-demand-only reclaim, plus the steady-state churn cost of
-// both arms (which must not differ — the daemon runs only against idle
-// time).
-func BenchmarkReclaim(b *testing.B) {
-	runExperiment(b, "reclaim",
-		"p99/daemon/16", "p999/daemon/16",
-		"p99/on-demand/16", "p999/on-demand/16",
-		"p99/daemon/1", "p99/on-demand/1",
-		"steady_cyc_op/daemon", "steady_cyc_op/on-demand")
-}
-
-// BenchmarkAllocNUMA is make bench-numa's driving benchmark: the numa
-// experiment's two-phase churn (hit-dominated hot set, then a cold sweep
-// that forces reclaim) on a two-package Xeon, once with socket-homed
-// mapping state and once with the flat hash-striped layout.  Wall-clock
-// ns/op is the simulator's own cost; the metrics that matter are the
-// cross-package lock acquisitions and teardown IPIs per operation, which
-// homing exists to eliminate.
-func BenchmarkAllocNUMA(b *testing.B) {
-	cases := []struct {
-		name   string
-		homing kernel.Tri
-	}{
-		{"homed", kernel.Auto},
-		{"striped", kernel.Off},
-	}
-	const (
-		sockets = 2
-		entries = 256
-	)
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			k := kernel.MustBoot(kernel.Config{
-				Platform:     arch.XeonNUMA(sockets, 2),
-				Mapper:       kernel.SFBuf,
-				Cache:        kernel.CacheSharded,
-				PhysPages:    8*entries + 128,
-				CacheEntries: entries,
-				Sockets:      sockets,
-				Homing:       c.homing,
-			})
-			b.ResetTimer()
-			done, err := experiments.ChurnNUMA(k, entries, b.N)
-			b.StopTimer()
-			if err != nil {
-				b.Fatal(err)
-			}
-			ops := float64(done)
-			if ops == 0 {
-				return
-			}
-			cnt := k.M.SnapshotCounters()
-			b.ReportMetric(float64(cnt.RemoteLockAcq)/ops, "rlocks/op")
-			b.ReportMetric(float64(cnt.RemoteIPIs)/ops, "rIPIs/op")
-			b.ReportMetric(float64(cnt.LockAcq)/ops, "locks/op")
-			b.ReportMetric(float64(k.M.TotalCycles())/ops, "simcycles/op")
-		})
-	}
-}
 
 // BenchmarkAllocContended churns Alloc/touch/Free round-robin over every
 // virtual CPU (experiments.Churn) across a working set larger than the
@@ -544,112 +328,6 @@ func BenchmarkAllocContig(b *testing.B) {
 	}
 }
 
-// BenchmarkAllocDefrag is make bench-defrag's reporting benchmark: the
-// defrag experiment's steady-churn driver on the shaped ~70%-occupancy
-// pool, where scattered residents in every superpage span defeat the
-// buddy allocator's eager coalescing for good.  Each iteration is one
-// serving round — 512 single-page churn ops plus one superpage extent
-// mapped as an aligned run.  On the migrate row the Migrator evacuates
-// the nearly-free spans (on demand from AllocPhysContig and ahead of
-// demand on daemon idle ticks), so contig/extent returns to ~1.0 and the
-// run windows promote; on the no-migrate row both stay 0 forever.  The
-// acceptance criterion (>= 50% contiguous service, non-zero promotions,
-// steady-state simcycles/op within 10% of the baseline, byte-oracle
-// clean) is enforced by TestDefragEconomy; this benchmark is where the
-// numbers surface.
-func BenchmarkAllocDefrag(b *testing.B) {
-	cases := []struct {
-		name string
-		pol  kernel.Tri
-	}{
-		{"migrate", kernel.On},
-		{"no-migrate", kernel.Off},
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			k, err := experiments.BootDefrag(c.pol)
-			if err != nil {
-				b.Fatal(err)
-			}
-			shape, err := experiments.ShapeOccupancy(k)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, _, err := experiments.ChurnDefrag(k, shape, 2); err != nil {
-				b.Fatal(err)
-			}
-			k.Reset()
-			superBefore := k.Pmap.SuperStats()
-			b.ResetTimer()
-			done, contig, err := experiments.ChurnDefrag(k, shape, b.N)
-			b.StopTimer()
-			if err != nil {
-				b.Fatal(err)
-			}
-			super := k.Pmap.SuperStats()
-			mig := k.MigrationStats()
-			b.ReportMetric(float64(contig)/float64(b.N), "contig/extent")
-			b.ReportMetric(float64(super.Promotions-superBefore.Promotions)/float64(b.N), "promotions/round")
-			b.ReportMetric(float64(k.M.TotalCycles())/float64(done), "simcycles/op")
-			b.ReportMetric(float64(mig.PagesMoved), "pagesmoved")
-			b.ReportMetric(float64(mig.BlocksFreed), "blocksfreed")
-		})
-	}
-}
-
-// BenchmarkAllocTier is make bench-tier's reporting benchmark: the tier
-// experiment's zipfian serving loop on the two-tier pool whose fast tier
-// holds a quarter of the working set, each iteration one extent served
-// (mapped, copied, checksummed, unmapped — slow frames paying the
-// platform's per-byte surcharge).  On the hinted rows the consumer's
-// reuse EWMAs nominate hot extents and the tier keeper migrates them
-// fast; on the oblivious rows frames stay where allocation order put
-// them.  The acceptance criterion (hinted <= 2/3 of oblivious
-// simcycles/page on the zipfian workload, within 10% on the uniform
-// adversarial one) is enforced by TestTierEconomy; this benchmark is
-// where the numbers surface.
-func BenchmarkAllocTier(b *testing.B) {
-	for _, c := range []struct {
-		name  string
-		hints kernel.Tri
-	}{
-		{"hinted", kernel.On},
-		{"oblivious", kernel.Off},
-	} {
-		for _, workload := range []string{"zipf", "uniform"} {
-			b.Run(c.name+"-"+workload, func(b *testing.B) {
-				k, err := experiments.BootTier(c.hints)
-				if err != nil {
-					b.Fatal(err)
-				}
-				extents, _, err := experiments.AllocTierExtents(k)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := experiments.ChurnTier(k, workload, extents, 600); err != nil {
-					b.Fatal(err)
-				}
-				k.Reset()
-				b.ResetTimer()
-				pages, err := experiments.ChurnTier(k, workload, extents, b.N)
-				b.StopTimer()
-				if err != nil {
-					b.Fatal(err)
-				}
-				st := k.TierStats()
-				b.ReportMetric(float64(k.M.TotalCycles())/float64(pages), "simcycles/page")
-				for _, cs := range st.Consumers {
-					if cs.Name == "tier" {
-						b.ReportMetric(cs.FastFrac(), "fastfrac")
-					}
-				}
-				b.ReportMetric(float64(st.PromotedPages), "promoted")
-				b.ReportMetric(float64(st.DemotedPages), "demoted")
-			})
-		}
-	}
-}
-
 // BenchmarkAllocAdaptive is the adaptive-contiguity acceptance
 // benchmark: the two canonical workloads (cyclic re-streaming of large
 // extents wider than the cache, and reuse-heavy churn over a
@@ -779,32 +457,5 @@ func BenchmarkTranslate(b *testing.B) {
 		if _, err := pm.Translate(ctx, va, false); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// sanity check that every registered experiment has a benchmark above.
-func TestEveryExperimentHasABenchmark(t *testing.T) {
-	covered := map[string]bool{
-		"sec3": true, "fig2": true, "fig3": true, "fig4": true, "fig5": true,
-		"fig6": true, "fig7": true, "fig8": true, "fig9": true, "fig10": true,
-		"fig11": true, "fig12": true, "fig13": true, "fig14": true,
-		"fig15": true, "fig16": true, "fig17": true, "fig18": true,
-		"fig19": true, "fig20": true,
-		"ablation": true, // covered by the BenchmarkAblation* family
-		"scale":    true, // covered by BenchmarkScaleExperiment + BenchmarkAllocContended
-		"serve":    true, // covered by BenchmarkServe
-		"reclaim":  true, // covered by BenchmarkReclaim
-		"numa":     true, // covered by BenchmarkAllocNUMA
-		"defrag":   true, // covered by BenchmarkAllocDefrag
-		"tier":     true, // covered by BenchmarkAllocTier
-	}
-	for _, id := range experiments.IDs() {
-		if !covered[id] {
-			t.Errorf("experiment %s has no benchmark", id)
-		}
-	}
-	if len(experiments.IDs()) != len(covered) {
-		t.Errorf("registered %d experiments, benchmarks cover %d",
-			len(experiments.IDs()), len(covered))
 	}
 }

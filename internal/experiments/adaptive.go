@@ -122,5 +122,5 @@ func ChurnAdaptiveWorkload(k *kernel.Kernel, workload, policy string, rounds int
 // engine's static resolution) says runs, the batch path otherwise.  The
 // returned count is in pages, comparable with the other Churn drivers.
 func ChurnAuto(k *kernel.Kernel, pages []*vm.Page, ops, runLen int) (int, error) {
-	return churnExtents(k, pages, ops, runLen, k.Consumer("scale").UseRuns, 0, 0)
+	return churnExtents(k, pages, ops, runLen, k.Consumer("scale").UseRuns)
 }

@@ -52,11 +52,11 @@ const (
 	defragWorkSet = 256
 )
 
-// BootDefrag boots one arm of the defragmentation experiment: the sharded
+// bootDefrag boots one arm of the defragmentation experiment: the sharded
 // i386 engine over a backed buddy pool of defragSpans superpage spans,
 // reservation watermarks on, and the given migration policy.  The cache
 // holds two superpage runs so extent windows and churn singles coexist.
-func BootDefrag(migrate kernel.Tri) (*kernel.Kernel, error) {
+func bootDefrag(migrate kernel.Tri) (*kernel.Kernel, error) {
 	return kernel.Boot(kernel.Config{
 		Platform:     arch.XeonMPHTT(),
 		Mapper:       kernel.SFBuf,
@@ -70,11 +70,11 @@ func BootDefrag(migrate kernel.Tri) (*kernel.Kernel, error) {
 	})
 }
 
-// DefragShape is the shaped occupancy ChurnDefrag runs against: most
+// defragShape is the shaped occupancy churnDefrag runs against: most
 // spans dense (fully resident), defragSparse spans nearly free with
 // scattered survivors, and a byte oracle over every resident page so any
 // migration that corrupts or mis-registers a single byte is caught.
-type DefragShape struct {
+type defragShape struct {
 	// Held pins every resident page for the experiment's lifetime.
 	Held []*vm.Page
 	// WorkSet is the dense subset the steady churn maps.
@@ -83,13 +83,13 @@ type DefragShape struct {
 	Oracle *physcheck.Oracle
 }
 
-// ShapeOccupancy drains the fresh pool and frees it back into the shape
+// shapeOccupancy drains the fresh pool and frees it back into the shape
 // that defeats plain buddy coalescing: spans 1..defragSparse keep only
 // defragSurvivors scattered residents each (every 16th frame), every
 // other span stays fully resident.  The result is ~70% occupancy with
 // zero intact superpage blocks — sparse spans are migration candidates,
 // dense spans never are.
-func ShapeOccupancy(k *kernel.Kernel) (*DefragShape, error) {
+func shapeOccupancy(k *kernel.Kernel) (*defragShape, error) {
 	span := pmap.SuperpagePages
 	phys := k.M.Phys
 	var bySpan [][]*vm.Page
@@ -107,7 +107,7 @@ func ShapeOccupancy(k *kernel.Kernel) (*DefragShape, error) {
 		}
 		bySpan[s] = append(bySpan[s], pg)
 	}
-	shape := &DefragShape{}
+	shape := &defragShape{}
 	for s, pages := range bySpan {
 		sparse := s >= 1 && s <= defragSparse
 		for _, pg := range pages {
@@ -140,7 +140,7 @@ func ShapeOccupancy(k *kernel.Kernel) (*DefragShape, error) {
 	return shape, nil
 }
 
-// ChurnDefrag runs the steady-state serving rounds: per round,
+// churnDefrag runs the steady-state serving rounds: per round,
 // DefragChurnOps single-page map/touch/unmap cycles over the dense
 // working set, an idle tick every fourth round (the background daemon's
 // slot, where its migrate duty runs ahead of demand), and one
@@ -150,7 +150,7 @@ func ShapeOccupancy(k *kernel.Kernel) (*DefragShape, error) {
 // checked against the page it must resolve to, then parked in a FIFO of
 // defragHold live extents.  Returns the pages moved through the mapping
 // layer and how many extents were served physically contiguous.
-func ChurnDefrag(k *kernel.Kernel, shape *DefragShape, rounds int) (done, contigServed int, err error) {
+func churnDefrag(k *kernel.Kernel, shape *defragShape, rounds int) (done, contigServed int, err error) {
 	span := pmap.SuperpagePages
 	ncpu := k.M.NumCPUs()
 	var hold [][]*vm.Page
@@ -233,9 +233,8 @@ func ChurnDefrag(k *kernel.Kernel, shape *DefragShape, rounds int) (done, contig
 	return done, contigServed, nil
 }
 
-// DefragArm is one measured arm of the defragmentation experiment.
-type DefragArm struct {
-	K           *kernel.Kernel
+// defragArm is one measured arm of the defragmentation experiment.
+type defragArm struct {
 	Done        int
 	Extents     int
 	ContigFrac  float64
@@ -244,31 +243,31 @@ type DefragArm struct {
 	Mig         sfbuf.MigrationStats
 }
 
-// RunDefragArm boots one arm, shapes its occupancy, proves the shape
+// runDefragArm boots one arm, shapes its occupancy, proves the shape
 // defeats the plain buddy allocator (a raw aligned AllocContig must
 // fail), warms the cache and the recovery for two rounds, then measures
 // the steady state — closing with the byte oracle and the structural
 // free-list audit, so a corrupting or leaking migration fails the arm
 // rather than skewing its numbers.
-func RunDefragArm(migrate kernel.Tri, rounds int) (*DefragArm, error) {
+func runDefragArm(migrate kernel.Tri, rounds int) (*defragArm, error) {
 	span := pmap.SuperpagePages
-	k, err := BootDefrag(migrate)
+	k, err := bootDefrag(migrate)
 	if err != nil {
 		return nil, err
 	}
-	shape, err := ShapeOccupancy(k)
+	shape, err := shapeOccupancy(k)
 	if err != nil {
 		return nil, err
 	}
 	if _, err := k.M.Phys.AllocContig(span, span); !errors.Is(err, vm.ErrNoContig) {
 		return nil, fmt.Errorf("defrag shape: raw AllocContig = %v, the shaped pool must starve it", err)
 	}
-	if _, _, err := ChurnDefrag(k, shape, 2); err != nil {
+	if _, _, err := churnDefrag(k, shape, 2); err != nil {
 		return nil, fmt.Errorf("warmup: %w", err)
 	}
 	k.Reset()
 	promoBase := k.Pmap.SuperStats().Promotions
-	done, contig, err := ChurnDefrag(k, shape, rounds)
+	done, contig, err := churnDefrag(k, shape, rounds)
 	if err != nil {
 		return nil, err
 	}
@@ -280,8 +279,7 @@ func RunDefragArm(migrate kernel.Tri, rounds int) (*DefragArm, error) {
 	if err := physcheck.Audit(k.M.Phys); err != nil {
 		return nil, fmt.Errorf("free-list audit after churn: %w", err)
 	}
-	return &DefragArm{
-		K:           k,
+	return &defragArm{
 		Done:        done,
 		Extents:     rounds,
 		ContigFrac:  float64(contig) / float64(rounds),
@@ -326,7 +324,7 @@ func RunDefrag(o Options) (*Result, error) {
 		{"defrag off", kernel.Off},
 	} {
 		o.logf("defrag: measuring %s (%d rounds)...", armCfg.name, rounds)
-		arm, err := RunDefragArm(armCfg.pol, rounds)
+		arm, err := runDefragArm(armCfg.pol, rounds)
 		if err != nil {
 			return nil, fmt.Errorf("defrag %s: %w", armCfg.name, err)
 		}

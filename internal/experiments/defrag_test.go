@@ -4,15 +4,16 @@ import (
 	"testing"
 )
 
-// TestDefragEconomy is the defragmentation acceptance criterion, run in
-// CI (make bench-defrag): on the shaped ~70%-occupancy pool whose steady
-// churn defeats the plain buddy allocator — the no-defrag arm must
-// sustain ZERO contiguous extents and zero promotions — the migration arm
-// must serve at least half its superpage extents physically contiguous
-// with a non-zero promotion rate, at steady-state simulated cycles per
-// operation within 10% of the no-defrag arm.  RunDefrag itself enforces
-// the migration byte oracle and the free-list audit on both arms, so a
-// corrupting evacuation fails the run before any criterion is compared.
+// TestDefragEconomy is the defragmentation acceptance criterion (the
+// defrag experiment's gate; -v logs the numbers): on the shaped
+// ~70%-occupancy pool whose steady churn defeats the plain buddy
+// allocator — the no-defrag arm must sustain ZERO contiguous extents and
+// zero promotions — the migration arm must serve at least half its
+// superpage extents physically contiguous with a non-zero promotion
+// rate, at steady-state simulated cycles per operation within 10% of the
+// no-defrag arm.  RunDefrag itself enforces the migration byte oracle
+// and the free-list audit on both arms, so a corrupting evacuation fails
+// the run before any criterion is compared.
 func TestDefragEconomy(t *testing.T) {
 	res, err := RunDefrag(Options{Scale: 0.25, Logf: t.Logf})
 	if err != nil {

@@ -4,11 +4,10 @@
 // same rows the paper plots: bandwidths, transaction rates, throughputs,
 // and local/remote TLB invalidation counts.
 //
-// Experiments accept an Options.Scale factor so the same code serves three
-// masters: unit tests (tiny scales, seconds), `go test -bench` (moderate
-// scales), and cmd/sfbench (full paper scale).  Scaling preserves the
-// ratios that drive the results — most importantly the mapping-cache size
-// relative to each workload's footprint.
+// Experiments accept an Options.Scale factor so the same code serves both
+// unit tests (tiny scales, seconds) and cmd/sfbench (full paper scale).
+// Scaling preserves the ratios that drive the results — most importantly
+// the mapping-cache size relative to each workload's footprint.
 package experiments
 
 import (
@@ -89,8 +88,8 @@ type Result struct {
 	Rows [][]string
 	// Notes carry methodology remarks and the paper's expectations.
 	Notes []string
-	// Metrics exposes headline values for benchmarks and EXPERIMENTS.md
-	// generation (key -> value).
+	// Metrics exposes headline values (key -> value) for the tests that
+	// gate each experiment and for the repo benchmark.
 	Metrics map[string]float64
 }
 

@@ -83,7 +83,7 @@ func RunNUMA(o Options) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			done, err := ChurnNUMA(k, entries, ops)
+			done, err := churnNUMA(k, entries, ops)
 			if err != nil {
 				return nil, fmt.Errorf("numa %s/%d: %w", armSpec.name, sockets, err)
 			}
@@ -114,7 +114,7 @@ func numaRow(res *Result, k *kernel.Kernel, name string, sockets, done int) {
 	res.SetMetric("cyc_per_op/"+name, cycOp)
 }
 
-// ChurnNUMA is the socket-local churn: every CPU allocates its own
+// churnNUMA is the socket-local churn: every CPU allocates its own
 // disjoint working set from its OWN socket's frames (AllocNOn) and churns
 // private Alloc/touch/Free cycles over it.  The CPUs run sequentially —
 // the cost model charges each virtual CPU the same cycles either way, and
@@ -133,7 +133,7 @@ func numaRow(res *Result, k *kernel.Kernel, name string, sockets, done int) {
 // the alloc/free path itself IPI-free; every remote cost in this churn
 // is therefore placement, not workload.  The returned count is the
 // operations actually executed.
-func ChurnNUMA(k *kernel.Kernel, entries, ops int) (int, error) {
+func churnNUMA(k *kernel.Kernel, entries, ops int) (int, error) {
 	ncpu := k.M.NumCPUs()
 	topo := k.M.Topology()
 	perCPU := entries / ncpu

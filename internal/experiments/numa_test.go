@@ -5,14 +5,15 @@ import (
 	"testing"
 )
 
-// TestNUMAEconomy is the socket-homing acceptance criterion, run in CI
-// (make bench-numa): on 2- and 4-socket contended churn over socket-local
-// frames, the homed configuration must pay at most 1/4 the remote lock
-// acquisitions per op and at most 1/2 the remote IPIs per op of the
-// hash-striped baseline, at simulated cycles per op no worse.  Remote
-// costs are what the asymmetric machine model charges for crossing the
-// package interconnect; the striped layout scatters them round-robin,
-// the homed layout is supposed to make them vanish.
+// TestNUMAEconomy is the socket-homing acceptance criterion (the numa
+// experiment's gate; -v logs the numbers): on 2- and 4-socket contended
+// churn over socket-local frames, the homed configuration must pay at
+// most 1/4 the remote lock acquisitions per op and at most 1/2 the
+// remote IPIs per op of the hash-striped baseline, at simulated cycles
+// per op no worse.  Remote costs are what the asymmetric machine model
+// charges for crossing the package interconnect; the striped layout
+// scatters them round-robin, the homed layout is supposed to make them
+// vanish.
 func TestNUMAEconomy(t *testing.T) {
 	res, err := RunNUMA(Options{Scale: 0.25, Logf: t.Logf})
 	if err != nil {

@@ -5,12 +5,13 @@ import (
 	"testing"
 )
 
-// TestReclaimEconomy is the background-daemon acceptance criterion, run in
-// CI (make bench-reclaim): the p99 AND p999 of first-alloc-after-idle
-// latency with the daemon must be at most a quarter of the on-demand
-// baseline's — the tail, not the mean, is what a serving workload pays on
-// every traffic lull — while steady-state cycles per op stay within 5%,
-// so the daemon's refills genuinely ride idle time.
+// TestReclaimEconomy is the background-daemon acceptance criterion (the
+// reclaim experiment's gate; -v logs the numbers): the p99 AND p999 of
+// first-alloc-after-idle latency with the daemon must be at most a
+// quarter of the on-demand baseline's — the tail, not the mean, is what
+// a serving workload pays on every traffic lull — while steady-state
+// cycles per op stay within 5%, so the daemon's refills genuinely ride
+// idle time.
 func TestReclaimEconomy(t *testing.T) {
 	res, err := RunReclaim(Options{Scale: 0.25, Logf: t.Logf})
 	if err != nil {

@@ -35,7 +35,8 @@ import (
 )
 
 // Canonical serve-benchmark parameters, shared by the experiment, the
-// economy test and the benchmark so they cannot drift apart.
+// economy test and the repo benchmark's serve workload so they cannot
+// drift apart.
 const (
 	// ServeClients is the concurrent-connection count the acceptance
 	// criterion is stated at; ServeRequestsPerConn the requests each

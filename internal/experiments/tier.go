@@ -52,11 +52,11 @@ const (
 	tierLCGInc = 1442695040888963407
 )
 
-// BootTier boots one arm of the tiered-memory experiment: the sharded
+// bootTier boots one arm of the tiered-memory experiment: the sharded
 // i386 engine over a backed two-tier buddy pool, reservations off so
 // frame placement is pure allocation order, and the given hint policy —
 // the arms differ in nothing else.
-func BootTier(hints kernel.Tri) (*kernel.Kernel, error) {
+func bootTier(hints kernel.Tri) (*kernel.Kernel, error) {
 	return kernel.Boot(kernel.Config{
 		Platform:     arch.XeonMPHTT(),
 		Mapper:       kernel.SFBuf,
@@ -72,11 +72,11 @@ func BootTier(hints kernel.Tri) (*kernel.Kernel, error) {
 	})
 }
 
-// AllocTierExtents carves the working set in pure address order — the
+// allocTierExtents carves the working set in pure address order — the
 // first extents land in the fast tier, which is exactly what the
 // oblivious arm has to live with — and stamps every page for the byte
 // oracle, so a corrupting promotion fails the arm instead of skewing it.
-func AllocTierExtents(k *kernel.Kernel) ([][]*vm.Page, *physcheck.Oracle, error) {
+func allocTierExtents(k *kernel.Kernel) ([][]*vm.Page, *physcheck.Oracle, error) {
 	extents := make([][]*vm.Page, TierExtents)
 	var all []*vm.Page
 	for e := range extents {
@@ -117,7 +117,7 @@ func tierZipfCum() []float64 {
 // wins, it wins by placement, not by luck.
 func tierExtentOf(rank int) int { return (7*rank + 19) % TierExtents }
 
-// ChurnTier runs the serving loop: per access, one extent chosen by the
+// churnTier runs the serving loop: per access, one extent chosen by the
 // workload's popularity distribution is routed through the consumer
 // handle (whose observation doubles as the tier hint), mapped, served —
 // every page pays a copy charge and a checksum charge against its
@@ -126,7 +126,7 @@ func tierExtentOf(rank int) int { return (7*rank + 19) % TierExtents }
 // the CPU contexts, keeping the access order (and so the EWMA and
 // migration histories) deterministic.  Every tierIdleEvery accesses one
 // CPU takes an idle tick: the daemon's slot.
-func ChurnTier(k *kernel.Kernel, workload string, extents [][]*vm.Page, accesses int) (int, error) {
+func churnTier(k *kernel.Kernel, workload string, extents [][]*vm.Page, accesses int) (int, error) {
 	cons := k.Consumer("tier")
 	ncpu := k.M.NumCPUs()
 	cum := tierZipfCum()
@@ -209,33 +209,32 @@ func serveTierExtent(ctx *smp.Context, ext []*vm.Page) {
 	}
 }
 
-// TierArm is one measured arm of the tiered-memory experiment.
-type TierArm struct {
-	K          *kernel.Kernel
+// tierArm is one measured arm of the tiered-memory experiment.
+type tierArm struct {
 	Pages      int
 	CycPerPage float64
 	Stats      kernel.TierStats
 }
 
-// RunTierArm boots one arm, carves the working set, warms the caches and
+// runTierArm boots one arm, carves the working set, warms the caches and
 // the placement (the hinted arm's promotions mostly happen here), resets
 // the counters and measures the steady state — closing with the byte
 // oracle and the structural free-list audit, so a corrupting or leaking
 // tier move fails the arm rather than skewing its numbers.
-func RunTierArm(hints kernel.Tri, workload string, warmup, accesses int) (*TierArm, error) {
-	k, err := BootTier(hints)
+func runTierArm(hints kernel.Tri, workload string, warmup, accesses int) (*tierArm, error) {
+	k, err := bootTier(hints)
 	if err != nil {
 		return nil, err
 	}
-	extents, oracle, err := AllocTierExtents(k)
+	extents, oracle, err := allocTierExtents(k)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := ChurnTier(k, workload, extents, warmup); err != nil {
+	if _, err := churnTier(k, workload, extents, warmup); err != nil {
 		return nil, fmt.Errorf("warmup: %w", err)
 	}
 	k.Reset()
-	pages, err := ChurnTier(k, workload, extents, accesses)
+	pages, err := churnTier(k, workload, extents, accesses)
 	if err != nil {
 		return nil, err
 	}
@@ -246,8 +245,7 @@ func RunTierArm(hints kernel.Tri, workload string, warmup, accesses int) (*TierA
 	if err := physcheck.Audit(k.M.Phys); err != nil {
 		return nil, fmt.Errorf("free-list audit after churn: %w", err)
 	}
-	return &TierArm{
-		K:          k,
+	return &tierArm{
 		Pages:      pages,
 		CycPerPage: float64(elapsed) / float64(pages),
 		Stats:      k.TierStats(),
@@ -300,7 +298,7 @@ func RunTier(o Options) (*Result, error) {
 	} {
 		for _, workload := range []string{"zipf", "uniform"} {
 			o.logf("tier: measuring %s/%s (%d accesses)...", armCfg.name, workload, accesses)
-			arm, err := RunTierArm(armCfg.hints, workload, warmup, accesses)
+			arm, err := runTierArm(armCfg.hints, workload, warmup, accesses)
 			if err != nil {
 				return nil, fmt.Errorf("tier %s/%s: %w", armCfg.name, workload, err)
 			}

@@ -17,13 +17,13 @@ const (
 )
 
 // tierTestArms runs both arms of one workload.
-func tierTestArms(t *testing.T, workload string) (hinted, oblivious *TierArm) {
+func tierTestArms(t *testing.T, workload string) (hinted, oblivious *tierArm) {
 	t.Helper()
-	h, err := RunTierArm(kernel.On, workload, tierTestWarmup, tierTestAccesses)
+	h, err := runTierArm(kernel.On, workload, tierTestWarmup, tierTestAccesses)
 	if err != nil {
 		t.Fatalf("hinted/%s: %v", workload, err)
 	}
-	o, err := RunTierArm(kernel.Off, workload, tierTestWarmup, tierTestAccesses)
+	o, err := runTierArm(kernel.Off, workload, tierTestWarmup, tierTestAccesses)
 	if err != nil {
 		t.Fatalf("oblivious/%s: %v", workload, err)
 	}
@@ -67,11 +67,11 @@ func TestTierEconomy(t *testing.T) {
 // fully deterministic, because the tier experiment publishes its numbers
 // in the byte-compared figure output.
 func TestTierDeterminism(t *testing.T) {
-	a, err := RunTierArm(kernel.On, "zipf", 400, 1500)
+	a, err := runTierArm(kernel.On, "zipf", 400, 1500)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunTierArm(kernel.On, "zipf", 400, 1500)
+	b, err := runTierArm(kernel.On, "zipf", 400, 1500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +111,11 @@ func TestTierSingleTierIdentical(t *testing.T) {
 	if k.TierHintsEnabled() {
 		t.Fatal("untiered boot has a tier keeper")
 	}
-	extents, _, err := AllocTierExtents(k)
+	extents, _, err := allocTierExtents(k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ChurnTier(k, "zipf", extents, 500); err != nil {
+	if _, err := churnTier(k, "zipf", extents, 500); err != nil {
 		t.Fatal(err)
 	}
 	if sc := k.M.SnapshotCounters().SlowMemCycles; sc != 0 {

@@ -5,7 +5,11 @@
 #      godoc package comment in a non-test file: "// Package <name> ..."
 #      for libraries, any doc comment directly above the package clause
 #      ("// Command x ...", "// Quickstart ...") for package main;
-#   2. every relative link in README.md and docs/*.md must resolve.
+#   2. every relative link in README.md and docs/*.md must resolve;
+#   3. every `make <target>` that README.md, docs/*.md or the verify
+#      skill names (in a code span, or at the start of a line in a
+#      fenced block) must be a Makefile target, and every
+#      `go run ./cmd/<x>` must name an existing directory.
 set -eu
 cd "$(dirname "$0")/.."
 fail=0
@@ -59,8 +63,36 @@ for md in README.md docs/*.md; do
 	done
 done
 
+targets=$(sed -n 's/^\([A-Za-z0-9_-][A-Za-z0-9_-]*\):.*/\1/p' Makefile)
+for md in README.md docs/*.md .claude/skills/verify/SKILL.md; do
+	[ -e "$md" ] || continue
+	for t in $(awk '
+		/^[ \t]*```/ { fence = !fence; next }
+		{
+			line = $0
+			if (fence && match(line, /^[ \t]*make [A-Za-z0-9_-]+/)) {
+				s = substr(line, RSTART, RLENGTH); sub(/^[ \t]*make /, "", s); print s
+			}
+			while (match(line, /`make [A-Za-z0-9_-]+/)) {
+				print substr(line, RSTART + 6, RLENGTH - 6)
+				line = substr(line, RSTART + RLENGTH)
+			}
+		}' "$md" | sort -u); do
+		if ! printf '%s\n' $targets | grep -qx -- "$t"; then
+			echo "unknown make target in $md: make $t"
+			fail=1
+		fi
+	done
+	for c in $(grep -o 'go run \./cmd/[A-Za-z0-9_-]*' "$md" | sed 's|.*\./cmd/||' | sort -u); do
+		if [ ! -d "cmd/$c" ]; then
+			echo "missing command in $md: go run ./cmd/$c"
+			fail=1
+		fi
+	done
+done
+
 if [ "$fail" -ne 0 ]; then
 	echo "docs check FAILED"
 	exit 1
 fi
-echo "docs check OK: package comments present, links resolve"
+echo "docs check OK: package comments present, links resolve, make targets and commands exist"
