@@ -165,25 +165,6 @@ func copyRun(ctx *smp.Context, pm *pmap.Pmap, r *sfbuf.Run, off int, buf []byte,
 	return nil
 }
 
-// Zero clears n bytes of kernel memory at kva.
-func Zero(ctx *smp.Context, pm *pmap.Pmap, kva uint64, n int) error {
-	for n > 0 {
-		pg, err := pm.Translate(ctx, kva, true)
-		if err != nil {
-			return err
-		}
-		off := pmap.PageOffset(kva)
-		c := min(vm.PageSize-off, n)
-		if d := pg.Data(); d != nil {
-			clear(d[off : off+c])
-		}
-		ctx.ChargeBytesAt(ctx.Cost().CopyPerByte, c, pg.Frame())
-		n -= c
-		kva += uint64(c)
-	}
-	return nil
-}
-
 // byteSum returns the sum of d's bytes modulo 2^32, eight bytes per step:
 // a word's even and odd bytes are added as four 16-bit lanes (SWAR) into
 // two accumulators, 32 bytes per iteration, and the lanes are folded into

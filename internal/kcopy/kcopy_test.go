@@ -62,35 +62,6 @@ func TestCopyFaultsOnUnmapped(t *testing.T) {
 	}
 }
 
-func TestZero(t *testing.T) {
-	m, pm, ctx := rig(t)
-	mapPages(t, m, pm, ctx, 2)
-	data := make([]byte, vm.PageSize)
-	for i := range data {
-		data[i] = 0xFF
-	}
-	CopyIn(ctx, pm, base, data)
-	CopyIn(ctx, pm, base+vm.PageSize, data)
-	if err := Zero(ctx, pm, base+100, vm.PageSize); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, 2*vm.PageSize)
-	CopyOut(ctx, pm, got, base)
-	for i := 0; i < 100; i++ {
-		if got[i] != 0xFF {
-			t.Fatal("Zero clobbered bytes before the range")
-		}
-	}
-	for i := 100; i < 100+vm.PageSize; i++ {
-		if got[i] != 0 {
-			t.Fatalf("byte %d not zeroed", i)
-		}
-	}
-	if got[100+vm.PageSize] != 0xFF {
-		t.Fatal("Zero clobbered bytes after the range")
-	}
-}
-
 func TestChecksumTouchesAndSums(t *testing.T) {
 	m, pm, ctx := rig(t)
 	mapPages(t, m, pm, ctx, 1)

@@ -134,9 +134,9 @@ type Config struct {
 	// Homing places the mapping state on a multi-socket machine: Auto
 	// homes state per socket whenever Sockets > 1 on the sharded engine
 	// (shards striped within the frame's home socket, per-CPU freelists
-	// and pool sub-stocks per package, run windows and KVA from
-	// socket-local regions, the daemon refilling from its own socket);
-	// Off pins the flat hash-striped layout as the NUMA baseline arm.
+	// and pool sub-stocks per package, the daemon refilling from its own
+	// socket); Off pins the flat hash-striped layout as the NUMA baseline
+	// arm.  Run windows and the KVA arena stay flat either way.
 	Homing Tri
 }
 
@@ -170,7 +170,9 @@ type Kernel struct {
 }
 
 // Boot resolves the configuration into a Plan, rejecting an invalid one,
-// and constructs the machine and the planned mapping implementation.
+// and constructs the machine and the planned mapping implementation.  The
+// KVA arena is one flat first-fit map on every configuration; homing
+// places frames and mapping-cache state, not virtual addresses.
 func Boot(cfg Config) (*Kernel, error) {
 	if cfg.PhysPages == 0 {
 		cfg.PhysPages = 40960 // 160 MB
@@ -212,13 +214,6 @@ func Boot(cfg Config) (*Kernel, error) {
 		arena = kva.NewArena(pmap.KVABaseI386, pmap.KVASizeI386)
 	} else {
 		arena = kva.NewArena(pmap.KVABaseAMD64, pmap.KVASizeAMD64)
-	}
-	if p.Homed {
-		// One arena region per socket: run windows and other window
-		// reservations carve address space from their socket's region, so
-		// a window's span identifies its home and frees re-coalesce
-		// per package.
-		arena.SetRegions(p.Sockets)
 	}
 
 	k := &Kernel{Cfg: cfg, Plan: p, M: m, Pmap: pm, Arena: arena}

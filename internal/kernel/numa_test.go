@@ -46,14 +46,6 @@ func TestSocketConfigWiring(t *testing.T) {
 			if got := k.M.Phys.PhysStats().Sockets; got != tc.sockets {
 				t.Fatalf("phys pool sockets = %d, want %d", got, tc.sockets)
 			}
-			// Homed state carves one arena region per socket.
-			want := 1
-			if k.Plan.Homed {
-				want = tc.sockets
-			}
-			if got := k.Arena.Regions(); got != want {
-				t.Fatalf("arena regions = %d, want %d (homed %v)", got, want, k.Plan.Homed)
-			}
 		})
 	}
 }

@@ -148,9 +148,11 @@ func (t *TierKeeper) Note(ctx *smp.Context, sig uint64, pages []*vm.Page, hot bo
 		// inherited from allocation order.
 		ext = &tierExtent{pages: append([]*vm.Page(nil), pages...)}
 		t.extents[sig] = ext
-		t.pruneLocked()
 	}
 	ext.note(t.clock)
+	// After the note, so a new extent ranks as the most recent rather
+	// than as never noted.
+	t.pruneLocked()
 	rate := ext.rate(t.clock)
 	t.mu.Unlock()
 	if !hot || rate == 0 {

@@ -39,14 +39,6 @@ type Arena struct {
 	allocs    uint64         // cumulative allocations
 	splits    uint64         // allocations that split a free span in two
 	coalesces uint64         // frees merged with a neighboring span
-
-	// regions partitions the arena's VA space into equal page-count
-	// chunks, one per socket on a NUMA machine (SetRegions).  Region-
-	// preferring allocation (AllocWindowOn) confines the first-fit scan to
-	// the preferred region's addresses before spilling; with one region
-	// (the default) every allocation sees the whole arena, exactly the
-	// flat allocator.
-	regions int
 }
 
 // NewArena creates an arena over [base, base+size).  Both must be
@@ -60,74 +52,7 @@ func NewArena(base, size uint64) *Arena {
 		size:      size,
 		free:      []span{{start: base, pages: int(size / vm.PageSize)}},
 		allocated: make(map[uint64]int),
-		regions:   1,
 	}
-}
-
-// SetRegions partitions the arena into n equal page-count regions, one
-// per socket, so AllocWindowOn can home window reservations.  The free
-// list itself stays one address-ordered resource map — only the
-// preference boundaries change, so a partitioned arena with region-
-// agnostic callers behaves exactly like a flat one.  Call it at boot; n
-// is clamped to [1, total pages].
-func (a *Arena) SetRegions(n int) {
-	total := int(a.size / vm.PageSize)
-	if n < 1 {
-		n = 1
-	}
-	if n > total {
-		n = total
-	}
-	a.mu.Lock()
-	a.regions = n
-	a.mu.Unlock()
-}
-
-// Regions returns the partition width (1 on a flat arena).
-func (a *Arena) Regions() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.regions
-}
-
-// RegionOf returns the region whose address range contains va — how an
-// address-routed free (or a per-socket stats pass) attributes a window
-// back to its home socket.  Out-of-arena addresses clamp to the nearest
-// region.
-func (a *Arena) RegionOf(va uint64) int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.regionOfLocked(va)
-}
-
-func (a *Arena) regionOfLocked(va uint64) int {
-	if a.regions <= 1 || va <= a.base {
-		return 0
-	}
-	per := a.regionPagesLocked()
-	r := int((va - a.base) / vm.PageSize / uint64(per))
-	if r >= a.regions {
-		r = a.regions - 1
-	}
-	return r
-}
-
-// regionPagesLocked returns pages per region (the last region absorbs the
-// remainder).  Caller holds a.mu.
-func (a *Arena) regionPagesLocked() int {
-	return int(a.size/vm.PageSize) / a.regions
-}
-
-// regionBoundsLocked returns region r's address range [lo, hi).  Caller
-// holds a.mu.
-func (a *Arena) regionBoundsLocked(r int) (lo, hi uint64) {
-	per := uint64(a.regionPagesLocked()) * vm.PageSize
-	lo = a.base + uint64(r)*per
-	hi = lo + per
-	if r == a.regions-1 {
-		hi = a.base + a.size
-	}
-	return lo, hi
 }
 
 // Alloc carves out pages contiguous virtual pages, returning the base
@@ -150,29 +75,10 @@ func (a *Arena) AllocAligned(pages, alignPages int) (uint64, error) {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if va, ok := a.allocAlignedLocked(pages, alignPages, a.base, a.base+a.size); ok {
-		return va, nil
-	}
-	return 0, ErrExhausted
-}
-
-// allocAlignedLocked is the first-fit carve restricted to [lo, hi): only
-// placements whose whole range lies inside the bounds are accepted.  A
-// free span straddling a bound can still serve the portion inside it.
-// With the full arena as bounds this is exactly the flat first fit.
-// Caller holds a.mu.
-func (a *Arena) allocAlignedLocked(pages, alignPages int, lo, hi uint64) (uint64, bool) {
 	alignBytes := uint64(alignPages) * vm.PageSize
 	for i := range a.free {
 		s := &a.free[i]
-		from := s.start
-		if from < lo {
-			from = lo
-		}
-		va := (from + alignBytes - 1) &^ (alignBytes - 1)
-		if va < s.start || va+uint64(pages)*vm.PageSize > hi {
-			continue
-		}
+		va := (s.start + alignBytes - 1) &^ (alignBytes - 1)
 		lead := int((va - s.start) / vm.PageSize)
 		if s.pages < lead+pages {
 			continue
@@ -199,9 +105,9 @@ func (a *Arena) allocAlignedLocked(pages, alignPages int, lo, hi uint64) (uint64
 			a.peak = a.inUse
 		}
 		a.allocs++
-		return va, true
+		return va, nil
 	}
-	return 0, false
+	return 0, ErrExhausted
 }
 
 // AllocWindow reserves a VA window of pages usable pages followed by
@@ -212,60 +118,13 @@ func (a *Arena) allocAlignedLocked(pages, alignPages int, lo, hi uint64) (uint64
 // mapping.  The returned address frees the whole reservation, guard
 // included, through Free.
 func (a *Arena) AllocWindow(pages, guardPages, alignPages int) (uint64, error) {
+	if pages <= 0 {
+		return 0, fmt.Errorf("kva: invalid window of %d pages", pages)
+	}
 	if guardPages < 0 {
 		return 0, fmt.Errorf("kva: invalid guard of %d pages", guardPages)
 	}
 	return a.AllocAligned(pages+guardPages, alignPages)
-}
-
-// AllocWindowOn is AllocWindow homed on a region: the first-fit scan is
-// confined to the region's address range first, spilling to the other
-// regions in ascending order only when it cannot fit there.  A freed
-// window routes back to its home region automatically, because Free is
-// address-ordered.  region < 0 (or a one-region arena) is exactly
-// AllocWindow.
-func (a *Arena) AllocWindowOn(region, pages, guardPages, alignPages int) (uint64, error) {
-	if guardPages < 0 {
-		return 0, fmt.Errorf("kva: invalid guard of %d pages", guardPages)
-	}
-	if pages <= 0 {
-		return 0, fmt.Errorf("kva: invalid allocation of %d pages", pages)
-	}
-	if alignPages <= 0 || alignPages&(alignPages-1) != 0 {
-		return 0, fmt.Errorf("kva: alignment %d pages is not a power of two", alignPages)
-	}
-	total := pages + guardPages
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if region < 0 || a.regions <= 1 {
-		if va, ok := a.allocAlignedLocked(total, alignPages, a.base, a.base+a.size); ok {
-			return va, nil
-		}
-		return 0, ErrExhausted
-	}
-	if region >= a.regions {
-		region = a.regions - 1
-	}
-	lo, hi := a.regionBoundsLocked(region)
-	if va, ok := a.allocAlignedLocked(total, alignPages, lo, hi); ok {
-		return va, nil
-	}
-	for r := 0; r < a.regions; r++ {
-		if r == region {
-			continue
-		}
-		lo, hi := a.regionBoundsLocked(r)
-		if va, ok := a.allocAlignedLocked(total, alignPages, lo, hi); ok {
-			return va, nil
-		}
-	}
-	// Last resort: a request wider than a region (or one only satisfiable
-	// straddling a boundary) gets the flat whole-arena scan — homing is a
-	// preference, never a capacity limit.
-	if va, ok := a.allocAlignedLocked(total, alignPages, a.base, a.base+a.size); ok {
-		return va, nil
-	}
-	return 0, ErrExhausted
 }
 
 // Free returns the range starting at va to the arena.  The range must be

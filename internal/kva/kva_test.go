@@ -223,3 +223,29 @@ func TestAllocWindowGuard(t *testing.T) {
 		t.Fatalf("windows did not free whole: ranges=%d pages=%d", a.FreeRanges(), a.FreePages())
 	}
 }
+
+// TestAllocWindowRejects: AllocWindow refuses a window with no usable
+// pages, a negative guard and a non-power-of-two alignment, and reports
+// ErrExhausted once the arena cannot fit the window and its guard.
+func TestAllocWindowRejects(t *testing.T) {
+	a := NewArena(testBase, 8*vm.PageSize)
+	for _, c := range []struct{ pages, guard, align int }{
+		{0, 0, 1}, {0, 1, 1}, {-1, 1, 1}, {1, -1, 1}, {1, 0, 3}, {1, 0, 0},
+	} {
+		if _, err := a.AllocWindow(c.pages, c.guard, c.align); err == nil || err == ErrExhausted {
+			t.Errorf("AllocWindow(%d, %d, %d) = %v, want an invalid-argument error", c.pages, c.guard, c.align, err)
+		}
+	}
+	if a.Allocs() != 0 || a.FreePages() != 8 {
+		t.Fatalf("rejected windows touched the arena: allocs=%d free=%d", a.Allocs(), a.FreePages())
+	}
+	if _, err := a.AllocWindow(8, 1, 1); err != ErrExhausted {
+		t.Fatalf("window plus guard wider than the arena: err = %v, want ErrExhausted", err)
+	}
+	if _, err := a.AllocWindow(7, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.AllocWindow(1, 0, 1); err != ErrExhausted {
+		t.Fatalf("full arena: err = %v, want ErrExhausted", err)
+	}
+}

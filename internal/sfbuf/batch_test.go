@@ -164,46 +164,6 @@ func TestShardedFreeBatchMixesWithSingles(t *testing.T) {
 	}
 }
 
-// TestShardedFreeBatchEagerTeardown verifies the single-flush promise:
-// under eager teardown a whole batch's invalidation debt retires in one
-// queued shootdown flush instead of one flush per buffer.
-func TestShardedFreeBatchEagerTeardown(t *testing.T) {
-	r := newShardedRig(t, arch.XeonMPHTT(), 16, ShardedConfig{})
-	r.sf.Ablate(AblateLazyTeardown)
-	ctx := r.m.Ctx(0)
-	pages := allocPages(t, r.m, 8)
-	bufs, err := r.sf.AllocBatch(ctx, pages, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range bufs {
-		if _, err := r.pm.Translate(ctx, b.KVA(), false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := r.m.SnapshotCounters()
-	r.sf.FreeBatch(ctx, bufs)
-	d := r.m.SnapshotCounters().Sub(before)
-	if d.BatchedFlushes != 1 {
-		t.Fatalf("eager batch teardown used %d flushes, want 1", d.BatchedFlushes)
-	}
-	if d.BatchedInv != 8 {
-		t.Fatalf("flush retired %d invalidations, want 8", d.BatchedInv)
-	}
-	// Torn-down buffers are clean: remapping them needs no invalidation.
-	before = r.m.SnapshotCounters()
-	again, err := r.sf.AllocBatch(ctx, pages, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d = r.m.SnapshotCounters().Sub(before)
-	if d.LocalInv != 0 || d.RemoteInvIssued != 0 {
-		t.Fatalf("remapping clean buffers invalidated: %+v", d)
-	}
-	r.sf.Ablate(0)
-	r.sf.FreeBatch(ctx, again)
-}
-
 // TestGlobalCacheBatchIsLoopIdentical proves the figure-reproduction
 // property at the engine level: on the paper's global-lock cache, a
 // vectored request charges exactly the cycles, locks and invalidations of

@@ -63,9 +63,11 @@ func (l *bufList) popHead() *Buf {
 }
 
 // Ablation selectively disables the design choices DESIGN.md section 5
-// calls out, so their contribution can be measured in isolation.  All
-// ablated variants remain TLB-coherent (the correctness tests run against
-// them too); they just pay more.
+// calls out, so their contribution can be measured in isolation.  It
+// applies to the paper's global-lock cache only (NewI386, CacheGlobal);
+// the sharded engine always runs the full design.  All ablated variants
+// remain TLB-coherent (the correctness tests run against them too); they
+// just pay more.
 type Ablation uint8
 
 const (
@@ -98,7 +100,6 @@ type mapCore interface {
 	inactiveLen() int
 	validMappings() int
 	lookupRef(frame uint64) (ref int, mask smp.CPUSet, ok bool)
-	setAblate(a Ablation)
 }
 
 // cache is the i386 mapping cache of Section 4.2: "(1) a hash table of
@@ -417,10 +418,6 @@ func (c *cache) validMappings() int {
 	defer c.mu.Unlock()
 	return len(c.hash)
 }
-
-// setAblate disables the selected design choices; not safe concurrently
-// with allocations.
-func (c *cache) setAblate(a Ablation) { c.ablate = a }
 
 // lookupRef returns the ref count and cpumask of the buf mapping frame,
 // for invariant checks.

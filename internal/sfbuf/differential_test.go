@@ -165,8 +165,8 @@ func newDiffEngines(t *testing.T, plat arch.Platform) []*diffEngine {
 }
 
 // newDiffEnginesTopo is newDiffEngines on a sockets-package machine: the
-// physical pool is homing-partitioned, the machine gets the topology, the
-// arena gets per-socket regions and the sharded engine runs socket-homed.
+// physical pool is homing-partitioned, the machine gets the topology and
+// the sharded engine runs socket-homed.
 // sockets <= 1 is byte-for-byte the flat build.
 func newDiffEnginesTopo(t *testing.T, plat arch.Platform, sockets int) []*diffEngine {
 	t.Helper()
@@ -181,7 +181,6 @@ func newDiffEnginesTopo(t *testing.T, plat arch.Platform, sockets int) []*diffEn
 		if sockets > 1 {
 			m.Phys.HomeSockets(sockets)
 			m.SetTopology(sockets)
-			arena.SetRegions(sockets)
 		}
 		sf, err := mk(m, pm, arena)
 		if err != nil {

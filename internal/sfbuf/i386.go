@@ -177,9 +177,14 @@ func (s *I386) LookupRef(page *vm.Page) (ref int, mask smp.CPUSet, ok bool) {
 // be observed; it models signal delivery.
 func (s *I386) InterruptWakeup() { s.c.interruptWakeup() }
 
-// Ablate disables the selected design choices for ablation studies; pass 0
-// to restore the full design.  Must be called before use, not concurrently
-// with allocations.
+// Ablate disables the selected design choices of the paper's global-lock
+// cache for ablation studies; pass 0 to restore the full design.  Must be
+// called before use, not concurrently with allocations.  The sharded
+// engine has no ablated variants: Ablate on it panics.
 func (s *I386) Ablate(a Ablation) {
-	s.c.setAblate(a)
+	c, ok := s.c.(*cache)
+	if !ok {
+		panic(fmt.Sprintf("sfbuf: Ablate applies to the global-lock cache only, not %s", s.name))
+	}
+	c.ablate = a
 }

@@ -332,7 +332,7 @@ func (g *Migrator) remapHash(ctx *smp.Context, pg *vm.Page, old uint64) {
 	os.inactive.remove(b)
 	vpn := pmap.VPN(b.kva)
 	_, oldAcc := c.pm.KEnter(ctx, b.kva, pg)
-	if oldAcc || c.ablate&AblateAccessedBit != 0 {
+	if oldAcc {
 		mask := b.tlbmask
 		if mask.Has(ctx.CPUID()) {
 			ctx.InvalidateLocal(vpn)

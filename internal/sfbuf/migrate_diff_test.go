@@ -50,7 +50,6 @@ func newDiffEnginesBuddy(t *testing.T, plat arch.Platform, sockets int) []*diffE
 		arena := kva.NewArena(pmap.KVABaseI386, pmap.KVASizeI386)
 		if sockets > 1 {
 			m.SetTopology(sockets)
-			arena.SetRegions(sockets)
 		}
 		sf, err := mk(m, pm, arena)
 		if err != nil {

@@ -88,9 +88,6 @@ const DefaultLaunderAge cycles.Cycles = 2 << 20
 type runWindow struct {
 	base  uint64
 	pages int
-	// home is the arena region (= socket, under NUMA homing) the window's
-	// address space was reserved from; 0 on a single-region arena.
-	home int
 
 	live   []*vm.Page // checked out: the holding run's pages (Run.pages)
 	frames []uint64   // parked: the installed frame extent, revive key
@@ -154,15 +151,6 @@ type RunWindowStats struct {
 type runPool struct {
 	pm    *pmap.Pmap
 	arena *kva.Arena
-	// homed enables NUMA homing: fresh windows are reserved from the
-	// caller's socket's arena region and clean stock is popped
-	// home-socket-first.  Off (the default), the pool behaves exactly as
-	// the flat single-region pool.
-	homed bool
-	// forceDebt reports whether the accessed-bit optimization is ablated:
-	// laundering then owes an invalidation for every page, accessed or
-	// not.
-	forceDebt func() bool
 
 	mu    sync.Mutex
 	clean map[int][]*runWindow
@@ -195,7 +183,6 @@ func newRunPool(pm *pmap.Pmap, arena *kva.Arena, frames int) *runPool {
 	return &runPool{
 		pm:         pm,
 		arena:      arena,
-		forceDebt:  func() bool { return false },
 		clean:      make(map[int][]*runWindow),
 		resident:   make([]int32, frames),
 		launderAge: DefaultLaunderAge,
@@ -229,10 +216,6 @@ func (p *runPool) setLaunderAge(age cycles.Cycles) {
 // fresh address space otherwise.
 func (p *runPool) get(ctx *smp.Context, pages []*vm.Page) (w *runWindow, revived bool, err error) {
 	n := len(pages)
-	sock := -1
-	if p.homed {
-		sock = ctx.Socket()
-	}
 	ctx.ChargeLock()
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -245,9 +228,9 @@ func (p *runPool) get(ctx *smp.Context, pages []*vm.Page) (w *runWindow, revived
 	}
 	if w = p.reviveLocked(pages); w != nil {
 		revived = true
-	} else if w = p.popCleanLocked(n, sock); w == nil && len(p.dirty) >= runLaunderBatch {
+	} else if w = p.popCleanLocked(n); w == nil && len(p.dirty) >= runLaunderBatch {
 		p.launderLocked(ctx)
-		w = p.popCleanLocked(n, sock)
+		w = p.popCleanLocked(n)
 	}
 	if w == nil {
 		w, err = p.reserveLocked(ctx, n)
@@ -257,7 +240,7 @@ func (p *runPool) get(ctx *smp.Context, pages []*vm.Page) (w *runWindow, revived
 		// prerequisite to returning address space) and give back every
 		// cached window, then retry once.
 		p.launderLocked(ctx)
-		if w = p.popCleanLocked(n, sock); w != nil {
+		if w = p.popCleanLocked(n); w != nil {
 			err = nil
 		} else {
 			// No stock in our size: give every cached window's address
@@ -338,56 +321,33 @@ func framesMatch(frames []uint64, pages []*vm.Page) bool {
 	return true
 }
 
-// popCleanLocked pops a clean window of the given size, preferring one
-// whose address space is homed on socket sock (newest first, so the
-// preference degrades to the plain tail pop when every window matches).
-// sock < 0 — the non-homed pool — is exactly the old tail pop, which
-// keeps the flat configurations bit-identical.
-func (p *runPool) popCleanLocked(pages, sock int) *runWindow {
+// popCleanLocked pops the newest clean window of the given size.
+func (p *runPool) popCleanLocked(pages int) *runWindow {
 	ws := p.clean[pages]
 	if len(ws) == 0 {
 		return nil
 	}
-	pick := len(ws) - 1
-	if sock >= 0 && ws[pick].home != sock {
-		for i := pick - 1; i >= 0; i-- {
-			if ws[i].home == sock {
-				pick = i
-				break
-			}
-		}
-	}
-	w := ws[pick]
-	p.clean[pages] = append(ws[:pick], ws[pick+1:]...)
+	w := ws[len(ws)-1]
+	p.clean[pages] = ws[:len(ws)-1]
 	p.stats.Reuses++
 	return w
 }
 
 // reserveLocked takes a fresh window from the arena, superpage-aligned
 // when the size can cover an aligned superpage chunk, with the trailing
-// guard.  Under NUMA homing the reservation prefers the caller's socket's
-// arena region (spilling to the others only when it is exhausted) and the
-// window records which region it landed in.  Caller holds p.mu.
+// guard.  Caller holds p.mu.
 func (p *runPool) reserveLocked(ctx *smp.Context, pages int) (*runWindow, error) {
 	ctx.Charge(ctx.Cost().KVAAlloc)
 	align := 1
 	if pages >= pmap.SuperpagePages {
 		align = pmap.SuperpagePages
 	}
-	var (
-		base uint64
-		err  error
-	)
-	if p.homed {
-		base, err = p.arena.AllocWindowOn(ctx.Socket(), pages, runGuardPages, align)
-	} else {
-		base, err = p.arena.AllocWindow(pages, runGuardPages, align)
-	}
+	base, err := p.arena.AllocWindow(pages, runGuardPages, align)
 	if err != nil {
 		return nil, err
 	}
 	p.stats.Reserved++
-	return &runWindow{base: base, pages: pages, home: p.arena.RegionOf(base)}, nil
+	return &runWindow{base: base, pages: pages}, nil
 }
 
 // put parks a freed window on the dirty list WITH its translations still
@@ -440,10 +400,9 @@ func (p *runPool) launderSomeLocked(ctx *smp.Context, n int) {
 	if n <= 0 {
 		return
 	}
-	force := p.forceDebt()
 	batch := p.dirty[:n]
 	for _, w := range batch {
-		p.launderWindowLocked(ctx, w, force)
+		p.launderWindowLocked(ctx, w)
 	}
 	ctx.FlushShootdowns()
 	p.stats.Launders++
@@ -461,12 +420,12 @@ func (p *runPool) launderSomeLocked(ctx *smp.Context, n int) {
 // caller's: batch launderers flush once per round, the migrator once per
 // evacuated block.  The window is left frame-less but still on p.dirty;
 // the caller moves it to its clean list.  Caller holds p.mu.
-func (p *runPool) launderWindowLocked(ctx *smp.Context, w *runWindow, force bool) {
+func (p *runPool) launderWindowLocked(ctx *smp.Context, w *runWindow) {
 	w.accScr = p.pm.KRemoveRun(ctx, w.base, w.pages, w.accScr[:0])
 	vpn0 := pmap.VPN(w.base)
 	p.scrVpns, p.scrMasks = p.scrVpns[:0], p.scrMasks[:0]
 	for i, a := range w.accScr {
-		if a || force {
+		if a {
 			p.scrVpns = append(p.scrVpns, vpn0+uint64(i))
 			p.scrMasks = append(p.scrMasks, w.mask)
 		}
@@ -487,7 +446,6 @@ func (p *runPool) launderWindowLocked(ctx *smp.Context, w *runWindow, force bool
 // stands for is still charged here.
 func (p *runPool) launderSpanLocked(ctx *smp.Context, lo, hi uint64) int {
 	ctx.ChargeLock()
-	force := p.forceDebt()
 	kept := p.dirty[:0]
 	laundered := 0
 	for _, w := range p.dirty {
@@ -501,7 +459,7 @@ func (p *runPool) launderSpanLocked(ctx *smp.Context, lo, hi uint64) int {
 			kept = append(kept, w)
 			continue
 		}
-		p.launderWindowLocked(ctx, w, force)
+		p.launderWindowLocked(ctx, w)
 		p.clean[w.pages] = append(p.clean[w.pages], w)
 		laundered++
 	}
@@ -523,7 +481,6 @@ func (p *runPool) launderSpanLocked(ctx *smp.Context, lo, hi uint64) int {
 // lock round trip is charged here, as in launderSpanLocked.
 func (p *runPool) remapParkedLocked(ctx *smp.Context, pg *vm.Page, old uint64) int {
 	ctx.ChargeLock()
-	force := p.forceDebt()
 	self := ctx.CPUID()
 	remapped := 0
 	for _, w := range p.dirty {
@@ -532,7 +489,7 @@ func (p *runPool) remapParkedLocked(ctx *smp.Context, pg *vm.Page, old uint64) i
 				continue
 			}
 			_, oldAcc := p.pm.KEnter(ctx, w.base+uint64(i)*vm.PageSize, pg)
-			if oldAcc || force {
+			if oldAcc {
 				vpn := pmap.VPN(w.base) + uint64(i)
 				mask := w.mask
 				if mask.Has(self) {
@@ -588,10 +545,8 @@ func (p *runPool) launderAged(ctx *smp.Context) int {
 // keeping at most keep windows per size class.  Laundering deliberately
 // never does this (a clean window is warm stock); the background daemon
 // does, so a load spike's window population shrinks back during lulls and
-// the arena's free ranges re-coalesce.  Arena frees are address-routed, so
-// under NUMA homing each window's span returns to the region — the socket
-// — it was reserved from, regardless of which CPU runs the trim.  Returns
-// how many windows were freed.
+// the arena's free ranges re-coalesce.  Returns how many windows were
+// freed.
 func (p *runPool) trimClean(ctx *smp.Context, keep int) int {
 	ctx.ChargeLock()
 	p.mu.Lock()

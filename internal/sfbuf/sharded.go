@@ -256,8 +256,6 @@ type shardedCache struct {
 	// The run path reads frames only under runs.mu, and a checked-out
 	// run's frames are marked live there, which vetoes their migration.
 
-	ablate Ablation
-
 	// Statistics counted outside the shard, freelist, pool and run-pool
 	// locks, which hold the rest: these events hold no lock of their own,
 	// and none of them is on the hit or free path.
@@ -306,10 +304,8 @@ func newShardedCache(m *smp.Machine, pm *pmap.Pmap, arena *kva.Arena, vas []uint
 		shardsPer: shardsPer,
 		runs:      newRunPool(pm, arena, m.Phys.Frames()+1),
 	}
-	c.runs.homed = homed
 	c.pool.cond = sync.NewCond(&c.pool.mu)
 	c.claimCond = sync.NewCond(&c.pool.mu)
-	c.runs.forceDebt = func() bool { return c.ablate&AblateAccessedBit != 0 }
 	for i := range c.shards {
 		c.shards[i] = &cacheShard{}
 	}
@@ -675,18 +671,12 @@ func (c *shardedCache) alloc(ctx *smp.Context, page *vm.Page, flags Flags) (*Buf
 			// truthful — the accessed-bit optimization, guaranteed
 			// rather than opportunistic.
 			c.pm.KEnter(ctx, b.kva, page)
-			installed := false
-			if c.ablate&AblateSharing == 0 {
-				c.install(s, frame, b)
-				installed = true
-			}
+			c.install(s, frame, b)
 			c.taint(ctx, b, flags)
 			s.allocs++
 			s.misses++
 			s.mu.Unlock()
-			if installed {
-				c.noteHashInsert()
-			}
+			c.noteHashInsert()
 			return b, nil
 		}
 
@@ -736,12 +726,12 @@ func (c *shardedCache) lockPage(ctx *smp.Context, page *vm.Page) (*cacheShard, u
 	}
 }
 
-// hitLocked takes a reference on frame's hash entry, if there is one and
-// sharing is on, reviving it from the inactive list, and counts the hit.
-// Caller holds s.mu, s being the frame's shard.
+// hitLocked takes a reference on frame's hash entry, if there is one,
+// reviving it from the inactive list, and counts the hit.  Caller holds
+// s.mu, s being the frame's shard.
 func (c *shardedCache) hitLocked(ctx *smp.Context, s *cacheShard, frame uint64, flags Flags) *Buf {
 	b := c.table[frame]
-	if b == nil || c.ablate&AblateSharing != 0 {
+	if b == nil {
 		return nil
 	}
 	if b.ref == 0 {
@@ -1057,10 +1047,8 @@ restart:
 				// Clean buffer: invalid, unaccessed old PTE — no
 				// invalidation owed, exactly as in the single-page miss.
 				c.pm.KEnter(ctx, b.kva, pg)
-				if c.ablate&AblateSharing == 0 {
-					c.install(s, frame, b)
-					installed++
-				}
+				c.install(s, frame, b)
+				installed++
 				c.taint(ctx, b, flags)
 				out[idx] = b
 				pending--
@@ -1087,9 +1075,6 @@ restart:
 // group may already be covered.  One shard-lock round per group that
 // still has unresolved pages.
 func (c *shardedCache) sweepHits(ctx *smp.Context, groups []batchGroup, pages []*vm.Page, out []*Buf, flags Flags) int {
-	if c.ablate&AblateSharing != 0 {
-		return 0
-	}
 	resolved := 0
 	for gi := range groups {
 		g := &groups[gi]
@@ -1143,9 +1128,6 @@ func (c *shardedCache) rollbackBatch(ctx *smp.Context, out []*Buf) {
 
 // freeBatch is the sharded engine's native vectored sf_buf_free: one
 // shard-lock round trip per shard per batch and one wakeup for the lot.
-// Under eager teardown (AblateLazyTeardown) the whole batch's
-// invalidation debt is retired in one page-table pass and one queued
-// shootdown flush, instead of one flush per buffer.
 func (c *shardedCache) freeBatch(ctx *smp.Context, bufs []*Buf) {
 	if len(bufs) == 0 {
 		return
@@ -1160,14 +1142,11 @@ func (c *shardedCache) freeBatch(ctx *smp.Context, bufs []*Buf) {
 	defer sc.release()
 	groups := c.groupByShard(sc, len(bufs), func(i int) uint64 { return bufs[i].page.Frame() })
 
-	var eager, strays []*Buf
+	var strays []*Buf
 	freed := 0
 	drop := func(s *cacheShard, b *Buf) {
-		switch parked, tear := c.unrefLocked(s, b); {
-		case parked:
+		if c.unrefLocked(s, b) {
 			freed++
-		case tear:
-			eager = append(eager, b)
 		}
 	}
 	for gi := range groups {
@@ -1190,10 +1169,6 @@ func (c *shardedCache) freeBatch(ctx *smp.Context, bufs []*Buf) {
 		s.mu.Unlock()
 	}
 	c.batchFrees.Add(1)
-	if len(eager) > 0 {
-		c.teardownBatch(ctx, eager)
-		c.putCleanBulk(ctx, eager) // wakes one sleeper per buffer restocked
-	}
 	c.bumpFreeN(freed)
 }
 
@@ -1517,7 +1492,7 @@ func (c *shardedCache) teardownBatch(ctx *smp.Context, victims []*Buf) {
 	selfVpns := scratch.selfVpns
 	queueVpns, queueMasks := scratch.queueVpns, scratch.queueMasks
 	for i, b := range victims {
-		if accessed[i] || (c.ablate&AblateAccessedBit != 0 && b.page != nil) {
+		if accessed[i] {
 			mask := b.tlbmask
 			if mask.Has(self) {
 				selfVpns = append(selfVpns, vpns[i])
@@ -1550,7 +1525,7 @@ func (c *shardedCache) teardown(ctx *smp.Context, b *Buf) {
 	vpn := pmap.VPN(b.kva)
 	pte, ok := c.pm.Probe(b.kva)
 	c.pm.KRemove(ctx, b.kva)
-	if ok && (pte.Accessed || (c.ablate&AblateAccessedBit != 0 && pte.Valid)) {
+	if ok && pte.Accessed {
 		mask := b.tlbmask
 		if mask.Has(ctx.CPUID()) {
 			ctx.InvalidateLocal(vpn)
@@ -1562,10 +1537,9 @@ func (c *shardedCache) teardown(ctx *smp.Context, b *Buf) {
 	b.tlbmask = 0
 }
 
-// free implements sf_buf_free: decrement, and at zero either park the
-// buffer on its shard's inactive list with the mapping latently valid
-// (the lazy-teardown default the cache's hit rate depends on) or, under
-// AblateLazyTeardown, tear it down eagerly.
+// free implements sf_buf_free: decrement, and at zero park the buffer on
+// its shard's inactive list with the mapping latently valid (the lazy
+// teardown the cache's hit rate depends on).
 func (c *shardedCache) free(ctx *smp.Context, b *Buf) {
 	ctx.Charge(ctx.Cost().MapperOp)
 	if b.page == nil {
@@ -1574,27 +1548,18 @@ func (c *shardedCache) free(ctx *smp.Context, b *Buf) {
 		panic("sfbuf: free of unreferenced sf_buf")
 	}
 	s, _ := c.lockPage(ctx, b.page)
-	parked, tear := c.unrefLocked(s, b)
+	parked := c.unrefLocked(s, b)
 	s.mu.Unlock()
-	switch {
-	case parked:
+	if parked {
 		c.bumpFreeN(1)
-	case tear:
-		// Eager teardown: retire the mapping's invalidation debt
-		// immediately, restock as clean.
-		c.teardown(ctx, b)
-		ctx.FlushShootdowns()
-		b.cpumask = c.m.AllCPUs()
-		c.putClean(ctx, b)
 	}
 }
 
 // unrefLocked drops one reference on b and counts the free.  At zero the
-// buffer either parks on s's inactive list with its mapping latently
-// valid (parked), or — under AblateLazyTeardown — leaves the hash for the
-// caller to tear down (tear).  Caller holds s.mu, s being the shard of
-// b's frame; a free of an unreferenced buffer unlocks it and panics.
-func (c *shardedCache) unrefLocked(s *cacheShard, b *Buf) (parked, tear bool) {
+// buffer parks on s's inactive list with its mapping latently valid and
+// unrefLocked reports true.  Caller holds s.mu, s being the shard of b's
+// frame; a free of an unreferenced buffer unlocks it and panics.
+func (c *shardedCache) unrefLocked(s *cacheShard, b *Buf) bool {
 	if b.ref <= 0 {
 		s.mu.Unlock()
 		panic("sfbuf: free of unreferenced sf_buf")
@@ -1602,14 +1567,10 @@ func (c *shardedCache) unrefLocked(s *cacheShard, b *Buf) (parked, tear bool) {
 	b.ref--
 	s.frees++
 	if b.ref > 0 {
-		return false, false
-	}
-	if c.ablate&AblateLazyTeardown != 0 {
-		c.uninstall(s, b)
-		return false, true
+		return false
 	}
 	s.inactive.pushTail(b)
-	return true, false
+	return true
 }
 
 // interruptWakeup wakes every sleeper — single-page sleepers and a
@@ -1711,5 +1672,3 @@ func (c *shardedCache) lookupRef(frame uint64) (ref int, mask smp.CPUSet, ok boo
 	}
 	return b.ref, b.cpumask, true
 }
-
-func (c *shardedCache) setAblate(a Ablation) { c.ablate = a }

@@ -17,11 +17,14 @@
 #
 # It prints one row per core function: file:line, name, suite reach,
 # experiment reach.  It fails when a core function has 0% suite reach and
-# is not named in scripts/reach.allow, and when an allowlist entry has no
-# reason or names a function that is no longer at 0%.  Allowlist lines
-# are `<file>:<function> <reason>`, with the file relative to the module
-# root and the function as `go tool covdata func` prints it (for example
-# `internal/vm/vm.go:*PhysMem.Frames keeps ...`); `#` starts a comment.
+# is not named in scripts/reach.allow, when one that some test runs has 0%
+# experiment reach and is not named in scripts/reach.exp.allow, and when
+# an entry of either list has no reason or names a function that is no
+# longer at 0% there.  reach.allow lines are `<file>:<function> <reason>`,
+# with the file relative to the module root and the function as `go tool
+# covdata func` prints it (for example `internal/vm/vm.go:*PhysMem.Frames
+# keeps ...`); reach.exp.allow lines are `<file>:<function> <kind>:
+# <reason>`, the kinds listed at its top; `#` starts a comment.
 #
 # Everything runs in the foreground, one process at a time, and the
 # temporary directory is removed on exit, whatever the outcome.
@@ -82,27 +85,48 @@ awk '
 printf "%-48s %-40s %7s %7s\n" "location" "function" "suite" "exp"
 cat "$tmp/table.txt"
 
-# Function key: file (no line) and name.
+# Function key: file (no line) and name.  dead: 0% suite reach; cold: 0%
+# experiment reach but run by some test (a dead function is cold too, and
+# reach.allow alone answers for it).
 awk '$3 == "0.0%" { split($1, p, ":"); print p[1] ":" $2 }' "$tmp/table.txt" | sort -u >"$tmp/dead.txt"
-grep -v '^[[:space:]]*\(#\|$\)' "$root/scripts/reach.allow" >"$tmp/allow.raw" || true
+awk '$4 == "0.0%" { split($1, p, ":"); print p[1] ":" $2 }' "$tmp/table.txt" | sort -u | comm -23 - "$tmp/dead.txt" >"$tmp/cold.txt"
+
+# check <list> <set> <what> <kinds>: every function in <set> is on <list>
+# and every entry of <list> names a function in <set>, with a reason (and,
+# when <kinds> is given, a `<kind>:` from it first).
 status=0
-while read -r key reason; do
-	if [ -z "$reason" ]; then
-		echo "reach: FAIL: scripts/reach.allow: $key has no reason" >&2
+check() {
+	local list=$1 set=$2 what=$3 kinds=$4 name=${1#"$root"/} key reason kind
+	grep -v '^[[:space:]]*\(#\|$\)' "$list" >"$tmp/allow.raw" || true
+	while read -r key reason; do
+		if [ -n "$kinds" ]; then
+			kind=${reason%%:*}
+			case "$reason" in *:*) reason=${reason#*:} reason=${reason# } ;; *) kind="" ;; esac
+			case " $kinds " in *" $kind "*) ;; *)
+				echo "reach: FAIL: $name: $key needs a kind, one of: $kinds" >&2
+				status=1
+				;;
+			esac
+		fi
+		if [ -z "$reason" ]; then
+			echo "reach: FAIL: $name: $key has no reason" >&2
+			status=1
+		fi
+		if ! grep -qxF "$key" "$set"; then
+			echo "reach: FAIL: $name: $key is not a core function at 0% $what reach; remove it" >&2
+			status=1
+		fi
+	done <"$tmp/allow.raw"
+	awk '{ print $1 }' "$tmp/allow.raw" | sort -u >"$tmp/allow.txt"
+	unlisted=$(comm -23 "$set" "$tmp/allow.txt")
+	if [ -n "$unlisted" ]; then
+		echo "reach: FAIL: core functions at 0% $what reach (cover them, delete them, or list them with a reason in $name):" >&2
+		echo "$unlisted" | sed 's/^/  /' >&2
 		status=1
 	fi
-	if ! grep -qxF "$key" "$tmp/dead.txt"; then
-		echo "reach: FAIL: scripts/reach.allow: $key is not a core function at 0% suite reach; remove it" >&2
-		status=1
-	fi
-done <"$tmp/allow.raw"
-awk '{ print $1 }' "$tmp/allow.raw" | sort -u >"$tmp/allow.txt"
-unlisted=$(comm -23 "$tmp/dead.txt" "$tmp/allow.txt")
-if [ -n "$unlisted" ]; then
-	echo "reach: FAIL: core functions no test runs (test them, delete them, or list them with a reason in scripts/reach.allow):" >&2
-	echo "$unlisted" | sed 's/^/  /' >&2
-	status=1
-fi
+}
+check "$root/scripts/reach.allow" "$tmp/dead.txt" suite ""
+check "$root/scripts/reach.exp.allow" "$tmp/cold.txt" experiment "correctness facade contract test-accessor test-hook"
 total=$(wc -l <"$tmp/table.txt")
 cold=$(awk '$4 == "0.0%"' "$tmp/table.txt" | wc -l)
 echo "reach: $total core functions; $(wc -l <"$tmp/dead.txt") at 0% suite reach, $cold at 0% experiment reach" >&2
