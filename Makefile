@@ -11,12 +11,14 @@ build:
 	$(GO) build ./...
 	$(GO) build ./cmd/... ./examples/...
 
-# Shuffled tests (every Test*Economy gate included), then the experiment
-# replay (the round-robin churn driver keeps scale, reclaim and adaptive
-# deterministic) and the PostMark golden and allocation bound, and the
-# event scheduler's golden and order tests, repeated.
+# Shuffled tests (every Test*Economy gate included), then the results
+# ledger and the consumer goldens, the experiment replay (the round-robin
+# churn driver keeps scale, reclaim and adaptive deterministic), the
+# PostMark golden and allocation bound, and the event scheduler's golden
+# and order tests, repeated.
 test:
 	$(GO) test -shuffle=on ./...
+	$(GO) test -count=3 -run 'Ledger|ExtentConsumersGolden' . ./internal/experiments
 	$(GO) test -count=3 -run 'Determinism|ScaleBatch|AdaptivePolicy' ./internal/experiments
 	$(GO) test -count=3 -run 'PostMarkGolden|PostMarkAllocs' ./internal/workloads
 	$(GO) test -count=3 -run 'GoldenSchedule|ScheduleOrder|OOODuplicate' ./internal/vnet ./internal/netstack

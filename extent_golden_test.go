@@ -13,7 +13,9 @@ import (
 	"sfbuf/internal/netstack"
 	"sfbuf/internal/pipe"
 	"sfbuf/internal/sendfile"
+	"sfbuf/internal/smp"
 	"sfbuf/internal/vm"
+	"sfbuf/internal/vnet"
 )
 
 // extentGoldenEngines are the engines whose consumer paths the golden
@@ -35,8 +37,8 @@ var extentGoldenEngines = []struct {
 
 // extentGoldenScenarios drive each consumer that maps multi-page windows.
 // over selects the over-capacity run: a 4-entry cache, which the pipe,
-// memdisk and sendfile windows exceed, so those consumers fall back per
-// page.
+// memdisk, sendfile and serving windows exceed, so those consumers fall
+// back per page.
 var extentGoldenScenarios = []struct {
 	name string
 	run  func(k *kernel.Kernel, over bool) error
@@ -45,6 +47,7 @@ var extentGoldenScenarios = []struct {
 	{"memdisk", goldenMemdisk},
 	{"sendfile", goldenSendFile},
 	{"zerocopy", goldenZeroCopy},
+	{"vserve", goldenVServe},
 }
 
 // goldenPipe moves two 16-page direct windows through a pipe.  Inside the
@@ -181,6 +184,49 @@ func goldenZeroCopy(k *kernel.Kernel, over bool) error {
 	return err
 }
 
+// goldenVServe serves one 24-page response over a lossy virtual-internet
+// connection through the serving loop's NoWait send windows.  Over
+// capacity the 16-page windows exceed the 4-entry cache, so every engine
+// without room for a run or a batch maps them page by page; the response
+// then cycles through three distinct pages so such a window still fits.
+func goldenVServe(k *kernel.Kernel, over bool) error {
+	um, err := vm.AllocUserMem(k.M.Phys, 24*vm.PageSize)
+	if err != nil {
+		return err
+	}
+	defer um.Release()
+	distinct := 24
+	if over {
+		distinct = 3
+	}
+	net := vnet.New(5)
+	srv := netstack.NewVServer(netstack.NewStack(k, netstack.MTUSmall), net)
+	var (
+		conn   *netstack.VConn
+		client *netstack.VClient
+	)
+	s2c := net.NewLink(1000, 5000, func(p vnet.Packet) { client.HandleData(p) })
+	c2s := net.NewLink(1000, 5000, func(p vnet.Packet) { conn.HandleAck(p) })
+	s2c.LossPct, c2s.ReorderPct = 5, 10
+	conn = srv.NewVConn(0, k.Ctx(0), s2c, k.Consumer("vserve").SendWindow())
+	client = netstack.NewVClient(net, 0, c2s, netstack.DefaultWindow, 16<<10, 20_000)
+	const size = 24*vm.PageSize - 300
+	conn.Enqueue(&netstack.VRequest{Size: size, PageAt: func(_ *smp.Context, pi int) (*vm.Page, error) {
+		pg, _, err := um.PageAt(pi % distinct * vm.PageSize)
+		return pg, err
+	}})
+	if net.RunLimit(5_000_000); net.Pending() != 0 {
+		return fmt.Errorf("serve did not quiesce")
+	}
+	if err := conn.Err(); err != nil {
+		return err
+	}
+	if got := client.Stats().BytesRecved; got != size || srv.Stats().Completed != 1 {
+		return fmt.Errorf("served %d of %d bytes, %+v", got, size, srv.Stats())
+	}
+	return nil
+}
+
 // extentGoldenRows runs every scenario on a fresh kernel of every engine
 // and renders what it charged.
 func extentGoldenRows(t *testing.T) map[string]string {
@@ -212,7 +258,8 @@ func extentGoldenRows(t *testing.T) map[string]string {
 // windows charge on every engine: total cycles, local and remote
 // invalidations, page-table walks and the mapper's statistics, inside the
 // cache and over capacity.  The rows were captured before the run, batch
-// and per-page decision moved behind kernel.Extent; a consumer refactor
+// and per-page decision moved behind kernel.Extent (the vserve rows
+// before the send consumers' per-page fallback did); a consumer refactor
 // must reproduce them exactly.  Never regenerate them to make a change
 // pass.
 func TestExtentConsumersGolden(t *testing.T) {
@@ -239,6 +286,8 @@ var extentGolden = map[string]string{
 	"amd64/pipe/over":                 "cyc=89440 linv=0 rinv=0 walks=0 {Allocs:32 Frees:32 Hits:32 Misses:0 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:0 FreelistAllocs:0 Reclaims:0 Reclaimed:0 BatchAllocs:0 BatchFrees:0 BatchPages:0 RunAllocs:2 RunFrees:2 RunPages:32 RunRevives:0 RunReviveMisses:0}",
 	"amd64/sendfile/fit":              "cyc=4861549 linv=0 rinv=0 walks=0 {Allocs:185 Frees:185 Hits:185 Misses:0 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:0 FreelistAllocs:0 Reclaims:0 Reclaimed:0 BatchAllocs:0 BatchFrees:0 BatchPages:0 RunAllocs:2 RunFrees:2 RunPages:25 RunRevives:0 RunReviveMisses:0}",
 	"amd64/sendfile/over":             "cyc=4946149 linv=0 rinv=0 walks=0 {Allocs:185 Frees:185 Hits:185 Misses:0 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:0 FreelistAllocs:0 Reclaims:0 Reclaimed:0 BatchAllocs:0 BatchFrees:0 BatchPages:0 RunAllocs:2 RunFrees:2 RunPages:25 RunRevives:0 RunReviveMisses:0}",
+	"amd64/vserve/fit":                "cyc=1112071 linv=0 rinv=0 walks=0 {Allocs:24 Frees:24 Hits:24 Misses:0 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:0 FreelistAllocs:0 Reclaims:0 Reclaimed:0 BatchAllocs:0 BatchFrees:0 BatchPages:0 RunAllocs:2 RunFrees:2 RunPages:24 RunRevives:0 RunReviveMisses:0}",
+	"amd64/vserve/over":               "cyc=1112071 linv=0 rinv=0 walks=0 {Allocs:24 Frees:24 Hits:24 Misses:0 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:0 FreelistAllocs:0 Reclaims:0 Reclaimed:0 BatchAllocs:0 BatchFrees:0 BatchPages:0 RunAllocs:2 RunFrees:2 RunPages:24 RunRevives:0 RunReviveMisses:0}",
 	"amd64/zerocopy/fit":              "cyc=73217 linv=0 rinv=0 walks=0 {Allocs:18 Frees:18 Hits:18 Misses:0 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:0 FreelistAllocs:0 Reclaims:0 Reclaimed:0 BatchAllocs:0 BatchFrees:0 BatchPages:0 RunAllocs:4 RunFrees:4 RunPages:18 RunRevives:0 RunReviveMisses:0}",
 	"amd64/zerocopy/over":             "cyc=568440 linv=0 rinv=0 walks=0 {Allocs:56 Frees:56 Hits:56 Misses:0 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:0 FreelistAllocs:0 Reclaims:0 Reclaimed:0 BatchAllocs:0 BatchFrees:0 BatchPages:0 RunAllocs:42 RunFrees:42 RunPages:56 RunRevives:0 RunReviveMisses:0}",
 	"i386-global/memdisk/fit":         "cyc=8118800 linv=250 rinv=0 walks=563 {Allocs:576 Frees:576 Hits:451 Misses:125 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:0 FreelistAllocs:0 Reclaims:0 Reclaimed:0 BatchAllocs:0 BatchFrees:0 BatchPages:0 RunAllocs:0 RunFrees:0 RunPages:0 RunRevives:0 RunReviveMisses:0}",
@@ -247,6 +296,8 @@ var extentGolden = map[string]string{
 	"i386-global/pipe/over":           "cyc=226640 linv=32 rinv=0 walks=32 {Allocs:32 Frees:32 Hits:0 Misses:32 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:0 FreelistAllocs:0 Reclaims:0 Reclaimed:0 BatchAllocs:0 BatchFrees:0 BatchPages:0 RunAllocs:0 RunFrees:0 RunPages:0 RunRevives:0 RunReviveMisses:0}",
 	"i386-global/sendfile/fit":        "cyc=11322617 linv=30 rinv=25 walks=30 {Allocs:185 Frees:185 Hits:155 Misses:30 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:0 FreelistAllocs:0 Reclaims:0 Reclaimed:0 BatchAllocs:0 BatchFrees:0 BatchPages:0 RunAllocs:0 RunFrees:0 RunPages:0 RunRevives:0 RunReviveMisses:0}",
 	"i386-global/sendfile/over":       "cyc=11507097 linv=57 rinv=25 walks=57 {Allocs:185 Frees:185 Hits:128 Misses:57 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:0 FreelistAllocs:0 Reclaims:0 Reclaimed:0 BatchAllocs:0 BatchFrees:0 BatchPages:0 RunAllocs:0 RunFrees:0 RunPages:0 RunRevives:0 RunReviveMisses:0}",
+	"i386-global/vserve/fit":          "cyc=2404782 linv=24 rinv=24 walks=24 {Allocs:24 Frees:24 Hits:0 Misses:24 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:0 FreelistAllocs:0 Reclaims:0 Reclaimed:0 BatchAllocs:0 BatchFrees:0 BatchPages:0 RunAllocs:0 RunFrees:0 RunPages:0 RunRevives:0 RunReviveMisses:0}",
+	"i386-global/vserve/over":         "cyc=2250642 linv=3 rinv=3 walks=3 {Allocs:24 Frees:24 Hits:21 Misses:3 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:0 FreelistAllocs:0 Reclaims:0 Reclaimed:0 BatchAllocs:0 BatchFrees:0 BatchPages:0 RunAllocs:0 RunFrees:0 RunPages:0 RunRevives:0 RunReviveMisses:0}",
 	"i386-global/zerocopy/fit":        "cyc=265794 linv=15 rinv=15 walks=15 {Allocs:18 Frees:18 Hits:3 Misses:15 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:0 FreelistAllocs:0 Reclaims:0 Reclaimed:0 BatchAllocs:0 BatchFrees:0 BatchPages:0 RunAllocs:0 RunFrees:0 RunPages:0 RunRevives:0 RunReviveMisses:0}",
 	"i386-global/zerocopy/over":       "cyc=1271900 linv=15 rinv=15 walks=15 {Allocs:56 Frees:56 Hits:41 Misses:15 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:0 FreelistAllocs:0 Reclaims:0 Reclaimed:0 BatchAllocs:0 BatchFrees:0 BatchPages:0 RunAllocs:0 RunFrees:0 RunPages:0 RunRevives:0 RunReviveMisses:0}",
 	"i386-sharded-auto/memdisk/fit":   "cyc=8050140 linv=72 rinv=3 walks=408 {Allocs:576 Frees:576 Hits:265 Misses:311 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:0 FreelistAllocs:337 Reclaims:0 Reclaimed:0 BatchAllocs:65 BatchFrees:65 BatchPages:390 RunAllocs:31 RunFrees:31 RunPages:186 RunRevives:0 RunReviveMisses:31}",
@@ -255,6 +306,8 @@ var extentGolden = map[string]string{
 	"i386-sharded-auto/pipe/over":     "cyc=244600 linv=28 rinv=0 walks=32 {Allocs:32 Frees:32 Hits:0 Misses:32 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:0 FreelistAllocs:4 Reclaims:28 Reclaimed:28 BatchAllocs:0 BatchFrees:0 BatchPages:0 RunAllocs:0 RunFrees:0 RunPages:0 RunRevives:0 RunReviveMisses:0}",
 	"i386-sharded-auto/sendfile/fit":  "cyc=11152617 linv=0 rinv=0 walks=55 {Allocs:185 Frees:185 Hits:130 Misses:55 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:0 FreelistAllocs:55 Reclaims:0 Reclaimed:0 BatchAllocs:0 BatchFrees:0 BatchPages:0 RunAllocs:2 RunFrees:2 RunPages:25 RunRevives:0 RunReviveMisses:2}",
 	"i386-sharded-auto/sendfile/over": "cyc=11500377 linv=56 rinv=16 walks=66 {Allocs:185 Frees:185 Hits:119 Misses:66 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:0 FreelistAllocs:10 Reclaims:52 Reclaimed:56 BatchAllocs:1 BatchFrees:1 BatchPages:1 RunAllocs:4 RunFrees:4 RunPages:8 RunRevives:0 RunReviveMisses:4}",
+	"i386-sharded-auto/vserve/fit":    "cyc=2230942 linv=0 rinv=0 walks=2 {Allocs:24 Frees:24 Hits:0 Misses:24 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:0 FreelistAllocs:24 Reclaims:0 Reclaimed:0 BatchAllocs:0 BatchFrees:0 BatchPages:0 RunAllocs:2 RunFrees:2 RunPages:24 RunRevives:0 RunReviveMisses:2}",
+	"i386-sharded-auto/vserve/over":   "cyc=2230462 linv=0 rinv=0 walks=3 {Allocs:24 Frees:24 Hits:21 Misses:3 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:0 FreelistAllocs:3 Reclaims:0 Reclaimed:0 BatchAllocs:0 BatchFrees:0 BatchPages:0 RunAllocs:0 RunFrees:0 RunPages:0 RunRevives:0 RunReviveMisses:0}",
 	"i386-sharded-auto/zerocopy/fit":  "cyc=165734 linv=0 rinv=0 walks=4 {Allocs:18 Frees:18 Hits:0 Misses:18 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:0 FreelistAllocs:18 Reclaims:0 Reclaimed:0 BatchAllocs:0 BatchFrees:0 BatchPages:0 RunAllocs:4 RunFrees:4 RunPages:18 RunRevives:0 RunReviveMisses:4}",
 	"i386-sharded-auto/zerocopy/over": "cyc=1319970 linv=29 rinv=14 walks=29 {Allocs:56 Frees:56 Hits:13 Misses:43 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:0 FreelistAllocs:30 Reclaims:13 Reclaimed:13 BatchAllocs:28 BatchFrees:28 BatchPages:28 RunAllocs:14 RunFrees:14 RunPages:28 RunRevives:0 RunReviveMisses:14}",
 	"i386-sharded-off/memdisk/fit":    "cyc=7955760 linv=0 rinv=0 walks=563 {Allocs:576 Frees:576 Hits:451 Misses:125 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:0 FreelistAllocs:210 Reclaims:0 Reclaimed:0 BatchAllocs:96 BatchFrees:96 BatchPages:576 RunAllocs:0 RunFrees:0 RunPages:0 RunRevives:0 RunReviveMisses:0}",
@@ -263,6 +316,8 @@ var extentGolden = map[string]string{
 	"i386-sharded-off/pipe/over":      "cyc=244080 linv=28 rinv=0 walks=32 {Allocs:32 Frees:32 Hits:0 Misses:32 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:0 FreelistAllocs:4 Reclaims:28 Reclaimed:28 BatchAllocs:0 BatchFrees:0 BatchPages:0 RunAllocs:0 RunFrees:0 RunPages:0 RunRevives:0 RunReviveMisses:0}",
 	"i386-sharded-off/sendfile/fit":   "cyc=11142137 linv=0 rinv=0 walks=30 {Allocs:185 Frees:185 Hits:155 Misses:30 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:0 FreelistAllocs:30 Reclaims:0 Reclaimed:0 BatchAllocs:2 BatchFrees:2 BatchPages:25 RunAllocs:0 RunFrees:0 RunPages:0 RunRevives:0 RunReviveMisses:0}",
 	"i386-sharded-off/sendfile/over":  "cyc=11521287 linv=54 rinv=21 walks=58 {Allocs:185 Frees:185 Hits:127 Misses:58 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:0 FreelistAllocs:4 Reclaims:54 Reclaimed:54 BatchAllocs:0 BatchFrees:0 BatchPages:0 RunAllocs:0 RunFrees:0 RunPages:0 RunRevives:0 RunReviveMisses:0}",
+	"i386-sharded-off/vserve/fit":     "cyc=2230782 linv=0 rinv=0 walks=24 {Allocs:24 Frees:24 Hits:0 Misses:24 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:0 FreelistAllocs:24 Reclaims:0 Reclaimed:0 BatchAllocs:2 BatchFrees:2 BatchPages:24 RunAllocs:0 RunFrees:0 RunPages:0 RunRevives:0 RunReviveMisses:0}",
+	"i386-sharded-off/vserve/over":    "cyc=2229942 linv=0 rinv=0 walks=3 {Allocs:24 Frees:24 Hits:21 Misses:3 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:0 FreelistAllocs:3 Reclaims:0 Reclaimed:0 BatchAllocs:0 BatchFrees:0 BatchPages:0 RunAllocs:0 RunFrees:0 RunPages:0 RunRevives:0 RunReviveMisses:0}",
 	"i386-sharded-off/zerocopy/fit":   "cyc=159054 linv=0 rinv=0 walks=15 {Allocs:18 Frees:18 Hits:3 Misses:15 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:0 FreelistAllocs:15 Reclaims:0 Reclaimed:0 BatchAllocs:4 BatchFrees:4 BatchPages:18 RunAllocs:0 RunFrees:0 RunPages:0 RunRevives:0 RunReviveMisses:0}",
 	"i386-sharded-off/zerocopy/over":  "cyc=1251110 linv=11 rinv=11 walks=15 {Allocs:56 Frees:56 Hits:41 Misses:15 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:0 FreelistAllocs:4 Reclaims:11 Reclaimed:11 BatchAllocs:42 BatchFrees:42 BatchPages:56 RunAllocs:0 RunFrees:0 RunPages:0 RunRevives:0 RunReviveMisses:0}",
 	"i386-sharded-on/memdisk/fit":     "cyc=8166120 linv=264 rinv=11 walks=96 {Allocs:576 Frees:576 Hits:0 Misses:576 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:0 FreelistAllocs:576 Reclaims:0 Reclaimed:0 BatchAllocs:0 BatchFrees:0 BatchPages:0 RunAllocs:96 RunFrees:96 RunPages:576 RunRevives:0 RunReviveMisses:96}",
@@ -271,6 +326,8 @@ var extentGolden = map[string]string{
 	"i386-sharded-on/pipe/over":       "cyc=244080 linv=28 rinv=0 walks=32 {Allocs:32 Frees:32 Hits:0 Misses:32 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:0 FreelistAllocs:4 Reclaims:28 Reclaimed:28 BatchAllocs:0 BatchFrees:0 BatchPages:0 RunAllocs:0 RunFrees:0 RunPages:0 RunRevives:0 RunReviveMisses:0}",
 	"i386-sharded-on/sendfile/fit":    "cyc=11152097 linv=0 rinv=0 walks=55 {Allocs:185 Frees:185 Hits:130 Misses:55 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:0 FreelistAllocs:55 Reclaims:0 Reclaimed:0 BatchAllocs:0 BatchFrees:0 BatchPages:0 RunAllocs:2 RunFrees:2 RunPages:25 RunRevives:0 RunReviveMisses:2}",
 	"i386-sharded-on/sendfile/over":   "cyc=11521287 linv=54 rinv=21 walks=58 {Allocs:185 Frees:185 Hits:127 Misses:58 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:0 FreelistAllocs:4 Reclaims:54 Reclaimed:54 BatchAllocs:0 BatchFrees:0 BatchPages:0 RunAllocs:0 RunFrees:0 RunPages:0 RunRevives:0 RunReviveMisses:0}",
+	"i386-sharded-on/vserve/fit":      "cyc=2230422 linv=0 rinv=0 walks=2 {Allocs:24 Frees:24 Hits:0 Misses:24 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:0 FreelistAllocs:24 Reclaims:0 Reclaimed:0 BatchAllocs:0 BatchFrees:0 BatchPages:0 RunAllocs:2 RunFrees:2 RunPages:24 RunRevives:0 RunReviveMisses:2}",
+	"i386-sharded-on/vserve/over":     "cyc=2229942 linv=0 rinv=0 walks=3 {Allocs:24 Frees:24 Hits:21 Misses:3 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:0 FreelistAllocs:3 Reclaims:0 Reclaimed:0 BatchAllocs:0 BatchFrees:0 BatchPages:0 RunAllocs:0 RunFrees:0 RunPages:0 RunRevives:0 RunReviveMisses:0}",
 	"i386-sharded-on/zerocopy/fit":    "cyc=164694 linv=0 rinv=0 walks=4 {Allocs:18 Frees:18 Hits:0 Misses:18 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:0 FreelistAllocs:18 Reclaims:0 Reclaimed:0 BatchAllocs:0 BatchFrees:0 BatchPages:0 RunAllocs:4 RunFrees:4 RunPages:18 RunRevives:0 RunReviveMisses:4}",
 	"i386-sharded-on/zerocopy/over":   "cyc=1270700 linv=46 rinv=4 walks=42 {Allocs:56 Frees:56 Hits:0 Misses:56 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:0 FreelistAllocs:56 Reclaims:0 Reclaimed:0 BatchAllocs:0 BatchFrees:0 BatchPages:0 RunAllocs:42 RunFrees:42 RunPages:56 RunRevives:0 RunReviveMisses:42}",
 	"original-amd64/memdisk/fit":      "cyc=3923136 linv=1152 rinv=96 walks=576 {Allocs:576 Frees:576 Hits:0 Misses:576 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:96 FreelistAllocs:0 Reclaims:0 Reclaimed:0 BatchAllocs:96 BatchFrees:96 BatchPages:576 RunAllocs:0 RunFrees:0 RunPages:0 RunRevives:0 RunReviveMisses:0}",
@@ -279,6 +336,8 @@ var extentGolden = map[string]string{
 	"original-amd64/pipe/over":        "cyc=109600 linv=64 rinv=2 walks=32 {Allocs:32 Frees:32 Hits:0 Misses:32 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:2 FreelistAllocs:0 Reclaims:0 Reclaimed:0 BatchAllocs:2 BatchFrees:2 BatchPages:32 RunAllocs:0 RunFrees:0 RunPages:0 RunRevives:0 RunReviveMisses:0}",
 	"original-amd64/sendfile/fit":     "cyc=5559924 linv=185 rinv=185 walks=185 {Allocs:185 Frees:185 Hits:0 Misses:185 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:185 FreelistAllocs:0 Reclaims:0 Reclaimed:0 BatchAllocs:0 BatchFrees:0 BatchPages:0 RunAllocs:0 RunFrees:0 RunPages:0 RunRevives:0 RunReviveMisses:0}",
 	"original-amd64/sendfile/over":    "cyc=5644524 linv=185 rinv=185 walks=185 {Allocs:185 Frees:185 Hits:0 Misses:185 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:185 FreelistAllocs:0 Reclaims:0 Reclaimed:0 BatchAllocs:0 BatchFrees:0 BatchPages:0 RunAllocs:0 RunFrees:0 RunPages:0 RunRevives:0 RunReviveMisses:0}",
+	"original-amd64/vserve/fit":       "cyc=1202671 linv=24 rinv=24 walks=24 {Allocs:24 Frees:24 Hits:0 Misses:24 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:24 FreelistAllocs:0 Reclaims:0 Reclaimed:0 BatchAllocs:0 BatchFrees:0 BatchPages:0 RunAllocs:0 RunFrees:0 RunPages:0 RunRevives:0 RunReviveMisses:0}",
+	"original-amd64/vserve/over":      "cyc=1202671 linv=24 rinv=24 walks=24 {Allocs:24 Frees:24 Hits:0 Misses:24 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:24 FreelistAllocs:0 Reclaims:0 Reclaimed:0 BatchAllocs:0 BatchFrees:0 BatchPages:0 RunAllocs:0 RunFrees:0 RunPages:0 RunRevives:0 RunReviveMisses:0}",
 	"original-amd64/zerocopy/fit":     "cyc=141167 linv=18 rinv=18 walks=18 {Allocs:18 Frees:18 Hits:0 Misses:18 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:18 FreelistAllocs:0 Reclaims:0 Reclaimed:0 BatchAllocs:0 BatchFrees:0 BatchPages:0 RunAllocs:0 RunFrees:0 RunPages:0 RunRevives:0 RunReviveMisses:0}",
 	"original-amd64/zerocopy/over":    "cyc=779840 linv=56 rinv=56 walks=56 {Allocs:56 Frees:56 Hits:0 Misses:56 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:56 FreelistAllocs:0 Reclaims:0 Reclaimed:0 BatchAllocs:0 BatchFrees:0 BatchPages:0 RunAllocs:0 RunFrees:0 RunPages:0 RunRevives:0 RunReviveMisses:0}",
 	"original-i386/memdisk/fit":       "cyc=14002080 linv=576 rinv=576 walks=576 {Allocs:576 Frees:576 Hits:0 Misses:576 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:576 FreelistAllocs:0 Reclaims:0 Reclaimed:0 BatchAllocs:96 BatchFrees:96 BatchPages:576 RunAllocs:0 RunFrees:0 RunPages:0 RunRevives:0 RunReviveMisses:0}",
@@ -287,6 +346,8 @@ var extentGolden = map[string]string{
 	"original-i386/pipe/over":         "cyc=542800 linv=32 rinv=32 walks=32 {Allocs:32 Frees:32 Hits:0 Misses:32 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:32 FreelistAllocs:0 Reclaims:0 Reclaimed:0 BatchAllocs:2 BatchFrees:2 BatchPages:32 RunAllocs:0 RunFrees:0 RunPages:0 RunRevives:0 RunReviveMisses:0}",
 	"original-i386/sendfile/fit":      "cyc=13100117 linv=185 rinv=185 walks=185 {Allocs:185 Frees:185 Hits:0 Misses:185 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:185 FreelistAllocs:0 Reclaims:0 Reclaimed:0 BatchAllocs:0 BatchFrees:0 BatchPages:0 RunAllocs:0 RunFrees:0 RunPages:0 RunRevives:0 RunReviveMisses:0}",
 	"original-i386/sendfile/over":     "cyc=13264617 linv=185 rinv=185 walks=185 {Allocs:185 Frees:185 Hits:0 Misses:185 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:185 FreelistAllocs:0 Reclaims:0 Reclaimed:0 BatchAllocs:0 BatchFrees:0 BatchPages:0 RunAllocs:0 RunFrees:0 RunPages:0 RunRevives:0 RunReviveMisses:0}",
+	"original-i386/vserve/fit":        "cyc=2483502 linv=24 rinv=24 walks=24 {Allocs:24 Frees:24 Hits:0 Misses:24 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:24 FreelistAllocs:0 Reclaims:0 Reclaimed:0 BatchAllocs:0 BatchFrees:0 BatchPages:0 RunAllocs:0 RunFrees:0 RunPages:0 RunRevives:0 RunReviveMisses:0}",
+	"original-i386/vserve/over":       "cyc=2483502 linv=24 rinv=24 walks=24 {Allocs:24 Frees:24 Hits:0 Misses:24 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:24 FreelistAllocs:0 Reclaims:0 Reclaimed:0 BatchAllocs:0 BatchFrees:0 BatchPages:0 RunAllocs:0 RunFrees:0 RunPages:0 RunRevives:0 RunReviveMisses:0}",
 	"original-i386/zerocopy/fit":      "cyc=346854 linv=18 rinv=18 walks=18 {Allocs:18 Frees:18 Hits:0 Misses:18 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:18 FreelistAllocs:0 Reclaims:0 Reclaimed:0 BatchAllocs:0 BatchFrees:0 BatchPages:0 RunAllocs:0 RunFrees:0 RunPages:0 RunRevives:0 RunReviveMisses:0}",
 	"original-i386/zerocopy/over":     "cyc=1756520 linv=56 rinv=56 walks=56 {Allocs:56 Frees:56 Hits:0 Misses:56 Sleeps:0 Interrupted:0 WouldBlock:0 VAAllocs:56 FreelistAllocs:0 Reclaims:0 Reclaimed:0 BatchAllocs:0 BatchFrees:0 BatchPages:0 RunAllocs:0 RunFrees:0 RunPages:0 RunRevives:0 RunReviveMisses:0}",
 }

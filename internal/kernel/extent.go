@@ -14,7 +14,9 @@ import (
 // through and released as a unit.  Subsystems never name the path; they
 // map with MapConsumer.MapExtent (or a send-side variant), copy with
 // CopyIn/CopyOut, and release with Unmap — or, for send extents whose
-// pages ride separate mbufs, with one Unref per page.
+// pages ride separate mbufs, take each page with Take and release it
+// through its own hook.  A send extent may also be a per-page window,
+// which maps each page only when it is taken.
 type Extent struct {
 	k    *Kernel
 	run  *sfbuf.Run
@@ -31,8 +33,10 @@ type Extent struct {
 // consumer's free list so a window allocates none of it: the outstanding
 // page references, the record's own copy of the page list (the caller's
 // slice is free for its next window once the map returns), the mapping,
-// and the release hook, bound once per record.  gen counts the record's
-// windows, so a stale Extent copy is caught before it touches a newer one.
+// and the release hook, bound once per record.  A per-page window has no
+// mapping; it keeps its allocation flags and the pages taken so far.
+// gen counts the record's windows, so a stale Extent copy is caught
+// before it touches a newer one.
 type sendRecord struct {
 	c       *MapConsumer
 	refs    atomic.Int32
@@ -40,6 +44,8 @@ type sendRecord struct {
 	pages   []*vm.Page
 	mapping Extent
 	release func(*smp.Context)
+	flags   sfbuf.Flags
+	taken   []*sfbuf.Buf
 }
 
 // MapExtent maps a multi-page extent by this consumer's policy: UseRuns
@@ -52,11 +58,14 @@ func (c *MapConsumer) MapExtent(ctx *smp.Context, pages []*vm.Page, flags sfbuf.
 	return c.mapExtent(ctx, pages, flags, c.k.Plan.Batch)
 }
 
-// MapSendExtent maps one send-side window: MapExtent's rule with the send
-// paths' batching switch (Plan.BatchSend), shared mappings (any CPU may
-// retransmit), and one reference per page for the mbufs that carry them.
-// It is the one window mapper behind both sendfile and zero-copy socket
-// sends, so their mapping economies cannot drift apart.
+// MapSendExtent maps one send-side window of wired pages: MapExtent's
+// rule with the send paths' batching switch (Plan.BatchSend), shared
+// mappings (any CPU may retransmit), and one reference per page for the
+// mbufs that carry them.  Where MapExtent would answer
+// sfbuf.ErrBatchTooLarge it returns a per-page window instead: page j is
+// mapped only when the consumer takes it, and carries its own release.
+// It is the one window mapper behind sendfile, zero-copy socket sends
+// and the serving loop, so their mapping economies cannot drift apart.
 func (c *MapConsumer) MapSendExtent(ctx *smp.Context, pages []*vm.Page) (Extent, error) {
 	return c.mapSendExtent(ctx, pages, 0)
 }
@@ -66,8 +75,13 @@ func (c *MapConsumer) MapSendExtent(ctx *smp.Context, pages []*vm.Page) (Extent,
 // surfaces as ErrWouldBlock instead of a sleep.
 func (c *MapConsumer) mapSendExtent(ctx *smp.Context, pages []*vm.Page, flags sfbuf.Flags) (Extent, error) {
 	e, err := c.mapExtent(ctx, pages, flags, c.k.Plan.BatchSend)
-	if err != nil {
+	switch {
+	case err == sfbuf.ErrBatchTooLarge:
+		e = Extent{k: c.k}
+	case err != nil:
 		return e, err
+	case e.run != nil:
+		e.bufs = e.run.Bufs()
 	}
 	c.sendMu.Lock()
 	var r *sendRecord
@@ -81,7 +95,7 @@ func (c *MapConsumer) mapSendExtent(ctx *smp.Context, pages []*vm.Page, flags sf
 		r = &sendRecord{c: c}
 		r.release = r.unref
 	}
-	r.mapping = e
+	r.mapping, r.flags = e, flags
 	r.pages = append(r.pages[:0], pages...)
 	r.refs.Store(int32(len(pages)))
 	e.rec, e.gen = r, r.gen
@@ -105,24 +119,18 @@ func (c *MapConsumer) mapExtent(ctx *smp.Context, pages []*vm.Page, flags sfbuf.
 	return e, nil
 }
 
-// WindowedSend reports whether the send paths (sendfile, zero-copy socket
-// send) map their pages in MapSendExtent windows rather than one mapping
-// per page — the historical path the original kernel's baselines measure.
+// WindowedSend reports whether send extents can map multi-page windows
+// (a run or a batch); where it is false every send extent is a per-page
+// window.  Its one caller sizes sendfile's windows: there, a window of
+// one page keeps the order in which the historical per-page path
+// resolved a file page and mapped it.  File metadata reads map through
+// the same cache, so resolving pages a window ahead would reorder its
+// LRU.
 func (k *Kernel) WindowedSend() bool { return k.Plan.Runs || k.Plan.BatchSend }
 
 // Mapped reports whether the extent holds a mapping (the zero Extent and
 // a failed MapExtent's do not).
 func (e Extent) Mapped() bool { return e.run != nil || e.bufs != nil }
-
-// Bufs returns one Buf per page, for consumers that attach pages to
-// longer-lived structures (mbuf externals).  A run's are views built on
-// first use; they must not be freed individually.
-func (e Extent) Bufs() []*sfbuf.Buf {
-	if e.run != nil {
-		return e.run.Bufs()
-	}
-	return e.bufs
-}
 
 // CopyIn copies src into the extent at byte offset off.
 func (e Extent) CopyIn(ctx *smp.Context, off int, src []byte) error {
@@ -149,21 +157,79 @@ func (e Extent) Unmap(ctx *smp.Context) {
 	}
 }
 
-// Unref drops one of a send extent's page references; the last one
-// unmaps the extent, unwires its pages and recycles its release record.
-// An Unref through a copy of an extent whose record has since been
-// recycled panics.
-func (e Extent) Unref(ctx *smp.Context) {
+// Take returns page j of a send extent, mapping it first on a per-page
+// window.  A per-page window's pages are taken in order; a failed take
+// (ErrWouldBlock under NoWait) leaves page j untaken.
+func (e Extent) Take(ctx *smp.Context, j int) (*sfbuf.Buf, error) {
+	r := e.record()
+	if e.Mapped() {
+		return e.bufs[j], nil
+	}
+	if j != len(r.taken) {
+		panic("kernel: per-page send extent taken out of order")
+	}
+	b, err := e.k.Map.Alloc(ctx, r.pages[j], r.flags)
+	if err != nil {
+		return nil, err
+	}
+	r.taken = append(r.taken, b)
+	return b, nil
+}
+
+// Release returns the hook that releases taken page j, with the mbuf
+// external free hook's signature.  A mapped window's pages share one
+// hook, bound once per record, that drops one window reference; the last
+// unmaps the window and unwires its pages.  A per-page window's hook
+// unmaps and unwires its own page.
+func (e Extent) Release(j int) func(*smp.Context) {
+	r := e.record()
+	if e.Mapped() {
+		return r.release
+	}
+	k, b, pg := e.k, r.taken[j], r.pages[j]
+	return func(ctx *smp.Context) {
+		k.Map.Free(ctx, b)
+		pg.Unwire()
+		r.unref(ctx)
+	}
+}
+
+// Drop releases the references of the window's last n pages, which were
+// never taken onto a chain — the unwind after a failed send.  On a
+// per-page window it unwires those pages too.  The last reference of a
+// mapped window unmaps it and unwires its pages.  A Drop through a copy
+// of an extent whose record has since been recycled panics.
+func (e Extent) Drop(ctx *smp.Context, n int) {
+	r := e.record()
+	if !e.Mapped() {
+		for _, pg := range r.pages[len(r.pages)-n:] {
+			pg.Unwire()
+		}
+	}
+	for ; n > 0; n-- {
+		r.unref(ctx)
+	}
+}
+
+// Rollback undoes a per-page window none of whose pages has been
+// released: it unmaps the pages taken so far and recycles the record,
+// leaving every page wired and the caller's again — the unwind when a
+// NoWait take fails and the caller retries the window later.  (A mapped
+// window's takes cannot fail.)
+func (e Extent) Rollback(ctx *smp.Context) {
+	r := e.record()
+	for _, b := range r.taken {
+		e.k.Map.Free(ctx, b)
+	}
+	r.recycle()
+}
+
+func (e Extent) record() *sendRecord {
 	if e.gen != e.rec.gen {
 		panic("kernel: send extent released after its window was recycled")
 	}
-	e.rec.unref(ctx)
+	return e.rec
 }
-
-// Release returns a send extent's release hook: Unref with the mbuf
-// external free hook's signature, bound once per record, so attaching it
-// as each page's release allocates nothing.
-func (e Extent) Release() func(*smp.Context) { return e.rec.release }
 
 func (r *sendRecord) unref(ctx *smp.Context) {
 	n := r.refs.Add(-1)
@@ -173,23 +239,24 @@ func (r *sendRecord) unref(ctx *smp.Context) {
 	if n > 0 {
 		return
 	}
-	r.mapping.Unmap(ctx)
-	for _, pg := range r.pages {
-		pg.Unwire()
+	if r.mapping.Mapped() {
+		r.mapping.Unmap(ctx)
+		for _, pg := range r.pages {
+			pg.Unwire()
+		}
 	}
+	r.recycle()
+}
+
+// recycle returns the record to its consumer's free list under a new
+// generation.
+func (r *sendRecord) recycle() {
 	clear(r.pages)
-	r.pages, r.mapping = r.pages[:0], Extent{}
+	clear(r.taken)
+	r.pages, r.taken, r.mapping = r.pages[:0], r.taken[:0], Extent{}
 	r.gen++
 	c := r.c
 	c.sendMu.Lock()
 	c.sendFree = append(c.sendFree, r)
 	c.sendMu.Unlock()
-}
-
-// Drop releases n references without an mbuf free — the unwind path when
-// an extent was mapped but some of its pages never made it onto a chain.
-func (e Extent) Drop(ctx *smp.Context, n int) {
-	for ; n > 0; n-- {
-		e.Unref(ctx)
-	}
 }

@@ -1,10 +1,12 @@
 package kernel
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
 	"sfbuf/internal/arch"
+	"sfbuf/internal/sfbuf"
 	"sfbuf/internal/smp"
 	"sfbuf/internal/vm"
 )
@@ -12,7 +14,7 @@ import (
 // TestSendExtentRecordReuse: a send extent's release state is recycled
 // through its consumer, so a warmed window allocates nothing beyond the
 // mapping layer's own batch; a record is never reused while one of its
-// references is outstanding; and an Unref through a copy that outlived
+// references is outstanding; and a Drop through a copy that outlived
 // its window panics before it touches the window now using the record.
 func TestSendExtentRecordReuse(t *testing.T) {
 	k, err := Boot(Config{
@@ -54,9 +56,8 @@ func TestSendExtentRecordReuse(t *testing.T) {
 	// pooled scratch reallocates by chance.)
 	window := func() {
 		e := mapWired(a)
-		release := e.Release()
-		for range a {
-			release(ctx)
+		for j := range a {
+			e.Release(j)(ctx)
 		}
 	}
 	bare := func() {
@@ -79,7 +80,7 @@ func TestSendExtentRecordReuse(t *testing.T) {
 	if e2.rec == e1.rec {
 		t.Fatal("a record was reused while its window still held a reference")
 	}
-	e1.Unref(ctx) // the last reference: e1's record is free
+	e1.Drop(ctx, 1) // the last reference: e1's record is free
 	if a[0].Wired() {
 		t.Fatal("the last reference did not unwire the window's pages")
 	}
@@ -93,13 +94,13 @@ func TestSendExtentRecordReuse(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("Unref through a recycled window's stale Extent did not panic")
+				t.Fatal("Drop through a recycled window's stale Extent did not panic")
 			}
 		}()
-		e1.Unref(ctx)
+		e1.Drop(ctx, 1)
 	}()
 	if got := e3.rec.refs.Load(); got != int32(len(a)) {
-		t.Fatalf("the stale Unref moved the new window's references to %d, want %d", got, len(a))
+		t.Fatalf("the stale Drop moved the new window's references to %d, want %d", got, len(a))
 	}
 	e2.Drop(ctx, len(b))
 	e3.Drop(ctx, len(a))
@@ -162,4 +163,111 @@ func TestSendExtentRecordsConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestPerPageSendExtentUnwinds: where the engine maps sends page by page,
+// a send extent maps page j only when it is taken, and both of its unwind
+// paths leave every page unwired exactly once (a second unwire panics)
+// and every mapping freed.  Taking part of a window and dropping the
+// rest releases the taken pages through their own hooks and unwires the
+// untaken ones; a NoWait take that fails is rolled back, leaving the
+// pages wired for the caller's retry.
+func TestPerPageSendExtentUnwinds(t *testing.T) {
+	k, err := Boot(Config{Platform: arch.XeonMP(), Mapper: SFBuf, Cache: CacheGlobal, PhysPages: 512, CacheEntries: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := k.Consumer("test-send-per-page")
+	ctx := k.Ctx(0)
+	pages, err := k.M.Phys.AllocN(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire := func(pages []*vm.Page) {
+		for _, pg := range pages {
+			pg.Wire()
+		}
+	}
+	unwired := func(what string) {
+		t.Helper()
+		for _, pg := range pages {
+			if pg.Wired() {
+				t.Fatalf("%s: %v still wired", what, pg)
+			}
+		}
+		if st := k.Map.Stats(); st.Allocs != st.Frees {
+			t.Fatalf("%s: allocs %d, frees %d", what, st.Allocs, st.Frees)
+		}
+	}
+
+	// Take half the window, drop the rest, then release the taken pages.
+	wire(pages)
+	e, err := c.MapSendExtent(ctx, pages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Mapped() || k.Map.Stats().Allocs != 0 {
+		t.Fatalf("a per-page window mapped before any take (mapped %v, %+v)", e.Mapped(), k.Map.Stats())
+	}
+	var hooks []func(*smp.Context)
+	for j := 0; j < 3; j++ {
+		if _, err := e.Take(ctx, j); err != nil {
+			t.Fatal(err)
+		}
+		hooks = append(hooks, e.Release(j))
+	}
+	if got := k.Map.Stats().Allocs; got != 3 {
+		t.Fatalf("three takes mapped %d pages", got)
+	}
+	e.Drop(ctx, len(pages)-3)
+	for _, release := range hooks {
+		release(ctx)
+	}
+	unwired("take and drop")
+
+	// A NoWait take that finds the cache full rolls the window back.
+	held, err := k.Map.Alloc(ctx, pages[5], 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held2, err := k.Map.Alloc(ctx, pages[4], 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	win := pages[:4]
+	wire(win)
+	e, err = c.SendWindow().MapExtent(ctx, win, sfbuf.NoWait)
+	if err != nil {
+		t.Fatal(err)
+	}
+	taken := 0
+	for ; taken < len(win); taken++ {
+		if _, err = e.Take(ctx, taken); err != nil {
+			break
+		}
+	}
+	if !errors.Is(err, sfbuf.ErrWouldBlock) || taken != 2 {
+		t.Fatalf("took %d of 4 pages into a 4-entry cache holding 2, then %v; want 2, then ErrWouldBlock", taken, err)
+	}
+	e.Rollback(ctx)
+	for _, pg := range win {
+		if !pg.Wired() {
+			t.Fatalf("rollback unwired %v; the caller keeps the wiring", pg)
+		}
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Drop through a rolled-back window did not panic")
+			}
+		}()
+		e.Drop(ctx, 1)
+	}()
+	for _, pg := range win {
+		pg.Unwire()
+	}
+	k.Map.Free(ctx, held)
+	k.Map.Free(ctx, held2)
+	unwired("rollback")
+
 }

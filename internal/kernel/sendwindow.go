@@ -292,9 +292,10 @@ func (w *SendWindow) Stats() SendWindowStats {
 // policy with the given allocation flags — the flags-aware form of
 // MapSendExtent.  The serving loop passes sfbuf.NoWait: a synchronous
 // sleep inside the single-threaded virtual-network event loop would
-// deadlock it, so mapping pressure surfaces as ErrWouldBlock and the
-// caller backs off on a retry timer, which is exactly the latency the
-// serve benchmark's percentiles must see.
+// deadlock it, so mapping pressure surfaces as ErrWouldBlock (from this
+// call, or from Take on a per-page window) and the caller backs off on a
+// retry timer, which is exactly the latency the serve benchmark's
+// percentiles must see.
 func (w *SendWindow) MapExtent(ctx *smp.Context, pages []*vm.Page, flags sfbuf.Flags) (Extent, error) {
 	return w.c.mapSendExtent(ctx, pages, flags)
 }

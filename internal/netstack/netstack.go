@@ -117,6 +117,9 @@ type Conn struct {
 	// observed ACK cadence (see kernel.SendWindow); inert — the
 	// historical fixed size — on non-adaptive kernels.
 	sw *kernel.SendWindow
+	// sendPages is SendZeroCopy's page list, reused packet to packet by
+	// the connection's one sender.
+	sendPages []*vm.Page
 
 	closed bool
 	stats  Stats
@@ -197,140 +200,60 @@ func (c *Conn) Close(ctx *smp.Context) {
 // MTU, checksummed in software unless offload is enabled, and released
 // only on acknowledgment.
 //
-// Pages are wired and mapped as packets are built rather than all
+// Each packet's pages are wired and mapped as one send extent through
+// the zero-copy consumer as the packet is built, rather than all
 // upfront, so the number of simultaneously live ephemeral mappings is
 // bounded by the send window plus one packet — large sends cannot
 // deadlock a small mapping cache.  A page straddling a packet boundary is
 // wired and mapped once per packet referencing it; the mapping cache
-// coalesces the two allocations onto one sf_buf.
+// coalesces the two allocations onto one sf_buf.  Packet boundaries,
+// wire counts and checksum behaviour are the same whichever way the
+// extent maps its pages.
 func (c *Conn) SendZeroCopy(ctx *smp.Context, um *vm.UserMem, off, n int) error {
 	if n < 0 || off < 0 || off+n > um.Len() {
 		return vm.ErrBounds
 	}
 	ctx.Charge(ctx.Cost().Syscall)
-	if c.st.K.WindowedSend() {
-		return c.sendZeroCopyWindowed(ctx, um, off, n)
-	}
-	k := c.st.K
 	mss := c.st.MSS()
-
-	pkt := &mbuf.Chain{}
-	flush := func() error {
-		if pkt.PktLen == 0 {
-			return nil
-		}
-		ctx.Charge(ctx.Cost().PacketFixed)
-		if !c.st.ChecksumOffload {
-			if err := c.checksumPacket(ctx, pkt); err != nil {
-				pkt.Free(ctx)
-				return err
-			}
-		}
-		if err := c.transmit(ctx, pkt); err != nil {
-			pkt.Free(ctx)
-			return err
-		}
-		pkt = &mbuf.Chain{}
-		return nil
-	}
-
-	cur, remaining := off, n
-	for remaining > 0 {
-		pg, po, err := um.PageAt(cur)
-		if err != nil {
-			pkt.Free(ctx)
-			return err
-		}
-		take := min(vm.PageSize-po, remaining)
-		take = min(take, mss-pkt.PktLen)
-		pg.Wire()
-		ctx.Charge(ctx.Cost().PageWire)
-		b, err := k.Map.Alloc(ctx, pg, 0) // shared: no Private flag
-		if err != nil {
-			pg.Unwire()
-			pkt.Free(ctx)
-			return fmt.Errorf("netstack: mapping send page: %w", err)
-		}
-		page := pg
-		ext := mbuf.NewExt(b, pg, func(fctx *smp.Context) {
-			k.Map.Free(fctx, b)
-			page.Unwire()
-		})
-		pkt.Append(mbuf.NewExtMbuf(ext, po, take))
-		cur += take
-		remaining -= take
-		if pkt.PktLen >= mss {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-	}
-	return flush()
-}
-
-// sendZeroCopyWindowed is the windowed packetize/wire/map/transmit loop:
-// each packet's pages are mapped as one send extent through the zero-copy
-// consumer.  Packet boundaries, wire counts and checksum behaviour are
-// identical across all send variants; only the mapping step differs.
-func (c *Conn) sendZeroCopyWindowed(ctx *smp.Context, um *vm.UserMem, off, n int) error {
-	k := c.st.K
-	mss := c.st.MSS()
-	cur, remaining := off, n
-	for remaining > 0 {
-		pktBytes := min(mss, remaining)
-		// Resolve and wire the run of pages carrying this packet.
-		var (
-			pages []*vm.Page
-			pos   []int
-			lens  []int
-		)
+	for n > 0 {
+		pktBytes := min(mss, n)
+		// Resolve and wire the pages carrying this packet.  The extent
+		// keeps its own copy of the list, so one buffer serves every
+		// packet of the connection.
+		pages := c.sendPages[:0]
 		for b := 0; b < pktBytes; {
-			pg, po, err := um.PageAt(cur + b)
+			pg, po, err := um.PageAt(off + b)
 			if err != nil {
 				for _, p := range pages {
 					p.Unwire()
 				}
 				return err
 			}
-			take := min(vm.PageSize-po, pktBytes-b)
 			pg.Wire()
 			ctx.Charge(ctx.Cost().PageWire)
 			pages = append(pages, pg)
-			pos = append(pos, po)
-			lens = append(lens, take)
-			b += take
+			b += vm.PageSize - po
 		}
-		pkt := &mbuf.Chain{}
+		c.sendPages = pages
 		ext, err := c.st.contig.MapSendExtent(ctx, pages)
-		if errors.Is(err, sfbuf.ErrBatchTooLarge) {
-			// Packet run exceeds the whole mapping cache (pathologically
-			// tiny cache): map its pages one at a time instead.
-			for j, pg := range pages {
-				b, err := k.Map.Alloc(ctx, pg, 0)
-				if err != nil {
-					for _, rest := range pages[j:] {
-						rest.Unwire()
-					}
-					pkt.Free(ctx)
-					return fmt.Errorf("netstack: mapping send page: %w", err)
-				}
-				buf, page := b, pg
-				ext := mbuf.NewExt(b, pg, func(fctx *smp.Context) {
-					k.Map.Free(fctx, buf)
-					page.Unwire()
-				})
-				pkt.Append(mbuf.NewExtMbuf(ext, pos[j], lens[j]))
-			}
-		} else if err != nil {
+		if err != nil {
 			for _, p := range pages {
 				p.Unwire()
 			}
-			return fmt.Errorf("netstack: window-mapping send run: %w", err)
-		} else {
-			unref := ext.Release()
-			for j, b := range ext.Bufs() {
-				pkt.Append(mbuf.NewExtMbuf(mbuf.NewExt(b, pages[j], unref), pos[j], lens[j]))
+			return fmt.Errorf("netstack: mapping send window: %w", err)
+		}
+		pkt := &mbuf.Chain{}
+		for j, b := 0, 0; b < pktBytes; j++ {
+			buf, err := ext.Take(ctx, j)
+			if err != nil {
+				ext.Drop(ctx, len(pages)-j)
+				pkt.Free(ctx)
+				return fmt.Errorf("netstack: mapping send page: %w", err)
 			}
+			po := (off + b) % vm.PageSize
+			take := min(vm.PageSize-po, pktBytes-b)
+			pkt.Append(mbuf.NewExtMbuf(mbuf.NewExt(buf, pages[j], ext.Release(j)), po, take))
+			b += take
 		}
 		ctx.Charge(ctx.Cost().PacketFixed)
 		if !c.st.ChecksumOffload {
@@ -343,21 +266,17 @@ func (c *Conn) sendZeroCopyWindowed(ctx *smp.Context, um *vm.UserMem, off, n int
 			pkt.Free(ctx)
 			return err
 		}
-		cur += pktBytes
-		remaining -= pktBytes
+		off += pktBytes
+		n -= pktBytes
 	}
 	return nil
 }
 
-// SendChain transmits a prepared chain (the sendfile path).  Ownership of
-// the chain and its references passes to the connection.
+// SendChain transmits a prepared chain (the sendfile path): it segments,
+// checksums and enqueues, blocking while the window is full (loopback) or
+// self-acking past the window (sink).  Ownership of the chain and its
+// references passes to the connection.
 func (c *Conn) SendChain(ctx *smp.Context, chain *mbuf.Chain) error {
-	return c.sendChain(ctx, chain)
-}
-
-// sendChain segments, checksums and enqueues; it blocks while the window
-// is full (loopback) or self-acks past the window (sink).
-func (c *Conn) sendChain(ctx *smp.Context, chain *mbuf.Chain) error {
 	mss := c.st.MSS()
 	for chain.PktLen > 0 {
 		pkt := chain.Split(min(mss, chain.PktLen))
@@ -631,7 +550,8 @@ func (c *Conn) driverInject(ctx *smp.Context, pkt *mbuf.Chain) error {
 // the destination is page-aligned and the payload fills the page, the
 // kernel's page replaces the application's (a page flip) and the mapping
 // is destroyed without any copy; otherwise the data is copied through the
-// mapping.  Returns the payload length.
+// mapping.  Returns the payload length.  A destination that cannot hold
+// the payload fails with vm.ErrBounds and leaves the page queued.
 func (c *Conn) RecvZeroCopy(ctx *smp.Context, um *vm.UserMem, off int) (int, error) {
 	ctx.Charge(ctx.Cost().Syscall)
 	c.mu.Lock()
@@ -643,8 +563,12 @@ func (c *Conn) RecvZeroCopy(ctx *smp.Context, um *vm.UserMem, off int) (int, err
 		return 0, ErrClosed
 	}
 	r := c.rxq[0]
+	if off < 0 || off+r.n > um.Len() {
+		c.mu.Unlock()
+		return 0, vm.ErrBounds
+	}
 	c.rxq = c.rxq[1:]
-	aligned := off%vm.PageSize == 0 && r.n == vm.PageSize && off+vm.PageSize <= um.Len()
+	aligned := off%vm.PageSize == 0 && r.n == vm.PageSize
 	if aligned {
 		c.stats.PageFlips++
 	} else {

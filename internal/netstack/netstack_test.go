@@ -483,8 +483,8 @@ func (narrowMapper) AllocRun(*smp.Context, []*vm.Page, sfbuf.Flags) (*sfbuf.Run,
 // request on a cache that holds them.
 func TestZeroCopyDeclinedWindowFallsBackPerPage(t *testing.T) {
 	k := bootNetKernel(t, kernel.SFBuf, arch.XeonMP())
-	if !k.WindowedSend() {
-		t.Fatal("the sharded kernel should send in windows")
+	if !k.Plan.Runs {
+		t.Fatal("the sharded kernel should map send windows as runs")
 	}
 	k.Map = narrowMapper{k.Map}
 	got, want, _ := sendRecv(t, k, MTULarge, 200*1024)
@@ -500,5 +500,53 @@ func TestZeroCopyDeclinedWindowFallsBackPerPage(t *testing.T) {
 	}
 	if ps := k.PolicyStats(); len(ps) != 1 || ps[0].Name != "netstack" || ps[0].Observations == 0 {
 		t.Fatalf("policy stats %+v: the netstack consumer should have observed each packet", ps)
+	}
+}
+
+// TestZeroCopyRxRejectsOutOfRangeDestination: a destination that cannot
+// hold the payload — past the buffer's end, or at a negative offset —
+// fails with ErrBounds before the page is dequeued, so every payload is
+// still received in order and no frame or mapping leaks.
+func TestZeroCopyRxRejectsOutOfRangeDestination(t *testing.T) {
+	k := bootNetKernel(t, kernel.SFBuf, arch.OpteronMP())
+	for _, mtu := range []int{MTUSmall, vm.PageSize + HeaderSize} {
+		size := mtu - HeaderSize
+		c := NewStack(k, mtu).NewZeroCopyRxConn()
+		ctx := k.Ctx(0)
+		free := k.M.Phys.FreeFrames()
+		const pkts = 4
+		src, dst := mustUM(t, k, pkts*vm.PageSize), mustUM(t, k, vm.PageSize)
+		want := make([]byte, pkts*vm.PageSize)
+		rand.New(rand.NewSource(11)).Read(want)
+		src.WriteAt(0, want)
+		for i := 0; i < pkts; i++ {
+			if err := c.SendZeroCopy(ctx, src, i*vm.PageSize, size); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, off := range []int{vm.PageSize - 100, -100, -vm.PageSize} {
+			if n, err := c.RecvZeroCopy(k.Ctx(1), dst, off); !errors.Is(err, vm.ErrBounds) {
+				t.Fatalf("mss %d: recv at %d = (%d, %v), want ErrBounds", size, off, n, err)
+			}
+		}
+		got := make([]byte, size)
+		for i := 0; i < pkts; i++ {
+			if n, err := c.RecvZeroCopy(k.Ctx(1), dst, 0); err != nil || n != size {
+				t.Fatalf("mss %d: recv %d = (%d, %v)", size, i, n, err)
+			}
+			dst.ReadAt(0, got)
+			if !bytes.Equal(got, want[i*vm.PageSize:i*vm.PageSize+size]) {
+				t.Fatalf("mss %d: recv %d delivered another packet's payload", size, i)
+			}
+		}
+		c.Close(ctx)
+		src.Release()
+		dst.Release()
+		if got := k.M.Phys.FreeFrames(); got != free {
+			t.Fatalf("mss %d: frames leaked: %d -> %d", size, free, got)
+		}
+		if st := k.Map.Stats(); st.Allocs != st.Frees {
+			t.Fatalf("mss %d: allocs %d, frees %d", size, st.Allocs, st.Frees)
+		}
 	}
 }

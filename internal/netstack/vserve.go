@@ -119,10 +119,11 @@ type VServer struct {
 	// which takes them in place of new ones: the server's short-lived
 	// network objects get reusable homes, and both lists stay at the peak
 	// number in flight.  exts is mapWindow's result, valid until its next
-	// call.
+	// call, and bufs its scratch.
 	segFree []*vseg
 	extFree []*mbuf.Ext
 	exts    []*mbuf.Ext
+	bufs    []*sfbuf.Buf
 }
 
 // NewVServer wires a serving endpoint over the stack and network with
@@ -449,47 +450,34 @@ func (c *VConn) checksumWindow(exts []*mbuf.Ext, winBytes int) error {
 }
 
 // mapWindow maps one wired page window, returning one Ext per page whose
-// release unrefs the shared window state (which unwires on the last
-// reference).  The per-page fallback covers engines without a batched
-// send path (and pathologically tiny caches), still under NoWait.  On
-// error mapWindow has rolled back every mapping it made and made NONE of
-// the exts, but the pages stay wired: the caller keeps the wiring across
-// stall retries and unwires only on hard failure or abort.
+// release drops that page's reference to the window.  A window the
+// kernel maps page by page (engines without a batched send path, and
+// pathologically tiny caches) is counted as a fallback and still mapped
+// under NoWait.  On error mapWindow has rolled back every mapping it made
+// and made NONE of the exts, but the pages stay wired: the caller keeps
+// the wiring across stall retries and unwires only on hard failure or
+// abort.
 func (c *VConn) mapWindow(pages []*vm.Page) ([]*mbuf.Ext, error) {
-	k := c.srv.St.K
 	ext, err := c.sw.MapExtent(c.ctx, pages, sfbuf.NoWait)
-	exts := c.srv.exts[:0]
-	if err == nil {
-		unref := ext.Release() // bound once per release record
-		for j, b := range ext.Bufs() {
-			exts = append(exts, c.srv.newExt(b, pages[j], unref))
-		}
-		c.srv.exts = exts
-		return exts, nil
-	}
-	if err != sfbuf.ErrBatchTooLarge {
+	if err != nil {
 		return nil, err
 	}
-	// Per-page path: each page is its own mapping with its own release
-	// hook, which owns that page's unwire once every page mapped.
-	c.srv.stats.Fallbacks++
-	ppBufs := make([]*sfbuf.Buf, 0, len(pages))
-	for _, pg := range pages {
-		b, err := k.Map.Alloc(c.ctx, pg, sfbuf.NoWait)
+	if !ext.Mapped() {
+		c.srv.stats.Fallbacks++
+	}
+	bufs := c.srv.bufs[:0]
+	for j := range pages {
+		b, err := ext.Take(c.ctx, j)
 		if err != nil {
-			for _, prev := range ppBufs {
-				k.Map.Free(c.ctx, prev)
-			}
+			ext.Rollback(c.ctx)
 			return nil, err
 		}
-		ppBufs = append(ppBufs, b)
+		bufs = append(bufs, b)
 	}
-	for j := range pages {
-		buf, page := ppBufs[j], pages[j]
-		exts = append(exts, c.srv.newExt(buf, page, func(fctx *smp.Context) {
-			k.Map.Free(fctx, buf)
-			page.Unwire()
-		}))
+	c.srv.bufs = bufs
+	exts := c.srv.exts[:0]
+	for j, b := range bufs {
+		exts = append(exts, c.srv.newExt(b, pages[j], ext.Release(j)))
 	}
 	c.srv.exts = exts
 	return exts, nil
