@@ -57,67 +57,91 @@ type comparison struct {
 	paperNote string
 }
 
-func main() {
-	root := flag.String("root", ".", "repository root")
-	flag.Parse()
-	fset := token.NewFileSet()
+// counter counts named files and functions under root.  A name that does
+// not resolve is recorded as an error, never counted as zero lines.
+type counter struct {
+	root string
+	fset *token.FileSet
+	err  error
+}
 
-	mustFuncs := func(rel string) map[string]int {
-		m, err := funcLines(fset, filepath.Join(*root, rel))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "locstat: %s: %v\n", rel, err)
-			os.Exit(1)
-		}
-		return m
+func (c *counter) fail(err error) {
+	if c.err == nil {
+		c.err = err
 	}
-	mustFile := func(rel string) int {
-		n, err := fileLines(filepath.Join(*root, rel))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "locstat: %s: %v\n", rel, err)
-			os.Exit(1)
-		}
-		return n
-	}
+}
 
-	pipe := mustFuncs("internal/pipe/pipe.go")
-	sum := func(m map[string]int, names ...string) int {
-		t := 0
-		for _, n := range names {
-			t += m[n]
-		}
-		return t
+// file returns the line count of the file rel.
+func (c *counter) file(rel string) int {
+	n, err := fileLines(filepath.Join(c.root, rel))
+	if err != nil {
+		c.fail(err)
 	}
+	return n
+}
 
-	comparisons := []comparison{
+// funcs returns the summed line counts of the named functions in rel.
+func (c *counter) funcs(rel string, names ...string) int {
+	m, err := funcLines(c.fset, filepath.Join(c.root, rel))
+	if err != nil {
+		c.fail(err)
+		return 0
+	}
+	t := 0
+	for _, name := range names {
+		n, ok := m[name]
+		if !ok {
+			c.fail(fmt.Errorf("%s: no function %s", rel, name))
+		}
+		t += n
+	}
+	return t
+}
+
+// comparisons measures the Section 5 table on the repository at root.
+func comparisons(root string) ([]comparison, error) {
+	c := &counter{root: root, fset: token.NewFileSet()}
+	cs := []comparison{
 		{
 			subsystem: "pipe direct-read path",
-			sfbufDesc: "readDirect (per-page sf_buf loop)",
-			sfbuf:     pipe["readDirect"],
-			origDesc:  "readExtent + finishWindow (window mapping management)",
-			orig:      sum(pipe, "readExtent", "finishWindow"),
+			sfbufDesc: "readDirect (one loop over kernel.Extent, every engine)",
+			sfbuf:     c.funcs("internal/pipe/pipe.go", "readDirect"),
+			origDesc:  "Original.AllocBatch + FreeBatch (the per-pipe KVA window + pmap_qenter)",
+			orig:      c.funcs("internal/sfbuf/original.go", "AllocBatch", "FreeBatch"),
 			paperNote: "paper: converting pipes eliminated 42 lines",
 		},
 		{
 			subsystem: "ephemeral mapping layer (amd64)",
 			sfbufDesc: "internal/sfbuf/amd64.go (direct map)",
-			sfbuf:     mustFile("internal/sfbuf/amd64.go"),
+			sfbuf:     c.file("internal/sfbuf/amd64.go"),
 			origDesc:  "internal/sfbuf/original.go (VA alloc + shootdowns)",
-			orig:      mustFile("internal/sfbuf/original.go"),
+			orig:      c.file("internal/sfbuf/original.go"),
 			paperNote: "the amd64 sf_buf implementation is 'nothing more than cast operations'",
 		},
 		{
 			subsystem: "ephemeral mapping layer (i386)",
 			sfbufDesc: "internal/sfbuf/i386.go + cache.go (mapping cache)",
-			sfbuf:     mustFile("internal/sfbuf/i386.go") + mustFile("internal/sfbuf/cache.go"),
+			sfbuf:     c.file("internal/sfbuf/i386.go") + c.file("internal/sfbuf/cache.go"),
 			origDesc:  "internal/sfbuf/original.go",
-			orig:      mustFile("internal/sfbuf/original.go"),
+			orig:      c.file("internal/sfbuf/original.go"),
 			paperNote: "the complexity moves INTO the MD layer once, out of every subsystem",
 		},
+	}
+	return cs, c.err
+}
+
+func main() {
+	root := flag.String("root", ".", "repository root")
+	flag.Parse()
+	cs, err := comparisons(*root)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "locstat: %v\n", err)
+		os.Exit(1)
 	}
 
 	fmt.Println("Lines-of-code comparison (Section 5 analogue)")
 	fmt.Println()
-	for _, c := range comparisons {
+	for _, c := range cs {
 		fmt.Printf("%s\n", c.subsystem)
 		fmt.Printf("  sf_buf path:   %4d lines  (%s)\n", c.sfbuf, c.sfbufDesc)
 		fmt.Printf("  original path: %4d lines  (%s)\n", c.orig, c.origDesc)

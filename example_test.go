@@ -167,7 +167,7 @@ func ExampleBoot_adaptive() {
 	consumer := k.Consumer("example")
 	for i := 0; i < 3; i++ {
 		// Observe the extent, pick a path, map it.
-		if ext, err := consumer.MapExtent(ctx, pages, root.Private); err == nil {
+		if ext, err := consumer.MapExtent(ctx, pages, root.Private, root.Private); err == nil {
 			ext.Unmap(ctx) // a run parks its window, revivable
 		}
 	}

@@ -3,8 +3,10 @@ package experiments
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -30,10 +32,12 @@ var ledgerExcluded = map[string]string{
 }
 
 // TestLedger is the results ledger: every replayable experiment's
-// rendered table at ledgerScale, checked in under testdata/ledger and
-// diffed byte for byte.  A change that moves any simulated number turns
-// it red.  Regenerate with -update only when a number is meant to move,
-// and say which rows moved and why.
+// rendered table at ledgerScale followed by its metrics block, checked in
+// under testdata/ledger and diffed byte for byte.  A change that moves
+// any simulated number turns it red: the tables round, so the metrics
+// block carries each experiment's headline values at full precision.
+// Regenerate with -update only when a number is meant to move, and say
+// which rows moved and why.
 func TestLedger(t *testing.T) {
 	dir := filepath.Join("testdata", "ledger")
 	ids := map[string]bool{}
@@ -48,7 +52,7 @@ func TestLedger(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := res.Render()
+			got := ledgerText(res)
 			path := filepath.Join(dir, id+".txt")
 			if *update {
 				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
@@ -80,6 +84,18 @@ func TestLedger(t *testing.T) {
 			t.Errorf("%s: no replayable experiment %s", f, id)
 		}
 	}
+}
+
+// ledgerText is one ledger file: the rendered table, then a metrics
+// block of every Result.Metrics key in sorted order at %v precision.
+func ledgerText(res *Result) string {
+	var b strings.Builder
+	b.WriteString(res.Render())
+	b.WriteString("metrics\n")
+	for _, k := range slices.Sorted(maps.Keys(res.Metrics)) {
+		fmt.Fprintf(&b, "%s %v\n", k, res.Metrics[k])
+	}
+	return b.String()
 }
 
 // lineDiff lists the lines that differ between want and got, by line

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"sfbuf/internal/kcopy"
@@ -9,18 +10,24 @@ import (
 	"sfbuf/internal/vm"
 )
 
-// Extent is one multi-page window mapped through a consumer handle: a
-// contiguous run or a vectored batch, whichever the handle chose, copied
-// through and released as a unit.  Subsystems never name the path; they
-// map with MapConsumer.MapExtent (or a send-side variant), copy with
-// CopyIn/CopyOut, and release with Unmap — or, for send extents whose
-// pages ride separate mbufs, take each page with Take and release it
-// through its own hook.  A send extent may also be a per-page window,
-// which maps each page only when it is taken.
+// Extent is one window of pages mapped through a consumer handle: a
+// contiguous run, a vectored batch, or a per-page extent, whichever the
+// handle chose, copied through and released as a unit.  A per-page extent
+// holds no mapping: each copy maps the pages it touches one at a time,
+// the paper's Alloc/copy/Free sequence, and Unmap has nothing to release.
+// Subsystems never name the path; they map with MapConsumer.MapExtent (or
+// a send-side variant), copy with CopyIn/CopyOut, and release with Unmap
+// — or, for send extents whose pages ride separate mbufs, take each page
+// with Take and release it through its own hook.  A per-page send extent
+// maps each page only when it is taken.
 type Extent struct {
 	k    *Kernel
 	run  *sfbuf.Run
 	bufs []*sfbuf.Buf
+	// pages are the extent's pages and flags the flags a per-page
+	// extent maps each of them with.
+	pages []*vm.Page
+	flags sfbuf.Flags
 	// rec is a send extent's release state, nil on extents from
 	// MapExtent; copies of an Extent share it.  gen is the record's
 	// generation when this window was mapped: the record is recycled
@@ -34,9 +41,9 @@ type Extent struct {
 // page references, the record's own copy of the page list (the caller's
 // slice is free for its next window once the map returns), the mapping,
 // and the release hook, bound once per record.  A per-page window has no
-// mapping; it keeps its allocation flags and the pages taken so far.
-// gen counts the record's windows, so a stale Extent copy is caught
-// before it touches a newer one.
+// mapping; it keeps the pages taken so far.  gen counts the record's
+// windows, so a stale Extent copy is caught before it touches a newer
+// one.
 type sendRecord struct {
 	c       *MapConsumer
 	refs    atomic.Int32
@@ -44,28 +51,31 @@ type sendRecord struct {
 	pages   []*vm.Page
 	mapping Extent
 	release func(*smp.Context)
-	flags   sfbuf.Flags
 	taken   []*sfbuf.Buf
 }
 
-// MapExtent maps a multi-page extent by this consumer's policy: UseRuns
-// observes the extent once and picks a contiguous run, else a vectored
-// batch where the engine batches natively (Plan.Batch).  Otherwise — and
-// whenever the chosen call finds the extent wider than the mapping cache
-// — it returns sfbuf.ErrBatchTooLarge, meaning "map page by page"; the
-// other multi-page path is never retried.
-func (c *MapConsumer) MapExtent(ctx *smp.Context, pages []*vm.Page, flags sfbuf.Flags) (Extent, error) {
-	return c.mapExtent(ctx, pages, flags, c.k.Plan.Batch)
+// MapExtent maps an extent by this consumer's policy: UseRuns observes a
+// multi-page extent once and picks a contiguous run, else a vectored
+// batch where the engine batches natively (Plan.Batch).  Otherwise — for
+// one page, which never consults the policy, and whenever the chosen call
+// finds the extent wider than the mapping cache — it returns a per-page
+// extent whose copies map each page with pageFlags; the other multi-page
+// path is never retried.  flags map a run or a batch, which may outlive
+// one call and one CPU; pageFlags map a page for the length of one copy.
+func (c *MapConsumer) MapExtent(ctx *smp.Context, pages []*vm.Page, flags, pageFlags sfbuf.Flags) (Extent, error) {
+	if len(pages) == 1 {
+		return Extent{k: c.k, pages: pages, flags: pageFlags}, nil
+	}
+	return c.mapExtent(ctx, pages, flags, pageFlags, c.k.Plan.Batch)
 }
 
 // MapSendExtent maps one send-side window of wired pages: MapExtent's
 // rule with the send paths' batching switch (Plan.BatchSend), shared
 // mappings (any CPU may retransmit), and one reference per page for the
-// mbufs that carry them.  Where MapExtent would answer
-// sfbuf.ErrBatchTooLarge it returns a per-page window instead: page j is
-// mapped only when the consumer takes it, and carries its own release.
-// It is the one window mapper behind sendfile, zero-copy socket sends
-// and the serving loop, so their mapping economies cannot drift apart.
+// mbufs that carry them.  Its per-page window maps page j only when the
+// consumer takes it, and each page carries its own release.  It is the
+// one window mapper behind sendfile, zero-copy socket sends and the
+// serving loop, so their mapping economies cannot drift apart.
 func (c *MapConsumer) MapSendExtent(ctx *smp.Context, pages []*vm.Page) (Extent, error) {
 	return c.mapSendExtent(ctx, pages, 0)
 }
@@ -74,13 +84,11 @@ func (c *MapConsumer) MapSendExtent(ctx *smp.Context, pages []*vm.Page) (Extent,
 // maps with sfbuf.NoWait through SendWindow.MapExtent so mapping pressure
 // surfaces as ErrWouldBlock instead of a sleep.
 func (c *MapConsumer) mapSendExtent(ctx *smp.Context, pages []*vm.Page, flags sfbuf.Flags) (Extent, error) {
-	e, err := c.mapExtent(ctx, pages, flags, c.k.Plan.BatchSend)
-	switch {
-	case err == sfbuf.ErrBatchTooLarge:
-		e = Extent{k: c.k}
-	case err != nil:
+	e, err := c.mapExtent(ctx, pages, flags, flags, c.k.Plan.BatchSend)
+	if err != nil {
 		return e, err
-	case e.run != nil:
+	}
+	if e.run != nil {
 		e.bufs = e.run.Bufs()
 	}
 	c.sendMu.Lock()
@@ -95,25 +103,23 @@ func (c *MapConsumer) mapSendExtent(ctx *smp.Context, pages []*vm.Page, flags sf
 		r = &sendRecord{c: c}
 		r.release = r.unref
 	}
-	r.mapping, r.flags = e, flags
 	r.pages = append(r.pages[:0], pages...)
 	r.refs.Store(int32(len(pages)))
-	e.rec, e.gen = r, r.gen
+	e.pages, e.rec, e.gen = r.pages, r, r.gen
+	r.mapping = e
 	return e, nil
 }
 
-func (c *MapConsumer) mapExtent(ctx *smp.Context, pages []*vm.Page, flags sfbuf.Flags, batch bool) (Extent, error) {
-	e := Extent{k: c.k}
+func (c *MapConsumer) mapExtent(ctx *smp.Context, pages []*vm.Page, flags, pageFlags sfbuf.Flags, batch bool) (Extent, error) {
+	e := Extent{k: c.k, pages: pages, flags: pageFlags}
 	var err error
 	switch {
 	case c.UseRuns(ctx, pages):
 		e.run, err = c.k.Map.AllocRun(ctx, pages, flags)
 	case batch:
 		e.bufs, err = c.k.Map.AllocBatch(ctx, pages, flags)
-	default:
-		err = sfbuf.ErrBatchTooLarge
 	}
-	if err != nil {
+	if err != nil && err != sfbuf.ErrBatchTooLarge {
 		return Extent{}, err
 	}
 	return e, nil
@@ -128,31 +134,65 @@ func (c *MapConsumer) mapExtent(ctx *smp.Context, pages []*vm.Page, flags sfbuf.
 // LRU.
 func (k *Kernel) WindowedSend() bool { return k.Plan.Runs || k.Plan.BatchSend }
 
-// Mapped reports whether the extent holds a mapping (the zero Extent and
-// a failed MapExtent's do not).
+// Mapped reports whether the extent holds a mapping: a run or a batch
+// does; a per-page extent, the zero Extent and a failed MapExtent's do
+// not.
 func (e Extent) Mapped() bool { return e.run != nil || e.bufs != nil }
 
 // CopyIn copies src into the extent at byte offset off.
 func (e Extent) CopyIn(ctx *smp.Context, off int, src []byte) error {
-	if e.run != nil {
+	switch {
+	case e.run != nil:
 		return kcopy.CopyInRun(ctx, e.k.Pmap, e.run, off, src)
+	case e.bufs != nil:
+		return kcopy.CopyInVec(ctx, e.k.Pmap, e.bufs, off, src)
 	}
-	return kcopy.CopyInVec(ctx, e.k.Pmap, e.bufs, off, src)
+	return e.copyPages(ctx, off, src, true)
 }
 
 // CopyOut copies from the extent at byte offset off into dst.
 func (e Extent) CopyOut(ctx *smp.Context, dst []byte, off int) error {
-	if e.run != nil {
+	switch {
+	case e.run != nil:
 		return kcopy.CopyOutRun(ctx, e.k.Pmap, dst, e.run, off)
+	case e.bufs != nil:
+		return kcopy.CopyOutVec(ctx, e.k.Pmap, dst, e.bufs, off)
 	}
-	return kcopy.CopyOutVec(ctx, e.k.Pmap, dst, e.bufs, off)
+	return e.copyPages(ctx, off, dst, false)
 }
 
-// Unmap releases the whole extent: one FreeRun or one FreeBatch.
+// copyPages is a per-page extent's copy: each page it touches, in order,
+// is mapped with the extent's flags, copied through its own KVA, and
+// unmapped.
+func (e Extent) copyPages(ctx *smp.Context, off int, buf []byte, in bool) error {
+	for len(buf) > 0 {
+		po := off % vm.PageSize
+		n := min(vm.PageSize-po, len(buf))
+		b, err := e.k.Map.Alloc(ctx, e.pages[off/vm.PageSize], e.flags)
+		if err != nil {
+			return fmt.Errorf("kernel: mapping extent page %d: %w", off/vm.PageSize, err)
+		}
+		if in {
+			err = kcopy.CopyIn(ctx, e.k.Pmap, b.KVA()+uint64(po), buf[:n])
+		} else {
+			err = kcopy.CopyOut(ctx, e.k.Pmap, buf[:n], b.KVA()+uint64(po))
+		}
+		e.k.Map.Free(ctx, b)
+		if err != nil {
+			return err
+		}
+		buf, off = buf[n:], off+n
+	}
+	return nil
+}
+
+// Unmap releases the whole extent: one FreeRun or one FreeBatch.  A
+// per-page extent, and the zero Extent, hold nothing to release.
 func (e Extent) Unmap(ctx *smp.Context) {
-	if e.run != nil {
+	switch {
+	case e.run != nil:
 		e.k.Map.FreeRun(ctx, e.run)
-	} else {
+	case e.bufs != nil:
 		e.k.Map.FreeBatch(ctx, e.bufs)
 	}
 }
@@ -168,7 +208,7 @@ func (e Extent) Take(ctx *smp.Context, j int) (*sfbuf.Buf, error) {
 	if j != len(r.taken) {
 		panic("kernel: per-page send extent taken out of order")
 	}
-	b, err := e.k.Map.Alloc(ctx, r.pages[j], r.flags)
+	b, err := e.k.Map.Alloc(ctx, e.pages[j], e.flags)
 	if err != nil {
 		return nil, err
 	}

@@ -1,11 +1,13 @@
 package kernel
 
 import (
+	"bytes"
 	"errors"
 	"sync"
 	"testing"
 
 	"sfbuf/internal/arch"
+	"sfbuf/internal/kcopy"
 	"sfbuf/internal/sfbuf"
 	"sfbuf/internal/smp"
 	"sfbuf/internal/vm"
@@ -270,4 +272,159 @@ func TestPerPageSendExtentUnwinds(t *testing.T) {
 	k.Map.Free(ctx, held2)
 	unwired("rollback")
 
+}
+
+// TestPerPageExtentCopies: where the engine neither runs nor batches (the
+// paper's global-lock cache), and where the extent is wider than the
+// mapping cache, MapExtent returns a per-page extent.  Nothing is mapped
+// until a copy touches a page; copies at unaligned offsets cross page
+// boundaries with the right bytes, mapping and unmapping each page they
+// touch; and Unmap has nothing left to release.
+func TestPerPageExtentCopies(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"global", Config{Cache: CacheGlobal, CacheEntries: 64}},
+		{"sharded-over", Config{Contig: On, CacheEntries: 4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Platform, cfg.Mapper, cfg.PhysPages, cfg.Backed = arch.XeonMP(), SFBuf, 64, true
+			k := MustBoot(cfg)
+			ctx := k.Ctx(0)
+			pages, err := k.M.Phys.AllocN(6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := k.Consumer("test-per-page").MapExtent(ctx, pages, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e.Mapped() || k.Map.Stats().Allocs != 0 {
+				t.Fatalf("a per-page extent mapped before any copy (mapped %v, %+v)", e.Mapped(), k.Map.Stats())
+			}
+			// Both copies touch pages 0-3.
+			off := vm.PageSize - 77
+			src := make([]byte, 2*vm.PageSize+123)
+			for i := range src {
+				src[i] = byte(i*7 + 3)
+			}
+			if err := e.CopyIn(ctx, off, src); err != nil {
+				t.Fatal(err)
+			}
+			for i, b := range src {
+				at := off + i
+				if got := pages[at/vm.PageSize].Data()[at%vm.PageSize]; got != b {
+					t.Fatalf("CopyIn: byte %d landed as %#x, want %#x", i, got, b)
+				}
+			}
+			dst := make([]byte, len(src)-10)
+			if err := e.CopyOut(ctx, dst, off+5); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(dst, src[5:len(src)-5]) {
+				t.Fatal("CopyOut read the wrong bytes")
+			}
+			e.Unmap(ctx)
+			if st := k.Map.Stats(); st.Allocs != 8 || st.Frees != st.Allocs {
+				t.Fatalf("two 4-page copies: %+v, want 8 allocs, all freed", st)
+			}
+		})
+	}
+}
+
+// TestPerPageExtentFlags: a per-page extent maps each page with the
+// per-page flags MapExtent was given, not the window flags.  On the
+// global-lock cache, a buffer reused for another page owes remote
+// invalidations only if its mapping was shared.
+func TestPerPageExtentFlags(t *testing.T) {
+	for _, tc := range []struct {
+		window, page sfbuf.Flags
+		remote       bool
+	}{
+		{0, sfbuf.Private, false},
+		{sfbuf.Private, 0, true},
+	} {
+		k := MustBoot(Config{Platform: arch.XeonMP(), Mapper: SFBuf, Cache: CacheGlobal, PhysPages: 64, Backed: true, CacheEntries: 4})
+		ctx := k.Ctx(0)
+		pages, err := k.M.Phys.AllocN(16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := k.Consumer("test-per-page").MapExtent(ctx, pages, tc.window, tc.page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Sixteen pages through four buffers: every copy after the first
+		// four reuses an accessed buffer.
+		buf := make([]byte, len(pages)*vm.PageSize)
+		if err := e.CopyOut(ctx, buf, 0); err != nil {
+			t.Fatal(err)
+		}
+		e.Unmap(ctx)
+		if rinv := k.M.SnapshotCounters().RemoteInvIssued; (rinv > 0) != tc.remote {
+			t.Fatalf("per-page flags %v: %d remote invalidations", tc.page, rinv)
+		}
+	}
+}
+
+// TestOnePageExtentChargesAllocCopyFree: a one-page extent is per-page on
+// every engine and never consults the policy, so MapExtent, one copy and
+// Unmap charge exactly what Alloc, the copy through the page's KVA and
+// Free charge on an identically booted kernel.
+func TestOnePageExtentChargesAllocCopyFree(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"global", Config{Mapper: SFBuf, Cache: CacheGlobal}},
+		{"original", Config{Mapper: OriginalKernel}},
+		{"sharded-adaptive", Config{Mapper: SFBuf}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(extent bool) (uint64, sfbuf.Stats, PolicyStats) {
+				cfg := tc.cfg
+				cfg.Platform, cfg.PhysPages, cfg.Backed, cfg.CacheEntries = arch.XeonMP(), 64, true, 16
+				k := MustBoot(cfg)
+				ctx := k.Ctx(0)
+				pg, err := k.M.Phys.Alloc()
+				if err != nil {
+					t.Fatal(err)
+				}
+				c := k.Consumer("test-one-page")
+				dst := make([]byte, 100)
+				if extent {
+					e, err := c.MapExtent(ctx, []*vm.Page{pg}, sfbuf.Private, sfbuf.Private)
+					if err != nil {
+						t.Fatal(err)
+					}
+					err = e.CopyOut(ctx, dst, 1000)
+					e.Unmap(ctx)
+					if err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					b, err := k.Map.Alloc(ctx, pg, sfbuf.Private)
+					if err != nil {
+						t.Fatal(err)
+					}
+					err = kcopy.CopyOut(ctx, k.Pmap, dst, b.KVA()+1000)
+					k.Map.Free(ctx, b)
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				return uint64(k.M.TotalCycles()), k.Map.Stats(), c.PolicyStats()
+			}
+			cyc, st, ps := run(true)
+			wantCyc, wantSt, _ := run(false)
+			if cyc != wantCyc || st != wantSt {
+				t.Fatalf("one-page extent: %d cycles %+v; Alloc+copy+Free: %d cycles %+v", cyc, st, wantCyc, wantSt)
+			}
+			if ps.Observations != 0 || ps.RunDecisions != 0 || ps.BatchDecisions != 0 {
+				t.Fatalf("a one-page extent consulted the policy: %+v", ps)
+			}
+		})
+	}
 }

@@ -123,9 +123,9 @@ func TestQuickBatchedWriteReadback(t *testing.T) {
 	}
 }
 
-// TestRequestLargerThanMappingCache pins the vectored fallback: a
-// transfer spanning more pages than the sharded cache holds buffers must
-// fall back to the per-page loop rather than fail with ErrBatchTooLarge.
+// TestRequestLargerThanMappingCache pins the over-capacity case: a
+// transfer spanning more pages than the sharded cache holds buffers gets a
+// per-page extent from MapExtent and moves its bytes page by page.
 func TestRequestLargerThanMappingCache(t *testing.T) {
 	k := kernel.MustBoot(kernel.Config{
 		Platform:     arch.XeonMP(),

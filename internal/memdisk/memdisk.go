@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"sfbuf/internal/kcopy"
 	"sfbuf/internal/kernel"
 	"sfbuf/internal/pmap"
 	"sfbuf/internal/sfbuf"
@@ -146,16 +145,17 @@ func (d *Disk) WriteAt(ctx *smp.Context, src []byte, off int64) error {
 	return d.transfer(ctx, src, off, true)
 }
 
-// transfer moves one request's bytes between buf and the disk.  A request
-// spanning multiple pages is mapped whole through the memdisk consumer
-// handle — one VA window under ranged translation (for requests covering
-// an aligned 2 MB-equivalent span of this disk's physically contiguous
-// pool, simulated superpage promotion collapses it to one TLB entry), or
-// one vectored batch where the mapper makes batching a fast path (the
-// original kernel's pmap_qenter run, the sharded cache's per-shard
-// batching).  The paper's global-lock kernel, and a request wider than
-// the mapping cache, map page by page through the ephemeral mapping
-// interface, exactly as Section 2.2 describes.
+// transfer moves one request's bytes between buf and the disk, mapped
+// whole through the memdisk consumer handle — one VA window under ranged
+// translation (for requests covering an aligned 2 MB-equivalent span of
+// this disk's physically contiguous pool, simulated superpage promotion
+// collapses it to one TLB entry), or one vectored batch where the mapper
+// makes batching a fast path (the original kernel's pmap_qenter run, the
+// sharded cache's per-shard batching).  A one-page request, every request
+// on the paper's global-lock kernel, and a request wider than the mapping
+// cache get a per-page extent: each page is mapped, copied and unmapped
+// through the ephemeral mapping interface, exactly as Section 2.2
+// describes.
 func (d *Disk) transfer(ctx *smp.Context, buf []byte, off int64, write bool) error {
 	if off < 0 || off+int64(len(buf)) > d.size {
 		return ErrOutOfRange
@@ -174,44 +174,16 @@ func (d *Disk) transfer(ctx *smp.Context, buf []byte, off int64, write bool) err
 
 	first := int(off / vm.PageSize)
 	last := int((off + int64(len(buf)) - 1) / vm.PageSize)
-	if last > first {
-		ext, err := d.contig.MapExtent(ctx, d.pages[first:last+1], d.flags())
-		switch {
-		case errors.Is(err, sfbuf.ErrBatchTooLarge):
-			// Mapped page by page below.
-		case err != nil:
-			return fmt.Errorf("memdisk: extent mapping: %w", err)
-		default:
-			defer ext.Unmap(ctx)
-			extOff := int(off - int64(first)*vm.PageSize)
-			if write {
-				return ext.CopyIn(ctx, extOff, buf)
-			}
-			return ext.CopyOut(ctx, buf, extOff)
-		}
+	ext, err := d.contig.MapExtent(ctx, d.pages[first:last+1], d.flags(), d.flags())
+	if err != nil {
+		return fmt.Errorf("memdisk: mapping for transfer: %w", err)
 	}
-
-	for len(buf) > 0 {
-		pg := d.pages[off/vm.PageSize]
-		po := int(off % vm.PageSize)
-		n := min(vm.PageSize-po, len(buf))
-		b, err := d.k.Map.Alloc(ctx, pg, d.flags())
-		if err != nil {
-			return fmt.Errorf("memdisk: mapping for transfer: %w", err)
-		}
-		if write {
-			err = kcopy.CopyIn(ctx, d.k.Pmap, b.KVA()+uint64(po), buf[:n])
-		} else {
-			err = kcopy.CopyOut(ctx, d.k.Pmap, buf[:n], b.KVA()+uint64(po))
-		}
-		d.k.Map.Free(ctx, b)
-		if err != nil {
-			return err
-		}
-		buf = buf[n:]
-		off += int64(n)
+	defer ext.Unmap(ctx)
+	extOff := int(off - int64(first)*vm.PageSize)
+	if write {
+		return ext.CopyIn(ctx, extOff, buf)
 	}
-	return nil
+	return ext.CopyOut(ctx, buf, extOff)
 }
 
 // Ops returns the cumulative read and write operation counts.

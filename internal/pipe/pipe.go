@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"sync"
 
-	"sfbuf/internal/kcopy"
 	"sfbuf/internal/kernel"
 	"sfbuf/internal/sfbuf"
 	"sfbuf/internal/smp"
@@ -44,17 +43,15 @@ var ErrClosed = errors.New("pipe: closed")
 // reader.
 type directWindow struct {
 	pages    []*vm.Page
-	off      int  // offset of the data within the current page
+	off      int  // read position, a byte offset from the start of pages[0]
 	n        int  // bytes remaining
 	consumed bool // reader drained the window completely
 
-	// ext maps the whole window at once — a contiguous run or a vectored
-	// batch, the pipe consumer's decision, observed once on the first
-	// read — and pageIdx is the read position's page within it.  perPage
-	// marks a window the handle declined, read page by page instead.
-	ext     kernel.Extent
-	pageIdx int
-	perPage bool
+	// ext maps the whole window — a contiguous run, a vectored batch or
+	// a per-page extent, the pipe consumer's decision, made once on the
+	// first read (mapped).
+	ext    kernel.Extent
+	mapped bool
 }
 
 // Pipe is one unidirectional pipe.
@@ -109,13 +106,10 @@ func (p *Pipe) Close() {
 	}
 	p.closed = true
 	if p.direct != nil {
-		// Tear down whatever the reader has not yet consumed; already
-		// consumed pages were unwired as the reader advanced.  A window
-		// mapping is released on CPU 0's behalf (process teardown).
-		if p.direct.ext.Mapped() {
-			p.direct.ext.Unmap(p.k.Ctx(0))
-			p.direct.ext = kernel.Extent{}
-		}
+		// Tear down the unconsumed window.  Its mapping is released on
+		// CPU 0's behalf (process teardown).
+		p.direct.ext.Unmap(p.k.Ctx(0))
+		p.direct.ext = kernel.Extent{}
 		for _, pg := range p.direct.pages {
 			pg.Unwire()
 		}
@@ -272,108 +266,59 @@ func (p *Pipe) Read(ctx *smp.Context, dst []byte) (int, error) {
 	return p.readDirect(ctx, w, dst)
 }
 
+// readDirect copies the next bytes of a loaned window.  The first read
+// maps the whole window through the pipe's consumer handle, which decides
+// how: as ONE contiguous run (a single VA window installed in one
+// page-table pass, read under ranged translation so copies cross page
+// boundaries without re-translating) on kernels whose mapper provides
+// runs, as one vectored batch where the mapper merely batches (the
+// original kernel's per-pipe KVA window + pmap_qenter, the sharded
+// cache's per-shard batching, the amd64 direct map's free casts) — static
+// under a pinned Contig policy, learned from observed window reuse under
+// the adaptive one.  The paper's global-lock kernel, and a window larger
+// than the whole mapping cache, get a per-page extent: "for each physical
+// page, it creates an ephemeral mapping that is private to the current
+// CPU ... copies the data ... [and] destroys the ephemeral mapping"
+// (Section 2.1).  A drained window is unmapped whole — one FreeRun, whose
+// shootdown debt launders with other runs', or one FreeBatch — and its
+// pages unwired.
+//
+// A run or a batch is SHARED, not Private: unlike a per-page mapping,
+// which lives and dies inside one copy on one CPU, the window persists
+// across Read calls, and a reader that migrates CPUs between reads would
+// otherwise fill a TLB the private teardown mask never shoots down.
 func (p *Pipe) readDirect(ctx *smp.Context, w *directWindow, dst []byte) (int, error) {
-	// The first read maps the whole loaned window through the pipe's
-	// consumer handle, which decides how: as ONE contiguous run (a single
-	// VA window installed in one page-table pass, read under ranged
-	// translation so copies cross page boundaries without re-translating)
-	// on kernels whose mapper provides runs, as one vectored batch where
-	// the mapper merely batches (the original kernel's per-pipe KVA
-	// window + pmap_qenter, the sharded cache's per-shard batching, the
-	// amd64 direct map's free casts) — static under a pinned Contig
-	// policy, learned from observed window reuse under the adaptive one.
-	// The paper's global-lock kernel, and a window larger than the whole
-	// mapping cache, map page by page through the ephemeral mapping
-	// interface, exactly as Section 2.1 describes.
-	if !w.perPage && !w.ext.Mapped() {
-		ext, err := p.contig.MapExtent(ctx, w.pages, 0)
-		switch {
-		case errors.Is(err, sfbuf.ErrBatchTooLarge):
-			w.perPage = true
-		case err != nil:
+	if !w.mapped {
+		ext, err := p.contig.MapExtent(ctx, w.pages, 0, sfbuf.Private)
+		if err != nil {
 			return 0, fmt.Errorf("pipe: mapping loaned window: %w", err)
-		default:
-			w.ext = ext
 		}
+		w.ext, w.mapped = ext, true
 	}
-	if !w.perPage {
-		return p.readExtent(ctx, w, dst)
-	}
-	read := 0
-	// "For each physical page, it creates an ephemeral mapping that is
-	// private to the current CPU ... copies the data from the kernel
-	// virtual address provided by the ephemeral mapping to the
-	// destination buffer ... destroys the ephemeral mapping, and unwires
-	// the physical page."
-	for read < len(dst) && w.n > 0 {
-		pg := w.pages[0]
-		b, err := p.k.Map.Alloc(ctx, pg, sfbuf.Private)
-		if err != nil {
-			return read, fmt.Errorf("pipe: mapping loaned page: %w", err)
-		}
-		chunk := min(vm.PageSize-w.off, w.n)
-		chunk = min(chunk, len(dst)-read)
-		err = kcopy.CopyOut(ctx, p.k.Pmap, dst[read:read+chunk], b.KVA()+uint64(w.off))
-		p.k.Map.Free(ctx, b)
-		if err != nil {
-			return read, err
-		}
-		read += chunk
-		w.off += chunk
-		w.n -= chunk
-		if w.off == vm.PageSize {
-			w.pages[0].Unwire()
-			ctx.Charge(ctx.Cost().PageWire)
-			w.pages = w.pages[1:]
-			w.off = 0
-		}
-	}
-	if w.n == 0 {
-		p.unwireWindow(ctx, w)
-	}
-	return read, nil
-}
-
-// readExtent drains a mapped window as the reader asks for it and unmaps
-// it whole — one FreeRun, whose shootdown debt launders with other runs',
-// or one FreeBatch — once it is consumed.  The mapping is SHARED, not
-// Private: unlike the per-page path, whose private mapping lives and dies
-// inside one Read call on one CPU, the window persists across Read calls,
-// and a reader that migrates CPUs between reads would otherwise fill a
-// TLB the private teardown mask never shoots down.
-func (p *Pipe) readExtent(ctx *smp.Context, w *directWindow, dst []byte) (int, error) {
-	read := 0
-	if len(dst) > 0 && w.n > 0 {
-		read = min(len(dst), w.n)
-		off := w.pageIdx*vm.PageSize + w.off
-		if err := w.ext.CopyOut(ctx, dst[:read], off); err != nil {
+	read := min(len(dst), w.n)
+	if read > 0 {
+		if err := w.ext.CopyOut(ctx, dst[:read], w.off); err != nil {
 			return 0, err
 		}
-		off += read
-		w.pageIdx, w.off = off/vm.PageSize, off%vm.PageSize
+		w.off += read
 		w.n -= read
 	}
 	if w.n == 0 {
-		w.ext.Unmap(ctx)
-		w.ext = kernel.Extent{}
-		p.unwireWindow(ctx, w)
+		p.finishWindow(ctx, w)
 	}
 	return read, nil
 }
 
-// unwireWindow unwires a drained window's remaining pages and hands the
-// window back to the writer.
-func (p *Pipe) unwireWindow(ctx *smp.Context, w *directWindow) {
+// finishWindow releases a drained window — unmaps it and unwires its
+// pages — marks it consumed and wakes the writer.
+func (p *Pipe) finishWindow(ctx *smp.Context, w *directWindow) {
+	w.ext.Unmap(ctx)
+	w.ext = kernel.Extent{}
 	for _, pg := range w.pages {
 		pg.Unwire()
 		ctx.Charge(ctx.Cost().PageWire)
 	}
 	w.pages = nil
-	p.finishWindow(w)
-}
-
-// finishWindow marks a direct window consumed and wakes the writer.
-func (p *Pipe) finishWindow(w *directWindow) {
 	p.mu.Lock()
 	w.consumed = true
 	if p.direct == w {

@@ -8,6 +8,7 @@ import (
 
 	"sfbuf/internal/arch"
 	"sfbuf/internal/kernel"
+	"sfbuf/internal/sfbuf"
 	"sfbuf/internal/vm"
 )
 
@@ -352,9 +353,9 @@ func TestBackToBackTransfers(t *testing.T) {
 	}
 }
 
-// TestDirectWindowLargerThanMappingCache pins the vectored fallback: a
+// TestDirectWindowLargerThanMappingCache pins the over-capacity case: a
 // loaned window spanning more pages than the sharded cache holds buffers
-// must be read page by page rather than fail with ErrBatchTooLarge.
+// gets a per-page extent from MapExtent and is read page by page.
 func TestDirectWindowLargerThanMappingCache(t *testing.T) {
 	k := kernel.MustBoot(kernel.Config{
 		Platform:     arch.XeonMP(),
@@ -396,5 +397,57 @@ func TestDirectWindowLargerThanMappingCache(t *testing.T) {
 	}
 	if st := k.Map.Stats(); st.Allocs != st.Frees {
 		t.Fatalf("leaked mappings: allocs %d != frees %d", st.Allocs, st.Frees)
+	}
+}
+
+// TestWindowSharedAcrossReaderMigration pins why a loaned window is
+// mapped shared: it outlives one Read call, so a reader that starts a
+// window on CPU 0 and finishes it on CPU 1 leaves translations of it in
+// CPU 1's TLB.  Once the window is freed, laundered and its KVA reused
+// for other pages, CPU 1 must read the new bytes — a Private window's
+// teardown shoots down only the CPU that mapped it, and CPU 1 would read
+// the old pages through its stale entries.
+func TestWindowSharedAcrossReaderMigration(t *testing.T) {
+	k := bootPipeKernel(t, kernel.SFBuf, arch.XeonMP(), kernel.On)
+	p := New(k)
+	defer p.Close()
+	// transfer moves pages-page windows through the pipe, reading the
+	// first split bytes on CPU 0 and the rest on CPU 1.
+	transfer := func(seed int64, pages, split int) {
+		t.Helper()
+		um := mustUM(t, k, pages*vm.PageSize)
+		want := fillPattern(t, um, seed)
+		done := make(chan error, 1)
+		go func() { done <- p.Write(k.Ctx(1), um, 0, len(want)) }()
+		got := make([]byte, len(want))
+		for off := 0; off < len(got); {
+			cpu, end := 1, len(got)
+			if off < split {
+				cpu, end = 0, split
+			}
+			n, err := p.Read(k.Ctx(cpu), got[off:end])
+			if err != nil {
+				t.Fatal(err)
+			}
+			off += n
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		if i := firstDiff(got, want); i >= 0 {
+			t.Fatalf("window %d: byte %d read %#x, want %#x", seed, i, got[i], want[i])
+		}
+	}
+	// The first 4-page window is read across the migration; seven 3-page
+	// windows then park beside it, so the eighth park triggers a
+	// laundering round, and the next 4-page window takes the only clean
+	// 4-page KVA: the first window's.
+	transfer(0, 4, 2*vm.PageSize)
+	for i := int64(1); i <= 7; i++ {
+		transfer(i, 3, 0)
+	}
+	transfer(8, 4, 2*vm.PageSize)
+	if st := k.Map.(*sfbuf.I386).RunWindowStats(); st.Reserved != 8 || st.Reuses != 1 {
+		t.Fatalf("run pool %+v: the first window's KVA was not reused", st)
 	}
 }

@@ -84,7 +84,9 @@ var (
 	ErrWouldBlock = sfbuf.ErrWouldBlock
 	// ErrInterrupted is Alloc's interrupted-sleep failure.
 	ErrInterrupted = sfbuf.ErrInterrupted
-	// ErrBatchTooLarge is AllocBatch's over-capacity failure.
+	// ErrBatchTooLarge is Mapper.AllocBatch's and AllocRun's
+	// over-capacity failure.  Consumers never see it: MapExtent answers
+	// a window wider than the cache with a per-page extent.
 	ErrBatchTooLarge = sfbuf.ErrBatchTooLarge
 )
 
@@ -122,8 +124,8 @@ type (
 	// pinned policies, self-tuning per window-size epoch under the
 	// adaptive one.
 	MapConsumer = kernel.MapConsumer
-	// Extent is one multi-page window a consumer handle mapped as a
-	// contiguous run or a vectored batch (MapConsumer.MapExtent): copy
+	// Extent is one window a consumer handle mapped as a contiguous run,
+	// a vectored batch, or page by page (MapConsumer.MapExtent): copy
 	// through it with CopyIn/CopyOut, release it with Unmap.
 	Extent = kernel.Extent
 	// PolicyStats snapshots one consumer's adaptive-policy state
