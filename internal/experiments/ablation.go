@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"sfbuf/internal/arch"
 	"sfbuf/internal/kernel"
 	"sfbuf/internal/sfbuf"
@@ -96,16 +94,10 @@ func RunAblation(o Options) (*Result, error) {
 		total := float64(iters)
 		c := k.M.SnapshotCounters()
 		cyc := float64(k.M.TotalCycles()) / total
-		res.Rows = append(res.Rows, []string{
-			"reuse: " + cfg.label,
-			fmt.Sprintf("%.0f", cyc),
-			fmt.Sprintf("%.3f", float64(c.LocalInv)/total),
-			fmt.Sprintf("%.3f", float64(c.RemoteInvIssued)/total),
-			fmt.Sprintf("%.1f%%", i386.Stats().HitRate()*100),
-		})
-		res.SetMetric("cycles_per_op/"+cfg.label, cyc)
-		res.SetMetric("local_per_op/"+cfg.label, float64(c.LocalInv)/total)
-		res.SetMetric("remote_per_op/"+cfg.label, float64(c.RemoteInvIssued)/total)
+		res.AddRow(label("reuse: "+cfg.label), num(cyc, "%.0f").as("cycles_per_op/"+cfg.label),
+			num(float64(c.LocalInv)/total, "%.3f").as("local_per_op/"+cfg.label),
+			num(float64(c.RemoteInvIssued)/total, "%.3f").as("remote_per_op/"+cfg.label),
+			num(i386.Stats().HitRate(), percentVerb))
 	}
 
 	// Regime B: miss-heavy with untouched mappings — the checksum-offload
@@ -151,15 +143,10 @@ func RunAblation(o Options) (*Result, error) {
 		total := float64(iters)
 		c := k.M.SnapshotCounters()
 		cyc := float64(k.M.TotalCycles()) / total
-		res.Rows = append(res.Rows, []string{
-			"untouched misses: " + cfg.label,
-			fmt.Sprintf("%.0f", cyc),
-			fmt.Sprintf("%.3f", float64(c.LocalInv)/total),
-			fmt.Sprintf("%.3f", float64(c.RemoteInvIssued)/total),
-			fmt.Sprintf("%.1f%%", i386.Stats().HitRate()*100),
-		})
-		res.SetMetric("miss_cycles_per_op/"+cfg.label, cyc)
-		res.SetMetric("miss_local_per_op/"+cfg.label, float64(c.LocalInv)/total)
+		res.AddRow(label("untouched misses: "+cfg.label),
+			num(cyc, "%.0f").as("miss_cycles_per_op/"+cfg.label),
+			num(float64(c.LocalInv)/total, "%.3f").as("miss_local_per_op/"+cfg.label),
+			num(float64(c.RemoteInvIssued)/total, "%.3f"), num(i386.Stats().HitRate(), percentVerb))
 	}
 	return res, nil
 }

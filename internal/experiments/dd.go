@@ -17,17 +17,29 @@ func init() {
 	register("fig7", func(o Options) (*Result, error) { return runDDInvalidations(o, 512<<20, "fig7") })
 }
 
-// ddConfig names one of the three disk-dump configurations of Figures 4-7.
+// ddConfig names one of the three disk-dump configurations of Figures
+// 4-7, with its throughput metric-key stem.
 type ddConfig struct {
-	label   string
-	mapper  kernel.MapperKind
-	private bool
+	label, stem string
+	mapper      kernel.MapperKind
+	private     bool
 }
 
 var ddConfigs = []ddConfig{
-	{"sf_buf: private", kernel.SFBuf, true},
-	{"sf_buf: shared", kernel.SFBuf, false},
-	{"original", kernel.OriginalKernel, false},
+	{"sf_buf: private", "private_mbps", kernel.SFBuf, true},
+	{"sf_buf: shared", "shared_mbps", kernel.SFBuf, false},
+	{"original", "original_mbps", kernel.OriginalKernel, false},
+}
+
+// ddArms are the three configurations' dd runs on a disk of diskBytes.
+func ddArms(o Options, diskBytes int64) []arm {
+	var arms []arm
+	for _, cfg := range ddConfigs {
+		arms = append(arms, arm{cfg.label, cfg.stem, func(p arch.Platform) (measurement, error) {
+			return ddRun(o, p, cfg, diskBytes)
+		}})
+	}
+	return arms
 }
 
 // ddRun performs one dd measurement: populate the disk (which doubles as
@@ -81,7 +93,6 @@ func ddRun1(o Options, plat arch.Platform, cfg ddConfig, diskBytes int64) (measu
 	}
 	m := measurement{
 		plat:    plat,
-		kernel:  cfg.label,
 		elapsed: serializedCycles(k.M),
 		bytes:   moved,
 	}
@@ -94,62 +105,22 @@ func ddTitle(diskBytes int64) string {
 }
 
 func runDDBandwidth(o Options, diskBytes int64, id string) (*Result, error) {
-	res := &Result{
+	note := "paper: disk exceeds the cache (~100% misses); the private option eliminates remote invalidations and wins on MP Xeons"
+	if diskBytes == 128<<20 {
+		note = "paper: disk fits the 64K-entry cache; private vs shared indistinguishable; up to +51% over original (Opteron +37%)"
+	}
+	return throughputTable(&Result{
 		ID:      id,
 		Title:   ddTitle(diskBytes) + ": bandwidth in MB/s",
 		Columns: []string{"Platform", "sf_buf private", "sf_buf shared", "original", "best improvement"},
-	}
-	if diskBytes == 128<<20 {
-		res.Notes = append(res.Notes,
-			"paper: disk fits the 64K-entry cache; private vs shared indistinguishable; up to +51% over original (Opteron +37%)")
-	} else {
-		res.Notes = append(res.Notes,
-			"paper: disk exceeds the cache (~100% misses); the private option eliminates remote invalidations and wins on MP Xeons")
-	}
-	for _, plat := range o.platforms() {
-		o.logf("  %s: %s", id, plat.Name)
-		var ms []measurement
-		for _, cfg := range ddConfigs {
-			m, err := ddRun(o, plat, cfg, diskBytes)
-			if err != nil {
-				return nil, err
-			}
-			ms = append(ms, m)
-		}
-		best := ms[0].mbps()
-		if ms[1].mbps() > best {
-			best = ms[1].mbps()
-		}
-		res.Rows = append(res.Rows, []string{
-			plat.Name, fmtF(ms[0].mbps()), fmtF(ms[1].mbps()), fmtF(ms[2].mbps()), pct(best, ms[2].mbps()),
-		})
-		res.SetMetric("private_mbps/"+plat.Name, ms[0].mbps())
-		res.SetMetric("shared_mbps/"+plat.Name, ms[1].mbps())
-		res.SetMetric("original_mbps/"+plat.Name, ms[2].mbps())
-		res.SetMetric("improvement_pct/"+plat.Name, pctVal(best, ms[2].mbps()))
-	}
-	return res, nil
+		Notes:   []string{note},
+	}, o, measurement.mbps, ddArms(o, diskBytes))
 }
 
 func runDDInvalidations(o Options, diskBytes int64, id string) (*Result, error) {
-	res := &Result{
+	return invalidationTable(&Result{
 		ID:      id,
 		Title:   ddTitle(diskBytes) + ": local and remote TLB invalidations issued",
 		Columns: []string{"Platform", "Config", "Local", "Remote"},
-	}
-	for _, plat := range o.platforms() {
-		o.logf("  %s: %s", id, plat.Name)
-		for _, cfg := range ddConfigs {
-			m, err := ddRun(o, plat, cfg, diskBytes)
-			if err != nil {
-				return nil, err
-			}
-			res.Rows = append(res.Rows, []string{
-				plat.Name, cfg.label, fmtU(m.localInv), fmtU(m.remoteInv),
-			})
-			res.SetMetric(fmt.Sprintf("local/%s/%s", plat.Name, cfg.label), float64(m.localInv))
-			res.SetMetric(fmt.Sprintf("remote/%s/%s", plat.Name, cfg.label), float64(m.remoteInv))
-		}
-	}
-	return res, nil
+	}, o, ddArms(o, diskBytes))
 }

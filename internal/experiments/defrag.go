@@ -328,17 +328,13 @@ func RunDefrag(o Options) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("defrag %s: %w", armCfg.name, err)
 		}
-		res.Rows = append(res.Rows, []string{
-			armCfg.name, fmt.Sprintf("%d", arm.Done), fmt.Sprintf("%d", arm.Extents),
-			fmt.Sprintf("%.2f", arm.ContigFrac), fmtF(arm.PromoPerSec),
-			fmt.Sprintf("%d", arm.Mig.PagesMoved), fmt.Sprintf("%d", arm.Mig.BlocksFreed),
-			fmt.Sprintf("%.1f", arm.CycPerOp),
-		})
-		res.SetMetric("contig_frac/"+armCfg.name, arm.ContigFrac)
-		res.SetMetric("promo_per_sec/"+armCfg.name, arm.PromoPerSec)
-		res.SetMetric("cyc_per_op/"+armCfg.name, arm.CycPerOp)
-		res.SetMetric("pages_moved/"+armCfg.name, float64(arm.Mig.PagesMoved))
-		res.SetMetric("blocks_freed/"+armCfg.name, float64(arm.Mig.BlocksFreed))
+		name := armCfg.name
+		res.AddRow(label(name), count(arm.Done), count(arm.Extents),
+			num(arm.ContigFrac, "%.2f").as("contig_frac/"+name),
+			auto(arm.PromoPerSec).as("promo_per_sec/"+name),
+			count(arm.Mig.PagesMoved).as("pages_moved/"+name),
+			count(arm.Mig.BlocksFreed).as("blocks_freed/"+name),
+			num(arm.CycPerOp, "%.1f").as("cyc_per_op/"+name))
 	}
 	return res, nil
 }

@@ -4,6 +4,15 @@
 // same rows the paper plots: bandwidths, transaction rates, throughputs,
 // and local/remote TLB invalidation counts.
 //
+// Results are data.  Each table value is a Cell: a label, or a number
+// with the format it renders in, optionally carrying the metric key it
+// is published under.  Result.AddRow appends a row and publishes its
+// keyed cells into Result.Metrics; Render formats every cell at the
+// end.  The paper's two table shapes each have one builder:
+// throughputTable (platform rows, one column per arm, the improvement)
+// and invalidationTable (platform × arm rows of local and remote
+// counts).
+//
 // Experiments accept an Options.Scale factor so the same code serves both
 // unit tests (tiny scales, seconds) and cmd/sfbench (full paper scale).
 // Scaling preserves the ratios that drive the results — most importantly
@@ -12,7 +21,7 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -52,15 +61,7 @@ func (o Options) logf(format string, args ...any) {
 
 // scaleInt scales n by the option's factor with a floor.
 func (o Options) scaleInt(n int, floor int) int {
-	s := o.Scale
-	if s <= 0 {
-		s = 1
-	}
-	v := int(float64(n) * s)
-	if v < floor {
-		return floor
-	}
-	return v
+	return int(o.scaleInt64(int64(n), int64(floor)))
 }
 
 // scaleInt64 scales n with a floor.
@@ -76,7 +77,8 @@ func (o Options) scaleInt64(n int64, floor int64) int64 {
 	return v
 }
 
-// Result is one reproduced table or figure.
+// Result is one reproduced table or figure: typed cells, formatted only
+// by Render, and the metrics its keyed cells publish.
 type Result struct {
 	// ID is the experiment identifier, e.g. "fig2".
 	ID string
@@ -84,16 +86,81 @@ type Result struct {
 	Title string
 	// Columns are the table headers.
 	Columns []string
-	// Rows are formatted cells.
-	Rows [][]string
+	// Rows are the table's cells, appended by AddRow.
+	Rows [][]Cell
 	// Notes carry methodology remarks and the paper's expectations.
 	Notes []string
 	// Metrics exposes headline values (key -> value) for the tests that
-	// gate each experiment and for the repo benchmark.
+	// gate each experiment and for the repo benchmark: every keyed cell,
+	// plus the few values no cell renders (SetMetric).
 	Metrics map[string]float64
 }
 
-// SetMetric records a headline value.
+// Cell is one table value: a label, or a number with the format it
+// renders in.  A cell with a Key is also a metric, published as Value
+// whatever its text shows.
+type Cell struct {
+	// Text is a label's text; number cells leave it empty.
+	Text string
+	// Value is the number, and what a keyed cell publishes.
+	Value float64
+	// Verb formats Value: a fmt verb such as "%.2f", autoVerb for
+	// fmtF's magnitude-dependent precision, or percentVerb for a
+	// fraction shown as a percentage.  Labels leave it empty.
+	Verb string
+	// Key names the metric the cell publishes; empty publishes nothing.
+	Key string
+}
+
+const (
+	autoVerb    = "auto"
+	percentVerb = "%"
+)
+
+func label(s string) Cell                       { return Cell{Text: s} }
+func num(v float64, verb string) Cell           { return Cell{Value: v, Verb: verb} }
+func auto(v float64) Cell                       { return num(v, autoVerb) }
+func count[T ~int | ~int64 | ~uint64](n T) Cell { return num(float64(n), "%.0f") }
+
+// improvement is a over b in percent; a zero baseline shows n/a and
+// publishes 0.
+func improvement(a, b float64) Cell {
+	if b == 0 {
+		return label("n/a")
+	}
+	return num((a/b-1)*100, "%+.0f%%")
+}
+
+// as returns the cell keyed as the metric key.
+func (c Cell) as(key string) Cell {
+	c.Key = key
+	return c
+}
+
+// String renders the cell.
+func (c Cell) String() string {
+	switch c.Verb {
+	case "":
+		return c.Text
+	case autoVerb:
+		return fmtF(c.Value)
+	case percentVerb:
+		return fmt.Sprintf("%.1f%%", c.Value*100)
+	}
+	return fmt.Sprintf(c.Verb, c.Value)
+}
+
+// AddRow appends one table row and publishes its keyed cells.
+func (r *Result) AddRow(cells ...Cell) {
+	for _, c := range cells {
+		if c.Key != "" {
+			r.SetMetric(c.Key, c.Value)
+		}
+	}
+	r.Rows = append(r.Rows, cells)
+}
+
+// SetMetric records a headline value that no cell renders.
 func (r *Result) SetMetric(key string, v float64) {
 	if r.Metrics == nil {
 		r.Metrics = make(map[string]float64)
@@ -109,8 +176,11 @@ func (r *Result) Render() string {
 	for i, c := range r.Columns {
 		widths[i] = len(c)
 	}
-	for _, row := range r.Rows {
-		for i, cell := range row {
+	rows := make([][]string, len(r.Rows))
+	for j, row := range r.Rows {
+		for i, c := range row {
+			cell := c.String()
+			rows[j] = append(rows[j], cell)
 			if i < len(widths) && len(cell) > widths[i] {
 				widths[i] = len(cell)
 			}
@@ -132,7 +202,7 @@ func (r *Result) Render() string {
 	}
 	b.WriteString(strings.Repeat("-", total))
 	b.WriteByte('\n')
-	for _, row := range r.Rows {
+	for _, row := range rows {
 		line(row)
 	}
 	for _, n := range r.Notes {
@@ -217,7 +287,6 @@ func ClearRunCache() {
 // measurement captures one configuration's run.
 type measurement struct {
 	plat      arch.Platform
-	kernel    string
 	elapsed   cycles.Cycles
 	bytes     int64
 	events    int64
@@ -246,22 +315,7 @@ func (m *measurement) snapshotInto(k *kernel.Kernel) {
 	m.hitRate = k.Map.Stats().HitRate()
 }
 
-// pct formats an improvement of a over b in percent.
-func pct(a, b float64) string {
-	if b == 0 {
-		return "n/a"
-	}
-	return fmt.Sprintf("%+.0f%%", (a/b-1)*100)
-}
-
-// pctVal returns the improvement of a over b in percent.
-func pctVal(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return (a/b - 1) * 100
-}
-
+// fmtF formats v with fewer decimals the larger it is.
 func fmtF(v float64) string {
 	switch {
 	case v >= 1000:
@@ -273,18 +327,6 @@ func fmtF(v float64) string {
 	}
 }
 
-func fmtU(v uint64) string { return fmt.Sprintf("%d", v) }
-
-// sortedKeys is a small helper for deterministic metric listings.
-func sortedKeys[M ~map[string]float64](m M) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // serializedCycles returns elapsed cycles for ping-pong workloads (pipe,
 // dd, PostMark, netperf): total CPU work, since their logical threads
 // hand off rather than overlap.
@@ -293,3 +335,62 @@ func serializedCycles(m *smp.Machine) cycles.Cycles { return m.TotalCycles() }
 // parallelCycles returns elapsed cycles for the web server, the one
 // workload that exploits multiple CPUs (Section 6.2).
 func parallelCycles(m *smp.Machine) cycles.Cycles { return m.ParallelCycles() }
+
+// arm is one configuration a paper figure compares: its label (the
+// Kernel or Config cell of an invalidation table), its metric-key stem
+// in a throughput table, and its memoized run on one platform.
+type arm struct {
+	label, stem string
+	run         func(arch.Platform) (measurement, error)
+}
+
+// kernelArms returns the sf_buf and original kernels as arms whose
+// throughput keys are sfbuf_<unit> and original_<unit>.
+func kernelArms(unit string, run func(arch.Platform, kernel.MapperKind) (measurement, error)) []arm {
+	one := func(mk kernel.MapperKind, stem string) arm {
+		runMK := func(p arch.Platform) (measurement, error) { return run(p, mk) }
+		return arm{mk.String(), stem + "_" + unit, runMK}
+	}
+	return []arm{one(kernel.SFBuf, "sfbuf"), one(kernel.OriginalKernel, "original")}
+}
+
+// throughputTable fills res with the paper's throughput shape: one row
+// per platform, each arm's rate, and the best sf_buf arm's improvement
+// over the last arm, the original kernel.
+func throughputTable(res *Result, o Options, rate func(measurement) float64, arms []arm) (*Result, error) {
+	for _, plat := range o.platforms() {
+		o.logf("  %s: %s", res.ID, plat.Name)
+		row := []Cell{label(plat.Name)}
+		vals := make([]float64, len(arms))
+		for i, a := range arms {
+			m, err := a.run(plat)
+			if err != nil {
+				return nil, err
+			}
+			vals[i] = rate(m)
+			row = append(row, auto(vals[i]).as(a.stem+"/"+plat.Name))
+		}
+		imp := improvement(slices.Max(vals[:len(vals)-1]), vals[len(vals)-1])
+		res.AddRow(append(row, imp.as("improvement_pct/"+plat.Name))...)
+	}
+	return res, nil
+}
+
+// invalidationTable fills res with the paper's invalidation shape: one
+// row per platform and arm, with the local and remote TLB invalidations
+// its run issued.
+func invalidationTable(res *Result, o Options, arms []arm) (*Result, error) {
+	for _, plat := range o.platforms() {
+		o.logf("  %s: %s", res.ID, plat.Name)
+		for _, a := range arms {
+			m, err := a.run(plat)
+			if err != nil {
+				return nil, err
+			}
+			key := plat.Name + "/" + a.label
+			res.AddRow(label(plat.Name), label(a.label),
+				count(m.localInv).as("local/"+key), count(m.remoteInv).as("remote/"+key))
+		}
+	}
+	return res, nil
+}

@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"strings"
+	"maps"
 	"testing"
 
 	"sfbuf/internal/arch"
@@ -262,7 +262,7 @@ func TestScaleDeterminism(t *testing.T) {
 }
 
 // assertReplayable runs an experiment twice and fails on any metric or
-// rendered cell that differs between the runs.
+// rendered line that differs between the runs.
 func assertReplayable(t *testing.T, run func() (*Result, error)) {
 	t.Helper()
 	a, err := run()
@@ -273,21 +273,11 @@ func assertReplayable(t *testing.T, run func() (*Result, error)) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Metrics) != len(b.Metrics) {
-		t.Errorf("metric count %d vs %d", len(a.Metrics), len(b.Metrics))
+	if !maps.Equal(a.Metrics, b.Metrics) {
+		t.Errorf("metrics not deterministic:\n%v\n%v", a.Metrics, b.Metrics)
 	}
-	for key, v := range a.Metrics {
-		if w, ok := b.Metrics[key]; !ok || v != w {
-			t.Errorf("metric %s not deterministic: %v vs %v", key, v, w)
-		}
-	}
-	if len(a.Rows) != len(b.Rows) {
-		t.Fatalf("row count %d vs %d", len(a.Rows), len(b.Rows))
-	}
-	for i := range a.Rows {
-		if strings.Join(a.Rows[i], "|") != strings.Join(b.Rows[i], "|") {
-			t.Errorf("row %d not deterministic:\n%v\n%v", i, a.Rows[i], b.Rows[i])
-		}
+	if ra, rb := a.Render(), b.Render(); ra != rb {
+		t.Errorf("rendered table not deterministic:\n%s", lineDiff(ra, rb))
 	}
 }
 
@@ -295,15 +285,29 @@ func TestResultRender(t *testing.T) {
 	r := &Result{
 		ID:      "figX",
 		Title:   "test table",
-		Columns: []string{"A", "BBBB"},
-		Rows:    [][]string{{"1", "2"}, {"333", "4"}},
+		Columns: []string{"A", "BBBB", "C", "D"},
 		Notes:   []string{"a note"},
 	}
-	out := r.Render()
-	for _, want := range []string{"figX", "test table", "BBBB", "333", "note: a note"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("render missing %q:\n%s", want, out)
-		}
+	r.AddRow(label("1"), count(uint64(2)), num(0.5, "%.2f"), improvement(3, 2).as("imp/1"))
+	r.AddRow(label("333"), count(4).as("n/333"), auto(1234.5), improvement(3, 0).as("imp/333"))
+	r.AddRow(label("f"), num(0.8125, percentVerb).as("hit/f"), Cell{Text: "n/a", Value: 0.25}.as("hit/g"), auto(5))
+	want := `figX — test table
+A    BBBB   C     D   
+-----------------------
+1    2      0.50  +50%
+333  4      1234  n/a 
+f    81.2%  n/a   5.00
+note: a note
+`
+	if got := r.Render(); got != want {
+		t.Errorf("render:\n%q\nwant\n%q", got, want)
+	}
+	// Keyed cells are published as their value, whatever they show; an
+	// improvement over a zero baseline publishes 0; unkeyed cells
+	// publish nothing.
+	wantMetrics := map[string]float64{"imp/1": 50, "n/333": 4, "imp/333": 0, "hit/f": 0.8125, "hit/g": 0.25}
+	if !maps.Equal(r.Metrics, wantMetrics) {
+		t.Errorf("metrics = %v, want %v", r.Metrics, wantMetrics)
 	}
 }
 

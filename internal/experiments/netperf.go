@@ -55,7 +55,6 @@ func netperfRun1(o Options, plat arch.Platform, mk kernel.MapperKind, mtu int) (
 	}
 	m := measurement{
 		plat:    plat,
-		kernel:  mk.String(),
 		elapsed: serializedCycles(k.M),
 		bytes:   moved,
 	}
@@ -70,8 +69,15 @@ func netperfTitle(mtu int) string {
 	return "Netperf throughput, small MTU (1500 B)"
 }
 
+// netperfArms are the two kernels' netperf runs at one MTU.
+func netperfArms(o Options, mtu int) []arm {
+	return kernelArms("mbitps", func(p arch.Platform, mk kernel.MapperKind) (measurement, error) {
+		return netperfRun(o, p, mk, mtu)
+	})
+}
+
 func runNetperfBandwidth(o Options, mtu int, id string) (*Result, error) {
-	res := &Result{
+	return throughputTable(&Result{
 		ID:      id,
 		Title:   netperfTitle(mtu) + " in Mbits/s",
 		Columns: []string{"Platform", "sf_buf Mbits/s", "original Mbits/s", "improvement"},
@@ -79,46 +85,13 @@ func runNetperfBandwidth(o Options, mtu int, id string) (*Result, error) {
 			"paper: improvements range ~4%..34%, larger with the large MTU",
 			"(with a larger MTU, less time goes to segmentation, so mapping costs weigh more)",
 		},
-	}
-	for _, plat := range o.platforms() {
-		o.logf("  %s: %s", id, plat.Name)
-		sf, err := netperfRun(o, plat, kernel.SFBuf, mtu)
-		if err != nil {
-			return nil, err
-		}
-		orig, err := netperfRun(o, plat, kernel.OriginalKernel, mtu)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, []string{
-			plat.Name, fmtF(sf.mbitps()), fmtF(orig.mbitps()), pct(sf.mbitps(), orig.mbitps()),
-		})
-		res.SetMetric("sfbuf_mbitps/"+plat.Name, sf.mbitps())
-		res.SetMetric("original_mbitps/"+plat.Name, orig.mbitps())
-		res.SetMetric("improvement_pct/"+plat.Name, pctVal(sf.mbitps(), orig.mbitps()))
-	}
-	return res, nil
+	}, o, measurement.mbitps, netperfArms(o, mtu))
 }
 
 func runNetperfInvalidations(o Options, mtu int, id string) (*Result, error) {
-	res := &Result{
+	return invalidationTable(&Result{
 		ID:      id,
 		Title:   netperfTitle(mtu) + ": local and remote TLB invalidations issued",
 		Columns: []string{"Platform", "Kernel", "Local", "Remote"},
-	}
-	for _, plat := range o.platforms() {
-		o.logf("  %s: %s", id, plat.Name)
-		for _, mk := range []kernel.MapperKind{kernel.SFBuf, kernel.OriginalKernel} {
-			m, err := netperfRun(o, plat, mk, mtu)
-			if err != nil {
-				return nil, err
-			}
-			res.Rows = append(res.Rows, []string{
-				plat.Name, m.kernel, fmtU(m.localInv), fmtU(m.remoteInv),
-			})
-			res.SetMetric(fmt.Sprintf("local/%s/%s", plat.Name, m.kernel), float64(m.localInv))
-			res.SetMetric(fmt.Sprintf("remote/%s/%s", plat.Name, m.kernel), float64(m.remoteInv))
-		}
-	}
-	return res, nil
+	}, o, netperfArms(o, mtu))
 }

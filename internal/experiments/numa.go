@@ -102,16 +102,11 @@ func numaRow(res *Result, k *kernel.Kernel, name string, sockets, done int) {
 	locks := float64(s.LockAcq) / float64(done)
 	ipisK := float64(s.IPIsDelivered) * 1000 / float64(done)
 	cycOp := float64(k.M.TotalCycles()) / float64(done)
-	res.Rows = append(res.Rows, []string{
-		name, fmt.Sprintf("%d", sockets), fmt.Sprintf("%d", done),
-		fmt.Sprintf("%.4f", rlocks), fmt.Sprintf("%.4f", ripis),
-		fmt.Sprintf("%.2f", locks), fmtF(ipisK), fmt.Sprintf("%.1f", cycOp),
-	})
-	res.SetMetric("remote_locks_per_op/"+name, rlocks)
-	res.SetMetric("remote_ipis_per_op/"+name, ripis)
-	res.SetMetric("locks_per_op/"+name, locks)
-	res.SetMetric("ipis_per_kop/"+name, ipisK)
-	res.SetMetric("cyc_per_op/"+name, cycOp)
+	res.AddRow(label(name), count(sockets), count(done),
+		num(rlocks, "%.4f").as("remote_locks_per_op/"+name),
+		num(ripis, "%.4f").as("remote_ipis_per_op/"+name),
+		num(locks, "%.2f").as("locks_per_op/"+name), auto(ipisK).as("ipis_per_kop/"+name),
+		num(cycOp, "%.1f").as("cyc_per_op/"+name))
 }
 
 // churnNUMA is the socket-local churn: every CPU allocates its own

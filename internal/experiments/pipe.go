@@ -52,7 +52,6 @@ func pipeRun1(o Options, plat arch.Platform, mk kernel.MapperKind) (measurement,
 	}
 	m := measurement{
 		plat:    plat,
-		kernel:  mk.String(),
 		elapsed: serializedCycles(k.M),
 		bytes:   moved,
 	}
@@ -60,42 +59,31 @@ func pipeRun1(o Options, plat arch.Platform, mk kernel.MapperKind) (measurement,
 	return m, nil
 }
 
+// pipeArms are the two kernels' bw_pipe runs.
+func pipeArms(o Options) []arm {
+	return kernelArms("mbps", func(p arch.Platform, mk kernel.MapperKind) (measurement, error) {
+		return pipeRun(o, p, mk)
+	})
+}
+
 // RunFig2 reproduces Figure 2: pipe bandwidth in MB/s for the lmbench
 // bw_pipe benchmark (50 MB in 64 KB chunks) under the sf_buf and original
 // kernels on all five platforms.
 func RunFig2(o Options) (*Result, error) {
-	res := &Result{
+	return throughputTable(&Result{
 		ID:      "fig2",
 		Title:   "Pipe bandwidth in MB/s (lmbench bw_pipe, 50 MB in 64 KB chunks)",
 		Columns: []string{"Platform", "sf_buf MB/s", "original MB/s", "improvement"},
 		Notes: []string{
 			"paper improvements: Xeon-UP +67%, Xeon-HTT +129%, Xeon-MP +168%, Xeon-MP-HTT +113%, Opteron-MP +22%",
 		},
-	}
-	for _, plat := range o.platforms() {
-		o.logf("  fig2: %s", plat.Name)
-		sf, err := pipeRun(o, plat, kernel.SFBuf)
-		if err != nil {
-			return nil, err
-		}
-		orig, err := pipeRun(o, plat, kernel.OriginalKernel)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, []string{
-			plat.Name, fmtF(sf.mbps()), fmtF(orig.mbps()), pct(sf.mbps(), orig.mbps()),
-		})
-		res.SetMetric("sfbuf_mbps/"+plat.Name, sf.mbps())
-		res.SetMetric("original_mbps/"+plat.Name, orig.mbps())
-		res.SetMetric("improvement_pct/"+plat.Name, pctVal(sf.mbps(), orig.mbps()))
-	}
-	return res, nil
+	}, o, measurement.mbps, pipeArms(o))
 }
 
 // RunFig3 reproduces Figure 3: local and remote TLB invalidations issued
 // during the pipe experiment.
 func RunFig3(o Options) (*Result, error) {
-	res := &Result{
+	return invalidationTable(&Result{
 		ID:      "fig3",
 		Title:   "Local and remote TLB invalidations issued for the pipe experiment",
 		Columns: []string{"Platform", "Kernel", "Local", "Remote"},
@@ -103,20 +91,5 @@ func RunFig3(o Options) (*Result, error) {
 			"paper: sf_buf kernel eliminates invalidations (near-100% mapping cache hits);",
 			"original kernel issues one global invalidation per page transferred",
 		},
-	}
-	for _, plat := range o.platforms() {
-		o.logf("  fig3: %s", plat.Name)
-		for _, mk := range []kernel.MapperKind{kernel.SFBuf, kernel.OriginalKernel} {
-			m, err := pipeRun(o, plat, mk)
-			if err != nil {
-				return nil, err
-			}
-			res.Rows = append(res.Rows, []string{
-				plat.Name, m.kernel, fmtU(m.localInv), fmtU(m.remoteInv),
-			})
-			res.SetMetric(fmt.Sprintf("local/%s/%s", plat.Name, m.kernel), float64(m.localInv))
-			res.SetMetric(fmt.Sprintf("remote/%s/%s", plat.Name, m.kernel), float64(m.remoteInv))
-		}
-	}
-	return res, nil
+	}, o, pipeArms(o))
 }

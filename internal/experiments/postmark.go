@@ -74,7 +74,6 @@ func postmarkRun1(o Options, plat arch.Platform, mk kernel.MapperKind) (measurem
 	}
 	m := measurement{
 		plat:    plat,
-		kernel:  mk.String(),
 		elapsed: serializedCycles(k.M),
 		bytes:   pr.BytesRead + pr.BytesWritten,
 		events:  int64(pr.Transactions),
@@ -84,10 +83,18 @@ func postmarkRun1(o Options, plat arch.Platform, mk kernel.MapperKind) (measurem
 	return m, pr, nil
 }
 
+// postmarkArms are the two kernels' PostMark runs.
+func postmarkArms(o Options) []arm {
+	return kernelArms("tps", func(p arch.Platform, mk kernel.MapperKind) (measurement, error) {
+		m, _, err := postmarkRun(o, p, mk)
+		return m, err
+	})
+}
+
 // RunFig8 reproduces Figure 8: PostMark transactions per second with
 // 20,000 files and 100,000 transactions.
 func RunFig8(o Options) (*Result, error) {
-	res := &Result{
+	return throughputTable(&Result{
 		ID:      "fig8",
 		Title:   "PostMark transactions per second (20,000 files / 100,000 transactions)",
 		Columns: []string{"Platform", "sf_buf TPS", "original TPS", "improvement"},
@@ -95,25 +102,7 @@ func RunFig8(o Options) (*Result, error) {
 			"paper: Opteron-MP +11%..+27%; Xeons +4%..+13%",
 			"the ~150 MB footprint fits the Xeon mapping cache, so gains come from eliminated invalidations",
 		},
-	}
-	for _, plat := range o.platforms() {
-		o.logf("  fig8: %s", plat.Name)
-		sf, _, err := postmarkRun(o, plat, kernel.SFBuf)
-		if err != nil {
-			return nil, err
-		}
-		orig, _, err := postmarkRun(o, plat, kernel.OriginalKernel)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, []string{
-			plat.Name, fmtF(sf.perSec()), fmtF(orig.perSec()), pct(sf.perSec(), orig.perSec()),
-		})
-		res.SetMetric("sfbuf_tps/"+plat.Name, sf.perSec())
-		res.SetMetric("original_tps/"+plat.Name, orig.perSec())
-		res.SetMetric("improvement_pct/"+plat.Name, pctVal(sf.perSec(), orig.perSec()))
-	}
-	return res, nil
+	}, o, measurement.perSec, postmarkArms(o))
 }
 
 // RunFig9 reproduces Figure 9: PostMark read and write throughput.
@@ -139,11 +128,9 @@ func RunFig9(o Options) (*Result, error) {
 				readMBps = float64(pr.BytesRead) / 1e6 / secs
 				writeMBps = float64(pr.BytesWritten) / 1e6 / secs
 			}
-			res.Rows = append(res.Rows, []string{
-				plat.Name, m.kernel, fmtF(readMBps), fmtF(writeMBps),
-			})
-			res.SetMetric(fmt.Sprintf("read_mbps/%s/%s", plat.Name, m.kernel), readMBps)
-			res.SetMetric(fmt.Sprintf("write_mbps/%s/%s", plat.Name, m.kernel), writeMBps)
+			key := plat.Name + "/" + mk.String()
+			res.AddRow(label(plat.Name), label(mk.String()),
+				auto(readMBps).as("read_mbps/"+key), auto(writeMBps).as("write_mbps/"+key))
 		}
 	}
 	return res, nil
@@ -151,27 +138,12 @@ func RunFig9(o Options) (*Result, error) {
 
 // RunFig10 reproduces Figure 10: TLB invalidations issued during PostMark.
 func RunFig10(o Options) (*Result, error) {
-	res := &Result{
+	return invalidationTable(&Result{
 		ID:      "fig10",
 		Title:   "Local and remote TLB invalidations issued for PostMark",
 		Columns: []string{"Platform", "Kernel", "Local", "Remote"},
 		Notes: []string{
 			"paper: sf_buf kernel eliminates invalidations (footprint fits the cache); original issues millions",
 		},
-	}
-	for _, plat := range o.platforms() {
-		o.logf("  fig10: %s", plat.Name)
-		for _, mk := range []kernel.MapperKind{kernel.SFBuf, kernel.OriginalKernel} {
-			m, _, err := postmarkRun(o, plat, mk)
-			if err != nil {
-				return nil, err
-			}
-			res.Rows = append(res.Rows, []string{
-				plat.Name, m.kernel, fmtU(m.localInv), fmtU(m.remoteInv),
-			})
-			res.SetMetric(fmt.Sprintf("local/%s/%s", plat.Name, m.kernel), float64(m.localInv))
-			res.SetMetric(fmt.Sprintf("remote/%s/%s", plat.Name, m.kernel), float64(m.remoteInv))
-		}
-	}
-	return res, nil
+	}, o, postmarkArms(o))
 }

@@ -75,16 +75,10 @@ func RunReclaim(o Options) (*Result, error) {
 				sum += l
 			}
 			mean := float64(sum) / float64(len(lats))
-			res.Rows = append(res.Rows, []string{
-				arm.name, fmt.Sprintf("%d", probe), fmt.Sprintf("%d", len(lats)),
-				fmt.Sprintf("%d", p50), fmt.Sprintf("%d", p99),
-				fmt.Sprintf("%d", p999), fmt.Sprintf("%.0f", mean), "-",
-			})
 			key := fmt.Sprintf("%s/%d", arm.name, probe)
-			res.SetMetric("p50/"+key, float64(p50))
-			res.SetMetric("p99/"+key, float64(p99))
-			res.SetMetric("p999/"+key, float64(p999))
-			res.SetMetric("mean/"+key, mean)
+			res.AddRow(label(arm.name), count(probe), count(len(lats)),
+				count(p50).as("p50/"+key), count(p99).as("p99/"+key), count(p999).as("p999/"+key),
+				num(mean, "%.0f").as("mean/"+key), label("-"))
 		}
 
 		// Steady state: the same engine under continuous vectored churn,
@@ -93,11 +87,9 @@ func RunReclaim(o Options) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("reclaim steady %s: %w", arm.name, err)
 		}
-		res.Rows = append(res.Rows, []string{
-			arm.name + " steady", "-", "-", "-", "-", "-", "-",
-			fmt.Sprintf("%.1f", cycOp),
-		})
-		res.SetMetric("steady_cyc_op/"+arm.name, cycOp)
+		dash := label("-")
+		res.AddRow(label(arm.name+" steady"), dash, dash, dash, dash, dash, dash,
+			num(cycOp, "%.1f").as("steady_cyc_op/"+arm.name))
 	}
 	return res, nil
 }

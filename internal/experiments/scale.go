@@ -113,7 +113,7 @@ func RunScale(o Options) (*Result, error) {
 				return nil, err
 			}
 			var done int
-			contigCol := "-"
+			contig := label("-")
 			if mode == "frag" {
 				// The frag rows allocate their extents fresh from the
 				// churned physical allocator instead of a boot-time pool.
@@ -123,10 +123,7 @@ func RunScale(o Options) (*Result, error) {
 				k.Reset()
 				var frac float64
 				done, frac, err = ChurnFrag(k, ops, batch, true)
-				if err == nil {
-					contigCol = fmt.Sprintf("%.2f", frac)
-					res.SetMetric("contig_frac/"+name, frac)
-				}
+				contig = num(frac, "%.2f").as("contig_frac/" + name)
 			} else {
 				var pages []*vm.Page
 				pages, err = k.M.Phys.AllocN(4 * entries)
@@ -147,7 +144,7 @@ func RunScale(o Options) (*Result, error) {
 			if err != nil {
 				return nil, fmt.Errorf("scale %s: %w", name, err)
 			}
-			scaleRow(res, k, name, done, contigCol)
+			scaleRow(res, k, name, done, contig)
 		}
 	}
 
@@ -155,7 +152,7 @@ func RunScale(o Options) (*Result, error) {
 }
 
 // scaleRow appends one engine's churn economy to the scale result.
-func scaleRow(res *Result, k *kernel.Kernel, name string, done int, contigCol string) {
+func scaleRow(res *Result, k *kernel.Kernel, name string, done int, contig Cell) {
 	s := k.M.SnapshotCounters()
 	st := k.Map.Stats()
 	perK := func(n uint64) float64 { return float64(n) * 1000 / float64(done) }
@@ -171,21 +168,13 @@ func scaleRow(res *Result, k *kernel.Kernel, name string, done int, contigCol st
 		tlbTouched += ts.Inserts + ts.LargeInserts
 	}
 	tlbPerOp := float64(tlbTouched) / float64(done)
-	res.Rows = append(res.Rows, []string{
-		name, fmt.Sprintf("%d", done), fmt.Sprintf("%.2f", st.HitRate()),
-		fmtF(perK(s.LocalInv)), fmtF(perK(s.RemoteInvIssued)),
-		fmtF(perK(s.IPIsDelivered)), fmt.Sprintf("%.2f", locksPerOp),
-		fmt.Sprintf("%.3f", walksPerOp), fmt.Sprintf("%.3f", tlbPerOp),
-		fmtF(coalesce), contigCol,
-	})
-	res.SetMetric("remote_per_kop/"+name, perK(s.RemoteInvIssued))
-	res.SetMetric("ipis_per_kop/"+name, perK(s.IPIsDelivered))
-	res.SetMetric("local_per_kop/"+name, perK(s.LocalInv))
-	res.SetMetric("hitrate/"+name, st.HitRate())
-	res.SetMetric("coalesce/"+name, coalesce)
-	res.SetMetric("locks_per_op/"+name, locksPerOp)
-	res.SetMetric("walks_per_op/"+name, walksPerOp)
-	res.SetMetric("tlb_per_op/"+name, tlbPerOp)
+	res.AddRow(label(name), count(done), num(st.HitRate(), "%.2f").as("hitrate/"+name),
+		auto(perK(s.LocalInv)).as("local_per_kop/"+name),
+		auto(perK(s.RemoteInvIssued)).as("remote_per_kop/"+name),
+		auto(perK(s.IPIsDelivered)).as("ipis_per_kop/"+name),
+		num(locksPerOp, "%.2f").as("locks_per_op/"+name),
+		num(walksPerOp, "%.3f").as("walks_per_op/"+name),
+		num(tlbPerOp, "%.3f").as("tlb_per_op/"+name), auto(coalesce).as("coalesce/"+name), contig)
 }
 
 // ScaleBatch is the run length the scale experiment's batch rows use;

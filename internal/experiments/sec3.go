@@ -57,10 +57,8 @@ func RunSec3(o Options) (*Result, error) {
 			ctx.InvalidateLocal(vpn)
 		}
 		cached := float64(m.CPU(0).Cycles()) / float64(iters)
-		res.Rows = append(res.Rows, []string{
-			c.plat.Name, "local invlpg, PTE cached", fmtF(cached), fmt.Sprintf("~%d", c.localCached),
-		})
-		res.SetMetric("local_cached/"+c.plat.Name, cached)
+		res.AddRow(label(c.plat.Name), label("local invlpg, PTE cached"),
+			auto(cached).as("local_cached/"+c.plat.Name), label(fmt.Sprintf("~%d", c.localCached)))
 
 		// Local, PTE uncached: sweep far more PTE lines than the
 		// modeled cache holds.
@@ -72,10 +70,8 @@ func RunSec3(o Options) (*Result, error) {
 			ctx.InvalidateLocal(vpn + (uint64(i)%span)*8)
 		}
 		uncached := float64(m.CPU(0).Cycles()) / float64(iters)
-		res.Rows = append(res.Rows, []string{
-			c.plat.Name, "local invlpg, PTE uncached", fmtF(uncached), fmt.Sprintf("~%d", c.localUncach),
-		})
-		res.SetMetric("local_uncached/"+c.plat.Name, uncached)
+		res.AddRow(label(c.plat.Name), label("local invlpg, PTE uncached"),
+			auto(uncached).as("local_uncached/"+c.plat.Name), label(fmt.Sprintf("~%d", c.localUncach)))
 
 		// Remote: the initiating CPU's wait for the shootdown.
 		m.ResetCounters()
@@ -83,10 +79,8 @@ func RunSec3(o Options) (*Result, error) {
 			ctx.Shootdown(m.AllCPUs(), vpn)
 		}
 		remote := float64(m.CPU(0).Cycles()) / float64(iters)
-		res.Rows = append(res.Rows, []string{
-			c.plat.Name, c.remoteName, fmtF(remote), fmt.Sprintf("~%d", c.remote),
-		})
-		res.SetMetric("remote/"+c.plat.Name, remote)
+		res.AddRow(label(c.plat.Name), label(c.remoteName),
+			auto(remote).as("remote/"+c.plat.Name), label(fmt.Sprintf("~%d", c.remote)))
 	}
 	return res, nil
 }

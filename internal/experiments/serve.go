@@ -165,21 +165,11 @@ func runServeExperiment(opt Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		res.Rows = append(res.Rows, []string{
-			v.Name,
-			fmt.Sprintf("%d", r.P50),
-			fmt.Sprintf("%d", r.P99),
-			fmt.Sprintf("%d", r.P999),
-			fmt.Sprintf("%.0f", r.WalksPerMB),
-			fmt.Sprintf("%.1f", r.RoundsPerMB),
-			fmt.Sprintf("%d", r.Serve.Stalls),
-			fmt.Sprintf("%d", r.Serve.Retransmits),
-			fmt.Sprintf("%d/%d", r.Completed, r.Requests),
-		})
-		res.SetMetric("p99_"+v.Name, float64(r.P99))
-		res.SetMetric("walks_per_mb_"+v.Name, r.WalksPerMB)
-		res.SetMetric("rounds_per_mb_"+v.Name, r.RoundsPerMB)
-		res.SetMetric("stalls_"+v.Name, float64(r.Serve.Stalls))
+		res.AddRow(label(v.Name), count(r.P50), count(r.P99).as("p99_"+v.Name), count(r.P999),
+			num(r.WalksPerMB, "%.0f").as("walks_per_mb_"+v.Name),
+			num(r.RoundsPerMB, "%.1f").as("rounds_per_mb_"+v.Name),
+			count(r.Serve.Stalls).as("stalls_"+v.Name), count(r.Serve.Retransmits),
+			label(fmt.Sprintf("%d/%d", r.Completed, r.Requests)))
 		res.SetMetric("bytes_"+v.Name, float64(r.BytesReceived))
 	}
 	return res, nil

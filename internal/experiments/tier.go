@@ -303,18 +303,12 @@ func RunTier(o Options) (*Result, error) {
 				return nil, fmt.Errorf("tier %s/%s: %w", armCfg.name, workload, err)
 			}
 			st := arm.Stats
-			res.Rows = append(res.Rows, []string{
-				armCfg.name, workload, fmt.Sprintf("%d", arm.Pages),
-				fmt.Sprintf("%.2f", tierFastFrac(st)),
-				fmt.Sprintf("%d", st.PromotedPages), fmt.Sprintf("%d", st.DemotedPages),
-				fmt.Sprintf("%.1f", float64(st.SlowMemCycles)/1e6),
-				fmt.Sprintf("%.1f", arm.CycPerPage),
-			})
 			key := workload + "/" + armCfg.name
-			res.SetMetric("cyc_per_page/"+key, arm.CycPerPage)
-			res.SetMetric("fast_frac/"+key, tierFastFrac(st))
-			res.SetMetric("promoted_pages/"+key, float64(st.PromotedPages))
-			res.SetMetric("demoted_pages/"+key, float64(st.DemotedPages))
+			res.AddRow(label(armCfg.name), label(workload), count(arm.Pages),
+				num(tierFastFrac(st), "%.2f").as("fast_frac/"+key),
+				count(st.PromotedPages).as("promoted_pages/"+key),
+				count(st.DemotedPages).as("demoted_pages/"+key),
+				num(float64(st.SlowMemCycles)/1e6, "%.1f"), num(arm.CycPerPage, "%.1f").as("cyc_per_page/"+key))
 		}
 	}
 	return res, nil

@@ -77,7 +77,6 @@ func webRun1(o Options, plat arch.Platform, mk kernel.MapperKind, trace *workloa
 	}
 	m := measurement{
 		plat:    plat,
-		kernel:  mk.String(),
 		elapsed: parallelCycles(k.M),
 		bytes:   wres.BytesServed,
 		events:  int64(wres.Requests),
@@ -87,64 +86,37 @@ func webRun1(o Options, plat arch.Platform, mk kernel.MapperKind, trace *workloa
 	return m, nil
 }
 
+// webArms are the two kernels serving the trace with checksum offload
+// on and a scaled 64K-entry cache.
+func webArms(o Options, trace *workloads.Trace) []arm {
+	entries := o.scaleInt(sfbuf.DefaultI386Entries, 2048)
+	return kernelArms("mbitps", func(p arch.Platform, mk kernel.MapperKind) (measurement, error) {
+		return webRun(o, p, mk, trace, entries, true)
+	})
+}
+
 func runWebThroughput(o Options, traceName, id string) (*Result, error) {
 	trace := webTrace(o, traceName)
-	res := &Result{
+	note := "paper: Opteron-MP +14%; Xeons up to +7%"
+	if traceName == "NASA" {
+		note = "paper: Opteron-MP +6%; Xeons up to +7%"
+	}
+	return throughputTable(&Result{
 		ID:    id,
 		Title: fmt.Sprintf("Web server throughput in Mbits/s, %s workload (footprint %d MB)", traceName, trace.Footprint>>20),
 		Columns: []string{
 			"Platform", "sf_buf Mbits/s", "original Mbits/s", "improvement",
 		},
-	}
-	if traceName == "NASA" {
-		res.Notes = append(res.Notes, "paper: Opteron-MP +6%; Xeons up to +7%")
-	} else {
-		res.Notes = append(res.Notes, "paper: Opteron-MP +14%; Xeons up to +7%")
-	}
-	entries := o.scaleInt(sfbuf.DefaultI386Entries, 2048)
-	for _, plat := range o.platforms() {
-		o.logf("  %s: %s", id, plat.Name)
-		sf, err := webRun(o, plat, kernel.SFBuf, trace, entries, true)
-		if err != nil {
-			return nil, err
-		}
-		orig, err := webRun(o, plat, kernel.OriginalKernel, trace, entries, true)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, []string{
-			plat.Name, fmtF(sf.mbitps()), fmtF(orig.mbitps()), pct(sf.mbitps(), orig.mbitps()),
-		})
-		res.SetMetric("sfbuf_mbitps/"+plat.Name, sf.mbitps())
-		res.SetMetric("original_mbitps/"+plat.Name, orig.mbitps())
-		res.SetMetric("improvement_pct/"+plat.Name, pctVal(sf.mbitps(), orig.mbitps()))
-	}
-	return res, nil
+		Notes: []string{note},
+	}, o, measurement.mbitps, webArms(o, trace))
 }
 
 func runWebInvalidations(o Options, traceName, id string) (*Result, error) {
-	trace := webTrace(o, traceName)
-	res := &Result{
+	return invalidationTable(&Result{
 		ID:      id,
 		Title:   fmt.Sprintf("Local and remote TLB invalidations issued, %s workload", traceName),
 		Columns: []string{"Platform", "Kernel", "Local", "Remote"},
-	}
-	entries := o.scaleInt(sfbuf.DefaultI386Entries, 2048)
-	for _, plat := range o.platforms() {
-		o.logf("  %s: %s", id, plat.Name)
-		for _, mk := range []kernel.MapperKind{kernel.SFBuf, kernel.OriginalKernel} {
-			m, err := webRun(o, plat, mk, trace, entries, true)
-			if err != nil {
-				return nil, err
-			}
-			res.Rows = append(res.Rows, []string{
-				plat.Name, m.kernel, fmtU(m.localInv), fmtU(m.remoteInv),
-			})
-			res.SetMetric(fmt.Sprintf("local/%s/%s", plat.Name, m.kernel), float64(m.localInv))
-			res.SetMetric(fmt.Sprintf("remote/%s/%s", plat.Name, m.kernel), float64(m.remoteInv))
-		}
-	}
-	return res, nil
+	}, o, webArms(o, webTrace(o, traceName)))
 }
 
 // fig19Configs are the cache-size sweep configurations of Figures 19-20:
@@ -191,17 +163,12 @@ func RunFig19(o Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		hit := "n/a"
-		if cfg.mapper == kernel.SFBuf {
-			hit = fmt.Sprintf("%.1f%%", on.hitRate*100)
+		hit := num(on.hitRate, percentVerb)
+		if cfg.mapper != kernel.SFBuf {
+			hit = Cell{Text: "n/a", Value: on.hitRate}
 		}
-		res.Rows = append(res.Rows, []string{
-			cfg.label, fmtF(on.mbitps()), fmtF(off.mbitps()), hit,
-		})
-		key := cfg.label
-		res.SetMetric("mbitps_on/"+key, on.mbitps())
-		res.SetMetric("mbitps_off/"+key, off.mbitps())
-		res.SetMetric("hitrate_on/"+key, on.hitRate)
+		res.AddRow(label(cfg.label), auto(on.mbitps()).as("mbitps_on/"+cfg.label),
+			auto(off.mbitps()).as("mbitps_off/"+cfg.label), hit.as("hitrate_on/"+cfg.label))
 	}
 	return res, nil
 }
@@ -226,15 +193,13 @@ func RunFig20(o Options) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			label := "off"
+			checksum := "off"
 			if offload {
-				label = "on"
+				checksum = "on"
 			}
-			res.Rows = append(res.Rows, []string{
-				cfg.label, label, fmtU(m.localInv), fmtU(m.remoteInv),
-			})
-			res.SetMetric(fmt.Sprintf("local/%s/offload=%s", cfg.label, label), float64(m.localInv))
-			res.SetMetric(fmt.Sprintf("remote/%s/offload=%s", cfg.label, label), float64(m.remoteInv))
+			key := cfg.label + "/offload=" + checksum
+			res.AddRow(label(cfg.label), label(checksum),
+				count(m.localInv).as("local/"+key), count(m.remoteInv).as("remote/"+key))
 		}
 	}
 	return res, nil

@@ -9,7 +9,11 @@
 #   3. every `make <target>` that README.md, docs/*.md or the verify
 #      skill names (in a code span, or at the start of a line in a
 #      fenced block) must be a Makefile target, and every
-#      `go run ./cmd/<x>` must name an existing directory.
+#      `go run ./cmd/<x>` must name an existing directory;
+#   4. every Test*, Benchmark* or Fuzz* function those files name in a
+#      code span (bare or package-qualified, as in `pmap.TestGoldenMMU`)
+#      must be defined in some _test.go file.  Wildcards such as
+#      `Test*Economy` are exempt.
 set -eu
 cd "$(dirname "$0")/.."
 fail=0
@@ -91,8 +95,36 @@ for md in README.md docs/*.md .claude/skills/verify/SKILL.md; do
 	done
 done
 
+testfiles=$(find . -name '*_test.go' -not -path './.git/*')
+for md in README.md docs/*.md .claude/skills/verify/SKILL.md; do
+	[ -e "$md" ] || continue
+	# Code spans may wrap lines: join the text outside fenced blocks,
+	# then take every other backtick-delimited field.
+	for t in $(awk '
+		/^[ \t]*```/ { fence = !fence; next }
+		!fence { text = text " " $0 }
+		END {
+			n = split(text, parts, "`")
+			for (i = 2; i <= n; i += 2) {
+				span = parts[i]
+				while (match(span, /(^|[^A-Za-z0-9_])(Test|Benchmark|Fuzz)[A-Z_][A-Za-z0-9_*]*/)) {
+					name = substr(span, RSTART, RLENGTH)
+					sub(/^[^A-Za-z0-9_]/, "", name)
+					if (name !~ /\*/) print name
+					span = substr(span, RSTART + RLENGTH)
+				}
+			}
+		}' "$md" | sort -u); do
+		# shellcheck disable=SC2086
+		if ! grep -qs "^func $t(" $testfiles; then
+			echo "unknown test function in $md: $t"
+			fail=1
+		fi
+	done
+done
+
 if [ "$fail" -ne 0 ]; then
 	echo "docs check FAILED"
 	exit 1
 fi
-echo "docs check OK: package comments present, links resolve, make targets and commands exist"
+echo "docs check OK: package comments present, links resolve, make targets, commands and named tests exist"
