@@ -3,8 +3,11 @@
 // translated by pmap.Translate, which consults the executing CPU's TLB and
 // honestly follows whatever frame it returns.  Copies therefore both charge
 // the architecture's per-byte cost and actually move bytes between page
-// backing stores (when physical memory is backed), so a TLB-coherence bug
-// upstream shows up as corrupted data downstream.
+// storage (when physical memory is backed), so a TLB-coherence bug
+// upstream shows up as corrupted data downstream.  Reads go through
+// Page.View and writes through PhysMem.Store, so a page that reads as
+// zeros or shares an interned block is owned only when a store makes it
+// differ.
 package kcopy
 
 import (
@@ -32,9 +35,7 @@ func CopyIn(ctx *smp.Context, pm *pmap.Pmap, kva uint64, src []byte) error {
 		}
 		off := pmap.PageOffset(kva)
 		n := min(vm.PageSize-off, len(src))
-		if d := pg.Data(); d != nil {
-			copy(d[off:off+n], src[:n])
-		}
+		ctx.Machine().Phys.Store(pg, off, src[:n])
 		ctx.ChargeBytesAt(ctx.Cost().CopyPerByte, n, pg.Frame())
 		src = src[n:]
 		kva += uint64(n)
@@ -53,7 +54,7 @@ func CopyOut(ctx *smp.Context, pm *pmap.Pmap, dst []byte, kva uint64) error {
 		}
 		off := pmap.PageOffset(kva)
 		n := min(vm.PageSize-off, len(dst))
-		if d := pg.Data(); d != nil {
+		if d := pg.View(); d != nil {
 			copy(dst[:n], d[off:off+n])
 		} else {
 			clear(dst[:n])
@@ -146,16 +147,15 @@ func copyRun(ctx *smp.Context, pm *pmap.Pmap, r *sfbuf.Run, off int, buf []byte,
 		return err
 	}
 	*scratch = pages
+	phys := ctx.Machine().Phys
 	po := off - pi0*vm.PageSize
 	for _, pg := range pages {
 		n := min(vm.PageSize-po, len(buf))
-		if d := pg.Data(); d != nil {
-			if write {
-				copy(d[po:po+n], buf[:n])
-			} else {
-				copy(buf[:n], d[po:po+n])
-			}
-		} else if !write {
+		if write {
+			phys.Store(pg, po, buf[:n])
+		} else if d := pg.View(); d != nil {
+			copy(buf[:n], d[po:po+n])
+		} else {
 			clear(buf[:n])
 		}
 		ctx.ChargeBytesAt(ctx.Cost().CopyPerByte, n, pg.Frame())
@@ -216,7 +216,7 @@ func Checksum(ctx *smp.Context, pm *pmap.Pmap, kva uint64, n int) (uint32, error
 		}
 		off := pmap.PageOffset(kva)
 		c := min(vm.PageSize-off, n)
-		if d := pg.Data(); d != nil {
+		if d := pg.View(); d != nil {
 			sum += byteSum(d[off : off+c])
 		}
 		ctx.ChargeBytesAt(ctx.Cost().ChecksumPerByte, c, pg.Frame())
@@ -257,7 +257,7 @@ func ChecksumRun(ctx *smp.Context, pm *pmap.Pmap, kva uint64, n int) (uint32, er
 	off := pmap.PageOffset(kva)
 	for _, pg := range pages {
 		c := min(vm.PageSize-off, n)
-		if d := pg.Data(); d != nil {
+		if d := pg.View(); d != nil {
 			sum += byteSum(d[off : off+c])
 		}
 		ctx.ChargeBytesAt(ctx.Cost().ChecksumPerByte, c, pg.Frame())

@@ -52,6 +52,41 @@ func TestCopyInOutRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCopyInCopiesOnWrite: equal whole-page CopyIns share one block, and
+// a partial CopyIn into one sharer must leave the other byte-identical.
+func TestCopyInCopiesOnWrite(t *testing.T) {
+	m, pm, ctx := rig(t)
+	mapPages(t, m, pm, ctx, 2)
+	want := make([]byte, vm.PageSize)
+	rand.New(rand.NewSource(5)).Read(want)
+	for i := uint64(0); i < 2; i++ {
+		if err := CopyIn(ctx, pm, base+i*vm.PageSize, want); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, _ := pm.Translate(ctx, base, false)
+	b, _ := pm.Translate(ctx, base+vm.PageSize, false)
+	if &a.View()[0] != &b.View()[0] {
+		t.Fatal("equal whole-page CopyIns did not share one block")
+	}
+	if err := CopyIn(ctx, pm, base+10, []byte{^want[10]}); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, vm.PageSize)
+	if err := CopyOut(ctx, pm, got, base+vm.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("a partial CopyIn into one sharer changed the other")
+	}
+	if err := CopyOut(ctx, pm, got, base); err != nil {
+		t.Fatal(err)
+	}
+	if got[10] != ^want[10] || !bytes.Equal(got[11:], want[11:]) {
+		t.Fatal("the partial CopyIn lost its byte or the page's old contents")
+	}
+}
+
 func TestCopyFaultsOnUnmapped(t *testing.T) {
 	_, pm, ctx := rig(t)
 	if err := CopyIn(ctx, pm, base, []byte{1}); err == nil {

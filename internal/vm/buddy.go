@@ -171,7 +171,6 @@ func NewBuddyPhysMemNUMA(frames int, backed bool, sockets int) *PhysMem {
 	}
 	pm := &PhysMem{
 		pages:      make([]atomic.Pointer[Page], frames),
-		backed:     backed,
 		buddy:      true,
 		orders:     make([][]orderHeap, sockets),
 		freeBySock: make([]int, sockets),
@@ -179,7 +178,7 @@ func NewBuddyPhysMemNUMA(frames int, backed bool, sockets int) *PhysMem {
 		framesPer:  frames / sockets,
 	}
 	for i := range pm.pages {
-		p := &Page{id: uint64(i + 1)}
+		p := &Page{id: uint64(i + 1), backed: backed}
 		p.frame.Store(uint64(i + 1))
 		pm.pages[i].Store(p)
 	}
@@ -470,17 +469,6 @@ func (pm *PhysMem) freeRangeLocked(start uint64, n int) {
 	}
 }
 
-// takePageLocked materializes the page for frame f as allocated: backing
-// storage on first touch.  Caller holds pm.mu and has already removed the
-// frame from the free structures.
-func (pm *PhysMem) takePageLocked(f uint64) *Page {
-	p := pm.pages[f-1].Load()
-	if pm.backed && p.data == nil {
-		p.data = make([]byte, PageSize)
-	}
-	return p
-}
-
 // takeOneAtLocked removes the single frame best from the order-bestK free
 // block holding it on socket s, splitting the block down.  Caller holds
 // pm.mu and has located the block via pickLowestLocked.
@@ -493,7 +481,7 @@ func (pm *PhysMem) takeOneAtLocked(s int, best uint64, bestK int) *Page {
 	pm.freePages--
 	pm.freeBySock[s]--
 	pm.tierFreeDelta(s, best, -1)
-	return pm.takePageLocked(best)
+	return pm.pages[best-1].Load()
 }
 
 // buddyAllocOneLocked allocates the lowest-addressed free page on the
@@ -601,7 +589,7 @@ func (pm *PhysMem) buddyAllocNLocked(pref, n int) ([]*Page, error) {
 			pm.tierFreeDelta(s, best, -size)
 			if need := n - len(out); size <= need {
 				for f := best; f < best+uint64(size); f++ {
-					out = append(out, pm.takePageLocked(f))
+					out = append(out, pm.pages[f-1].Load())
 				}
 			} else {
 				out = append(out, pm.carveLocked(best, bestK, need)...)
@@ -640,7 +628,7 @@ func (pm *PhysMem) buddyAllocNLocked(pref, n int) ([]*Page, error) {
 func (pm *PhysMem) carveLocked(start uint64, k, n int) []*Page {
 	out := make([]*Page, 0, n)
 	for f := start; f < start+uint64(n); f++ {
-		out = append(out, pm.takePageLocked(f))
+		out = append(out, pm.pages[f-1].Load())
 	}
 	if tail := 1<<k - n; tail > 0 {
 		pm.freeRangeLocked(start+uint64(n), tail)

@@ -13,14 +13,15 @@ package vm
 // points at the OLD frame after a migration, and the model must keep
 // serving the old bytes from it until the migrator's accumulated shootdown
 // flush lands — exactly like real memory, where the source frame retains
-// its contents until reclaimed.  The migrator therefore copies the bytes
-// into the destination page's storage first (charged per byte), and
-// SwapFrames then exchanges the two Page handles' frame numbers and
-// registry slots: the resident handle keeps the original storage at its
-// new frame, while the doomed handle — now holding the old frame and a
-// byte-identical copy — keeps stale translations honest until it is freed
-// (which zeroes it, so any access after the flush horizon reads garbage
-// and the coherence tests can see the bug).
+// its contents until reclaimed.  The migrator therefore gives the
+// destination page the resident's contents first (charged per byte) — the
+// same shared block, or a copy of an owned buffer — and SwapFrames then
+// exchanges the two Page handles' frame numbers and registry slots: the
+// resident handle keeps the original storage at its new frame, while the
+// doomed handle — now holding the old frame and byte-identical contents —
+// keeps stale translations honest until it is freed (which zeroes it, so
+// any access after the flush horizon reads garbage and the coherence tests
+// can see the bug).
 
 import (
 	"fmt"
@@ -230,11 +231,12 @@ func (pm *PhysMem) frameFreeLocked(f uint64) bool {
 }
 
 // MigratePage is the atomic heart of an evacuation: verify that src still
-// backs an allocated, unwired frame, copy its bytes into dst's storage,
-// and swap the two handles' frames — all under the pool lock, so a racing
-// Free of src cannot interleave with the swap.  On success src answers
-// with dst's old frame (same storage, same bytes) and dst holds src's old
-// frame with a byte-identical copy, keeping stale TLB entries honest until
+// backs an allocated, unwired frame, give dst src's contents (the same
+// shared block, or a copy of an owned buffer), and swap the two handles'
+// frames — all under the pool lock, so a racing Free of src cannot
+// interleave with the swap.  On success src answers with dst's old frame
+// (same storage, same bytes) and dst holds src's old frame with
+// byte-identical contents, keeping stale TLB entries honest until
 // the caller's shootdown flush lands and dst is freed.  Returns false —
 // with no state changed — when src was freed or wired since the caller
 // chose it; the caller should free dst unswapped and abandon the page.
@@ -251,8 +253,12 @@ func (pm *PhysMem) MigratePage(src, dst *Page) bool {
 	if src.Wired() || pm.frameFreeLocked(fs) {
 		return false
 	}
-	if src.data != nil && dst.data != nil {
-		copy(dst.data, src.data)
+	if r := src.data.Load(); r != nil {
+		if b, shared := deref(r); shared {
+			dst.data.Store(r) // dst is the caller's alone until the swap publishes it
+		} else {
+			*dst.own() = *b
+		}
 	}
 	pm.swapFramesLocked(src, dst)
 	return true

@@ -167,7 +167,7 @@ type Oracle struct {
 }
 
 // NewOracle snapshots the given pages.  Pages of an unbacked pool snapshot
-// only their identity.
+// only their identity; a backed page with no storage snapshots as zeros.
 func NewOracle(pages []*vm.Page) *Oracle {
 	o := &Oracle{pages: append([]*vm.Page(nil), pages...)}
 	o.Update()
@@ -178,8 +178,9 @@ func NewOracle(pages []*vm.Page) *Oracle {
 func (o *Oracle) Update() {
 	o.data = make([][]byte, len(o.pages))
 	for i, p := range o.pages {
-		if d := p.Data(); d != nil {
-			o.data[i] = append([]byte(nil), d...)
+		if p.Backed() {
+			o.data[i] = make([]byte, vm.PageSize)
+			copy(o.data[i], p.View()) // no storage copies nothing: zeros
 		}
 	}
 }
@@ -193,9 +194,18 @@ func (o *Oracle) Check(pm *vm.PhysMem) error {
 		if got := pm.PageByFrame(f); got != p {
 			return fmt.Errorf("physcheck: page %d's frame %d resolves to a different handle", i, f)
 		}
-		if o.data[i] != nil && !bytes.Equal(p.Data(), o.data[i]) {
+		if o.data[i] != nil && !samePage(p.View(), o.data[i]) {
 			return fmt.Errorf("physcheck: page %d (frame %d) bytes changed under migration", i, f)
 		}
 	}
 	return nil
+}
+
+// samePage reports whether a page's View (nil reads as zeros) holds the
+// snapshot's bytes.
+func samePage(view, snap []byte) bool {
+	if view == nil {
+		view = make([]byte, vm.PageSize)
+	}
+	return bytes.Equal(view, snap)
 }

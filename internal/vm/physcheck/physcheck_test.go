@@ -287,3 +287,22 @@ func TestReservationMigrationTraces(t *testing.T) {
 		})
 	}
 }
+
+// TestOracleSeesNeverWrittenPages: a backed page that was never written
+// has no storage and reads as zeros, and the oracle must hold it to that —
+// a stale write landing in it is corruption like any other.
+func TestOracleSeesNeverWrittenPages(t *testing.T) {
+	pm := vm.NewBuddyPhysMem(64, true)
+	pages, err := pm.AllocN(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := NewOracle(pages)
+	if err := o.Check(pm); err != nil {
+		t.Fatal(err)
+	}
+	pm.Store(pages[2], 100, []byte{0xBD})
+	if err := o.Check(pm); err == nil {
+		t.Fatal("a stale write into a never-written backed page escaped the oracle")
+	}
+}

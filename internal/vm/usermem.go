@@ -10,7 +10,7 @@ import (
 // buffer.  Subsystems that implement zero-copy paths (pipe direct writes,
 // zero-copy socket sends) wire these pages and hand them to the kernel.
 //
-// User-space accesses (ReadAt/WriteAt) go straight to the backing store:
+// User-space accesses (ReadAt/WriteAt) go straight to the page storage:
 // the user TLB is not what the paper measures, so user-side accesses carry
 // no kernel-model cost and never consult the kernel page tables.
 type UserMem struct {
@@ -75,9 +75,7 @@ func (u *UserMem) WriteAt(off int, src []byte) error {
 		p := u.pages[off/PageSize]
 		po := off % PageSize
 		n := min(PageSize-po, len(src))
-		if d := p.Data(); d != nil {
-			copy(d[po:po+n], src[:n])
-		}
+		u.pm.Store(p, po, src[:n])
 		src = src[n:]
 		off += n
 	}
@@ -93,7 +91,7 @@ func (u *UserMem) ReadAt(off int, dst []byte) error {
 		p := u.pages[off/PageSize]
 		po := off % PageSize
 		n := min(PageSize-po, len(dst))
-		if d := p.Data(); d != nil {
+		if d := p.View(); d != nil {
 			copy(dst[:n], d[po:po+n])
 		} else {
 			clear(dst[:n])

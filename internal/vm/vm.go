@@ -1,12 +1,15 @@
 // Package vm models the machine-independent physical memory layer: physical
 // pages (the paper's vm_page), a frame allocator, and page wiring.
 //
-// A Page may be "backed" by real storage, in which case copies through the
-// simulated MMU move actual bytes and data-integrity tests can detect
-// TLB-coherence bugs as corruption, or "unbacked", in which case only costs
-// are charged — useful for benchmark configurations whose footprints
-// (a 512 MB memory disk, a 1.1 GB web corpus) would be wasteful to allocate
-// for real.
+// A Page of a backed pool moves real bytes, so data-integrity tests can
+// detect TLB-coherence bugs as corruption.  Its storage is lazy and
+// shareable, in one of three states (store.go): no storage, which reads as
+// zeros; a shared, immutable block interned by content in its PhysMem; or
+// a private buffer the page owns and is written in place.  A page pays
+// for memory only once its bytes differ from zeros and from every interned
+// block, so a mostly unwritten memory disk or a corpus of repeated blocks
+// costs a few blocks, not its size.  A Page of an unbacked pool only
+// charges costs: its stores move no bytes and it always reads as zeros.
 package vm
 
 import (
@@ -36,8 +39,14 @@ type Page struct {
 	// a resident page to a different frame while every holder of the *Page
 	// keeps its handle, so readers racing a migration need the atomic.
 	frame atomic.Uint64
-	data  []byte // nil when the owning PhysMem is unbacked
-	wire  atomic.Int32
+	// data is the storage state (store.go): nil for no storage, else a
+	// shared interned block or the page's own buffer.  Every change of
+	// state a writer can race is a CAS on this one word.
+	data atomic.Pointer[byte]
+	wire atomic.Int32
+	// backed is fixed at construction: whether the page's pool stores
+	// bytes at all.
+	backed bool
 
 	// id is the page's stable identity: the frame number it was created
 	// on.  Unlike frame it never changes — migration moves a page between
@@ -69,10 +78,31 @@ func (p *Page) Frame() uint64 { return p.frame.Load() }
 // PA returns the physical address of the first byte of the page.
 func (p *Page) PA() PAddr { return PAddr(p.frame.Load() << PageShift) }
 
-// Data returns the page's backing storage, or nil for unbacked memory.
-// Callers must bounds-check their own offsets; the slice is always exactly
-// PageSize long when non-nil.
-func (p *Page) Data() []byte { return p.data }
+// Data returns the page's private, writable buffer, or nil for unbacked
+// memory.  A page with no storage or a shared block is owned first: it
+// gets a buffer holding what it read as.  Callers must bounds-check their
+// own offsets; the slice is always exactly PageSize long when non-nil.
+// Read paths use View, which never allocates.
+func (p *Page) Data() []byte {
+	if !p.backed {
+		return nil
+	}
+	return p.own()[:]
+}
+
+// View returns the page's current bytes for reading, never allocating:
+// nil when the page has no storage (it reads as zeros) or is unbacked.
+// The slice may be a block other pages share: callers must not write
+// through it (use PhysMem.Store or Data).
+func (p *Page) View() []byte {
+	if b, _ := deref(p.data.Load()); b != nil {
+		return b[:]
+	}
+	return nil
+}
+
+// Backed reports whether the page's pool stores bytes.
+func (p *Page) Backed() bool { return p.backed }
 
 // Wire increments the page's wire count, preventing replacement or
 // page-out while a subsystem holds a loan on it (pipe direct writes,
@@ -111,9 +141,12 @@ type PhysMem struct {
 	// frame f.  Slots are atomic pointers because PageByFrame is the MMU
 	// model's lock-free hot path and migration (SwapFrames) rebinds two
 	// slots while the machine runs.
-	pages  []atomic.Pointer[Page]
-	free   []*Page // LIFO mode free stack
-	backed bool
+	pages []atomic.Pointer[Page]
+	free  []*Page // LIFO mode free stack
+
+	// blocks interns the immutable blocks whole-page stores share
+	// (store.go).
+	blocks blockTable
 
 	// Buddy-mode state: per-socket order-indexed free lists and
 	// fragmentation counters, all guarded by mu (see buddy.go).  On the
@@ -162,9 +195,8 @@ type PhysMem struct {
 }
 
 // NewPhysMem creates a machine with frames physical pages on the LIFO
-// free stack.  When backed is true every page gets PageSize bytes of real
-// storage (allocated lazily on first allocation of the page, so large
-// mostly-unused pools stay cheap).
+// free stack.  When backed is true the pages store real bytes, paying for
+// memory only as their contents come to differ (see store.go).
 func NewPhysMem(frames int, backed bool) *PhysMem {
 	if frames <= 0 {
 		panic("vm: NewPhysMem with no frames")
@@ -172,14 +204,13 @@ func NewPhysMem(frames int, backed bool) *PhysMem {
 	pm := &PhysMem{
 		pages:     make([]atomic.Pointer[Page], frames),
 		free:      make([]*Page, 0, frames),
-		backed:    backed,
 		sockets:   1,
 		framesPer: frames,
 	}
 	// Frame numbers start at 1 so that frame 0 / physical address 0 can
 	// serve as a sentinel ("no frame") throughout the MMU model.
 	for i := frames - 1; i >= 0; i-- {
-		p := &Page{id: uint64(i + 1)}
+		p := &Page{id: uint64(i + 1), backed: backed}
 		p.frame.Store(uint64(i + 1))
 		pm.pages[i].Store(p)
 		pm.free = append(pm.free, p)
@@ -229,9 +260,6 @@ func (pm *PhysMem) allocLocked() (*Page, error) {
 	}
 	p := pm.free[len(pm.free)-1]
 	pm.free = pm.free[:len(pm.free)-1]
-	if pm.backed && p.data == nil {
-		p.data = make([]byte, PageSize)
-	}
 	pm.allocs.Add(1)
 	return p, nil
 }
@@ -283,18 +311,22 @@ func (pm *PhysMem) AllocNOn(socket, n int) ([]*Page, error) {
 // wired page is on loan to some subsystem and releasing its frame would be
 // a use-after-free.
 //
-// Backed page data is zeroed BEFORE the pool mutex is taken: until the
-// page reaches a free list the freeing thread owns it exclusively, so the
-// PageSize memset needs no serialization — bulk frees (a released memory
-// disk, a drained user buffer) no longer serialize the whole machine
-// behind one lock holder clearing pages.  Unbacked pools skip the loop
-// entirely (there is nothing to clear).
+// A page that owns its buffer is cleared in place and keeps it, so a
+// reused page (PostMark's blocks) allocates nothing; the clear runs BEFORE
+// the pool mutex is taken, since until the page reaches a free list the
+// freeing thread owns it exclusively.  A shared page, or one with no
+// storage, just drops its reference: no memclr, and the interned block
+// stays intact for its other sharers.
 func (pm *PhysMem) Free(p *Page) {
 	if p.Wired() {
 		panic(fmt.Sprintf("vm: freeing wired %v", p))
 	}
-	if p.data != nil {
-		clear(p.data)
+	if r := p.data.Load(); r != nil {
+		if b, shared := deref(r); shared {
+			p.data.CompareAndSwap(r, nil)
+		} else {
+			clear(b[:])
+		}
 	}
 	pm.mu.Lock()
 	defer pm.mu.Unlock()

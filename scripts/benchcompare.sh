@@ -19,8 +19,11 @@
 #     information only.  A -quick run on a shared box cannot resolve them.
 #
 # Everything runs in the foreground, one process at a time, and the
-# binaries run directly (no `go run` parent sits over a child); the
-# temporary directory is removed on exit, whatever the outcome.  Needs jq.
+# binaries run directly (no `go run` parent sits over a child), each
+# bounded at 300 s so a hang fails the script instead of outliving it;
+# `timeout --foreground` keeps each binary in the caller's process group,
+# so a kill of that group still reaches it.  The temporary directory is
+# removed on exit, whatever the outcome.  Needs jq.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
@@ -52,11 +55,12 @@ fi
 go build -o "$tmp/bench.head" ./bench
 
 echo "benchcompare: base $(git rev-parse --short "$base"), head $(git rev-parse --short HEAD)$(git diff --quiet HEAD || echo ' + uncommitted changes')"
-(cd "$tmp/base" && "$tmp/bench.base" -quick -seed 1 -out "$tmp/base.json" >/dev/null)
-"$tmp/bench.head" -quick -seed 1 -out "$tmp/head.json" >/dev/null
+bounded() { timeout --foreground -k 5 300 "$@"; }
+(cd "$tmp/base" && bounded "$tmp/bench.base" -quick -seed 1 -out "$tmp/base.json" >/dev/null)
+bounded "$tmp/bench.head" -quick -seed 1 -out "$tmp/head.json" >/dev/null
 
 # Host verdicts: information.
-"$tmp/bench.head" -compare "$tmp/base.json" "$tmp/head.json" || true
+bounded "$tmp/bench.head" -compare "$tmp/base.json" "$tmp/head.json" || true
 
 # "workload metric value" for every exact metric, at full precision.
 exact() {

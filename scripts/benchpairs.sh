@@ -20,7 +20,9 @@
 #   - sim_cycles_per_page was the same number on every run of both sides.
 #
 # Exit status 0 when all three hold, 1 when not, 2 on a usage or build
-# error.  Everything runs in the foreground, one process at a time; the
+# error, or when a run fails or outlives 3 x run_seconds + 120 s (a hang,
+# such as a lock-order slip, then fails the script instead of outliving
+# it).  Everything runs in the foreground, one process at a time; the
 # temporary directory is removed on exit, whatever the outcome.  Needs jq.
 # Keep the box quiet: a `go build` beside a run shows up in its number.
 set -euo pipefail
@@ -34,6 +36,7 @@ command -v jq >/dev/null || { echo "benchpairs: jq not found" >&2; exit 2; }
 base=$(git rev-parse --verify "$1^{commit}") || exit 2
 workload=$2 pairs=${3:-10} seed=${4:-1}
 seconds=$(jq -r .run_seconds BENCHMARK.json)
+bound=$(awk -v s="$seconds" 'BEGIN { print int(3 * s + 120) }')
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -46,12 +49,15 @@ go build -o "$tmp/bench.head" ./bench || exit 2
 echo "benchpairs: $workload, seed $seed, ${seconds}s runs, $pairs pairs: base $(git rev-parse --short "$base") vs head $(git rev-parse --short HEAD)$(git diff --quiet HEAD || echo ' + uncommitted changes')"
 echo "  each run: host_pages_per_s sim_cycles_per_page setup_s host_live_mb"
 
-# run <side> <pair>: one run; prints
+# run <side> <pair>: one run, bounded; prints
 # "host_pages_per_s sim_cycles_per_page setup_s host_live_mb".
+# --foreground keeps the bench binary in the caller's process group, so
+# a kill of that group still reaches it.
 run() {
 	local dir=$PWD
 	[ "$1" = base ] && dir=$tmp/base
-	(cd "$dir" && "$tmp/bench.$1" -workload "$workload" -seed "$seed" -seconds "$seconds" -trace 0 -out "$tmp/$1.$2.json" >/dev/null) || exit 2
+	(cd "$dir" && timeout --foreground -k 5 "$bound" "$tmp/bench.$1" -workload "$workload" -seed "$seed" -seconds "$seconds" -trace 0 -out "$tmp/$1.$2.json" >/dev/null) ||
+		{ echo "benchpairs: $1 run $2 failed or outlived ${bound}s" >&2; exit 2; }
 	jq -r --arg w "$workload" '.workloads[$w] | if .correct then .metrics else error("incorrect run") end
 		| "\(.host_pages_per_s.value) \(.sim_cycles_per_page.value) \(.setup_s.value) \(.host_live_mb.value)"' "$tmp/$1.$2.json"
 }
