@@ -23,14 +23,16 @@ test:
 	$(GO) test -count=3 -run 'PostMarkGolden|PostMarkAllocs' ./internal/workloads
 	$(GO) test -count=3 -run 'GoldenSchedule|ScheduleOrder|OOODuplicate' ./internal/vnet ./internal/netstack
 
-# Race detector, then the migration-exclusion races repeated.
+# Race detector, then the migration-exclusion races repeated.  The
+# experiments package alone takes 210-230 s under -race on two vCPUs, so
+# the timeout is twice go test's 10-minute default.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 20m ./...
 	$(GO) test -race -count=10 -run 'Migrat|TierConcurrent|ShardLockFollows|DaemonRace' ./internal/sfbuf
 
 # Run the checked-in fuzz seed corpus as unit tests (what CI smokes).
 fuzz-smoke:
-	$(GO) test -run 'Fuzz' ./internal/sfbuf ./internal/tlb ./internal/pmap ./internal/vnet
+	$(GO) test -run 'Fuzz' ./internal/sfbuf ./internal/tlb ./internal/pmap ./internal/vnet ./internal/vm
 
 # Actually fuzz the vectored sharded engine for a minute.
 fuzz:

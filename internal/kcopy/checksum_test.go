@@ -4,11 +4,15 @@ import (
 	"math/rand"
 	"testing"
 
+	"sfbuf/internal/arch"
+	"sfbuf/internal/pmap"
+	"sfbuf/internal/smp"
 	"sfbuf/internal/vm"
 )
 
 // refByteSum is the byte-at-a-time loop Checksum and ChecksumRun ran
-// before byteSum: the reference the word-wide kernel must equal.
+// before they summed through vm.PhysMem.Sum: the reference every sum they
+// return must equal.
 func refByteSum(d []byte) uint32 {
 	var sum uint32
 	for _, b := range d {
@@ -70,10 +74,13 @@ func TestChecksumRunWindowOddOffset(t *testing.T) {
 	}
 }
 
-// FuzzByteSum holds the word-wide kernel to the byte loop.  The seeds
-// cover what the SWAR lanes can get wrong: all-0xFF buffers longer than
-// one lane flush (a lane that is flushed late overflows), lengths 0-9
-// and other non-multiples of 8 (the byte tail), and unaligned starts.
+// FuzzByteSum holds Checksum and ChecksumRun, which sum through
+// vm.PhysMem.Sum, to the byte loop over the bytes written.  The data
+// starts at byte start of a fresh machine's first mapped page, so a span
+// covers whole pages (which share interned blocks) and partial ones
+// (which own); the seeds are vm.FuzzByteSum's, whose word-wide kernel the
+// sum runs on: all-0xFF spans past one lane flush, lengths 0-9 and other
+// non-multiples of 8, and unaligned starts.
 func FuzzByteSum(f *testing.F) {
 	ff := make([]byte, 3*1024+5)
 	for i := range ff {
@@ -96,19 +103,60 @@ func FuzzByteSum(f *testing.F) {
 			start = 0
 		}
 		d := data[start:]
-		if got, want := byteSum(d), refByteSum(d); got != want {
-			t.Fatalf("byteSum(len %d, start %d) = %d, byte loop = %d", len(d), start, got, want)
+		d = d[:min(len(d), 3*vm.PageSize)]
+		m, pm, ctx := rig(t)
+		mapPages(t, m, pm, ctx, 4)
+		kva := base + uint64(start%vm.PageSize)
+		if err := CopyIn(ctx, pm, kva, d); err != nil {
+			t.Fatal(err)
+		}
+		want := refByteSum(d)
+		for _, sum := range []func(*smp.Context, *pmap.Pmap, uint64, int) (uint32, error){Checksum, ChecksumRun} {
+			got, err := sum(ctx, pm, kva, len(d))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("sum of %d bytes at page offset %d = %d, byte loop = %d", len(d), start%vm.PageSize, got, want)
+			}
 		}
 	})
 }
 
 var sumSink uint32
 
-func BenchmarkByteSum(b *testing.B) {
-	d := make([]byte, vm.PageSize)
-	rand.New(rand.NewSource(1)).Read(d)
-	b.SetBytes(int64(len(d)))
-	for i := 0; i < b.N; i++ {
-		sumSink += byteSum(d)
+// BenchmarkChecksum sums one whole mapped page: a page that shares an
+// interned block (after the first call, its sum is the block table's) and
+// a page that owns its buffer (summed every call).
+func BenchmarkChecksum(b *testing.B) {
+	m := smp.NewMachine(arch.XeonMP(), 8, true)
+	pm := pmap.New(m)
+	ctx := m.Ctx(0)
+	data := make([]byte, vm.PageSize)
+	rand.New(rand.NewSource(1)).Read(data)
+	for i, tc := range []struct {
+		name  string
+		write func(*vm.Page)
+	}{
+		{"shared", func(pg *vm.Page) { m.Phys.Store(pg, 0, data) }},
+		{"owned", func(pg *vm.Page) { copy(pg.Data(), data) }},
+	} {
+		pg, err := m.Phys.Alloc()
+		if err != nil {
+			b.Fatal(err)
+		}
+		tc.write(pg)
+		kva := base + uint64(i)*vm.PageSize
+		pm.KEnter(ctx, kva, pg)
+		b.Run(tc.name, func(b *testing.B) {
+			b.SetBytes(vm.PageSize)
+			for b.Loop() {
+				s, err := Checksum(ctx, pm, kva, vm.PageSize)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sumSink += s
+			}
+		})
 	}
 }

@@ -5,13 +5,12 @@
 // the architecture's per-byte cost and actually move bytes between page
 // storage (when physical memory is backed), so a TLB-coherence bug
 // upstream shows up as corrupted data downstream.  Reads go through
-// Page.View and writes through PhysMem.Store, so a page that reads as
-// zeros or shares an interned block is owned only when a store makes it
-// differ.
+// Page.View, checksums through PhysMem.Sum and writes through
+// PhysMem.Store, so a page that reads as zeros or shares an interned
+// block is owned only when a store makes it differ.
 package kcopy
 
 import (
-	"encoding/binary"
 	"sync"
 
 	"sfbuf/internal/pmap"
@@ -165,49 +164,19 @@ func copyRun(ctx *smp.Context, pm *pmap.Pmap, r *sfbuf.Run, off int, buf []byte,
 	return nil
 }
 
-// byteSum returns the sum of d's bytes modulo 2^32, eight bytes per step:
-// a word's even and odd bytes are added as four 16-bit lanes (SWAR) into
-// two accumulators, 32 bytes per iteration, and the lanes are folded into
-// the 32-bit sum before they can overflow.
-func byteSum(d []byte) uint32 {
-	const (
-		lanes = 0x00ff00ff00ff00ff // the even bytes of a word
-		wide  = 0x0000ffff0000ffff // the even lanes of an accumulator
-		// A lane gains at most 2*255 per word and an accumulator takes half
-		// of a block's 128 words (plus at most three more): under 2^16.
-		flushBytes = 128 * 8
-	)
-	var sum uint32
-	for len(d) >= 8 {
-		blk := d[:min(len(d), flushBytes)&^7]
-		d = d[len(blk):]
-		var a0, a1 uint64
-		for ; len(blk) >= 32; blk = blk[32:] {
-			w0 := binary.LittleEndian.Uint64(blk)
-			w1 := binary.LittleEndian.Uint64(blk[8:])
-			w2 := binary.LittleEndian.Uint64(blk[16:])
-			w3 := binary.LittleEndian.Uint64(blk[24:])
-			a0 += w0&lanes + (w0>>8)&lanes + w2&lanes + (w2>>8)&lanes
-			a1 += w1&lanes + (w1>>8)&lanes + w3&lanes + (w3>>8)&lanes
-		}
-		for ; len(blk) >= 8; blk = blk[8:] {
-			w := binary.LittleEndian.Uint64(blk)
-			a0 += w&lanes + (w>>8)&lanes
-		}
-		a0 = a0&wide + (a0>>16)&wide + a1&wide + (a1>>16)&wide
-		sum += uint32(a0) + uint32(a0>>32)
-	}
-	for _, b := range d {
-		sum += uint32(b)
-	}
-	return sum
-}
-
 // Checksum computes the ones-complement-style checksum of n bytes at kva,
 // as the software TCP checksum path does.  It reads the data through the
 // MMU — setting PTE accessed bits — which is exactly the behaviour the
 // paper's checksum-offload experiment (Section 6.5.2) turns on and off.
+//
+// Each page crossed costs one translation and the per-byte charge; the
+// host loop over its bytes is PhysMem.Sum's, and the model charges
+// nothing for it.  A whole page that shares an interned block returns the
+// block's sum, summed once per block: the block is immutable and the page
+// reads exactly its bytes, so the sum is the one a byte loop over the page
+// would give.
 func Checksum(ctx *smp.Context, pm *pmap.Pmap, kva uint64, n int) (uint32, error) {
+	phys := ctx.Machine().Phys
 	var sum uint32
 	for n > 0 {
 		pg, err := pm.Translate(ctx, kva, false)
@@ -216,9 +185,7 @@ func Checksum(ctx *smp.Context, pm *pmap.Pmap, kva uint64, n int) (uint32, error
 		}
 		off := pmap.PageOffset(kva)
 		c := min(vm.PageSize-off, n)
-		if d := pg.View(); d != nil {
-			sum += byteSum(d[off : off+c])
-		}
+		sum += phys.Sum(pg, off, c)
 		ctx.ChargeBytesAt(ctx.Cost().ChecksumPerByte, c, pg.Frame())
 		n -= c
 		kva += uint64(c)
@@ -235,7 +202,8 @@ func Checksum(ctx *smp.Context, pm *pmap.Pmap, kva uint64, n int) (uint32, error
 // (checksum offload disabled) uses over run-mapped packets, shaving the
 // last per-page walks off zero-copy send.  kva need not be page-aligned,
 // but every page the span [kva, kva+n) touches must be mapped — true by
-// construction inside a run window.
+// construction inside a run window.  Pages are summed by PhysMem.Sum, so
+// the sum is exact for the same reason as Checksum's.
 func ChecksumRun(ctx *smp.Context, pm *pmap.Pmap, kva uint64, n int) (uint32, error) {
 	if n <= 0 {
 		return 0, nil
@@ -253,13 +221,12 @@ func ChecksumRun(ctx *smp.Context, pm *pmap.Pmap, kva uint64, n int) (uint32, er
 		return 0, err
 	}
 	*scratch = pages
+	phys := ctx.Machine().Phys
 	var sum uint32
 	off := pmap.PageOffset(kva)
 	for _, pg := range pages {
 		c := min(vm.PageSize-off, n)
-		if d := pg.View(); d != nil {
-			sum += byteSum(d[off : off+c])
-		}
+		sum += phys.Sum(pg, off, c)
 		ctx.ChargeBytesAt(ctx.Cost().ChecksumPerByte, c, pg.Frame())
 		n -= c
 		off = 0

@@ -295,7 +295,8 @@ func TestChecksumRunMatchesChecksum(t *testing.T) {
 		{vm.PageSize - 1, 2},
 		{17, 300},
 	} {
-		want, err := Checksum(ctx, pm, base+uint64(tc.off), tc.n)
+		want := refByteSum(data[tc.off : tc.off+tc.n])
+		perPage, err := Checksum(ctx, pm, base+uint64(tc.off), tc.n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,8 +304,8 @@ func TestChecksumRunMatchesChecksum(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != want {
-			t.Errorf("ChecksumRun(off=%d, n=%d) = %d, want %d", tc.off, tc.n, got, want)
+		if perPage != want || got != want {
+			t.Errorf("off=%d, n=%d: Checksum %d, ChecksumRun %d, byte loop %d", tc.off, tc.n, perPage, got, want)
 		}
 	}
 

@@ -9,13 +9,20 @@ package vm
 //     PhysMem's block table, which any number of pages may share;
 //   - owned: the page has a private buffer and is written in place.
 //
-// A whole-page store into a page that does not own its buffer interns:
-// zeros drop the storage, bytes equal to an interned block share it, and
-// otherwise a new block is interned while the table has room.  Any other
-// store, and any Data call, first owns the page: it allocates a private
-// buffer and copies what the page read as.  An owned page stays owned —
-// Free clears it in place — so a page that is written repeatedly pays no
-// hashing and no allocation after its first partial write.
+// Only a page with no storage interns.  A whole-page store into one keeps
+// it empty for zeros, shares an interned block holding the same bytes, and
+// otherwise interns a new block while the table has room.  A whole-page
+// store into a shared page keeps the block for equal bytes, drops the
+// storage for zeros, and owns for anything else, without hashing: a page
+// that is rewritten with new contents (an fs metadata block) would only
+// fill the table with blocks no page shares any more.  Any other store,
+// and any Data call, first owns the page: it allocates a private buffer
+// and copies what the page read as.  An owned page stays owned — Free
+// clears it in place — so a page that is written repeatedly pays no
+// hashing and no allocation after it first owns.
+//
+// Blocks are immutable and never leave the table, so the table also holds
+// each block's byte sum once something has asked for it (sum.go).
 
 import (
 	"bytes"
@@ -61,6 +68,9 @@ type blockTable struct {
 	seed   maphash.Seed
 	byHash map[uint64][]*[PageSize]byte
 	n      int
+	// sums holds the byte sum of each block that has been summed whole,
+	// keyed by block, so at most one entry per interned block.
+	sums map[*[PageSize]byte]uint32
 }
 
 // intern returns the storage word for a page holding the page-sized src
@@ -131,7 +141,8 @@ func (p *Page) own() *[PageSize]byte {
 
 // Store writes src into page p at byte offset off; the caller
 // bounds-checks.  A store of exactly PageSize bytes at offset 0 into a
-// page that does not own its buffer interns (see the file comment); any
+// page with no storage interns, and one into a shared page keeps the
+// block or drops the storage when it can (see the file comment); any
 // other store writes in place into the page's private buffer, owning it
 // first if needed.  Stores into unbacked pages move no bytes.
 func (pm *PhysMem) Store(p *Page, off int, src []byte) {
@@ -140,8 +151,16 @@ func (pm *PhysMem) Store(p *Page, off int, src []byte) {
 	}
 	if off == 0 && len(src) == PageSize {
 		r := p.data.Load()
-		if cur, shared := deref(r); cur == nil || shared {
+		switch cur, shared := deref(r); {
+		case cur == nil:
 			if ref, ok := pm.blocks.intern(src); ok && p.data.CompareAndSwap(r, ref) {
+				return
+			}
+		case shared:
+			if bytes.Equal(cur[:], src) {
+				return
+			}
+			if allZero(src) && p.data.CompareAndSwap(r, nil) {
 				return
 			}
 		}

@@ -85,6 +85,34 @@ func TestZeroWholePageStoreDropsStorage(t *testing.T) {
 	}
 }
 
+// TestWholePageStoreIntoSharedPageDoesNotIntern pins the rule that only
+// a page with no storage interns: into a shared page, equal bytes keep the
+// block, zeros drop the storage, and other bytes own without a new block.
+func TestWholePageStoreIntoSharedPageDoesNotIntern(t *testing.T) {
+	pm := NewPhysMem(2, true)
+	p, _ := pm.Alloc()
+	q, _ := pm.Alloc()
+	pm.Store(p, 0, pattern(1))
+	pm.Store(q, 0, pattern(1))
+	blk, _ := block(p)
+
+	pm.Store(p, 0, pattern(1))
+	if got, shared := block(p); !shared || got != blk {
+		t.Fatal("an equal whole-page store into a shared page did not keep its block")
+	}
+	pm.Store(p, 0, pattern(2))
+	if got, shared := block(p); shared || got == nil || pm.blocks.n != 1 {
+		t.Fatalf("a different whole-page store into a shared page: shared %v, table %d blocks; want owned, 1 block", shared, pm.blocks.n)
+	}
+	if !bytes.Equal(p.View(), pattern(2)) || !bytes.Equal(q.View(), pattern(1)) {
+		t.Fatal("the owning store lost its bytes or changed the other sharer")
+	}
+	pm.Store(q, 0, make([]byte, PageSize))
+	if q.View() != nil || pm.blocks.n != 1 {
+		t.Fatalf("a zero whole-page store into a shared page: storage %v, table %d blocks", q.View() != nil, pm.blocks.n)
+	}
+}
+
 func TestOwnedPageWritesInPlace(t *testing.T) {
 	pm := NewPhysMem(1, true)
 	p, _ := pm.Alloc()
@@ -121,16 +149,17 @@ func TestFreeOfSharedPageKeepsBlock(t *testing.T) {
 }
 
 func TestTableBoundOwnsWhenFull(t *testing.T) {
-	pm := NewPhysMem(1, true)
-	p, _ := pm.Alloc()
+	pm := NewPhysMem(maxInterned+1, true)
 	for i := 0; i < maxInterned; i++ {
+		q, _ := pm.Alloc()
 		src := pattern(0)
 		src[0], src[1] = byte(i), byte(i>>8)+1
-		pm.Store(p, 0, src)
+		pm.Store(q, 0, src)
 	}
 	if pm.blocks.n != maxInterned {
 		t.Fatalf("table holds %d blocks, want %d", pm.blocks.n, maxInterned)
 	}
+	p, _ := pm.Alloc()
 	pm.Store(p, 0, pattern(0xAB))
 	if _, shared := block(p); shared || pm.blocks.n != maxInterned {
 		t.Fatalf("a store past a full table: shared %v, table %d blocks", shared, pm.blocks.n)
@@ -175,22 +204,30 @@ func TestUnbackedStoreMovesNothing(t *testing.T) {
 
 // TestConcurrentFirstStoresKeepBothHalves races two first partial stores
 // into disjoint halves of a shared page: whichever owns the page first,
-// the other must write into the winner's buffer, never a lost copy.
+// the other must write into the winner's buffer, never a lost copy.  A
+// third goroutine sums another sharer of the block meanwhile, and the page
+// that owns must then sum as its own bytes, not as the block it left.
 func TestConcurrentFirstStoresKeepBothHalves(t *testing.T) {
 	pm := NewPhysMem(2, true)
 	p, _ := pm.Alloc()
 	base := pattern(1)
 	lo := bytes.Repeat([]byte{0xA5}, PageSize/2)
-	hi := bytes.Repeat([]byte{0x5A}, PageSize/2)
+	hi := bytes.Repeat([]byte{0x5B}, PageSize/2) // the halves do not sum as base does
+	q, _ := pm.Alloc()
+	pm.Store(q, 0, base)
+	want := refByteSum(base)
 	for i := 0; i < 1000; i++ {
 		p.data.Store(nil) // drop the last round's owned buffer
 		pm.Store(p, 0, base)
 		if _, shared := block(p); !shared {
 			t.Fatal("setup: the page does not share a block")
 		}
+		if got := pm.Sum(p, 0, PageSize); got != want {
+			t.Fatalf("iteration %d: shared page sums to %d, byte loop %d", i, got, want)
+		}
 		var start, done sync.WaitGroup
 		start.Add(1)
-		done.Add(2)
+		done.Add(3)
 		for _, w := range []struct {
 			off int
 			src []byte
@@ -201,11 +238,21 @@ func TestConcurrentFirstStoresKeepBothHalves(t *testing.T) {
 				pm.Store(p, w.off, w.src)
 			}()
 		}
+		// The other sharer's block sum is asked for while p leaves it.
+		var qSum uint32
+		go func() {
+			defer done.Done()
+			start.Wait()
+			qSum = pm.Sum(q, 0, PageSize)
+		}()
 		start.Done()
 		done.Wait()
 		v := p.View()
 		if !bytes.Equal(v[:PageSize/2], lo) || !bytes.Equal(v[PageSize/2:], hi) {
 			t.Fatalf("iteration %d: a first store was lost", i)
+		}
+		if got, want := pm.Sum(p, 0, PageSize), refByteSum(v); got != want || qSum != refByteSum(base) {
+			t.Fatalf("iteration %d: sums after the race: owner %d (byte loop %d), sharer %d (byte loop %d)", i, got, want, qSum, refByteSum(base))
 		}
 	}
 }
