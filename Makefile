@@ -12,10 +12,11 @@ build:
 	$(GO) build ./cmd/... ./examples/...
 
 # Shuffled tests (every Test*Economy gate included), then the results
-# ledger and the consumer goldens, the experiment replay (the round-robin
-# churn driver keeps scale, reclaim and adaptive deterministic), the
-# PostMark golden and allocation bound, and the event scheduler's golden
-# and order tests, repeated.
+# ledger (all 27 experiments replay exactly) and the consumer goldens,
+# the experiment replay (the round-robin churn driver keeps scale,
+# reclaim and adaptive deterministic), the PostMark golden and
+# allocation bound, and the event scheduler's golden and order tests,
+# repeated.
 test:
 	$(GO) test -shuffle=on ./...
 	$(GO) test -count=3 -run 'Ledger|ExtentConsumersGolden' . ./internal/experiments
@@ -24,7 +25,7 @@ test:
 	$(GO) test -count=3 -run 'GoldenSchedule|ScheduleOrder|OOODuplicate' ./internal/vnet ./internal/netstack
 
 # Race detector, then the migration-exclusion races repeated.  The
-# experiments package alone takes 210-230 s under -race on two vCPUs, so
+# experiments package alone takes about 110 s under -race on two vCPUs, so
 # the timeout is twice go test's 10-minute default.
 race:
 	$(GO) test -race -timeout 20m ./...

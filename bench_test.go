@@ -272,30 +272,27 @@ func BenchmarkAllocRun(b *testing.B) {
 
 // BenchmarkAllocContig is the buddy frame allocator's acceptance
 // benchmark: after a fragmentation-churn warmup, every round allocates a
-// FRESH superpage-spanning physical extent, maps it as an aligned run,
-// sweeps it, and releases everything.  On the buddy allocator the freed
-// frames coalesce, so AllocContig keeps serving aligned contiguous
-// extents (contig% ~1.0) and the run windows promote — after the first
-// cold install the page-set cache revives the promoted window round
-// after round.  On the seed's LIFO stack (the -lifo rows) contiguity
-// never comes back: runs install scattered frames (no promotion), and
-// the scattered-batch row pays the full per-page translation bill.  The
-// promotion-recovery criterion (Promotions > 0, walks/page <= 1/4 of
-// the scattered path) is enforced by TestContigPromotionRecovery; this
-// benchmark is where the numbers surface.
+// FRESH superpage-spanning physical extent, maps it, sweeps it, and
+// releases everything.  The freed frames coalesce, so AllocContig keeps
+// serving aligned contiguous extents (contig% ~1.0): on the run row the
+// windows promote — after the first cold install the page-set cache
+// revives the promoted window round after round — while the
+// scattered-batch row maps the same extents page by page and pays the
+// full per-page translation bill.  The promotion-recovery criterion
+// (Promotions > 0, walks/page <= 1/4 of the scattered path) is enforced
+// by TestContigPromotionRecovery; this benchmark is where the numbers
+// surface.
 func BenchmarkAllocContig(b *testing.B) {
 	cases := []struct {
 		name    string
-		phys    kernel.Tri
 		useRuns bool
 	}{
-		{"buddy-contig", kernel.Auto, true},
-		{"lifo-run", kernel.Off, true},
-		{"lifo-scattered-batch", kernel.Off, false},
+		{"buddy-contig", true},
+		{"scattered-batch", false},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
-			k, err := experiments.BootContigRecovery(c.phys)
+			k, err := experiments.BootContigRecovery()
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -4,17 +4,13 @@ package sfbuf
 // fragmentation-churn warmup, aligned AllocRun windows over AllocContig
 // extents on the buddy-backed sharded engine regain superpage promotion
 // (Promotions > 0) at <= 1/4 the page-table walks per page of the
-// scattered batch + per-page-translation path, while a LIFO-backed
-// kernel never recovers contiguity at all.  BenchmarkAllocContig surfaces
-// the same numbers; this test enforces them.
+// scattered batch + per-page-translation path.  BenchmarkAllocContig
+// surfaces the same numbers; this test enforces them.
 
 import (
-	"errors"
 	"testing"
 
 	"sfbuf/internal/experiments"
-	"sfbuf/internal/kernel"
-	"sfbuf/internal/vm"
 )
 
 type contigRecoveryResult struct {
@@ -24,9 +20,9 @@ type contigRecoveryResult struct {
 	largestExt int
 }
 
-func driveContigRecovery(t testing.TB, physBuddy kernel.Tri, useRuns bool, ops int) contigRecoveryResult {
+func driveContigRecovery(t testing.TB, useRuns bool, ops int) contigRecoveryResult {
 	t.Helper()
-	k, err := experiments.BootContigRecovery(physBuddy)
+	k, err := experiments.BootContigRecovery()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,14 +46,11 @@ func driveContigRecovery(t testing.TB, physBuddy kernel.Tri, useRuns bool, ops i
 
 func TestContigPromotionRecovery(t *testing.T) {
 	const ops = 64 * experiments.ContigRecoveryPages
-	buddy := driveContigRecovery(t, kernel.Auto, true, ops)
-	lifoRun := driveContigRecovery(t, kernel.Off, true, ops)
-	scattered := driveContigRecovery(t, kernel.Off, false, ops)
+	buddy := driveContigRecovery(t, true, ops)
+	scattered := driveContigRecovery(t, false, ops)
 	t.Logf("buddy run: promotions=%d walks/page=%.4f contig=%.2f largest=%d",
 		buddy.promotions, buddy.walksPage, buddy.contigFrac, buddy.largestExt)
-	t.Logf("lifo run: promotions=%d walks/page=%.4f contig=%.2f largest=%d",
-		lifoRun.promotions, lifoRun.walksPage, lifoRun.contigFrac, lifoRun.largestExt)
-	t.Logf("lifo scattered batch: walks/page=%.4f", scattered.walksPage)
+	t.Logf("scattered batch: walks/page=%.4f", scattered.walksPage)
 
 	// The recovery criterion: churned frames coalesced back into aligned
 	// extents, and the aligned run windows over them promote again.
@@ -71,25 +64,16 @@ func TestContigPromotionRecovery(t *testing.T) {
 		t.Errorf("buddy run walks/page = %.4f, want <= 1/4 of scattered path %.4f",
 			buddy.walksPage, scattered.walksPage)
 	}
-	// The LIFO pool demonstrates the disease: zero contiguity, zero
-	// promotions, forever.
-	if lifoRun.contigFrac != 0 {
-		t.Errorf("LIFO contig fraction = %.2f, want 0", lifoRun.contigFrac)
-	}
-	if lifoRun.promotions != 0 {
-		t.Errorf("LIFO runs promoted %d windows over scattered frames", lifoRun.promotions)
-	}
 }
 
-// TestAllocContigFacade exercises the public knob end to end: PhysBuddy
-// forced on boots the buddy allocator on any engine, AllocContig extents
-// come back aligned, and PhysStats reports through the facade types.
+// TestAllocContigFacade exercises contiguous frames end to end on a
+// figure engine: AllocContig extents come back aligned, and PhysStats
+// reports through the facade types.
 func TestAllocContigFacade(t *testing.T) {
 	k := MustBoot(Config{
 		Platform:     XeonMP(),
 		Mapper:       SFBufKernel,
-		Cache:        CacheGlobal, // Auto would say LIFO here...
-		PhysBuddy:    On,          // ...but On overrides
+		Cache:        CacheGlobal,
 		PhysPages:    2048,
 		CacheEntries: 64,
 	})
@@ -103,20 +87,10 @@ func TestAllocContigFacade(t *testing.T) {
 		}
 	}
 	var st PhysStats = k.PhysStats()
-	if !st.Buddy || st.ContigAllocs != 1 {
+	if st.ContigAllocs != 1 {
 		t.Fatalf("PhysStats = %+v", st)
 	}
 	for _, pg := range pages {
 		k.M.Phys.Free(pg)
-	}
-	// And the default figure configuration still refuses: its LIFO pool
-	// is the bit-exact seed allocator.
-	g := MustBoot(Config{Platform: XeonMP(), Mapper: SFBufKernel, Cache: CacheGlobal,
-		PhysPages: 256, CacheEntries: 64})
-	if _, err := g.AllocPhysContig(8); !errors.Is(err, ErrNoContig) {
-		t.Fatalf("LIFO AllocPhysContig = %v, want ErrNoContig", err)
-	}
-	if _, err := vm.NewPhysMem(8, false).AllocContig(2, 1); !errors.Is(err, vm.ErrNoContig) {
-		t.Fatal("vm-level LIFO AllocContig must refuse")
 	}
 }

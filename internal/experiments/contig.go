@@ -11,24 +11,23 @@ import (
 )
 
 // This file drives the physical-contiguity experiments: a deterministic
-// fragmentation-churn warmup that destroys a LIFO allocator's frame
+// fragmentation-churn warmup that would destroy a LIFO allocator's frame
 // ordering forever (while the buddy allocator coalesces back), and a
 // churn loop that allocates fresh physical extents per round — contiguous
-// when the allocator can provide them — maps them as runs, and sweeps
-// them through the honest MMU.  It is the proof harness for the buddy
-// refactor's acceptance criterion: after churn, aligned AllocRun windows
-// over AllocContig extents regain superpage promotion on the sharded
-// engine, while a LIFO-backed kernel is stuck with scattered frames.
+// when the allocator can provide them — maps them as runs or batches, and
+// sweeps them through the honest MMU.  It is the proof harness for the
+// buddy allocator's acceptance criterion: after churn, aligned AllocRun
+// windows over AllocContig extents regain superpage promotion on the
+// sharded engine, at a fraction of the scattered batch path's walks.
 
 // FragmentPhys is the fragmentation-churn warmup: it allocates the
 // machine's entire free physical memory in pseudorandom group sizes, then
 // frees every group in shuffled order.  After the warmup a LIFO free
-// stack is a random permutation — AllocN returns scattered frames until
-// reboot — while the buddy allocator has coalesced back to maximal
-// blocks; the two allocators' contrasting futures from an identical
-// churn history are exactly what the recovery harness measures.  The
-// churn is deterministic for a given pool, and respects the booted
-// machine's socket topology (FragmentPhysOn).
+// stack would be a random permutation — AllocN scattered until reboot —
+// while the buddy allocator has coalesced back to maximal blocks, which
+// is what the recovery harness measures.  The churn is deterministic for
+// a given pool, and respects the booted machine's socket topology
+// (FragmentPhysOn).
 func FragmentPhys(k *kernel.Kernel) error {
 	return FragmentPhysOn(k.M.Phys, k.M.Topology())
 }
@@ -104,11 +103,10 @@ func FragmentPhysOn(phys *vm.PhysMem, topo smp.Topology) error {
 // AllocBatch + per-page translation otherwise, the CopyOutVec cost
 // shape), and releases both the mapping and the frames.  It returns the
 // pages churned and the fraction of extents served physically
-// contiguous; on a buddy machine the fraction stays ~1.0 because freed
-// extents coalesce, on a LIFO machine it is 0 forever.  With runLen =
-// pmap.SuperpagePages every contiguous extent's aligned window promotes,
-// which is the recovery BenchmarkAllocContig and the promotion-recovery
-// test measure.
+// contiguous; the fraction stays ~1.0 because freed extents coalesce.
+// With runLen = pmap.SuperpagePages every contiguous extent's aligned
+// window promotes, which is the recovery BenchmarkAllocContig and the
+// promotion-recovery test measure.
 func ChurnFrag(k *kernel.Kernel, ops, runLen int, useRuns bool) (done int, contigFrac float64, err error) {
 	ncpu := k.M.NumCPUs()
 	rounds := ops / ncpu / runLen
@@ -150,15 +148,13 @@ const ContigRecoveryPages = pmap.SuperpagePages
 // BootContigRecovery boots the promotion-recovery rig: a 4-way Xeon
 // running the sharded sf_buf engine with a mapping cache wide enough to
 // hold two superpage-spanning runs, over enough physical memory that the
-// fragmentation warmup leaves intact buddy blocks.  physBuddy selects the
-// frame allocator under test.
-func BootContigRecovery(physBuddy kernel.Tri) (*kernel.Kernel, error) {
+// fragmentation warmup leaves intact buddy blocks.
+func BootContigRecovery() (*kernel.Kernel, error) {
 	return kernel.Boot(kernel.Config{
 		Platform:     arch.XeonMPHTT(),
 		Mapper:       kernel.SFBuf,
 		Cache:        kernel.CacheSharded,
 		PhysPages:    32 * ContigRecoveryPages,
 		CacheEntries: 2*ContigRecoveryPages + 64,
-		PhysBuddy:    physBuddy,
 	})
 }

@@ -64,7 +64,6 @@ func bootDefrag(migrate kernel.Tri) (*kernel.Kernel, error) {
 		PhysPages:    defragSpans * pmap.SuperpagePages,
 		Backed:       true,
 		CacheEntries: 2*pmap.SuperpagePages + 64,
-		PhysBuddy:    kernel.On,
 		Reserv:       kernel.On,
 		Migrate:      migrate,
 	})

@@ -17,31 +17,14 @@ var update = flag.Bool("update", false, "rewrite testdata/ledger from this check
 // replayable set runs in a couple of seconds.
 const ledgerScale = 0.02
 
-// ledgerShapeOnly names the experiments whose numbers are not yet
-// replayable, with the reason.  Their ledger file pins the shape instead
-// (shapeText): the title, the columns, each row's first cell, the notes
-// and the metric keys without values.  They join the full ledger once
-// their workers run on one simulated clock (ROADMAP item 8).
-var ledgerShapeOnly = map[string]string{
-	"fig11": "netperf's sender and receiver are goroutines: rare last-digit jitter",
-	"fig12": "netperf's sender and receiver are goroutines: rare last-digit jitter",
-	"fig15": "the web server's workers are goroutines",
-	"fig16": "the web server's workers are goroutines",
-	"fig17": "the web server's workers are goroutines",
-	"fig18": "the web server's workers are goroutines",
-	"fig19": "the web server's workers are goroutines",
-	"fig20": "the web server's workers are goroutines",
-}
-
 // TestLedger is the results ledger: every experiment's rendered table at
 // ledgerScale followed by its metrics block, checked in under
-// testdata/ledger and diffed byte for byte (the ledgerShapeOnly
-// experiments pin their shape only).  A change that moves any simulated
-// number turns it red: the tables round, so the metrics block carries
-// each experiment's headline values at full precision.  Never regenerate
-// it to make a change pass: a diff means a mapping engine's economy
-// moved (in scale.txt, a churn economy).  Regenerate with -update only
-// when a number is meant to move, and say which rows moved and why.
+// testdata/ledger and diffed byte for byte.  A change that moves any
+// simulated number turns it red: the tables round, so the metrics block
+// carries each experiment's headline values at full precision.  Never
+// regenerate it to make a change pass: a diff means a mapping engine's
+// economy moved (in scale.txt, a churn economy).  Regenerate with -update
+// only when a number is meant to move, and say which rows moved and why.
 func TestLedger(t *testing.T) {
 	dir := filepath.Join("testdata", "ledger")
 	ids := map[string]bool{}
@@ -51,11 +34,6 @@ func TestLedger(t *testing.T) {
 			t.Parallel()
 			checkLedgerFile(t, id)
 		})
-	}
-	for id := range ledgerShapeOnly {
-		if !ids[id] {
-			t.Errorf("shape-only experiment %s is not registered", id)
-		}
 	}
 	files, err := filepath.Glob(filepath.Join(dir, "*.txt"))
 	if err != nil {
@@ -85,9 +63,6 @@ func checkLedgerFile(t *testing.T, id string) {
 		t.Fatal(err)
 	}
 	got := ledgerText(res)
-	if _, ok := ledgerShapeOnly[id]; ok {
-		got = shapeText(res)
-	}
 	path := filepath.Join("testdata", "ledger", id+".txt")
 	if *update {
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
@@ -112,26 +87,6 @@ func ledgerText(res *Result) string {
 	b.WriteString("metrics\n")
 	for _, k := range slices.Sorted(maps.Keys(res.Metrics)) {
 		fmt.Fprintf(&b, "%s %v\n", k, res.Metrics[k])
-	}
-	return b.String()
-}
-
-// shapeText is a shape-only ledger file: the title line, the columns,
-// the first cell of every row, the notes, and the sorted metric keys
-// without their values, which jitter.
-func shapeText(res *Result) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s — %s\n", res.ID, res.Title)
-	fmt.Fprintf(&b, "columns: %s\n", strings.Join(res.Columns, " | "))
-	for _, row := range res.Rows {
-		fmt.Fprintf(&b, "row: %s\n", row[0])
-	}
-	for _, n := range res.Notes {
-		fmt.Fprintf(&b, "note: %s\n", n)
-	}
-	b.WriteString("metrics\n")
-	for _, k := range slices.Sorted(maps.Keys(res.Metrics)) {
-		fmt.Fprintf(&b, "%s\n", k)
 	}
 	return b.String()
 }

@@ -50,7 +50,7 @@ func RunScale(o Options) (*Result, error) {
 			"coalesce = invalidations retired per batched flush (sharded engine only)",
 			"walks/op = page-table walks per page touched; run rows pay one walk per contiguous run",
 			"tlb/op = TLB entries filled per page touched (base + superpage entries)",
-			"frag rows churn FRESH physical extents after a fragmentation-churn warmup; contig% is the fraction served physically contiguous (buddy allocator coalesces, LIFO never recovers)",
+			"frag rows churn FRESH physical extents after a fragmentation-churn warmup; contig% is the fraction served physically contiguous (the buddy allocator coalesces freed extents)",
 		},
 	}
 

@@ -64,7 +64,6 @@ func bootTier(hints kernel.Tri) (*kernel.Kernel, error) {
 		PhysPages:    TierPhysPages,
 		Backed:       true,
 		CacheEntries: 512,
-		PhysBuddy:    kernel.On,
 		Reserv:       kernel.Off,
 		Tiers:        2,
 		FastFraction: TierFastFraction,

@@ -99,7 +99,6 @@ func TestTierSingleTierIdentical(t *testing.T) {
 		PhysPages:    TierPhysPages,
 		Backed:       true,
 		CacheEntries: 512,
-		PhysBuddy:    kernel.On,
 		Reserv:       kernel.Off,
 	})
 	if err != nil {

@@ -115,7 +115,7 @@ func TestRecencyTablesMatchMapReference(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			k, err := Boot(Config{Platform: arch.XeonMPHTT(), Mapper: SFBuf, Cache: CacheSharded,
-				PhysPages: tc.phys, CacheEntries: tc.entries, PhysBuddy: On})
+				PhysPages: tc.phys, CacheEntries: tc.entries})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -89,23 +89,17 @@ type Config struct {
 	// the historical static paths everywhere else.  On and Off force one
 	// path for every consumer.
 	Contig Tri
-	// PhysBuddy selects the physical-frame allocator.  Auto boots the
-	// buddy allocator exactly where recovered physical contiguity pays
-	// (sf_buf kernels on non-figure engines) and keeps the LIFO stack on
-	// the figure-reproduction configurations, whose deterministic
-	// experiments must stay bit-identical.
-	PhysBuddy Tri
 	// Daemon runs the background reclaim-and-laundering daemon on the idle
 	// tick, refilling each CPU's clean freelist and the overflow pool.
 	// Auto runs it on the sharded i386 cache; Off leaves reclaim
 	// to allocation-miss shortage, the paper's behaviour.  The figure
 	// engines (CacheGlobal, the original kernel) never run a daemon.
 	Daemon Tri
-	// Reserv selects superpage reservation watermarks on the buddy
-	// allocator (Auto: on wherever the buddy allocator runs).
+	// Reserv selects superpage reservation watermarks on the buddy frame
+	// allocator (Auto: on).
 	Reserv Tri
 	// Migrate selects defragmentation by migration (Auto: on wherever the
-	// engine can migrate — the sharded i386 cache over a buddy pool).
+	// engine can migrate — the sharded i386 cache).
 	Migrate Tri
 	// Tiers models the physical memory as that many performance tiers.
 	// 2 splits each socket's frame range into a fast low-address prefix
@@ -181,24 +175,10 @@ func Boot(cfg Config) (*Kernel, error) {
 	if err != nil {
 		return nil, err
 	}
-	var phys *vm.PhysMem
-	if p.Buddy {
-		phys = vm.NewBuddyPhysMemNUMA(cfg.PhysPages, cfg.Backed, p.Sockets)
-	} else {
-		phys = vm.NewPhysMem(cfg.PhysPages, cfg.Backed)
-		if p.Sockets > 1 {
-			// LIFO pools keep their exact allocation order; the partition
-			// only homes frames for SocketOfFrame and remote-memory
-			// charging.
-			phys.HomeSockets(p.Sockets)
-		}
-	}
+	phys := vm.NewPhysMemNUMA(cfg.PhysPages, cfg.Backed, p.Sockets)
 	if p.Tiered {
-		// The split must land before anything allocates: on a buddy pool
-		// the free-block cover is rebuilt per tier sub-range.  LIFO pools
-		// take the split as lookup-only metadata, so slow-tier charging
-		// works there too; hinted placement additionally needs the buddy
-		// allocator (tier-targeted allocation and migration).
+		// The split must land before anything allocates: the free-block
+		// cover is rebuilt per tier sub-range.
 		ff := cfg.FastFraction
 		if ff == 0 {
 			ff = DefaultFastFraction
@@ -303,9 +283,9 @@ func (k *Kernel) PhysContigAlign(n int) int {
 }
 
 // AllocPhysContig allocates n physically contiguous frames with the
-// kernel's alignment hint applied.  It fails with vm.ErrNoContig on
-// LIFO pools and under unrecoverable fragmentation; callers that can use
-// scattered pages fall back to AllocN.
+// kernel's alignment hint applied.  It fails with vm.ErrNoContig under
+// unrecoverable fragmentation; callers that can use scattered pages fall
+// back to AllocN.
 //
 // With a migrator booted, a contiguity failure over SUFFICIENT total free
 // memory triggers one synchronous defragmentation pass — evacuate enough

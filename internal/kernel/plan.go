@@ -70,9 +70,7 @@ const DefaultFastFraction = 0.25
 // Plan is the configuration as Boot resolved it, fixed for the kernel's
 // lifetime.
 type Plan struct {
-	// Buddy boots the buddy frame allocator instead of the seed's LIFO
-	// stack; Reservation guards superpage-span blocks on it.
-	Buddy       bool
+	// Reservation guards superpage-span blocks on the frame allocator.
 	Reservation bool
 	// Tiered splits physical memory into a fast and a slow tier;
 	// TierHints runs the hot-extent placement keeper over them.
@@ -123,14 +121,13 @@ func resolvePlan(cfg Config) (Plan, error) {
 	// cache and the original kernel keep the seed's paths bit-exact.
 	modern := cfg.Mapper == SFBuf && cfg.Cache != CacheGlobal
 	p := Plan{Sockets: max(cfg.Sockets, 1)}
-	p.Buddy = cfg.PhysBuddy.or(modern)
-	p.Reservation = p.Buddy && cfg.Reserv.or(true)
+	p.Reservation = cfg.Reserv.or(true)
 	p.Tiered = cfg.Tiers >= 2
 	p.Homed = modern && p.Sockets > 1 && cfg.Homing.or(true)
-	// Only the sharded i386 cache has clean stock for a daemon to refill,
-	// and only over a buddy pool can it migrate frames.
+	// Only the sharded i386 cache has clean stock for a daemon to refill
+	// and frames it can migrate.
 	p.Daemon = modern && cfg.Platform.Arch == arch.I386 && cfg.Daemon.or(true)
-	canMigrate := modern && cfg.Platform.Arch == arch.I386 && p.Buddy
+	canMigrate := modern && cfg.Platform.Arch == arch.I386
 	p.Migrate = canMigrate && cfg.Migrate.or(true)
 	p.TierHints = canMigrate && p.Tiered && cfg.TierHints.or(true)
 

@@ -47,13 +47,11 @@ type Disk struct {
 }
 
 // New allocates a memory disk of the given size (rounded up to whole
-// pages) from the machine's physical memory.  On a buddy-managed machine
-// the pool is built from aligned physically contiguous extents — one
-// AllocContig when a single block covers the disk, else one per maximal
-// block — so transfers stay superpage-promotion-eligible even when the
-// disk is created after churn; fragments degrade gracefully to scattered
-// AllocN pages.  LIFO machines keep the seed's AllocN pool (contiguous on
-// a fresh machine, which is what the figure experiments boot).
+// pages) from the machine's physical memory.  The pool is built from
+// aligned physically contiguous extents — one AllocContig when a single
+// block covers the disk, else one per maximal block — so transfers stay
+// superpage-promotion-eligible even when the disk is created after churn;
+// fragments degrade gracefully to scattered AllocN pages.
 func New(k *kernel.Kernel, size int64) (*Disk, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("memdisk: invalid size %d", size)
@@ -76,9 +74,6 @@ func New(k *kernel.Kernel, size int64) (*Disk, error) {
 // remainder no covering block can serve is filled with scattered AllocN
 // pages.
 func allocPool(k *kernel.Kernel, npages int) ([]*vm.Page, error) {
-	if !k.M.Phys.Buddy() {
-		return k.M.Phys.AllocN(npages)
-	}
 	var pool []*vm.Page
 	release := func() {
 		for _, pg := range pool {

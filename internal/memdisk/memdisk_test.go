@@ -213,9 +213,6 @@ func TestBuddyPoolStaysPromotionEligible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !k.M.Phys.Buddy() {
-		t.Fatal("sharded sf_buf kernel should boot the buddy allocator")
-	}
 	// Churn the allocator so a LIFO stack would be scrambled.
 	churn, err := k.M.Phys.AllocN(3 * span)
 	if err != nil {

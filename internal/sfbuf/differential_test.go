@@ -165,13 +165,13 @@ func newDiffEngines(t *testing.T, plat arch.Platform) []*diffEngine {
 }
 
 // newDiffEnginesTopo is newDiffEngines on a sockets-package machine: the
-// physical pool is homing-partitioned, the machine gets the topology and
-// the sharded engine runs socket-homed.
+// physical pool is homed per socket (vm.NewPhysMemNUMA), the machine gets
+// the topology and the sharded engine runs socket-homed.
 // sockets <= 1 is byte-for-byte the flat build.
 func newDiffEnginesTopo(t *testing.T, plat arch.Platform, sockets int) []*diffEngine {
 	t.Helper()
 	build := func(name string, mk func(m *smp.Machine, pm *pmap.Pmap, arena *kva.Arena) (Mapper, error)) *diffEngine {
-		m := smp.NewMachine(plat, diffPages+600, true)
+		m := smp.NewMachineWithPhys(plat, vm.NewPhysMemNUMA(diffPages+600, true, sockets))
 		pm := pmap.New(m)
 		base, size := uint64(pmap.KVABaseI386), uint64(pmap.KVASizeI386)
 		if plat.Arch != arch.I386 {
@@ -179,7 +179,6 @@ func newDiffEnginesTopo(t *testing.T, plat arch.Platform, sockets int) []*diffEn
 		}
 		arena := kva.NewArena(base, size)
 		if sockets > 1 {
-			m.Phys.HomeSockets(sockets)
 			m.SetTopology(sockets)
 		}
 		sf, err := mk(m, pm, arena)

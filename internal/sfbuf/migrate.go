@@ -95,9 +95,9 @@ type MigrationStats struct {
 }
 
 // NewMigrator builds a Migrator for the mapper, or nil when the mapper
-// cannot migrate: only the i386 sharded engine over a buddy physical pool
-// participates (the global-lock figure engines stay untouched so the paper
-// reproductions keep their exact behaviour).
+// cannot migrate: only the i386 sharded engine participates (the
+// global-lock figure engines stay untouched so the paper reproductions
+// keep their exact behaviour).
 func NewMigrator(m Mapper, cfg MigrateConfig) *Migrator {
 	v, ok := m.(*I386)
 	if !ok {
@@ -105,10 +105,6 @@ func NewMigrator(m Mapper, cfg MigrateConfig) *Migrator {
 	}
 	sc, ok := v.c.(*shardedCache)
 	if !ok {
-		return nil
-	}
-	phys := sc.m.Phys
-	if phys == nil || !phys.PhysStats().Buddy {
 		return nil
 	}
 	span := cfg.Span
@@ -126,7 +122,7 @@ func NewMigrator(m Mapper, cfg MigrateConfig) *Migrator {
 	for 1<<order < span {
 		order++
 	}
-	return &Migrator{c: sc, phys: phys, span: span, spanOrder: order, maxResident: maxRes}
+	return &Migrator{c: sc, phys: sc.m.Phys, span: span, spanOrder: order, maxResident: maxRes}
 }
 
 // Span returns the configured contiguity target in frames.

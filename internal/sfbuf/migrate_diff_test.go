@@ -44,7 +44,7 @@ func newDiffEnginesBuddy(t *testing.T, plat arch.Platform, sockets int) []*diffE
 		spanOrder++
 	}
 	build := func(name string, mk func(m *smp.Machine, pm *pmap.Pmap, arena *kva.Arena) (Mapper, error)) *diffEngine {
-		m := smp.NewMachineWithPhys(plat, vm.NewBuddyPhysMemNUMA(diffBuddyFrames, true, sockets))
+		m := smp.NewMachineWithPhys(plat, vm.NewPhysMemNUMA(diffBuddyFrames, true, sockets))
 		m.Phys.SetReservation(spanOrder, 2)
 		pm := pmap.New(m)
 		arena := kva.NewArena(pmap.KVABaseI386, pmap.KVASizeI386)

@@ -41,7 +41,7 @@ type migrateRig struct {
 // that span.
 func newMigrateRig(t *testing.T, frames, entries int, cfg ShardedConfig) *migrateRig {
 	t.Helper()
-	m := smp.NewMachineWithPhys(arch.XeonMPHTT(), vm.NewBuddyPhysMem(frames, true))
+	m := smp.NewMachineWithPhys(arch.XeonMPHTT(), vm.NewPhysMem(frames, true))
 	order := 0
 	for 1<<order < migTestSpan {
 		order++
@@ -61,48 +61,40 @@ func newMigrateRig(t *testing.T, frames, entries int, cfg ShardedConfig) *migrat
 }
 
 // TestMigratorEligibility pins which engines migrate: only the sharded
-// cache over a buddy pool.  The global-lock figure engine, the original
-// kernel, and any engine over the LIFO pool must be declined, so the
-// paper reproductions can never be perturbed by a misconfigured Migrator.
+// cache.  The global-lock figure engine and the original kernel must be
+// declined, so the paper reproductions can never be perturbed by a
+// misconfigured Migrator.
 func TestMigratorEligibility(t *testing.T) {
 	plat := arch.XeonMPHTT()
-	buddy := smp.NewMachineWithPhys(plat, vm.NewBuddyPhysMem(256, true))
-	lifo := smp.NewMachine(plat, 256, true)
+	m := smp.NewMachine(plat, 256, true)
 	mkArena := func() *kva.Arena { return kva.NewArena(pmap.KVABaseI386, pmap.KVASizeI386) }
 
-	sharded, err := NewI386Sharded(buddy, pmap.New(buddy), mkArena(), 8, ShardedConfig{})
+	sharded, err := NewI386Sharded(m, pmap.New(m), mkArena(), 8, ShardedConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if NewMigrator(sharded, MigrateConfig{}) == nil {
-		t.Fatal("sharded engine over buddy pool must migrate")
+		t.Fatal("sharded engine over a buddy pool must migrate")
 	}
 	if NewMigrator(sharded, MigrateConfig{Span: 48}) != nil {
 		t.Fatal("non-power-of-two span must be rejected")
 	}
-	global, err := NewI386(buddy, pmap.New(buddy), mkArena(), 8)
+	global, err := NewI386(m, pmap.New(m), mkArena(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if NewMigrator(global, MigrateConfig{}) != nil {
 		t.Fatal("global-lock figure engine must never migrate")
 	}
-	orig := NewOriginal(buddy, pmap.New(buddy), mkArena())
+	orig := NewOriginal(m, pmap.New(m), mkArena())
 	if NewMigrator(orig, MigrateConfig{}) != nil {
 		t.Fatal("original kernel must never migrate")
-	}
-	shardedLIFO, err := NewI386Sharded(lifo, pmap.New(lifo), mkArena(), 8, ShardedConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if NewMigrator(shardedLIFO, MigrateConfig{}) != nil {
-		t.Fatal("LIFO pool has no block geometry: migration must be declined")
 	}
 	var nilMig *Migrator
 	if st := nilMig.Stats(); st != (MigrationStats{}) {
 		t.Fatal("nil Migrator must report zero stats")
 	}
-	if nilMig.MigrateBlocks(buddy.Ctx(0), 4) != 0 {
+	if nilMig.MigrateBlocks(m.Ctx(0), 4) != 0 {
 		t.Fatal("nil Migrator must migrate nothing")
 	}
 }

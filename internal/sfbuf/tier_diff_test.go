@@ -38,7 +38,7 @@ func newDiffEnginesTiered(t *testing.T, plat arch.Platform) []*diffEngine {
 		spanOrder++
 	}
 	build := func(name string, mk func(m *smp.Machine, pm *pmap.Pmap, arena *kva.Arena) (Mapper, error)) *diffEngine {
-		m := smp.NewMachineWithPhys(plat, vm.NewBuddyPhysMem(diffBuddyFrames, true))
+		m := smp.NewMachineWithPhys(plat, vm.NewPhysMem(diffBuddyFrames, true))
 		m.Phys.SetReservation(spanOrder, 2)
 		m.Phys.SetTierSplit(diffTierFast)
 		pm := pmap.New(m)

@@ -227,17 +227,15 @@ type Machine struct {
 }
 
 // NewMachine builds a machine for the given platform with frames pages of
-// physical memory on the LIFO frame allocator.  backed selects whether
-// pages carry real storage.
+// one-socket physical memory.  backed selects whether pages carry real
+// storage.
 func NewMachine(p arch.Platform, frames int, backed bool) *Machine {
 	return NewMachineWithPhys(p, vm.NewPhysMem(frames, backed))
 }
 
 // NewMachineWithPhys builds a machine over a caller-constructed physical
-// memory pool — how the kernel boots the buddy frame allocator
-// (vm.NewBuddyPhysMem) behind the Config.PhysBuddy knob while the
-// figure-reproduction configurations keep the seed's LIFO pool and its
-// bit-exact allocation order.
+// memory pool — how the kernel boots a multi-socket or tiered pool
+// (vm.NewPhysMemNUMA, vm.PhysMem.SetTierSplit).
 func NewMachineWithPhys(p arch.Platform, phys *vm.PhysMem) *Machine {
 	if p.NumCPUs <= 0 || p.NumCPUs > MaxCPUs {
 		panic(fmt.Sprintf("smp: invalid CPU count %d", p.NumCPUs))

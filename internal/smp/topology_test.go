@@ -16,7 +16,7 @@ import (
 
 func numaMachine(t *testing.T, sockets, cpusPer, frames int) *Machine {
 	t.Helper()
-	phys := vm.NewBuddyPhysMemNUMA(frames, false, sockets)
+	phys := vm.NewPhysMemNUMA(frames, false, sockets)
 	m := NewMachineWithPhys(arch.XeonNUMA(sockets, cpusPer), phys)
 	m.SetTopology(sockets)
 	return m
@@ -180,7 +180,7 @@ func TestXeonNUMAPlatformShape(t *testing.T) {
 	if p.NumCPUs != 8 || !p.MPKernel {
 		t.Fatalf("XeonNUMA(4,2) = %d CPUs MP=%v, want 8 MP CPUs", p.NumCPUs, p.MPKernel)
 	}
-	m := NewMachineWithPhys(p, vm.NewBuddyPhysMemNUMA(128, false, 4))
+	m := NewMachineWithPhys(p, vm.NewPhysMemNUMA(128, false, 4))
 	m.SetTopology(4)
 	for cpu := 0; cpu < 8; cpu++ {
 		if got, want := m.SocketOf(cpu), cpu/2; got != want {

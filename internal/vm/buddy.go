@@ -1,11 +1,11 @@
 package vm
 
-// Buddy physical-frame allocation.  The seed allocator was a LIFO free
-// stack: contiguity existed only on a fresh machine, and the first churn
-// epoch destroyed it forever — once the stack's order is a random
-// permutation, AllocN hands out scattered frames until reboot, and the
-// superpage promotion path (which demands physically contiguous, aligned
-// frames) fires only for pools allocated at boot.
+// Buddy physical-frame allocation, the one allocator every pool runs.  The
+// seed allocator was a LIFO free stack: contiguity existed only on a fresh
+// machine, and the first churn epoch destroyed it forever — once the
+// stack's order is a random permutation, AllocN hands out scattered frames
+// until reboot, and the superpage promotion path (which demands physically
+// contiguous, aligned frames) fires only for pools allocated at boot.
 //
 // The buddy allocator makes contiguity a renewable resource.  Free memory
 // is kept in order-indexed free lists: order k holds blocks of 1<<k
@@ -18,8 +18,9 @@ package vm
 // a fresh machine hands out frames 1, 2, 3, ... exactly as the LIFO
 // stack did, and a drained machine coalesces back to the same maximal
 // block cover it booted with, no matter in what order the frees arrived.
+// The paper's figure kernels therefore replay exactly on it.
 //
-// On a multi-socket machine (NewBuddyPhysMemNUMA) the free lists are kept
+// On a multi-socket machine (NewPhysMemNUMA) the free lists are kept
 // per socket: frames are homed on sockets by contiguous address range, each
 // socket gets its own order-indexed heaps covering exactly its range, and
 // blocks never straddle a socket boundary (the boot cover is built per
@@ -39,7 +40,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
-	"sync/atomic"
 )
 
 // MaxContigOrder is the largest buddy block order: blocks span at most
@@ -52,10 +52,10 @@ const MaxContigOrder = 10
 const MaxContigPages = 1 << MaxContigOrder
 
 // ErrNoContig is returned by AllocContig when no free block can satisfy
-// the requested size and alignment — either the pool is a LIFO (non-buddy)
-// pool, which cannot promise contiguity at all, or fragmentation has
-// (for now) consumed every covering block.  Frames may still be free:
-// callers that can live with scattered pages fall back to AllocN.
+// the requested size and alignment — the request is wider than
+// MaxContigPages, or fragmentation has (for now) consumed every covering
+// block.  Frames may still be free: callers that can live with scattered
+// pages fall back to AllocN.
 var ErrNoContig = errors.New("vm: no physically contiguous extent available")
 
 // orderHeap is one order's free list: a min-heap of block start frames
@@ -142,50 +142,6 @@ func (h *orderHeap) removeAt(i int) {
 	}
 }
 
-// NewBuddyPhysMem creates a machine whose frames are managed by the buddy
-// allocator rather than the seed's LIFO stack: AllocContig can return
-// aligned, physically contiguous extents, AllocN prefers contiguity
-// opportunistically, and freed frames coalesce so contiguity recovers
-// after churn.  The Alloc/AllocN/Free surface is unchanged; on a fresh
-// machine single-page Alloc hands out the same frame sequence the LIFO
-// pool did.
-func NewBuddyPhysMem(frames int, backed bool) *PhysMem {
-	return NewBuddyPhysMemNUMA(frames, backed, 1)
-}
-
-// NewBuddyPhysMemNUMA is NewBuddyPhysMem on a multi-socket machine: frames
-// are homed on sockets by contiguous address range (frames/sockets frames
-// per socket, the last socket taking the remainder) and every socket gets
-// its own buddy free lists covering exactly its range.  Socket-preferring
-// allocation (AllocOn and friends) drains the caller's home lists before
-// spilling; sockets=1 is exactly NewBuddyPhysMem.
-func NewBuddyPhysMemNUMA(frames int, backed bool, sockets int) *PhysMem {
-	if frames <= 0 {
-		panic("vm: NewBuddyPhysMem with no frames")
-	}
-	if sockets < 1 {
-		sockets = 1
-	}
-	if sockets > frames {
-		sockets = frames
-	}
-	pm := &PhysMem{
-		pages:      make([]atomic.Pointer[Page], frames),
-		buddy:      true,
-		orders:     make([][]orderHeap, sockets),
-		freeBySock: make([]int, sockets),
-		sockets:    sockets,
-		framesPer:  frames / sockets,
-	}
-	for i := range pm.pages {
-		p := &Page{id: uint64(i + 1), backed: backed}
-		p.frame.Store(uint64(i + 1))
-		pm.pages[i].Store(p)
-	}
-	pm.buildCoverLocked()
-	return pm
-}
-
 // buildCoverLocked covers each socket's range — and, on a tiered pool,
 // each tier sub-range within it — with maximal aligned blocks (frame 0 is
 // the sentinel and is never part of any block).  Because the cover is
@@ -221,19 +177,6 @@ func (pm *PhysMem) buildCoverLocked() {
 	}
 }
 
-// Buddy reports whether this pool is buddy-managed (AllocContig can
-// succeed and freed frames coalesce) rather than a LIFO stack.
-func (pm *PhysMem) Buddy() bool { return pm.buddy }
-
-// MaxContig returns the widest contiguous extent one AllocContig call can
-// return on this pool, or 0 for LIFO pools.
-func (pm *PhysMem) MaxContig() int {
-	if !pm.buddy {
-		return 0
-	}
-	return MaxContigPages
-}
-
 // SocketOfFrame returns the home socket of the given frame: the socket
 // whose address range contains it.  Frame 0 (the "no frame" sentinel) and
 // one-socket pools report socket 0.
@@ -257,33 +200,6 @@ func (pm *PhysMem) socketRange(s int) (lo, hi uint64) {
 		hi = uint64(len(pm.pages))
 	}
 	return lo, hi
-}
-
-// HomeSockets installs an address-range socket homing on a LIFO pool so
-// SocketOfFrame answers consistently with what a buddy pool of the same
-// geometry would say.  The LIFO free stack itself stays flat — only the
-// homing metadata changes, so figure-reproduction kernels keep their exact
-// allocation order.  On a buddy pool the partition is fixed at
-// construction: asking for the same count is a no-op and anything else
-// panics (rebuilding the per-socket heaps mid-flight would scramble the
-// free lists).
-func (pm *PhysMem) HomeSockets(sockets int) {
-	if sockets < 1 {
-		sockets = 1
-	}
-	if sockets > len(pm.pages) {
-		sockets = len(pm.pages)
-	}
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
-	if pm.buddy {
-		if sockets != pm.sockets {
-			panic("vm: HomeSockets on a buddy pool; pass sockets to NewBuddyPhysMemNUMA instead")
-		}
-		return
-	}
-	pm.sockets = sockets
-	pm.framesPer = len(pm.pages) / sockets
 }
 
 // eachSocketFrom visits sockets in allocation-preference order: pref first
@@ -333,12 +249,12 @@ func orderFor(n int) int {
 // sub-reservation blocks and splits a protected block only when no smaller
 // block is free anywhere — the FreeBSD-reservation-style defense that keeps
 // the last superpage-capable blocks intact for AllocContig under sustained
-// churn.  order<=0 (or a LIFO pool) disables the reservation.  AllocContig
+// churn.  order<=0 disables the reservation.  AllocContig
 // itself is never steered: consuming spans is its purpose.
 func (pm *PhysMem) SetReservation(order, lowWater int) {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	if !pm.buddy || order <= 0 || order > MaxContigOrder || lowWater <= 0 {
+	if order <= 0 || order > MaxContigOrder || lowWater <= 0 {
 		pm.reservOrder, pm.reservLow = 0, 0
 		return
 	}
@@ -641,8 +557,8 @@ func (pm *PhysMem) carveLocked(start uint64, k, n int) []*Page {
 // ascending frame order.  Subsystems that need superpage-eligible extents
 // — the sharded engine's aligned run windows, amd64 direct-map windows,
 // memory-disk pools — ask here; when fragmentation has consumed every
-// covering block (or the pool is a LIFO pool) it returns ErrNoContig and
-// the caller falls back to AllocN's scattered pages.
+// covering block it returns ErrNoContig and the caller falls back to
+// AllocN's scattered pages.
 func (pm *PhysMem) AllocContig(n, align int) ([]*Page, error) {
 	return pm.AllocContigOn(-1, n, align)
 }
@@ -665,13 +581,8 @@ func (pm *PhysMem) AllocContigOn(socket, n, align int) ([]*Page, error) {
 	}
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	if !pm.buddy || n > MaxContigPages || align > MaxContigPages {
-		// No fragmentation gauge moves here: a LIFO pool (or an over-wide
-		// request) is refused by construction, not by fragmentation, and
-		// PhysStats documents the buddy counters as zero on LIFO pools.
-		if pm.buddy {
-			pm.contigFails++
-		}
+	if n > MaxContigPages || align > MaxContigPages {
+		pm.contigFails++
 		return nil, ErrNoContig
 	}
 	// A block of order k >= max(orderFor(n), log2(align)) starts on a
@@ -708,9 +619,6 @@ type PhysStats struct {
 	// Frames and FreeFrames are the pool size and current free count.
 	Frames     int
 	FreeFrames int
-	// Buddy reports the allocator mode; the fields below it are zero on
-	// LIFO pools except LargestFreeExtent, which is computed either way.
-	Buddy bool
 	// FreeBlocks counts free blocks per order (index = order, block size
 	// 1<<order frames), aggregated across sockets; the shape of
 	// fragmentation.
@@ -739,7 +647,7 @@ type PhysStats struct {
 	Allocs uint64
 	Frees  uint64
 	// Sockets is the homing partition width; FreeBySocket the free count
-	// per socket (nil on LIFO pools, which have no per-socket lists).
+	// per socket.
 	Sockets      int
 	FreeBySocket []int
 	// NUMALocalPages and NUMASpillPages count pages served by
@@ -766,7 +674,9 @@ func (pm *PhysMem) PhysStats() PhysStats {
 	defer pm.mu.Unlock()
 	s := PhysStats{
 		Frames:         len(pm.pages),
-		Buddy:          pm.buddy,
+		FreeFrames:     pm.freePages,
+		FreeBySocket:   append([]int(nil), pm.freeBySock...),
+		FreeBlocks:     make([]int, MaxContigOrder+1),
 		Splits:         pm.splits,
 		Coalesces:      pm.coalesces,
 		ContigAllocs:   pm.contigAllocs,
@@ -786,22 +696,12 @@ func (pm *PhysMem) PhysStats() PhysStats {
 		SlowFree:       pm.tierFreeLocked(TierSlow),
 	}
 	var extents []extent
-	if pm.buddy {
-		s.FreeFrames = pm.freePages
-		s.FreeBySocket = append([]int(nil), pm.freeBySock...)
-		s.FreeBlocks = make([]int, MaxContigOrder+1)
-		for sock := range pm.orders {
-			for k := range pm.orders[sock] {
-				s.FreeBlocks[k] += pm.orders[sock][k].len()
-				for _, start := range pm.orders[sock][k].starts {
-					extents = append(extents, extent{start, 1 << k})
-				}
+	for sock := range pm.orders {
+		for k := range pm.orders[sock] {
+			s.FreeBlocks[k] += pm.orders[sock][k].len()
+			for _, start := range pm.orders[sock][k].starts {
+				extents = append(extents, extent{start, 1 << k})
 			}
-		}
-	} else {
-		s.FreeFrames = len(pm.free)
-		for _, p := range pm.free {
-			extents = append(extents, extent{p.Frame(), 1})
 		}
 	}
 	s.LargestFreeExtent = largestExtent(extents)

@@ -48,30 +48,28 @@ func checkBuddyInvariants(t *testing.T, pm *PhysMem) {
 	}
 }
 
-func TestBuddyFreshAllocSequenceMatchesLIFO(t *testing.T) {
+// TestFreshPoolHandsOutAscendingFrames: a fresh pool hands out frames
+// 1, 2, 3, ... n — the order the seed's LIFO stack produced, which the
+// figure kernels' exact replay rests on.
+func TestFreshPoolHandsOutAscendingFrames(t *testing.T) {
 	const frames = 300
-	lifo := NewPhysMem(frames, false)
-	bud := NewBuddyPhysMem(frames, false)
+	pm := NewPhysMem(frames, false)
 	for i := 0; i < frames; i++ {
-		a, err := lifo.Alloc()
+		pg, err := pm.Alloc()
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := bud.Alloc()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Frame() != b.Frame() {
-			t.Fatalf("alloc %d: lifo frame %d, buddy frame %d — fresh-boot sequences must match", i, a.Frame(), b.Frame())
+		if pg.Frame() != uint64(i+1) {
+			t.Fatalf("alloc %d: frame %d, want %d", i, pg.Frame(), i+1)
 		}
 	}
-	if _, err := bud.Alloc(); !errors.Is(err, ErrNoMemory) {
-		t.Fatalf("exhausted buddy alloc = %v, want ErrNoMemory", err)
+	if _, err := pm.Alloc(); !errors.Is(err, ErrNoMemory) {
+		t.Fatalf("exhausted alloc = %v, want ErrNoMemory", err)
 	}
 }
 
 func TestBuddyAllocContigAlignmentAndOrder(t *testing.T) {
-	pm := NewBuddyPhysMem(4096, true)
+	pm := NewPhysMem(4096, true)
 	for _, tc := range []struct{ n, align int }{
 		{1, 1}, {3, 1}, {16, 16}, {100, 128}, {512, 512},
 	} {
@@ -107,18 +105,8 @@ func TestBuddyAllocContigAlignmentAndOrder(t *testing.T) {
 	}
 }
 
-func TestAllocContigOnLIFOPoolRefuses(t *testing.T) {
-	pm := NewPhysMem(64, false)
-	if _, err := pm.AllocContig(4, 1); !errors.Is(err, ErrNoContig) {
-		t.Fatalf("LIFO AllocContig = %v, want ErrNoContig", err)
-	}
-	if pm.Buddy() || pm.MaxContig() != 0 {
-		t.Fatal("LIFO pool must report Buddy()=false, MaxContig()=0")
-	}
-}
-
 func TestBuddyContigFailsUnderFragmentationThenRecovers(t *testing.T) {
-	pm := NewBuddyPhysMem(256, false)
+	pm := NewPhysMem(256, false)
 	all, err := pm.AllocN(256)
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +156,7 @@ func TestBuddyContigFailsUnderFragmentationThenRecovers(t *testing.T) {
 // booted, with the invariants intact at every step.
 func TestBuddyChurnCoalescesBack(t *testing.T) {
 	const frames = 2048
-	pm := NewBuddyPhysMem(frames, false)
+	pm := NewPhysMem(frames, false)
 	boot := pm.PhysStats()
 	rng := rand.New(rand.NewSource(7))
 	var held [][]*Page
@@ -235,7 +223,7 @@ func TestBuddyChurnCoalescesBack(t *testing.T) {
 }
 
 func TestBuddyAllocNPrefersContiguity(t *testing.T) {
-	pm := NewBuddyPhysMem(1024, false)
+	pm := NewPhysMem(1024, false)
 	pages, err := pm.AllocN(100)
 	if err != nil {
 		t.Fatal(err)
@@ -251,7 +239,7 @@ func TestBuddyAllocNPrefersContiguity(t *testing.T) {
 }
 
 func TestBuddyFreeZeroesBackedPagesOffTheLock(t *testing.T) {
-	pm := NewBuddyPhysMem(4, true)
+	pm := NewPhysMem(4, true)
 	ps, err := pm.AllocContig(2, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -270,9 +258,9 @@ func TestBuddyFreeZeroesBackedPagesOffTheLock(t *testing.T) {
 }
 
 func TestBuddyStatsShape(t *testing.T) {
-	pm := NewBuddyPhysMem(96, false)
+	pm := NewPhysMem(96, false)
 	st := pm.PhysStats()
-	if !st.Buddy || st.Frames != 96 || st.FreeFrames != 96 {
+	if st.Frames != 96 || st.FreeFrames != 96 {
 		t.Fatalf("boot stats = %+v", st)
 	}
 	if st.LargestFreeExtent != 96 {
@@ -297,7 +285,7 @@ func TestBuddyStatsShape(t *testing.T) {
 // would let routine small allocations destroy the contiguity AllocContig
 // exists to recover.
 func TestBuddyAllocNSparesLargeBlocks(t *testing.T) {
-	pm := NewBuddyPhysMem(3*MaxContigPages, false)
+	pm := NewPhysMem(3*MaxContigPages, false)
 	// Occupy everything below the top maximal block (the boot cover holds
 	// 2*MaxContigPages-1 frames there), then free every other page of
 	// that span: the free space is ~1024 scattered low singles plus one
@@ -335,19 +323,5 @@ func TestBuddyAllocNSparesLargeBlocks(t *testing.T) {
 	}
 	for _, pg := range got {
 		pm.Free(pg)
-	}
-}
-
-// TestAllocContigLIFOKeepsGaugesZero pins the PhysStats contract: the
-// buddy counters stay zero on LIFO pools even when AllocContig is probed.
-func TestAllocContigLIFOKeepsGaugesZero(t *testing.T) {
-	pm := NewPhysMem(32, false)
-	for i := 0; i < 5; i++ {
-		if _, err := pm.AllocContig(4, 1); !errors.Is(err, ErrNoContig) {
-			t.Fatal("LIFO AllocContig must refuse")
-		}
-	}
-	if st := pm.PhysStats(); st.ContigFails != 0 || st.ContigAllocs != 0 || st.Splits != 0 {
-		t.Fatalf("LIFO pool buddy gauges moved: %+v", st)
 	}
 }

@@ -37,14 +37,10 @@ type FreeBlock struct {
 }
 
 // FreeBlocks snapshots every free block in the pool, sorted by start
-// frame.  Nil on LIFO pools (use PhysStats for their free count).  It is
-// the raw material for the physcheck invariant auditor.
+// frame.  It is the raw material for the physcheck invariant auditor.
 func (pm *PhysMem) FreeBlocks() []FreeBlock {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	if !pm.buddy {
-		return nil
-	}
 	var out []FreeBlock
 	for s := range pm.orders {
 		for k := range pm.orders[s] {
@@ -77,7 +73,7 @@ type MigrationCandidate struct {
 func (pm *PhysMem) MigrationCandidates(spanPages, maxResident, limit int) []MigrationCandidate {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	if !pm.buddy || spanPages <= 0 || spanPages&(spanPages-1) != 0 || spanPages > MaxContigPages {
+	if spanPages <= 0 || spanPages&(spanPages-1) != 0 || spanPages > MaxContigPages {
 		return nil
 	}
 	spanOrder := orderFor(spanPages)
@@ -123,9 +119,6 @@ func (pm *PhysMem) MigrationCandidates(spanPages, maxResident, limit int) []Migr
 func (pm *PhysMem) ResidentFrames(start uint64, span int) []uint64 {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	if !pm.buddy {
-		return nil
-	}
 	free := make(map[uint64]bool, span)
 	for s := range pm.orders {
 		for k := range pm.orders[s] {
@@ -161,7 +154,7 @@ func (pm *PhysMem) ResidentFrames(start uint64, span int) []uint64 {
 func (pm *PhysMem) MigrationTarget(socket, spanOrder int, avoidLo, avoidHi uint64) (*Page, error) {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	if !pm.buddy || socket < 0 || socket >= pm.sockets {
+	if socket < 0 || socket >= pm.sockets {
 		return nil, ErrNoMemory
 	}
 	bestK := -1
@@ -218,7 +211,7 @@ func (pm *PhysMem) swapFramesLocked(a, b *Page) {
 // block.  Free blocks are aligned to their own size, so f's covering block
 // at order k — if free — starts exactly at f with the low k bits cleared;
 // one O(1) heap-position probe per order answers the question.  Caller
-// holds pm.mu; buddy pools only.
+// holds pm.mu.
 func (pm *PhysMem) frameFreeLocked(f uint64) bool {
 	s := pm.SocketOfFrame(f)
 	for k := 0; k < len(pm.orders[s]); k++ {
@@ -243,7 +236,7 @@ func (pm *PhysMem) frameFreeLocked(f uint64) bool {
 func (pm *PhysMem) MigratePage(src, dst *Page) bool {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	if !pm.buddy || src == dst {
+	if src == dst {
 		return false
 	}
 	fs := src.frame.Load()

@@ -35,13 +35,9 @@ import (
 	"sfbuf/internal/vm"
 )
 
-// Audit verifies the structural free-list invariants of a buddy pool.
-// LIFO pools trivially pass (they have no block geometry to corrupt).
+// Audit verifies the structural free-list invariants of a pool.
 func Audit(pm *vm.PhysMem) error {
 	st := pm.PhysStats()
-	if !st.Buddy {
-		return nil
-	}
 	blocks := pm.FreeBlocks()
 	sum := 0
 	bySock := make([]int, st.Sockets)

@@ -246,7 +246,7 @@ func TestReservationMigrationTraces(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			pm := vm.NewBuddyPhysMemNUMA(tc.frames, true, tc.sockets)
+			pm := vm.NewPhysMemNUMA(tc.frames, true, tc.sockets)
 			if tc.reservLow > 0 {
 				pm.SetReservation(spanOrder, tc.reservLow)
 			}
@@ -292,7 +292,7 @@ func TestReservationMigrationTraces(t *testing.T) {
 // has no storage and reads as zeros, and the oracle must hold it to that —
 // a stale write landing in it is corruption like any other.
 func TestOracleSeesNeverWrittenPages(t *testing.T) {
-	pm := vm.NewBuddyPhysMem(64, true)
+	pm := vm.NewPhysMem(64, true)
 	pages, err := pm.AllocN(4)
 	if err != nil {
 		t.Fatal(err)

@@ -170,7 +170,7 @@ func TestTableBoundOwnsWhenFull(t *testing.T) {
 }
 
 func TestMigratePageCopiesStorageState(t *testing.T) {
-	pm := NewBuddyPhysMem(64, true)
+	pm := NewPhysMem(64, true)
 	shared, _ := pm.Alloc()
 	owned, _ := pm.Alloc()
 	pm.Store(shared, 0, pattern(5))

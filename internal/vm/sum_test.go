@@ -42,7 +42,7 @@ func checkSum(t *testing.T, pm *PhysMem, p *Page, off, n int) {
 // storage state and transition, summing whole and partial spans after
 // each step.
 func TestSumFollowsStorageState(t *testing.T) {
-	pm := NewBuddyPhysMem(64, true)
+	pm := NewPhysMem(64, true)
 	a, _ := pm.Alloc()
 	b, _ := pm.Alloc()
 	check := func(step string) {
@@ -98,7 +98,7 @@ func FuzzPageSum(f *testing.F) {
 	f.Add(seq)
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		const live = 4
-		pm := NewBuddyPhysMem(64, true)
+		pm := NewPhysMem(64, true)
 		pages := make([]*Page, live)
 		for i := range pages {
 			pages[i], _ = pm.Alloc()

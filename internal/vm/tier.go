@@ -12,14 +12,11 @@ package vm
 // and O(1), and composes with NUMA homing — a socket-homed allocation can
 // still prefer fast frames within its socket.
 //
-// On a buddy pool the tier boundary behaves exactly like a socket boundary:
-// the boot cover is built per tier sub-range, freeRangeLocked clips blocks
-// at the boundary, and insertBlockLocked refuses to merge a buddy pair that
+// The tier boundary behaves exactly like a socket boundary: the boot cover
+// is built per tier sub-range, freeRangeLocked clips blocks at the
+// boundary, and insertBlockLocked refuses to merge a buddy pair that
 // straddles it — so every free block is tier-pure and tier-targeted
-// allocation can reason about block start frames alone.  On a LIFO pool the
-// split is lookup-only metadata (like HomeSockets): the free stack and its
-// exact allocation order are untouched, so figure-reproduction kernels stay
-// bit-identical.
+// allocation can reason about block start frames alone.
 //
 // fastPer == 0 (the default) is a single uniform tier: every probe answers
 // fast, no gauge moves, and the allocator is byte-for-byte the untiered
@@ -34,11 +31,9 @@ const (
 
 // SetTierSplit installs a fast/slow tier split: the low fastPer frames of
 // each socket's range become the fast tier, the rest the slow tier.
-// fastPer <= 0 removes the split (single uniform tier).  On a buddy pool
-// the free-block cover is rebuilt per tier sub-range, which requires the
-// pool to be fully free — call it at boot, right after construction;
-// anything else panics.  On a LIFO pool only the lookup metadata changes,
-// preserving the free stack's exact order.
+// fastPer <= 0 removes the split (single uniform tier).  The free-block
+// cover is rebuilt per tier sub-range, which requires the pool to be fully
+// free — call it at boot, right after construction; anything else panics.
 func (pm *PhysMem) SetTierSplit(fastPer int) {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
@@ -48,13 +43,11 @@ func (pm *PhysMem) SetTierSplit(fastPer int) {
 	if fastPer > pm.framesPer {
 		fastPer = pm.framesPer
 	}
-	pm.fastPer = fastPer
-	if pm.buddy {
-		if pm.freePages != len(pm.pages) {
-			panic("vm: SetTierSplit on a buddy pool with allocations outstanding")
-		}
-		pm.buildCoverLocked()
+	if pm.freePages != len(pm.pages) {
+		panic("vm: SetTierSplit with allocations outstanding")
 	}
+	pm.fastPer = fastPer
+	pm.buildCoverLocked()
 }
 
 // Tiered reports whether a fast/slow tier split is installed.
@@ -116,8 +109,7 @@ func (pm *PhysMem) TierFrames(tier int) int {
 }
 
 // TierFreeFrames returns the number of currently free frames in the given
-// tier.  Buddy pools answer from the maintained gauge; LIFO pools scan
-// their free stack.
+// tier, from the maintained per-socket gauge.
 func (pm *PhysMem) TierFreeFrames(tier int) int {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
@@ -125,34 +117,17 @@ func (pm *PhysMem) TierFreeFrames(tier int) int {
 }
 
 func (pm *PhysMem) tierFreeLocked(tier int) int {
-	if pm.fastPer <= 0 {
-		if tier != TierFast {
-			return 0
-		}
-		if pm.buddy {
-			return pm.freePages
-		}
-		return len(pm.free)
-	}
-	fast := 0
-	if pm.buddy {
+	fast := pm.freePages
+	if pm.fastPer > 0 {
+		fast = 0
 		for _, n := range pm.freeFast {
 			fast += n
-		}
-		if tier == TierFast {
-			return fast
-		}
-		return pm.freePages - fast
-	}
-	for _, p := range pm.free {
-		if pm.TierOfFrame(p.Frame()) == TierFast {
-			fast++
 		}
 	}
 	if tier == TierFast {
 		return fast
 	}
-	return len(pm.free) - fast
+	return pm.freePages - fast
 }
 
 // pickLowestTierLocked finds the lowest-addressed free block on socket s
@@ -160,7 +135,7 @@ func (pm *PhysMem) tierFreeLocked(tier int) int {
 // orders below it.  Fast frames are each socket's low address prefix, so
 // for the fast tier the heap top decides per order; the slow tier scans
 // heap entries.  Returns order -1 when the tier has no eligible block on
-// this socket.  Caller holds pm.mu; buddy pools only.
+// this socket.  Caller holds pm.mu.
 func (pm *PhysMem) pickLowestTierLocked(s, tier, maxOrder int) (start uint64, order int) {
 	order = -1
 	lim := len(pm.orders[s])
@@ -198,7 +173,7 @@ func (pm *PhysMem) pickLowestTierLocked(s, tier, maxOrder int) (start uint64, or
 // reserved spans reports ErrNoMemory instead of splitting one.  Tier
 // placement is an optimization; silently destroying superpage stock for
 // it would trade a surcharge for a reservation starvation.  Caller holds
-// pm.mu; buddy tiered pools only.
+// pm.mu; tiered pools only.
 func (pm *PhysMem) tierAllocOneLocked(pref, tier int) (pg *Page, served int) {
 	served = -1
 	pm.eachSocketFrom(pref, func(s int) bool {
@@ -232,7 +207,7 @@ func (pm *PhysMem) tierAllocOneLocked(pref, tier int) (pg *Page, served int) {
 func (pm *PhysMem) TierTarget(tier, pref int) (*Page, error) {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	if !pm.buddy || pm.fastPer <= 0 {
+	if pm.fastPer <= 0 {
 		return nil, ErrNoMemory
 	}
 	pg, served := pm.tierAllocOneLocked(pref, tier)

@@ -129,12 +129,10 @@ func (p *Page) String() string {
 var ErrNoMemory = errors.New("vm: out of physical memory")
 
 // PhysMem is the physical memory of one simulated machine: a fixed number
-// of frames managed either by the seed's LIFO free stack (NewPhysMem) or
-// by the buddy allocator (NewBuddyPhysMem; see buddy.go).  The two modes
-// share the Alloc/AllocN/Free surface; only the buddy mode can satisfy
-// AllocContig and recover contiguity after churn.  The LIFO mode is kept
-// because the figure-reproduction kernels depend on its exact allocation
-// order for bit-identical experiment replay.
+// of frames managed by the buddy allocator (buddy.go).  A fresh pool hands
+// out frames 1, 2, 3, ... in order; AllocContig serves aligned physically
+// contiguous extents, and freed frames coalesce so contiguity recovers
+// after churn.
 type PhysMem struct {
 	mu sync.Mutex
 	// pages is the frame registry: pages[f-1] is the Page currently backing
@@ -142,26 +140,23 @@ type PhysMem struct {
 	// model's lock-free hot path and migration (SwapFrames) rebinds two
 	// slots while the machine runs.
 	pages []atomic.Pointer[Page]
-	free  []*Page // LIFO mode free stack
 
 	// blocks interns the immutable blocks whole-page stores share
 	// (store.go).
 	blocks blockTable
 
-	// Buddy-mode state: per-socket order-indexed free lists and
-	// fragmentation counters, all guarded by mu (see buddy.go).  On the
-	// default one-socket partition orders[0] is exactly the flat buddy
-	// free list.
-	buddy      bool
+	// Per-socket order-indexed free lists and fragmentation counters, all
+	// guarded by mu (see buddy.go).  On the default one-socket partition
+	// orders[0] is exactly the flat buddy free list.
 	orders     [][]orderHeap // [socket][order]
 	freePages  int
 	freeBySock []int
 	splits     uint64
 	coalesces  uint64
 
-	// Superpage reservation watermarks (buddy mode; see buddy.go).  While a
-	// socket's stock of intact order>=reservOrder blocks is at or below
-	// reservLow, single-page allocation steers to sub-reservation blocks
+	// Superpage reservation watermarks (see buddy.go).  While a socket's
+	// stock of intact order>=reservOrder blocks is at or below reservLow,
+	// single-page allocation steers to sub-reservation blocks
 	// (reservSteers) and splits a protected block only when no smaller
 	// block exists anywhere (reservSpills).  reservOrder==0 disables.
 	reservOrder  int
@@ -171,9 +166,7 @@ type PhysMem struct {
 
 	// NUMA frame homing: frames are homed on sockets by address range
 	// (framesPer frames per socket, the last socket taking the
-	// remainder).  Buddy pools fix the partition at construction
-	// (NewBuddyPhysMemNUMA); LIFO pools may carry a homing-only
-	// partition for SocketOfFrame (HomeSockets).
+	// remainder), fixed at construction (NewPhysMemNUMA).
 	sockets   int
 	framesPer int
 	numaLocal uint64
@@ -182,8 +175,7 @@ type PhysMem struct {
 	// Tiered physical memory (tier.go): each socket's frame range is
 	// split into a fast prefix of fastPer frames and a slow remainder.
 	// fastPer == 0 means a single uniform tier.  freeFast tracks the free
-	// fast-tier frames per socket on buddy pools; LIFO pools compute tier
-	// residency by scanning their free stack.
+	// fast-tier frames per socket.
 	fastPer  int
 	freeFast []int
 
@@ -194,27 +186,39 @@ type PhysMem struct {
 	frees  atomic.Uint64
 }
 
-// NewPhysMem creates a machine with frames physical pages on the LIFO
-// free stack.  When backed is true the pages store real bytes, paying for
-// memory only as their contents come to differ (see store.go).
+// NewPhysMem creates a one-socket machine with frames physical pages.
+// When backed is true the pages store real bytes, paying for memory only
+// as their contents come to differ (see store.go).
 func NewPhysMem(frames int, backed bool) *PhysMem {
+	return NewPhysMemNUMA(frames, backed, 1)
+}
+
+// NewPhysMemNUMA is NewPhysMem on a multi-socket machine: frames are homed
+// on sockets by contiguous address range (frames/sockets frames per
+// socket, the last socket taking the remainder) and every socket gets its
+// own buddy free lists covering exactly its range.  Socket-preferring
+// allocation (AllocOn and friends) drains the caller's home lists before
+// spilling; sockets=1 is exactly NewPhysMem.
+func NewPhysMemNUMA(frames int, backed bool, sockets int) *PhysMem {
 	if frames <= 0 {
 		panic("vm: NewPhysMem with no frames")
 	}
+	sockets = min(max(sockets, 1), frames)
 	pm := &PhysMem{
-		pages:     make([]atomic.Pointer[Page], frames),
-		free:      make([]*Page, 0, frames),
-		sockets:   1,
-		framesPer: frames,
+		pages:      make([]atomic.Pointer[Page], frames),
+		orders:     make([][]orderHeap, sockets),
+		freeBySock: make([]int, sockets),
+		sockets:    sockets,
+		framesPer:  frames / sockets,
 	}
 	// Frame numbers start at 1 so that frame 0 / physical address 0 can
 	// serve as a sentinel ("no frame") throughout the MMU model.
-	for i := frames - 1; i >= 0; i-- {
+	for i := range pm.pages {
 		p := &Page{id: uint64(i + 1), backed: backed}
 		p.frame.Store(uint64(i + 1))
 		pm.pages[i].Store(p)
-		pm.free = append(pm.free, p)
 	}
+	pm.buildCoverLocked()
 	return pm
 }
 
@@ -225,51 +229,30 @@ func (pm *PhysMem) Frames() int { return len(pm.pages) }
 func (pm *PhysMem) FreeFrames() int {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	if pm.buddy {
-		return pm.freePages
-	}
-	return len(pm.free)
+	return pm.freePages
 }
 
-// Alloc allocates one physical page.
+// Alloc allocates one physical page: the lowest-addressed free frame.
 func (pm *PhysMem) Alloc() (*Page, error) {
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
-	if pm.buddy {
-		return pm.buddyAllocOneLocked(-1)
-	}
-	return pm.allocLocked()
+	return pm.AllocOn(-1)
 }
 
 // AllocOn allocates one physical page, preferring frames homed on the
 // given socket and spilling to the other sockets' free lists only when
-// the preferred one is drained (counted in NUMASpillPages).  On a LIFO or
+// the preferred one is drained (counted in NUMASpillPages).  On a
 // one-socket pool it is exactly Alloc.
 func (pm *PhysMem) AllocOn(socket int) (*Page, error) {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	if pm.buddy {
-		return pm.buddyAllocOneLocked(socket)
-	}
-	return pm.allocLocked()
+	return pm.buddyAllocOneLocked(socket)
 }
 
-func (pm *PhysMem) allocLocked() (*Page, error) {
-	if len(pm.free) == 0 {
-		return nil, ErrNoMemory
-	}
-	p := pm.free[len(pm.free)-1]
-	pm.free = pm.free[:len(pm.free)-1]
-	pm.allocs.Add(1)
-	return p, nil
-}
-
-// AllocN allocates n pages, returning them in allocation order.  On a
-// buddy pool the allocation is promotion-aware: when the sub-covering
-// stock cannot serve the request, the pages come from one covering block
-// as a physically contiguous ascending extent (so a consumer that maps
-// them as an aligned run can superpage-promote); otherwise frames are
-// gathered smallest-block-first, consuming fragments while the pool's
+// AllocN allocates n pages, returning them in allocation order.  The
+// allocation is promotion-aware: when the sub-covering stock cannot serve
+// the request, the pages come from one covering block as a physically
+// contiguous ascending extent (so a consumer that maps them as an aligned
+// run can superpage-promote); otherwise frames are gathered
+// smallest-block-first, consuming fragments while the pool's
 // superpage-capable blocks survive for AllocContig — from a fresh boot
 // cover the gather is still one ascending contiguous extent.  On failure
 // no pages are retained.
@@ -281,30 +264,12 @@ func (pm *PhysMem) AllocN(n int) ([]*Page, error) {
 // preferred socket's free lists are gathered first (address-ordered, the
 // same promotion-aware gather), and only a shortfall spills to the other
 // sockets ascending.  Pages served from the preferred socket count in
-// NUMALocalPages, spilled pages in NUMASpillPages.  socket < 0 (or a LIFO
-// or one-socket pool) is exactly AllocN.
+// NUMALocalPages, spilled pages in NUMASpillPages.  socket < 0 (or a
+// one-socket pool) is exactly AllocN.
 func (pm *PhysMem) AllocNOn(socket, n int) ([]*Page, error) {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	if pm.buddy {
-		return pm.buddyAllocNLocked(socket, n)
-	}
-	if len(pm.free) < n {
-		return nil, ErrNoMemory
-	}
-	out := make([]*Page, n)
-	for i := range out {
-		p, err := pm.allocLocked()
-		if err != nil {
-			// Unreachable given the length check, but roll back anyway.
-			for j := 0; j < i; j++ {
-				pm.freeUnzeroedLocked(out[j])
-			}
-			return nil, err
-		}
-		out[i] = p
-	}
-	return out, nil
+	return pm.buddyAllocNLocked(socket, n)
 }
 
 // Free returns a page to the free pool.  Freeing a wired page panics: a
@@ -330,18 +295,8 @@ func (pm *PhysMem) Free(p *Page) {
 	}
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	pm.freeUnzeroedLocked(p)
-}
-
-// freeUnzeroedLocked links an already-cleared (or never-touched) page
-// back into the free structures.  Caller holds pm.mu.
-func (pm *PhysMem) freeUnzeroedLocked(p *Page) {
 	pm.frees.Add(1)
-	if pm.buddy {
-		pm.insertBlockLocked(p.Frame(), 0)
-		return
-	}
-	pm.free = append(pm.free, p)
+	pm.insertBlockLocked(p.Frame(), 0)
 }
 
 // PageByFrame returns the page with the given frame number, or nil when the

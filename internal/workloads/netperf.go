@@ -37,7 +37,9 @@ func DefaultNetperf(k *kernel.Kernel, mtu int) NetperfConfig {
 }
 
 // Netperf moves TotalBytes through a loopback connection with zero-copy
-// sends and returns the bytes received.
+// sends and returns the bytes received.  Sender and receiver run in lock
+// step on one goroutine: each send is received in full before the next
+// one is issued, so the replay is deterministic.
 func Netperf(k *kernel.Kernel, cfg NetperfConfig) (int64, error) {
 	if cfg.MTU <= netstack.HeaderSize || cfg.SendSize <= 0 || cfg.TotalBytes <= 0 {
 		return 0, fmt.Errorf("workloads: invalid netperf config %+v", cfg)
@@ -56,29 +58,20 @@ func Netperf(k *kernel.Kernel, cfg NetperfConfig) (int64, error) {
 	defer um.Release()
 
 	sends := int(cfg.TotalBytes / int64(cfg.SendSize))
-	errc := make(chan error, 1)
-	go func() {
-		for i := 0; i < sends; i++ {
-			if err := c.SendZeroCopy(sctx, um, 0, cfg.SendSize); err != nil {
-				errc <- err
-				return
-			}
-		}
-		errc <- nil
-	}()
-
-	var moved int64
-	want := int64(sends) * int64(cfg.SendSize)
 	buf := make([]byte, 64<<10)
-	for moved < want {
-		n, err := c.Recv(rctx, buf)
-		if err != nil {
+	var moved int64
+	for i := 0; i < sends; i++ {
+		if err := c.SendZeroCopy(sctx, um, 0, cfg.SendSize); err != nil {
 			return moved, err
 		}
-		moved += int64(n)
-	}
-	if err := <-errc; err != nil {
-		return moved, err
+		for got := 0; got < cfg.SendSize; {
+			n, err := c.Recv(rctx, buf)
+			if err != nil {
+				return moved, err
+			}
+			got += n
+			moved += int64(n)
+		}
 	}
 	c.Close(sctx)
 	return moved, nil

@@ -11,6 +11,7 @@ import (
 	"sfbuf/internal/fs"
 	"sfbuf/internal/kernel"
 	"sfbuf/internal/memdisk"
+	"sfbuf/internal/vm/physcheck"
 )
 
 // postMarkGoldenConfig is a small PostMark run on a disk four times the
@@ -25,15 +26,9 @@ func postMarkGoldenConfig() (cfg PostMarkConfig, diskBytes int64, entries int) {
 	return cfg, 1 << 20, 64
 }
 
-// runPostMarkGolden boots one figure kernel (the paper's global-lock
-// cache, or the original kernel), formats the disk, builds the pool,
-// resets the counters as the figures do and runs the transactions.  It
-// renders the setup's cycles and everything the transaction phase
-// charged, plus the filesystem's final shape and a fingerprint of where
-// every file's pages lie on disk.  The mapping costs alone cannot pin the
-// block allocator: relabelling the data blocks (lowest free first against
-// highest free first) leaves every cache hit and miss where it was.
-func runPostMarkGolden(t testing.TB, plat arch.Platform, mk kernel.MapperKind) string {
+// bootPostMarkGolden boots one figure kernel (the paper's global-lock
+// cache, or the original kernel), formats the disk and builds the pool.
+func bootPostMarkGolden(t testing.TB, plat arch.Platform, mk kernel.MapperKind) (*kernel.Kernel, *fs.FS, PostMarkConfig) {
 	cfg, diskBytes, entries := postMarkGoldenConfig()
 	k, err := kernel.Boot(kernel.Config{
 		Cache:        kernel.CacheGlobal,
@@ -57,6 +52,19 @@ func runPostMarkGolden(t testing.TB, plat arch.Platform, mk kernel.MapperKind) s
 	if err := PostMarkInit(k.Ctx(0), fsys, cfg); err != nil {
 		t.Fatal(err)
 	}
+	return k, fsys, cfg
+}
+
+// runPostMarkGolden boots a figure kernel with its pool built
+// (bootPostMarkGolden), resets the counters as the figures do and runs
+// the transactions.  It renders the setup's cycles and everything the
+// transaction phase charged, plus the filesystem's final shape and a
+// fingerprint of where every file's pages lie on disk.  The mapping costs
+// alone cannot pin the block allocator: relabelling the data blocks
+// (lowest free first against highest free first) leaves every cache hit
+// and miss where it was.
+func runPostMarkGolden(t testing.TB, plat arch.Platform, mk kernel.MapperKind) string {
+	k, fsys, cfg := bootPostMarkGolden(t, plat, mk)
 	setup := k.M.TotalCycles()
 	k.Reset()
 	res, err := PostMark(k, fsys, cfg)
@@ -68,6 +76,24 @@ func runPostMarkGolden(t testing.TB, plat arch.Platform, mk kernel.MapperKind) s
 		setup, k.M.TotalCycles(), c.LocalInv, c.RemoteInvIssued, c.IPIsDelivered, c.PTWalks,
 		fsys.FreeBlocks(), fsys.NumFiles(), k.Map.Stats(), res)
 	return fmt.Sprintf("%s layout=%016x", row, fileLayout(t, k, fsys))
+}
+
+// TestPostMarkKeepsPhysInvariants audits the frame allocator's free
+// lists after PostMark on the paper's global-lock cache: the figure
+// kernels run the buddy allocator, so its invariants must hold under
+// figure traffic too, not only under the allocator's own traces.
+func TestPostMarkKeepsPhysInvariants(t *testing.T) {
+	k, fsys, cfg := bootPostMarkGolden(t, arch.XeonMPHTT(), kernel.SFBuf)
+	if _, err := PostMark(k, fsys, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := physcheck.Audit(k.M.Phys); err != nil {
+		t.Fatal(err)
+	}
+	if st := k.PhysStats(); st.FreeFrames != 256 || st.ContigAllocs == 0 {
+		t.Fatalf("pool after PostMark: %d frames free, %d contiguous allocations; want the 256 spare frames and a contiguous disk",
+			st.FreeFrames, st.ContigAllocs)
+	}
 }
 
 // fileLayout hashes every live file's name, size and the disk block

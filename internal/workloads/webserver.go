@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"sfbuf/internal/fs"
 	"sfbuf/internal/kernel"
@@ -168,10 +167,12 @@ type WebResult struct {
 }
 
 // WebServer replays the trace's requests against the corpus with a pool
-// of workers, each pinned to a CPU and serving its share of requests over
-// its own client connection with sendfile.  Elapsed time for throughput
-// is the machine's ParallelCycles: the web server is the one workload
-// that exploits multiple CPUs (Section 6.2).
+// of workers, each pinned to a CPU and serving over its own client
+// connection with sendfile.  Request r goes to worker r % Workers; one
+// goroutine serves the requests in trace order, so the replay is
+// deterministic.  Elapsed time for throughput is the machine's
+// ParallelCycles: the web server is the one workload that exploits
+// multiple CPUs (Section 6.2).
 func WebServer(k *kernel.Kernel, corpus *WebCorpus, trace *Trace, cfg WebConfig) (WebResult, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = k.M.NumCPUs()
@@ -182,44 +183,30 @@ func WebServer(k *kernel.Kernel, corpus *WebCorpus, trace *Trace, cfg WebConfig)
 	st := netstack.NewStack(k, cfg.MTU)
 	st.ChecksumOffload = cfg.ChecksumOffload
 
-	var (
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		res     WebResult
-		firstEr error
-	)
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ctx := k.Ctx(w % k.M.NumCPUs())
-			conn := st.NewSinkConn()
-			defer conn.Close(ctx)
-			var served int64
-			var count int
-			for r := w; r < len(trace.Requests); r += cfg.Workers {
-				name := corpus.Names[trace.Requests[r]]
-				// Request handling outside data movement: accept,
-				// parse, log, socket setup (Apache + kernel).
-				ctx.Charge(ctx.Cost().HTTPRequestFixed)
-				n, err := sendfile.SendFile(ctx, k, corpus.FS, conn, name)
-				if err != nil {
-					mu.Lock()
-					if firstEr == nil {
-						firstEr = fmt.Errorf("worker %d: %w", w, err)
-					}
-					mu.Unlock()
-					return
-				}
-				served += n
-				count++
-			}
-			mu.Lock()
-			res.BytesServed += served
-			res.Requests += count
-			mu.Unlock()
-		}(w)
+	ctxs := make([]*smp.Context, cfg.Workers)
+	conns := make([]*netstack.Conn, cfg.Workers)
+	for w := range conns {
+		ctxs[w] = k.Ctx(w % k.M.NumCPUs())
+		conns[w] = st.NewSinkConn()
 	}
-	wg.Wait()
-	return res, firstEr
+	var res WebResult
+	var err error
+	for r, doc := range trace.Requests {
+		w := r % cfg.Workers
+		ctx := ctxs[w]
+		// Request handling outside data movement: accept, parse, log,
+		// socket setup (Apache + kernel).
+		ctx.Charge(ctx.Cost().HTTPRequestFixed)
+		n, serr := sendfile.SendFile(ctx, k, corpus.FS, conns[w], corpus.Names[doc])
+		if serr != nil {
+			err = fmt.Errorf("worker %d: %w", w, serr)
+			break
+		}
+		res.BytesServed += n
+		res.Requests++
+	}
+	for w, conn := range conns {
+		conn.Close(ctxs[w])
+	}
+	return res, err
 }

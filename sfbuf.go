@@ -116,9 +116,9 @@ type (
 	// design with batched shootdowns (default) or the paper's
 	// global-lock cache.
 	CachePolicy = kernel.CachePolicy
-	// Tri is a policy switch (Config.Contig, PhysBuddy, Daemon, Reserv,
-	// Migrate, TierHints, Homing): Auto lets Boot decide, On and Off
-	// override.  Boot resolves every switch once into Kernel.Plan.
+	// Tri is a policy switch (Config.Contig, Daemon, Reserv, Migrate,
+	// TierHints, Homing): Auto lets Boot decide, On and Off override.
+	// Boot resolves every switch once into Kernel.Plan.
 	Tri = kernel.Tri
 	// MapConsumer is a subsystem's contiguity-policy handle: static under
 	// pinned policies, self-tuning per window-size epoch under the
@@ -185,14 +185,14 @@ const (
 )
 
 // ErrNoContig is AllocContig's failure: no aligned physically contiguous
-// extent of the requested size is currently free (or the pool is LIFO).
+// extent of the requested size is currently free.
 var ErrNoContig = vm.ErrNoContig
 
 // PageSize is the simulated machine's page size in bytes.
 const PageSize = vm.PageSize
 
 // MaxContigPages is the widest physically contiguous extent one
-// AllocContig call can return on a buddy-managed machine.
+// AllocContig call can return.
 const MaxContigPages = vm.MaxContigPages
 
 // Boot constructs a simulated kernel per the configuration.
