@@ -24,16 +24,17 @@ test:
 	$(GO) test -count=3 -run 'PostMarkGolden|PostMarkAllocs' ./internal/workloads
 	$(GO) test -count=3 -run 'GoldenSchedule|ScheduleOrder|OOODuplicate' ./internal/vnet ./internal/netstack
 
-# Race detector, then the migration-exclusion races repeated.  The
+# Race detector, then the migration-exclusion races and the same-CPU
+# shootdown-queue flush race repeated.  The
 # experiments package alone takes about 110 s under -race on two vCPUs, so
 # the timeout is twice go test's 10-minute default.
 race:
 	$(GO) test -race -timeout 20m ./...
-	$(GO) test -race -count=10 -run 'Migrat|TierConcurrent|ShardLockFollows|DaemonRace' ./internal/sfbuf
+	$(GO) test -race -count=10 -run 'Migrat|TierConcurrent|ShardLockFollows|DaemonRace|SameCPUFlushRace' ./internal/sfbuf ./internal/smp
 
 # Run the checked-in fuzz seed corpus as unit tests (what CI smokes).
 fuzz-smoke:
-	$(GO) test -run 'Fuzz' ./internal/sfbuf ./internal/tlb ./internal/pmap ./internal/vnet ./internal/vm
+	$(GO) test -run 'Fuzz' ./internal/sfbuf ./internal/tlb ./internal/pmap ./internal/smp ./internal/vnet ./internal/vm
 
 # Actually fuzz the vectored sharded engine for a minute.
 fuzz:

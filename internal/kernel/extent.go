@@ -88,9 +88,6 @@ func (c *MapConsumer) mapSendExtent(ctx *smp.Context, pages []*vm.Page, flags sf
 	if err != nil {
 		return e, err
 	}
-	if e.run != nil {
-		e.bufs = e.run.Bufs()
-	}
 	c.sendMu.Lock()
 	var r *sendRecord
 	if n := len(c.sendFree); n > 0 {
@@ -202,7 +199,10 @@ func (e Extent) Unmap(ctx *smp.Context) {
 // (ErrWouldBlock under NoWait) leaves page j untaken.
 func (e Extent) Take(ctx *smp.Context, j int) (*sfbuf.Buf, error) {
 	r := e.record()
-	if e.Mapped() {
+	switch {
+	case e.run != nil:
+		return e.run.View(j), nil
+	case e.bufs != nil:
 		return e.bufs[j], nil
 	}
 	if j != len(r.taken) {

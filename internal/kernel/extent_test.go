@@ -13,6 +13,70 @@ import (
 	"sfbuf/internal/vm"
 )
 
+// TestSendExtentRunViews: a send window mapped as a contiguous run hands
+// out per-page views of the run — page j at the run's j'th address, the
+// same view on every take — and builds no per-window pointer slice: a
+// warmed window costs at most one allocation, the views, beyond the
+// bare run underneath.
+func TestSendExtentRunViews(t *testing.T) {
+	k, err := Boot(Config{
+		Platform:     arch.XeonMP(),
+		Mapper:       SFBuf,
+		Cache:        CacheSharded,
+		Contig:       On,
+		PhysPages:    512,
+		CacheEntries: 128,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := k.Consumer("test-send-runs")
+	ctx := k.Ctx(0)
+	pages, err := k.M.Phys.AllocN(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	window := func() {
+		for _, pg := range pages {
+			pg.Wire()
+		}
+		e, err := c.MapSendExtent(ctx, pages)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.run == nil {
+			t.Fatal("the send window was not mapped as a run")
+		}
+		for j := range pages {
+			b, err := e.Take(ctx, j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again, _ := e.Take(ctx, j); again != b {
+				t.Fatalf("page %d: two takes returned different views", j)
+			}
+			if b.KVA() != e.run.KVA(j) || b.Page() != pages[j] {
+				t.Fatalf("page %d: view maps %#x/%v, run has %#x/%v", j, b.KVA(), b.Page(), e.run.KVA(j), pages[j])
+			}
+		}
+		for j := range pages {
+			e.Release(j)(ctx)
+		}
+	}
+	bare := func() {
+		r, err := k.Map.AllocRun(ctx, pages, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k.Map.FreeRun(ctx, r)
+	}
+	window()
+	bare()
+	if w, b := testing.AllocsPerRun(100, window), testing.AllocsPerRun(100, bare); w > b+1 && !raceEnabled {
+		t.Fatalf("a warmed run send window allocated %.1f objects, the bare run %.1f", w, b)
+	}
+}
+
 // TestSendExtentRecordReuse: a send extent's release state is recycled
 // through its consumer, so a warmed window allocates nothing beyond the
 // mapping layer's own batch; a record is never reused while one of its

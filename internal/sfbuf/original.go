@@ -188,9 +188,9 @@ func (o *Original) AllocBatch(ctx *smp.Context, pages []*vm.Page, flags Flags) (
 	return bufs, nil
 }
 
-// FreeBatch unmaps the run with per-page local invalidations and ONE
-// ranged remote shootdown — pmap_qremove followed by a ranged
-// invalidation.  The batch must have come from AllocBatch.
+// FreeBatch unmaps the run with one page-table pass, one ranged local
+// invalidation and ONE ranged remote shootdown — pmap_qremove followed by
+// a ranged invalidation.  The batch must have come from AllocBatch.
 func (o *Original) FreeBatch(ctx *smp.Context, bufs []*Buf) {
 	if len(bufs) == 0 {
 		return
@@ -210,10 +210,22 @@ func (o *Original) FreeBatch(ctx *smp.Context, bufs []*Buf) {
 	ctx.ChargeLock()
 	vpns := make([]uint64, len(bufs))
 	for i, b := range bufs {
-		o.pm.KRemove(ctx, b.kva)
-		ctx.InvalidateLocal(pmap.VPN(b.kva))
 		vpns[i] = pmap.VPN(b.kva)
 		b.page = nil
+	}
+	// A chunk of at most PTECacheLines pages spans no more PTE lines than
+	// the modeled PTE cache holds, so the invalidation pass finds every
+	// line the removal pass just warmed: each invlpg pays the cached
+	// cost, as a per-page KRemove + InvalidateLocal pair would.  The
+	// teardown is unconditional, so the accessed bits KRemoveBatch
+	// reports go unread; a stack buffer keeps them off the heap.
+	chunk := max(1, o.m.Plat.PTECacheLines)
+	var unread [64]bool
+	for rest := vpns; len(rest) > 0; {
+		part := rest[:min(len(rest), chunk)]
+		o.pm.KRemoveBatch(ctx, part, unread[:0])
+		ctx.InvalidateLocalRange(part)
+		rest = rest[len(part):]
 	}
 	ctx.ShootdownRange(o.m.AllCPUs(), vpns)
 	ctx.Charge(ctx.Cost().KVAFree)

@@ -150,16 +150,17 @@ func (r *Run) KVA(i int) uint64 {
 	return r.bufs[i].KVA()
 }
 
-// Bufs returns per-page Buf views of the run, for consumers that attach
-// individual pages to longer-lived structures (mbuf externals).  On
-// engines that build runs from per-page mappings they are the real Bufs;
-// on window-backed runs they are synthetic views carrying each page's
-// window address.  Either way they must NOT be passed to Free/FreeBatch —
-// a run is released only through FreeRun — and they are valid only until
-// that FreeRun: afterwards a view's address may map another run's page.
-func (r *Run) Bufs() []*Buf {
+// View returns a per-page Buf view of the run's j'th page, for consumers
+// that attach individual pages to longer-lived structures (mbuf
+// externals).  On engines that build runs from per-page mappings it is
+// the real Buf; on window-backed runs it is a synthetic view carrying the
+// page's window address, built with its siblings on the run's first View.
+// Either way it must NOT be passed to Free/FreeBatch — a run is released
+// only through FreeRun — and it is valid only until that FreeRun:
+// afterwards a view's address may map another run's page.
+func (r *Run) View(j int) *Buf {
 	if r.bufs != nil {
-		return r.bufs
+		return r.bufs[j]
 	}
 	if r.views == nil {
 		r.views = make([]Buf, len(r.pages))
@@ -167,12 +168,14 @@ func (r *Run) Bufs() []*Buf {
 			r.views[i] = Buf{kva: r.base + uint64(i)*vm.PageSize, page: pg}
 		}
 	}
-	out := make([]*Buf, len(r.views))
-	for i := range r.views {
-		out[i] = &r.views[i]
-	}
-	return out
+	return &r.views[j]
 }
+
+// Bufs returns the per-page mappings of a run built from them — every
+// non-contiguous run is, so it is the vectored copy's input there — and
+// nil for a window-backed run, whose pages View addresses.  View's
+// restrictions apply.
+func (r *Run) Bufs() []*Buf { return r.bufs }
 
 // Stats counts mapper events.  Hits and Misses describe the mapping cache
 // (Section 6.5.2 reports cache hit rates); Sleeps counts blocked

@@ -12,7 +12,9 @@ import "sync"
 // — (cpumask, vpn) — in its CPU's queue and keep going.  The queue is
 // flushed in ONE ranged shootdown when either a threshold of pending lines
 // accumulates or the caller needs the addresses clean for reuse (an
-// allocation miss about to recycle the virtual addresses).
+// allocation miss about to recycle the virtual addresses).  The flushing
+// CPU's own share of the debt is retired the same way: one ranged local
+// pass over its TLB before the IPI round, not one invlpg call per line.
 //
 // Deferral is sound only for invalidations whose staleness is not yet
 // observable: the mapping-cache layer queues a line strictly before the
@@ -95,8 +97,10 @@ func (c *Context) PendingShootdowns() int {
 }
 
 // FlushShootdowns drains the context CPU's queue: entries targeting the
-// flushing CPU are purged with local invalidations, and all remaining
-// targets receive ONE ranged shootdown covering every queued page.  The
+// flushing CPU are purged in ONE ranged local pass (InvalidateLocalRange:
+// one CPU-lock round, the same per-page invlpg charges and LocalInv
+// counts as a per-entry loop), and all remaining targets receive ONE
+// ranged shootdown covering every queued page.  The
 // union of target masks is used — a remote handler may invalidate lines it
 // never cached, which wastes a few handler cycles but is always sound.
 // Returns the number of invalidations retired.
@@ -114,20 +118,33 @@ func (c *Context) FlushShootdowns() int {
 	q.vpnSpare = nil
 	q.mu.Unlock()
 
-	var remote CPUSet
+	// One pass gathers the remote round's vpns and notes whether any
+	// entry targets this CPU; only then does a second pass append those
+	// entries' vpns, in batch order, for one ranged local purge, which
+	// charges, counts and touches the PTE cache as one InvalidateLocal
+	// per entry would.  The purge precedes the IPI round.
 	self := c.cpu.ID
+	var remote CPUSet
+	local := false
 	for _, p := range batch {
 		if p.targets.Has(self) {
-			c.InvalidateLocal(p.vpn)
+			local = true
 		}
 		if rt := p.targets.Clear(self); !rt.Empty() {
 			remote = remote.Union(rt)
 			vpns = append(vpns, p.vpn)
 		}
 	}
-	if len(vpns) > 0 {
-		c.ShootdownRange(remote, vpns)
+	nr := len(vpns)
+	if local {
+		for _, p := range batch {
+			if p.targets.Has(self) {
+				vpns = append(vpns, p.vpn)
+			}
+		}
+		c.InvalidateLocalRange(vpns[nr:])
 	}
+	c.ShootdownRange(remote, vpns[:nr])
 	c.m.counters.BatchedFlushes.Add(1)
 	c.m.counters.BatchedInv.Add(uint64(len(batch)))
 
