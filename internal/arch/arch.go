@@ -126,13 +126,6 @@ type CostModel struct {
 	// checksums against a frame homed on another socket (the NUMA remote
 	// access penalty), on top of CopyPerByte/ChecksumPerByte.
 	RemoteMemPerByte float64
-	// SlowMemPerByte is the per-byte surcharge for copies, zeroing, and
-	// checksums against a frame resident in the slow physical-memory tier
-	// (far DRAM, CXL-attached or persistent memory), on top of
-	// CopyPerByte/ChecksumPerByte.  Charged only when the machine's pool
-	// is tiered (smp.Context.ChargeBytesAt); composes with the NUMA
-	// surcharge when the slow frame is also remote.
-	SlowMemPerByte float64
 }
 
 // xeonCosts is the i386 cost model, seeded from the paper's Xeon numbers.
@@ -161,7 +154,6 @@ func xeonCosts() CostModel {
 		RemoteLockExtra:        280,
 		RemoteIPIExtra:         2500,
 		RemoteMemPerByte:       0.65,
-		SlowMemPerByte:         1.95,
 	}
 }
 
@@ -193,7 +185,6 @@ func opteronCosts() CostModel {
 		RemoteLockExtra:        120,
 		RemoteIPIExtra:         700,
 		RemoteMemPerByte:       0.28,
-		SlowMemPerByte:         0.84,
 	}
 }
 

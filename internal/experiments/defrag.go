@@ -53,9 +53,10 @@ const (
 )
 
 // bootDefrag boots one arm of the defragmentation experiment: the sharded
-// i386 engine over a backed buddy pool of defragSpans superpage spans,
-// reservation watermarks on, and the given migration policy.  The cache
-// holds two superpage runs so extent windows and churn singles coexist.
+// i386 engine over a backed buddy pool of defragSpans superpage spans
+// (reservation watermarks are on, as on every pool), and the given
+// migration policy.  The cache holds two superpage runs so extent windows
+// and churn singles coexist.
 func bootDefrag(migrate kernel.Tri) (*kernel.Kernel, error) {
 	return kernel.Boot(kernel.Config{
 		Platform:     arch.XeonMPHTT(),
@@ -64,7 +65,6 @@ func bootDefrag(migrate kernel.Tri) (*kernel.Kernel, error) {
 		PhysPages:    defragSpans * pmap.SuperpagePages,
 		Backed:       true,
 		CacheEntries: 2*pmap.SuperpagePages + 64,
-		Reserv:       kernel.On,
 		Migrate:      migrate,
 	})
 }

@@ -36,8 +36,8 @@ func init() {
 // extent the way the converted subsystems would, and churning fresh
 // physical extents after a fragmentation warmup (the frag rows, whose
 // contig% column is the buddy allocator's recovery).  The post-paper
-// arms that are not about contention — reclaim, numa, defrag, tier —
-// each have their own experiment.
+// arms that are not about contention — reclaim, numa, defrag — each
+// have their own experiment.
 func RunScale(o Options) (*Result, error) {
 	res := &Result{
 		ID:    "scale",

@@ -106,12 +106,6 @@ type MapConsumer struct {
 	runDecisions uint64
 	batchDecs    uint64
 
-	// Tier placement economy (tiered pools only): pages observed by this
-	// consumer, and how many of them were fast-tier resident at
-	// observation time.
-	tierPages uint64
-	tierFast  uint64
-
 	// sendMu guards sendFree, the recycled release records of this
 	// consumer's send extents.  Host-only: recycling a record is
 	// simulator bookkeeping, and nothing charges it.
@@ -227,42 +221,23 @@ func (c *MapConsumer) UseRuns(ctx *smp.Context, pages []*vm.Page) bool {
 	}
 	ctx.ChargeLock()
 	ctx.Charge(ctx.Cost().MapperOp)
-	phys := c.k.M.Phys
-	tiered := phys.Tiered()
 	c.mu.Lock()
 	cl := &c.classes[classIdx(len(pages))]
-	sig, hot := c.observe(cl, pages)
+	c.observe(cl, pages)
 	run := cl.run
 	if run {
 		c.runDecisions++
 	} else {
 		c.batchDecs++
 	}
-	if tiered {
-		c.tierPages += uint64(len(pages))
-		for _, pg := range pages {
-			if f := pg.Frame(); f != 0 && !phys.SlowFrame(f) {
-				c.tierFast++
-			}
-		}
-	}
 	c.mu.Unlock()
-	// The tier keeper takes its own locks and may migrate, so it runs
-	// outside the consumer lock; the reuse verdict travels with the call.
-	if tiered && c.k.tier != nil {
-		c.k.tier.Note(ctx, sig, pages, hot)
-	}
 	return run
 }
 
 // observe folds one extent into the reuse EWMAs of its size class and,
 // on an epoch boundary, re-decides the class's mode with hysteresis.
-// It returns the extent's signature and the tier-placement verdict: hot
-// means this exact extent repeated within its recency window while the
-// class's extent-reuse EWMA clears tierHotEWMA — the same smoothed
-// signal the run/batch flip reads, reused as the promotion hint.
 // Caller holds c.mu.
-func (c *MapConsumer) observe(cl *contigClass, pages []*vm.Page) (sig uint64, hot bool) {
+func (c *MapConsumer) observe(cl *contigClass, pages []*vm.Page) {
 	c.observations++
 	seen := 0
 	for _, pg := range pages {
@@ -278,10 +253,10 @@ func (c *MapConsumer) observe(cl *contigClass, pages []*vm.Page) (sig uint64, ho
 	// vm.ExtentID keys the logical extent: on a pool that never migrates
 	// it hashes exactly the frame sequence the page-set window cache
 	// revives by, so "extent reuse high" predicts "revives will hit" by
-	// construction — and when migration moves an extent's frames (the
-	// tier keeper's promotions, defragmentation), the identity follows
-	// the pages, exactly as the remapped-in-place parked window does.
-	sig = vm.ExtentID(pages)
+	// construction — and when defragmentation moves an extent's frames,
+	// the identity follows the pages, exactly as the remapped-in-place
+	// parked window does.
+	sig := vm.ExtentID(pages)
 	extReuse := 0.0
 	for _, seen := range c.extSeen[:min(c.extClock, extentRecentWindow)] {
 		if seen == sig {
@@ -306,16 +281,6 @@ func (c *MapConsumer) observe(cl *contigClass, pages []*vm.Page) (sig uint64, ho
 			cl.flips++
 		}
 	}
-	hot = extReuse > 0 && cl.extEWMA >= tierHotEWMA
-	return sig, hot
-}
-
-// tierCounts snapshots the consumer's tier placement counters (pages
-// observed, fast-tier resident at observation).
-func (c *MapConsumer) tierCounts() (pages, fast uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.tierPages, c.tierFast
 }
 
 // PolicyStats snapshots the handle's policy state.

@@ -30,7 +30,7 @@ func newRefRecency(pageWindow uint64) *refRecency {
 	return r
 }
 
-func (r *refRecency) observe(cl *contigClass, pages []*vm.Page) (sig uint64, hot bool) {
+func (r *refRecency) observe(cl *contigClass, pages []*vm.Page) (sig uint64) {
 	seen := 0
 	for _, pg := range pages {
 		f := pg.Frame()
@@ -65,8 +65,7 @@ func (r *refRecency) observe(cl *contigClass, pages []*vm.Page) (sig uint64, hot
 		}
 	}
 	r.pruneLocked()
-	hot = extReuse > 0 && cl.extEWMA >= tierHotEWMA
-	return sig, hot
+	return sig
 }
 
 func (r *refRecency) pruneLocked() {
@@ -90,15 +89,14 @@ func (r *refRecency) pruneLocked() {
 
 // TestRecencyTablesMatchMapReference drives the frame-indexed page clock
 // and the extent ring beside the map-and-prune reference over seeded
-// extent traces, and requires the same EWMAs, modes, flips, signature and
-// hot verdict after every step.  The traces sweep more than four page
-// windows of distinct frames (the reference's prune path), run under a
-// cache small enough to cap the page window and one large enough not to,
-// repeat extents at distances of exactly 16 and 17 observations (the
-// extent window's edge), and move frames with the buddy pool's migration
-// primitive, the one tier promotion and defragmentation use.  Hot phases
-// (pages repeat, extents do not) alternate with mixed ones, so classes
-// flip both ways.
+// extent traces, and requires the same EWMAs, modes, flips and signature
+// after every step.  The traces sweep more than four page windows of
+// distinct frames (the reference's prune path), run under a cache small
+// enough to cap the page window and one large enough not to, repeat
+// extents at distances of exactly 16 and 17 observations (the extent
+// window's edge), and move frames with the buddy pool's migration
+// primitive, the one defragmentation uses.  Hot phases (pages repeat,
+// extents do not) alternate with mixed ones, so classes flip both ways.
 func TestRecencyTablesMatchMapReference(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -184,12 +182,12 @@ func TestRecencyTablesMatchMapReference(t *testing.T) {
 
 				c.mu.Lock()
 				ci := classIdx(len(ext))
-				sig, hot := c.observe(&c.classes[ci], ext)
+				c.observe(&c.classes[ci], ext)
 				got, pc, ec := c.classes, c.pageClock, c.extClock
+				sig := c.extSeen[(ec-1)%extentRecentWindow]
 				c.mu.Unlock()
-				rsig, rhot := ref.observe(&ref.classes[ci], ext)
-				if sig != rsig || hot != rhot {
-					t.Fatalf("step %d: sig, hot = %#x, %v; reference %#x, %v", step, sig, hot, rsig, rhot)
+				if rsig := ref.observe(&ref.classes[ci], ext); sig != rsig {
+					t.Fatalf("step %d: sig %#x; reference %#x", step, sig, rsig)
 				}
 				if got != ref.classes {
 					t.Fatalf("step %d: classes\n%+v\nreference\n%+v", step, got, ref.classes)

@@ -95,27 +95,9 @@ type Config struct {
 	// to allocation-miss shortage, the paper's behaviour.  The figure
 	// engines (CacheGlobal, the original kernel) never run a daemon.
 	Daemon Tri
-	// Reserv selects superpage reservation watermarks on the buddy frame
-	// allocator (Auto: on).
-	Reserv Tri
 	// Migrate selects defragmentation by migration (Auto: on wherever the
 	// engine can migrate — the sharded i386 cache).
 	Migrate Tri
-	// Tiers models the physical memory as that many performance tiers.
-	// 2 splits each socket's frame range into a fast low-address prefix
-	// (FastFraction of its frames) and a slow remainder — far DRAM, CXL-
-	// attached or persistent memory — whose copies, zeroing and checksums
-	// pay the platform's SlowMemPerByte surcharge (Counters.SlowMemCycles).
-	// Zero or one keeps the uniform pool: every existing configuration,
-	// including the figure-reproduction kernels, is bit-identical.
-	Tiers int
-	// FastFraction is the fast tier's share of each socket's frames when
-	// Tiers >= 2, in [0,1]; zero means DefaultFastFraction.
-	FastFraction float64
-	// TierHints selects consumer-hinted hot-extent placement on the
-	// tiered pool (Auto: on wherever the engine can migrate).  Off leaves
-	// frames where allocation put them — the tier-oblivious baseline.
-	TierHints Tri
 	// Sockets models the machine as that many CPU packages: consecutive
 	// CPU-id blocks become sockets, physical frames are homed on sockets
 	// by address range, and cross-package lock acquisitions, IPI
@@ -153,10 +135,6 @@ type Kernel struct {
 	// superpage spans; nil unless Plan.Migrate.
 	migrator *sfbuf.Migrator
 
-	// tier is the hot-extent placement keeper on a tiered pool (see
-	// tier.go); nil unless Plan.TierHints.
-	tier *TierKeeper
-
 	// consumers is the registry of per-subsystem contiguity-policy
 	// handles (see Consumer).
 	consumersMu sync.Mutex
@@ -176,15 +154,6 @@ func Boot(cfg Config) (*Kernel, error) {
 		return nil, err
 	}
 	phys := vm.NewPhysMemNUMA(cfg.PhysPages, cfg.Backed, p.Sockets)
-	if p.Tiered {
-		// The split must land before anything allocates: the free-block
-		// cover is rebuilt per tier sub-range.
-		ff := cfg.FastFraction
-		if ff == 0 {
-			ff = DefaultFastFraction
-		}
-		phys.SetTierSplit(max(int(float64(cfg.PhysPages/p.Sockets)*ff+0.5), 1))
-	}
 	m := smp.NewMachineWithPhys(cfg.Platform, phys)
 	m.SetTopology(p.Sockets)
 	pm := pmap.New(m)
@@ -201,21 +170,13 @@ func Boot(cfg Config) (*Kernel, error) {
 		return nil, err
 	}
 	k.Plan.readEngine(cfg, k.Map)
-	if p.Reservation {
-		order := 0
-		for 1<<order < pmap.SuperpagePages {
-			order++
-		}
-		phys.SetReservation(order, reservLowWater)
+	order := 0
+	for 1<<order < pmap.SuperpagePages {
+		order++
 	}
-	// One migrator serves both defragmentation and tier placement, so the
-	// two share its gate discipline and cannot race each other's remaps.
-	var mig *sfbuf.Migrator
-	if p.Migrate || p.TierHints {
-		mig = sfbuf.NewMigrator(k.Map, sfbuf.MigrateConfig{MaxResident: migrateMaxResident})
-	}
+	phys.SetReservation(order, reservLowWater)
 	if p.Migrate {
-		k.migrator = mig
+		k.migrator = sfbuf.NewMigrator(k.Map, sfbuf.MigrateConfig{MaxResident: migrateMaxResident})
 	}
 	// Background reclaim/laundering rides the idle tick.  The figure
 	// engines never plan a daemon, and their experiments never call Idle,
@@ -226,12 +187,6 @@ func Boot(cfg Config) (*Kernel, error) {
 			k.daemon.SetMigrator(k.migrator, migrateBlocksPerTick)
 		}
 		m.RegisterIdleWork(k.daemon.Run)
-	}
-	if p.TierHints {
-		k.tier = newTierKeeper(k, mig)
-		if k.daemon != nil {
-			k.daemon.SetTierDuty(k.tier.IdleDemote)
-		}
 	}
 	return k, nil
 }

@@ -62,20 +62,9 @@ const (
 	migrateBlocksPerTick = 1
 )
 
-// DefaultFastFraction is the fast tier's share of each socket's frames
-// when Config.Tiers selects a tiered pool without an explicit
-// FastFraction.
-const DefaultFastFraction = 0.25
-
 // Plan is the configuration as Boot resolved it, fixed for the kernel's
 // lifetime.
 type Plan struct {
-	// Reservation guards superpage-span blocks on the frame allocator.
-	Reservation bool
-	// Tiered splits physical memory into a fast and a slow tier;
-	// TierHints runs the hot-extent placement keeper over them.
-	Tiered    bool
-	TierHints bool
 	// Homed places the mapping state per socket.
 	Homed bool
 	// Daemon runs background reclaim and laundering on idle ticks;
@@ -109,27 +98,19 @@ func resolvePlan(cfg Config) (Plan, error) {
 		return Plan{}, fmt.Errorf("kernel: PhysPages %d is negative", cfg.PhysPages)
 	case cfg.Sockets < 0 || cfg.Sockets > 1 && ncpu%cfg.Sockets != 0:
 		return Plan{}, fmt.Errorf("kernel: %d CPUs do not divide into %d sockets", ncpu, cfg.Sockets)
-	case cfg.Tiers < 0:
-		return Plan{}, fmt.Errorf("kernel: Tiers %d is negative", cfg.Tiers)
 	case cfg.CacheEntries < 0:
 		return Plan{}, fmt.Errorf("kernel: CacheEntries %d is negative", cfg.CacheEntries)
-	case !(cfg.FastFraction >= 0 && cfg.FastFraction <= 1):
-		return Plan{}, fmt.Errorf("kernel: FastFraction %v is outside [0,1]", cfg.FastFraction)
 	}
 
 	// The sf_buf kernel on a non-figure engine: the paper's global-lock
 	// cache and the original kernel keep the seed's paths bit-exact.
 	modern := cfg.Mapper == SFBuf && cfg.Cache != CacheGlobal
 	p := Plan{Sockets: max(cfg.Sockets, 1)}
-	p.Reservation = cfg.Reserv.or(true)
-	p.Tiered = cfg.Tiers >= 2
 	p.Homed = modern && p.Sockets > 1 && cfg.Homing.or(true)
 	// Only the sharded i386 cache has clean stock for a daemon to refill
 	// and frames it can migrate.
 	p.Daemon = modern && cfg.Platform.Arch == arch.I386 && cfg.Daemon.or(true)
-	canMigrate := modern && cfg.Platform.Arch == arch.I386
-	p.Migrate = canMigrate && cfg.Migrate.or(true)
-	p.TierHints = canMigrate && p.Tiered && cfg.TierHints.or(true)
+	p.Migrate = modern && cfg.Platform.Arch == arch.I386 && cfg.Migrate.or(true)
 
 	// The amd64 direct map never evicts: its capacity stays 0.
 	if cfg.Platform.Arch != arch.AMD64 {

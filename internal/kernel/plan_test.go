@@ -6,17 +6,16 @@ package kernel
 // of the Plan refactor from the per-call resolvers it replaced
 // (Config.Uses*, Kernel.UseVectored/UseVectoredSend/UseRuns,
 // contigAdaptive, mapCapacityPages, DaemonEnabled, MigrationEnabled, the
-// tier keeper, Phys.Tiered, the consumer page window and
-// PhysContigAlign), and are checked in, not regenerated.  Daemon, Migrate
-// and TierHints carry what the kernel actually booted: the old
-// UsesMigration/UsesTierHints said yes on engines whose constructors then
+// consumer page window and PhysContigAlign), and are checked in, not
+// regenerated.  Daemon and Migrate carry what the kernel actually booted:
+// the old UsesMigration said yes on engines whose constructors then
 // returned nil (amd64, the global cache over a forced buddy pool), and the
 // plan no longer asks for what cannot run.  Rows have lost only the
-// configurations of deleted engines, the two color fields only those
-// engines set, and — since every pool became the buddy allocator — the
-// buddy flag, the buddy-on/buddy-off toggles and the LIFO contig row;
-// the figure engines' rows gained reserv, which was on for any buddy
-// pool.
+// configurations of deleted engines and mechanisms, the fields only they
+// set, and their toggles: the two color fields, the buddy flag and the
+// LIFO contig row (every pool is the buddy allocator), the tiered and
+// hints flags with their tiers/hints toggles and tier rows (tiered memory
+// is gone), and the reserv flag with its toggles (every pool reserves).
 
 import (
 	"fmt"
@@ -49,13 +48,8 @@ func planGoldenCases() []planCase {
 		{"contig-off", func(c *Config) { c.Contig = Off }},
 		{"daemon-on", func(c *Config) { c.Daemon = On }},
 		{"daemon-off", func(c *Config) { c.Daemon = Off }},
-		{"reserv-on", func(c *Config) { c.Reserv = On }},
-		{"reserv-off", func(c *Config) { c.Reserv = Off }},
 		{"migrate-on", func(c *Config) { c.Migrate = On }},
 		{"migrate-off", func(c *Config) { c.Migrate = Off }},
-		{"tiers", func(c *Config) { c.Tiers = 2 }},
-		{"hints-on", func(c *Config) { c.Tiers = 2; c.TierHints = On }},
-		{"hints-off", func(c *Config) { c.Tiers = 2; c.TierHints = Off }},
 		{"homing-on", func(c *Config) { c.Homing = On }},
 		{"homing-off", func(c *Config) { c.Homing = Off }},
 	}
@@ -84,8 +78,8 @@ func planGoldenCases() []planCase {
 		planCase{"ablation", Config{Platform: arch.XeonMP(), Mapper: SFBuf, Cache: CacheGlobal, PhysPages: 1088, CacheEntries: 1024}},
 		planCase{"adaptive", Config{Platform: xh, Mapper: SFBuf, PhysPages: 8*160 + 256, CacheEntries: 160}},
 		planCase{"contig/buddy", Config{Platform: xh, Mapper: SFBuf, PhysPages: 32 * 512, CacheEntries: 2*512 + 64}},
-		planCase{"defrag/on", Config{Platform: xh, Mapper: SFBuf, PhysPages: 16 * 512, CacheEntries: 2*512 + 64, Reserv: On, Migrate: On}},
-		planCase{"defrag/off", Config{Platform: xh, Mapper: SFBuf, PhysPages: 16 * 512, CacheEntries: 2*512 + 64, Reserv: On, Migrate: Off}},
+		planCase{"defrag/on", Config{Platform: xh, Mapper: SFBuf, PhysPages: 16 * 512, CacheEntries: 2*512 + 64, Migrate: On}},
+		planCase{"defrag/off", Config{Platform: xh, Mapper: SFBuf, PhysPages: 16 * 512, CacheEntries: 2*512 + 64, Migrate: Off}},
 		planCase{"numa/homed-2s", Config{Platform: arch.XeonNUMA(2, 2), Mapper: SFBuf, PhysPages: 8*256 + 128, CacheEntries: 256, Sockets: 2}},
 		planCase{"numa/striped-2s", Config{Platform: arch.XeonNUMA(2, 2), Mapper: SFBuf, PhysPages: 8*256 + 128, CacheEntries: 256, Sockets: 2, Homing: Off}},
 		planCase{"numa/homed-4s", Config{Platform: arch.XeonNUMA(4, 2), Mapper: SFBuf, PhysPages: 8*256 + 128, CacheEntries: 256, Sockets: 4}},
@@ -99,8 +93,6 @@ func planGoldenCases() []planCase {
 		planCase{"scale/small", Config{Platform: xh, Mapper: SFBuf, PhysPages: 8*64 + 128, CacheEntries: 64}},
 		planCase{"serve/sharded", Config{Platform: xh, Mapper: SFBuf, PhysPages: 8192, CacheEntries: 2304}},
 		planCase{"serve/global", Config{Platform: xh, Mapper: SFBuf, Cache: CacheGlobal, PhysPages: 8192, CacheEntries: 2304}},
-		planCase{"tier/hinted", Config{Platform: xh, Mapper: SFBuf, PhysPages: 768, CacheEntries: 512, Reserv: Off, Tiers: 2, FastFraction: 0.125, TierHints: On}},
-		planCase{"tier/oblivious", Config{Platform: xh, Mapper: SFBuf, PhysPages: 768, CacheEntries: 512, Reserv: Off, Tiers: 2, FastFraction: 0.125, TierHints: Off}},
 		planCase{"bench/sharded", Config{Platform: xh, Mapper: SFBuf, PhysPages: 8*512 + 128, CacheEntries: 512}},
 		planCase{"bench/global", Config{Platform: xh, Mapper: SFBuf, Cache: CacheGlobal, PhysPages: 8*512 + 128, CacheEntries: 512}},
 		planCase{"test/xeon-cache4", Config{Platform: arch.XeonMP(), Mapper: SFBuf, PhysPages: 256, CacheEntries: 4}},
@@ -118,118 +110,91 @@ func planGoldenCases() []planCase {
 // field order, then its sizes, the adaptive consumer's page window and
 // PhysContigAlign for an 8-page and a superpage extent.
 var planGolden = []struct{ name, want string }{
-	{"xeon-sharded", "reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-sharded/contig-on", "reserv daemon migrate batch batchsend runs sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-sharded/contig-off", "reserv daemon migrate batch batchsend sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-sharded/daemon-on", "reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-sharded/daemon-off", "reserv migrate batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-sharded/reserv-on", "reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-sharded/reserv-off", "daemon migrate batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-sharded/migrate-on", "reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-sharded/migrate-off", "reserv daemon batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-sharded/tiers", "reserv tiered hints daemon migrate batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-sharded/hints-on", "reserv tiered hints daemon migrate batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-sharded/hints-off", "reserv tiered daemon migrate batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-sharded/homing-on", "reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-sharded/homing-off", "reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-global", "reserv sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-global/contig-on", "reserv runs sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-global/contig-off", "reserv sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-global/daemon-on", "reserv sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-global/daemon-off", "reserv sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-global/reserv-on", "reserv sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-global/reserv-off", "sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-global/migrate-on", "reserv sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-global/migrate-off", "reserv sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-global/tiers", "reserv tiered sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-global/hints-on", "reserv tiered sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-global/hints-off", "reserv tiered sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-global/homing-on", "reserv sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-global/homing-off", "reserv sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-original", "reserv batch sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-original/contig-on", "reserv batch runs sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-original/contig-off", "reserv batch sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-original/daemon-on", "reserv batch sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-original/daemon-off", "reserv batch sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-original/reserv-on", "reserv batch sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-original/reserv-off", "batch sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-original/migrate-on", "reserv batch sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-original/migrate-off", "reserv batch sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-original/tiers", "reserv tiered batch sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-original/hints-on", "reserv tiered batch sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-original/hints-off", "reserv tiered batch sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-original/homing-on", "reserv batch sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-original/homing-off", "reserv batch sockets=1 cap=64 window=64 align=1/512"},
-	{"opteron", "reserv batch batchsend runs sockets=1 cap=0 window=4096 align=1/512"},
-	{"opteron/contig-on", "reserv batch batchsend runs sockets=1 cap=0 window=4096 align=1/512"},
-	{"opteron/contig-off", "reserv batch batchsend sockets=1 cap=0 window=4096 align=1/512"},
-	{"opteron/daemon-on", "reserv batch batchsend runs sockets=1 cap=0 window=4096 align=1/512"},
-	{"opteron/daemon-off", "reserv batch batchsend runs sockets=1 cap=0 window=4096 align=1/512"},
-	{"opteron/reserv-on", "reserv batch batchsend runs sockets=1 cap=0 window=4096 align=1/512"},
-	{"opteron/reserv-off", "batch batchsend runs sockets=1 cap=0 window=4096 align=1/512"},
-	{"opteron/migrate-on", "reserv batch batchsend runs sockets=1 cap=0 window=4096 align=1/512"},
-	{"opteron/migrate-off", "reserv batch batchsend runs sockets=1 cap=0 window=4096 align=1/512"},
-	{"opteron/tiers", "reserv tiered batch batchsend runs sockets=1 cap=0 window=4096 align=1/512"},
-	{"opteron/hints-on", "reserv tiered batch batchsend runs sockets=1 cap=0 window=4096 align=1/512"},
-	{"opteron/hints-off", "reserv tiered batch batchsend runs sockets=1 cap=0 window=4096 align=1/512"},
-	{"opteron/homing-on", "reserv batch batchsend runs sockets=1 cap=0 window=4096 align=1/512"},
-	{"opteron/homing-off", "reserv batch batchsend runs sockets=1 cap=0 window=4096 align=1/512"},
-	{"numa2", "reserv homed daemon migrate batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
-	{"numa2/contig-on", "reserv homed daemon migrate batch batchsend runs sockets=2 cap=64 window=64 align=1/512"},
-	{"numa2/contig-off", "reserv homed daemon migrate batch batchsend sockets=2 cap=64 window=64 align=1/512"},
-	{"numa2/daemon-on", "reserv homed daemon migrate batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
-	{"numa2/daemon-off", "reserv homed migrate batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
-	{"numa2/reserv-on", "reserv homed daemon migrate batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
-	{"numa2/reserv-off", "homed daemon migrate batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
-	{"numa2/migrate-on", "reserv homed daemon migrate batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
-	{"numa2/migrate-off", "reserv homed daemon batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
-	{"numa2/tiers", "reserv tiered hints homed daemon migrate batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
-	{"numa2/hints-on", "reserv tiered hints homed daemon migrate batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
-	{"numa2/hints-off", "reserv tiered homed daemon migrate batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
-	{"numa2/homing-on", "reserv homed daemon migrate batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
-	{"numa2/homing-off", "reserv daemon migrate batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
-	{"fig/Xeon-UP/sf_buf", "reserv sockets=1 cap=65536 window=4096 align=1/512"},
-	{"fig/Xeon-UP/original", "reserv batch sockets=1 cap=65536 window=4096 align=1/512"},
-	{"fig/Xeon-HTT/sf_buf", "reserv sockets=1 cap=65536 window=4096 align=1/512"},
-	{"fig/Xeon-HTT/original", "reserv batch sockets=1 cap=65536 window=4096 align=1/512"},
-	{"fig/Xeon-MP/sf_buf", "reserv sockets=1 cap=65536 window=4096 align=1/512"},
-	{"fig/Xeon-MP/original", "reserv batch sockets=1 cap=65536 window=4096 align=1/512"},
-	{"fig/Xeon-MP-HTT/sf_buf", "reserv sockets=1 cap=65536 window=4096 align=1/512"},
-	{"fig/Xeon-MP-HTT/original", "reserv batch sockets=1 cap=65536 window=4096 align=1/512"},
-	{"fig/Opteron-MP/sf_buf", "reserv batch batchsend runs sockets=1 cap=0 window=4096 align=1/512"},
-	{"fig/Opteron-MP/original", "reserv batch sockets=1 cap=0 window=4096 align=1/512"},
-	{"fig19/6k", "reserv sockets=1 cap=6144 window=4096 align=1/512"},
-	{"fig19/original", "reserv batch sockets=1 cap=65536 window=4096 align=1/512"},
-	{"ablation", "reserv sockets=1 cap=1024 window=1024 align=1/512"},
-	{"adaptive", "reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=160 window=160 align=1/512"},
-	{"contig/buddy", "reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=1088 window=1088 align=1/512"},
-	{"defrag/on", "reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=1088 window=1088 align=1/512"},
-	{"defrag/off", "reserv daemon batch batchsend runs adaptive sockets=1 cap=1088 window=1088 align=1/512"},
-	{"numa/homed-2s", "reserv homed daemon migrate batch batchsend runs adaptive sockets=2 cap=256 window=256 align=1/512"},
-	{"numa/striped-2s", "reserv daemon migrate batch batchsend runs adaptive sockets=2 cap=256 window=256 align=1/512"},
-	{"numa/homed-4s", "reserv homed daemon migrate batch batchsend runs adaptive sockets=4 cap=256 window=256 align=1/512"},
-	{"numa/striped-4s", "reserv daemon migrate batch batchsend runs adaptive sockets=4 cap=256 window=256 align=1/512"},
-	{"reclaim/daemon", "reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=256 window=256 align=1/512"},
-	{"reclaim/on-demand", "reserv migrate batch batchsend runs adaptive sockets=1 cap=256 window=256 align=1/512"},
-	{"reclaim/daemon-2s", "reserv homed daemon migrate batch batchsend runs adaptive sockets=2 cap=256 window=256 align=1/512"},
-	{"scale/sharded", "reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=256 window=256 align=1/512"},
-	{"scale/global", "reserv sockets=1 cap=256 window=256 align=1/512"},
-	{"scale/original", "reserv batch sockets=1 cap=256 window=256 align=1/512"},
-	{"scale/small", "reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
-	{"serve/sharded", "reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=2304 window=2304 align=1/512"},
-	{"serve/global", "reserv sockets=1 cap=2304 window=2304 align=1/512"},
-	{"tier/hinted", "tiered hints daemon migrate batch batchsend runs adaptive sockets=1 cap=512 window=512 align=1/512"},
-	{"tier/oblivious", "tiered daemon migrate batch batchsend runs adaptive sockets=1 cap=512 window=512 align=1/512"},
-	{"bench/sharded", "reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=512 window=512 align=1/512"},
-	{"bench/global", "reserv sockets=1 cap=512 window=512 align=1/512"},
-	{"test/xeon-cache4", "reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=4 window=4 align=1/512"},
-	{"test/xeon-cache16", "reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=16 window=16 align=1/512"},
-	{"test/xeon-6k", "reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=6144 window=4096 align=1/512"},
-	{"test/xeon-default-cache", "reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=65536 window=4096 align=1/512"},
-	{"test/opteron-original", "reserv batch sockets=1 cap=0 window=4096 align=1/512"},
-	{"test/daemon-explicit", "reserv daemon migrate batch batchsend runs adaptive sockets=1 cap=32 window=32 align=1/512"},
-	{"test/numa2-global", "reserv sockets=2 cap=32 window=32 align=1/512"},
-	{"test/numa2-original", "reserv batch sockets=2 cap=65536 window=4096 align=1/512"},
+	{"xeon-sharded", "daemon migrate batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-sharded/contig-on", "daemon migrate batch batchsend runs sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-sharded/contig-off", "daemon migrate batch batchsend sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-sharded/daemon-on", "daemon migrate batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-sharded/daemon-off", "migrate batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-sharded/migrate-on", "daemon migrate batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-sharded/migrate-off", "daemon batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-sharded/homing-on", "daemon migrate batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-sharded/homing-off", "daemon migrate batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-global", "sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-global/contig-on", "runs sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-global/contig-off", "sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-global/daemon-on", "sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-global/daemon-off", "sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-global/migrate-on", "sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-global/migrate-off", "sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-global/homing-on", "sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-global/homing-off", "sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-original", "batch sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-original/contig-on", "batch runs sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-original/contig-off", "batch sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-original/daemon-on", "batch sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-original/daemon-off", "batch sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-original/migrate-on", "batch sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-original/migrate-off", "batch sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-original/homing-on", "batch sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-original/homing-off", "batch sockets=1 cap=64 window=64 align=1/512"},
+	{"opteron", "batch batchsend runs sockets=1 cap=0 window=4096 align=1/512"},
+	{"opteron/contig-on", "batch batchsend runs sockets=1 cap=0 window=4096 align=1/512"},
+	{"opteron/contig-off", "batch batchsend sockets=1 cap=0 window=4096 align=1/512"},
+	{"opteron/daemon-on", "batch batchsend runs sockets=1 cap=0 window=4096 align=1/512"},
+	{"opteron/daemon-off", "batch batchsend runs sockets=1 cap=0 window=4096 align=1/512"},
+	{"opteron/migrate-on", "batch batchsend runs sockets=1 cap=0 window=4096 align=1/512"},
+	{"opteron/migrate-off", "batch batchsend runs sockets=1 cap=0 window=4096 align=1/512"},
+	{"opteron/homing-on", "batch batchsend runs sockets=1 cap=0 window=4096 align=1/512"},
+	{"opteron/homing-off", "batch batchsend runs sockets=1 cap=0 window=4096 align=1/512"},
+	{"numa2", "homed daemon migrate batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
+	{"numa2/contig-on", "homed daemon migrate batch batchsend runs sockets=2 cap=64 window=64 align=1/512"},
+	{"numa2/contig-off", "homed daemon migrate batch batchsend sockets=2 cap=64 window=64 align=1/512"},
+	{"numa2/daemon-on", "homed daemon migrate batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
+	{"numa2/daemon-off", "homed migrate batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
+	{"numa2/migrate-on", "homed daemon migrate batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
+	{"numa2/migrate-off", "homed daemon batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
+	{"numa2/homing-on", "homed daemon migrate batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
+	{"numa2/homing-off", "daemon migrate batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
+	{"fig/Xeon-UP/sf_buf", "sockets=1 cap=65536 window=4096 align=1/512"},
+	{"fig/Xeon-UP/original", "batch sockets=1 cap=65536 window=4096 align=1/512"},
+	{"fig/Xeon-HTT/sf_buf", "sockets=1 cap=65536 window=4096 align=1/512"},
+	{"fig/Xeon-HTT/original", "batch sockets=1 cap=65536 window=4096 align=1/512"},
+	{"fig/Xeon-MP/sf_buf", "sockets=1 cap=65536 window=4096 align=1/512"},
+	{"fig/Xeon-MP/original", "batch sockets=1 cap=65536 window=4096 align=1/512"},
+	{"fig/Xeon-MP-HTT/sf_buf", "sockets=1 cap=65536 window=4096 align=1/512"},
+	{"fig/Xeon-MP-HTT/original", "batch sockets=1 cap=65536 window=4096 align=1/512"},
+	{"fig/Opteron-MP/sf_buf", "batch batchsend runs sockets=1 cap=0 window=4096 align=1/512"},
+	{"fig/Opteron-MP/original", "batch sockets=1 cap=0 window=4096 align=1/512"},
+	{"fig19/6k", "sockets=1 cap=6144 window=4096 align=1/512"},
+	{"fig19/original", "batch sockets=1 cap=65536 window=4096 align=1/512"},
+	{"ablation", "sockets=1 cap=1024 window=1024 align=1/512"},
+	{"adaptive", "daemon migrate batch batchsend runs adaptive sockets=1 cap=160 window=160 align=1/512"},
+	{"contig/buddy", "daemon migrate batch batchsend runs adaptive sockets=1 cap=1088 window=1088 align=1/512"},
+	{"defrag/on", "daemon migrate batch batchsend runs adaptive sockets=1 cap=1088 window=1088 align=1/512"},
+	{"defrag/off", "daemon batch batchsend runs adaptive sockets=1 cap=1088 window=1088 align=1/512"},
+	{"numa/homed-2s", "homed daemon migrate batch batchsend runs adaptive sockets=2 cap=256 window=256 align=1/512"},
+	{"numa/striped-2s", "daemon migrate batch batchsend runs adaptive sockets=2 cap=256 window=256 align=1/512"},
+	{"numa/homed-4s", "homed daemon migrate batch batchsend runs adaptive sockets=4 cap=256 window=256 align=1/512"},
+	{"numa/striped-4s", "daemon migrate batch batchsend runs adaptive sockets=4 cap=256 window=256 align=1/512"},
+	{"reclaim/daemon", "daemon migrate batch batchsend runs adaptive sockets=1 cap=256 window=256 align=1/512"},
+	{"reclaim/on-demand", "migrate batch batchsend runs adaptive sockets=1 cap=256 window=256 align=1/512"},
+	{"reclaim/daemon-2s", "homed daemon migrate batch batchsend runs adaptive sockets=2 cap=256 window=256 align=1/512"},
+	{"scale/sharded", "daemon migrate batch batchsend runs adaptive sockets=1 cap=256 window=256 align=1/512"},
+	{"scale/global", "sockets=1 cap=256 window=256 align=1/512"},
+	{"scale/original", "batch sockets=1 cap=256 window=256 align=1/512"},
+	{"scale/small", "daemon migrate batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
+	{"serve/sharded", "daemon migrate batch batchsend runs adaptive sockets=1 cap=2304 window=2304 align=1/512"},
+	{"serve/global", "sockets=1 cap=2304 window=2304 align=1/512"},
+	{"bench/sharded", "daemon migrate batch batchsend runs adaptive sockets=1 cap=512 window=512 align=1/512"},
+	{"bench/global", "sockets=1 cap=512 window=512 align=1/512"},
+	{"test/xeon-cache4", "daemon migrate batch batchsend runs adaptive sockets=1 cap=4 window=4 align=1/512"},
+	{"test/xeon-cache16", "daemon migrate batch batchsend runs adaptive sockets=1 cap=16 window=16 align=1/512"},
+	{"test/xeon-6k", "daemon migrate batch batchsend runs adaptive sockets=1 cap=6144 window=4096 align=1/512"},
+	{"test/xeon-default-cache", "daemon migrate batch batchsend runs adaptive sockets=1 cap=65536 window=4096 align=1/512"},
+	{"test/opteron-original", "batch sockets=1 cap=0 window=4096 align=1/512"},
+	{"test/daemon-explicit", "daemon migrate batch batchsend runs adaptive sockets=1 cap=32 window=32 align=1/512"},
+	{"test/numa2-global", "sockets=2 cap=32 window=32 align=1/512"},
+	{"test/numa2-original", "batch sockets=2 cap=65536 window=4096 align=1/512"},
 }
 
 // planRow renders k's plan as a golden row.
@@ -240,10 +205,9 @@ func planRow(k *Kernel) string {
 		name string
 		on   bool
 	}{
-		{"reserv", p.Reservation}, {"tiered", p.Tiered},
-		{"hints", p.TierHints}, {"homed", p.Homed}, {"daemon", p.Daemon},
-		{"migrate", p.Migrate}, {"batch", p.Batch}, {"batchsend", p.BatchSend},
-		{"runs", p.Runs}, {"adaptive", p.Adaptive},
+		{"homed", p.Homed}, {"daemon", p.Daemon}, {"migrate", p.Migrate},
+		{"batch", p.Batch}, {"batchsend", p.BatchSend}, {"runs", p.Runs},
+		{"adaptive", p.Adaptive},
 	} {
 		if f.on {
 			b.WriteString(f.name + " ")
@@ -272,12 +236,13 @@ func TestPlanGolden(t *testing.T) {
 		if got := planRow(k); got != g.want {
 			t.Errorf("%s:\n got %s\nwant %s", c.name, got, g.want)
 		}
-		// The booted machine is what the plan says.
+		// The booted machine is what the plan says, and every pool holds
+		// superpage reservation watermarks.
 		p := k.Plan
-		if k.M.Phys.Tiered() != p.Tiered ||
-			k.DaemonEnabled() != p.Daemon || k.MigrationEnabled() != p.Migrate ||
-			k.TierHintsEnabled() != p.TierHints || k.M.Sockets() != p.Sockets ||
-			k.M.Phys.PhysStats().Sockets != p.Sockets {
+		order, _ := k.M.Phys.Reservation()
+		if k.DaemonEnabled() != p.Daemon || k.MigrationEnabled() != p.Migrate ||
+			k.M.Sockets() != p.Sockets || k.M.Phys.PhysStats().Sockets != p.Sockets ||
+			order == 0 {
 			t.Errorf("%s: booted machine disagrees with plan %+v", c.name, p)
 		}
 	}
@@ -295,9 +260,6 @@ func TestBootRejectsBadConfig(t *testing.T) {
 		{"negative sockets", func(c *Config) { c.Sockets = -2 }},
 		{"negative PhysPages", func(c *Config) { c.PhysPages = -5 }},
 		{"negative CacheEntries", func(c *Config) { c.CacheEntries = -1 }},
-		{"negative Tiers", func(c *Config) { c.Tiers = -1 }},
-		{"FastFraction below 0", func(c *Config) { c.Tiers, c.FastFraction = 2, -0.5 }},
-		{"FastFraction above 1", func(c *Config) { c.Tiers, c.FastFraction = 2, 1.5 }},
 		{"platform without CPUs", func(c *Config) { c.Platform = arch.Platform{} }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -320,7 +282,7 @@ func TestBootRejectsBadConfig(t *testing.T) {
 func TestPlanIgnoresPostBootCfgEdits(t *testing.T) {
 	k := MustBoot(Config{Platform: arch.XeonMP(), Mapper: SFBuf, PhysPages: 2048, CacheEntries: 64})
 	want := k.Plan
-	k.Cfg.Contig, k.Cfg.Reserv, k.Cfg.Cache = Off, Off, CacheGlobal
+	k.Cfg.Contig, k.Cfg.Daemon, k.Cfg.Cache = Off, Off, CacheGlobal
 	k.Cfg.CacheEntries, k.Cfg.Platform = 8, arch.OpteronMP()
 	if k.Plan != want {
 		t.Fatalf("plan moved: %+v, want %+v", k.Plan, want)

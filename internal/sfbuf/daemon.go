@@ -77,12 +77,6 @@ type DaemonStats struct {
 	MigrateRounds  uint64
 	MigratedBlocks uint64
 
-	// TierRounds counts idle ticks that ran the registered tier duty
-	// (SetTierDuty) — on a tiered pool, the kernel tier keeper's
-	// background demotion pass that keeps a free reserve in the fast
-	// tier.
-	TierRounds uint64
-
 	// RefilledBySocket and TrimmedBySocket split RefilledBufs and
 	// TrimmedWindows by the socket of the CPU whose idle tick did the
 	// work — the per-socket view of where the daemon's background effort
@@ -103,19 +97,12 @@ type Daemon struct {
 	mig       *Migrator
 	migBlocks int
 
-	// tierDuty, when set (SetTierDuty), runs as the pass's fifth duty:
-	// the tier keeper's background demotion, which evicts the coldest
-	// fast-tier residents while the CPU has idle budget to pay for the
-	// copies.
-	tierDuty func(ctx *smp.Context)
-
 	passes         atomic.Uint64
 	refills        atomic.Uint64
 	refilled       atomic.Uint64
 	trimmed        atomic.Uint64
 	migRounds      atomic.Uint64
 	migBlocksFreed atomic.Uint64
-	tierRounds     atomic.Uint64
 
 	// Per-socket attribution of refill and trim work, indexed by the
 	// socket of the CPU running the pass.
@@ -189,17 +176,6 @@ func (d *Daemon) SetMigrator(mig *Migrator, blocks int) {
 	d.mig, d.migBlocks = mig, blocks
 }
 
-// SetTierDuty registers a tier-maintenance duty as the daemon's fifth
-// idle-tick task, run after defragmentation when budget remains.  The
-// kernel's tier keeper registers its background demotion pass here.  A
-// nil duty leaves the daemon as it was.
-func (d *Daemon) SetTierDuty(duty func(ctx *smp.Context)) {
-	if d == nil || duty == nil {
-		return
-	}
-	d.tierDuty = duty
-}
-
 // Run is the idle-tick entry point (an smp.IdleWork).  It spends up to
 // budget cycles of the idling CPU doing one background pass, oldest
 // duties first, and stops early once the budget is consumed.
@@ -254,13 +230,6 @@ func (d *Daemon) Run(ctx *smp.Context, budget cycles.Cycles) {
 		}
 		d.migRounds.Add(1)
 	}
-	// 5. Tier maintenance: background demotion keeps a free reserve in
-	// the fast tier, so the next hot-extent promotion finds frames
-	// instead of paying a synchronous eviction.
-	if d.tierDuty != nil && within() {
-		d.tierDuty(ctx)
-		d.tierRounds.Add(1)
-	}
 }
 
 // Stats reports cumulative daemon activity, including the run pools'
@@ -273,7 +242,6 @@ func (d *Daemon) Stats() DaemonStats {
 		TrimmedWindows:   d.trimmed.Load(),
 		MigrateRounds:    d.migRounds.Load(),
 		MigratedBlocks:   d.migBlocksFreed.Load(),
-		TierRounds:       d.tierRounds.Load(),
 		RefilledBySocket: make([]uint64, len(d.refilledSock)),
 		TrimmedBySocket:  make([]uint64, len(d.trimmedSock)),
 	}

@@ -27,7 +27,7 @@ import (
 // diffOp is one step of a trace.  Traces are generated once per seed and
 // replayed verbatim against every engine.
 type diffOp struct {
-	kind    int // 0 alloc, 1 allocBatch, 2 free, 3 freeBatch, 4 write, 5 verify, 6 allocRun, 7 freeRun, 8 idle, 9 defrag, 10 phys churn, 11 tier move
+	kind    int // 0 alloc, 1 allocBatch, 2 free, 3 freeBatch, 4 write, 5 verify, 6 allocRun, 7 freeRun, 8 idle, 9 defrag, 10 phys churn
 	page    int // first page index (alloc kinds)
 	count   int // batch/run length
 	cpu     int
@@ -384,21 +384,6 @@ func replayTrace(t *testing.T, e *diffEngine, ops []diffOp) [diffPages]byte {
 			// still see true bytes, or the migrating engine diverges.
 			if e.mig != nil {
 				e.mig.MigrateBlocks(e.m.Ctx(op.cpu), op.count)
-			}
-		case 11:
-			// Tier move: migrate a band of the trace's pages into the tier
-			// the generator picked (val 0 fast, 1 slow).  Only an engine
-			// with a Migrator over a TIERED pool moves anything —
-			// MoveToTier declines untiered pools — so the global-lock
-			// cache, the original kernel AND every untiered build replay
-			// the step as a no-op, and all of them must still agree on
-			// every observable byte.
-			if e.mig != nil {
-				end := op.page + op.count
-				if end > diffPages {
-					end = diffPages
-				}
-				e.mig.MoveToTier(e.m.Ctx(op.cpu), e.pages[op.page:end], int(op.val)%2, 0)
 			}
 		case 10:
 			// Deterministic physical churn: raw frames allocated and freed

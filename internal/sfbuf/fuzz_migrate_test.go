@@ -48,21 +48,8 @@ type migTraceSummary struct {
 }
 
 func runMigrateTrace(t *testing.T, data []byte) migTraceSummary {
-	return runMigrateTraceTiered(t, data, 0)
-}
-
-// runMigrateTraceTiered is runMigrateTrace over an optionally tiered
-// pool: fastPer > 0 splits the buddy frames with SetTierSplit, and every
-// op-7 migration pass is followed by a tier-move pass over everything
-// the trace owns — destination alternating with the op's argument — each
-// under its own byte oracle and live-mapping re-read.  fastPer == 0 is
-// byte-for-byte the untiered trace FuzzMigrate has always run.
-func runMigrateTraceTiered(t *testing.T, data []byte, fastPer int) migTraceSummary {
 	r := newMigrateRig(t, fuzzMigFrames, fuzzMigEntries,
 		ShardedConfig{ReclaimBatch: 3, PerCPUFree: 2})
-	if fastPer > 0 {
-		r.m.Phys.SetTierSplit(fastPer)
-	}
 	ncpu := r.m.NumCPUs()
 	check := physcheck.NewChecker(r.m.Phys)
 
@@ -256,19 +243,6 @@ func runMigrateTraceTiered(t *testing.T, data []byte, fastPer int) migTraceSumma
 				t.Fatalf("step %d: %v", i/2, err)
 			}
 			verifyAll(i / 2)
-			if fastPer > 0 {
-				// Tier-move pass over the same ownership set.  The fast
-				// tier is a fraction of the pool, so promoting everything
-				// the trace owns exercises the destination-full early exit
-				// as often as it succeeds — and demoting (odd args) frees
-				// the boundary back up.
-				tierOracle := physcheck.NewOracle(owned)
-				r.mig.MoveToTier(r.m.Ctx(cpu), owned, arg%2, 0)
-				if err := tierOracle.Check(r.m.Phys); err != nil {
-					t.Fatalf("step %d (tier move): %v", i/2, err)
-				}
-				verifyAll(i / 2)
-			}
 		}
 		audit(i / 2)
 	}

@@ -59,7 +59,6 @@ type Migrator struct {
 
 	rounds, moved, freed, skipped atomic.Uint64
 	hashRemaps, winRemaps, forced atomic.Uint64
-	tierMoved                     atomic.Uint64
 	cycles                        atomic.Uint64
 }
 
@@ -86,10 +85,6 @@ type MigrationStats struct {
 	// ForcedLaunders counts parked windows torn down instead because most
 	// of their extent sat inside the victim span.
 	HashRemaps, WindowRemaps, ForcedLaunders uint64
-	// TierMoves counts pages migrated between physical-memory tiers by
-	// MoveToTier (promotions and demotions both; the kernel's tier keeper
-	// splits the direction).
-	TierMoves uint64
 	// CyclesCharged is the total simulated cycles MigrateBlocks consumed.
 	CyclesCharged uint64
 }
@@ -362,7 +357,6 @@ func (g *Migrator) Stats() MigrationStats {
 		HashRemaps:     g.hashRemaps.Load(),
 		WindowRemaps:   g.winRemaps.Load(),
 		ForcedLaunders: g.forced.Load(),
-		TierMoves:      g.tierMoved.Load(),
 		CyclesCharged:  g.cycles.Load(),
 	}
 }

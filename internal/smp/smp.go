@@ -128,12 +128,6 @@ type Counters struct {
 	// lands both on the CPU and here.  Always zero on a one-socket
 	// topology.
 	RemoteMemCycles atomic.Int64
-	// SlowMemCycles accumulates the extra cycles slow-tier memory traffic
-	// cost: copies, zeroing, and checksums whose frame resides in the slow
-	// physical-memory tier pay the platform's SlowMemPerByte surcharge,
-	// which lands both on the CPU and here.  Always zero on a single-tier
-	// pool.
-	SlowMemCycles atomic.Int64
 }
 
 // Snapshot is a point-in-time copy of the counters.
@@ -152,7 +146,6 @@ type Snapshot struct {
 	RemoteLockAcq   uint64
 	RemoteIPIs      uint64
 	RemoteMemCycles int64
-	SlowMemCycles   int64
 }
 
 // Sub returns the event deltas since an earlier snapshot.
@@ -172,7 +165,6 @@ func (s Snapshot) Sub(earlier Snapshot) Snapshot {
 		RemoteLockAcq:   s.RemoteLockAcq - earlier.RemoteLockAcq,
 		RemoteIPIs:      s.RemoteIPIs - earlier.RemoteIPIs,
 		RemoteMemCycles: s.RemoteMemCycles - earlier.RemoteMemCycles,
-		SlowMemCycles:   s.SlowMemCycles - earlier.SlowMemCycles,
 	}
 }
 
@@ -234,8 +226,8 @@ func NewMachine(p arch.Platform, frames int, backed bool) *Machine {
 }
 
 // NewMachineWithPhys builds a machine over a caller-constructed physical
-// memory pool — how the kernel boots a multi-socket or tiered pool
-// (vm.NewPhysMemNUMA, vm.PhysMem.SetTierSplit).
+// memory pool — how the kernel boots a multi-socket pool
+// (vm.NewPhysMemNUMA).
 func NewMachineWithPhys(p arch.Platform, phys *vm.PhysMem) *Machine {
 	if p.NumCPUs <= 0 || p.NumCPUs > MaxCPUs {
 		panic(fmt.Sprintf("smp: invalid CPU count %d", p.NumCPUs))
@@ -329,7 +321,6 @@ func (m *Machine) SnapshotCounters() Snapshot {
 		RemoteLockAcq:   m.counters.RemoteLockAcq.Load(),
 		RemoteIPIs:      m.counters.RemoteIPIs.Load(),
 		RemoteMemCycles: m.counters.RemoteMemCycles.Load(),
-		SlowMemCycles:   m.counters.SlowMemCycles.Load(),
 	}
 }
 
@@ -351,7 +342,6 @@ func (m *Machine) ResetCounters() {
 	m.counters.RemoteLockAcq.Store(0)
 	m.counters.RemoteIPIs.Store(0)
 	m.counters.RemoteMemCycles.Store(0)
-	m.counters.SlowMemCycles.Store(0)
 	for _, c := range m.cpus {
 		m.clockBase.Add(c.cycles.Swap(0))
 	}
@@ -438,22 +428,14 @@ func (c *Context) Socket() int { return c.m.topo.SocketOf(c.cpu.ID) }
 // ChargeBytesAt is ChargeBytes for traffic against a physical frame: when
 // the frame's home socket differs from the executing CPU's, the platform's
 // RemoteMemPerByte surcharge is charged on top and accumulated in
-// Counters.RemoteMemCycles, and when the frame resides in the slow
-// physical-memory tier the platform's SlowMemPerByte surcharge is charged
-// on top and accumulated in Counters.SlowMemCycles.  The two surcharges
-// compose: a slow frame homed on a remote socket pays both.  On a
-// one-socket topology over a single-tier pool it is exactly ChargeBytes.
+// Counters.RemoteMemCycles.  On a one-socket topology it is exactly
+// ChargeBytes.
 func (c *Context) ChargeBytesAt(perByte float64, n int, frame uint64) {
 	c.Charge(cycles.PerByte(perByte, n))
 	if c.m.topo.Sockets > 1 && c.m.Phys.SocketOfFrame(frame) != c.Socket() {
 		extra := cycles.PerByte(c.m.Plat.Cost.RemoteMemPerByte, n)
 		c.Charge(extra)
 		c.m.counters.RemoteMemCycles.Add(int64(extra))
-	}
-	if c.m.Phys.SlowFrame(frame) {
-		extra := cycles.PerByte(c.m.Plat.Cost.SlowMemPerByte, n)
-		c.Charge(extra)
-		c.m.counters.SlowMemCycles.Add(int64(extra))
 	}
 }
 

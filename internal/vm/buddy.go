@@ -142,37 +142,26 @@ func (h *orderHeap) removeAt(i int) {
 	}
 }
 
-// buildCoverLocked covers each socket's range — and, on a tiered pool,
-// each tier sub-range within it — with maximal aligned blocks (frame 0 is
-// the sentinel and is never part of any block).  Because the cover is
-// built per socket and per tier, no free block ever straddles a socket or
-// tier boundary.  Caller holds pm.mu (or owns the pool exclusively during
-// construction); the pool must be fully free.
+// buildCoverLocked covers each socket's range with maximal aligned
+// blocks (frame 0 is the sentinel and is never part of any block).
+// Because the cover is built per socket, no free block ever straddles a
+// socket boundary.  Caller holds pm.mu (or owns the pool exclusively
+// during construction); the pool must be fully free.
 func (pm *PhysMem) buildCoverLocked() {
 	pm.freePages = 0
-	pm.freeFast = make([]int, pm.sockets)
 	for s := 0; s < pm.sockets; s++ {
 		pm.orders[s] = make([]orderHeap, MaxContigOrder+1)
 		pm.freeBySock[s] = 0
 		lo, hi := pm.socketRange(s)
-		bounds := []uint64{lo}
-		if pm.fastPer > 0 && uint64(pm.fastPer) <= hi-lo {
-			bounds = append(bounds, lo+uint64(pm.fastPer))
-		}
-		bounds = append(bounds, hi+1)
-		for bi := 0; bi+1 < len(bounds); bi++ {
-			sublo, subhi := bounds[bi], bounds[bi+1]-1
-			for start := sublo; start <= subhi; {
-				k := MaxContigOrder
-				for k > 0 && (start&(1<<k-1) != 0 || start+1<<k-1 > subhi) {
-					k--
-				}
-				pm.orders[s][k].push(start)
-				pm.freePages += 1 << k
-				pm.freeBySock[s] += 1 << k
-				pm.tierFreeDelta(s, start, 1<<k)
-				start += 1 << k
+		for start := lo; start <= hi; {
+			k := MaxContigOrder
+			for k > 0 && (start&(1<<k-1) != 0 || start+1<<k-1 > hi) {
+				k--
 			}
+			pm.orders[s][k].push(start)
+			pm.freePages += 1 << k
+			pm.freeBySock[s] += 1 << k
+			start += 1 << k
 		}
 	}
 }
@@ -328,7 +317,6 @@ func (pm *PhysMem) takeBlockLocked(s, k int) (uint64, bool) {
 	}
 	pm.freePages -= 1 << k
 	pm.freeBySock[s] -= 1 << k
-	pm.tierFreeDelta(s, start, -(1 << k))
 	return start, true
 }
 
@@ -337,20 +325,14 @@ func (pm *PhysMem) takeBlockLocked(s, k int) (uint64, bool) {
 // neighbor at start^size) is also free, the pair merges one order up.
 // The block's home socket is derived from its start frame; since blocks
 // never straddle socket boundaries and the buddy probe only consults the
-// home socket's heaps, merges never cross a boundary either.  Tier
-// boundaries share a socket's heaps, so merging across one is refused
-// explicitly: both halves are tier-pure, so comparing start-frame tiers
-// suffices.  Caller holds pm.mu.
+// home socket's heaps, merges never cross a boundary either.  Caller
+// holds pm.mu.
 func (pm *PhysMem) insertBlockLocked(start uint64, k int) {
 	s := pm.SocketOfFrame(start)
 	pm.freePages += 1 << k
 	pm.freeBySock[s] += 1 << k
-	pm.tierFreeDelta(s, start, 1<<k)
 	for k < MaxContigOrder {
 		buddy := start ^ (1 << k)
-		if pm.fastPer > 0 && pm.TierOfFrame(buddy) != pm.TierOfFrame(start) {
-			break
-		}
 		if !pm.orders[s][k].remove(buddy) {
 			break
 		}
@@ -364,8 +346,7 @@ func (pm *PhysMem) insertBlockLocked(start uint64, k int) {
 }
 
 // freeRangeLocked frees the frame range [start, start+n) as maximal
-// aligned blocks, clipped so no block straddles a socket or tier
-// boundary.  Caller holds pm.mu.
+// aligned blocks, clipped so no block straddles a socket boundary.  Caller holds pm.mu.
 func (pm *PhysMem) freeRangeLocked(start uint64, n int) {
 	for n > 0 {
 		k := bits.TrailingZeros64(start)
@@ -375,8 +356,7 @@ func (pm *PhysMem) freeRangeLocked(start uint64, n int) {
 		for 1<<k > n {
 			k--
 		}
-		for k > 0 && (pm.SocketOfFrame(start+1<<k-1) != pm.SocketOfFrame(start) ||
-			pm.TierOfFrame(start+1<<k-1) != pm.TierOfFrame(start)) {
+		for k > 0 && pm.SocketOfFrame(start+1<<k-1) != pm.SocketOfFrame(start) {
 			k--
 		}
 		pm.insertBlockLocked(start, k)
@@ -396,7 +376,6 @@ func (pm *PhysMem) takeOneAtLocked(s int, best uint64, bestK int) *Page {
 	}
 	pm.freePages--
 	pm.freeBySock[s]--
-	pm.tierFreeDelta(s, best, -1)
 	return pm.pages[best-1].Load()
 }
 
@@ -502,7 +481,6 @@ func (pm *PhysMem) buddyAllocNLocked(pref, n int) ([]*Page, error) {
 			size := 1 << bestK
 			pm.freePages -= size
 			pm.freeBySock[s] -= size
-			pm.tierFreeDelta(s, best, -size)
 			if need := n - len(out); size <= need {
 				for f := best; f < best+uint64(size); f++ {
 					out = append(out, pm.pages[f-1].Load())
@@ -655,17 +633,6 @@ type PhysStats struct {
 	// to another; always zero on one-socket pools.
 	NUMALocalPages uint64
 	NUMASpillPages uint64
-	// Tiered reports whether a fast/slow tier split is installed
-	// (SetTierSplit); FastPerSocket is the per-socket fast prefix width.
-	// FastFrames/SlowFrames are the tier capacities and FastFree/SlowFree
-	// the current free counts; on a single-tier pool every frame counts as
-	// fast.
-	Tiered        bool
-	FastPerSocket int
-	FastFrames    int
-	SlowFrames    int
-	FastFree      int
-	SlowFree      int
 }
 
 // PhysStats snapshots the pool's fragmentation statistics.
@@ -688,12 +655,6 @@ func (pm *PhysMem) PhysStats() PhysStats {
 		Sockets:        pm.sockets,
 		NUMALocalPages: pm.numaLocal,
 		NUMASpillPages: pm.numaSpill,
-		Tiered:         pm.fastPer > 0,
-		FastPerSocket:  pm.fastPer,
-		FastFrames:     pm.TierFrames(TierFast),
-		SlowFrames:     pm.TierFrames(TierSlow),
-		FastFree:       pm.tierFreeLocked(TierFast),
-		SlowFree:       pm.tierFreeLocked(TierSlow),
 	}
 	var extents []extent
 	for sock := range pm.orders {

@@ -52,9 +52,6 @@ func Audit(pm *vm.PhysMem) error {
 		if s := pm.SocketOfFrame(b.Start); s != b.Socket || pm.SocketOfFrame(b.Start+size-1) != b.Socket {
 			return fmt.Errorf("physcheck: block [%d,+%d) straddles socket %d's boundary", b.Start, size, b.Socket)
 		}
-		if st.Tiered && pm.TierOfFrame(b.Start) != pm.TierOfFrame(b.Start+size-1) {
-			return fmt.Errorf("physcheck: block [%d,+%d) straddles the tier boundary", b.Start, size)
-		}
 		sum += int(size)
 		bySock[b.Socket] += int(size)
 	}
@@ -72,17 +69,6 @@ func Audit(pm *vm.PhysMem) error {
 	for s, n := range bySock {
 		if s < len(st.FreeBySocket) && n != st.FreeBySocket[s] {
 			return fmt.Errorf("physcheck: socket %d blocks sum to %d frames, counter says %d", s, n, st.FreeBySocket[s])
-		}
-	}
-	if st.Tiered {
-		fastSum := 0
-		for _, b := range blocks {
-			if pm.TierOfFrame(b.Start) == vm.TierFast {
-				fastSum += 1 << b.Order
-			}
-		}
-		if fastSum != st.FastFree {
-			return fmt.Errorf("physcheck: fast-tier blocks sum to %d frames, gauge says %d", fastSum, st.FastFree)
 		}
 	}
 	return nil

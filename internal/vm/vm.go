@@ -52,7 +52,7 @@ type Page struct {
 	// on.  Unlike frame it never changes — migration moves a page between
 	// frames but not between identities — so it is the key for any state
 	// that must follow the logical page across migrations (extent-reuse
-	// tracking, the tier keeper's tables).  On a pool that never migrates
+	// tracking).  On a pool that never migrates
 	// it equals Frame().
 	id uint64
 }
@@ -171,13 +171,6 @@ type PhysMem struct {
 	framesPer int
 	numaLocal uint64
 	numaSpill uint64
-
-	// Tiered physical memory (tier.go): each socket's frame range is
-	// split into a fast prefix of fastPer frames and a slow remainder.
-	// fastPer == 0 means a single uniform tier.  freeFast tracks the free
-	// fast-tier frames per socket.
-	fastPer  int
-	freeFast []int
 
 	contigAllocs uint64
 	contigFails  uint64

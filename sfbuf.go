@@ -116,8 +116,8 @@ type (
 	// design with batched shootdowns (default) or the paper's
 	// global-lock cache.
 	CachePolicy = kernel.CachePolicy
-	// Tri is a policy switch (Config.Contig, Daemon, Reserv, Migrate,
-	// TierHints, Homing): Auto lets Boot decide, On and Off override.
+	// Tri is a policy switch (Config.Contig, Daemon, Migrate, Homing):
+	// Auto lets Boot decide, On and Off override.
 	// Boot resolves every switch once into Kernel.Plan.
 	Tri = kernel.Tri
 	// MapConsumer is a subsystem's contiguity-policy handle: static under
@@ -145,13 +145,6 @@ type (
 	// blocks per order, largest contiguous free extent, split/coalesce
 	// counts), reported by Kernel.PhysStats.
 	PhysStats = vm.PhysStats
-	// TierStats is the tiered-memory snapshot (tier residency and free
-	// stock, promotion/demotion counts, accumulated slow-tier surcharge,
-	// per-consumer fast-tier hit rates), reported by Kernel.TierStats.
-	TierStats = kernel.TierStats
-	// TierConsumerStats is one consumer's fast-tier hit rate within
-	// TierStats.
-	TierConsumerStats = kernel.TierConsumerStats
 )
 
 // Kernel variants.
