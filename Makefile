@@ -12,7 +12,7 @@ build:
 	$(GO) build ./cmd/... ./examples/...
 
 # Shuffled tests (every Test*Economy gate included), then the results
-# ledger (all 26 experiments replay exactly) and the consumer goldens,
+# ledger (all 25 experiments replay exactly) and the consumer goldens,
 # the experiment replay (the round-robin churn driver keeps scale,
 # reclaim and adaptive deterministic), the PostMark golden and
 # allocation bound, and the event scheduler's golden and order tests,
@@ -24,13 +24,13 @@ test:
 	$(GO) test -count=3 -run 'PostMarkGolden|PostMarkAllocs' ./internal/workloads
 	$(GO) test -count=3 -run 'GoldenSchedule|ScheduleOrder|OOODuplicate' ./internal/vnet ./internal/netstack
 
-# Race detector, then the migration-exclusion races and the same-CPU
-# shootdown-queue flush race repeated.  The
+# Race detector, then the daemon race and the same-CPU shootdown-queue
+# flush race repeated.  The
 # experiments package alone takes about 110 s under -race on two vCPUs, so
 # the timeout is twice go test's 10-minute default.
 race:
 	$(GO) test -race -timeout 20m ./...
-	$(GO) test -race -count=10 -run 'Migrat|ShardLockFollows|DaemonRace|SameCPUFlushRace' ./internal/sfbuf ./internal/smp
+	$(GO) test -race -count=10 -run 'DaemonRace|SameCPUFlushRace' ./internal/sfbuf ./internal/smp
 
 # Run the checked-in fuzz seed corpus as unit tests (what CI smokes).
 fuzz-smoke:

@@ -36,7 +36,7 @@ func init() {
 // extent the way the converted subsystems would, and churning fresh
 // physical extents after a fragmentation warmup (the frag rows, whose
 // contig% column is the buddy allocator's recovery).  The post-paper
-// arms that are not about contention — reclaim, numa, defrag — each
+// arms that are not about contention — reclaim, numa — each
 // have their own experiment.
 func RunScale(o Options) (*Result, error) {
 	res := &Result{

@@ -250,12 +250,9 @@ func (c *MapConsumer) observe(cl *contigClass, pages []*vm.Page) {
 	}
 	pageReuse := float64(seen) / float64(len(pages))
 
-	// vm.ExtentID keys the logical extent: on a pool that never migrates
-	// it hashes exactly the frame sequence the page-set window cache
-	// revives by, so "extent reuse high" predicts "revives will hit" by
-	// construction — and when defragmentation moves an extent's frames,
-	// the identity follows the pages, exactly as the remapped-in-place
-	// parked window does.
+	// vm.ExtentID hashes exactly the frame sequence the page-set window
+	// cache revives by, so "extent reuse high" predicts "revives will
+	// hit" by construction.
 	sig := vm.ExtentID(pages)
 	extReuse := 0.0
 	for _, seen := range c.extSeen[:min(c.extClock, extentRecentWindow)] {

@@ -94,9 +94,8 @@ func (r *refRecency) pruneLocked() {
 // distinct frames (the reference's prune path), run under a cache small
 // enough to cap the page window and one large enough not to, repeat
 // extents at distances of exactly 16 and 17 observations (the extent
-// window's edge), and move frames with the buddy pool's migration
-// primitive, the one defragmentation uses.  Hot phases (pages repeat,
-// extents do not) alternate with mixed ones, so classes flip both ways.
+// window's edge).  Hot phases (pages repeat, extents do not) alternate
+// with mixed ones, so classes flip both ways.
 func TestRecencyTablesMatchMapReference(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -134,7 +133,7 @@ func TestRecencyTablesMatchMapReference(t *testing.T) {
 			rng := rand.New(rand.NewSource(tc.seed))
 			var history [][]*vm.Page
 			frames := map[uint64]bool{}
-			at, migrated, repeats16, repeats17 := 0, 0, 0, 0
+			at, repeats16, repeats17 := 0, 0, 0
 			for step := 0; step < tc.steps; step++ {
 				var ext []*vm.Page
 				p := rng.Intn(100)
@@ -159,21 +158,6 @@ func TestRecencyTablesMatchMapReference(t *testing.T) {
 					}
 					ext = sweep[at : at+n]
 					at += n
-				}
-				if rng.Intn(20) == 0 {
-					// Move one observed page to a fresh frame; the old
-					// frame returns to the pool, where a later
-					// migration can hand it to another page.
-					src := ext[rng.Intn(len(ext))]
-					dst, err := phys.Alloc()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !phys.MigratePage(src, dst) {
-						t.Fatalf("step %d: migration of frame %d refused", step, src.Frame())
-					}
-					phys.Free(dst)
-					migrated++
 				}
 				for _, pg := range ext {
 					frames[pg.Frame()] = true
@@ -200,14 +184,14 @@ func TestRecencyTablesMatchMapReference(t *testing.T) {
 			for _, cl := range ref.classes {
 				flips += cl.flips
 			}
-			t.Logf("%d distinct frames, %d pruned, %d migrations, %d/%d repeats at 16/17, %d flips",
-				len(frames), ref.pruned, migrated, repeats16, repeats17, flips)
+			t.Logf("%d distinct frames, %d pruned, %d/%d repeats at 16/17, %d flips",
+				len(frames), ref.pruned, repeats16, repeats17, flips)
 			if uint64(len(frames)) <= 4*c.pageWindow || ref.pruned == 0 {
 				t.Fatalf("%d distinct frames, %d pruned: the trace never reached the reference's prune path",
 					len(frames), ref.pruned)
 			}
-			if migrated == 0 || repeats16 == 0 || repeats17 == 0 || flips == 0 {
-				t.Fatal("the trace missed a migration, a repeat distance or a mode flip")
+			if repeats16 == 0 || repeats17 == 0 || flips == 0 {
+				t.Fatal("the trace missed a repeat distance or a mode flip")
 			}
 		})
 	}

@@ -6,7 +6,6 @@
 package kernel
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -95,9 +94,6 @@ type Config struct {
 	// to allocation-miss shortage, the paper's behaviour.  The figure
 	// engines (CacheGlobal, the original kernel) never run a daemon.
 	Daemon Tri
-	// Migrate selects defragmentation by migration (Auto: on wherever the
-	// engine can migrate — the sharded i386 cache).
-	Migrate Tri
 	// Sockets models the machine as that many CPU packages: consecutive
 	// CPU-id blocks become sockets, physical frames are homed on sockets
 	// by address range, and cross-package lock acquisitions, IPI
@@ -130,10 +126,6 @@ type Kernel struct {
 	// daemon is the background reclaim-and-laundering worker, nil unless
 	// Plan.Daemon.
 	daemon *sfbuf.Daemon
-
-	// migrator defragments physical memory by evacuating nearly-free
-	// superpage spans; nil unless Plan.Migrate.
-	migrator *sfbuf.Migrator
 
 	// consumers is the registry of per-subsystem contiguity-policy
 	// handles (see Consumer).
@@ -175,17 +167,11 @@ func Boot(cfg Config) (*Kernel, error) {
 		order++
 	}
 	phys.SetReservation(order, reservLowWater)
-	if p.Migrate {
-		k.migrator = sfbuf.NewMigrator(k.Map, sfbuf.MigrateConfig{MaxResident: migrateMaxResident})
-	}
 	// Background reclaim/laundering rides the idle tick.  The figure
 	// engines never plan a daemon, and their experiments never call Idle,
 	// so figure reproduction stays bit-identical.
 	if p.Daemon {
 		k.daemon = sfbuf.NewDaemon(k.Map, sfbuf.DaemonConfig{})
-		if k.migrator != nil {
-			k.daemon.SetMigrator(k.migrator, migrateBlocksPerTick)
-		}
 		m.RegisterIdleWork(k.daemon.Run)
 	}
 	return k, nil
@@ -240,35 +226,12 @@ func (k *Kernel) PhysContigAlign(n int) int {
 // AllocPhysContig allocates n physically contiguous frames with the
 // kernel's alignment hint applied.  It fails with vm.ErrNoContig under
 // unrecoverable fragmentation; callers that can use scattered pages fall
-// back to AllocN.
-//
-// With a migrator booted, a contiguity failure over SUFFICIENT total free
-// memory triggers one synchronous defragmentation pass — evacuate enough
-// nearly-free superpage spans to cover the request — and one retry: the
-// on-demand complement to the daemon's ahead-of-demand idle-tick rounds.
+// back to AllocN.  A page's frame is fixed for life, so nothing moves
+// pages to rebuild a covering block: contiguity recovers only as frees
+// coalesce.
 func (k *Kernel) AllocPhysContig(n int) ([]*vm.Page, error) {
-	pages, err := k.M.Phys.AllocContig(n, k.PhysContigAlign(n))
-	if err == nil || k.migrator == nil || !errors.Is(err, vm.ErrNoContig) {
-		return pages, err
-	}
-	if k.M.Phys.FreeFrames() < n {
-		return nil, err // genuinely out of memory: migration moves, it does not mint
-	}
-	span := k.migrator.Span()
-	blocks := (n + span - 1) / span
-	if k.migrator.MigrateBlocks(k.Ctx(0), blocks) == 0 {
-		return nil, err
-	}
 	return k.M.Phys.AllocContig(n, k.PhysContigAlign(n))
 }
-
-// MigrationEnabled reports whether the kernel booted a defragmentation
-// migrator.
-func (k *Kernel) MigrationEnabled() bool { return k.migrator != nil }
-
-// MigrationStats snapshots the migrator's counters (zero value when no
-// migrator is booted).
-func (k *Kernel) MigrationStats() sfbuf.MigrationStats { return k.migrator.Stats() }
 
 // Idle models cpu being idle for dur simulated cycles.  If the background
 // daemon is enabled it runs a maintenance pass on that CPU within the

@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"sfbuf/internal/arch"
-	"sfbuf/internal/pmap"
 	"sfbuf/internal/sfbuf"
 	"sfbuf/internal/smp"
 )
@@ -50,27 +49,17 @@ func (t Tri) or(auto bool) bool {
 	return auto
 }
 
-const (
-	// reservLowWater is the per-socket intact-superpage stock below which
-	// single-page allocation steers away from protected blocks.
-	reservLowWater = 2
-	// migrateMaxResident caps how many resident pages a superpage span may
-	// hold and still be worth evacuating.
-	migrateMaxResident = pmap.SuperpagePages / 4
-	// migrateBlocksPerTick bounds how many spans one daemon idle tick may
-	// evacuate.
-	migrateBlocksPerTick = 1
-)
+// reservLowWater is the per-socket intact-superpage stock below which
+// single-page allocation steers away from protected blocks.
+const reservLowWater = 2
 
 // Plan is the configuration as Boot resolved it, fixed for the kernel's
 // lifetime.
 type Plan struct {
 	// Homed places the mapping state per socket.
 	Homed bool
-	// Daemon runs background reclaim and laundering on idle ticks;
-	// Migrate boots the defragmenting migrator.
-	Daemon  bool
-	Migrate bool
+	// Daemon runs background reclaim and laundering on idle ticks.
+	Daemon bool
 	// Batch maps multi-page extents through AllocBatch/FreeBatch, and
 	// BatchSend does so on the send paths (sendfile, zero-copy send).
 	Batch     bool
@@ -107,10 +96,8 @@ func resolvePlan(cfg Config) (Plan, error) {
 	modern := cfg.Mapper == SFBuf && cfg.Cache != CacheGlobal
 	p := Plan{Sockets: max(cfg.Sockets, 1)}
 	p.Homed = modern && p.Sockets > 1 && cfg.Homing.or(true)
-	// Only the sharded i386 cache has clean stock for a daemon to refill
-	// and frames it can migrate.
+	// Only the sharded i386 cache has clean stock for a daemon to refill.
 	p.Daemon = modern && cfg.Platform.Arch == arch.I386 && cfg.Daemon.or(true)
-	p.Migrate = modern && cfg.Platform.Arch == arch.I386 && cfg.Migrate.or(true)
 
 	// The amd64 direct map never evicts: its capacity stays 0.
 	if cfg.Platform.Arch != arch.AMD64 {

@@ -7,15 +7,14 @@ package kernel
 // (Config.Uses*, Kernel.UseVectored/UseVectoredSend/UseRuns,
 // contigAdaptive, mapCapacityPages, DaemonEnabled, MigrationEnabled, the
 // consumer page window and PhysContigAlign), and are checked in, not
-// regenerated.  Daemon and Migrate carry what the kernel actually booted:
-// the old UsesMigration said yes on engines whose constructors then
-// returned nil (amd64, the global cache over a forced buddy pool), and the
-// plan no longer asks for what cannot run.  Rows have lost only the
+// regenerated.  Daemon carries what the kernel actually booted: the plan
+// does not ask for what cannot run.  Rows have lost only the
 // configurations of deleted engines and mechanisms, the fields only they
 // set, and their toggles: the two color fields, the buddy flag and the
 // LIFO contig row (every pool is the buddy allocator), the tiered and
 // hints flags with their tiers/hints toggles and tier rows (tiered memory
-// is gone), and the reserv flag with its toggles (every pool reserves).
+// is gone), the reserv flag with its toggles (every pool reserves), and
+// the migrate flag with its toggles and defrag rows (frames never move).
 
 import (
 	"fmt"
@@ -48,8 +47,6 @@ func planGoldenCases() []planCase {
 		{"contig-off", func(c *Config) { c.Contig = Off }},
 		{"daemon-on", func(c *Config) { c.Daemon = On }},
 		{"daemon-off", func(c *Config) { c.Daemon = Off }},
-		{"migrate-on", func(c *Config) { c.Migrate = On }},
-		{"migrate-off", func(c *Config) { c.Migrate = Off }},
 		{"homing-on", func(c *Config) { c.Homing = On }},
 		{"homing-off", func(c *Config) { c.Homing = Off }},
 	}
@@ -78,8 +75,6 @@ func planGoldenCases() []planCase {
 		planCase{"ablation", Config{Platform: arch.XeonMP(), Mapper: SFBuf, Cache: CacheGlobal, PhysPages: 1088, CacheEntries: 1024}},
 		planCase{"adaptive", Config{Platform: xh, Mapper: SFBuf, PhysPages: 8*160 + 256, CacheEntries: 160}},
 		planCase{"contig/buddy", Config{Platform: xh, Mapper: SFBuf, PhysPages: 32 * 512, CacheEntries: 2*512 + 64}},
-		planCase{"defrag/on", Config{Platform: xh, Mapper: SFBuf, PhysPages: 16 * 512, CacheEntries: 2*512 + 64, Migrate: On}},
-		planCase{"defrag/off", Config{Platform: xh, Mapper: SFBuf, PhysPages: 16 * 512, CacheEntries: 2*512 + 64, Migrate: Off}},
 		planCase{"numa/homed-2s", Config{Platform: arch.XeonNUMA(2, 2), Mapper: SFBuf, PhysPages: 8*256 + 128, CacheEntries: 256, Sockets: 2}},
 		planCase{"numa/striped-2s", Config{Platform: arch.XeonNUMA(2, 2), Mapper: SFBuf, PhysPages: 8*256 + 128, CacheEntries: 256, Sockets: 2, Homing: Off}},
 		planCase{"numa/homed-4s", Config{Platform: arch.XeonNUMA(4, 2), Mapper: SFBuf, PhysPages: 8*256 + 128, CacheEntries: 256, Sockets: 4}},
@@ -110,22 +105,18 @@ func planGoldenCases() []planCase {
 // field order, then its sizes, the adaptive consumer's page window and
 // PhysContigAlign for an 8-page and a superpage extent.
 var planGolden = []struct{ name, want string }{
-	{"xeon-sharded", "daemon migrate batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-sharded/contig-on", "daemon migrate batch batchsend runs sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-sharded/contig-off", "daemon migrate batch batchsend sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-sharded/daemon-on", "daemon migrate batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-sharded/daemon-off", "migrate batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-sharded/migrate-on", "daemon migrate batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-sharded/migrate-off", "daemon batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-sharded/homing-on", "daemon migrate batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-sharded/homing-off", "daemon migrate batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-sharded", "daemon batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-sharded/contig-on", "daemon batch batchsend runs sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-sharded/contig-off", "daemon batch batchsend sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-sharded/daemon-on", "daemon batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-sharded/daemon-off", "batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-sharded/homing-on", "daemon batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-sharded/homing-off", "daemon batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
 	{"xeon-global", "sockets=1 cap=64 window=64 align=1/512"},
 	{"xeon-global/contig-on", "runs sockets=1 cap=64 window=64 align=1/512"},
 	{"xeon-global/contig-off", "sockets=1 cap=64 window=64 align=1/512"},
 	{"xeon-global/daemon-on", "sockets=1 cap=64 window=64 align=1/512"},
 	{"xeon-global/daemon-off", "sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-global/migrate-on", "sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-global/migrate-off", "sockets=1 cap=64 window=64 align=1/512"},
 	{"xeon-global/homing-on", "sockets=1 cap=64 window=64 align=1/512"},
 	{"xeon-global/homing-off", "sockets=1 cap=64 window=64 align=1/512"},
 	{"xeon-original", "batch sockets=1 cap=64 window=64 align=1/512"},
@@ -133,8 +124,6 @@ var planGolden = []struct{ name, want string }{
 	{"xeon-original/contig-off", "batch sockets=1 cap=64 window=64 align=1/512"},
 	{"xeon-original/daemon-on", "batch sockets=1 cap=64 window=64 align=1/512"},
 	{"xeon-original/daemon-off", "batch sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-original/migrate-on", "batch sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-original/migrate-off", "batch sockets=1 cap=64 window=64 align=1/512"},
 	{"xeon-original/homing-on", "batch sockets=1 cap=64 window=64 align=1/512"},
 	{"xeon-original/homing-off", "batch sockets=1 cap=64 window=64 align=1/512"},
 	{"opteron", "batch batchsend runs sockets=1 cap=0 window=4096 align=1/512"},
@@ -142,19 +131,15 @@ var planGolden = []struct{ name, want string }{
 	{"opteron/contig-off", "batch batchsend sockets=1 cap=0 window=4096 align=1/512"},
 	{"opteron/daemon-on", "batch batchsend runs sockets=1 cap=0 window=4096 align=1/512"},
 	{"opteron/daemon-off", "batch batchsend runs sockets=1 cap=0 window=4096 align=1/512"},
-	{"opteron/migrate-on", "batch batchsend runs sockets=1 cap=0 window=4096 align=1/512"},
-	{"opteron/migrate-off", "batch batchsend runs sockets=1 cap=0 window=4096 align=1/512"},
 	{"opteron/homing-on", "batch batchsend runs sockets=1 cap=0 window=4096 align=1/512"},
 	{"opteron/homing-off", "batch batchsend runs sockets=1 cap=0 window=4096 align=1/512"},
-	{"numa2", "homed daemon migrate batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
-	{"numa2/contig-on", "homed daemon migrate batch batchsend runs sockets=2 cap=64 window=64 align=1/512"},
-	{"numa2/contig-off", "homed daemon migrate batch batchsend sockets=2 cap=64 window=64 align=1/512"},
-	{"numa2/daemon-on", "homed daemon migrate batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
-	{"numa2/daemon-off", "homed migrate batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
-	{"numa2/migrate-on", "homed daemon migrate batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
-	{"numa2/migrate-off", "homed daemon batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
-	{"numa2/homing-on", "homed daemon migrate batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
-	{"numa2/homing-off", "daemon migrate batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
+	{"numa2", "homed daemon batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
+	{"numa2/contig-on", "homed daemon batch batchsend runs sockets=2 cap=64 window=64 align=1/512"},
+	{"numa2/contig-off", "homed daemon batch batchsend sockets=2 cap=64 window=64 align=1/512"},
+	{"numa2/daemon-on", "homed daemon batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
+	{"numa2/daemon-off", "homed batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
+	{"numa2/homing-on", "homed daemon batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
+	{"numa2/homing-off", "daemon batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
 	{"fig/Xeon-UP/sf_buf", "sockets=1 cap=65536 window=4096 align=1/512"},
 	{"fig/Xeon-UP/original", "batch sockets=1 cap=65536 window=4096 align=1/512"},
 	{"fig/Xeon-HTT/sf_buf", "sockets=1 cap=65536 window=4096 align=1/512"},
@@ -168,31 +153,29 @@ var planGolden = []struct{ name, want string }{
 	{"fig19/6k", "sockets=1 cap=6144 window=4096 align=1/512"},
 	{"fig19/original", "batch sockets=1 cap=65536 window=4096 align=1/512"},
 	{"ablation", "sockets=1 cap=1024 window=1024 align=1/512"},
-	{"adaptive", "daemon migrate batch batchsend runs adaptive sockets=1 cap=160 window=160 align=1/512"},
-	{"contig/buddy", "daemon migrate batch batchsend runs adaptive sockets=1 cap=1088 window=1088 align=1/512"},
-	{"defrag/on", "daemon migrate batch batchsend runs adaptive sockets=1 cap=1088 window=1088 align=1/512"},
-	{"defrag/off", "daemon batch batchsend runs adaptive sockets=1 cap=1088 window=1088 align=1/512"},
-	{"numa/homed-2s", "homed daemon migrate batch batchsend runs adaptive sockets=2 cap=256 window=256 align=1/512"},
-	{"numa/striped-2s", "daemon migrate batch batchsend runs adaptive sockets=2 cap=256 window=256 align=1/512"},
-	{"numa/homed-4s", "homed daemon migrate batch batchsend runs adaptive sockets=4 cap=256 window=256 align=1/512"},
-	{"numa/striped-4s", "daemon migrate batch batchsend runs adaptive sockets=4 cap=256 window=256 align=1/512"},
-	{"reclaim/daemon", "daemon migrate batch batchsend runs adaptive sockets=1 cap=256 window=256 align=1/512"},
-	{"reclaim/on-demand", "migrate batch batchsend runs adaptive sockets=1 cap=256 window=256 align=1/512"},
-	{"reclaim/daemon-2s", "homed daemon migrate batch batchsend runs adaptive sockets=2 cap=256 window=256 align=1/512"},
-	{"scale/sharded", "daemon migrate batch batchsend runs adaptive sockets=1 cap=256 window=256 align=1/512"},
+	{"adaptive", "daemon batch batchsend runs adaptive sockets=1 cap=160 window=160 align=1/512"},
+	{"contig/buddy", "daemon batch batchsend runs adaptive sockets=1 cap=1088 window=1088 align=1/512"},
+	{"numa/homed-2s", "homed daemon batch batchsend runs adaptive sockets=2 cap=256 window=256 align=1/512"},
+	{"numa/striped-2s", "daemon batch batchsend runs adaptive sockets=2 cap=256 window=256 align=1/512"},
+	{"numa/homed-4s", "homed daemon batch batchsend runs adaptive sockets=4 cap=256 window=256 align=1/512"},
+	{"numa/striped-4s", "daemon batch batchsend runs adaptive sockets=4 cap=256 window=256 align=1/512"},
+	{"reclaim/daemon", "daemon batch batchsend runs adaptive sockets=1 cap=256 window=256 align=1/512"},
+	{"reclaim/on-demand", "batch batchsend runs adaptive sockets=1 cap=256 window=256 align=1/512"},
+	{"reclaim/daemon-2s", "homed daemon batch batchsend runs adaptive sockets=2 cap=256 window=256 align=1/512"},
+	{"scale/sharded", "daemon batch batchsend runs adaptive sockets=1 cap=256 window=256 align=1/512"},
 	{"scale/global", "sockets=1 cap=256 window=256 align=1/512"},
 	{"scale/original", "batch sockets=1 cap=256 window=256 align=1/512"},
-	{"scale/small", "daemon migrate batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
-	{"serve/sharded", "daemon migrate batch batchsend runs adaptive sockets=1 cap=2304 window=2304 align=1/512"},
+	{"scale/small", "daemon batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
+	{"serve/sharded", "daemon batch batchsend runs adaptive sockets=1 cap=2304 window=2304 align=1/512"},
 	{"serve/global", "sockets=1 cap=2304 window=2304 align=1/512"},
-	{"bench/sharded", "daemon migrate batch batchsend runs adaptive sockets=1 cap=512 window=512 align=1/512"},
+	{"bench/sharded", "daemon batch batchsend runs adaptive sockets=1 cap=512 window=512 align=1/512"},
 	{"bench/global", "sockets=1 cap=512 window=512 align=1/512"},
-	{"test/xeon-cache4", "daemon migrate batch batchsend runs adaptive sockets=1 cap=4 window=4 align=1/512"},
-	{"test/xeon-cache16", "daemon migrate batch batchsend runs adaptive sockets=1 cap=16 window=16 align=1/512"},
-	{"test/xeon-6k", "daemon migrate batch batchsend runs adaptive sockets=1 cap=6144 window=4096 align=1/512"},
-	{"test/xeon-default-cache", "daemon migrate batch batchsend runs adaptive sockets=1 cap=65536 window=4096 align=1/512"},
+	{"test/xeon-cache4", "daemon batch batchsend runs adaptive sockets=1 cap=4 window=4 align=1/512"},
+	{"test/xeon-cache16", "daemon batch batchsend runs adaptive sockets=1 cap=16 window=16 align=1/512"},
+	{"test/xeon-6k", "daemon batch batchsend runs adaptive sockets=1 cap=6144 window=4096 align=1/512"},
+	{"test/xeon-default-cache", "daemon batch batchsend runs adaptive sockets=1 cap=65536 window=4096 align=1/512"},
 	{"test/opteron-original", "batch sockets=1 cap=0 window=4096 align=1/512"},
-	{"test/daemon-explicit", "daemon migrate batch batchsend runs adaptive sockets=1 cap=32 window=32 align=1/512"},
+	{"test/daemon-explicit", "daemon batch batchsend runs adaptive sockets=1 cap=32 window=32 align=1/512"},
 	{"test/numa2-global", "sockets=2 cap=32 window=32 align=1/512"},
 	{"test/numa2-original", "batch sockets=2 cap=65536 window=4096 align=1/512"},
 }
@@ -205,7 +188,7 @@ func planRow(k *Kernel) string {
 		name string
 		on   bool
 	}{
-		{"homed", p.Homed}, {"daemon", p.Daemon}, {"migrate", p.Migrate},
+		{"homed", p.Homed}, {"daemon", p.Daemon},
 		{"batch", p.Batch}, {"batchsend", p.BatchSend}, {"runs", p.Runs},
 		{"adaptive", p.Adaptive},
 	} {
@@ -240,7 +223,7 @@ func TestPlanGolden(t *testing.T) {
 		// superpage reservation watermarks.
 		p := k.Plan
 		order, _ := k.M.Phys.Reservation()
-		if k.DaemonEnabled() != p.Daemon || k.MigrationEnabled() != p.Migrate ||
+		if k.DaemonEnabled() != p.Daemon ||
 			k.M.Sockets() != p.Sockets || k.M.Phys.PhysStats().Sockets != p.Sockets ||
 			order == 0 {
 			t.Errorf("%s: booted machine disagrees with plan %+v", c.name, p)

@@ -71,12 +71,6 @@ type DaemonStats struct {
 	// daemon's trim pass returned to the KVA arena.
 	TrimmedWindows uint64
 
-	// MigrateRounds counts idle ticks that ran a defragmentation round,
-	// and MigratedBlocks the superpage-span blocks those rounds fully
-	// coalesced (see MigrationStats for the finer-grained counters).
-	MigrateRounds  uint64
-	MigratedBlocks uint64
-
 	// RefilledBySocket and TrimmedBySocket split RefilledBufs and
 	// TrimmedWindows by the socket of the CPU whose idle tick did the
 	// work — the per-socket view of where the daemon's background effort
@@ -91,18 +85,10 @@ type Daemon struct {
 	core      *shardedCache
 	watermark int
 
-	// mig, when set (SetMigrator), adds defragmentation by migration as
-	// the pass's fourth duty: up to migBlocks nearly-free superpage spans
-	// are evacuated per tick.
-	mig       *Migrator
-	migBlocks int
-
-	passes         atomic.Uint64
-	refills        atomic.Uint64
-	refilled       atomic.Uint64
-	trimmed        atomic.Uint64
-	migRounds      atomic.Uint64
-	migBlocksFreed atomic.Uint64
+	passes   atomic.Uint64
+	refills  atomic.Uint64
+	refilled atomic.Uint64
+	trimmed  atomic.Uint64
 
 	// Per-socket attribution of refill and trim work, indexed by the
 	// socket of the CPU running the pass.
@@ -165,24 +151,9 @@ func NewDaemon(m Mapper, cfg DaemonConfig) *Daemon {
 	}
 }
 
-// SetMigrator registers defragmentation by migration as the daemon's
-// fourth duty: each pass with budget left runs one MigrateBlocks round
-// with the given per-tick block budget.  A nil migrator (or blocks <= 0)
-// leaves the daemon as it was.
-func (d *Daemon) SetMigrator(mig *Migrator, blocks int) {
-	if d == nil || mig == nil || blocks <= 0 {
-		return
-	}
-	d.mig, d.migBlocks = mig, blocks
-}
-
 // Run is the idle-tick entry point (an smp.IdleWork).  It spends up to
 // budget cycles of the idling CPU doing one background pass, oldest
 // duties first, and stops early once the budget is consumed.
-// Duties 1-3 read frame-keyed state (revive keys, shard hashes) only
-// under the run-pool and shard locks that already exclude the Migrator,
-// so they need no exclusion of their own; duty 4, the defrag round, takes
-// the Migrator's.
 func (d *Daemon) Run(ctx *smp.Context, budget cycles.Cycles) {
 	d.passes.Add(1)
 	sock := ctx.Socket()
@@ -216,20 +187,6 @@ func (d *Daemon) Run(ctx *smp.Context, budget cycles.Cycles) {
 			d.trimmedSock[sock].Add(uint64(n))
 		}
 	}
-	if !within() {
-		return
-	}
-	// 4. Defragment: evacuate a bounded number of nearly-free superpage
-	// spans so AllocContig keeps finding intact blocks.  Like refill, this
-	// is ahead-of-demand work charged to idle time; the synchronous
-	// trigger (kernel.AllocPhysContig on contiguity failure) still covers
-	// demand the daemon has not met.
-	if d.mig != nil && within() {
-		if n := d.mig.MigrateBlocks(ctx, d.migBlocks); n > 0 {
-			d.migBlocksFreed.Add(uint64(n))
-		}
-		d.migRounds.Add(1)
-	}
 }
 
 // Stats reports cumulative daemon activity, including the run pools'
@@ -240,8 +197,6 @@ func (d *Daemon) Stats() DaemonStats {
 		RefillRounds:     d.refills.Load(),
 		RefilledBufs:     d.refilled.Load(),
 		TrimmedWindows:   d.trimmed.Load(),
-		MigrateRounds:    d.migRounds.Load(),
-		MigratedBlocks:   d.migBlocksFreed.Load(),
 		RefilledBySocket: make([]uint64, len(d.refilledSock)),
 		TrimmedBySocket:  make([]uint64, len(d.trimmedSock)),
 	}

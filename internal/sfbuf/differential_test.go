@@ -27,7 +27,7 @@ import (
 // diffOp is one step of a trace.  Traces are generated once per seed and
 // replayed verbatim against every engine.
 type diffOp struct {
-	kind    int // 0 alloc, 1 allocBatch, 2 free, 3 freeBatch, 4 write, 5 verify, 6 allocRun, 7 freeRun, 8 idle, 9 defrag, 10 phys churn
+	kind    int // 0 alloc, 1 allocBatch, 2 free, 3 freeBatch, 4 write, 5 verify, 6 allocRun, 7 freeRun, 8 idle
 	page    int // first page index (alloc kinds)
 	count   int // batch/run length
 	cpu     int
@@ -136,11 +136,6 @@ type diffEngine struct {
 	pm    *pmap.Pmap
 	sf    Mapper
 	pages []*vm.Page
-	// mig, when non-nil (the buddy-pool builder sets it where NewMigrator
-	// accepts the engine), serves kind-9 forced defragmentation passes.
-	// Engines that cannot migrate replay kind 9 as a no-op — and must
-	// still agree on every observable byte.
-	mig *Migrator
 }
 
 // diffHandle is one live mapping during replay.  Run members have no Buf
@@ -229,7 +224,6 @@ func replayTrace(t *testing.T, e *diffEngine, ops []diffOp) [diffPages]byte {
 	var singles []diffHandle
 	var batches [][]diffHandle
 	var runs []diffRun
-	var churn []*vm.Page // kind-10 raw frames: never mapped, only fragment the pool
 
 	// liveAt resolves a flat pick over singles, then batch members, then
 	// run members, in the same order the generator counted them.
@@ -376,33 +370,6 @@ func replayTrace(t *testing.T, e *diffEngine, ops []diffOp) [diffPages]byte {
 			// background daemon where supported, nothing elsewhere).  Live
 			// mappings must read true straight through it.
 			e.m.Idle(op.cpu, 20000)
-		case 9:
-			// Forced defragmentation pass.  Only the sharded engine over a
-			// buddy pool migrates; everyone else treats the step as a no-op.
-			// Whatever the pass moves — including this trace's own pages,
-			// parked windows and inactive entries — every later read must
-			// still see true bytes, or the migrating engine diverges.
-			if e.mig != nil {
-				e.mig.MigrateBlocks(e.m.Ctx(op.cpu), op.count)
-			}
-		case 10:
-			// Deterministic physical churn: raw frames allocated and freed
-			// outside the mapping layer, fragmenting the pool so kind-9
-			// passes have real evacuation work.  The frames are never
-			// mapped, so they add nothing to the observable model.
-			if op.val == 0 {
-				for j := 0; j < op.count; j++ {
-					pg, err := e.m.Phys.Alloc()
-					if err != nil {
-						t.Fatalf("%s step %d: churn alloc: %v", e.name, step, err)
-					}
-					churn = append(churn, pg)
-				}
-			} else if len(churn) > 0 {
-				pick := op.pick % len(churn)
-				e.m.Phys.Free(churn[pick])
-				churn = append(churn[:pick], churn[pick+1:]...)
-			}
 		}
 	}
 
@@ -428,9 +395,6 @@ func replayTrace(t *testing.T, e *diffEngine, ops []diffOp) [diffPages]byte {
 	}
 	if st := e.sf.Stats(); st.Allocs != st.Frees {
 		t.Fatalf("%s: allocs %d != frees %d after drain", e.name, st.Allocs, st.Frees)
-	}
-	for _, pg := range churn {
-		e.m.Phys.Free(pg)
 	}
 
 	// Final ground truth read outside any ephemeral mapping.

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"sfbuf/internal/arch"
 	"sfbuf/internal/vm"
 )
 
@@ -38,15 +39,16 @@ func checkFrameTable(c *shardedCache) error {
 }
 
 // TestFrameTableInvariant drives seeded mixes of every operation that
-// installs, drops or re-keys a table slot — single, vectored and run
-// mappings, reclaim under a tiny cache, frees of mapped pages (stale
-// entries), and migration passes that move mapped frames — and checks the
-// invariant after each step.
+// installs or drops a table slot — single, vectored and run mappings,
+// reclaim under a tiny cache, frees of mapped pages (stale entries), and
+// background daemon passes that reclaim inactive entries ahead of
+// demand — and checks the invariant after each step.
 func TestFrameTableInvariant(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		r := newMigrateRig(t, 512, 24, ShardedConfig{ReclaimBatch: 3, PerCPUFree: 2})
+		r := newShardedRig(t, arch.XeonMPHTT(), 24, ShardedConfig{ReclaimBatch: 3, PerCPUFree: 2})
 		c := r.sf.c.(*shardedCache)
+		d := NewDaemon(r.sf, DaemonConfig{})
 		ncpu := r.m.NumCPUs()
 		var pool []*vm.Page
 		var bufs []*Buf
@@ -61,8 +63,7 @@ func TestFrameTableInvariant(t *testing.T) {
 			ctx := r.m.Ctx(rng.Intn(ncpu))
 			switch op := rng.Intn(10); {
 			case len(pool) < 8 || (op == 0 && step < 300):
-				// Early on, grow the pool; later frees scatter it into the
-				// sparse spans migration evacuates.
+				// Early on, grow the pool; later frees scatter it.
 				for i := 0; i < 16; i++ {
 					if pg, err := r.m.Phys.Alloc(); err == nil {
 						pool = append(pool, pg)
@@ -121,14 +122,14 @@ func TestFrameTableInvariant(t *testing.T) {
 				r.sf.FreeRun(ctx, rn)
 				runs = runs[:len(runs)-1]
 			default:
-				r.mig.MigrateBlocks(ctx, 1+rng.Intn(3))
+				d.Run(ctx, 1<<20)
 			}
 			if err := checkFrameTable(c); err != nil {
 				t.Fatalf("seed %d step %d: %v", seed, step, err)
 			}
 		}
-		if r.mig.Stats().HashRemaps == 0 {
-			t.Fatalf("seed %d: no migration ever re-keyed a table slot: %+v", seed, r.mig.Stats())
+		if d.Stats().RefilledBufs == 0 {
+			t.Fatalf("seed %d: no daemon pass ever reclaimed a table slot: %+v", seed, d.Stats())
 		}
 	}
 }

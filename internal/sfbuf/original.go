@@ -37,6 +37,9 @@ type Original struct {
 	// The simulated kernel allocates nothing here; recycling keeps Go's
 	// heap out of the per-mapping host cost.
 	spare []*Buf
+	// vpnScr is the 64-bit FreeBatch's page list, guarded by mu and
+	// reused across batches.
+	vpnScr []uint64
 }
 
 var _ Mapper = (*Original)(nil)
@@ -190,7 +193,9 @@ func (o *Original) AllocBatch(ctx *smp.Context, pages []*vm.Page, flags Flags) (
 
 // FreeBatch unmaps the run with one page-table pass, one ranged local
 // invalidation and ONE ranged remote shootdown — pmap_qremove followed by
-// a ranged invalidation.  The batch must have come from AllocBatch.
+// a ranged invalidation.  The batch must have come from AllocBatch.  On
+// 64-bit pmaps the teardown runs under mu, the lock its ChargeLock
+// models, so the page list reuses one scratch slice.
 func (o *Original) FreeBatch(ctx *smp.Context, bufs []*Buf) {
 	if len(bufs) == 0 {
 		return
@@ -208,11 +213,14 @@ func (o *Original) FreeBatch(ctx *smp.Context, bufs []*Buf) {
 		return
 	}
 	ctx.ChargeLock()
-	vpns := make([]uint64, len(bufs))
-	for i, b := range bufs {
-		vpns[i] = pmap.VPN(b.kva)
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	vpns := o.vpnScr[:0]
+	for _, b := range bufs {
+		vpns = append(vpns, pmap.VPN(b.kva))
 		b.page = nil
 	}
+	o.vpnScr = vpns
 	// A chunk of at most PTECacheLines pages spans no more PTE lines than
 	// the modeled PTE cache holds, so the invalidation pass finds every
 	// line the removal pass just warmed: each invlpg pays the cached
@@ -230,11 +238,9 @@ func (o *Original) FreeBatch(ctx *smp.Context, bufs []*Buf) {
 	ctx.ShootdownRange(o.m.AllCPUs(), vpns)
 	ctx.Charge(ctx.Cost().KVAFree)
 	o.arena.Free(bufs[0].kva)
-	o.mu.Lock()
 	o.stats.Frees += uint64(len(bufs))
 	o.stats.BatchFrees++
 	o.spare = append(o.spare, bufs...)
-	o.mu.Unlock()
 }
 
 // AllocRun rides the batch machinery: on 64-bit pmaps AllocBatch already

@@ -120,3 +120,35 @@ func TestOriginalFreeBatchMatchesPerPage(t *testing.T) {
 		}
 	}
 }
+
+// TestOriginalFreeBatchAllocatesNothing: once the handle LIFO and the
+// page-list scratch are warm, a 64-bit FreeBatch allocates nothing.
+func TestOriginalFreeBatchAllocatesNothing(t *testing.T) {
+	const runs, n = 50, 16
+	m, _, o := newOriginalRig(t, arch.OpteronMP())
+	ctx := m.Ctx(0)
+	pgs, err := m.Phys.AllocN(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := make([][]*Buf, runs+1) // AllocsPerRun runs once more to warm up
+	alloc := func() {
+		for i := range batches {
+			if batches[i], err = o.AllocBatch(ctx, pgs, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	alloc()
+	for _, b := range batches {
+		o.FreeBatch(ctx, b)
+	}
+	alloc()
+	next := 0
+	if avg := testing.AllocsPerRun(runs, func() {
+		o.FreeBatch(ctx, batches[next])
+		next++
+	}); avg != 0 {
+		t.Fatalf("a warmed 64-bit FreeBatch allocates %.1f times", avg)
+	}
+}

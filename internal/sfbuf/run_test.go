@@ -352,14 +352,12 @@ func TestRunHandleOwnership(t *testing.T) {
 }
 
 // TestReviveTakesFirstKeyed pins which of several parked windows for the
-// same extent a revive takes: the one whose revive key was set first, by
-// its park or by the migration rekey that made it match, which is not
-// always the one parked first.
+// same extent a revive takes: the one whose revive key was set first,
+// which is the one parked first.
 func TestReviveTakesFirstKeyed(t *testing.T) {
 	r := newShardedRig(t, arch.XeonMPHTT(), 32, ShardedConfig{})
 	ctx := r.m.Ctx(0)
 	pages := allocPages(t, r.m, 4)
-	spare := allocPages(t, r.m, 1)[0]
 	alloc := func(ext []*vm.Page) *Run {
 		t.Helper()
 		run, err := r.sf.AllocRun(ctx, ext, 0)
@@ -376,30 +374,6 @@ func TestReviveTakesFirstKeyed(t *testing.T) {
 	r.sf.FreeRun(ctx, b)
 	if got := alloc(pages); got.Base() != aBase {
 		t.Fatalf("revived %#x, want the window parked first (%#x)", got.Base(), aBase)
-	} else {
-		r.sf.FreeRun(ctx, got)
-	}
-	r.sf.LaunderRunWindows(ctx)
-
-	// Park the extent, then one that differs in its first frame.  Moving
-	// page 0 to that frame rekeys the first window to match the second,
-	// which was keyed for those frames earlier.
-	alt := append([]*vm.Page{spare}, pages[1:]...)
-	a, b = alloc(pages), alloc(alt)
-	bBase := b.Base()
-	r.sf.FreeRun(ctx, a)
-	r.sf.FreeRun(ctx, b)
-	old := pages[0].Frame()
-	r.m.Phys.SwapFrames(pages[0], spare)
-	c := r.sf.c.(*shardedCache)
-	c.runs.mu.Lock()
-	remapped := c.runs.remapParkedLocked(ctx, pages[0], old)
-	c.runs.mu.Unlock()
-	if remapped != 1 {
-		t.Fatalf("remapped %d slots, want 1", remapped)
-	}
-	if got := alloc(pages); got.Base() != bBase {
-		t.Fatalf("revived %#x, want the window keyed first (%#x)", got.Base(), bBase)
 	} else {
 		r.sf.FreeRun(ctx, got)
 	}

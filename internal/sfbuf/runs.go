@@ -91,7 +91,6 @@ type runWindow struct {
 
 	live   []*vm.Page // checked out: the holding run's pages (Run.pages)
 	frames []uint64   // parked: the installed frame extent, revive key
-	seq    uint64     // parked: when frames was last set (runPool.keySeq)
 	mask   smp.CPUSet // parked: union of the lives' TLB masks
 	accScr []bool     // KRemoveRun scratch, reused across lives
 
@@ -155,22 +154,13 @@ type runPool struct {
 	mu    sync.Mutex
 	clean map[int][]*runWindow
 	// dirty holds parked windows in park order (oldest first), so the
-	// windows past the age bound are always a prefix.  keySeq orders
-	// the setting of their revive keys (parks and migration rekeys): a
-	// revive takes the matching window keyed first.
-	dirty  []*runWindow
-	keySeq uint64
+	// windows past the age bound are always a prefix and a revive takes
+	// the matching window parked first.
+	dirty []*runWindow
 	// launderAge is the parked-window age bound on the machine clock;
 	// 0 disables age-triggered laundering (count threshold only).
 	launderAge cycles.Cycles
-	// resident counts, per frame, the checked-out (live) runs currently
-	// mapping it, indexed by frame like the cache's table.  The migrator
-	// consults it: a frame in a live run has its translations in active
-	// use and must not be evacuated.  Parked windows' frames are
-	// deliberately NOT here — those are migratable in place or
-	// force-launderable.
-	resident []int32
-	stats    RunWindowStats
+	stats      RunWindowStats
 	// led is the run path's share of the cache statistics (Allocs, Hits,
 	// Misses, Frees and the Run* counters), counted where get and put
 	// hold mu anyway.
@@ -179,22 +169,12 @@ type runPool struct {
 	scrMasks []smp.CPUSet
 }
 
-func newRunPool(pm *pmap.Pmap, arena *kva.Arena, frames int) *runPool {
+func newRunPool(pm *pmap.Pmap, arena *kva.Arena) *runPool {
 	return &runPool{
 		pm:         pm,
 		arena:      arena,
 		clean:      make(map[int][]*runWindow),
-		resident:   make([]int32, frames),
 		launderAge: DefaultLaunderAge,
-	}
-}
-
-// markLocked adds d to the live-run count of each page's frame: +1 marks
-// a checked-out run's frames migration-ineligible, -1 releases them when
-// the run parks.  Caller holds p.mu.
-func (p *runPool) markLocked(pages []*vm.Page, d int) {
-	for _, pg := range pages {
-		p.resident[pg.Frame()] += int32(d)
 	}
 }
 
@@ -205,10 +185,7 @@ func (p *runPool) setLaunderAge(age cycles.Cycles) {
 	p.mu.Unlock()
 }
 
-// get returns a window for the requested extent and marks the extent's
-// frames live in the same hold of p.mu as the revive lookup: the
-// Migrator checks liveness under p.mu, so from here to the run's put no
-// frame the window is keyed or installed on can move.  revived reports
+// get returns a window for the requested extent.  revived reports
 // that the window's translations are ALREADY the extent's — the caller
 // must skip the install pass.  Preference order: revive a parked window
 // for this exact extent (the page-set cache hit), recycle clean stock,
@@ -219,7 +196,6 @@ func (p *runPool) get(ctx *smp.Context, pages []*vm.Page) (w *runWindow, revived
 	ctx.ChargeLock()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.markLocked(pages, 1)
 	// The age bound wins over revival: a window parked past launderAge is
 	// retired even if this very request would have revived it, so no
 	// window stays revivable-parked forever.
@@ -262,7 +238,6 @@ func (p *runPool) get(ctx *smp.Context, pages []*vm.Page) (w *runWindow, revived
 		}
 	}
 	if err != nil {
-		p.markLocked(pages, -1)
 		return nil, false, err
 	}
 	l := &p.led
@@ -282,31 +257,16 @@ func (p *runPool) get(ctx *smp.Context, pages []*vm.Page) (w *runWindow, revived
 // reviveLocked looks the requested extent up among the parked windows
 // and, on an exact frame-sequence match, removes the window from the
 // dirty list and returns it still mapped.  Of several parked windows for
-// the same extent it takes the one keyed first.  Caller holds p.mu.
+// the same extent it takes the one parked first.  Caller holds p.mu.
 func (p *runPool) reviveLocked(pages []*vm.Page) *runWindow {
-	if len(p.dirty) == 0 {
-		return nil
-	}
-	pick := -1
 	for di, w := range p.dirty {
-		if (pick < 0 || w.seq < p.dirty[pick].seq) && framesMatch(w.frames, pages) {
-			pick = di
+		if framesMatch(w.frames, pages) {
+			p.dirty = append(p.dirty[:di], p.dirty[di+1:]...)
+			p.stats.Revives++
+			return w
 		}
 	}
-	if pick < 0 {
-		return nil
-	}
-	w := p.dirty[pick]
-	p.dirty = append(p.dirty[:pick], p.dirty[pick+1:]...)
-	p.stats.Revives++
-	return w
-}
-
-// rekeyLocked stamps a parked window whose frames were just set.
-// Caller holds p.mu.
-func (p *runPool) rekeyLocked(w *runWindow) {
-	p.keySeq++
-	w.seq = p.keySeq
+	return nil
 }
 
 func framesMatch(frames []uint64, pages []*vm.Page) bool {
@@ -354,10 +314,7 @@ func (p *runPool) reserveLocked(ctx *smp.Context, pages int) (*runWindow, error)
 // installed, keyed by the extent it maps, so a repeat AllocRun over the
 // same page set can revive it.  mask is the freeing run's TLB mask; it
 // accumulates into the window's parked mask so the eventual laundering
-// shoots down every CPU that any parked life could have tainted.  The
-// run's frames stay marked live until the window is parked under their
-// current values: released earlier, a page could migrate in between and
-// the window would record a frame its PTEs do not map.
+// shoots down every CPU that any parked life could have tainted.
 func (p *runPool) put(ctx *smp.Context, w *runWindow, pages []*vm.Page, mask smp.CPUSet) {
 	ctx.ChargeLock()
 	p.mu.Lock()
@@ -365,12 +322,10 @@ func (p *runPool) put(ctx *smp.Context, w *runWindow, pages []*vm.Page, mask smp
 	for _, pg := range pages {
 		w.frames = append(w.frames, pg.Frame())
 	}
-	p.markLocked(pages, -1)
 	p.led.Frees += uint64(len(pages))
 	p.led.RunFrees++
 	w.mask |= mask
 	w.parkedAt = ctx.Machine().Now()
-	p.rekeyLocked(w)
 	p.dirty = append(p.dirty, w)
 	// Parking is also a chance to retire windows that aged out while the
 	// pool sat under the count threshold (the just-parked window has age
@@ -417,9 +372,9 @@ func (p *runPool) launderSomeLocked(ctx *smp.Context, n int) {
 // remove its translations in one page-table pass, and queue the
 // invalidations its accessed pages owe against the window's accumulated
 // mask.  The shootdown FLUSH is the
-// caller's: batch launderers flush once per round, the migrator once per
-// evacuated block.  The window is left frame-less but still on p.dirty;
-// the caller moves it to its clean list.  Caller holds p.mu.
+// caller's: one per laundering round.  The window is left frame-less but
+// still on p.dirty; the caller moves it to its clean list.  Caller holds
+// p.mu.
 func (p *runPool) launderWindowLocked(ctx *smp.Context, w *runWindow) {
 	w.accScr = p.pm.KRemoveRun(ctx, w.base, w.pages, w.accScr[:0])
 	vpn0 := pmap.VPN(w.base)
@@ -433,79 +388,6 @@ func (p *runPool) launderWindowLocked(ctx *smp.Context, w *runWindow) {
 	ctx.QueueShootdownBatch(p.scrMasks, p.scrVpns)
 	w.frames = w.frames[:0]
 	w.mask = 0
-}
-
-// launderSpan force-launders every parked window whose installed extent is
-// mostly (half or more) inside the victim frame span [lo, hi): when an
-// evacuation would have to remap most of a window's pages one by one, one
-// teardown pass is cheaper and frees the window for any extent.  Windows
-// only lightly touching the span are left parked for remapParked's
-// in-place migration.  Shootdowns are queued, NOT flushed — the migrator
-// owns the one-flush-per-block discipline.  Returns the windows laundered.
-// Caller holds p.mu (the Migrator's exclusion); the lock round trip it
-// stands for is still charged here.
-func (p *runPool) launderSpanLocked(ctx *smp.Context, lo, hi uint64) int {
-	ctx.ChargeLock()
-	kept := p.dirty[:0]
-	laundered := 0
-	for _, w := range p.dirty {
-		in := 0
-		for _, f := range w.frames {
-			if f >= lo && f < hi {
-				in++
-			}
-		}
-		if in == 0 || 2*in < w.pages {
-			kept = append(kept, w)
-			continue
-		}
-		p.launderWindowLocked(ctx, w)
-		p.clean[w.pages] = append(p.clean[w.pages], w)
-		laundered++
-	}
-	p.dirty = kept
-	if laundered > 0 {
-		p.stats.Launders++
-		p.stats.Laundered += uint64(laundered)
-	}
-	return laundered
-}
-
-// remapParked migrates frame old in place wherever a parked window maps
-// it: the page pg (already swapped to its new frame) is re-entered at the
-// window slot, the stale translation's invalidation is queued against the
-// window's accumulated mask, and the window's revive key is rebuilt — so a
-// repeat AllocRun over the migrated page set still revives with zero PTE
-// writes.  Shootdowns are queued, not flushed (the migrator flushes once
-// per block).  Returns the slots remapped.  Caller holds p.mu, and the
-// lock round trip is charged here, as in launderSpanLocked.
-func (p *runPool) remapParkedLocked(ctx *smp.Context, pg *vm.Page, old uint64) int {
-	ctx.ChargeLock()
-	self := ctx.CPUID()
-	remapped := 0
-	for _, w := range p.dirty {
-		for i, f := range w.frames {
-			if f != old {
-				continue
-			}
-			_, oldAcc := p.pm.KEnter(ctx, w.base+uint64(i)*vm.PageSize, pg)
-			if oldAcc {
-				vpn := pmap.VPN(w.base) + uint64(i)
-				mask := w.mask
-				if mask.Has(self) {
-					ctx.InvalidateLocal(vpn)
-					mask = mask.Clear(self)
-				}
-				ctx.QueueShootdown(mask, vpn)
-			}
-			w.frames[i] = pg.Frame()
-			// The window now revives for the migrated frame sequence,
-			// not the pre-migration one.
-			p.rekeyLocked(w)
-			remapped++
-		}
-	}
-	return remapped
 }
 
 // launderAgedLocked launders the parked windows whose age at time now

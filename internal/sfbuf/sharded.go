@@ -33,7 +33,7 @@ import (
 //     reclaim round harvests the least-recently-used inactive buffers from
 //     the shards, tears their mappings down, and retires every required
 //     invalidation through the per-CPU shootdown queue in ONE ranged IPI
-//     round (smp.QueueShootdown / smp.FlushShootdowns).  Teardown
+//     round (smp.QueueShootdownBatch / smp.FlushShootdowns).  Teardown
 //     invalidations target each mapping's tlbmask — the CPUs that could
 //     have pulled the translation into their TLBs, which the per-mapping
 //     bookkeeping the paper already requires tells us precisely — so a
@@ -246,15 +246,9 @@ type shardedCache struct {
 	// starving batch waits empty-handed, so the holder always drains.
 	batchMu sync.Mutex
 
-	// Migration needs no lock of its own.  A page's frame — and with it
-	// the shard its buffer hashes to and the revive key of a parked run
-	// window — changes only inside vm.MigratePage, which the Migrator
-	// calls holding every shard lock and the run pool's (lockAll).  So a
-	// mapping path reads page.Frame(), locks that frame's shard and
-	// re-reads the frame under the lock (lockPage): equal, and the frame
-	// is pinned until the unlock; moved, and it retries on the new shard.
-	// The run path reads frames only under runs.mu, and a checked-out
-	// run's frames are marked live there, which vetoes their migration.
+	// A page's frame is fixed for life, so the shard its buffer hashes
+	// to and the revive key of a parked run window never change: a
+	// mapping path locks the shard of page.Frame() once (lockPage).
 
 	// Statistics counted outside the shard, freelist, pool and run-pool
 	// locks, which hold the rest: these events hold no lock of their own,
@@ -302,7 +296,7 @@ func newShardedCache(m *smp.Machine, pm *pmap.Pmap, arena *kva.Arena, vas []uint
 		homed:     homed,
 		sockets:   sockets,
 		shardsPer: shardsPer,
-		runs:      newRunPool(pm, arena, m.Phys.Frames()+1),
+		runs:      newRunPool(pm, arena),
 	}
 	c.pool.cond = sync.NewCond(&c.pool.mu)
 	c.claimCond = sync.NewCond(&c.pool.mu)
@@ -581,8 +575,7 @@ func (c *shardedCache) reusableLeft() bool {
 // sleepers are woken if the claim absorbed credits: the claimer's rescan
 // may consume fewer buffers than were credited (hash hits), and the
 // leftovers must not strand singles whose wakeups the claim suppressed.
-// The caller must hold batchMu, which makes it the sole claimer.  Frames
-// may migrate while it sleeps, so a batch regroups its pages on return.
+// The caller must hold batchMu, which makes it the sole claimer.
 func (c *shardedCache) claimWait(ctx *smp.Context, need int, hgen uint64, flags Flags) (rescanAll, interrupted bool) {
 	if !c.prepareSleep() {
 		return c.hitGen.Load() != hgen, false
@@ -657,7 +650,8 @@ func (c *shardedCache) alloc(ctx *smp.Context, page *vm.Page, flags Flags) (*Buf
 					// Another CPU mapped the frame while the shard
 					// was unlocked; share its mapping, restock ours.
 					s.mu.Unlock()
-					c.putClean(ctx, b)
+					one := [1]*Buf{b}
+					c.putCleanBulk(ctx, one[:])
 					return cur, nil
 				}
 			}
@@ -706,24 +700,15 @@ func (c *shardedCache) alloc(ctx *smp.Context, page *vm.Page, flags Flags) (*Buf
 	}
 }
 
-// lockPage locks the shard of page's current frame and returns it with
-// that frame, charging each lock it takes.  The frame re-read under the
-// lock is the exclusion against migration: the Migrator moves frames
-// only while holding every shard lock, so a frame that still matches is
-// pinned until the caller unlocks, and one that moved sends us to its
-// new shard.
+// lockPage locks the shard of page's frame, charging the lock, and
+// returns it with that frame.
 func (c *shardedCache) lockPage(ctx *smp.Context, page *vm.Page) (*cacheShard, uint64) {
-	for {
-		frame := page.Frame()
-		si := c.shardIdx(frame)
-		c.chargeShardLock(ctx, si)
-		s := c.shards[si]
-		s.mu.Lock()
-		if page.Frame() == frame {
-			return s, frame
-		}
-		s.mu.Unlock()
-	}
+	frame := page.Frame()
+	si := c.shardIdx(frame)
+	c.chargeShardLock(ctx, si)
+	s := c.shards[si]
+	s.mu.Lock()
+	return s, frame
 }
 
 // hitLocked takes a reference on frame's hash entry, if there is one,
@@ -752,25 +737,6 @@ func (c *shardedCache) takeClean(ctx *smp.Context) *Buf {
 		return got[0]
 	}
 	return nil
-}
-
-// putClean restocks a clean buffer the allocator ended up not needing.
-func (c *shardedCache) putClean(ctx *smp.Context, b *Buf) {
-	self := ctx.CPUID()
-	ctx.ChargeLockAt(c.cpuSock[self])
-	f := c.freelists[self]
-	f.mu.Lock()
-	if len(f.bufs) < c.cfg.PerCPUFree {
-		f.bufs = append(f.bufs, b)
-		f.mu.Unlock()
-	} else {
-		f.mu.Unlock()
-		pi := c.poolIdx(ctx)
-		c.pool.mu.Lock()
-		c.pool.socks[pi] = append(c.pool.socks[pi], b)
-		c.pool.mu.Unlock()
-	}
-	c.bumpFreeN(1)
 }
 
 // takeCleanBulk pops up to n clean buffers with as few lock round trips
@@ -921,13 +887,8 @@ func (c *shardedCache) allocBatch(ctx *smp.Context, pages []*vm.Page, flags Flag
 	}
 	ctx.Charge(ctx.Cost().MapperOp * cycles.Cycles(len(pages)))
 
-	// The grouping keys on each page's frame, which only migration can
-	// change.  A group's scan re-reads each frame under the group's lock
-	// and skips a page that now hashes elsewhere; the pages left over
-	// when every group has been scanned are regrouped.
-	frameOf := func(i int) uint64 { return pages[i].Frame() }
 	sc := extentPool.Get().(*extentScratch)
-	groups := c.groupByShard(sc, len(pages), frameOf)
+	groups := c.groupByShard(sc, len(pages), func(i int) uint64 { return pages[i].Frame() })
 	out := make([]*Buf, len(pages))
 	pending := len(pages) // pages not yet resolved, the restock target
 	stash := sc.bufs      // clean buffers carried across shard groups
@@ -945,12 +906,6 @@ func (c *shardedCache) allocBatch(ctx *smp.Context, pages []*vm.Page, flags Flag
 
 restart:
 	for gi := 0; pending > 0; gi++ {
-		if gi == len(groups) {
-			// Pages remain after every group's scan: they migrated to
-			// another shard after the grouping.
-			groups = c.groupByShard(sc, len(pages), frameOf)
-			gi = 0
-		}
 		g := &groups[gi]
 		s := g.shard
 	retry:
@@ -965,9 +920,6 @@ restart:
 				}
 				pg := pages[idx]
 				frame := pg.Frame()
-				if c.shardIdx(frame) != g.si {
-					continue // migrated since the grouping
-				}
 				if b := c.hitLocked(ctx, s, frame, flags); b != nil {
 					out[idx] = b
 					pending--
@@ -1032,11 +984,8 @@ restart:
 						c.rollbackBatch(ctx, out)
 						return nil, ErrInterrupted
 					}
-					// Rescan every group after any wake — which picks up
-					// any coverage a hash-growth wake announced — and
-					// regroup first: an unresolved page may have migrated
-					// to another shard while we slept.
-					groups = c.groupByShard(sc, len(pages), frameOf)
+					// Rescan every group after any wake, which picks up
+					// any coverage a hash-growth wake announced.
 					gi = -1
 					continue restart
 				}
@@ -1088,11 +1037,7 @@ func (c *shardedCache) sweepHits(ctx *smp.Context, groups []batchGroup, pages []
 				g.shard.mu.Lock()
 				locked = true
 			}
-			frame := pages[idx].Frame()
-			if c.shardIdx(frame) != g.si {
-				continue // migrated since the grouping
-			}
-			if b := c.hitLocked(ctx, g.shard, frame, flags); b != nil {
+			if b := c.hitLocked(ctx, g.shard, pages[idx].Frame(), flags); b != nil {
 				out[idx] = b
 				resolved++
 			}
@@ -1142,30 +1087,17 @@ func (c *shardedCache) freeBatch(ctx *smp.Context, bufs []*Buf) {
 	defer sc.release()
 	groups := c.groupByShard(sc, len(bufs), func(i int) uint64 { return bufs[i].page.Frame() })
 
-	var strays []*Buf
 	freed := 0
-	drop := func(s *cacheShard, b *Buf) {
-		if c.unrefLocked(s, b) {
-			freed++
-		}
-	}
 	for gi := range groups {
 		g := &groups[gi]
 		s := g.shard
 		c.chargeShardLock(ctx, g.si)
 		s.mu.Lock()
 		for _, idx := range g.idxs {
-			if b := bufs[idx]; c.shardIdx(b.page.Frame()) == g.si {
-				drop(s, b)
-			} else {
-				strays = append(strays, b) // migrated since the grouping
+			if c.unrefLocked(s, bufs[idx]) {
+				freed++
 			}
 		}
-		s.mu.Unlock()
-	}
-	for _, b := range strays {
-		s, _ := c.lockPage(ctx, b.page)
-		drop(s, b)
 		s.mu.Unlock()
 	}
 	c.batchFrees.Add(1)
@@ -1254,8 +1186,6 @@ func (c *shardedCache) allocRun(ctx *smp.Context, pages []*vm.Page, flags Flags)
 		tokens.release()
 		return nil, err
 	}
-	// get marks the run's frames live, which keeps the Migrator off them
-	// until freeRun, so the install pass below reads settled frames.
 	win, revived, err := c.runs.get(ctx, pages)
 	if err != nil {
 		c.putCleanBulk(ctx, tokens.bufs)
@@ -1512,29 +1442,6 @@ func (c *shardedCache) teardownBatch(ctx *smp.Context, victims []*Buf) {
 	// The forced flush: the virtual addresses are about to be reused, so
 	// the queued invalidations must land now — in one IPI round.
 	ctx.FlushShootdowns()
-}
-
-// teardown removes b's mapping and queues whatever invalidations the
-// removal owes.  The caller owns b exclusively (popped from a shard under
-// its lock) and must flush the shootdown queue before reusing b's address.
-func (c *shardedCache) teardown(ctx *smp.Context, b *Buf) {
-	if b.page == nil {
-		b.tlbmask = 0
-		return
-	}
-	vpn := pmap.VPN(b.kva)
-	pte, ok := c.pm.Probe(b.kva)
-	c.pm.KRemove(ctx, b.kva)
-	if ok && pte.Accessed {
-		mask := b.tlbmask
-		if mask.Has(ctx.CPUID()) {
-			ctx.InvalidateLocal(vpn)
-			mask = mask.Clear(ctx.CPUID())
-		}
-		ctx.QueueShootdown(mask, vpn)
-	}
-	b.page = nil
-	b.tlbmask = 0
 }
 
 // free implements sf_buf_free: decrement, and at zero park the buffer on

@@ -46,28 +46,12 @@ type shootdownQueue struct {
 	vpnSpare []uint64
 }
 
-// QueueShootdown records that vpn may be cached by the TLBs of targets and
-// must be invalidated there before the address is reused.  The entry is
-// queued on the context CPU's shootdown queue; when the queue reaches the
-// machine's batch threshold it is flushed immediately.  Entries with no
-// targets are dropped (nothing to invalidate anywhere).
-func (c *Context) QueueShootdown(targets CPUSet, vpn uint64) {
-	if targets.Empty() {
-		return
-	}
-	q := c.m.sdq[c.cpu.ID]
-	q.mu.Lock()
-	q.pending = append(q.pending, pendingInv{vpn: vpn, targets: targets})
-	force := len(q.pending) >= c.m.ShootdownBatch()
-	q.mu.Unlock()
-	if force {
-		c.FlushShootdowns()
-	}
-}
-
-// QueueShootdownBatch queues one invalidation per vpns[i]/targets[i] pair
-// under a single lock round — the bulk enqueue a batched teardown uses.
-// Pairs with no targets are dropped.  The slices must be equal length.
+// QueueShootdownBatch records that each vpns[i] may be cached by the TLBs
+// of targets[i] and must be invalidated there before the address is
+// reused: one entry per pair on the context CPU's queue, under a single
+// lock round.  When the queue reaches the machine's batch threshold it is
+// flushed immediately.  Pairs with no targets are dropped (nothing to
+// invalidate anywhere).  The slices must be equal length.
 func (c *Context) QueueShootdownBatch(targets []CPUSet, vpns []uint64) {
 	if len(targets) != len(vpns) {
 		panic("smp: QueueShootdownBatch slice length mismatch")

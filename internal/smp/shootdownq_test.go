@@ -7,12 +7,17 @@ import (
 	"sfbuf/internal/arch"
 )
 
+// queueOne queues a single invalidation through the bulk enqueue.
+func queueOne(ctx *Context, targets CPUSet, vpn uint64) {
+	ctx.QueueShootdownBatch([]CPUSet{targets}, []uint64{vpn})
+}
+
 func TestQueueShootdownDefersUntilFlush(t *testing.T) {
 	m := NewMachine(arch.XeonMPHTT(), 16, false)
 	ctx := m.Ctx(0)
 	// Give CPU 2 a TLB entry for vpn 7, then queue its invalidation.
 	fillTLB(m.Ctx(2), 7, 70)
-	ctx.QueueShootdown(CPUSet(0).Set(2), 7)
+	queueOne(ctx, CPUSet(0).Set(2), 7)
 	if !m.CPU(2).TLBResident(7) {
 		t.Fatal("queueing must not invalidate anything yet")
 	}
@@ -41,7 +46,7 @@ func TestFlushCoalescesIntoOneRound(t *testing.T) {
 		for cpu := 1; cpu < m.NumCPUs(); cpu++ {
 			fillTLB(m.Ctx(cpu), vpn, vpn+100)
 		}
-		ctx.QueueShootdown(all.Clear(0), vpn)
+		queueOne(ctx, all.Clear(0), vpn)
 	}
 	ctx.FlushShootdowns()
 	c := m.SnapshotCounters()
@@ -68,12 +73,12 @@ func TestQueueThresholdForcesFlush(t *testing.T) {
 	m.SetShootdownBatch(4)
 	ctx := m.Ctx(0)
 	for vpn := uint64(0); vpn < 3; vpn++ {
-		ctx.QueueShootdown(CPUSet(0).Set(1), vpn)
+		queueOne(ctx, CPUSet(0).Set(1), vpn)
 	}
 	if got := ctx.PendingShootdowns(); got != 3 {
 		t.Fatalf("pending = %d, want 3 below threshold", got)
 	}
-	ctx.QueueShootdown(CPUSet(0).Set(1), 3)
+	queueOne(ctx, CPUSet(0).Set(1), 3)
 	if got := ctx.PendingShootdowns(); got != 0 {
 		t.Fatalf("pending = %d, want 0 after threshold flush", got)
 	}
@@ -86,7 +91,7 @@ func TestQueueSelfTargetPurgesLocally(t *testing.T) {
 	m := NewMachine(arch.XeonMP(), 16, false)
 	ctx := m.Ctx(0)
 	fillTLB(ctx, 5, 50)
-	ctx.QueueShootdown(CPUSet(0).Set(0), 5)
+	queueOne(ctx, CPUSet(0).Set(0), 5)
 	ctx.FlushShootdowns()
 	if m.CPU(0).TLBResident(5) {
 		t.Fatal("flush must purge the flushing CPU's own queued lines")
@@ -102,7 +107,7 @@ func TestQueueSelfTargetPurgesLocally(t *testing.T) {
 func TestQueueEmptyTargetsDropped(t *testing.T) {
 	m := NewMachine(arch.XeonMP(), 16, false)
 	ctx := m.Ctx(0)
-	ctx.QueueShootdown(0, 9)
+	queueOne(ctx, 0, 9)
 	if got := ctx.PendingShootdowns(); got != 0 {
 		t.Fatalf("pending = %d, want 0 for empty targets", got)
 	}
@@ -114,8 +119,8 @@ func TestQueueEmptyTargetsDropped(t *testing.T) {
 func TestQueuesArePerCPU(t *testing.T) {
 	m := NewMachine(arch.XeonMP(), 16, false)
 	ctx0, ctx1 := m.Ctx(0), m.Ctx(1)
-	ctx0.QueueShootdown(CPUSet(0).Set(1), 1)
-	ctx1.QueueShootdown(CPUSet(0).Set(0), 2)
+	queueOne(ctx0, CPUSet(0).Set(1), 1)
+	queueOne(ctx1, CPUSet(0).Set(0), 2)
 	if ctx0.PendingShootdowns() != 1 || ctx1.PendingShootdowns() != 1 {
 		t.Fatal("queues must be per CPU")
 	}

@@ -376,7 +376,7 @@ func (pm *PhysMem) takeOneAtLocked(s int, best uint64, bestK int) *Page {
 	}
 	pm.freePages--
 	pm.freeBySock[s]--
-	return pm.pages[best-1].Load()
+	return pm.pages[best-1]
 }
 
 // buddyAllocOneLocked allocates the lowest-addressed free page on the
@@ -483,7 +483,7 @@ func (pm *PhysMem) buddyAllocNLocked(pref, n int) ([]*Page, error) {
 			pm.freeBySock[s] -= size
 			if need := n - len(out); size <= need {
 				for f := best; f < best+uint64(size); f++ {
-					out = append(out, pm.pages[f-1].Load())
+					out = append(out, pm.pages[f-1])
 				}
 			} else {
 				out = append(out, pm.carveLocked(best, bestK, need)...)
@@ -522,7 +522,7 @@ func (pm *PhysMem) buddyAllocNLocked(pref, n int) ([]*Page, error) {
 func (pm *PhysMem) carveLocked(start uint64, k, n int) []*Page {
 	out := make([]*Page, 0, n)
 	for f := start; f < start+uint64(n); f++ {
-		out = append(out, pm.pages[f-1].Load())
+		out = append(out, pm.pages[f-1])
 	}
 	if tail := 1<<k - n; tail > 0 {
 		pm.freeRangeLocked(start+uint64(n), tail)
@@ -696,4 +696,29 @@ func largestExtent(extents []extent) int {
 		best = cur.n
 	}
 	return best
+}
+
+// FreeBlock describes one free buddy block: 1<<Order frames starting at
+// frame Start, homed on Socket.
+type FreeBlock struct {
+	Start  uint64
+	Order  int
+	Socket int
+}
+
+// FreeBlocks snapshots every free block in the pool, sorted by start
+// frame.  It is the raw material for the physcheck invariant auditor.
+func (pm *PhysMem) FreeBlocks() []FreeBlock {
+	pm.mu.Lock()
+	defer pm.mu.Unlock()
+	var out []FreeBlock
+	for s := range pm.orders {
+		for k := range pm.orders[s] {
+			for _, start := range pm.orders[s][k].starts {
+				out = append(out, FreeBlock{Start: start, Order: k, Socket: s})
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
+	return out
 }

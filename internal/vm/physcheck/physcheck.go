@@ -1,6 +1,6 @@
 // Package physcheck is the contiguity invariant layer for the buddy
-// physical allocator: reusable assertions that reservation/migration test
-// traces run after EVERY operation.
+// physical allocator: reusable assertions that reservation test traces run
+// after EVERY operation.
 //
 // Three families of checks:
 //
@@ -17,14 +17,13 @@
 //     words: no reserved-order block is silently split while a smaller
 //     block existed.
 //
-//   - Oracle: the migration byte oracle — a snapshot of mapped pages'
-//     bytes and identities; after any number of migrations every page
+//   - Oracle: the byte oracle — a snapshot of held pages' bytes and
+//     identities; after any sequence of allocator operations every page
 //     handle must still carry its exact bytes and the frame registry must
-//     still resolve the handle's (possibly new) frame back to it.
+//     still resolve the handle's frame back to it.
 //
-// The checks are error-returning rather than *testing.T-bound so the
-// native fuzz targets, the table-driven suites, and the -race stress tests
-// can all share them.
+// The checks are error-returning rather than *testing.T-bound so any
+// suite can share them.
 package physcheck
 
 import (
@@ -141,8 +140,8 @@ func (c *Checker) Step(pm *vm.PhysMem) error {
 	return nil
 }
 
-// Oracle is the migration byte oracle: a snapshot of page handles, their
-// bytes, and their registry identity.
+// Oracle is the byte oracle: a snapshot of page handles, their bytes, and
+// their registry identity.
 type Oracle struct {
 	pages []*vm.Page
 	data  [][]byte
@@ -151,25 +150,19 @@ type Oracle struct {
 // NewOracle snapshots the given pages.  Pages of an unbacked pool snapshot
 // only their identity; a backed page with no storage snapshots as zeros.
 func NewOracle(pages []*vm.Page) *Oracle {
-	o := &Oracle{pages: append([]*vm.Page(nil), pages...)}
-	o.Update()
-	return o
-}
-
-// Update re-snapshots the bytes (after an intentional write).
-func (o *Oracle) Update() {
-	o.data = make([][]byte, len(o.pages))
+	o := &Oracle{pages: append([]*vm.Page(nil), pages...), data: make([][]byte, len(pages))}
 	for i, p := range o.pages {
 		if p.Backed() {
 			o.data[i] = make([]byte, vm.PageSize)
 			copy(o.data[i], p.View()) // no storage copies nothing: zeros
 		}
 	}
+	return o
 }
 
 // Check verifies that every snapshotted page still carries its exact bytes
-// and that the frame registry resolves the page's current frame back to
-// the same handle — migration may move a page, never change or orphan it.
+// and that the frame registry resolves the page's frame back to the same
+// handle.
 func (o *Oracle) Check(pm *vm.PhysMem) error {
 	for i, p := range o.pages {
 		f := p.Frame()
@@ -177,7 +170,7 @@ func (o *Oracle) Check(pm *vm.PhysMem) error {
 			return fmt.Errorf("physcheck: page %d's frame %d resolves to a different handle", i, f)
 		}
 		if o.data[i] != nil && !samePage(p.View(), o.data[i]) {
-			return fmt.Errorf("physcheck: page %d (frame %d) bytes changed under migration", i, f)
+			return fmt.Errorf("physcheck: page %d (frame %d) bytes changed", i, f)
 		}
 	}
 	return nil

@@ -1,11 +1,8 @@
 package physcheck
 
-// Table-driven reservation/migration traces: every step of every trace is
-// followed by the full invariant battery — structural Audit, temporal
-// reservation Checker, and the migration byte Oracle.  The traces drive
-// the allocator's own migration primitives (candidates, targets,
-// SwapFrames); the mapping layer's migrator is exercised by the sfbuf
-// suites on top of the same checks.
+// Table-driven reservation traces: every step of every trace is followed
+// by the full invariant battery — structural Audit, temporal reservation
+// Checker, and the byte Oracle.
 
 import (
 	"errors"
@@ -28,7 +25,6 @@ type harness struct {
 
 	contigOK   int
 	contigFail int
-	moved      int
 }
 
 func newHarness(t *testing.T, pm *vm.PhysMem) *harness {
@@ -112,44 +108,10 @@ func (h *harness) freeExcept(keep func(frame uint64) bool) {
 	h.check()
 }
 
-// migrate evacuates up to blocks candidate spans by the allocator's own
-// primitives: copy bytes to a socket-local target outside the span, swap
-// frames, free the doomed handle.  The byte oracle stays FIXED across the
-// whole pass — migration must not change a single held byte.
-func (h *harness) migrate(maxResident, blocks int) {
-	h.t.Helper()
-	byFrame := make(map[uint64]*vm.Page, len(h.held))
-	for _, p := range h.held {
-		byFrame[p.Frame()] = p
-	}
-	for _, cand := range h.pm.MigrationCandidates(span, maxResident, blocks) {
-		for _, f := range h.pm.ResidentFrames(cand.Start, cand.Span) {
-			src := byFrame[f]
-			if src == nil {
-				h.t.Fatalf("resident frame %d is not one of ours", f)
-			}
-			dst, err := h.pm.MigrationTarget(cand.Socket, spanOrder, cand.Start, cand.Start+uint64(cand.Span))
-			if err != nil {
-				break // no target left: abandon this span
-			}
-			h.check()
-			if !h.pm.MigratePage(src, dst) {
-				h.t.Fatalf("MigratePage refused a quiescent resident at frame %d", f)
-			}
-			delete(byFrame, f)
-			byFrame[src.Frame()] = src
-			h.pm.Free(dst) // dst now holds the evacuated frame
-			h.moved++
-			h.check()
-		}
-	}
-}
-
 func TestReservationMigrationTraces(t *testing.T) {
 	type step struct {
-		op     string // alloc | allocN | contig | freeExcept | migrate
-		n      int    // alloc socket / allocN count / contig size / migrate maxResident
-		blocks int    // migrate budget
+		op     string // alloc | allocN | contig | freeExcept
+		n      int    // alloc socket / allocN count / contig size
 		keep   func(uint64) bool
 		repeat int
 	}
@@ -199,49 +161,17 @@ func TestReservationMigrationTraces(t *testing.T) {
 			},
 		},
 		{
-			// Scattered residents in every span defeat AllocContig; migration
-			// evacuates the nearly-free spans and contiguity comes back, with
-			// the byte oracle pinned across every evacuated page.
-			name: "migration-restores-contig", frames: 4096, sockets: 1, reservLow: 2,
-			script: []step{
-				{op: "allocN", n: 4096},
-				{op: "freeExcept", keep: func(f uint64) bool {
-					return f >= span && f%97 == 5 // a few residents in every span 1..7
-				}},
-				{op: "contig", n: span},
-				{op: "migrate", n: 64, blocks: 4},
-				{op: "contig", n: span},
-			},
-			verify: func(t *testing.T, pm *vm.PhysMem, h *harness) {
-				if h.contigFail == 0 {
-					t.Error("scattered residents should have defeated the first AllocContig")
-				}
-				if h.contigOK == 0 {
-					t.Errorf("AllocContig still failing after migrating %d pages", h.moved)
-				}
-				if h.moved == 0 {
-					t.Error("migration moved nothing")
-				}
-			},
-		},
-		{
-			// Two sockets: reservation accounting and migration placement are
-			// per socket; Audit additionally proves no block ever straddles
-			// the boundary.
+			// Two sockets: reservation accounting is per socket; Audit
+			// additionally proves no block ever straddles the boundary.
 			name: "two-socket-trace", frames: 4096, sockets: 2, reservLow: 2,
 			script: []step{
 				{op: "allocN", n: 3000},
 				{op: "freeExcept", keep: func(f uint64) bool { return f%131 == 7 }},
 				{op: "alloc", n: 1, repeat: 40},
 				{op: "alloc", n: 0, repeat: 40},
-				{op: "migrate", n: 64, blocks: 4},
 				{op: "contig", n: span},
 			},
-			verify: func(t *testing.T, pm *vm.PhysMem, h *harness) {
-				if h.moved == 0 {
-					t.Error("migration moved nothing")
-				}
-			},
+			verify: func(t *testing.T, pm *vm.PhysMem, h *harness) {},
 		},
 	}
 	for _, tc := range cases {
@@ -266,8 +196,6 @@ func TestReservationMigrationTraces(t *testing.T) {
 						h.contig(s.n)
 					case "freeExcept":
 						h.freeExcept(s.keep)
-					case "migrate":
-						h.migrate(s.n, s.blocks)
 					default:
 						t.Fatalf("unknown op %q", s.op)
 					}

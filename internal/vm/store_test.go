@@ -169,29 +169,6 @@ func TestTableBoundOwnsWhenFull(t *testing.T) {
 	}
 }
 
-func TestMigratePageCopiesStorageState(t *testing.T) {
-	pm := NewPhysMem(64, true)
-	shared, _ := pm.Alloc()
-	owned, _ := pm.Alloc()
-	pm.Store(shared, 0, pattern(5))
-	owned.Data()[7] = 7
-	for _, src := range []*Page{shared, owned} {
-		dst, _ := pm.Alloc()
-		old, _ := block(src)
-		if !pm.MigratePage(src, dst) {
-			t.Fatal("migration refused")
-		}
-		sb, sShared := block(src)
-		db, dShared := block(dst)
-		if sb != old || sShared != dShared || (sShared && db != sb) || (!sShared && db == sb) {
-			t.Fatalf("migration: src shared %v, dst shared %v, same block %v", sShared, dShared, db == sb)
-		}
-		if !bytes.Equal(sb[:], db[:]) {
-			t.Fatal("migration: dst does not read as src")
-		}
-	}
-}
-
 func TestUnbackedStoreMovesNothing(t *testing.T) {
 	pm := NewPhysMem(1, false)
 	p, _ := pm.Alloc()

@@ -30,15 +30,13 @@ const (
 // PAddr is a physical byte address.
 type PAddr uint64
 
-// Page is a physical page — the simulator's vm_page.  Fields mutated after
-// allocation (wire count, and the frame number under migration) use atomics
-// because subsystems run on multiple goroutines.
+// Page is a physical page — the simulator's vm_page.  Its frame is fixed
+// for life; the wire count and storage state are mutated after allocation
+// and use atomics because subsystems run on multiple goroutines.
 type Page struct {
-	// frame is the physical frame number currently backing this logical
-	// page.  It is mutable: defragmentation by migration (SwapFrames) moves
-	// a resident page to a different frame while every holder of the *Page
-	// keeps its handle, so readers racing a migration need the atomic.
-	frame atomic.Uint64
+	// frame is the physical frame number backing this page, set once at
+	// construction.
+	frame uint64
 	// data is the storage state (store.go): nil for no storage, else a
 	// shared interned block or the page's own buffer.  Every change of
 	// state a writer can race is a CAS on this one word.
@@ -47,36 +45,24 @@ type Page struct {
 	// backed is fixed at construction: whether the page's pool stores
 	// bytes at all.
 	backed bool
-
-	// id is the page's stable identity: the frame number it was created
-	// on.  Unlike frame it never changes — migration moves a page between
-	// frames but not between identities — so it is the key for any state
-	// that must follow the logical page across migrations (extent-reuse
-	// tracking).  On a pool that never migrates
-	// it equals Frame().
-	id uint64
 }
 
-// ExtentID hashes a page sequence by stable page identity (FNV-1a over
-// Page.id).  Where the run pool keys parked windows on the frames an
-// extent currently occupies — the right key for caches of installed
-// translations — ExtentID follows the logical extent across migration:
-// the same pages hash the same before and after their frames move.  On a
-// pool that never migrates, page identity and frame agree exactly.
+// ExtentID hashes a page sequence by frame (FNV-1a over Frame()): the key
+// for state that follows a logical extent, such as extent-reuse tracking.
 func ExtentID(pages []*Page) uint64 {
 	h := uint64(1469598103934665603)
 	for _, pg := range pages {
-		h ^= pg.id
+		h ^= pg.frame
 		h *= 1099511628211
 	}
 	return h
 }
 
 // Frame returns the physical frame number.
-func (p *Page) Frame() uint64 { return p.frame.Load() }
+func (p *Page) Frame() uint64 { return p.frame }
 
 // PA returns the physical address of the first byte of the page.
-func (p *Page) PA() PAddr { return PAddr(p.frame.Load() << PageShift) }
+func (p *Page) PA() PAddr { return PAddr(p.frame << PageShift) }
 
 // Data returns the page's private, writable buffer, or nil for unbacked
 // memory.  A page with no storage or a shared block is owned first: it
@@ -135,11 +121,10 @@ var ErrNoMemory = errors.New("vm: out of physical memory")
 // after churn.
 type PhysMem struct {
 	mu sync.Mutex
-	// pages is the frame registry: pages[f-1] is the Page currently backing
-	// frame f.  Slots are atomic pointers because PageByFrame is the MMU
-	// model's lock-free hot path and migration (SwapFrames) rebinds two
-	// slots while the machine runs.
-	pages []atomic.Pointer[Page]
+	// pages is the frame registry: pages[f-1] is the Page backing frame f,
+	// filled once at construction and never rebound, so PageByFrame (the
+	// MMU model's hot path) reads it without a lock.
+	pages []*Page
 
 	// blocks interns the immutable blocks whole-page stores share
 	// (store.go).
@@ -198,7 +183,7 @@ func NewPhysMemNUMA(frames int, backed bool, sockets int) *PhysMem {
 	}
 	sockets = min(max(sockets, 1), frames)
 	pm := &PhysMem{
-		pages:      make([]atomic.Pointer[Page], frames),
+		pages:      make([]*Page, frames),
 		orders:     make([][]orderHeap, sockets),
 		freeBySock: make([]int, sockets),
 		sockets:    sockets,
@@ -207,9 +192,7 @@ func NewPhysMemNUMA(frames int, backed bool, sockets int) *PhysMem {
 	// Frame numbers start at 1 so that frame 0 / physical address 0 can
 	// serve as a sentinel ("no frame") throughout the MMU model.
 	for i := range pm.pages {
-		p := &Page{id: uint64(i + 1), backed: backed}
-		p.frame.Store(uint64(i + 1))
-		pm.pages[i].Store(p)
+		pm.pages[i] = &Page{frame: uint64(i + 1), backed: backed}
 	}
 	pm.buildCoverLocked()
 	return pm
@@ -299,7 +282,7 @@ func (pm *PhysMem) PageByFrame(frame uint64) *Page {
 	if frame == 0 || frame > uint64(len(pm.pages)) {
 		return nil
 	}
-	return pm.pages[frame-1].Load()
+	return pm.pages[frame-1]
 }
 
 // Stats returns cumulative allocation and free counts.

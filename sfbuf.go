@@ -116,7 +116,7 @@ type (
 	// design with batched shootdowns (default) or the paper's
 	// global-lock cache.
 	CachePolicy = kernel.CachePolicy
-	// Tri is a policy switch (Config.Contig, Daemon, Migrate, Homing):
+	// Tri is a policy switch (Config.Contig, Daemon, Homing):
 	// Auto lets Boot decide, On and Off override.
 	// Boot resolves every switch once into Kernel.Plan.
 	Tri = kernel.Tri
