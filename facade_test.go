@@ -57,8 +57,8 @@ func TestFacadePlatforms(t *testing.T) {
 
 func TestFacadeExperiments(t *testing.T) {
 	ids := Experiments()
-	if len(ids) != 25 {
-		t.Fatalf("experiments = %d, want 25", len(ids))
+	if len(ids) != 24 {
+		t.Fatalf("experiments = %d, want 24", len(ids))
 	}
 	res, err := RunExperiment("sec3", ExperimentOptions{Scale: 0.01})
 	if err != nil {

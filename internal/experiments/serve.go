@@ -94,14 +94,19 @@ func ServeVariants() []ServeVariant {
 
 // BootServe boots the serve-benchmark kernel under one cache policy.
 func BootServe(cache kernel.CachePolicy) (*kernel.Kernel, error) {
-	return kernel.Boot(kernel.Config{
+	return kernel.Boot(serveKernelConfig(cache))
+}
+
+// serveKernelConfig is the serve-benchmark kernel's configuration.
+func serveKernelConfig(cache kernel.CachePolicy) kernel.Config {
+	return kernel.Config{
 		Platform:     arch.XeonMPHTT(),
 		Mapper:       kernel.SFBuf,
 		Cache:        cache,
 		PhysPages:    ServePhysPages,
 		Backed:       true,
 		CacheEntries: ServeEntries,
-	})
+	}
 }
 
 // ServeCanonicalConfig returns the canonical workload scaled by clients

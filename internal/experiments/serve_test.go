@@ -3,6 +3,7 @@ package experiments
 import (
 	"testing"
 
+	"sfbuf/internal/kernel"
 	"sfbuf/internal/workloads"
 )
 
@@ -137,5 +138,42 @@ func TestServeGolden(t *testing.T) {
 		Completed: 1938, BytesReceived: 259239297, Events: 562180}
 	if got != want {
 		t.Fatalf("canonical serve run moved:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestServeHomingEconomy is the gain that keeps Config.Homing: the
+// canonical serve run on BootServe's kernel split into two sockets, with
+// the mapping state homed per socket (Auto) and flat (Off).  Homing must
+// cut the adaptive window's p99.9 mapping latency by at least 5%, and
+// both arms must complete the same requests.  Homing pays for it on the
+// median: the homed p50 is about 19% above the flat one.
+func TestServeHomingEconomy(t *testing.T) {
+	if testing.Short() {
+		t.Skip("canonical-scale serving runs; skipped with -short")
+	}
+	if raceEnabled {
+		t.Skip("canonical-scale serving runs are too slow under -race")
+	}
+	run := func(homing kernel.Tri) *workloads.ServeResult {
+		cfg := serveKernelConfig(kernel.CacheSharded)
+		cfg.Sockets, cfg.Homing = 2, homing
+		k, err := kernel.Boot(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := workloads.RunServe(k, ServeCanonicalConfig(ServeClients, 0))
+		if err != nil {
+			t.Fatalf("homing %v: %v", homing, err)
+		}
+		t.Logf("homing %-4v p50=%-7d p99=%-8d p999=%-8d done=%d/%d",
+			homing, r.P50, r.P99, r.P999, r.Completed, r.Requests)
+		return r
+	}
+	homed, flat := run(kernel.Auto), run(kernel.Off)
+	if float64(homed.P999) > 0.95*float64(flat.P999) {
+		t.Errorf("homed p99.9 %d is not 5%% below flat %d", homed.P999, flat.P999)
+	}
+	if homed.Completed != flat.Completed {
+		t.Errorf("homed completed %d requests, flat %d", homed.Completed, flat.Completed)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"sync"
 
 	"sfbuf/internal/arch"
-	"sfbuf/internal/cycles"
 	"sfbuf/internal/kva"
 	"sfbuf/internal/pmap"
 	"sfbuf/internal/sfbuf"
@@ -88,12 +87,6 @@ type Config struct {
 	// the historical static paths everywhere else.  On and Off force one
 	// path for every consumer.
 	Contig Tri
-	// Daemon runs the background reclaim-and-laundering daemon on the idle
-	// tick, refilling each CPU's clean freelist and the overflow pool.
-	// Auto runs it on the sharded i386 cache; Off leaves reclaim
-	// to allocation-miss shortage, the paper's behaviour.  The figure
-	// engines (CacheGlobal, the original kernel) never run a daemon.
-	Daemon Tri
 	// Sockets models the machine as that many CPU packages: consecutive
 	// CPU-id blocks become sockets, physical frames are homed on sockets
 	// by address range, and cross-package lock acquisitions, IPI
@@ -106,8 +99,8 @@ type Config struct {
 	// Homing places the mapping state on a multi-socket machine: Auto
 	// homes state per socket whenever Sockets > 1 on the sharded engine
 	// (shards striped within the frame's home socket, per-CPU freelists
-	// and pool sub-stocks per package, the daemon refilling from its own
-	// socket); Off pins the flat hash-striped layout as the NUMA baseline
+	// and pool sub-stocks per package, reclaim harvesting its own socket
+	// first); Off pins the flat hash-striped layout as the NUMA baseline
 	// arm.  Run windows and the KVA arena stay flat either way.
 	Homing Tri
 }
@@ -122,10 +115,6 @@ type Kernel struct {
 	Pmap  *pmap.Pmap
 	Arena *kva.Arena
 	Map   sfbuf.Mapper
-
-	// daemon is the background reclaim-and-laundering worker, nil unless
-	// Plan.Daemon.
-	daemon *sfbuf.Daemon
 
 	// consumers is the registry of per-subsystem contiguity-policy
 	// handles (see Consumer).
@@ -167,13 +156,6 @@ func Boot(cfg Config) (*Kernel, error) {
 		order++
 	}
 	phys.SetReservation(order, reservLowWater)
-	// Background reclaim/laundering rides the idle tick.  The figure
-	// engines never plan a daemon, and their experiments never call Idle,
-	// so figure reproduction stays bit-identical.
-	if p.Daemon {
-		k.daemon = sfbuf.NewDaemon(k.Map, sfbuf.DaemonConfig{})
-		m.RegisterIdleWork(k.daemon.Run)
-	}
 	return k, nil
 }
 
@@ -231,28 +213,6 @@ func (k *Kernel) PhysContigAlign(n int) int {
 // coalesce.
 func (k *Kernel) AllocPhysContig(n int) ([]*vm.Page, error) {
 	return k.M.Phys.AllocContig(n, k.PhysContigAlign(n))
-}
-
-// Idle models cpu being idle for dur simulated cycles.  If the background
-// daemon is enabled it runs a maintenance pass on that CPU within the
-// budget; either way the machine clock advances by at least dur, so
-// age-bound laundering sees the lull.  Returns the cycles the daemon
-// consumed.
-func (k *Kernel) Idle(cpu int, dur cycles.Cycles) cycles.Cycles {
-	return k.M.Idle(cpu, dur)
-}
-
-// DaemonEnabled reports whether the background reclaim daemon is wired to
-// the machine's idle tick.
-func (k *Kernel) DaemonEnabled() bool { return k.daemon != nil }
-
-// DaemonStats reports cumulative background-daemon activity (zero value
-// when no daemon runs).
-func (k *Kernel) DaemonStats() sfbuf.DaemonStats {
-	if k.daemon == nil {
-		return sfbuf.DaemonStats{}
-	}
-	return k.daemon.Stats()
 }
 
 // Reset zeroes all machine counters and mapper statistics, preparing for a

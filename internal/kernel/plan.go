@@ -58,8 +58,6 @@ const reservLowWater = 2
 type Plan struct {
 	// Homed places the mapping state per socket.
 	Homed bool
-	// Daemon runs background reclaim and laundering on idle ticks.
-	Daemon bool
 	// Batch maps multi-page extents through AllocBatch/FreeBatch, and
 	// BatchSend does so on the send paths (sendfile, zero-copy send).
 	Batch     bool
@@ -96,8 +94,6 @@ func resolvePlan(cfg Config) (Plan, error) {
 	modern := cfg.Mapper == SFBuf && cfg.Cache != CacheGlobal
 	p := Plan{Sockets: max(cfg.Sockets, 1)}
 	p.Homed = modern && p.Sockets > 1 && cfg.Homing.or(true)
-	// Only the sharded i386 cache has clean stock for a daemon to refill.
-	p.Daemon = modern && cfg.Platform.Arch == arch.I386 && cfg.Daemon.or(true)
 
 	// The amd64 direct map never evicts: its capacity stays 0.
 	if cfg.Platform.Arch != arch.AMD64 {

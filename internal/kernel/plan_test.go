@@ -7,14 +7,16 @@ package kernel
 // (Config.Uses*, Kernel.UseVectored/UseVectoredSend/UseRuns,
 // contigAdaptive, mapCapacityPages, DaemonEnabled, MigrationEnabled, the
 // consumer page window and PhysContigAlign), and are checked in, not
-// regenerated.  Daemon carries what the kernel actually booted: the plan
-// does not ask for what cannot run.  Rows have lost only the
-// configurations of deleted engines and mechanisms, the fields only they
-// set, and their toggles: the two color fields, the buddy flag and the
-// LIFO contig row (every pool is the buddy allocator), the tiered and
-// hints flags with their tiers/hints toggles and tier rows (tiered memory
-// is gone), the reserv flag with its toggles (every pool reserves), and
-// the migrate flag with its toggles and defrag rows (frames never move).
+// regenerated.  Rows have lost only the configurations of deleted engines
+// and mechanisms, the fields only they set, and their toggles: the two
+// color fields, the buddy flag and the LIFO contig row (every pool is the
+// buddy allocator), the tiered and hints flags with their tiers/hints
+// toggles and tier rows (tiered memory is gone), the reserv flag with its
+// toggles (every pool reserves), the migrate flag with its toggles and
+// defrag rows (frames never move), and the daemon flag with its toggles,
+// the reclaim experiment's on-demand row and the explicit-daemon test row
+// (there is no background daemon).  The two remaining reclaim rows pin
+// the configurations that removed experiment booted.
 
 import (
 	"fmt"
@@ -45,8 +47,6 @@ func planGoldenCases() []planCase {
 		{"", func(*Config) {}},
 		{"contig-on", func(c *Config) { c.Contig = On }},
 		{"contig-off", func(c *Config) { c.Contig = Off }},
-		{"daemon-on", func(c *Config) { c.Daemon = On }},
-		{"daemon-off", func(c *Config) { c.Daemon = Off }},
 		{"homing-on", func(c *Config) { c.Homing = On }},
 		{"homing-off", func(c *Config) { c.Homing = Off }},
 	}
@@ -80,7 +80,6 @@ func planGoldenCases() []planCase {
 		planCase{"numa/homed-4s", Config{Platform: arch.XeonNUMA(4, 2), Mapper: SFBuf, PhysPages: 8*256 + 128, CacheEntries: 256, Sockets: 4}},
 		planCase{"numa/striped-4s", Config{Platform: arch.XeonNUMA(4, 2), Mapper: SFBuf, PhysPages: 8*256 + 128, CacheEntries: 256, Sockets: 4, Homing: Off}},
 		planCase{"reclaim/daemon", Config{Platform: xh, Mapper: SFBuf, PhysPages: 2048, CacheEntries: 256}},
-		planCase{"reclaim/on-demand", Config{Platform: xh, Mapper: SFBuf, PhysPages: 2048, CacheEntries: 256, Daemon: Off}},
 		planCase{"reclaim/daemon-2s", Config{Platform: arch.XeonNUMA(2, 2), Mapper: SFBuf, PhysPages: 2048, CacheEntries: 256, Sockets: 2}},
 		planCase{"scale/sharded", Config{Platform: xh, Mapper: SFBuf, PhysPages: 8*256 + 128, CacheEntries: 256}},
 		planCase{"scale/global", Config{Platform: xh, Mapper: SFBuf, Cache: CacheGlobal, PhysPages: 8*256 + 128, CacheEntries: 256}},
@@ -95,7 +94,6 @@ func planGoldenCases() []planCase {
 		planCase{"test/xeon-6k", Config{Platform: arch.XeonMP(), Mapper: SFBuf, PhysPages: 64, CacheEntries: 6 * 1024}},
 		planCase{"test/xeon-default-cache", Config{Platform: arch.XeonMP(), Mapper: SFBuf, PhysPages: 256}},
 		planCase{"test/opteron-original", Config{Platform: arch.OpteronMP(), Mapper: OriginalKernel, PhysPages: 64}},
-		planCase{"test/daemon-explicit", Config{Platform: arch.XeonMP(), Mapper: SFBuf, PhysPages: 256, CacheEntries: 32, Daemon: On}},
 		planCase{"test/numa2-global", Config{Platform: arch.XeonNUMA(2, 2), Mapper: SFBuf, Cache: CacheGlobal, PhysPages: 256, CacheEntries: 32, Sockets: 2}},
 		planCase{"test/numa2-original", Config{Platform: arch.XeonNUMA(2, 2), Mapper: OriginalKernel, PhysPages: 256, Sockets: 2}},
 	)
@@ -105,41 +103,31 @@ func planGoldenCases() []planCase {
 // field order, then its sizes, the adaptive consumer's page window and
 // PhysContigAlign for an 8-page and a superpage extent.
 var planGolden = []struct{ name, want string }{
-	{"xeon-sharded", "daemon batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-sharded/contig-on", "daemon batch batchsend runs sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-sharded/contig-off", "daemon batch batchsend sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-sharded/daemon-on", "daemon batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-sharded/daemon-off", "batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-sharded/homing-on", "daemon batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-sharded/homing-off", "daemon batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-sharded", "batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-sharded/contig-on", "batch batchsend runs sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-sharded/contig-off", "batch batchsend sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-sharded/homing-on", "batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
+	{"xeon-sharded/homing-off", "batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
 	{"xeon-global", "sockets=1 cap=64 window=64 align=1/512"},
 	{"xeon-global/contig-on", "runs sockets=1 cap=64 window=64 align=1/512"},
 	{"xeon-global/contig-off", "sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-global/daemon-on", "sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-global/daemon-off", "sockets=1 cap=64 window=64 align=1/512"},
 	{"xeon-global/homing-on", "sockets=1 cap=64 window=64 align=1/512"},
 	{"xeon-global/homing-off", "sockets=1 cap=64 window=64 align=1/512"},
 	{"xeon-original", "batch sockets=1 cap=64 window=64 align=1/512"},
 	{"xeon-original/contig-on", "batch runs sockets=1 cap=64 window=64 align=1/512"},
 	{"xeon-original/contig-off", "batch sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-original/daemon-on", "batch sockets=1 cap=64 window=64 align=1/512"},
-	{"xeon-original/daemon-off", "batch sockets=1 cap=64 window=64 align=1/512"},
 	{"xeon-original/homing-on", "batch sockets=1 cap=64 window=64 align=1/512"},
 	{"xeon-original/homing-off", "batch sockets=1 cap=64 window=64 align=1/512"},
 	{"opteron", "batch batchsend runs sockets=1 cap=0 window=4096 align=1/512"},
 	{"opteron/contig-on", "batch batchsend runs sockets=1 cap=0 window=4096 align=1/512"},
 	{"opteron/contig-off", "batch batchsend sockets=1 cap=0 window=4096 align=1/512"},
-	{"opteron/daemon-on", "batch batchsend runs sockets=1 cap=0 window=4096 align=1/512"},
-	{"opteron/daemon-off", "batch batchsend runs sockets=1 cap=0 window=4096 align=1/512"},
 	{"opteron/homing-on", "batch batchsend runs sockets=1 cap=0 window=4096 align=1/512"},
 	{"opteron/homing-off", "batch batchsend runs sockets=1 cap=0 window=4096 align=1/512"},
-	{"numa2", "homed daemon batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
-	{"numa2/contig-on", "homed daemon batch batchsend runs sockets=2 cap=64 window=64 align=1/512"},
-	{"numa2/contig-off", "homed daemon batch batchsend sockets=2 cap=64 window=64 align=1/512"},
-	{"numa2/daemon-on", "homed daemon batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
-	{"numa2/daemon-off", "homed batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
-	{"numa2/homing-on", "homed daemon batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
-	{"numa2/homing-off", "daemon batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
+	{"numa2", "homed batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
+	{"numa2/contig-on", "homed batch batchsend runs sockets=2 cap=64 window=64 align=1/512"},
+	{"numa2/contig-off", "homed batch batchsend sockets=2 cap=64 window=64 align=1/512"},
+	{"numa2/homing-on", "homed batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
+	{"numa2/homing-off", "batch batchsend runs adaptive sockets=2 cap=64 window=64 align=1/512"},
 	{"fig/Xeon-UP/sf_buf", "sockets=1 cap=65536 window=4096 align=1/512"},
 	{"fig/Xeon-UP/original", "batch sockets=1 cap=65536 window=4096 align=1/512"},
 	{"fig/Xeon-HTT/sf_buf", "sockets=1 cap=65536 window=4096 align=1/512"},
@@ -153,29 +141,27 @@ var planGolden = []struct{ name, want string }{
 	{"fig19/6k", "sockets=1 cap=6144 window=4096 align=1/512"},
 	{"fig19/original", "batch sockets=1 cap=65536 window=4096 align=1/512"},
 	{"ablation", "sockets=1 cap=1024 window=1024 align=1/512"},
-	{"adaptive", "daemon batch batchsend runs adaptive sockets=1 cap=160 window=160 align=1/512"},
-	{"contig/buddy", "daemon batch batchsend runs adaptive sockets=1 cap=1088 window=1088 align=1/512"},
-	{"numa/homed-2s", "homed daemon batch batchsend runs adaptive sockets=2 cap=256 window=256 align=1/512"},
-	{"numa/striped-2s", "daemon batch batchsend runs adaptive sockets=2 cap=256 window=256 align=1/512"},
-	{"numa/homed-4s", "homed daemon batch batchsend runs adaptive sockets=4 cap=256 window=256 align=1/512"},
-	{"numa/striped-4s", "daemon batch batchsend runs adaptive sockets=4 cap=256 window=256 align=1/512"},
-	{"reclaim/daemon", "daemon batch batchsend runs adaptive sockets=1 cap=256 window=256 align=1/512"},
-	{"reclaim/on-demand", "batch batchsend runs adaptive sockets=1 cap=256 window=256 align=1/512"},
-	{"reclaim/daemon-2s", "homed daemon batch batchsend runs adaptive sockets=2 cap=256 window=256 align=1/512"},
-	{"scale/sharded", "daemon batch batchsend runs adaptive sockets=1 cap=256 window=256 align=1/512"},
+	{"adaptive", "batch batchsend runs adaptive sockets=1 cap=160 window=160 align=1/512"},
+	{"contig/buddy", "batch batchsend runs adaptive sockets=1 cap=1088 window=1088 align=1/512"},
+	{"numa/homed-2s", "homed batch batchsend runs adaptive sockets=2 cap=256 window=256 align=1/512"},
+	{"numa/striped-2s", "batch batchsend runs adaptive sockets=2 cap=256 window=256 align=1/512"},
+	{"numa/homed-4s", "homed batch batchsend runs adaptive sockets=4 cap=256 window=256 align=1/512"},
+	{"numa/striped-4s", "batch batchsend runs adaptive sockets=4 cap=256 window=256 align=1/512"},
+	{"reclaim/daemon", "batch batchsend runs adaptive sockets=1 cap=256 window=256 align=1/512"},
+	{"reclaim/daemon-2s", "homed batch batchsend runs adaptive sockets=2 cap=256 window=256 align=1/512"},
+	{"scale/sharded", "batch batchsend runs adaptive sockets=1 cap=256 window=256 align=1/512"},
 	{"scale/global", "sockets=1 cap=256 window=256 align=1/512"},
 	{"scale/original", "batch sockets=1 cap=256 window=256 align=1/512"},
-	{"scale/small", "daemon batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
-	{"serve/sharded", "daemon batch batchsend runs adaptive sockets=1 cap=2304 window=2304 align=1/512"},
+	{"scale/small", "batch batchsend runs adaptive sockets=1 cap=64 window=64 align=1/512"},
+	{"serve/sharded", "batch batchsend runs adaptive sockets=1 cap=2304 window=2304 align=1/512"},
 	{"serve/global", "sockets=1 cap=2304 window=2304 align=1/512"},
-	{"bench/sharded", "daemon batch batchsend runs adaptive sockets=1 cap=512 window=512 align=1/512"},
+	{"bench/sharded", "batch batchsend runs adaptive sockets=1 cap=512 window=512 align=1/512"},
 	{"bench/global", "sockets=1 cap=512 window=512 align=1/512"},
-	{"test/xeon-cache4", "daemon batch batchsend runs adaptive sockets=1 cap=4 window=4 align=1/512"},
-	{"test/xeon-cache16", "daemon batch batchsend runs adaptive sockets=1 cap=16 window=16 align=1/512"},
-	{"test/xeon-6k", "daemon batch batchsend runs adaptive sockets=1 cap=6144 window=4096 align=1/512"},
-	{"test/xeon-default-cache", "daemon batch batchsend runs adaptive sockets=1 cap=65536 window=4096 align=1/512"},
+	{"test/xeon-cache4", "batch batchsend runs adaptive sockets=1 cap=4 window=4 align=1/512"},
+	{"test/xeon-cache16", "batch batchsend runs adaptive sockets=1 cap=16 window=16 align=1/512"},
+	{"test/xeon-6k", "batch batchsend runs adaptive sockets=1 cap=6144 window=4096 align=1/512"},
+	{"test/xeon-default-cache", "batch batchsend runs adaptive sockets=1 cap=65536 window=4096 align=1/512"},
 	{"test/opteron-original", "batch sockets=1 cap=0 window=4096 align=1/512"},
-	{"test/daemon-explicit", "daemon batch batchsend runs adaptive sockets=1 cap=32 window=32 align=1/512"},
 	{"test/numa2-global", "sockets=2 cap=32 window=32 align=1/512"},
 	{"test/numa2-original", "batch sockets=2 cap=65536 window=4096 align=1/512"},
 }
@@ -188,7 +174,7 @@ func planRow(k *Kernel) string {
 		name string
 		on   bool
 	}{
-		{"homed", p.Homed}, {"daemon", p.Daemon},
+		{"homed", p.Homed},
 		{"batch", p.Batch}, {"batchsend", p.BatchSend}, {"runs", p.Runs},
 		{"adaptive", p.Adaptive},
 	} {
@@ -223,8 +209,7 @@ func TestPlanGolden(t *testing.T) {
 		// superpage reservation watermarks.
 		p := k.Plan
 		order, _ := k.M.Phys.Reservation()
-		if k.DaemonEnabled() != p.Daemon ||
-			k.M.Sockets() != p.Sockets || k.M.Phys.PhysStats().Sockets != p.Sockets ||
+		if k.M.Sockets() != p.Sockets || k.M.Phys.PhysStats().Sockets != p.Sockets ||
 			order == 0 {
 			t.Errorf("%s: booted machine disagrees with plan %+v", c.name, p)
 		}
@@ -265,7 +250,7 @@ func TestBootRejectsBadConfig(t *testing.T) {
 func TestPlanIgnoresPostBootCfgEdits(t *testing.T) {
 	k := MustBoot(Config{Platform: arch.XeonMP(), Mapper: SFBuf, PhysPages: 2048, CacheEntries: 64})
 	want := k.Plan
-	k.Cfg.Contig, k.Cfg.Daemon, k.Cfg.Cache = Off, Off, CacheGlobal
+	k.Cfg.Contig, k.Cfg.Cache = Off, CacheGlobal
 	k.Cfg.CacheEntries, k.Cfg.Platform = 8, arch.OpteronMP()
 	if k.Plan != want {
 		t.Fatalf("plan moved: %+v, want %+v", k.Plan, want)

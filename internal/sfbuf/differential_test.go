@@ -27,7 +27,7 @@ import (
 // diffOp is one step of a trace.  Traces are generated once per seed and
 // replayed verbatim against every engine.
 type diffOp struct {
-	kind    int // 0 alloc, 1 allocBatch, 2 free, 3 freeBatch, 4 write, 5 verify, 6 allocRun, 7 freeRun, 8 idle
+	kind    int // 0 alloc, 1 allocBatch, 2 free, 3 freeBatch, 4 write, 5 verify, 6 allocRun, 7 freeRun, 8 clock gap
 	page    int // first page index (alloc kinds)
 	count   int // batch/run length
 	cpu     int
@@ -366,10 +366,11 @@ func replayTrace(t *testing.T, e *diffEngine, ops []diffOp) [diffPages]byte {
 			e.sf.FreeRun(e.m.Ctx(dr.hs[0].cpu), dr.r)
 			runs = append(runs[:op.pick], runs[op.pick+1:]...)
 		case 8:
-			// Idle gap: runs whatever idle work the engine registered (the
-			// background daemon where supported, nothing elsewhere).  Live
-			// mappings must read true straight through it.
-			e.m.Idle(op.cpu, 20000)
+			// Clock gap: machine time passes on one CPU, so parked run
+			// windows age past a short bound and the next run allocation
+			// or free launders them.  Live mappings must read true
+			// straight through it.
+			e.m.Ctx(op.cpu).Charge(20000)
 		}
 	}
 
@@ -561,11 +562,11 @@ func TestDifferentialACKClocked(t *testing.T) {
 	}
 }
 
-// insertIdleGaps deterministically interleaves idle ops (kind 8) into a
-// trace: one gap after every `every` real operations, rotating the idling
-// CPU.  Idle ops touch no live-set bookkeeping, so the generator's pick
-// accounting stays valid.
-func insertIdleGaps(ops []diffOp, every, ncpu int) []diffOp {
+// insertClockGaps deterministically interleaves clock gaps (kind 8) into
+// a trace: one gap after every `every` real operations, rotating the CPU
+// that spends it.  Gaps touch no live-set bookkeeping, so the generator's
+// pick accounting stays valid.
+func insertClockGaps(ops []diffOp, every, ncpu int) []diffOp {
 	out := make([]diffOp, 0, len(ops)+len(ops)/every)
 	for i, op := range ops {
 		out = append(out, op)
@@ -576,32 +577,28 @@ func insertIdleGaps(ops []diffOp, every, ncpu int) []diffOp {
 	return out
 }
 
-// TestDifferentialIdleGaps replays revive-biased traces with idle gaps
-// interleaved, the background daemon registered on every engine that
-// supports one (the sharded cache; NewDaemon declines the global-lock and
-// original engines).  The daemon asynchronously launders parked windows
-// and refills freelists during the gaps — and must never change a single
-// observable byte: a trace with a daemon racing it must read exactly like
-// the same trace replayed cold on the other engines.
-func TestDifferentialIdleGaps(t *testing.T) {
+// TestDifferentialAgedLaunder replays revive-biased traces with clock gaps
+// interleaved and a short parked-window age bound on the sharded engine,
+// so its run pool launders windows out from under the revive-heavy trace
+// on the synchronous alloc/free path.  Aging must never change a single
+// observable byte: the trace must read exactly like the same trace
+// replayed on the engines with no run pool.
+func TestDifferentialAgedLaunder(t *testing.T) {
 	plat := arch.XeonMPHTT()
 	for seed := int64(41); seed <= 43; seed++ {
-		ops := insertIdleGaps(genTraceBias(seed, plat.NumCPUs, 35), 13, plat.NumCPUs)
+		ops := insertClockGaps(genTraceBias(seed, plat.NumCPUs, 35), 13, plat.NumCPUs)
 		engines := newDiffEngines(t, plat)
 		var ref [diffPages]byte
 		for i, e := range engines {
-			// A short age bound so the gaps genuinely launder windows out
-			// from under the revive-heavy trace; a watermark so the gaps
-			// also run refill rounds against the trace's inactive lists.
-			if d := NewDaemon(e.sf, DaemonConfig{Watermark: 2, LaunderAge: 5000}); d != nil {
-				e.m.RegisterIdleWork(d.Run)
+			if i == 0 {
+				e.sf.(*I386).c.(*shardedCache).runs.setLaunderAge(5000)
 			}
 			got := replayTrace(t, e, ops)
 			if i == 0 {
 				ref = got
 				ws := e.sf.(*I386).RunWindowStats()
 				if ws.AgedWindows == 0 {
-					t.Errorf("seed %d: idle gaps never aged a window out on %s — the trace is not exercising the daemon", seed, e.name)
+					t.Errorf("seed %d: clock gaps never aged a window out on %s — the trace is not exercising the age bound", seed, e.name)
 				}
 				continue
 			}

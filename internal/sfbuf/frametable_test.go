@@ -41,14 +41,14 @@ func checkFrameTable(c *shardedCache) error {
 // TestFrameTableInvariant drives seeded mixes of every operation that
 // installs or drops a table slot — single, vectored and run mappings,
 // reclaim under a tiny cache, frees of mapped pages (stale entries), and
-// background daemon passes that reclaim inactive entries ahead of
-// demand — and checks the invariant after each step.
+// refill rounds that reclaim inactive entries with no caller waiting for
+// a buffer — and checks the invariant after each step.
 func TestFrameTableInvariant(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		r := newShardedRig(t, arch.XeonMPHTT(), 24, ShardedConfig{ReclaimBatch: 3, PerCPUFree: 2})
 		c := r.sf.c.(*shardedCache)
-		d := NewDaemon(r.sf, DaemonConfig{})
+		refilled := uint64(0)
 		ncpu := r.m.NumCPUs()
 		var pool []*vm.Page
 		var bufs []*Buf
@@ -122,14 +122,16 @@ func TestFrameTableInvariant(t *testing.T) {
 				r.sf.FreeRun(ctx, rn)
 				runs = runs[:len(runs)-1]
 			default:
-				d.Run(ctx, 1<<20)
+				before := c.reclaimed.Load()
+				c.reclaimBulk(ctx, 0, nil)
+				refilled += c.reclaimed.Load() - before
 			}
 			if err := checkFrameTable(c); err != nil {
 				t.Fatalf("seed %d step %d: %v", seed, step, err)
 			}
 		}
-		if d.Stats().RefilledBufs == 0 {
-			t.Fatalf("seed %d: no daemon pass ever reclaimed a table slot: %+v", seed, d.Stats())
+		if refilled == 0 {
+			t.Fatalf("seed %d: no refill round ever reclaimed a table slot", seed)
 		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"sfbuf/internal/arch"
+	"sfbuf/internal/cycles"
 	"sfbuf/internal/kva"
 	"sfbuf/internal/pmap"
 	"sfbuf/internal/smp"
@@ -1000,4 +1001,99 @@ func TestOriginalRunBehavior(t *testing.T) {
 		t.Fatal("i386 original loops per page; its run must be scattered")
 	}
 	sf32.FreeRun(m32.Ctx(0), run32)
+}
+
+// setLaunderAge sets the parked-window age bound on the rig's sharded
+// run pool.
+func (r *shardedRig) setLaunderAge(age cycles.Cycles) {
+	r.sf.c.(*shardedCache).runs.setLaunderAge(age)
+}
+
+// TestParkedWindowAgeLaunderSyncPath is the leak regression: a single
+// parked window — far below runLaunderBatch, so the count threshold never
+// fires — must still be laundered by the next allocation once it ages out.
+// The clock advances by work on ANOTHER CPU: the age bound reads the
+// machine-wide clock, not the parking CPU's own cycles.
+func TestParkedWindowAgeLaunderSyncPath(t *testing.T) {
+	r := newShardedRig(t, arch.XeonMP(), 32, ShardedConfig{})
+	ctx := r.m.Ctx(0)
+	pages := allocPages(t, r.m, 4)
+
+	run, err := r.sf.AllocRun(ctx, pages, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.sf.FreeRun(ctx, run)
+	if ws := r.sf.RunWindowStats(); ws.DirtyPages != 4 {
+		t.Fatalf("DirtyPages = %d after park, want 4", ws.DirtyPages)
+	}
+
+	r.setLaunderAge(100)
+	r.m.Ctx(1).Charge(1000)
+
+	// Allocate a DIFFERENT extent: the aged window must be laundered and
+	// recycled for it, not left parked.
+	other := allocPages(t, r.m, 4)
+	run2, err := r.sf.AllocRun(ctx, other, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := r.sf.RunWindowStats()
+	if ws.AgedLaunders != 1 || ws.AgedWindows != 1 {
+		t.Fatalf("aged counters = %d/%d, want 1/1", ws.AgedLaunders, ws.AgedWindows)
+	}
+	if ws.DirtyPages != 0 {
+		t.Fatalf("DirtyPages = %d after aged launder, want 0", ws.DirtyPages)
+	}
+	// The laundered window was recycled, not re-reserved.
+	if ws.Reserved != 1 || ws.Reuses != 1 {
+		t.Fatalf("reserved/reuses = %d/%d, want 1/1 (recycle the aged window)", ws.Reserved, ws.Reuses)
+	}
+	r.sf.FreeRun(ctx, run2)
+}
+
+// TestAgeBoundBeatsRevival pins the rule "no run window stays
+// revivable-parked past LaunderAge regardless of how few dirty windows
+// exist": even a repeat AllocRun over the EXACT parked extent — the one
+// request revival exists for — must not revive a window past the bound.
+func TestAgeBoundBeatsRevival(t *testing.T) {
+	r := newShardedRig(t, arch.XeonMP(), 32, ShardedConfig{})
+	ctx := r.m.Ctx(0)
+	pages := allocPages(t, r.m, 4)
+
+	run, err := r.sf.AllocRun(ctx, pages, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.sf.FreeRun(ctx, run)
+
+	// The bound must dwarf the cycles the alloc/free paths themselves
+	// charge (which also advance the machine clock), so only the explicit
+	// charge below can age a window past it.
+	r.setLaunderAge(1 << 17)
+	r.m.Ctx(1).Charge(1 << 18)
+
+	run2, err := r.sf.AllocRun(ctx, pages, 0) // same extent
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := r.sf.RunWindowStats()
+	if ws.Revives != 0 {
+		t.Fatalf("revives = %d, want 0: the age bound must win over revival", ws.Revives)
+	}
+	if ws.AgedWindows != 1 {
+		t.Fatalf("AgedWindows = %d, want 1", ws.AgedWindows)
+	}
+	r.sf.FreeRun(ctx, run2)
+
+	// Control: under the bound, the same reuse DOES revive.
+	r.m.Ctx(1).Charge(1000) // ages the new park by far less than launderAge
+	run3, err := r.sf.AllocRun(ctx, pages, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.sf.RunWindowStats().Revives; got != 1 {
+		t.Fatalf("revives = %d, want 1: young parked windows must still revive", got)
+	}
+	r.sf.FreeRun(ctx, run3)
 }

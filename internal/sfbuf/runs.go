@@ -72,11 +72,11 @@ const (
 // runLaunderBatch parked windows never trip the count-threshold launder, so
 // without an age bound a quiet kernel would pin their frames, address
 // space, and accumulated TLB masks forever.  The bound is enforced on the
-// synchronous alloc/free path (so it holds even with no daemon running)
-// and by the background daemon's pass (so it holds even with no further
-// allocations).  Large enough that revival-economy workloads never trip it
-// between back-to-back reuses; small enough that a lull of a few million
-// cycles launders everything parked.
+// synchronous alloc/free path: the next run allocation or free after a
+// window ages out launders it, so a pool that sees no further run traffic
+// keeps what it parked.  Large enough that revival-economy workloads never
+// trip it between back-to-back reuses; small enough that a few million
+// cycles of machine time launder everything parked.
 const DefaultLaunderAge cycles.Cycles = 2 << 20
 
 // runWindow is one reserved VA window.  While a run holds it, live is
@@ -124,10 +124,6 @@ type RunWindowStats struct {
 	// bound on how long a parked window pins its frames and VA.
 	AgedLaunders uint64
 	AgedWindows  uint64
-	// Trimmed counts clean windows whose address space was returned to the
-	// KVA arena by the background daemon's trim pass (the pool's
-	// contribution to address-space coalescing).
-	Trimmed uint64
 
 	// CleanPages is the usable-page total of windows on the clean lists:
 	// torn down, flushed, reusable for any extent.
@@ -408,53 +404,6 @@ func (p *runPool) launderAgedLocked(ctx *smp.Context, now cycles.Cycles) int {
 	p.stats.AgedWindows += uint64(cut)
 	p.launderSomeLocked(ctx, cut)
 	return cut
-}
-
-// launderAged runs an age-bound laundering round outside the allocation
-// path — the background daemon's entry point.
-func (p *runPool) launderAged(ctx *smp.Context) int {
-	ctx.ChargeLock()
-	p.mu.Lock()
-	n := 0
-	if len(p.dirty) > 0 {
-		n = p.launderAgedLocked(ctx, ctx.Machine().Now())
-	}
-	p.mu.Unlock()
-	return n
-}
-
-// trimClean returns surplus clean windows' address space to the KVA arena,
-// keeping at most keep windows per size class.  Laundering deliberately
-// never does this (a clean window is warm stock); the background daemon
-// does, so a load spike's window population shrinks back during lulls and
-// the arena's free ranges re-coalesce.  Returns how many windows were
-// freed.
-func (p *runPool) trimClean(ctx *smp.Context, keep int) int {
-	ctx.ChargeLock()
-	p.mu.Lock()
-	sizes := make([]int, 0, len(p.clean))
-	for size := range p.clean {
-		if len(p.clean[size]) > keep {
-			sizes = append(sizes, size)
-		}
-	}
-	sort.Ints(sizes) // deterministic free order
-	freed := 0
-	for _, size := range sizes {
-		ws := p.clean[size]
-		for len(ws) > keep {
-			w := ws[len(ws)-1]
-			ws = ws[:len(ws)-1]
-			p.arena.Free(w.base)
-			freed++
-		}
-		p.clean[size] = ws
-	}
-	if freed > 0 {
-		p.stats.Trimmed += uint64(freed)
-	}
-	p.mu.Unlock()
-	return freed
 }
 
 // launder forces a laundering round outside the allocation path — a test

@@ -1275,21 +1275,13 @@ func (c *shardedCache) reclaim(ctx *smp.Context) *Buf {
 // straight to the allocator instead of bouncing it through freelists);
 // the surplus restocks the freelists.  The round harvests at least the
 // configured ReclaimBatch so large wants keep the one-round amortization.
+//
+// Under the homed layout the harvest sweeps the calling CPU's own socket
+// group first — its victims were mapped by same-socket CPUs, so their
+// teardown IPIs stay inside the package — and crosses to the other groups
+// only when the local one runs dry.  The striped layout rotates the hand
+// over all stripes.
 func (c *shardedCache) reclaimBulk(ctx *smp.Context, want int, into []*Buf) []*Buf {
-	into, _ = c.reclaimScoped(ctx, want, into, false)
-	return into
-}
-
-// reclaimScoped is reclaimBulk with a homing scope: under the homed
-// layout the harvest sweeps the calling CPU's own socket group first —
-// its victims were mapped by same-socket CPUs, so their teardown IPIs
-// stay inside the package — and crosses to the other groups only when
-// the local one runs dry (never when localOnly, the background daemon's
-// mode: refill is an optimization, not a correctness obligation, so the
-// daemon only does package-local work).  The striped layout rotates the
-// hand over all stripes exactly as before.  harvested is the round's own
-// victim count, whatever other CPUs reclaim meanwhile.
-func (c *shardedCache) reclaimScoped(ctx *smp.Context, want int, into []*Buf, localOnly bool) (_ []*Buf, harvested int) {
 	scratch := scratchPool.Get().(*reclaimScratch)
 	defer func() {
 		scratch.victims = scratch.victims[:0]
@@ -1332,7 +1324,7 @@ func (c *shardedCache) reclaimScoped(ctx *smp.Context, want int, into []*Buf, lo
 		for i := uint64(0); i < per && len(victims) < goal; i++ {
 			harvest(uint64(sock)*per + (start+i)%per)
 		}
-		for g := 0; !localOnly && g < c.sockets && len(victims) < goal; g++ {
+		for g := 0; g < c.sockets && len(victims) < goal; g++ {
 			if g == sock {
 				continue
 			}
@@ -1343,7 +1335,7 @@ func (c *shardedCache) reclaimScoped(ctx *smp.Context, want int, into []*Buf, lo
 	}
 	scratch.victims = victims
 	if len(victims) == 0 {
-		return into, 0
+		return into
 	}
 
 	c.reclaims.Add(1)
@@ -1391,7 +1383,7 @@ func (c *shardedCache) reclaimScoped(ctx *smp.Context, want int, into []*Buf, lo
 		}
 		c.bumpFreeN(surplus)
 	}
-	return into, len(victims)
+	return into
 }
 
 // teardownBatch removes every victim's mapping in one page-table pass and

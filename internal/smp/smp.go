@@ -105,14 +105,6 @@ type Counters struct {
 	// translate path.  Walks per page is the economy metric the
 	// contiguous-run work targets.
 	PTWalks atomic.Uint64
-	// IdleCycles accumulates the durations passed to Machine.Idle, and
-	// DaemonCycles the portion the registered idle work actually consumed.
-	// Daemon work is charged to the idling CPU like any other kernel work
-	// (its locks and IPIs are real), but it displaces idle time, not
-	// workload time; these two counters let a harness separate the
-	// machine's busy cycles from its background-maintenance cycles.
-	IdleCycles   atomic.Int64
-	DaemonCycles atomic.Int64
 	// RemoteLockAcq counts the subset of LockAcq whose lock home socket
 	// differed from the acquiring CPU's socket — cross-package cache-line
 	// transfers on a multi-socket machine.  Always zero on a one-socket
@@ -141,7 +133,9 @@ type Snapshot struct {
 	BatchedInv      uint64
 	LockAcq         uint64
 	PTWalks         uint64
-	IdleCycles      int64
+	// DaemonCycles is always zero: the machine runs no background work.
+	// The field stays because the repo benchmark's per-layer report
+	// still reads it (smp.daemon_cyc_per_page).
 	DaemonCycles    int64
 	RemoteLockAcq   uint64
 	RemoteIPIs      uint64
@@ -160,8 +154,6 @@ func (s Snapshot) Sub(earlier Snapshot) Snapshot {
 		BatchedInv:      s.BatchedInv - earlier.BatchedInv,
 		LockAcq:         s.LockAcq - earlier.LockAcq,
 		PTWalks:         s.PTWalks - earlier.PTWalks,
-		IdleCycles:      s.IdleCycles - earlier.IdleCycles,
-		DaemonCycles:    s.DaemonCycles - earlier.DaemonCycles,
 		RemoteLockAcq:   s.RemoteLockAcq - earlier.RemoteLockAcq,
 		RemoteIPIs:      s.RemoteIPIs - earlier.RemoteIPIs,
 		RemoteMemCycles: s.RemoteMemCycles - earlier.RemoteMemCycles,
@@ -205,17 +197,11 @@ type Machine struct {
 
 	counters Counters
 
-	// clockBase carries the simulated-time contribution of idle periods
-	// and of per-CPU cycle counters zeroed by ResetCounters, so that
-	// Now() is monotonic across counter resets and idle gaps.  Without
-	// it, a harness reset would make parked-window age stamps appear to
-	// come from the future.
+	// clockBase carries the per-CPU cycle counters zeroed by
+	// ResetCounters, so that Now() is monotonic across counter resets.
+	// Without it, a harness reset would make parked-window age stamps
+	// appear to come from the future.
 	clockBase atomic.Int64
-
-	// idleWork is the background-maintenance hook run by Idle (the
-	// modeled per-CPU reclaim daemon registers here).
-	idleMu   sync.Mutex
-	idleWork IdleWork
 }
 
 // NewMachine builds a machine for the given platform with frames pages of
@@ -316,8 +302,6 @@ func (m *Machine) SnapshotCounters() Snapshot {
 		BatchedInv:      m.counters.BatchedInv.Load(),
 		LockAcq:         m.counters.LockAcq.Load(),
 		PTWalks:         m.counters.PTWalks.Load(),
-		IdleCycles:      m.counters.IdleCycles.Load(),
-		DaemonCycles:    m.counters.DaemonCycles.Load(),
 		RemoteLockAcq:   m.counters.RemoteLockAcq.Load(),
 		RemoteIPIs:      m.counters.RemoteIPIs.Load(),
 		RemoteMemCycles: m.counters.RemoteMemCycles.Load(),
@@ -337,14 +321,20 @@ func (m *Machine) ResetCounters() {
 	m.counters.BatchedInv.Store(0)
 	m.counters.LockAcq.Store(0)
 	m.counters.PTWalks.Store(0)
-	m.counters.IdleCycles.Store(0)
-	m.counters.DaemonCycles.Store(0)
 	m.counters.RemoteLockAcq.Store(0)
 	m.counters.RemoteIPIs.Store(0)
 	m.counters.RemoteMemCycles.Store(0)
 	for _, c := range m.cpus {
 		m.clockBase.Add(c.cycles.Swap(0))
 	}
+}
+
+// Now returns the machine's simulated clock: every cycle any CPU has ever
+// consumed, monotonic across ResetCounters.  It is a global (not per-CPU)
+// clock, which is what age bounds want: a window parked by CPU 0 must age
+// while CPU 1 does all the work.
+func (m *Machine) Now() cycles.Cycles {
+	return cycles.Cycles(m.clockBase.Load()) + m.TotalCycles()
 }
 
 // TotalCycles sums cycles consumed across every CPU.  It is the elapsed

@@ -277,3 +277,27 @@ func fillTLB(c *Context, vpn, frame uint64) {
 	c.cpu.tlb.Insert(vpn, frame)
 	c.cpu.mu.Unlock()
 }
+
+// TestNowMonotonicAcrossReset: ResetCounters zeroes the per-CPU cycle
+// counters for measurement, but the machine clock must keep ticking —
+// age bounds compare against it across measurement windows.
+func TestNowMonotonicAcrossReset(t *testing.T) {
+	m := NewMachine(arch.XeonMP(), 16, true)
+	m.Ctx(0).Charge(500)
+	m.Ctx(1).Charge(250)
+	before := m.Now()
+	if before < 750 {
+		t.Fatalf("Now = %d before reset, want >= 750", before)
+	}
+	m.ResetCounters()
+	if got := m.TotalCycles(); got != 0 {
+		t.Fatalf("TotalCycles = %d after reset, want 0", got)
+	}
+	if after := m.Now(); after < before {
+		t.Fatalf("Now went backwards across ResetCounters: %d -> %d", before, after)
+	}
+	m.Ctx(0).Charge(100)
+	if got := m.Now(); got < before+100 {
+		t.Fatalf("Now = %d, want >= %d (clock keeps accumulating)", got, before+100)
+	}
+}

@@ -25,12 +25,12 @@ package vm
 // socket gets its own order-indexed heaps covering exactly its range, and
 // blocks never straddle a socket boundary (the boot cover is built per
 // socket, merges only combine blocks from the same socket's heaps, and
-// freeRangeLocked clips blocks at the boundary).  AllocOn/AllocNOn/
-// AllocContigOn drain the preferred socket's lists before spilling to the
-// others in ascending order; since socket ranges ascend by address, the
-// socket-agnostic forms (preference -1) still hand out the globally
-// lowest-addressed free frames — on one socket the allocator is
-// bit-identical to the flat PR 5 buddy.
+// freeRangeLocked clips blocks at the boundary).  AllocNOn/AllocContigOn
+// drain the preferred socket's lists before spilling to the others in
+// ascending order; since socket ranges ascend by address, the
+// socket-agnostic forms (preference -1, and the single-page Alloc) still
+// hand out the globally lowest-addressed free frames — on one socket the
+// allocator is bit-identical to the flat PR 5 buddy.
 //
 // Frame 0 stays the "no frame" sentinel: the cover starts at frame 1, so
 // the order-0 block {1} simply has no free buddy, ever.
@@ -379,13 +379,12 @@ func (pm *PhysMem) takeOneAtLocked(s int, best uint64, bestK int) *Page {
 	return pm.pages[best-1]
 }
 
-// buddyAllocOneLocked allocates the lowest-addressed free page on the
-// preferred socket (falling through the rest ascending when it is
-// drained), splitting the block that holds it.  Address-ordered
-// allocation keeps single-page churn compacted at the bottom of each
-// socket's range (higher blocks stay whole for AllocContig) and makes a
-// fresh machine hand out frames 1, 2, 3, ... — the exact sequence the
-// LIFO stack produced.  pref < 0 means no preference.
+// buddyAllocOneLocked allocates the lowest-addressed free page, visiting
+// the sockets ascending, splitting the block that holds it.
+// Address-ordered allocation keeps single-page churn compacted at the
+// bottom of each socket's range (higher blocks stay whole for
+// AllocContig) and makes a fresh machine hand out frames 1, 2, 3, ... —
+// the exact sequence the LIFO stack produced.
 //
 // Reservation steering: on a socket whose reserved stock is at the
 // watermark the scan is restricted to sub-reservation blocks
@@ -394,45 +393,40 @@ func (pm *PhysMem) takeOneAtLocked(s int, best uint64, bestK int) *Page {
 // pass comes up empty while frames remain free, a second unrestricted
 // pass splits a protected block and counts ReservSpills — the explicit
 // spill when small blocks are truly exhausted.  Caller holds pm.mu.
-func (pm *PhysMem) buddyAllocOneLocked(pref int) (*Page, error) {
-	var pg *Page
-	served := -1
-	pm.eachSocketFrom(pref, func(s int) bool {
-		if pm.freeBySock[s] == 0 {
-			return true
-		}
-		best, bestK := pm.pickLowestLocked(s, 0)
-		if pm.protectedLocked(s) && bestK >= pm.reservOrder {
-			sb, sk := pm.pickLowestLocked(s, pm.reservOrder)
-			if sk < 0 {
-				return true // only protected blocks here; try elsewhere
-			}
-			best, bestK = sb, sk
-			pm.reservSteers++
-		}
-		pg = pm.takeOneAtLocked(s, best, bestK)
-		served = s
-		return false
-	})
+func (pm *PhysMem) buddyAllocOneLocked() (*Page, error) {
+	pg := pm.allocOneLocked(true)
 	if pg == nil && pm.freePages > 0 {
 		// Every free frame sits in a protected block: spill explicitly.
-		pm.eachSocketFrom(pref, func(s int) bool {
-			if pm.freeBySock[s] == 0 {
-				return true
-			}
-			best, bestK := pm.pickLowestLocked(s, 0)
-			pg = pm.takeOneAtLocked(s, best, bestK)
-			served = s
-			pm.reservSpills++
-			return false
-		})
+		pg = pm.allocOneLocked(false)
+		pm.reservSpills++
 	}
 	if pg == nil {
 		return nil, ErrNoMemory
 	}
-	pm.countHomeLocked(pref, served, 1)
 	pm.allocs.Add(1)
 	return pg, nil
+}
+
+// allocOneLocked takes the lowest-addressed free page from the first
+// socket that has one, passing over protected blocks when steer is set.
+// Caller holds pm.mu.
+func (pm *PhysMem) allocOneLocked(steer bool) *Page {
+	for s := 0; s < pm.sockets; s++ {
+		if pm.freeBySock[s] == 0 {
+			continue
+		}
+		best, bestK := pm.pickLowestLocked(s, 0)
+		if steer && pm.protectedLocked(s) && bestK >= pm.reservOrder {
+			sb, sk := pm.pickLowestLocked(s, pm.reservOrder)
+			if sk < 0 {
+				continue // only protected blocks here; try elsewhere
+			}
+			best, bestK = sb, sk
+			pm.reservSteers++
+		}
+		return pm.takeOneAtLocked(s, best, bestK)
+	}
+	return nil
 }
 
 // buddyAllocNLocked allocates n pages by address-ordered gather within

@@ -57,13 +57,24 @@ func (h *harness) hold(pages ...*vm.Page) {
 	h.oracle = NewOracle(h.held)
 }
 
+// alloc takes one page: the single-page allocator for socket < 0, else a
+// one-page gather preferring that socket.
 func (h *harness) alloc(socket int) {
 	h.t.Helper()
-	p, err := h.pm.AllocOn(socket)
+	var pages []*vm.Page
+	var err error
+	if socket < 0 {
+		var p *vm.Page
+		if p, err = h.pm.Alloc(); err == nil {
+			pages = []*vm.Page{p}
+		}
+	} else {
+		pages, err = h.pm.AllocNOn(socket, 1)
+	}
 	if err != nil {
 		h.t.Fatal(err)
 	}
-	h.hold(p)
+	h.hold(pages...)
 	h.check()
 }
 

@@ -175,7 +175,7 @@ func NewPhysMem(frames int, backed bool) *PhysMem {
 // on sockets by contiguous address range (frames/sockets frames per
 // socket, the last socket taking the remainder) and every socket gets its
 // own buddy free lists covering exactly its range.  Socket-preferring
-// allocation (AllocOn and friends) drains the caller's home lists before
+// allocation (AllocNOn, AllocContigOn) drains the caller's home lists before
 // spilling; sockets=1 is exactly NewPhysMem.
 func NewPhysMemNUMA(frames int, backed bool, sockets int) *PhysMem {
 	if frames <= 0 {
@@ -210,17 +210,9 @@ func (pm *PhysMem) FreeFrames() int {
 
 // Alloc allocates one physical page: the lowest-addressed free frame.
 func (pm *PhysMem) Alloc() (*Page, error) {
-	return pm.AllocOn(-1)
-}
-
-// AllocOn allocates one physical page, preferring frames homed on the
-// given socket and spilling to the other sockets' free lists only when
-// the preferred one is drained (counted in NUMASpillPages).  On a
-// one-socket pool it is exactly Alloc.
-func (pm *PhysMem) AllocOn(socket int) (*Page, error) {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	return pm.buddyAllocOneLocked(socket)
+	return pm.buddyAllocOneLocked()
 }
 
 // AllocN allocates n pages, returning them in allocation order.  The

@@ -59,12 +59,6 @@ type (
 	// reports its live capacity gauges (clean vs parked pages, largest
 	// free arena run).
 	RunWindowStats = sfbuf.RunWindowStats
-	// DaemonStats counts the background reclaim-and-laundering daemon's
-	// activity (idle passes, watermark refill rounds, age-triggered
-	// window laundering, clean-window trims), reported by
-	// Kernel.DaemonStats.  The daemon is switched by Config.Daemon and
-	// driven by Kernel.Idle.
-	DaemonStats = sfbuf.DaemonStats
 )
 
 // Alloc flags (Section 4.1).
@@ -116,7 +110,7 @@ type (
 	// design with batched shootdowns (default) or the paper's
 	// global-lock cache.
 	CachePolicy = kernel.CachePolicy
-	// Tri is a policy switch (Config.Contig, Daemon, Homing):
+	// Tri is a policy switch (Config.Contig, Homing):
 	// Auto lets Boot decide, On and Off override.
 	// Boot resolves every switch once into Kernel.Plan.
 	Tri = kernel.Tri
