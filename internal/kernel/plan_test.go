@@ -14,9 +14,8 @@ package kernel
 // toggles and tier rows (tiered memory is gone), the reserv flag with its
 // toggles (every pool reserves), the migrate flag with its toggles and
 // defrag rows (frames never move), and the daemon flag with its toggles,
-// the reclaim experiment's on-demand row and the explicit-daemon test row
-// (there is no background daemon).  The two remaining reclaim rows pin
-// the configurations that removed experiment booted.
+// and every reclaim row (there is no background daemon, and the reclaim
+// experiment's configurations duplicated scale/sharded and numa/homed-2s).
 
 import (
 	"fmt"
@@ -79,8 +78,6 @@ func planGoldenCases() []planCase {
 		planCase{"numa/striped-2s", Config{Platform: arch.XeonNUMA(2, 2), Mapper: SFBuf, PhysPages: 8*256 + 128, CacheEntries: 256, Sockets: 2, Homing: Off}},
 		planCase{"numa/homed-4s", Config{Platform: arch.XeonNUMA(4, 2), Mapper: SFBuf, PhysPages: 8*256 + 128, CacheEntries: 256, Sockets: 4}},
 		planCase{"numa/striped-4s", Config{Platform: arch.XeonNUMA(4, 2), Mapper: SFBuf, PhysPages: 8*256 + 128, CacheEntries: 256, Sockets: 4, Homing: Off}},
-		planCase{"reclaim/daemon", Config{Platform: xh, Mapper: SFBuf, PhysPages: 2048, CacheEntries: 256}},
-		planCase{"reclaim/daemon-2s", Config{Platform: arch.XeonNUMA(2, 2), Mapper: SFBuf, PhysPages: 2048, CacheEntries: 256, Sockets: 2}},
 		planCase{"scale/sharded", Config{Platform: xh, Mapper: SFBuf, PhysPages: 8*256 + 128, CacheEntries: 256}},
 		planCase{"scale/global", Config{Platform: xh, Mapper: SFBuf, Cache: CacheGlobal, PhysPages: 8*256 + 128, CacheEntries: 256}},
 		planCase{"scale/original", Config{Platform: xh, Mapper: OriginalKernel, PhysPages: 8*256 + 128, CacheEntries: 256}},
@@ -147,8 +144,6 @@ var planGolden = []struct{ name, want string }{
 	{"numa/striped-2s", "batch batchsend runs adaptive sockets=2 cap=256 window=256 align=1/512"},
 	{"numa/homed-4s", "homed batch batchsend runs adaptive sockets=4 cap=256 window=256 align=1/512"},
 	{"numa/striped-4s", "batch batchsend runs adaptive sockets=4 cap=256 window=256 align=1/512"},
-	{"reclaim/daemon", "batch batchsend runs adaptive sockets=1 cap=256 window=256 align=1/512"},
-	{"reclaim/daemon-2s", "homed batch batchsend runs adaptive sockets=2 cap=256 window=256 align=1/512"},
 	{"scale/sharded", "batch batchsend runs adaptive sockets=1 cap=256 window=256 align=1/512"},
 	{"scale/global", "sockets=1 cap=256 window=256 align=1/512"},
 	{"scale/original", "batch sockets=1 cap=256 window=256 align=1/512"},

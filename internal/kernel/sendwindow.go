@@ -54,12 +54,6 @@ const (
 	sendWindowEpoch = 8
 	// sendWindowAlpha smooths the ACK-burst and in-flight signals.
 	sendWindowAlpha = 0.25
-	// sendWindowRecoveryEpochs is how many consecutive stall-free epochs
-	// earn one upward probe of the stall ceiling (AIMD recovery): long
-	// enough that a ceiling halved under real pressure is not immediately
-	// re-tested, short enough that a long-lived connection outliving a
-	// transient spike re-earns its window.
-	sendWindowRecoveryEpochs = 4
 )
 
 // SendWindow sizes one connection's mapping windows from its observed
@@ -81,19 +75,11 @@ type SendWindow struct {
 	resizes      uint64
 	stalls       uint64
 	cur          int
-	// ceil is the stall-driven congestion cap on epoch growth: it halves
-	// on ObserveStall — a stall is evidence this connection's share of
-	// the mapping cache is smaller than its appetite — and probes back
-	// upward (one doubling) after sendWindowRecoveryEpochs consecutive
-	// stall-free epochs, the AIMD shape.  A long-lived connection that
-	// outlives a transient pressure spike thus re-earns its window
-	// instead of being capped for life.
+	// ceil is the stall-driven cap on epoch growth: ObserveStall lowers
+	// it to the halved window — a stall is evidence this connection's
+	// share of the mapping cache is smaller than its appetite — and
+	// nothing raises it again for the connection's life.
 	ceil int
-	// calmEpochs counts consecutive stall-free epochs since the last
-	// ceiling change; epochStalls is the stall count at the last epoch
-	// boundary, for detecting stalls that arrived between boundaries.
-	calmEpochs  int
-	epochStalls uint64
 }
 
 // SendWindow returns a new per-connection send-window handle under this
@@ -165,23 +151,6 @@ func (w *SendWindow) ObserveAck(ackedBytes, inflightBytes int) {
 	w.inflightEWMA += sendWindowAlpha * (inflightPages - w.inflightEWMA)
 	w.obs++
 	if w.fixed == 0 && w.c != nil && w.c.adaptive && w.obs%sendWindowEpoch == 0 {
-		// AIMD recovery: after sendWindowRecoveryEpochs consecutive
-		// stall-free epochs, probe the stall ceiling one doubling upward
-		// before this epoch's decision, so sustained calm re-earns the
-		// window a transient pressure spike took away.
-		if w.stalls == w.epochStalls {
-			w.calmEpochs++
-			if w.calmEpochs >= sendWindowRecoveryEpochs && w.ceil < MaxSendWindowPages {
-				w.ceil *= 2
-				if w.ceil > MaxSendWindowPages {
-					w.ceil = MaxSendWindowPages
-				}
-				w.calmEpochs = 0
-			}
-		} else {
-			w.calmEpochs = 0
-		}
-		w.epochStalls = w.stalls
 		// Target one window per ACK burst, with headroom up to what the
 		// connection keeps in flight: a slow reader's burst and backlog
 		// are both tiny, a BDP-limited fast path has bursts near the
@@ -209,22 +178,16 @@ func (w *SendWindow) ObserveAck(ackedBytes, inflightBytes int) {
 // exhausted cache.  Unlike ACK observation this is not epoch-gated — a
 // stall is evidence the current window cannot be granted at all, and
 // every backoff tick spent retrying it is pure added latency.  The
-// halved size also becomes the handle's growth ceiling, and the smoothed
-// signals are damped, so epoch decisions cannot immediately re-grow into
-// the same pressure; the ceiling recovers only through the AIMD probe
-// after sustained stall-free epochs.  Inert on fixed and non-adaptive
-// handles.
+// halved size also becomes the handle's growth ceiling for the rest of
+// the connection's life, and the smoothed signals are damped, so epoch
+// decisions cannot re-grow into the same pressure.  Inert on fixed and
+// non-adaptive handles.
 func (w *SendWindow) ObserveStall() {
 	if w.fixed != 0 || w.c == nil || !w.c.adaptive {
 		return
 	}
 	w.mu.Lock()
 	w.stalls++
-	// Restart the recovery clock: the calm count drops now, and
-	// epochStalls syncs so the next boundary counts the post-stall ACKs
-	// as the first stall-free epoch rather than re-detecting this stall.
-	w.calmEpochs = 0
-	w.epochStalls = w.stalls
 	next := w.cur / 2
 	if next < MinSendWindowPages {
 		next = MinSendWindowPages

@@ -27,7 +27,7 @@ import (
 // diffOp is one step of a trace.  Traces are generated once per seed and
 // replayed verbatim against every engine.
 type diffOp struct {
-	kind    int // 0 alloc, 1 allocBatch, 2 free, 3 freeBatch, 4 write, 5 verify, 6 allocRun, 7 freeRun, 8 clock gap
+	kind    int // 0 alloc, 1 allocBatch, 2 free, 3 freeBatch, 4 write, 5 verify, 6 allocRun, 7 freeRun, 8 launder
 	page    int // first page index (alloc kinds)
 	count   int // batch/run length
 	cpu     int
@@ -366,11 +366,14 @@ func replayTrace(t *testing.T, e *diffEngine, ops []diffOp) [diffPages]byte {
 			e.sf.FreeRun(e.m.Ctx(dr.hs[0].cpu), dr.r)
 			runs = append(runs[:op.pick], runs[op.pick+1:]...)
 		case 8:
-			// Clock gap: machine time passes on one CPU, so parked run
-			// windows age past a short bound and the next run allocation
-			// or free launders them.  Live mappings must read true
-			// straight through it.
-			e.m.Ctx(op.cpu).Charge(20000)
+			// Forced launder: the sharded engine tears down every parked
+			// run window mid-trace, so later repeats of those extents
+			// install cold into recycled windows.  Engines without a run
+			// pool have nothing to launder.  Live mappings must read
+			// true straight through it.
+			if s, ok := e.sf.(*I386); ok {
+				s.LaunderRunWindows(e.m.Ctx(op.cpu))
+			}
 		}
 	}
 
@@ -562,11 +565,11 @@ func TestDifferentialACKClocked(t *testing.T) {
 	}
 }
 
-// insertClockGaps deterministically interleaves clock gaps (kind 8) into
-// a trace: one gap after every `every` real operations, rotating the CPU
-// that spends it.  Gaps touch no live-set bookkeeping, so the generator's
-// pick accounting stays valid.
-func insertClockGaps(ops []diffOp, every, ncpu int) []diffOp {
+// insertLaunders deterministically interleaves forced launders (kind 8)
+// into a trace: one after every `every` real operations, rotating the CPU
+// that runs it.  Launders touch no live-set bookkeeping, so the
+// generator's pick accounting stays valid.
+func insertLaunders(ops []diffOp, every, ncpu int) []diffOp {
 	out := make([]diffOp, 0, len(ops)+len(ops)/every)
 	for i, op := range ops {
 		out = append(out, op)
@@ -577,28 +580,24 @@ func insertClockGaps(ops []diffOp, every, ncpu int) []diffOp {
 	return out
 }
 
-// TestDifferentialAgedLaunder replays revive-biased traces with clock gaps
-// interleaved and a short parked-window age bound on the sharded engine,
-// so its run pool launders windows out from under the revive-heavy trace
-// on the synchronous alloc/free path.  Aging must never change a single
+// TestDifferentialMidTraceLaunder replays revive-biased traces with
+// forced launders interleaved, so the sharded engine's run pool tears
+// parked windows down from under the revive-heavy trace and recycles
+// them for other extents.  Laundering must never change a single
 // observable byte: the trace must read exactly like the same trace
 // replayed on the engines with no run pool.
-func TestDifferentialAgedLaunder(t *testing.T) {
+func TestDifferentialMidTraceLaunder(t *testing.T) {
 	plat := arch.XeonMPHTT()
 	for seed := int64(41); seed <= 43; seed++ {
-		ops := insertClockGaps(genTraceBias(seed, plat.NumCPUs, 35), 13, plat.NumCPUs)
+		ops := insertLaunders(genTraceBias(seed, plat.NumCPUs, 35), 13, plat.NumCPUs)
 		engines := newDiffEngines(t, plat)
 		var ref [diffPages]byte
 		for i, e := range engines {
-			if i == 0 {
-				e.sf.(*I386).c.(*shardedCache).runs.setLaunderAge(5000)
-			}
 			got := replayTrace(t, e, ops)
 			if i == 0 {
 				ref = got
-				ws := e.sf.(*I386).RunWindowStats()
-				if ws.AgedWindows == 0 {
-					t.Errorf("seed %d: clock gaps never aged a window out on %s — the trace is not exercising the age bound", seed, e.name)
+				if ws := e.sf.(*I386).RunWindowStats(); ws.Launders == 0 {
+					t.Errorf("seed %d: no launder round ran on %s — the trace is not exercising mid-trace laundering", seed, e.name)
 				}
 				continue
 			}

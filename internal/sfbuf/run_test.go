@@ -8,6 +8,7 @@ package sfbuf
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -1003,18 +1004,14 @@ func TestOriginalRunBehavior(t *testing.T) {
 	sf32.FreeRun(m32.Ctx(0), run32)
 }
 
-// setLaunderAge sets the parked-window age bound on the rig's sharded
-// run pool.
-func (r *shardedRig) setLaunderAge(age cycles.Cycles) {
-	r.sf.c.(*shardedCache).runs.setLaunderAge(age)
-}
-
-// TestParkedWindowAgeLaunderSyncPath is the leak regression: a single
-// parked window — far below runLaunderBatch, so the count threshold never
-// fires — must still be laundered by the next allocation once it ages out.
-// The clock advances by work on ANOTHER CPU: the age bound reads the
-// machine-wide clock, not the parking CPU's own cycles.
-func TestParkedWindowAgeLaunderSyncPath(t *testing.T) {
+// TestParkedWindowRevivesAfterIdleGap pins the lazy-teardown contract at
+// window granularity: a parked window stays revivable however much
+// machine time passes, because nothing but a laundering round (the count
+// threshold, arena exhaustion, or a forced LaunderRunWindows) tears it
+// down.  A billion cycles of work on another CPU, then a repeat AllocRun
+// over the same extent, must revive the window with its translations
+// untouched — no PTE writes, no shootdown round.
+func TestParkedWindowRevivesAfterIdleGap(t *testing.T) {
 	r := newShardedRig(t, arch.XeonMP(), 32, ShardedConfig{})
 	ctx := r.m.Ctx(0)
 	pages := allocPages(t, r.m, 4)
@@ -1023,77 +1020,210 @@ func TestParkedWindowAgeLaunderSyncPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.sf.FreeRun(ctx, run)
-	if ws := r.sf.RunWindowStats(); ws.DirtyPages != 4 {
-		t.Fatalf("DirtyPages = %d after park, want 4", ws.DirtyPages)
+	base := run.Base()
+	// Write through every page so each PTE carries accessed and modified
+	// bits: a reinstall would write fresh PTEs and clear them.
+	if _, err := r.pm.TranslateRun(ctx, base, run.Len(), true, nil); err != nil {
+		t.Fatal(err)
 	}
+	r.sf.FreeRun(ctx, run)
 
-	r.setLaunderAge(100)
-	r.m.Ctx(1).Charge(1000)
+	r.m.Ctx(1).Charge(1 << 30)
 
-	// Allocate a DIFFERENT extent: the aged window must be laundered and
-	// recycled for it, not left parked.
-	other := allocPages(t, r.m, 4)
-	run2, err := r.sf.AllocRun(ctx, other, 0)
+	before := r.m.SnapshotCounters()
+	again, err := r.sf.AllocRun(ctx, pages, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	d := r.m.SnapshotCounters().Sub(before)
 	ws := r.sf.RunWindowStats()
-	if ws.AgedLaunders != 1 || ws.AgedWindows != 1 {
-		t.Fatalf("aged counters = %d/%d, want 1/1", ws.AgedLaunders, ws.AgedWindows)
+	if ws.Revives != 1 {
+		t.Fatalf("Revives = %d after the idle gap, want 1", ws.Revives)
 	}
-	if ws.DirtyPages != 0 {
-		t.Fatalf("DirtyPages = %d after aged launder, want 0", ws.DirtyPages)
+	if again.Base() != base {
+		t.Fatalf("revived base %#x, want the parked window %#x", again.Base(), base)
 	}
-	// The laundered window was recycled, not re-reserved.
-	if ws.Reserved != 1 || ws.Reuses != 1 {
-		t.Fatalf("reserved/reuses = %d/%d, want 1/1 (recycle the aged window)", ws.Reserved, ws.Reuses)
+	for i := range pages {
+		pte, ok := r.pm.Probe(again.KVA(i))
+		if !ok || pte.Frame != pages[i].Frame() || !pte.Accessed || !pte.Modified {
+			t.Fatalf("page %d PTE %+v (present %v): a revive must leave the parked PTE as it was", i, pte, ok)
+		}
 	}
-	r.sf.FreeRun(ctx, run2)
+	if ws.Launders != 0 || d.BatchedFlushes != 0 || d.RemoteInvIssued != 0 || d.LocalInv != 0 {
+		t.Fatalf("launders %d, flushes %d, remote rounds %d, local inv %d across the revive, want 0",
+			ws.Launders, d.BatchedFlushes, d.RemoteInvIssued, d.LocalInv)
+	}
+	r.sf.FreeRun(ctx, again)
 }
 
-// TestAgeBoundBeatsRevival pins the rule "no run window stays
-// revivable-parked past LaunderAge regardless of how few dirty windows
-// exist": even a repeat AllocRun over the EXACT parked extent — the one
-// request revival exists for — must not revive a window past the bound.
-func TestAgeBoundBeatsRevival(t *testing.T) {
-	r := newShardedRig(t, arch.XeonMP(), 32, ShardedConfig{})
-	ctx := r.m.Ctx(0)
-	pages := allocPages(t, r.m, 4)
+// exhaustionOutcome is what one replay of the arena-exhaustion scenario
+// leaves behind, compared across replays.
+type exhaustionOutcome struct {
+	bases                                    []uint64
+	stats                                    RunWindowStats
+	counters                                 smp.Snapshot
+	cycles                                   cycles.Cycles
+	freeRanges, freePages, splits, coalesces int
+}
 
-	run, err := r.sf.AllocRun(ctx, pages, 0)
+// runArenaExhaustion drives the run pool's arena-exhaustion branch on a
+// sharded rig whose KVA arena holds the mapping cache and exactly three
+// windows — two of 4 pages and one of 2, each with its guard page.  The
+// three parked windows fill the arena while staying under
+// runLaunderBatch, so only the exhaustion branch can launder them.  A
+// new 4-page extent then finds clean stock after the launder, and a
+// 6-page extent fits only once every clean window's address space, in
+// both size classes, has gone back to the arena.  Every parked window is
+// read on two CPUs first, so a missing shootdown leaves a stale TLB
+// entry that a later read would return.
+func runArenaExhaustion(t *testing.T) exhaustionOutcome {
+	t.Helper()
+	const (
+		entries = 16
+		big     = 6
+	)
+	sizes := []int{4, 4, 2}
+	arenaPages, parkedPages := entries, 0
+	for _, n := range sizes {
+		arenaPages += n + runGuardPages
+		parkedPages += n
+	}
+	m := smp.NewMachine(arch.XeonMPHTT(), 256, true)
+	pm := pmap.New(m)
+	arena := kva.NewArena(pmap.KVABaseI386, uint64(arenaPages)*vm.PageSize)
+	sf, err := NewI386Sharded(m, pm, arena, entries, ShardedConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.sf.FreeRun(ctx, run)
+	c0, c1 := m.Ctx(0), m.Ctx(1)
+	var out exhaustionOutcome
 
-	// The bound must dwarf the cycles the alloc/free paths themselves
-	// charge (which also advance the machine clock), so only the explicit
-	// charge below can age a window past it.
-	r.setLaunderAge(1 << 17)
-	r.m.Ctx(1).Charge(1 << 18)
+	// readRun checks every page of run through ctx's TLB against tag.
+	readRun := func(ctx *smp.Context, run *Run, tag byte) {
+		t.Helper()
+		for j := 0; j < run.Len(); j++ {
+			got, err := pm.Translate(ctx, run.KVA(j), false)
+			if err != nil {
+				t.Fatalf("cpu %d page %d of run %#x: %v", ctx.CPUID(), j, run.Base(), err)
+			}
+			if got.Data()[0] != tag+byte(j) {
+				t.Fatalf("cpu %d page %d of run %#x reads %#x, want %#x — stale translation",
+					ctx.CPUID(), j, run.Base(), got.Data()[0], tag+byte(j))
+			}
+		}
+	}
+	extent := func(n int, tag byte) []*vm.Page {
+		pages := allocPages(t, m, n)
+		for j, pg := range pages {
+			pg.Data()[0] = tag + byte(j)
+		}
+		return pages
+	}
 
-	run2, err := r.sf.AllocRun(ctx, pages, 0) // same extent
+	type window struct {
+		base  uint64
+		pages int
+	}
+	var parked []window
+	for i, n := range sizes {
+		tag := byte(0x10 * (i + 1))
+		run, err := sf.AllocRun(c0, extent(n, tag), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		readRun(c0, run, tag)
+		readRun(c1, run, tag)
+		parked = append(parked, window{run.Base(), n})
+		out.bases = append(out.bases, run.Base())
+		sf.FreeRun(c0, run)
+	}
+	if ws := sf.RunWindowStats(); ws.DirtyPages != parkedPages || ws.Launders != 0 || arena.FreePages() != 0 {
+		t.Fatalf("setup: dirty %d, launders %d, free arena pages %d; want %d, 0, 0",
+			ws.DirtyPages, ws.Launders, arena.FreePages(), parkedPages)
+	}
+
+	// A new extent of a parked size: the launder yields clean stock.
+	before := m.SnapshotCounters()
+	run, err := sf.AllocRun(c0, extent(sizes[0], 0x80), 0)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("same-size request on a full arena: %v", err)
 	}
-	ws := r.sf.RunWindowStats()
-	if ws.Revives != 0 {
-		t.Fatalf("revives = %d, want 0: the age bound must win over revival", ws.Revives)
+	d := m.SnapshotCounters().Sub(before)
+	ws := sf.RunWindowStats()
+	if ws.Launders != 1 || ws.Laundered != uint64(len(sizes)) || ws.Reuses != 1 || ws.Reserved != uint64(len(sizes)) {
+		t.Fatalf("same-size request: %+v, want 1 launder of %d windows, 1 reuse, %d reserved",
+			ws, len(sizes), len(sizes))
 	}
-	if ws.AgedWindows != 1 {
-		t.Fatalf("AgedWindows = %d, want 1", ws.AgedWindows)
+	if d.BatchedFlushes != 1 || d.RemoteInvIssued == 0 {
+		t.Fatalf("same-size request: %d flushes, %d remote rounds; want 1 flush with a remote round",
+			d.BatchedFlushes, d.RemoteInvIssued)
 	}
-	r.sf.FreeRun(ctx, run2)
+	readRun(c0, run, 0x80)
+	readRun(c1, run, 0x80)
+	out.bases = append(out.bases, run.Base())
+	sf.FreeRun(c0, run)
 
-	// Control: under the bound, the same reuse DOES revive.
-	r.m.Ctx(1).Charge(1000) // ages the new park by far less than launderAge
-	run3, err := r.sf.AllocRun(ctx, pages, 0)
+	// A larger extent: no clean stock of its size, so every clean window
+	// goes back to the arena before the reservation is retried.
+	before = m.SnapshotCounters()
+	run, err = sf.AllocRun(c0, extent(big, 0xC0), 0)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("larger request on a full arena: %v", err)
 	}
-	if got := r.sf.RunWindowStats().Revives; got != 1 {
-		t.Fatalf("revives = %d, want 1: young parked windows must still revive", got)
+	d = m.SnapshotCounters().Sub(before)
+	ws = sf.RunWindowStats()
+	if ws.Launders != 2 || ws.CleanPages != 0 || ws.DirtyPages != 0 || ws.Reserved != uint64(len(sizes))+1 {
+		t.Fatalf("larger request: %+v, want 2 launders, no cached windows, %d reserved", ws, len(sizes)+1)
 	}
-	r.sf.FreeRun(ctx, run3)
+	if d.BatchedFlushes != 1 || d.RemoteInvIssued == 0 {
+		t.Fatalf("larger request: %d flushes, %d remote rounds; want 1 flush with a remote round",
+			d.BatchedFlushes, d.RemoteInvIssued)
+	}
+	readRun(c0, run, 0xC0)
+	readRun(c1, run, 0xC0)
+	out.bases = append(out.bases, run.Base())
+
+	// The parked windows' translations are gone: an address outside the
+	// new window faults on both CPUs, one inside it maps the new run.
+	lo, hi := run.Base(), run.Base()+uint64(run.Len())*vm.PageSize
+	for _, w := range parked {
+		for j := 0; j < w.pages; j++ {
+			va := w.base + uint64(j)*vm.PageSize
+			if va >= lo && va < hi {
+				continue
+			}
+			if pte, _ := pm.Probe(va); pte.Valid {
+				t.Fatalf("parked va %#x still has a valid PTE after the give-back", va)
+			}
+			for _, ctx := range []*smp.Context{c0, c1} {
+				if _, err := pm.Translate(ctx, va, false); !errors.Is(err, pmap.ErrFault) {
+					t.Fatalf("cpu %d reads parked va %#x: err %v, want a fault", ctx.CPUID(), va, err)
+				}
+			}
+		}
+	}
+	sf.FreeRun(c0, run)
+
+	out.stats = sf.RunWindowStats()
+	out.counters = m.SnapshotCounters()
+	out.cycles = m.TotalCycles()
+	out.freeRanges, out.freePages = arena.FreeRanges(), arena.FreePages()
+	out.splits, out.coalesces = int(arena.Splits()), int(arena.Coalesces())
+	return out
+}
+
+// TestRunArenaExhaustionLaunders covers the run pool's last backstop
+// besides the count threshold: when the arena cannot reserve a window,
+// get launders every parked window and, failing clean stock of the
+// requested size, returns every clean window's address space before it
+// retries.  The request succeeds, the parked translations are gone and
+// shot down, bytes read true on every CPU, and a second replay ends in
+// exactly the same state: window bases, pool and arena gauges, coherence
+// counters and cycles.
+func TestRunArenaExhaustionLaunders(t *testing.T) {
+	first := runArenaExhaustion(t)
+	second := runArenaExhaustion(t)
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("replays diverge:\n first %+v\nsecond %+v", first, second)
+	}
 }

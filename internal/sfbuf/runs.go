@@ -4,7 +4,6 @@ import (
 	"sort"
 	"sync"
 
-	"sfbuf/internal/cycles"
 	"sfbuf/internal/kva"
 	"sfbuf/internal/pmap"
 	"sfbuf/internal/smp"
@@ -39,13 +38,17 @@ import (
 //     which pages were accessed over its parked lives, and which CPUs'
 //     TLBs (the accumulated cpumask) may cache them — is deferred until
 //     the pool needs clean stock.  Debt is retired by LAUNDERING: when
-//     enough dirty windows accumulate (runLaunderBatch), one pass
-//     removes every parked window's translations and one queued
-//     shootdown flush retires all their invalidations in a single
-//     ranged IPI round, after which all of them are reusable for any
-//     extent.  This is the sharded cache's clean-buffer batching applied
-//     at window granularity: one IPI round per runLaunderBatch windows
-//     instead of one per run.
+//     enough dirty windows accumulate (runLaunderBatch), or when the
+//     arena cannot reserve a fresh window, one pass removes every
+//     parked window's translations and one queued shootdown flush
+//     retires all their invalidations in a single ranged IPI round,
+//     after which all of them are reusable for any extent.  This is
+//     the sharded cache's clean-buffer batching applied at window
+//     granularity: one IPI round per runLaunderBatch windows instead of
+//     one per run.  Nothing launders by age: a parked window holds
+//     address space and still-current translations, and the
+//     arena-exhaustion path takes the address space back when a
+//     reservation needs it.
 //
 // Soundness is the lazy-teardown argument of Section 4.2 lifted to
 // window granularity.  While a window is parked its PTEs are unchanged,
@@ -67,18 +70,6 @@ const (
 	runLaunderBatch = 8
 )
 
-// DefaultLaunderAge bounds how long a window may stay parked, in simulated
-// cycles on the machine clock (smp.Machine.Now).  Fewer than
-// runLaunderBatch parked windows never trip the count-threshold launder, so
-// without an age bound a quiet kernel would pin their frames, address
-// space, and accumulated TLB masks forever.  The bound is enforced on the
-// synchronous alloc/free path: the next run allocation or free after a
-// window ages out launders it, so a pool that sees no further run traffic
-// keeps what it parked.  Large enough that revival-economy workloads never
-// trip it between back-to-back reuses; small enough that a few million
-// cycles of machine time launder everything parked.
-const DefaultLaunderAge cycles.Cycles = 2 << 20
-
 // runWindow is one reserved VA window.  While a run holds it, live is
 // that run's copy of its pages.  Between a FreeRun and the next
 // laundering round the window is PARKED: frames records the extent whose
@@ -93,10 +84,6 @@ type runWindow struct {
 	frames []uint64   // parked: the installed frame extent, revive key
 	mask   smp.CPUSet // parked: union of the lives' TLB masks
 	accScr []bool     // KRemoveRun scratch, reused across lives
-
-	// parkedAt is the machine-clock time of the most recent park; the
-	// age-bound laundering compares it against runPool.launderAge.
-	parkedAt cycles.Cycles
 }
 
 // RunWindowStats counts run-window pool events and reports the pool's
@@ -117,13 +104,6 @@ type RunWindowStats struct {
 	// coalescing factor the pool earns.
 	Launders  uint64
 	Laundered uint64
-	// AgedLaunders counts laundering rounds triggered by the parked-window
-	// age bound rather than the count threshold, and AgedWindows the
-	// windows those rounds retired.  Age-triggered rounds launder fewer
-	// than runLaunderBatch windows by design: they trade coalescing for a
-	// bound on how long a parked window pins its frames and VA.
-	AgedLaunders uint64
-	AgedWindows  uint64
 
 	// CleanPages is the usable-page total of windows on the clean lists:
 	// torn down, flushed, reusable for any extent.
@@ -149,14 +129,10 @@ type runPool struct {
 
 	mu    sync.Mutex
 	clean map[int][]*runWindow
-	// dirty holds parked windows in park order (oldest first), so the
-	// windows past the age bound are always a prefix and a revive takes
-	// the matching window parked first.
+	// dirty holds parked windows in park order (oldest first), so a
+	// revive takes the matching window parked first.
 	dirty []*runWindow
-	// launderAge is the parked-window age bound on the machine clock;
-	// 0 disables age-triggered laundering (count threshold only).
-	launderAge cycles.Cycles
-	stats      RunWindowStats
+	stats RunWindowStats
 	// led is the run path's share of the cache statistics (Allocs, Hits,
 	// Misses, Frees and the Run* counters), counted where get and put
 	// hold mu anyway.
@@ -167,18 +143,10 @@ type runPool struct {
 
 func newRunPool(pm *pmap.Pmap, arena *kva.Arena) *runPool {
 	return &runPool{
-		pm:         pm,
-		arena:      arena,
-		clean:      make(map[int][]*runWindow),
-		launderAge: DefaultLaunderAge,
+		pm:    pm,
+		arena: arena,
+		clean: make(map[int][]*runWindow),
 	}
-}
-
-// setLaunderAge overrides the parked-window age bound; 0 disables it.
-func (p *runPool) setLaunderAge(age cycles.Cycles) {
-	p.mu.Lock()
-	p.launderAge = age
-	p.mu.Unlock()
 }
 
 // get returns a window for the requested extent.  revived reports
@@ -192,12 +160,6 @@ func (p *runPool) get(ctx *smp.Context, pages []*vm.Page) (w *runWindow, revived
 	ctx.ChargeLock()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	// The age bound wins over revival: a window parked past launderAge is
-	// retired even if this very request would have revived it, so no
-	// window stays revivable-parked forever.
-	if p.launderAge > 0 && len(p.dirty) > 0 {
-		p.launderAgedLocked(ctx, ctx.Machine().Now())
-	}
 	if w = p.reviveLocked(pages); w != nil {
 		revived = true
 	} else if w = p.popCleanLocked(n); w == nil && len(p.dirty) >= runLaunderBatch {
@@ -321,14 +283,7 @@ func (p *runPool) put(ctx *smp.Context, w *runWindow, pages []*vm.Page, mask smp
 	p.led.Frees += uint64(len(pages))
 	p.led.RunFrees++
 	w.mask |= mask
-	w.parkedAt = ctx.Machine().Now()
 	p.dirty = append(p.dirty, w)
-	// Parking is also a chance to retire windows that aged out while the
-	// pool sat under the count threshold (the just-parked window has age
-	// zero and always survives).
-	if p.launderAge > 0 && len(p.dirty) > 1 {
-		p.launderAgedLocked(ctx, w.parkedAt)
-	}
 	p.mu.Unlock()
 }
 
@@ -338,30 +293,19 @@ func (p *runPool) put(ctx *smp.Context, w *runWindow, pages []*vm.Page, mask smp
 // forced flush, then moves the windows to their clean lists, reusable
 // for any extent.  Caller holds p.mu.
 func (p *runPool) launderLocked(ctx *smp.Context) {
-	p.launderSomeLocked(ctx, len(p.dirty))
-}
-
-// launderSomeLocked launders the n oldest parked windows (the dirty-list
-// prefix) in one round: one page-table pass per window, all invalidation
-// debt retired through ONE forced shootdown flush.  Caller holds p.mu.
-func (p *runPool) launderSomeLocked(ctx *smp.Context, n int) {
-	if n > len(p.dirty) {
-		n = len(p.dirty)
-	}
-	if n <= 0 {
+	if len(p.dirty) == 0 {
 		return
 	}
-	batch := p.dirty[:n]
-	for _, w := range batch {
+	for _, w := range p.dirty {
 		p.launderWindowLocked(ctx, w)
 	}
 	ctx.FlushShootdowns()
 	p.stats.Launders++
-	p.stats.Laundered += uint64(n)
-	for _, w := range batch {
+	p.stats.Laundered += uint64(len(p.dirty))
+	for _, w := range p.dirty {
 		p.clean[w.pages] = append(p.clean[w.pages], w)
 	}
-	p.dirty = append(p.dirty[:0], p.dirty[n:]...)
+	p.dirty = p.dirty[:0]
 }
 
 // launderWindowLocked retires ONE parked window's deferred teardown:
@@ -384,26 +328,6 @@ func (p *runPool) launderWindowLocked(ctx *smp.Context, w *runWindow) {
 	ctx.QueueShootdownBatch(p.scrMasks, p.scrVpns)
 	w.frames = w.frames[:0]
 	w.mask = 0
-}
-
-// launderAgedLocked launders the parked windows whose age at time now
-// meets the pool's age bound.  The dirty list is in park order, so they
-// form a prefix.  Caller holds p.mu.  Returns how many were laundered.
-func (p *runPool) launderAgedLocked(ctx *smp.Context, now cycles.Cycles) int {
-	if p.launderAge <= 0 {
-		return 0
-	}
-	cut := 0
-	for cut < len(p.dirty) && now-p.dirty[cut].parkedAt >= p.launderAge {
-		cut++
-	}
-	if cut == 0 {
-		return 0
-	}
-	p.stats.AgedLaunders++
-	p.stats.AgedWindows += uint64(cut)
-	p.launderSomeLocked(ctx, cut)
-	return cut
 }
 
 // launder forces a laundering round outside the allocation path — a test

@@ -196,12 +196,6 @@ type Machine struct {
 	topo Topology
 
 	counters Counters
-
-	// clockBase carries the per-CPU cycle counters zeroed by
-	// ResetCounters, so that Now() is monotonic across counter resets.
-	// Without it, a harness reset would make parked-window age stamps
-	// appear to come from the future.
-	clockBase atomic.Int64
 }
 
 // NewMachine builds a machine for the given platform with frames pages of
@@ -309,8 +303,7 @@ func (m *Machine) SnapshotCounters() Snapshot {
 }
 
 // ResetCounters zeroes coherence counters and per-CPU cycle counters;
-// experiment harnesses call it between runs.  The zeroed cycles are
-// folded into clockBase first so Now() never runs backwards.
+// experiment harnesses call it between runs.
 func (m *Machine) ResetCounters() {
 	m.counters.LocalInv.Store(0)
 	m.counters.RemoteInvIssued.Store(0)
@@ -325,16 +318,8 @@ func (m *Machine) ResetCounters() {
 	m.counters.RemoteIPIs.Store(0)
 	m.counters.RemoteMemCycles.Store(0)
 	for _, c := range m.cpus {
-		m.clockBase.Add(c.cycles.Swap(0))
+		c.cycles.Store(0)
 	}
-}
-
-// Now returns the machine's simulated clock: every cycle any CPU has ever
-// consumed, monotonic across ResetCounters.  It is a global (not per-CPU)
-// clock, which is what age bounds want: a window parked by CPU 0 must age
-// while CPU 1 does all the work.
-func (m *Machine) Now() cycles.Cycles {
-	return cycles.Cycles(m.clockBase.Load()) + m.TotalCycles()
 }
 
 // TotalCycles sums cycles consumed across every CPU.  It is the elapsed
